@@ -34,7 +34,7 @@ use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
-use xsearch_bench::summary::{registry_json, write_summary};
+use xsearch_bench::summary::write_summary;
 use xsearch_bench::EXPERIMENT_SEED;
 use xsearch_cluster::resilience::ResilienceConfig;
 use xsearch_cluster::{
@@ -44,6 +44,7 @@ use xsearch_core::config::XSearchConfig;
 use xsearch_engine::corpus::CorpusConfig;
 use xsearch_engine::engine::SearchEngine;
 use xsearch_metrics::LatencyHistogram;
+use xsearch_telemetry::LabelValue;
 
 const REPLICAS: usize = 8;
 const SESSIONS: usize = 32;
@@ -224,21 +225,10 @@ fn run_scenario(
         }
     }
     let lost = acked.iter().filter(|q| !merged.contains(*q)).count();
-    let stats = clients
-        .iter()
-        .fold(xsearch_cluster::ClientStats::default(), |mut acc, c| {
-            let s = c.stats();
-            acc.retries += s.retries;
-            acc.reattaches += s.reattaches;
-            acc.hedges_fired += s.hedges_fired;
-            acc.hedges_won += s.hedges_won;
-            acc.deadline_misses += s.deadline_misses;
-            acc.link_losses += s.link_losses;
-            acc
-        });
-    let (sweeps_run, sweeps_coalesced) = cluster.sweep_stats();
-    let mut telemetry = String::new();
-    registry_json(&mut telemetry, cluster.telemetry());
+    // This scenario's clients are the fleet's only ones, so the
+    // registry's fleet-wide counters are the scenario's totals.
+    let snap = cluster.telemetry().snapshot();
+    let counter = |name: &str| snap.value(name, &[]).unwrap_or(0.0) as u64;
     ScenarioResult {
         name,
         policies,
@@ -248,22 +238,27 @@ fn run_scenario(
         total_cost,
         p99_us: hist.quantile(0.99),
         mean_cost_us: hist.mean(),
-        retries: stats.retries,
-        reattaches: stats.reattaches,
-        hedges_fired: stats.hedges_fired,
-        hedges_won: stats.hedges_won,
-        deadline_misses: stats.deadline_misses,
-        link_losses: stats.link_losses,
-        breaker_trips: cluster.breaker_trips(),
-        sweeps_run,
-        sweeps_coalesced,
-        degraded_served: cluster.degraded_served(),
-        sheds: cluster.queue_stats().iter().map(|s| s.shed).sum(),
+        retries: counter("xsearch_client_retries_total"),
+        reattaches: counter("xsearch_client_reattaches_total"),
+        hedges_fired: counter("xsearch_client_hedges_fired_total"),
+        hedges_won: counter("xsearch_client_hedges_won_total"),
+        deadline_misses: counter("xsearch_client_deadline_misses_total"),
+        link_losses: counter("xsearch_client_link_losses_total"),
+        breaker_trips: counter("xsearch_breaker_trips"),
+        sweeps_run: counter("xsearch_fleet_sweeps_run_total"),
+        sweeps_coalesced: counter("xsearch_fleet_sweeps_coalesced_total"),
+        degraded_served: counter("xsearch_fleet_degraded_served"),
+        sheds: (0..REPLICAS as u64)
+            .map(|r| {
+                snap.value("xsearch_replica_shed", &[("replica", LabelValue::Int(r))])
+                    .unwrap_or(0.0) as u64
+            })
+            .sum(),
         acked: acked.len(),
         lost,
         transcript,
         flight: cluster.flight().dump(),
-        telemetry,
+        telemetry: snap.render_json(),
     }
 }
 

@@ -144,7 +144,9 @@ fn fleet_reports(replicas: usize, warm: &[String]) -> (Vec<RunReport>, f64, Lane
         ok
     });
     let served = served.load(Ordering::Relaxed).max(1);
-    let hop_us_mean = cluster.accounted_network_delay().as_secs_f64() * 1e6 / served as f64;
+    let snap = cluster.telemetry().snapshot();
+    let hop_us = snap.value("xsearch_fleet_hop_delay_us", &[]).unwrap_or(0.0);
+    let hop_us_mean = hop_us / served as f64;
     (reports, hop_us_mean, cluster.batch_stats())
 }
 

@@ -42,6 +42,7 @@ use xsearch_core::Broker;
 use xsearch_engine::corpus::CorpusConfig;
 use xsearch_engine::engine::SearchEngine;
 use xsearch_net_sim::{encode_frame_into, ByteStream, FrameDecoder, StreamError};
+use xsearch_telemetry::LabelValue;
 
 /// Slowloris dribblers kept alive (respawned when reaped).
 const SLOWLORIS: usize = 4;
@@ -475,21 +476,36 @@ fn chaos(rounds: usize, good: usize) -> ChaosOutcome {
         sessions_reaped += cluster.reap_sessions(0);
     }
     let sessions_after_reap = cluster.session_count();
-    let stats = front.survival_stats();
+    let snap = cluster.telemetry().snapshot();
+    let labelled = |name: &str, key: &'static str, values: &[&'static str]| -> u64 {
+        values
+            .iter()
+            .map(|v| {
+                snap.value(name, &[(key, LabelValue::Static(v))])
+                    .unwrap_or(0.0) as u64
+            })
+            .sum()
+    };
+    let plain = |name: &str| snap.value(name, &[]).unwrap_or(0.0) as u64;
     ChaosOutcome {
         good: tally(&goods),
         adversaries_spawned,
         fuzzer_rejects,
-        timeouts: stats.timeouts_handshake
-            + stats.timeouts_read
-            + stats.timeouts_write
-            + stats.timeouts_idle,
-        slowloris_closed: stats.slowloris_closed,
-        strikes: stats.strikes,
-        quarantined_keys: stats.quarantined_keys,
-        quota_closed: stats.quota_closed,
-        sheds: stats.shed_misbehaving + stats.shed_unattested + stats.shed_established,
-        sessions_closed: stats.sessions_closed,
+        timeouts: labelled(
+            "xsearch_front_timeouts_total",
+            "kind",
+            &["handshake", "read_stall", "write_stall", "idle"],
+        ),
+        slowloris_closed: labelled("xsearch_front_timeouts_total", "kind", &["slowloris"]),
+        strikes: plain("xsearch_front_strikes_total"),
+        quarantined_keys: plain("xsearch_front_quarantined_keys_total"),
+        quota_closed: plain("xsearch_front_quota_closes"),
+        sheds: labelled(
+            "xsearch_front_sheds_total",
+            "class",
+            &["misbehaving", "unattested", "established"],
+        ),
+        sessions_closed: plain("xsearch_front_sessions_closed"),
         sessions_before_reap,
         sessions_reaped,
         sessions_after_reap,

@@ -2,13 +2,16 @@
 //! replica end-to-end, and on failure triggers a health sweep, re-routes,
 //! re-attests the successor, and retries the request.
 //!
-//! Searches ride the cluster's coalescing data plane
-//! ([`Cluster::forward_with`]): the client seals the query locally,
-//! hands the ciphertext to its replica's lane, and blocks on its own
-//! reusable [`RequestSlot`] until the (possibly batched) response comes
-//! back. The tunnel is established once at attach and reused for every
-//! request — no per-request channel setup; re-attestation happens only
-//! on failover.
+//! Searches ride the cluster's coalescing data plane through its one
+//! blocking door, [`Cluster::forward`]: the client's seal closure runs
+//! only once the request is admitted, the ciphertext goes onto its
+//! replica's lane, and the client blocks on its own reusable
+//! [`RequestSlot`] until the (possibly batched) response comes back. The
+//! tunnel is established once at attach and reused for every request —
+//! no per-request channel setup; re-attestation happens only on
+//! failover. What the policy stack did (retries, re-attestations, hedges,
+//! deadline misses, link losses) is counted once, on the fleet registry
+//! (`xsearch_client_*_total`).
 //!
 //! # The resilience policy stack
 //!
@@ -29,8 +32,8 @@
 //!    delay is raced against the ring successor on a fresh sub-session;
 //!    the first answer (on the modeled clock) wins;
 //! 5. **degradation** — under queue pressure the fleet shrinks the decoy
-//!    count `k` before it sheds real queries (driven fleet-side, see
-//!    [`Cluster::queue_stats`]).
+//!    count `k` before it sheds real queries (driven fleet-side from
+//!    each replica's queue depth).
 //!
 //! Every decision consumes only deterministic inputs (seeded jitter,
 //! accounted charges, the fleet's op clock), so a chaos run with a fixed
@@ -67,25 +70,6 @@ pub struct SearchOutcome {
     pub replica: ReplicaId,
 }
 
-/// Lifetime counters for one client (see [`ClusterClient::stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClientStats {
-    /// Forward attempts beyond the first, summed over all searches.
-    pub retries: u64,
-    /// Re-attestation handshakes performed after the initial attach.
-    pub reattaches: u64,
-    /// Hedge requests fired.
-    pub hedges_fired: u64,
-    /// Hedge requests whose answer beat the primary on the modeled clock.
-    pub hedges_won: u64,
-    /// Searches that missed their deadline budget (whether or not an
-    /// answer eventually arrived).
-    pub deadline_misses: u64,
-    /// Forward attempts dropped on the link (injected loss/partition) —
-    /// each was retried on the same session, never re-attested.
-    pub link_losses: u64,
-}
-
 /// One client of the fleet: a [`Broker`] plus routing state.
 ///
 /// Routing uses a stable per-client **affinity key** (a hash of the
@@ -109,7 +93,6 @@ pub struct ClusterClient {
     slot: Arc<RequestSlot>,
     /// Effective answer-cost samples, for the p99-derived hedge delay.
     latencies: LatencyEstimator,
-    stats: ClientStats,
     last_cost: Duration,
 }
 
@@ -131,6 +114,12 @@ fn affinity_key(seed: u64) -> [u8; 32] {
 
 pub(crate) fn handshake_seed(seed: u64, handshakes: u64) -> u64 {
     seed ^ handshakes.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// The seal closure every forward hands to [`Cluster::forward`]: the
+/// wire envelope key plus `query` sealed under the tunnel's next nonce.
+fn seal(broker: &mut Broker, query: &str) -> ([u8; 32], Vec<u8>) {
+    (*broker.client_pub().as_bytes(), broker.seal_query(query))
 }
 
 impl ClusterClient {
@@ -160,7 +149,6 @@ impl ClusterClient {
             broker,
             slot: RequestSlot::new(),
             latencies: LatencyEstimator::default(),
-            stats: ClientStats::default(),
             last_cost: Duration::ZERO,
         })
     }
@@ -175,12 +163,6 @@ impl ClusterClient {
     #[must_use]
     pub fn affinity(&self) -> &[u8; 32] {
         &self.affinity
-    }
-
-    /// Lifetime resilience counters for this client.
-    #[must_use]
-    pub fn stats(&self) -> ClientStats {
-        self.stats
     }
 
     /// The modeled cost of the most recent search, successful or not
@@ -282,8 +264,7 @@ impl ClusterClient {
         let mut failovers = 0usize;
         loop {
             if spent >= deadline {
-                self.stats.deadline_misses += 1;
-                cluster.metrics().client_deadline_misses.inc();
+                cluster.metrics.client_deadline_misses.inc();
                 cluster.flight().record(FlightEvent::DeadlineMiss {
                     replica: self.replica.0 as u64,
                 });
@@ -311,8 +292,7 @@ impl ClusterClient {
             }
             attempts += 1;
             if attempts > 1 {
-                self.stats.retries += 1;
-                cluster.metrics().client_retries.inc();
+                cluster.metrics.client_retries.inc();
             }
             let target = self.replica;
             let broker = &mut self.broker;
@@ -321,16 +301,12 @@ impl ClusterClient {
             // `Overloaded` or dropped with `LinkLoss` was never sealed,
             // so the tunnel's strict-sequence nonce counter stays in
             // sync and retrying on the same session is safe.
-            let outcome = cluster.forward_timed(
+            let outcome = cluster.forward(
                 target,
                 echo,
                 &self.slot,
                 Some(deadline.saturating_sub(spent)),
-                || {
-                    let client_pub = *broker.client_pub().as_bytes();
-                    let ciphertext = broker.seal_query(query);
-                    (client_pub, ciphertext)
-                },
+                || seal(broker, query),
             );
             let last = match outcome {
                 Ok((response, charge)) => match self.broker.open_results(&response) {
@@ -346,10 +322,7 @@ impl ClusterClient {
                     Err(e) => {
                         cluster.record_failure(target);
                         let pause = backoff.next_delay();
-                        cluster
-                            .metrics()
-                            .span_backoff
-                            .record(FleetMetrics::us(pause));
+                        cluster.metrics.span_backoff.record(FleetMetrics::us(pause));
                         spent += charge + pause;
                         ClusterError::Proxy(e)
                     }
@@ -358,14 +331,10 @@ impl ClusterClient {
                 // backoff charge. No reattach, no failover — the tunnel
                 // never moved.
                 Err(ClusterError::LinkLoss(id)) => {
-                    self.stats.link_losses += 1;
-                    cluster.metrics().client_link_losses.inc();
+                    cluster.metrics.client_link_losses.inc();
                     cluster.record_failure(id);
                     let pause = backoff.next_delay();
-                    cluster
-                        .metrics()
-                        .span_backoff
-                        .record(FleetMetrics::us(pause));
+                    cluster.metrics.span_backoff.record(FleetMetrics::us(pause));
                     spent += pause;
                     continue;
                 }
@@ -382,8 +351,7 @@ impl ClusterClient {
                 // the session is desynchronized: re-attest before
                 // handing the typed miss to the caller.
                 Err(ClusterError::DeadlineExceeded) => {
-                    self.stats.deadline_misses += 1;
-                    cluster.metrics().client_deadline_misses.inc();
+                    cluster.metrics.client_deadline_misses.inc();
                     cluster.flight().record(FlightEvent::DeadlineMiss {
                         replica: target.0 as u64,
                     });
@@ -397,10 +365,7 @@ impl ClusterClient {
                     // (sessions die with the enclave). Re-attest below.
                     cluster.record_failure(target);
                     let pause = backoff.next_delay();
-                    cluster
-                        .metrics()
-                        .span_backoff
-                        .record(FleetMetrics::us(pause));
+                    cluster.metrics.span_backoff.record(FleetMetrics::us(pause));
                     spent += pause;
                     ClusterError::Proxy(e)
                 }
@@ -410,10 +375,7 @@ impl ClusterClient {
                     cluster.record_failure(target);
                     cluster.health_sweep();
                     let pause = backoff.next_delay();
-                    cluster
-                        .metrics()
-                        .span_backoff
-                        .record(FleetMetrics::us(pause));
+                    cluster.metrics.span_backoff.record(FleetMetrics::us(pause));
                     spent += pause;
                     e
                 }
@@ -475,15 +437,13 @@ impl ClusterClient {
                 // hand, so this rewrites cost, not correctness — and the
                 // sub-session's fresh keypair means the race can never
                 // touch the primary tunnel's nonce sequence.)
-                self.stats.hedges_fired += 1;
-                cluster.metrics().client_hedges_fired.inc();
+                cluster.metrics.client_hedges_fired.inc();
                 hedged = true;
                 if let Some((h_results, h_charge, h_replica)) = self.try_hedge(cluster, query, echo)
                 {
                     let hedge_cost = spent + hedge_delay + h_charge;
                     if hedge_cost < cost {
-                        self.stats.hedges_won += 1;
-                        cluster.metrics().client_hedges_won.inc();
+                        cluster.metrics.client_hedges_won.inc();
                         cluster.flight().record(FlightEvent::HedgeWon {
                             replica: h_replica.0 as u64,
                         });
@@ -507,13 +467,9 @@ impl ClusterClient {
         // charge would inflate the trigger until hedging disabled
         // itself.
         self.latencies.record(cost.saturating_sub(spent));
-        cluster
-            .metrics()
-            .span_request
-            .record(FleetMetrics::us(cost));
+        cluster.metrics.span_request.record(FleetMetrics::us(cost));
         if cost > deadline {
-            self.stats.deadline_misses += 1;
-            cluster.metrics().client_deadline_misses.inc();
+            cluster.metrics.client_deadline_misses.inc();
         }
         self.last_cost = cost;
         SearchOutcome {
@@ -544,8 +500,7 @@ impl ClusterClient {
         });
         let seed = handshake_seed(self.seed, self.handshakes);
         self.handshakes += 1;
-        self.stats.reattaches += 1;
-        cluster.metrics().client_reattaches.inc();
+        cluster.metrics.client_reattaches.inc();
         let mut hedge_broker = cluster
             .with_replica(successor, |proxy| {
                 Broker::attach(proxy, cluster.ias(), cluster.expected_measurement(), seed)
@@ -554,10 +509,8 @@ impl ClusterClient {
             .ok()?;
         let slot = RequestSlot::new();
         let (response, charge) = cluster
-            .forward_timed(successor, echo, &slot, None, || {
-                let client_pub = *hedge_broker.client_pub().as_bytes();
-                let ciphertext = hedge_broker.seal_query(query);
-                (client_pub, ciphertext)
+            .forward(successor, echo, &slot, None, || {
+                seal(&mut hedge_broker, query)
             })
             .ok()?;
         let results = hedge_broker.open_results(&response).ok()?;
@@ -580,11 +533,7 @@ impl ClusterClient {
         for attempts in 1..=rounds {
             let target = self.replica;
             let broker = &mut self.broker;
-            let outcome = cluster.forward_timed(target, echo, &self.slot, None, || {
-                let client_pub = *broker.client_pub().as_bytes();
-                let ciphertext = broker.seal_query(query);
-                (client_pub, ciphertext)
-            });
+            let outcome = cluster.forward(target, echo, &self.slot, None, || seal(broker, query));
             match outcome {
                 Ok((response, charge)) => {
                     spent += charge;
@@ -639,8 +588,7 @@ impl ClusterClient {
         let replica = cluster.route(&self.affinity)?;
         let seed = handshake_seed(self.seed, self.handshakes);
         self.handshakes += 1;
-        self.stats.reattaches += 1;
-        cluster.metrics().client_reattaches.inc();
+        cluster.metrics.client_reattaches.inc();
         let broker = &mut self.broker;
         cluster.with_replica(replica, |proxy| {
             broker.reattach(proxy, cluster.ias(), cluster.expected_measurement(), seed)

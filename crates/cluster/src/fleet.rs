@@ -13,8 +13,9 @@
 //!
 //! # Lock-free data plane
 //!
-//! The request path ([`Cluster::route`] + the forwarding primitives)
-//! acquires **no lock on shared control-plane state**:
+//! The request path ([`Cluster::route`] + [`Cluster::forward`], or the
+//! front tier's submit/drive/finish over the same door) acquires **no
+//! lock on shared control-plane state**:
 //!
 //! * membership and the consistent-hash ring are read as published
 //!   snapshots ([`crate::snapshot::Published`]) — one atomic load each;
@@ -73,6 +74,15 @@ use xsearch_telemetry::{Counter, FlightEvent, FlightRecorder, LabelValue, Regist
 /// until the lane drains, so nothing is left behind.
 const MAX_BATCH: usize = 64;
 
+/// Virtual nodes per replica on the consistent-hash ring.
+const VNODES: usize = 64;
+
+/// Timed-wait backstop for a blocking [`Cluster::forward`] parked on its
+/// slot while another thread leads the lane. Delivery normally wakes it
+/// via the slot condvar; the timeout only closes a lost wakeup — never
+/// fires on the happy path, bounds the stutter when it does.
+const LANE_WAIT: Duration = Duration::from_millis(1);
+
 /// Flight-recorder depth: enough to hold every control-plane decision of
 /// a failing chaos scenario's last phase without growing unbounded.
 const FLIGHT_CAPACITY: usize = 256;
@@ -92,8 +102,6 @@ pub struct ClusterConfig {
     /// request is snapshotted before the next), larger values trade
     /// recovery freshness for throughput.
     pub seal_every: usize,
-    /// Virtual nodes per replica on the consistent-hash ring.
-    pub vnodes: usize,
     /// Bounded admission: the most requests one replica may hold
     /// (in service or waiting on its locks) before the router sheds new
     /// arrivals with [`ClusterError::Overloaded`]. `0` disables the
@@ -103,13 +111,6 @@ pub struct ClusterConfig {
     pub queue_limit: usize,
     /// Base seed for attestation service, challenges and host RNGs.
     pub seed: u64,
-    /// Timed-wait backstop for submitters parked on their slot while
-    /// another thread leads their lane. Delivery normally wakes them via
-    /// the slot condvar; the timeout only matters if leadership went
-    /// unclaimed in the instant they checked (lost-wakeup closure).
-    /// Default 1 ms — long enough to never fire on the happy path, short
-    /// enough that a lost wakeup costs a bounded stutter.
-    pub lane_wait: Duration,
     /// Failovers a single request rides out before the client gives up
     /// with [`ClusterError::RetriesExhausted`]. Default 3: survives the
     /// kill → sweep → successor-also-dies sequence churn testing
@@ -130,31 +131,13 @@ impl Default for ClusterConfig {
             proxy: XSearchConfig::default(),
             placement: PlacementPolicy::ConsistentHash,
             seal_every: 1,
-            vnodes: 64,
             queue_limit: 256,
             seed: 0xF1EE7,
-            lane_wait: Duration::from_millis(1),
             max_failovers: 3,
             resilience: ResilienceConfig::default(),
             faults: None,
         }
     }
-}
-
-/// One replica's admission-queue counters (see [`Cluster::queue_stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueueStats {
-    /// The replica these counters describe.
-    pub replica: ReplicaId,
-    /// Requests currently admitted (in service or waiting on locks).
-    pub depth: usize,
-    /// Deepest the queue has ever been.
-    pub high_water: usize,
-    /// Requests refused by the bounded queue so far.
-    pub shed: u64,
-    /// The graceful-degradation level currently pushed into this
-    /// replica's enclave (0 = full obfuscation strength).
-    pub degrade_level: usize,
 }
 
 /// What one failover did (returned by [`Cluster::health_sweep`]).
@@ -177,6 +160,22 @@ struct AdmitGuard<'a> {
 impl Drop for AdmitGuard<'_> {
     fn drop(&mut self) {
         self.node.exit();
+    }
+}
+
+/// Runs [`Cluster::finish`] on drop, so a blocking forward that unwinds
+/// while leading its lane mid-batch (the `DeliveryFence` fails its slot)
+/// still releases the admission it holds.
+struct FinishGuard<'a> {
+    cluster: &'a Cluster,
+    id: ReplicaId,
+    charge: Duration,
+    served: bool,
+}
+
+impl Drop for FinishGuard<'_> {
+    fn drop(&mut self) {
+        self.cluster.finish(self.id, self.served, self.charge);
     }
 }
 
@@ -237,15 +236,15 @@ pub struct Cluster {
     /// Bumped when a sweep finishes; latecomers that observed the sweep
     /// in progress return once the generation moves.
     sweep_gen: AtomicU64,
-    /// Sweep accounting lives directly on the metrics registry — the
-    /// first of the ad-hoc stat surfaces folded into one snapshot.
+    /// Sweep accounting (`xsearch_fleet_sweeps_{run,coalesced}_total`).
     sweeps_run: Counter,
     sweeps_coalesced: Counter,
     /// The fleet's metrics registry (one snapshot for queues, breakers,
     /// lanes, spans and client resilience counters).
     telemetry: Arc<Registry>,
-    /// Pre-registered fleet counters and span histograms.
-    metrics: FleetMetrics,
+    /// Pre-registered fleet counters and span histograms (clients count
+    /// their retries, hedges and misses through these).
+    pub(crate) metrics: FleetMetrics,
     /// Structured event ring dumped on chaos-scenario failures.
     flight: Arc<FlightRecorder>,
 }
@@ -501,36 +500,6 @@ impl Cluster {
         self.nodes.get(id.0).ok_or(ClusterError::UnknownReplica(id))
     }
 
-    /// Sum of accounted router↔replica hop delays so far (never slept,
-    /// tracked per node with an atomic — see `ReplicaNode::account_hop`).
-    #[must_use]
-    pub fn accounted_network_delay(&self) -> Duration {
-        Duration::from_nanos(self.nodes.iter().map(|n| n.accounted_hop_ns()).sum())
-    }
-
-    /// Sum of accounted *injected* fault delays (stalls, delay spikes) —
-    /// modeled like hop delays: charged to request cost, never slept.
-    #[must_use]
-    pub fn accounted_fault_delay(&self) -> Duration {
-        Duration::from_nanos(self.nodes.iter().map(|n| n.accounted_fault_ns()).sum())
-    }
-
-    /// Total requests every replica served at reduced obfuscation
-    /// strength (the graceful-degradation ladder shrank `k`), summed
-    /// across the fleet. Down replicas contribute their last known
-    /// count of zero.
-    #[must_use]
-    pub fn degraded_served(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|node| {
-                node.proxy()
-                    .as_ref()
-                    .map_or(0, |proxy| proxy.degrade_stats().1)
-            })
-            .sum()
-    }
-
     /// Closes the enclave session keyed by `client_pub` on the replica
     /// the key routes to (the replica the client attested, membership
     /// permitting). Returns whether a session was actually removed.
@@ -578,24 +547,6 @@ impl Cluster {
             .sum()
     }
 
-    /// Per-replica admission-queue counters: current depth, high-water
-    /// mark, and how many requests the bounded queue has shed. The
-    /// operator-facing signal that a fleet is running hot *before* it
-    /// stops answering.
-    #[must_use]
-    pub fn queue_stats(&self) -> Vec<QueueStats> {
-        self.nodes
-            .iter()
-            .map(|node| QueueStats {
-                replica: node.id(),
-                depth: node.inflight(),
-                high_water: node.queue_high_water(),
-                shed: node.shed(),
-                degrade_level: node.degrade_level(),
-            })
-            .collect()
-    }
-
     /// Fleet-wide request-coalescing statistics: how many `proxy_batch`
     /// ecalls the lanes issued and how many requests rode in them.
     #[must_use]
@@ -605,11 +556,12 @@ impl Cluster {
             .fold(LaneStats::default(), |acc, lane| acc.merged(lane.stats()))
     }
 
-    /// The fleet's metrics registry: one snapshot covering queue depths,
-    /// lane coalescing, breaker trips, sweep coalescing, accounted
-    /// hop/fault/engine delays and the client resilience counters —
-    /// every surface `queue_stats()`, `sweep_stats()` and friends expose
-    /// piecemeal, unified for exposition.
+    /// The fleet's metrics registry: one snapshot covering per-replica
+    /// queue depth/high-water/shed/degrade level, lane coalescing,
+    /// breaker trips, sweep coalescing, accounted hop/fault/engine delays,
+    /// the client resilience counters and (once a
+    /// [`crate::front::FrontTier`] is built) the front's — the only stats
+    /// surface; read one series with `snapshot().value(name, labels)`.
     #[must_use]
     pub fn telemetry(&self) -> &Arc<Registry> {
         &self.telemetry
@@ -622,12 +574,6 @@ impl Cluster {
     #[must_use]
     pub fn flight(&self) -> &Arc<FlightRecorder> {
         &self.flight
-    }
-
-    /// The pre-registered fleet instruments, for in-crate recorders
-    /// (clients mirror their stats through these).
-    pub(crate) fn metrics(&self) -> &FleetMetrics {
-        &self.metrics
     }
 
     /// Takes and holds every control-plane writer lock (registry + ring)
@@ -643,8 +589,7 @@ impl Cluster {
 
     fn rebuild_ring(&self) {
         let routable = self.registry.routable();
-        self.ring
-            .publish(HashRing::build(&routable, self.config.vnodes));
+        self.ring.publish(HashRing::build(&routable, VNODES));
     }
 
     /// Enrolls (or re-enrolls) `id` through the challenge/quote protocol
@@ -734,12 +679,6 @@ impl Cluster {
         self.breakers.get(id.0)
     }
 
-    /// Total breaker trips (closed→open transitions) across the fleet.
-    #[must_use]
-    pub fn breaker_trips(&self) -> u64 {
-        self.breakers.iter().map(CircuitBreaker::trips).sum()
-    }
-
     /// Records a successful answer from `id` (closes a half-open
     /// breaker, resets the failure streak).
     pub fn record_success(&self, id: ReplicaId) {
@@ -823,7 +762,7 @@ impl Cluster {
     /// frames `f` moves are already encrypted end-to-end; this tier adds
     /// only the accounted data-center hop, in-flight accounting, and the
     /// sealing cadence. Data-plane searches take the coalescing
-    /// [`Cluster::forward_sealed`] path instead.
+    /// [`Cluster::forward`] path instead.
     ///
     /// # Errors
     ///
@@ -859,85 +798,42 @@ impl Cluster {
         Ok(out)
     }
 
-    /// Forwards one sealed request to `id` through its coalescing lane
-    /// and blocks until the result is delivered. The fleet's data-plane
-    /// primitive: concurrent callers targeting the same replica ride a
-    /// single `proxy_batch` ecall.
+    /// The one door into a replica's data plane: admits one request on
+    /// `id`'s bounded queue, *then* invokes `seal` for `(client_pub,
+    /// ciphertext)` and enqueues it on the replica's lane **without
+    /// waiting for delivery**. Both drivers — the blocking
+    /// [`Cluster::forward`] and the front's reactor shards — go through
+    /// here, so the refusal path cannot differ by ingress.
     ///
-    /// The caller keeps `slot` for its whole session (connection reuse);
-    /// it must have no other request outstanding on it.
+    /// Nonce safety: the fault timeline (scheduled crashes/restarts,
+    /// partition windows), injected link loss and bounded admission all
+    /// fire *before* `seal`. A request refused with `LinkLoss` or
+    /// `Overloaded` was never sealed, so a local caller's strict-sequence
+    /// counter is intact and the same session may retry. (A framed
+    /// client sealed remotely; its `seal` only hands the ciphertext over
+    /// and the framed error reply tells it to re-attest.)
+    ///
+    /// On success the admission slot stays claimed until
+    /// [`Cluster::finish`] — uncollected work counts against the
+    /// backpressure bound — and the result is the forward's **modeled
+    /// charge**: accounted hop RTT plus injected fault delay,
+    /// deterministic under a fixed fault seed (nothing sleeps). `budget`
+    /// becomes the entry's lane-side expiry backstop. `slot` must have no
+    /// other request outstanding.
     ///
     /// # Errors
     ///
     /// [`ClusterError::NotRoutable`] / [`ClusterError::ReplicaDown`] /
     /// [`ClusterError::Overloaded`] as for [`Cluster::with_replica`];
-    /// [`ClusterError::Proxy`] carries this entry's failure out of a
-    /// coalesced batch (other entries are unaffected). Note the request
-    /// was already sealed by the caller: after `Overloaded` the session's
-    /// send counter is *not* desynchronized only if the caller seals via
-    /// [`Cluster::forward_with`]'s closure, which runs after admission.
-    pub fn forward_sealed(
-        &self,
-        id: ReplicaId,
-        client_pub: [u8; 32],
-        ciphertext: Vec<u8>,
-        echo: bool,
-        slot: &Arc<RequestSlot>,
-    ) -> Result<Vec<u8>, ClusterError> {
-        self.forward_with(id, echo, slot, move || (client_pub, ciphertext))
-    }
-
-    /// The full data-plane forward: admits the request on `id`'s bounded
-    /// queue, *then* invokes `seal` to produce `(client_pub,
-    /// ciphertext)`, enqueues it on the replica's lane, and collects the
-    /// delivered response. Sealing after admission keeps the client's
-    /// strict-sequence nonce counter intact when the request is shed
-    /// with [`ClusterError::Overloaded`] — nothing was put on the wire.
-    ///
-    /// The calling thread may transparently become the lane leader and
-    /// carry the whole queue across the enclave boundary in one ecall.
-    ///
-    /// # Errors
-    ///
-    /// See [`Cluster::forward_sealed`].
-    pub fn forward_with(
-        &self,
-        id: ReplicaId,
-        echo: bool,
-        slot: &Arc<RequestSlot>,
-        seal: impl FnOnce() -> ([u8; 32], Vec<u8>),
-    ) -> Result<Vec<u8>, ClusterError> {
-        self.forward_timed(id, echo, slot, None, seal)
-            .map(|(bytes, _)| bytes)
-    }
-
-    /// [`Cluster::forward_with`] plus the resilience plumbing: `budget`
-    /// (when given) becomes the entry's lane-side expiry backstop, and
-    /// the success value carries the **modeled charge** of the forward —
-    /// the accounted hop RTT plus any injected fault delay. Charges are
-    /// deterministic under a fixed fault seed (nothing sleeps), which is
-    /// what makes chaos transcripts replayable.
-    ///
-    /// Fault injection order matters for nonce safety: partition windows
-    /// and link loss fire *before* admission and before `seal` runs —
-    /// a dropped request was never sealed, so the session's strict
-    /// sequence is intact and [`ClusterError::LinkLoss`] is retryable on
-    /// the same session.
-    ///
-    /// # Errors
-    ///
-    /// See [`Cluster::forward_sealed`]; additionally
-    /// [`ClusterError::LinkLoss`] for injected loss/partition and
-    /// [`ClusterError::DeadlineExceeded`] when the lane leader found the
-    /// entry already past its budget and refused to execute it.
-    pub fn forward_timed(
+    /// [`ClusterError::LinkLoss`] for injected loss or a partition.
+    pub(crate) fn submit(
         &self,
         id: ReplicaId,
         echo: bool,
         slot: &Arc<RequestSlot>,
         budget: Option<Duration>,
         seal: impl FnOnce() -> ([u8; 32], Vec<u8>),
-    ) -> Result<(Vec<u8>, Duration), ClusterError> {
+    ) -> Result<Duration, ClusterError> {
         let node = self.node(id)?;
         if !self.registry.is_routable(id) {
             return Err(ClusterError::NotRoutable(id));
@@ -971,124 +867,30 @@ impl Cluster {
             });
             return Err(ClusterError::Overloaded(id));
         }
-        // From here the admitted slot must drain on every path — even a
-        // panicking seal closure (AdmitGuard) or a leader that unwinds
-        // mid-batch (DeliveryFence fails the slot, we still drain here).
+        // A panicking seal closure must not leak the admitted slot.
         let admitted = AdmitGuard { node };
         let (client_pub, ciphertext) = seal();
         charge += node.account_hop();
         slot.begin();
-        let lane = &self.lanes[id.0];
-        lane.push(Pending {
+        self.lanes[id.0].push(Pending {
             client_pub,
             ciphertext,
             echo,
             expires_at: budget.map(|d| std::time::Instant::now() + d),
             slot: Arc::clone(slot),
         });
-        let result = loop {
-            if let Some(result) = slot.take_if_done() {
-                break result;
-            }
-            if lane.try_lead() {
-                loop {
-                    {
-                        let _leading = LeaderGuard::new(lane);
-                        self.lead(id, node);
-                    }
-                    // Leadership is released before this re-check, so a
-                    // submitter that enqueued after our final drain
-                    // either wins `try_lead` itself or we re-acquire and
-                    // serve it — nobody is stranded (the timed wait
-                    // below is the belt-and-braces backstop).
-                    if lane.is_empty() || !lane.try_lead() {
-                        break;
-                    }
-                }
-            } else if let Some(result) = slot.wait_timeout(self.config.lane_wait) {
-                break result;
-            }
-        };
-        drop(admitted);
-        let result = result.map(|bytes| (bytes, charge));
-        if result.is_ok() {
-            self.metrics.forwards.inc();
-            self.metrics.span_forward.record(FleetMetrics::us(charge));
-        }
-        result
+        // Enqueued: the slot now belongs to `finish`.
+        std::mem::forget(admitted);
+        Ok(charge)
     }
 
-    /// Non-blocking submission for the event-driven front tier: admits
-    /// the request on `id`'s bounded queue and enqueues it on the lane
-    /// **without waiting for delivery**. The admission slot stays
-    /// claimed until [`Cluster::finish_async`] runs (when the front
-    /// collects the delivery from `slot`), so queued-but-uncollected
-    /// work still counts against the backpressure bound.
-    ///
-    /// Unlike [`Cluster::forward_with`], the ciphertext was sealed by a
-    /// remote client *before* admission — on [`ClusterError::Overloaded`]
-    /// that client's session counter has advanced past the shed request
-    /// and it must re-attest before its next query (the framed error
-    /// reply tells it so immediately).
-    ///
-    /// # Errors
-    ///
-    /// As [`Cluster::forward_timed`], minus `DeadlineExceeded` (the
-    /// front applies no per-entry budget).
-    pub(crate) fn submit_async(
-        &self,
-        id: ReplicaId,
-        echo: bool,
-        slot: &Arc<RequestSlot>,
-        client_pub: [u8; 32],
-        ciphertext: Vec<u8>,
-    ) -> Result<(), ClusterError> {
-        let node = self.node(id)?;
-        if !self.registry.is_routable(id) {
-            return Err(ClusterError::NotRoutable(id));
-        }
-        if !node.is_up() {
-            return Err(ClusterError::ReplicaDown(id));
-        }
-        self.tick_faults(id)?;
-        if let Some(plan) = self.config.faults.as_deref() {
-            let fault = plan.link_fault(id.0);
-            if fault.drop {
-                self.metrics.link_loss.inc();
-                return Err(ClusterError::LinkLoss(id));
-            }
-            if !fault.delay.is_zero() {
-                node.account_fault(fault.delay);
-                self.flight.record(FlightEvent::FaultInjected {
-                    replica: id.0 as u64,
-                    delay_us: FleetMetrics::us(fault.delay),
-                });
-            }
-        }
-        if !node.try_enter(self.config.queue_limit) {
-            self.flight.record(FlightEvent::Shed {
-                replica: id.0 as u64,
-            });
-            return Err(ClusterError::Overloaded(id));
-        }
-        node.account_hop();
-        slot.begin();
-        self.lanes[id.0].push(Pending {
-            client_pub,
-            ciphertext,
-            echo,
-            expires_at: None,
-            slot: Arc::clone(slot),
-        });
-        Ok(())
-    }
-
-    /// Drains `id`'s lane if nobody is already leading it — the reactor
-    /// thread calls this after a burst of [`Cluster::submit_async`]es,
-    /// becoming the flat-combining leader and carrying every queued
-    /// entry (its own and other shards') across the boundary in batched
-    /// ecalls. Returns without blocking when another thread leads; that
-    /// leader's drain loop picks the entries up.
+    /// Drains `id`'s lane if nobody is already leading it: the caller
+    /// becomes the flat-combining leader and carries every queued entry
+    /// (its own and other submitters') across the boundary in batched
+    /// ecalls. Returns without blocking when another thread leads. Each
+    /// emptiness re-check happens after leadership is released, so a
+    /// late submitter either wins `try_lead` itself or is served by the
+    /// next turn — nobody is stranded.
     pub(crate) fn drive_lane(&self, id: ReplicaId) {
         let Ok(node) = self.node(id) else {
             return;
@@ -1104,16 +906,66 @@ impl Cluster {
         }
     }
 
-    /// Releases the admission slot claimed by [`Cluster::submit_async`];
-    /// `served` records whether the collected delivery was a success
-    /// (mirrors the sync path's forward accounting).
-    pub(crate) fn finish_async(&self, id: ReplicaId, served: bool) {
+    /// Releases the admission slot a successful [`Cluster::submit`]
+    /// claimed, once the delivery has been collected from the slot, and
+    /// does all success accounting: a `served` delivery counts one
+    /// forward and records `charge` on the forward span.
+    pub(crate) fn finish(&self, id: ReplicaId, served: bool, charge: Duration) {
         if let Ok(node) = self.node(id) {
             node.exit();
             if served {
                 self.metrics.forwards.inc();
+                self.metrics.span_forward.record(FleetMetrics::us(charge));
             }
         }
+    }
+
+    /// Forwards one request to `id` and blocks until its result is
+    /// delivered: [`Cluster::submit`], then drive the lane (or park on
+    /// `slot` while another thread leads it) until the delivery lands,
+    /// then [`Cluster::finish`]. Concurrent callers targeting the same
+    /// replica ride a single `proxy_batch` ecall. Returns the sealed
+    /// reply and the forward's modeled charge.
+    ///
+    /// `seal` runs only after admission, so a caller that seals inside
+    /// it keeps its nonce sequence intact across `Overloaded` and
+    /// `LinkLoss`. The caller keeps `slot` for its whole session
+    /// (connection reuse), one request outstanding at a time.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cluster::submit`]; additionally [`ClusterError::Proxy`]
+    /// carries this entry's failure out of a coalesced batch (other
+    /// entries are unaffected) and [`ClusterError::DeadlineExceeded`]
+    /// means the lane leader found the entry already past `budget` and
+    /// refused to execute it.
+    pub fn forward(
+        &self,
+        id: ReplicaId,
+        echo: bool,
+        slot: &Arc<RequestSlot>,
+        budget: Option<Duration>,
+        seal: impl FnOnce() -> ([u8; 32], Vec<u8>),
+    ) -> Result<(Vec<u8>, Duration), ClusterError> {
+        let charge = self.submit(id, echo, slot, budget, seal)?;
+        let mut finish = FinishGuard {
+            cluster: self,
+            id,
+            charge,
+            served: false,
+        };
+        let result = loop {
+            if let Some(result) = slot.take_if_done() {
+                break result;
+            }
+            self.drive_lane(id);
+            if let Some(result) = slot.wait_timeout(LANE_WAIT) {
+                break result;
+            }
+        };
+        finish.served = result.is_ok();
+        drop(finish);
+        result.map(|bytes| (bytes, charge))
     }
 
     /// Drains `id`'s lane batch by batch until empty. Caller holds lane
@@ -1322,14 +1174,6 @@ impl Cluster {
             reports.push(self.failover(id));
         }
         reports
-    }
-
-    /// How many health sweeps actually scanned vs. coalesced into a
-    /// sweep already in progress: `(run, coalesced)`. Thin accessor over
-    /// the registry counters (see [`Cluster::telemetry`]).
-    #[must_use]
-    pub fn sweep_stats(&self) -> (u64, u64) {
-        (self.sweeps_run.value(), self.sweeps_coalesced.value())
     }
 
     /// Migrates the failed replica's sealed window to its designated

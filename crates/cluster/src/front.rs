@@ -29,9 +29,10 @@
 //!   socket*, so a flooding client fills its own send ring and blocks
 //!   in its own write loop (TCP-style), not in front-tier memory;
 //! * when the target replica's bounded admission queue is full,
-//!   [`Cluster::submit_async`] sheds with [`ClusterError::Overloaded`]
-//!   and the front answers immediately with a framed
-//!   [`ConnStatus::Overloaded`] error instead of queueing.
+//!   [`Cluster::submit`] — the same door the blocking
+//!   [`Cluster::forward`] goes through — sheds with
+//!   [`ClusterError::Overloaded`] and the front answers immediately with
+//!   a framed [`ConnStatus::Overloaded`] error instead of queueing.
 //!
 //! # Memory discipline
 //!
@@ -60,6 +61,14 @@
 //! front never learned a key for fall to the fleet's TTL reaper
 //! ([`Cluster::reap_sessions`]).
 //!
+//! # Telemetry
+//!
+//! Every event the front counts is an [`xsearch_telemetry::Counter`]
+//! registered once on the cluster's registry (`xsearch_front_*`) — the
+//! only stats surface. Per-state connection counts stay plain atomics:
+//! [`FrontTier::connections`] and [`FrontTier::state_count`] are
+//! behaviour callers branch on, not telemetry.
+//!
 //! # Trust model
 //!
 //! Unchanged: the front only ever sees the framing header, an opaque
@@ -74,7 +83,7 @@ use crate::router::RequestSlot;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::mem;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -88,7 +97,7 @@ use xsearch_net_sim::{
     stream_pair, ByteStream, Event, FrameDecoder, FrameEncoder, Interest, Reactor, Registration,
     StreamError, Token,
 };
-use xsearch_telemetry::LabelValue;
+use xsearch_telemetry::{Counter, LabelValue, Registry};
 
 /// Accounted heap bytes one idle framed session may pin on the front
 /// tier (connection slab slot + stream core + shrunk buffers +
@@ -108,6 +117,14 @@ const PARK_AWAITING: Duration = Duration::from_micros(200);
 /// Most bytes one readable event may pull off a connection before the
 /// shard yields back to the reactor (level-triggered re-poll resumes).
 const READ_BURST: usize = 4;
+
+/// Bytes pulled from a connection per `read` call; one readable event
+/// reads at most [`READ_BURST`] times this.
+const READ_BUDGET: usize = 4096;
+
+/// Frame size ceiling; an announced length beyond it tears the
+/// connection down ([`xsearch_net_sim::FrameError::TooLarge`]).
+const MAX_FRAME: usize = 1 << 20;
 
 /// Token 0 is each shard's notify stream; connections start at 1.
 const NOTIFY_TOKEN: u64 = 0;
@@ -193,12 +210,6 @@ pub struct FrontConfig {
     pub shards: usize,
     /// Per-direction ring capacity of each accepted connection.
     pub stream_capacity: usize,
-    /// Frame size ceiling; an announced length beyond it tears the
-    /// connection down ([`xsearch_net_sim::FrameError::TooLarge`]).
-    pub max_frame: usize,
-    /// Bytes pulled from a connection per `read` call; one readable
-    /// event reads at most [`READ_BURST`] times this.
-    pub read_budget: usize,
     /// The connection-lifecycle defenses (all off by default).
     pub survival: SurvivalConfig,
 }
@@ -208,8 +219,6 @@ impl Default for FrontConfig {
         FrontConfig {
             shards: 1,
             stream_capacity: 4096,
-            max_frame: 1 << 20,
-            read_budget: 4096,
             survival: SurvivalConfig::default(),
         }
     }
@@ -231,15 +240,6 @@ pub enum ConnState {
 
 impl ConnState {
     const COUNT: usize = 4;
-
-    fn index(self) -> usize {
-        match self {
-            ConnState::Idle => 0,
-            ConnState::Reading => 1,
-            ConnState::AwaitingEnclave => 2,
-            ConnState::Writing => 3,
-        }
-    }
 }
 
 /// How the shed ladder ranks a connection when its shard is over the
@@ -266,124 +266,159 @@ enum TimeoutKind {
     Slowloris,
 }
 
-/// A point-in-time snapshot of the front tier's defense counters (see
-/// [`FrontTier::survival_stats`]); every field is also exported as an
-/// `xsearch_front_*` telemetry gauge.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct SurvivalStats {
-    /// Connections reaped by the handshake deadline.
-    pub timeouts_handshake: u64,
-    /// Connections reaped by the mid-frame read-stall deadline.
-    pub timeouts_read: u64,
-    /// Connections reaped by the reply write-stall deadline.
-    pub timeouts_write: u64,
-    /// Established connections reaped by the idle deadline.
-    pub timeouts_idle: u64,
-    /// Connections closed for dribbling below the minimum-progress rate.
-    pub slowloris_closed: u64,
-    /// Connections closed for exceeding a frame or byte quota.
-    pub quota_closed: u64,
-    /// Protocol-error strikes recorded against known channel keys.
-    pub strikes: u64,
-    /// Channel keys moved into quarantine.
-    pub quarantined_keys: u64,
-    /// Requests refused because their channel key was quarantined.
-    pub quarantine_rejects: u64,
-    /// Connections shed over the high-water mark, by class.
-    pub shed_misbehaving: u64,
-    /// Unattested connections shed over the high-water mark.
-    pub shed_unattested: u64,
-    /// Established connections shed over the high-water mark.
-    pub shed_established: u64,
-    /// Enclave sessions closed because their connection went away.
-    pub sessions_closed: u64,
-    /// Requests answered `Unavailable` because the shard was draining.
-    pub drain_rejects: u64,
-}
-
-/// Shared front-tier counters, read by the telemetry poll gauges.
-#[derive(Debug, Default)]
+/// The front tier's instruments. Event counts are registry [`Counter`]s
+/// (`xsearch_front_*`), registered once by [`FrontStats::register`]; the
+/// per-state connection counts and the last idle sweep are plain atomics
+/// the tier itself reads, exported through poll gauges.
+#[derive(Debug)]
 struct FrontStats {
     states: [AtomicUsize; ConnState::COUNT],
-    frames_in: AtomicU64,
-    frames_out: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-    overloaded: AtomicU64,
-    protocol_errors: AtomicU64,
-    torn: AtomicU64,
     /// Last [`FrontTier::account_idle`] sweep.
     idle_sessions: AtomicUsize,
     idle_bytes: AtomicUsize,
-    timeouts_handshake: AtomicU64,
-    timeouts_read: AtomicU64,
-    timeouts_write: AtomicU64,
-    timeouts_idle: AtomicU64,
-    slowloris_closed: AtomicU64,
-    quota_closed: AtomicU64,
-    strikes: AtomicU64,
-    quarantined_keys: AtomicU64,
-    quarantine_rejects: AtomicU64,
-    shed_misbehaving: AtomicU64,
-    shed_unattested: AtomicU64,
-    shed_established: AtomicU64,
-    sessions_closed: AtomicU64,
-    drain_rejects: AtomicU64,
+    frames_in: Counter,
+    frames_out: Counter,
+    bytes_in: Counter,
+    bytes_out: Counter,
+    overloaded: Counter,
+    protocol_errors: Counter,
+    torn: Counter,
+    /// One per [`TimeoutKind`], indexed by discriminant.
+    timeouts: [Counter; 5],
+    quota_closed: Counter,
+    strikes: Counter,
+    quarantined_keys: Counter,
+    quarantine_rejects: Counter,
+    /// One per [`ConnClass`], indexed by discriminant.
+    sheds: [Counter; 3],
+    sessions_closed: Counter,
+    drain_rejects: Counter,
 }
 
 impl FrontStats {
+    /// Registers every front instrument on `telemetry`.
+    fn register(telemetry: &Registry) -> Arc<Self> {
+        let plain = |name, help| telemetry.counter(name, help, &[]);
+        let labelled = |name, help, key, value| {
+            telemetry.counter(name, help, &[(key, LabelValue::Static(value))])
+        };
+        let [frames_in, frames_out] = ["in", "out"].map(|dir| {
+            let help = "Frames crossing the front tier";
+            labelled("xsearch_front_frames_total", help, "direction", dir)
+        });
+        let [bytes_in, bytes_out] = ["in", "out"].map(|dir| {
+            let help = "Payload bytes crossing the front tier";
+            labelled("xsearch_front_bytes_total", help, "direction", dir)
+        });
+        // Label arrays follow the declaration order of `TimeoutKind` and
+        // `ConnClass`: the counters are indexed by discriminant.
+        let timeouts = [
+            "handshake",
+            "read_stall",
+            "write_stall",
+            "idle",
+            "slowloris",
+        ]
+        .map(|kind| {
+            let help = "Connections reaped by a lifecycle deadline, by kind";
+            labelled("xsearch_front_timeouts_total", help, "kind", kind)
+        });
+        let sheds = ["unattested", "established", "misbehaving"].map(|class| {
+            let help = "Connections shed over the high-water mark, by class";
+            labelled("xsearch_front_sheds_total", help, "class", class)
+        });
+        let stats = Arc::new(FrontStats {
+            states: Default::default(),
+            idle_sessions: AtomicUsize::new(0),
+            idle_bytes: AtomicUsize::new(0),
+            frames_in,
+            frames_out,
+            bytes_in,
+            bytes_out,
+            overloaded: plain(
+                "xsearch_front_overloaded_replies",
+                "Framed Overloaded errors returned (admission backpressure)",
+            ),
+            protocol_errors: plain(
+                "xsearch_front_protocol_errors",
+                "Malformed or unframeable inputs answered with a Protocol error",
+            ),
+            torn: plain(
+                "xsearch_front_torn_connections",
+                "Connections whose peer vanished mid-frame",
+            ),
+            timeouts,
+            quota_closed: plain(
+                "xsearch_front_quota_closes",
+                "Connections closed for exceeding a frame or byte quota",
+            ),
+            strikes: plain(
+                "xsearch_front_strikes_total",
+                "Protocol-error strikes recorded against channel keys",
+            ),
+            quarantined_keys: plain(
+                "xsearch_front_quarantined_keys_total",
+                "Channel keys moved into quarantine",
+            ),
+            quarantine_rejects: plain(
+                "xsearch_front_quarantine_rejects",
+                "Requests refused because their channel key was quarantined",
+            ),
+            sheds,
+            sessions_closed: plain(
+                "xsearch_front_sessions_closed",
+                "Enclave sessions closed because their connection went away",
+            ),
+            drain_rejects: plain(
+                "xsearch_front_drain_rejects",
+                "Requests answered Unavailable by a draining shard",
+            ),
+        });
+        for (name, state) in [
+            ("idle", ConnState::Idle),
+            ("reading", ConnState::Reading),
+            ("awaiting_enclave", ConnState::AwaitingEnclave),
+            ("writing", ConnState::Writing),
+        ] {
+            let polled = Arc::clone(&stats);
+            telemetry.poll(
+                "xsearch_front_connections",
+                "Live framed connections by state-machine state",
+                &[("state", LabelValue::Static(name))],
+                move || polled.count(state) as f64,
+            );
+        }
+        let polled = Arc::clone(&stats);
+        telemetry.poll(
+            "xsearch_front_idle_session_bytes",
+            "Mean accounted bytes per idle session at the last sweep",
+            &[],
+            move || {
+                let sessions = polled.idle_sessions.load(Ordering::Relaxed);
+                if sessions == 0 {
+                    0.0
+                } else {
+                    polled.idle_bytes.load(Ordering::Relaxed) as f64 / sessions as f64
+                }
+            },
+        );
+        stats
+    }
+
     fn enter(&self, state: ConnState) {
-        self.states[state.index()].fetch_add(1, Ordering::Relaxed);
+        self.states[state as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     fn exit(&self, state: ConnState) {
-        self.states[state.index()].fetch_sub(1, Ordering::Relaxed);
+        self.states[state as usize].fetch_sub(1, Ordering::Relaxed);
     }
 
     fn count(&self, state: ConnState) -> usize {
-        self.states[state.index()].load(Ordering::Relaxed)
+        self.states[state as usize].load(Ordering::Relaxed)
     }
 
     fn total(&self) -> usize {
         self.states.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
-
-    fn timeout_counter(&self, kind: TimeoutKind) -> &AtomicU64 {
-        match kind {
-            TimeoutKind::Handshake => &self.timeouts_handshake,
-            TimeoutKind::ReadStall => &self.timeouts_read,
-            TimeoutKind::WriteStall => &self.timeouts_write,
-            TimeoutKind::Idle => &self.timeouts_idle,
-            TimeoutKind::Slowloris => &self.slowloris_closed,
-        }
-    }
-
-    fn shed_counter(&self, class: ConnClass) -> &AtomicU64 {
-        match class {
-            ConnClass::Misbehaving => &self.shed_misbehaving,
-            ConnClass::Unattested => &self.shed_unattested,
-            ConnClass::Established => &self.shed_established,
-        }
-    }
-
-    fn survival(&self) -> SurvivalStats {
-        SurvivalStats {
-            timeouts_handshake: self.timeouts_handshake.load(Ordering::Relaxed),
-            timeouts_read: self.timeouts_read.load(Ordering::Relaxed),
-            timeouts_write: self.timeouts_write.load(Ordering::Relaxed),
-            timeouts_idle: self.timeouts_idle.load(Ordering::Relaxed),
-            slowloris_closed: self.slowloris_closed.load(Ordering::Relaxed),
-            quota_closed: self.quota_closed.load(Ordering::Relaxed),
-            strikes: self.strikes.load(Ordering::Relaxed),
-            quarantined_keys: self.quarantined_keys.load(Ordering::Relaxed),
-            quarantine_rejects: self.quarantine_rejects.load(Ordering::Relaxed),
-            shed_misbehaving: self.shed_misbehaving.load(Ordering::Relaxed),
-            shed_unattested: self.shed_unattested.load(Ordering::Relaxed),
-            shed_established: self.shed_established.load(Ordering::Relaxed),
-            sessions_closed: self.sessions_closed.load(Ordering::Relaxed),
-            drain_rejects: self.drain_rejects.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -404,10 +439,10 @@ struct Conn {
     /// Created on first request, kept for the connection's lifetime
     /// (connection reuse — one outstanding request at a time).
     slot: Option<Arc<RequestSlot>>,
-    /// Which replica the in-flight request was admitted on; the
-    /// admission slot it holds is released by `finish_async` when the
-    /// delivery is collected.
-    inflight: Option<ReplicaId>,
+    /// Which replica the in-flight request was admitted on and its
+    /// modeled charge; the admission slot it holds is released by
+    /// [`Cluster::finish`] when the delivery is collected.
+    inflight: Option<(ReplicaId, Duration)>,
     reply: Option<Reply>,
     state: ConnState,
     /// Peer reached end-of-stream (or the ring closed under us).
@@ -438,11 +473,11 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: ByteStream, reg: Registration, max_frame: usize, tick: u64) -> Self {
+    fn new(stream: ByteStream, reg: Registration, tick: u64) -> Self {
         Conn {
             stream,
             reg,
-            decoder: FrameDecoder::with_max_frame(max_frame),
+            decoder: FrameDecoder::with_max_frame(MAX_FRAME),
             slot: None,
             inflight: None,
             reply: None,
@@ -573,7 +608,7 @@ impl Shard {
         }
     }
 
-    fn adopt_accepts(&mut self, cfg: &FrontConfig, stats: &FrontStats) -> usize {
+    fn adopt_accepts(&mut self, stats: &FrontStats) -> usize {
         let newly = mem::take(&mut *self.accepts.lock());
         let adopted = newly.len();
         for stream in newly {
@@ -584,7 +619,7 @@ impl Shard {
             let token = Token(idx as u64 + 1);
             let reg = self.reactor.register(&stream, token, Interest::READABLE);
             debug_assert!(self.conns[idx].is_none());
-            self.conns[idx] = Some(Conn::new(stream, reg, cfg.max_frame, self.tick));
+            self.conns[idx] = Some(Conn::new(stream, reg, self.tick));
             stats.enter(ConnState::Idle);
         }
         adopted
@@ -599,7 +634,7 @@ impl Shard {
         stats.exit(conn.state);
         if let Some(key) = conn.channel_key.take() {
             if cluster.close_session(&key) {
-                stats.sessions_closed.fetch_add(1, Ordering::Relaxed);
+                stats.sessions_closed.inc();
             }
         }
         self.free.push(idx);
@@ -608,7 +643,7 @@ impl Shard {
     /// Records a protocol-error strike against `key`; at the configured
     /// limit the key moves into quarantine.
     fn strike(&mut self, key: [u8; 32], cfg: &FrontConfig, stats: &FrontStats) {
-        stats.strikes.fetch_add(1, Ordering::Relaxed);
+        stats.strikes.inc();
         let limit = cfg.survival.strike_limit;
         if limit == 0 {
             return;
@@ -619,7 +654,7 @@ impl Shard {
             self.strikes.remove(&key);
             self.quarantine
                 .insert(key, self.tick + cfg.survival.quarantine_ticks);
-            stats.quarantined_keys.fetch_add(1, Ordering::Relaxed);
+            stats.quarantined_keys.inc();
         }
     }
 
@@ -648,7 +683,7 @@ impl Shard {
         let mut progress = if draining {
             0
         } else {
-            self.adopt_accepts(cfg, stats)
+            self.adopt_accepts(stats)
         };
 
         let mut events = mem::take(&mut self.events);
@@ -666,7 +701,7 @@ impl Shard {
                 let mut junk = [0u8; 64];
                 while matches!(self.notify_rx.read(&mut junk), Ok(n) if n > 0) {}
                 if !self.draining.load(Ordering::Relaxed) {
-                    progress += self.adopt_accepts(cfg, stats);
+                    progress += self.adopt_accepts(stats);
                 }
                 continue;
             }
@@ -761,7 +796,7 @@ impl Shard {
             let Some(kind) = kill else {
                 continue;
             };
-            stats.timeout_counter(kind).fetch_add(1, Ordering::Relaxed);
+            stats.timeouts[kind as usize].inc();
             let conn = self.conns[idx].take().expect("slot checked above");
             // A slowloris dribble is deliberate misbehavior: strike the
             // key (if any) so repeat offenders reach quarantine. The
@@ -817,9 +852,7 @@ impl Shard {
             let Some(conn) = self.conns[idx].take() else {
                 continue;
             };
-            stats
-                .shed_counter(conn.class)
-                .fetch_add(1, Ordering::Relaxed);
+            stats.sheds[conn.class as usize].inc();
             self.retire(idx, conn, cluster, stats);
             excess -= 1;
         }
@@ -858,6 +891,16 @@ impl Shard {
         conn.reg.set_interest(Interest::WRITABLE);
     }
 
+    /// Answers a refused submission or a failed delivery with its framed
+    /// error status — one mapping, whichever side of the lane said no.
+    fn queue_refusal(conn: &mut Conn, stats: &FrontStats, err: &ClusterError) {
+        let status = err.conn_status();
+        if status == ConnStatus::Overloaded {
+            stats.overloaded.inc();
+        }
+        Self::queue_reply(conn, stats, status, &[]);
+    }
+
     #[allow(clippy::too_many_lines)]
     fn run_conn(
         &mut self,
@@ -880,7 +923,7 @@ impl Shard {
                     match reply.encoder.write_to(&conn.stream, &reply.payload) {
                         Ok(done) => {
                             let wrote = before - reply.encoder.remaining();
-                            stats.bytes_out.fetch_add(wrote as u64, Ordering::Relaxed);
+                            stats.bytes_out.add(wrote as u64);
                             if wrote > 0 {
                                 conn.last_write_tick = self.tick;
                             }
@@ -889,7 +932,7 @@ impl Shard {
                                 conn.reg.set_interest(Interest::WRITABLE);
                                 return Disposition::Keep;
                             }
-                            stats.frames_out.fetch_add(1, Ordering::Relaxed);
+                            stats.frames_out.inc();
                             conn.reply = None;
                             if conn.close_after_flush {
                                 return Disposition::Close;
@@ -907,7 +950,8 @@ impl Shard {
                     }
                 }
                 ConnState::AwaitingEnclave => {
-                    let replica = conn.inflight.expect("AwaitingEnclave implies inflight");
+                    let (replica, charge) =
+                        conn.inflight.expect("AwaitingEnclave implies inflight");
                     let slot = conn.slot.as_ref().expect("AwaitingEnclave implies a slot");
                     let Some(result) = slot.take_if_done() else {
                         if !conn.in_awaiting {
@@ -916,7 +960,7 @@ impl Shard {
                         }
                         return Disposition::Keep;
                     };
-                    cluster.finish_async(replica, result.is_ok());
+                    cluster.finish(replica, result.is_ok(), charge);
                     conn.inflight = None;
                     if conn.eof {
                         // Zombie: we only stayed alive to release the
@@ -927,25 +971,19 @@ impl Shard {
                         Ok(payload) => {
                             Self::queue_reply(conn, stats, ConnStatus::Ok, &payload);
                         }
-                        Err(err) => {
-                            let status = status_for(&err);
-                            if status == ConnStatus::Overloaded {
-                                stats.overloaded.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Self::queue_reply(conn, stats, status, &[]);
-                        }
+                        Err(err) => Self::queue_refusal(conn, stats, &err),
                     }
                 }
                 ConnState::Idle | ConnState::Reading => {
                     if !conn.eof {
                         for _ in 0..READ_BURST {
-                            match conn.decoder.read_from(&conn.stream, cfg.read_budget) {
+                            match conn.decoder.read_from(&conn.stream, READ_BUDGET) {
                                 Ok(0) => {
                                     conn.eof = true;
                                     break;
                                 }
                                 Ok(n) => {
-                                    stats.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
+                                    stats.bytes_in.add(n as u64);
                                     conn.last_read_tick = self.tick;
                                     conn.window_bytes += n;
                                     conn.bytes += n as u64;
@@ -961,7 +999,7 @@ impl Shard {
                     let parsed = match conn.decoder.next_frame() {
                         Ok(None) => Parsed::NeedMore,
                         Ok(Some(frame)) => {
-                            stats.frames_in.fetch_add(1, Ordering::Relaxed);
+                            stats.frames_in.inc();
                             conn.frames += 1;
                             match decode_conn_request(frame) {
                                 Ok(req) => Parsed::Request {
@@ -979,7 +1017,7 @@ impl Shard {
                     // (mid-frame floods close immediately — there is
                     // nothing well-formed to answer).
                     if conn.over_quota(&cfg.survival) {
-                        stats.quota_closed.fetch_add(1, Ordering::Relaxed);
+                        stats.quota_closed.inc();
                         if let Parsed::Request { client_pub, .. } = &parsed {
                             conn.channel_key = Some(*client_pub);
                         }
@@ -1002,7 +1040,7 @@ impl Shard {
                             // routing or admission work happens.
                             if let Some(&until) = self.quarantine.get(&client_pub) {
                                 if self.tick < until {
-                                    stats.quarantine_rejects.fetch_add(1, Ordering::Relaxed);
+                                    stats.quarantine_rejects.inc();
                                     conn.class = ConnClass::Misbehaving;
                                     conn.close_after_flush = true;
                                     Self::queue_reply(conn, stats, ConnStatus::Unavailable, &[]);
@@ -1013,20 +1051,22 @@ impl Shard {
                             // A draining shard finishes in-flight work
                             // but refuses new requests.
                             if self.draining.load(Ordering::Relaxed) {
-                                stats.drain_rejects.fetch_add(1, Ordering::Relaxed);
+                                stats.drain_rejects.inc();
                                 conn.close_after_flush = true;
                                 Self::queue_reply(conn, stats, ConnStatus::Unavailable, &[]);
                                 continue;
                             }
                             let slot = conn.slot.get_or_insert_with(RequestSlot::new);
+                            // The client sealed before its bytes got
+                            // here; `seal` only hands the frame over.
                             let submitted = cluster.route(&client_pub).and_then(|id| {
                                 cluster
-                                    .submit_async(id, echo, slot, client_pub, ciphertext)
-                                    .map(|()| id)
+                                    .submit(id, echo, slot, None, || (client_pub, ciphertext))
+                                    .map(|charge| (id, charge))
                             });
                             match submitted {
-                                Ok(id) => {
-                                    conn.inflight = Some(id);
+                                Ok((id, charge)) => {
+                                    conn.inflight = Some((id, charge));
                                     if conn.class == ConnClass::Unattested {
                                         conn.class = ConnClass::Established;
                                     }
@@ -1038,17 +1078,11 @@ impl Shard {
                                         self.dirty.push(id);
                                     }
                                 }
-                                Err(err) => {
-                                    let status = status_for(&err);
-                                    if status == ConnStatus::Overloaded {
-                                        stats.overloaded.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    Self::queue_reply(conn, stats, status, &[]);
-                                }
+                                Err(err) => Self::queue_refusal(conn, stats, &err),
                             }
                         }
                         Parsed::Malformed | Parsed::Unframeable => {
-                            stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                            stats.protocol_errors.inc();
                             self.punish(conn, cfg, stats);
                             conn.close_after_flush = true;
                             Self::queue_reply(conn, stats, ConnStatus::Protocol, &[]);
@@ -1056,7 +1090,7 @@ impl Shard {
                         Parsed::NeedMore => {
                             if conn.eof {
                                 if conn.decoder.finish().is_err() {
-                                    stats.torn.fetch_add(1, Ordering::Relaxed);
+                                    stats.torn.inc();
                                 }
                                 return Disposition::Close;
                             }
@@ -1154,15 +1188,15 @@ pub struct FrontTier {
 }
 
 impl FrontTier {
-    /// Builds the tier and registers its telemetry poll gauges on the
-    /// cluster's registry. Build at most one per cluster (metric names
-    /// would collide).
+    /// Builds the tier and registers its `xsearch_front_*` instruments
+    /// on the cluster's registry. Build at most one per cluster (metric
+    /// names would collide).
     #[must_use]
     pub fn new(cluster: &Arc<Cluster>, config: FrontConfig) -> FrontTier {
         let shards = (0..config.shards.max(1))
             .map(|_| ShardHandle::new())
             .collect();
-        let stats = Arc::new(FrontStats::default());
+        let stats = FrontStats::register(cluster.telemetry());
         let inner = Arc::new(FrontInner {
             cluster: Arc::clone(cluster),
             config,
@@ -1171,7 +1205,6 @@ impl FrontTier {
             next_shard: AtomicUsize::new(0),
             running: AtomicBool::new(false),
         });
-        register_polls(&inner);
         FrontTier {
             inner,
             threads: Mutex::new(Vec::new()),
@@ -1250,26 +1283,6 @@ impl FrontTier {
         self.inner.stats.count(state)
     }
 
-    /// Framed `Overloaded` errors answered so far.
-    #[must_use]
-    pub fn overloaded_replies(&self) -> u64 {
-        self.inner.stats.overloaded.load(Ordering::Relaxed)
-    }
-
-    /// Connections torn down because the peer vanished mid-frame.
-    #[must_use]
-    pub fn torn_connections(&self) -> u64 {
-        self.inner.stats.torn.load(Ordering::Relaxed)
-    }
-
-    /// A snapshot of the survival-layer defense counters: deadline
-    /// reaps, slowloris/quota closes, strikes and quarantines, sheds by
-    /// class, sessions closed on disconnect, drain rejections.
-    #[must_use]
-    pub fn survival_stats(&self) -> SurvivalStats {
-        self.inner.stats.survival()
-    }
-
     /// Puts shard `shard` into graceful drain: it stops adopting new
     /// connections (accepts queue in the mailbox), finishes requests
     /// already in flight, and answers any *new* request with
@@ -1301,25 +1314,6 @@ impl FrontTier {
             .is_some_and(|h| h.draining.load(Ordering::Acquire))
     }
 
-    /// Channel keys currently quarantined across all shards (expired
-    /// entries that have not been purged yet are not counted).
-    #[must_use]
-    pub fn quarantined_keys(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|h| {
-                let shard = h.shard.lock();
-                let tick = shard.tick;
-                shard
-                    .quarantine
-                    .values()
-                    .filter(|&&until| until > tick)
-                    .count()
-            })
-            .sum()
-    }
-
     /// Sweeps every shard and returns `(idle_sessions, accounted
     /// bytes)`; also refreshes the `xsearch_front_idle_session_bytes`
     /// poll gauge. The scaling bench gates `bytes / sessions` against
@@ -1345,165 +1339,6 @@ impl Drop for FrontTier {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-fn register_polls(inner: &Arc<FrontInner>) {
-    let telemetry = inner.cluster.telemetry();
-    let states = [
-        ("idle", ConnState::Idle),
-        ("reading", ConnState::Reading),
-        ("awaiting_enclave", ConnState::AwaitingEnclave),
-        ("writing", ConnState::Writing),
-    ];
-    for (name, state) in states {
-        let stats = Arc::clone(&inner.stats);
-        telemetry.poll(
-            "xsearch_front_connections",
-            "Live framed connections by state-machine state",
-            &[("state", LabelValue::Static(name))],
-            move || stats.count(state) as f64,
-        );
-    }
-    for (dir, pick) in [("in", true), ("out", false)] {
-        let stats = Arc::clone(&inner.stats);
-        telemetry.poll(
-            "xsearch_front_frames_total",
-            "Frames crossing the front tier",
-            &[("direction", LabelValue::Static(dir))],
-            move || {
-                let c = if pick {
-                    &stats.frames_in
-                } else {
-                    &stats.frames_out
-                };
-                c.load(Ordering::Relaxed) as f64
-            },
-        );
-        let stats = Arc::clone(&inner.stats);
-        telemetry.poll(
-            "xsearch_front_bytes_total",
-            "Payload bytes crossing the front tier",
-            &[("direction", LabelValue::Static(dir))],
-            move || {
-                let c = if pick {
-                    &stats.bytes_in
-                } else {
-                    &stats.bytes_out
-                };
-                c.load(Ordering::Relaxed) as f64
-            },
-        );
-    }
-    let stats = Arc::clone(&inner.stats);
-    telemetry.poll(
-        "xsearch_front_overloaded_replies",
-        "Framed Overloaded errors returned (admission backpressure)",
-        &[],
-        move || stats.overloaded.load(Ordering::Relaxed) as f64,
-    );
-    let stats = Arc::clone(&inner.stats);
-    telemetry.poll(
-        "xsearch_front_protocol_errors",
-        "Malformed or unframeable inputs answered with a Protocol error",
-        &[],
-        move || stats.protocol_errors.load(Ordering::Relaxed) as f64,
-    );
-    let stats = Arc::clone(&inner.stats);
-    telemetry.poll(
-        "xsearch_front_torn_connections",
-        "Connections whose peer vanished mid-frame",
-        &[],
-        move || stats.torn.load(Ordering::Relaxed) as f64,
-    );
-    let timeouts = [
-        ("handshake", TimeoutKind::Handshake),
-        ("read_stall", TimeoutKind::ReadStall),
-        ("write_stall", TimeoutKind::WriteStall),
-        ("idle", TimeoutKind::Idle),
-        ("slowloris", TimeoutKind::Slowloris),
-    ];
-    for (name, kind) in timeouts {
-        let stats = Arc::clone(&inner.stats);
-        telemetry.poll(
-            "xsearch_front_timeouts_total",
-            "Connections reaped by a lifecycle deadline, by kind",
-            &[("kind", LabelValue::Static(name))],
-            move || stats.timeout_counter(kind).load(Ordering::Relaxed) as f64,
-        );
-    }
-    let classes = [
-        ("misbehaving", ConnClass::Misbehaving),
-        ("unattested", ConnClass::Unattested),
-        ("established", ConnClass::Established),
-    ];
-    for (name, class) in classes {
-        let stats = Arc::clone(&inner.stats);
-        telemetry.poll(
-            "xsearch_front_sheds_total",
-            "Connections shed over the high-water mark, by class",
-            &[("class", LabelValue::Static(name))],
-            move || stats.shed_counter(class).load(Ordering::Relaxed) as f64,
-        );
-    }
-    type ScalarReader = fn(&FrontStats) -> u64;
-    let scalars: [(&str, &str, ScalarReader); 6] = [
-        (
-            "xsearch_front_quota_closes",
-            "Connections closed for exceeding a frame or byte quota",
-            |s| s.quota_closed.load(Ordering::Relaxed),
-        ),
-        (
-            "xsearch_front_strikes_total",
-            "Protocol-error strikes recorded against channel keys",
-            |s| s.strikes.load(Ordering::Relaxed),
-        ),
-        (
-            "xsearch_front_quarantined_keys_total",
-            "Channel keys moved into quarantine",
-            |s| s.quarantined_keys.load(Ordering::Relaxed),
-        ),
-        (
-            "xsearch_front_quarantine_rejects",
-            "Requests refused because their channel key was quarantined",
-            |s| s.quarantine_rejects.load(Ordering::Relaxed),
-        ),
-        (
-            "xsearch_front_sessions_closed",
-            "Enclave sessions closed because their connection went away",
-            |s| s.sessions_closed.load(Ordering::Relaxed),
-        ),
-        (
-            "xsearch_front_drain_rejects",
-            "Requests answered Unavailable by a draining shard",
-            |s| s.drain_rejects.load(Ordering::Relaxed),
-        ),
-    ];
-    for (name, help, read) in scalars {
-        let stats = Arc::clone(&inner.stats);
-        telemetry.poll(name, help, &[], move || read(&stats) as f64);
-    }
-    let stats = Arc::clone(&inner.stats);
-    telemetry.poll(
-        "xsearch_front_idle_session_bytes",
-        "Mean accounted bytes per idle session at the last sweep",
-        &[],
-        move || {
-            let sessions = stats.idle_sessions.load(Ordering::Relaxed);
-            if sessions == 0 {
-                0.0
-            } else {
-                stats.idle_bytes.load(Ordering::Relaxed) as f64 / sessions as f64
-            }
-        },
-    );
-}
-
-/// Maps a submission/delivery failure onto the framed status byte —
-/// delegates to the one exhaustive conversion on the error type itself
-/// ([`ClusterError::conn_status`]), so a new error variant is a compile
-/// error there instead of a silent catch-all here.
-fn status_for(err: &ClusterError) -> ConnStatus {
-    err.conn_status()
 }
 
 /// Maps a framed error status back to the cluster error a synchronous
@@ -1758,6 +1593,26 @@ mod tests {
         ))
     }
 
+    /// `xsearch_front_<what>` (with its one label, if it has one) read
+    /// back out of the registry.
+    fn metric(cluster: &Cluster, what: &str, label: Option<(&'static str, &'static str)>) -> f64 {
+        let labels: Vec<_> = label
+            .iter()
+            .map(|&(k, v)| (k, LabelValue::Static(v)))
+            .collect();
+        let snap = cluster.telemetry().snapshot();
+        snap.value(&format!("xsearch_front_{what}"), &labels)
+            .expect("a registered front series")
+    }
+
+    fn timeouts(cluster: &Cluster, kind: &'static str) -> f64 {
+        metric(cluster, "timeouts_total", Some(("kind", kind)))
+    }
+
+    fn sheds(cluster: &Cluster, class: &'static str) -> f64 {
+        metric(cluster, "sheds_total", Some(("class", class)))
+    }
+
     fn step_pump(front: &FrontTier) -> impl FnMut() + '_ {
         move || {
             front.step();
@@ -1825,7 +1680,7 @@ mod tests {
             .search_with("shed me", true, step_pump(&front))
             .unwrap_err();
         assert!(matches!(err, ClusterError::Overloaded(_)), "got {err:?}");
-        assert_eq!(front.overloaded_replies(), 1);
+        assert_eq!(metric(&cluster, "overloaded_replies", None), 1.0);
         node.exit();
         // The shed request advanced the session's send counter past what
         // the enclave saw: re-attest, then the path works again.
@@ -1847,7 +1702,7 @@ mod tests {
         front.step();
         stream.close();
         front.step();
-        assert_eq!(front.torn_connections(), 1);
+        assert_eq!(metric(&cluster, "torn_connections", None), 1.0);
         assert_eq!(front.connections(), 0);
     }
 
@@ -1986,7 +1841,7 @@ mod tests {
             front.step();
         }
         assert_eq!(front.connections(), 0);
-        assert_eq!(front.survival_stats().timeouts_handshake, 1);
+        assert_eq!(timeouts(&cluster, "handshake"), 1.0);
         let mut buf = [0u8; 8];
         assert!(
             matches!(stream.read(&mut buf), Ok(0) | Err(StreamError::Closed)),
@@ -2010,7 +1865,7 @@ mod tests {
             front.step();
         }
         assert_eq!(front.connections(), 0);
-        assert!(front.survival_stats().timeouts_read >= 1);
+        assert!(timeouts(&cluster, "read_stall") >= 1.0);
     }
 
     #[test]
@@ -2043,7 +1898,7 @@ mod tests {
             }
         }
         assert!(closed, "the dribbler was never reaped");
-        assert!(front.survival_stats().slowloris_closed >= 1);
+        assert!(timeouts(&cluster, "slowloris") >= 1.0);
     }
 
     #[test]
@@ -2071,8 +1926,8 @@ mod tests {
             front.step();
         }
         assert_eq!(front.connections(), 0);
-        assert!(front.survival_stats().timeouts_write >= 1);
-        assert_eq!(front.survival_stats().sessions_closed, 1);
+        assert!(timeouts(&cluster, "write_stall") >= 1.0);
+        assert_eq!(metric(&cluster, "sessions_closed", None), 1.0);
         assert_eq!(cluster.session_count(), 0);
     }
 
@@ -2109,10 +1964,8 @@ mod tests {
                 front.step();
             }
         }
-        let stats = front.survival_stats();
-        assert_eq!(stats.strikes, 2);
-        assert_eq!(stats.quarantined_keys, 1);
-        assert_eq!(front.quarantined_keys(), 1);
+        assert_eq!(metric(&cluster, "strikes_total", None), 2.0);
+        assert_eq!(metric(&cluster, "quarantined_keys_total", None), 1.0);
         // The quarantined key's next request is refused before routing —
         // even with a fresh attestation behind it.
         let mut broker = attach(&cluster, 77);
@@ -2120,7 +1973,7 @@ mod tests {
         write_all(&front, &stream, &raw_request(&mut broker, "again", true));
         let (status, _) = read_reply(&front, &stream);
         assert_eq!(status, ConnStatus::Unavailable);
-        assert_eq!(front.survival_stats().quarantine_rejects, 1);
+        assert_eq!(metric(&cluster, "quarantine_rejects", None), 1.0);
         front.step();
         assert_eq!(front.connections(), 0, "quarantined conns are closed");
     }
@@ -2145,7 +1998,7 @@ mod tests {
         write_all(&front, &stream, &raw_request(&mut broker, "q", true));
         let (status, _) = read_reply(&front, &stream);
         assert_eq!(status, ConnStatus::Protocol, "over-quota answer");
-        assert_eq!(front.survival_stats().quota_closed, 1);
+        assert_eq!(metric(&cluster, "quota_closes", None), 1.0);
         front.step();
         assert_eq!(front.connections(), 0);
     }
@@ -2180,7 +2033,7 @@ mod tests {
             front.step();
         }
         assert_eq!(front.connections(), 0);
-        assert_eq!(front.survival_stats().quota_closed, 1);
+        assert_eq!(metric(&cluster, "quota_closes", None), 1.0);
     }
 
     #[test]
@@ -2206,9 +2059,8 @@ mod tests {
             front.step();
         }
         assert_eq!(front.connections(), 2);
-        let stats = front.survival_stats();
-        assert_eq!(stats.shed_unattested, 1);
-        assert_eq!(stats.shed_established, 0);
+        assert_eq!(sheds(&cluster, "unattested"), 1.0);
+        assert_eq!(sheds(&cluster, "established"), 0.0);
         write_all(
             &front,
             &stream,
@@ -2243,7 +2095,7 @@ mod tests {
         write_all(&front, &stream, &raw_request(&mut broker, "during", true));
         let (status, _) = read_reply(&front, &stream);
         assert_eq!(status, ConnStatus::Unavailable);
-        assert_eq!(front.survival_stats().drain_rejects, 1);
+        assert_eq!(metric(&cluster, "drain_rejects", None), 1.0);
         for _ in 0..2 {
             front.step();
         }
@@ -2277,7 +2129,7 @@ mod tests {
             1,
             "disconnect closed the framed session"
         );
-        assert_eq!(front.survival_stats().sessions_closed, 1);
+        assert_eq!(metric(&cluster, "sessions_closed", None), 1.0);
         // The TTL reaper clears the leaker: first sweep ages it within
         // the TTL, the second puts it past.
         assert_eq!(cluster.reap_sessions(1), 0);

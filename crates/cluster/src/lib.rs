@@ -73,11 +73,11 @@ pub mod resilience;
 pub mod router;
 pub mod snapshot;
 
-pub use client::{ClientStats, ClusterClient, SearchOutcome};
+pub use client::{ClusterClient, SearchOutcome};
 pub use error::ClusterError;
-pub use fleet::{Cluster, ClusterConfig, ControlPlaneHold, FailoverReport, QueueStats};
+pub use fleet::{Cluster, ClusterConfig, ControlPlaneHold, FailoverReport};
 pub use front::{
-    ConnClass, ConnState, FramedClient, FrontConfig, FrontTier, SurvivalConfig, SurvivalStats,
+    ConnClass, ConnState, FramedClient, FrontConfig, FrontTier, SurvivalConfig,
     IDLE_SESSION_BYTE_BUDGET,
 };
 pub use placement::PlacementPolicy;
@@ -97,6 +97,7 @@ mod tests {
     use xsearch_core::config::XSearchConfig;
     use xsearch_engine::corpus::CorpusConfig;
     use xsearch_engine::engine::SearchEngine;
+    use xsearch_telemetry::LabelValue;
 
     fn engine() -> Arc<SearchEngine> {
         Arc::new(SearchEngine::build(&CorpusConfig {
@@ -339,6 +340,14 @@ mod tests {
         assert_eq!(window, vec!["the only window"]);
     }
 
+    /// `xsearch_replica_<what>` for `id`, read back out of the registry.
+    fn queue(cluster: &Cluster, id: ReplicaId, what: &str) -> f64 {
+        let labels = [("replica", LabelValue::Int(id.0 as u64))];
+        let snap = cluster.telemetry().snapshot();
+        snap.value(&format!("xsearch_replica_{what}"), &labels)
+            .expect("a registered per-replica series")
+    }
+
     fn bounded_cluster(replicas: usize, queue_limit: usize) -> Cluster {
         Cluster::launch(
             engine(),
@@ -365,12 +374,10 @@ mod tests {
             .with_replica(id, |_| cluster.with_replica(id, |_| ()))
             .unwrap();
         assert_eq!(inner.unwrap_err(), ClusterError::Overloaded(id));
-        let stats = cluster.queue_stats();
-        assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].replica, id);
-        assert_eq!(stats[0].depth, 0, "both requests have drained");
-        assert_eq!(stats[0].high_water, 1);
-        assert_eq!(stats[0].shed, 1);
+        let drained = queue(&cluster, id, "inflight");
+        assert_eq!(drained, 0.0, "both requests have drained");
+        assert_eq!(queue(&cluster, id, "queue_high_water"), 1.0);
+        assert_eq!(queue(&cluster, id, "shed"), 1.0);
     }
 
     #[test]
@@ -383,7 +390,7 @@ mod tests {
         // The queue drained with the outer request: the next one is
         // admitted normally — shedding is backpressure, not a trip wire.
         assert!(cluster.with_replica(id, |_| ()).is_ok());
-        assert_eq!(cluster.queue_stats()[0].shed, 1);
+        assert_eq!(queue(&cluster, id, "shed"), 1.0);
     }
 
     #[test]
@@ -410,7 +417,7 @@ mod tests {
         assert!(unwound.is_err());
         // The admitted slot drained during the unwind: the replica still
         // has its full bounded capacity.
-        assert_eq!(cluster.queue_stats()[0].depth, 0);
+        assert_eq!(queue(&cluster, id, "inflight"), 0.0);
         assert!(cluster.with_replica(id, |_| ()).is_ok());
     }
 
@@ -424,9 +431,8 @@ mod tests {
             })
             .unwrap();
         assert!(inner.unwrap().is_ok());
-        let stats = cluster.queue_stats()[0];
-        assert_eq!(stats.shed, 0);
-        assert_eq!(stats.high_water, 3);
+        assert_eq!(queue(&cluster, id, "shed"), 0.0);
+        assert_eq!(queue(&cluster, id, "queue_high_water"), 3.0);
     }
 
     #[test]
@@ -469,15 +475,11 @@ mod tests {
             served.load(Ordering::Relaxed) > 0,
             "admitted work completes"
         );
-        let stats = cluster.queue_stats()[0];
-        assert!(
-            stats.high_water <= 2,
-            "the bound held: {}",
-            stats.high_water
-        );
+        let high_water = queue(&cluster, ReplicaId(0), "queue_high_water");
+        assert!(high_water <= 2.0, "the bound held: {high_water}");
         assert_eq!(
-            stats.shed,
-            shed.load(Ordering::Relaxed),
+            queue(&cluster, ReplicaId(0), "shed"),
+            shed.load(Ordering::Relaxed) as f64,
             "every refusal was reported as backpressure"
         );
     }
@@ -518,11 +520,129 @@ mod tests {
         let id = ReplicaId(0);
         let slot = RequestSlot::new();
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = cluster.forward_with(id, true, &slot, || panic!("seal bug"));
+            let _ = cluster.forward(id, true, &slot, None, || panic!("seal bug"));
         }));
         assert!(unwound.is_err());
-        assert_eq!(cluster.queue_stats()[0].depth, 0);
+        assert_eq!(queue(&cluster, id, "inflight"), 0.0);
         assert!(cluster.with_replica(id, |_| ()).is_ok());
+    }
+
+    /// Two drivers, one admission sequence: every refusal reads the same
+    /// through the blocking [`Cluster::forward`] and a bare
+    /// [`Cluster::submit`] (what a front shard calls) — same error, `seal`
+    /// never invoked, no admission left claimed, same flight events.
+    #[test]
+    fn two_drivers_one_admission_sequence() {
+        use ClusterError::{LinkLoss, NotRoutable, Overloaded, ReplicaDown};
+        type Seal<'a> = &'a mut dyn FnMut() -> ([u8; 32], Vec<u8>);
+        type Driver = fn(&Cluster, &Arc<RequestSlot>, Seal<'_>) -> Result<(), ClusterError>;
+        const ID: ReplicaId = ReplicaId(0);
+        let drivers: [(&str, Driver); 2] = [
+            ("forward", |c, slot, seal| {
+                c.forward(ID, true, slot, None, seal).map(|_| ())
+            }),
+            ("submit", |c, slot, seal| {
+                c.submit(ID, true, slot, None, seal).map(|_| ())
+            }),
+        ];
+        let faulted = |spec: FaultSpec| {
+            let faults = Some(Arc::new(FaultPlan::new(spec, 7, 1)));
+            let config = ClusterConfig {
+                replicas: 1,
+                faults,
+                ..Default::default()
+            };
+            Cluster::launch(engine(), config)
+        };
+        let deregistered = bounded_cluster(1, 1);
+        assert!(deregistered.registry().deregister(ID));
+        let killed = bounded_cluster(1, 1);
+        killed.kill(ID).unwrap();
+        let lossy = faulted(FaultSpec {
+            loss: 1.0,
+            ..Default::default()
+        });
+        let partitioned = faulted(FaultSpec {
+            partitions: vec![(0, 1_000)],
+            ..Default::default()
+        });
+        // The full fleet's one queue slot is held while the drivers run.
+        let full = bounded_cluster(1, 1);
+        let shed = [FlightEvent::Shed { replica: 0 }];
+        let cases: [(&str, Cluster, ClusterError, &[FlightEvent]); 5] = [
+            ("deregistered", deregistered, NotRoutable(ID), &[]),
+            ("killed", killed, ReplicaDown(ID), &[]),
+            ("total loss", lossy, LinkLoss(ID), &[]),
+            ("partition window", partitioned, LinkLoss(ID), &[]),
+            ("queue full", full, Overloaded(ID), &shed),
+        ];
+        for (case, cluster, refusal, events) in cases {
+            let node = Arc::clone(cluster.node(ID).unwrap());
+            let occupy = refusal == Overloaded(ID);
+            if occupy {
+                assert!(node.try_enter(1));
+            }
+            for (driver, run) in drivers {
+                let slot = RequestSlot::new();
+                let recorded = cluster.flight().total();
+                let mut sealed = false;
+                let result = run(&cluster, &slot, &mut || {
+                    sealed = true;
+                    ([0x42; 32], vec![1, 2, 3])
+                });
+                assert_eq!(result, Err(refusal.clone()), "{case} via {driver}");
+                assert!(!sealed, "{case} via {driver}: a refusal must never seal");
+                let new_events: Vec<FlightEvent> = cluster
+                    .flight()
+                    .events()
+                    .into_iter()
+                    .filter(|&(seq, _)| seq >= recorded)
+                    .map(|(_, event)| event)
+                    .collect();
+                assert_eq!(new_events, events, "{case} via {driver}");
+            }
+            if occupy {
+                node.exit();
+            }
+            assert_eq!(queue(&cluster, ID, "inflight"), 0.0, "{case} leaked");
+        }
+        // A seal closure that unwinds after admission drains the slot
+        // under either driver.
+        let cluster = bounded_cluster(1, 1);
+        for (driver, run) in drivers {
+            let slot = RequestSlot::new();
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _ = run(&cluster, &slot, &mut || panic!("seal bug"));
+            }));
+            assert!(unwound.is_err(), "{driver}");
+            assert_eq!(queue(&cluster, ID, "inflight"), 0.0, "{driver} leaked");
+            assert!(cluster.with_replica(ID, |_| ()).is_ok(), "{driver}");
+        }
+    }
+
+    #[test]
+    fn a_failed_delivery_releases_admission_without_counting_a_forward() {
+        // An entry the enclave rejects (no session behind the key) comes
+        // back as a delivered error. Under either driver the admission
+        // it held is released, and neither the forwards counter nor the
+        // forward span moves.
+        let cluster = bounded_cluster(1, 1);
+        let id = ReplicaId(0);
+        let slot = RequestSlot::new();
+        let bogus = || ([0x42u8; 32], vec![1, 2, 3]);
+        let blocking = cluster.forward(id, false, &slot, None, bogus);
+        assert!(matches!(blocking, Err(ClusterError::Proxy(_))));
+        // The non-blocking protocol, step by step: the slot stays
+        // claimed from submit until finish.
+        let charge = cluster.submit(id, false, &slot, None, bogus).unwrap();
+        assert_eq!(queue(&cluster, id, "inflight"), 1.0);
+        cluster.drive_lane(id);
+        let delivery = slot.take_if_done().expect("the lane was driven");
+        assert!(matches!(delivery, Err(ClusterError::Proxy(_))));
+        cluster.finish(id, delivery.is_ok(), charge);
+        assert_eq!(queue(&cluster, id, "inflight"), 0.0);
+        assert_eq!(cluster.metrics.forwards.value(), 0);
+        assert_eq!(cluster.metrics.span_forward.count(), 0);
     }
 
     #[test]
@@ -553,10 +673,14 @@ mod tests {
     fn accounted_network_delay_grows_with_traffic() {
         let cluster = small_cluster(2, PlacementPolicy::RoundRobin);
         let mut client = ClusterClient::attach(&cluster, 3).unwrap();
-        let before = cluster.accounted_network_delay();
+        let hop_us = || {
+            let snap = cluster.telemetry().snapshot();
+            snap.value("xsearch_fleet_hop_delay_us", &[]).unwrap()
+        };
+        let before = hop_us();
         for i in 0..5 {
             client.search_echo(&cluster, &format!("q{i}")).unwrap();
         }
-        assert!(cluster.accounted_network_delay() > before);
+        assert!(hop_us() > before);
     }
 }

@@ -1,4 +1,5 @@
-//! Fleet-side instruments on the shared metrics registry.
+//! Fleet-side instruments on the shared metrics registry — the fleet's
+//! only stats surface.
 //!
 //! Every instrument here is pre-registered once at
 //! [`crate::fleet::Cluster::launch`], so the data plane records with the
@@ -6,9 +7,10 @@
 //! registration lock mid-request. Slow-moving state (queue depths,
 //! breaker trips, lane coalescing, accounted delays) is exposed through
 //! poll collectors that read the *existing* hot-path atomics at snapshot
-//! time — the unification the registry exists for: `queue_stats()`,
-//! `sweep_stats()` and the engine pool's accounting all surface in one
-//! snapshot, while the thin typed accessors stay for compatibility.
+//! time. Per-replica queue counters, sweep coalescing, the client policy
+//! stack's counters and the front tier's all surface in the one
+//! snapshot; callers read a series with
+//! [`xsearch_telemetry::Snapshot::value`].
 
 use std::time::Duration;
 use xsearch_telemetry::{Counter, Histogram, Registry};
@@ -25,8 +27,7 @@ pub(crate) struct FleetMetrics {
     pub failovers: Counter,
     /// Queries migrated to a successor's window during failover.
     pub migrated: Counter,
-    /// Client retries beyond each search's first attempt (fleet-wide
-    /// mirror of `ClientStats::retries`).
+    /// Client retries beyond each search's first attempt, fleet-wide.
     pub client_retries: Counter,
     /// Client re-attestation handshakes after the initial attach.
     pub client_reattaches: Counter,

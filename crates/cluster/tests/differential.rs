@@ -152,9 +152,9 @@ impl BrokerPair {
         let ct_direct = self.direct_side.seal_query(query);
         assert_eq!(ct_cluster, ct_direct, "sealed queries diverged");
         let pk = *self.cluster_side.client_pub().as_bytes();
-        let resp_cluster = t
+        let (resp_cluster, _charge) = t
             .cluster
-            .forward_sealed(R0, pk, ct_cluster, echo, &self.slot)
+            .forward(R0, echo, &self.slot, None, move || (pk, ct_cluster))
             .expect("healthy cluster forward");
         let resp_direct = if echo {
             t.direct.request_echo(&pk, &ct_direct)
@@ -185,7 +185,7 @@ impl BrokerPair {
         let pk = *self.cluster_side.client_pub().as_bytes();
         let err_cluster = t
             .cluster
-            .forward_sealed(R0, pk, ct_cluster, echo, &self.slot)
+            .forward(R0, echo, &self.slot, None, move || (pk, ct_cluster))
             .expect_err("tampered entry must fail");
         let err_direct = if echo {
             t.direct.request_echo(&pk, &ct_direct)
@@ -210,7 +210,7 @@ fn unknown_session_fails_identically_on_both_paths() {
     let slot = RequestSlot::new();
     let err_cluster = t
         .cluster
-        .forward_sealed(R0, bogus_pk, junk.clone(), false, &slot)
+        .forward(R0, false, &slot, None, || (bogus_pk, junk.clone()))
         .expect_err("no session for a bogus key");
     let err_direct = t
         .direct

@@ -3,13 +3,18 @@
 //! under connect/disconnect churn.
 
 use std::sync::Arc;
-use xsearch_cluster::{Cluster, ClusterConfig, ConnState, FramedClient, FrontConfig, FrontTier};
+use std::time::Duration;
+use xsearch_cluster::{
+    Cluster, ClusterClient, ClusterConfig, ConnState, FaultPlan, FaultSpec, FramedClient,
+    FrontConfig, FrontTier,
+};
 use xsearch_core::config::XSearchConfig;
 use xsearch_core::wire::{decode_conn_reply, encode_conn_request_into, ConnStatus};
 use xsearch_core::Broker;
 use xsearch_engine::corpus::CorpusConfig;
 use xsearch_engine::engine::SearchEngine;
 use xsearch_net_sim::{encode_frame_into, ByteStream, FrameDecoder, StreamError};
+use xsearch_telemetry::{LabelValue, Snapshot};
 
 fn fleet() -> Arc<Cluster> {
     let engine = Arc::new(SearchEngine::build(&CorpusConfig {
@@ -169,4 +174,214 @@ fn connection_churn_reclaims_sessions_and_keeps_survivors_working() {
     let (sessions, bytes) = front.account_idle();
     assert_eq!(sessions, 1);
     assert!(bytes <= xsearch_cluster::IDLE_SESSION_BYTE_BUDGET);
+}
+
+/// `(samples, minimum)` of the forward span in `snap`.
+fn forward_span(snap: &Snapshot) -> (u64, u64) {
+    let span = snap
+        .histograms
+        .iter()
+        .find(|h| h.name == "xsearch_span_forward_us")
+        .expect("the forward span is registered");
+    (span.histogram.count(), span.histogram.min())
+}
+
+/// The fork this pins: the non-blocking ingress used to skip the forward
+/// span, so framed requests never reached `xsearch_span_forward_us`.
+/// Every served request — whichever driver carried it — is one forward
+/// and one span sample.
+#[test]
+fn framed_echoes_record_the_forward_span_and_counter() {
+    const N: u64 = 5;
+    let cluster = fleet();
+    let front = FrontTier::new(&cluster, FrontConfig::default());
+    let mut client = FramedClient::connect(&cluster, &front, 4242).unwrap();
+    let before = cluster.telemetry().snapshot();
+    for i in 0..N {
+        client
+            .search_with(&format!("framed echo {i}"), true, || {
+                front.step();
+            })
+            .unwrap();
+    }
+    let after = cluster.telemetry().snapshot();
+    assert_eq!(
+        forward_span(&after).0 - forward_span(&before).0,
+        N,
+        "one span sample per echo"
+    );
+    let forwards = |snap: &Snapshot| snap.value("xsearch_fleet_forwards_total", &[]).unwrap();
+    assert_eq!(forwards(&after) - forwards(&before), N as f64);
+}
+
+/// The charge a framed request's span sample carries is the same
+/// modeled one the blocking driver reports: injected stall plus hop.
+#[test]
+fn both_drivers_record_the_injected_stall_on_the_forward_span() {
+    let stall = Duration::from_millis(3);
+    let engine = Arc::new(SearchEngine::build(&CorpusConfig {
+        docs_per_topic: 5,
+        ..Default::default()
+    }));
+    let spec = FaultSpec {
+        stalled: vec![0],
+        stall,
+        ..Default::default()
+    };
+    let cluster = Arc::new(Cluster::launch(
+        engine,
+        ClusterConfig {
+            replicas: 1,
+            faults: Some(Arc::new(FaultPlan::new(spec, 5, 1))),
+            ..Default::default()
+        },
+    ));
+    let front = FrontTier::new(&cluster, FrontConfig::default());
+    let mut blocking = ClusterClient::attach(&cluster, 1).unwrap();
+    let outcome = blocking.search_echo_outcome(&cluster, "blocking").unwrap();
+    assert!(outcome.cost >= stall);
+    let mut framed = FramedClient::connect(&cluster, &front, 2).unwrap();
+    framed
+        .search_with("framed", true, || {
+            front.step();
+        })
+        .unwrap();
+    let (samples, min_us) = forward_span(&cluster.telemetry().snapshot());
+    assert_eq!(samples, 2);
+    assert!(
+        u128::from(min_us) >= stall.as_micros(),
+        "both samples carry the stall, min was {min_us} us"
+    );
+}
+
+/// The front's event counts live on the registry: a served round trip
+/// is one frame each way and its bytes.
+#[test]
+fn a_roundtrip_counts_frames_and_bytes_in_both_directions() {
+    let cluster = fleet();
+    let front = FrontTier::new(&cluster, FrontConfig::default());
+    let mut client = FramedClient::connect(&cluster, &front, 8).unwrap();
+    for query in ["one", "two", "three"] {
+        client
+            .search_with(query, true, || {
+                front.step();
+            })
+            .unwrap();
+    }
+    let snap = cluster.telemetry().snapshot();
+    let direction = |name, dir| {
+        snap.value(name, &[("direction", LabelValue::Static(dir))])
+            .unwrap()
+    };
+    assert_eq!(direction("xsearch_front_frames_total", "in"), 3.0);
+    assert_eq!(direction("xsearch_front_frames_total", "out"), 3.0);
+    // Each request carries at least the 32-byte channel key, each reply
+    // at least its status byte, both behind a length prefix.
+    assert!(direction("xsearch_front_bytes_total", "in") > 3.0 * 32.0);
+    assert!(direction("xsearch_front_bytes_total", "out") > 3.0);
+}
+
+/// The frame ceiling is a constant of the tier (1 MiB): one byte past
+/// it is refused from the length prefix alone, before any payload is
+/// buffered, with a typed answer and a close.
+#[test]
+fn an_oversized_frame_announcement_is_a_protocol_error_and_closes() {
+    let cluster = fleet();
+    let front = FrontTier::new(&cluster, FrontConfig::default());
+    let stream = front.accept();
+    stream.write(&((1u32 << 20) + 1).to_le_bytes()).unwrap();
+    let mut decoder = FrameDecoder::new();
+    for _ in 0..4 {
+        front.step();
+    }
+    decoder.read_from(&stream, 4096).unwrap();
+    let frame = decoder.next_frame().unwrap().expect("an error reply");
+    let (status, payload) = decode_conn_reply(frame).unwrap();
+    assert_eq!(status, ConnStatus::Protocol);
+    assert!(payload.is_empty());
+    front.step();
+    assert_eq!(front.connections(), 0);
+    let snap = cluster.telemetry().snapshot();
+    assert_eq!(snap.value("xsearch_front_protocol_errors", &[]), Some(1.0));
+}
+
+/// Every series the fleet and the front exported before the stats
+/// surfaces were folded into the registry is still exported, under the
+/// same name and label set (`perf_ledger` and dashboards read them by
+/// name).
+#[test]
+fn exported_series_names_and_labels_are_stable() {
+    let cluster = fleet();
+    let _front = FrontTier::new(&cluster, FrontConfig::default());
+    let snap = cluster.telemetry().snapshot();
+    let render = |name: &str, labels: &[(&'static str, LabelValue)]| {
+        let labels: Vec<String> = labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        format!("{name}{{{}}}", labels.join(","))
+    };
+    let exported: std::collections::HashSet<String> = snap
+        .counters
+        .iter()
+        .chain(&snap.gauges)
+        .map(|s| render(s.name, &s.labels))
+        .chain(snap.histograms.iter().map(|h| render(h.name, &h.labels)))
+        .collect();
+    let expected = [
+        "xsearch_fleet_forwards_total{}",
+        "xsearch_fleet_link_loss_total{}",
+        "xsearch_fleet_lane_deadline_refusals_total{}",
+        "xsearch_fleet_failovers_total{}",
+        "xsearch_fleet_migrated_queries_total{}",
+        "xsearch_client_retries_total{}",
+        "xsearch_client_reattaches_total{}",
+        "xsearch_client_hedges_fired_total{}",
+        "xsearch_client_hedges_won_total{}",
+        "xsearch_client_deadline_misses_total{}",
+        "xsearch_client_link_losses_total{}",
+        "xsearch_fleet_sweeps_run_total{}",
+        "xsearch_fleet_sweeps_coalesced_total{}",
+        "xsearch_replica_inflight{replica=0}",
+        "xsearch_replica_queue_high_water{replica=0}",
+        "xsearch_replica_shed{replica=0}",
+        "xsearch_replica_served{replica=0}",
+        "xsearch_replica_degrade_level{replica=0}",
+        "xsearch_fleet_hop_delay_us{}",
+        "xsearch_fleet_fault_delay_us{}",
+        "xsearch_fleet_engine_delay_us{}",
+        "xsearch_fleet_degraded_served{}",
+        "xsearch_lane_batches{}",
+        "xsearch_lane_entries{}",
+        "xsearch_breaker_trips{}",
+        "xsearch_front_connections{state=idle}",
+        "xsearch_front_connections{state=reading}",
+        "xsearch_front_connections{state=awaiting_enclave}",
+        "xsearch_front_connections{state=writing}",
+        "xsearch_front_frames_total{direction=in}",
+        "xsearch_front_frames_total{direction=out}",
+        "xsearch_front_bytes_total{direction=in}",
+        "xsearch_front_bytes_total{direction=out}",
+        "xsearch_front_overloaded_replies{}",
+        "xsearch_front_protocol_errors{}",
+        "xsearch_front_torn_connections{}",
+        "xsearch_front_timeouts_total{kind=handshake}",
+        "xsearch_front_timeouts_total{kind=read_stall}",
+        "xsearch_front_timeouts_total{kind=write_stall}",
+        "xsearch_front_timeouts_total{kind=idle}",
+        "xsearch_front_timeouts_total{kind=slowloris}",
+        "xsearch_front_sheds_total{class=misbehaving}",
+        "xsearch_front_sheds_total{class=unattested}",
+        "xsearch_front_sheds_total{class=established}",
+        "xsearch_front_quota_closes{}",
+        "xsearch_front_strikes_total{}",
+        "xsearch_front_quarantined_keys_total{}",
+        "xsearch_front_quarantine_rejects{}",
+        "xsearch_front_sessions_closed{}",
+        "xsearch_front_drain_rejects{}",
+        "xsearch_front_idle_session_bytes{}",
+        "xsearch_span_forward_us{}",
+        "xsearch_span_backoff_us{}",
+        "xsearch_span_request_us{}",
+    ];
+    for series in expected {
+        assert!(exported.contains(series), "series {series} disappeared");
+    }
 }

@@ -23,12 +23,22 @@ use xsearch_cluster::{
 use xsearch_core::config::XSearchConfig;
 use xsearch_engine::corpus::CorpusConfig;
 use xsearch_engine::engine::SearchEngine;
+use xsearch_telemetry::LabelValue;
 
 fn engine() -> Arc<SearchEngine> {
     Arc::new(SearchEngine::build(&CorpusConfig {
         docs_per_topic: 5,
         ..Default::default()
     }))
+}
+
+/// One unlabelled series read back out of the fleet registry.
+fn metric(cluster: &Cluster, name: &str) -> f64 {
+    cluster
+        .telemetry()
+        .snapshot()
+        .value(name, &[])
+        .expect("a registered fleet series")
 }
 
 fn fleet_with(
@@ -120,7 +130,7 @@ proptest! {
         let mut dropped = 0u32;
         let mut delivered = 0u32;
         for _ in 0..40 {
-            let result = cluster.forward_with(ReplicaId(0), true, &slot, || {
+            let result = cluster.forward(ReplicaId(0), true, &slot, None, || {
                 sealed += 1;
                 // A bogus frame: enough to cross the wire; the proxy
                 // rejects it, which still counts as "was sealed & sent".
@@ -153,7 +163,7 @@ fn overloaded_request_is_never_sealed() {
     // seal closure must never run.
     let result = cluster
         .with_replica(id, |_| {
-            cluster.forward_with(id, true, &slot, || {
+            cluster.forward(id, true, &slot, None, || {
                 sealed = true;
                 ([0x42u8; 32], vec![1, 2, 3])
             })
@@ -193,7 +203,7 @@ fn breaker_browns_out_a_gray_replica_before_any_sweep() {
         BreakerState::Open,
         "the gray replica's breaker must be open"
     );
-    assert!(cluster.breaker_trips() >= 1);
+    assert!(metric(&cluster, "xsearch_breaker_trips") >= 1.0);
     assert_ne!(client.replica(), ReplicaId(0), "routing deflected away");
     // No sweep ever drained it: still enrolled, still up.
     assert!(cluster.registry().is_routable(ReplicaId(0)));
@@ -225,13 +235,32 @@ fn total_loss_yields_typed_deadline_exceeded() {
     let mut client = ClusterClient::attach(&cluster, 0xDEAD).unwrap();
     let err = client.search_echo(&cluster, "will never land").unwrap_err();
     assert_eq!(err, ClusterError::DeadlineExceeded);
-    let stats = client.stats();
-    assert!(stats.link_losses > 0, "attempts were dropped on the link");
-    assert!(stats.deadline_misses >= 1);
+    assert!(
+        metric(&cluster, "xsearch_client_link_losses_total") > 0.0,
+        "attempts were dropped on the link"
+    );
+    assert!(metric(&cluster, "xsearch_client_deadline_misses_total") >= 1.0);
     assert!(
         client.last_cost() >= Duration::from_millis(20),
         "backoff charges must have consumed the whole budget"
     );
+}
+
+#[test]
+fn a_failover_counts_its_retry_and_reattach_on_the_fleet_registry() {
+    // What the policy stack did is counted once, fleet-wide: riding out
+    // a killed replica is exactly one extra attempt and one
+    // re-attestation, and a clean search adds neither.
+    let cluster = fleet_with(4, FaultSpec::default(), 3, ResilienceConfig::default());
+    let mut client = ClusterClient::attach(&cluster, 0xFA11).unwrap();
+    client.search_echo(&cluster, "before").unwrap();
+    assert_eq!(metric(&cluster, "xsearch_client_retries_total"), 0.0);
+    assert_eq!(metric(&cluster, "xsearch_client_reattaches_total"), 0.0);
+    cluster.kill(client.replica()).unwrap();
+    let outcome = client.search_echo_outcome(&cluster, "during").unwrap();
+    assert_eq!(outcome.attempts, 2);
+    assert_eq!(metric(&cluster, "xsearch_client_retries_total"), 1.0);
+    assert_eq!(metric(&cluster, "xsearch_client_reattaches_total"), 1.0);
 }
 
 #[test]
@@ -274,9 +303,8 @@ fn hedging_rescues_a_stalled_replica() {
         "hedged cost {:?} must beat the stall {stall:?}",
         outcome.cost
     );
-    let stats = client.stats();
-    assert_eq!(stats.hedges_fired, 1);
-    assert_eq!(stats.hedges_won, 1);
+    assert_eq!(metric(&cluster, "xsearch_client_hedges_fired_total"), 1.0);
+    assert_eq!(metric(&cluster, "xsearch_client_hedges_won_total"), 1.0);
     // The slow primary's breaker took the failure: enough stalled
     // answers will brown it out of routing entirely.
     for i in 0..4 {
@@ -322,9 +350,14 @@ fn concurrent_sweeps_coalesce_to_one_scan() {
         handles.into_iter().map(|h| h.join().unwrap()).sum()
     });
     assert_eq!(total_reports, 1, "exactly one sweeper migrates the window");
-    let (run, coalesced) = cluster.sweep_stats();
-    assert_eq!(run + coalesced, 8, "every call either scanned or coalesced");
-    assert!(run >= 1);
+    let run = metric(&cluster, "xsearch_fleet_sweeps_run_total");
+    let coalesced = metric(&cluster, "xsearch_fleet_sweeps_coalesced_total");
+    assert_eq!(
+        run + coalesced,
+        8.0,
+        "every call either scanned or coalesced"
+    );
+    assert!(run >= 1.0);
     // The drain is idempotent afterwards either way.
     assert!(cluster.health_sweep().is_empty());
 }
@@ -350,7 +383,11 @@ fn degradation_ladder_sheds_decoys_before_requests() {
     let id = ReplicaId(0);
     let mut client = ClusterClient::attach(&cluster, 77).unwrap();
     client.search_echo(&cluster, "warm").unwrap();
-    assert_eq!(cluster.degraded_served(), 0, "no pressure, full strength");
+    assert_eq!(
+        metric(&cluster, "xsearch_fleet_degraded_served"),
+        0.0,
+        "no pressure, full strength"
+    );
 
     let under_pressure = cluster
         .with_replica(id, |_| {
@@ -362,13 +399,19 @@ fn degradation_ladder_sheds_decoys_before_requests() {
         .unwrap();
     under_pressure.unwrap().unwrap();
     assert!(
-        cluster.degraded_served() >= 1,
+        metric(&cluster, "xsearch_fleet_degraded_served") >= 1.0,
         "the pressed request must have been served at reduced k"
     );
 
     // Pressure gone: the next request restores level 0.
     client.search_echo(&cluster, "relaxed").unwrap();
-    assert_eq!(cluster.queue_stats()[0].degrade_level, 0);
+    assert_eq!(
+        cluster.telemetry().snapshot().value(
+            "xsearch_replica_degrade_level",
+            &[("replica", LabelValue::Int(0))]
+        ),
+        Some(0.0)
+    );
 }
 
 #[test]

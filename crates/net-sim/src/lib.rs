@@ -13,8 +13,6 @@
 //!   microseconds of wall time;
 //! * [`station`] — a worker-pool service station with a bounded queue,
 //!   modelling capacity-limited relays;
-//! * [`transport`] — in-process duplex message pipes for wiring
-//!   components;
 //! * [`stream`] — simulated duplex *byte* streams with partial
 //!   reads/writes, bounded buffers and backpressure;
 //! * [`reactor`] — an epoll-style readiness poller over byte streams,
@@ -39,7 +37,6 @@ pub mod link;
 pub mod reactor;
 pub mod station;
 pub mod stream;
-pub mod transport;
 
 pub use delay::DelayModel;
 pub use fault::{

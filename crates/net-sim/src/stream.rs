@@ -1,12 +1,11 @@
 //! Simulated duplex byte streams with readiness semantics.
 //!
-//! [`transport`](crate::transport) pipes carry whole frames; a real front
-//! tier sees *bytes* — partial reads, short writes, and backpressure when
-//! the peer stops draining. [`stream_pair`] models one TCP connection as
-//! two bounded byte rings. Every operation is non-blocking: when it
-//! cannot make progress it returns [`StreamError::WouldBlock`] and the
-//! caller is expected to wait for readiness through a
-//! [`Reactor`](crate::reactor::Reactor).
+//! A real front tier sees *bytes*, not whole frames — partial reads,
+//! short writes, and backpressure when the peer stops draining.
+//! [`stream_pair`] models one TCP connection as two bounded byte rings.
+//! Every operation is non-blocking: when it cannot make progress it
+//! returns [`StreamError::WouldBlock`] and the caller is expected to wait
+//! for readiness through a [`Reactor`](crate::reactor::Reactor).
 //!
 //! Determinism: streams never touch the wall clock or any RNG. Readiness
 //! notifications fire synchronously, in operation order, from the thread

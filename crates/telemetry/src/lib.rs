@@ -1,7 +1,7 @@
 //! **Privacy-partitioned runtime observability** for the X-Search stack.
 //!
-//! Every prior tier reported through bespoke one-off structs
-//! (`ClientStats`, `queue_stats()`, bench summaries) — there was no way
+//! Every prior tier reported through bespoke one-off structs (per-client
+//! stat structs, per-queue accessors, bench summaries) — there was no way
 //! to see inside a *running* system, and nothing said what telemetry may
 //! legally cross the enclave boundary. This crate is that layer:
 //!

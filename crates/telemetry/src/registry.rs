@@ -422,6 +422,18 @@ fn fmt_value(v: f64) -> String {
 }
 
 impl Snapshot {
+    /// The counter or gauge registered as `name` with exactly `labels`
+    /// (`None` when no such series exists) — how tests and benches read
+    /// one series back out of a snapshot.
+    #[must_use]
+    pub fn value(&self, name: &str, labels: &[Label]) -> Option<f64> {
+        self.counters
+            .iter()
+            .chain(&self.gauges)
+            .find(|s| s.name == name && s.labels == labels)
+            .map(|s| s.value)
+    }
+
     /// Renders Prometheus-style text exposition: counters and gauges as
     /// single samples, histograms as summaries (`quantile` labels plus
     /// `_count`/`_sum`/`_min`/`_max`).
@@ -581,6 +593,29 @@ mod tests {
         assert_eq!(snap.gauges.len(), 2);
         assert_eq!(snap.gauges[0].value, 3.0);
         assert_eq!(snap.gauges[1].value, 17.0);
+    }
+
+    #[test]
+    fn value_finds_one_series_by_name_and_exact_label_set() {
+        let registry = Registry::new();
+        for replica in 0..2 {
+            registry
+                .counter(
+                    "test_shed",
+                    "shed",
+                    &[("replica", LabelValue::Int(replica))],
+                )
+                .add(replica + 5);
+        }
+        registry.poll("test_polled", "polled", &[], || 17.0);
+        registry.histogram("test_us", "span", &[]).record(9);
+        let snap = registry.snapshot();
+        let replica_1 = [("replica", LabelValue::Int(1))];
+        assert_eq!(snap.value("test_shed", &replica_1), Some(6.0));
+        assert_eq!(snap.value("test_polled", &[]), Some(17.0));
+        assert_eq!(snap.value("test_shed", &[]), None, "labels must match");
+        assert_eq!(snap.value("test_missing", &[]), None);
+        assert_eq!(snap.value("test_us", &[]), None, "histograms have no value");
     }
 
     #[test]
