@@ -24,24 +24,19 @@
 //! merged history windows — an answer the client decrypted can never
 //! belong to a request the fleet later dropped.
 //!
-//! Env knobs: `CHAOS_REQUESTS` scales the per-scenario request count
-//! (CI smoke uses a few hundred); `BENCH_CHAOS_JSON` overrides the
-//! summary path.
+//! Env knob: `CHAOS_REQUESTS` scales the per-scenario request count
+//! (CI smoke uses a few hundred).
 //!
 //! Run: `cargo run -p xsearch-bench --release --bin chaos_drill`
 
 use std::collections::HashSet;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
-use xsearch_bench::summary::write_summary;
-use xsearch_bench::EXPERIMENT_SEED;
+use xsearch_bench::summary::{env_or, fixed, replay_gate, Gate, Json, Obj, Summary};
+use xsearch_bench::{echo_engine, EXPERIMENT_SEED};
 use xsearch_cluster::resilience::ResilienceConfig;
-use xsearch_cluster::{
-    Cluster, ClusterClient, ClusterConfig, CrashEvent, FaultPlan, FaultSpec, PlacementPolicy,
-};
+use xsearch_cluster::{Cluster, ClusterClient, ClusterConfig, CrashEvent, FaultPlan, FaultSpec};
 use xsearch_core::config::XSearchConfig;
-use xsearch_engine::corpus::CorpusConfig;
 use xsearch_engine::engine::SearchEngine;
 use xsearch_metrics::LatencyHistogram;
 use xsearch_telemetry::LabelValue;
@@ -55,19 +50,8 @@ const K: usize = 3;
 const DEADLINE: Duration = Duration::from_millis(50);
 const STALL: Duration = Duration::from_secs(5);
 
-fn requests() -> u64 {
-    std::env::var("CHAOS_REQUESTS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(2_000)
-}
-
-fn engine() -> Arc<SearchEngine> {
-    Arc::new(SearchEngine::build(&CorpusConfig {
-        docs_per_topic: 5,
-        ..Default::default()
-    }))
-}
+/// Goodput the stalled + lossy fleet must keep, as a share of baseline.
+const GOODPUT_FLOOR: f64 = 0.7;
 
 fn policies_on() -> ResilienceConfig {
     ResilienceConfig {
@@ -75,10 +59,7 @@ fn policies_on() -> ResilienceConfig {
         deadline: DEADLINE,
         backoff_base: Duration::from_micros(500),
         backoff_cap: Duration::from_millis(10),
-        breaker_threshold: 3,
-        breaker_cooldown_ops: 512,
         hedge: true,
-        hedge_after: None,
         degrade: true,
     }
 }
@@ -88,7 +69,6 @@ fn launch(engine: &Arc<SearchEngine>, spec: FaultSpec, rcfg: ResilienceConfig) -
         Arc::clone(engine),
         ClusterConfig {
             replicas: REPLICAS,
-            placement: PlacementPolicy::ConsistentHash,
             // Seal after every request: an acknowledged answer is always
             // covered by a snapshot, which is what the zero-lost check
             // leans on across crashes.
@@ -113,26 +93,14 @@ fn launch(engine: &Arc<SearchEngine>, spec: FaultSpec, rcfg: ResilienceConfig) -
 /// Per-scenario results.
 struct ScenarioResult {
     name: &'static str,
-    policies: bool,
-    ok: u64,
-    failed: u64,
-    available: u64,
-    total_cost: Duration,
-    p99_us: u64,
-    mean_cost_us: f64,
-    retries: u64,
-    reattaches: u64,
-    hedges_fired: u64,
-    hedges_won: u64,
-    deadline_misses: u64,
-    link_losses: u64,
-    breaker_trips: u64,
-    sweeps_run: u64,
-    sweeps_coalesced: u64,
-    degraded_served: u64,
-    sheds: u64,
-    acked: usize,
+    /// In-deadline completions per modeled second, with `SESSIONS`
+    /// sessions progressing in parallel: the mean session spends
+    /// `total_cost / SESSIONS` modeled seconds on its share.
+    goodput_rps: f64,
+    /// Acknowledged queries missing from the fleet's merged windows.
     lost: usize,
+    /// The scenario's row in the summary.
+    row: Obj,
     transcript: Vec<String>,
     /// The fleet's flight-recorder dump (breaker transitions, hedges,
     /// failovers, injected faults, degrade steps), kept past the
@@ -143,25 +111,28 @@ struct ScenarioResult {
     telemetry: String,
 }
 
-impl ScenarioResult {
-    fn availability(&self) -> f64 {
-        self.available as f64 / (self.ok + self.failed).max(1) as f64
-    }
-
-    /// In-deadline completions per modeled second, with `SESSIONS`
-    /// sessions progressing in parallel: the mean session spends
-    /// `total_cost / SESSIONS` modeled seconds on its share.
-    fn goodput_rps(&self) -> f64 {
-        let span = self.total_cost.as_secs_f64() / SESSIONS as f64;
-        self.available as f64 / span.max(1e-9)
-    }
-}
+/// The fleet-wide counters each scenario reports, by summary key. This
+/// scenario's clients are the fleet's only ones, so the registry's
+/// counters are the scenario's totals.
+const COUNTERS: &[(&str, &str)] = &[
+    ("retries", "xsearch_client_retries_total"),
+    ("reattaches", "xsearch_client_reattaches_total"),
+    ("hedges_fired", "xsearch_client_hedges_fired_total"),
+    ("hedges_won", "xsearch_client_hedges_won_total"),
+    ("deadline_misses", "xsearch_client_deadline_misses_total"),
+    ("link_losses", "xsearch_client_link_losses_total"),
+    ("breaker_trips", "xsearch_breaker_trips"),
+    ("sweeps_run", "xsearch_fleet_sweeps_run_total"),
+    ("sweeps_coalesced", "xsearch_fleet_sweeps_coalesced_total"),
+    ("degraded_served", "xsearch_fleet_degraded_served"),
+];
 
 fn run_scenario(
     name: &'static str,
     engine: &Arc<SearchEngine>,
     spec: FaultSpec,
     policies: bool,
+    total: u64,
 ) -> ScenarioResult {
     let rcfg = if policies {
         policies_on()
@@ -172,7 +143,6 @@ fn run_scenario(
     let mut clients: Vec<ClusterClient> = (0..SESSIONS)
         .map(|i| ClusterClient::attach(&cluster, i as u64).expect("attach"))
         .collect();
-    let total = requests();
     let mut ok = 0u64;
     let mut failed = 0u64;
     let mut available = 0u64;
@@ -225,37 +195,38 @@ fn run_scenario(
         }
     }
     let lost = acked.iter().filter(|q| !merged.contains(*q)).count();
-    // This scenario's clients are the fleet's only ones, so the
-    // registry's fleet-wide counters are the scenario's totals.
     let snap = cluster.telemetry().snapshot();
-    let counter = |name: &str| snap.value(name, &[]).unwrap_or(0.0) as u64;
+    let sheds: u64 = (0..REPLICAS as u64)
+        .map(|r| {
+            snap.value("xsearch_replica_shed", &[("replica", LabelValue::Int(r))])
+                .unwrap_or(0.0) as u64
+        })
+        .sum();
+    let span = total_cost.as_secs_f64() / SESSIONS as f64;
+    let goodput_rps = available as f64 / span.max(1e-9);
+    let availability = available as f64 / (ok + failed).max(1) as f64;
+    let mut row = Obj::new()
+        .field("name", name)
+        .field("policies", policies)
+        .field("ok", ok)
+        .field("failed", failed)
+        .field("available", available)
+        .field("availability", fixed(availability, 4))
+        .field("goodput_rps", fixed(goodput_rps, 1))
+        .field("p99_us", hist.quantile(0.99))
+        .field("mean_cost_us", fixed(hist.mean(), 1));
+    for &(key, metric) in COUNTERS {
+        row = row.field(key, snap.value(metric, &[]).unwrap_or(0.0) as u64);
+    }
+    let row = row
+        .field("sheds", sheds)
+        .field("acked", acked.len())
+        .field("lost", lost);
     ScenarioResult {
         name,
-        policies,
-        ok,
-        failed,
-        available,
-        total_cost,
-        p99_us: hist.quantile(0.99),
-        mean_cost_us: hist.mean(),
-        retries: counter("xsearch_client_retries_total"),
-        reattaches: counter("xsearch_client_reattaches_total"),
-        hedges_fired: counter("xsearch_client_hedges_fired_total"),
-        hedges_won: counter("xsearch_client_hedges_won_total"),
-        deadline_misses: counter("xsearch_client_deadline_misses_total"),
-        link_losses: counter("xsearch_client_link_losses_total"),
-        breaker_trips: counter("xsearch_breaker_trips"),
-        sweeps_run: counter("xsearch_fleet_sweeps_run_total"),
-        sweeps_coalesced: counter("xsearch_fleet_sweeps_coalesced_total"),
-        degraded_served: counter("xsearch_fleet_degraded_served"),
-        sheds: (0..REPLICAS as u64)
-            .map(|r| {
-                snap.value("xsearch_replica_shed", &[("replica", LabelValue::Int(r))])
-                    .unwrap_or(0.0) as u64
-            })
-            .sum(),
-        acked: acked.len(),
+        goodput_rps,
         lost,
+        row,
         transcript,
         flight: cluster.flight().dump(),
         telemetry: snap.render_json(),
@@ -281,94 +252,10 @@ fn probe_victim(engine: &Arc<SearchEngine>) -> usize {
         .0
 }
 
-fn render_summary(results: &[ScenarioResult], replayed: bool) -> String {
-    let baseline = results
-        .iter()
-        .find(|r| r.name == "baseline")
-        .expect("baseline ran");
-    let degraded = results
-        .iter()
-        .find(|r| r.name == "stall_one_loss10")
-        .expect("acceptance scenario ran");
-    let nopolicy = results
-        .iter()
-        .find(|r| r.name == "stall_one_loss10_nopolicy")
-        .expect("collapse scenario ran");
-    let ratio = degraded.goodput_rps() / baseline.goodput_rps().max(1e-9);
-    let collapse = nopolicy.goodput_rps() / baseline.goodput_rps().max(1e-9);
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(
-        out,
-        "  \"requests\": {}, \"sessions\": {SESSIONS}, \"replicas\": {REPLICAS}, \"deadline_ms\": {}, \"stall_ms\": {},",
-        requests(),
-        DEADLINE.as_millis(),
-        STALL.as_millis()
-    );
-    out.push_str("  \"scenarios\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"name\": \"{}\", \"policies\": {}, \"ok\": {}, \"failed\": {}, \"available\": {}, \"availability\": {:.4}, \"goodput_rps\": {:.1}, \"p99_us\": {}, \"mean_cost_us\": {:.1}, \"retries\": {}, \"reattaches\": {}, \"hedges_fired\": {}, \"hedges_won\": {}, \"deadline_misses\": {}, \"link_losses\": {}, \"breaker_trips\": {}, \"sweeps_run\": {}, \"sweeps_coalesced\": {}, \"degraded_served\": {}, \"sheds\": {}, \"acked\": {}, \"lost\": {}}}",
-            r.name,
-            r.policies,
-            r.ok,
-            r.failed,
-            r.available,
-            r.availability(),
-            r.goodput_rps(),
-            r.p99_us,
-            r.mean_cost_us,
-            r.retries,
-            r.reattaches,
-            r.hedges_fired,
-            r.hedges_won,
-            r.deadline_misses,
-            r.link_losses,
-            r.breaker_trips,
-            r.sweeps_run,
-            r.sweeps_coalesced,
-            r.degraded_served,
-            r.sheds,
-            r.acked,
-            r.lost
-        );
-        if i + 1 < results.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ],\n");
-    let _ = writeln!(
-        out,
-        "  \"acceptance\": {{\"baseline_goodput_rps\": {:.1}, \"degraded_goodput_rps\": {:.1}, \"ratio\": {:.4}, \"threshold\": 0.7, \"pass\": {}, \"degraded_lost\": {}, \"nopolicy_goodput_rps\": {:.1}, \"collapse_ratio\": {:.6}}},",
-        baseline.goodput_rps(),
-        degraded.goodput_rps(),
-        ratio,
-        ratio >= 0.7 && degraded.lost == 0,
-        degraded.lost,
-        nopolicy.goodput_rps(),
-        collapse
-    );
-    let _ = writeln!(
-        out,
-        "  \"acceptance_flight_events\": {},",
-        degraded.flight.len()
-    );
-    let _ = writeln!(
-        out,
-        "  \"acceptance_telemetry\": {},",
-        degraded.telemetry.trim_end()
-    );
-    let _ = writeln!(out, "  \"replay\": {{\"deterministic\": {replayed}}}");
-    out.push_str("}\n");
-    out
-}
-
 fn main() {
-    let engine = engine();
+    let engine = echo_engine();
     let victim = probe_victim(&engine);
-    let total = requests();
+    let total = env_or("CHAOS_REQUESTS", 2_000, 1);
     eprintln!("chaos drill: {total} requests/scenario, victim replica {victim}");
 
     let stall_spec = |loss: f64| FaultSpec {
@@ -416,81 +303,58 @@ fn main() {
             "scenario {name} (policies {})...",
             if policies { "on" } else { "off" }
         );
-        results.push(run_scenario(name, &engine, spec, policies));
+        results.push(run_scenario(name, &engine, spec, policies, total));
     }
+    let by_name = |name: &str| results.iter().find(|r| r.name == name);
+    let find = |name: &str| by_name(name).expect("scenario ran");
+    let baseline = find("baseline");
+    let degraded = find("stall_one_loss10");
+    let nopolicy = find("stall_one_loss10_nopolicy");
+    let ratio = degraded.goodput_rps / baseline.goodput_rps.max(1e-9);
+    let collapse = nopolicy.goodput_rps / baseline.goodput_rps.max(1e-9);
 
-    // Deterministic-replay gate: the acceptance scenario, re-run on a
-    // fresh fleet with the same fault seed, must produce a byte-identical
-    // per-request transcript.
+    let mut summary = Summary::new("chaos");
+    summary.row("requests", total);
+    summary.row("sessions", SESSIONS);
+    summary.row("replicas", REPLICAS);
+    summary.row("deadline_ms", DEADLINE.as_millis() as u64);
+    summary.row("stall_ms", STALL.as_millis() as u64);
+    let rows = results.iter().map(|r| r.row.clone());
+    summary.row("scenarios", rows.collect::<Json>());
+    // Acceptance: the stalled + lossy fleet keeps most of its baseline
+    // goodput, and every acknowledged query is still in a fleet window.
+    let sustained = summary.gate(Gate::at_least("goodput_ratio", ratio, GOODPUT_FLOOR));
+    let kept = summary.gate(Gate::at_most("degraded_lost", degraded.lost as f64, 0.0));
+    let acceptance = Obj::new()
+        .field("baseline_goodput_rps", fixed(baseline.goodput_rps, 1))
+        .field("degraded_goodput_rps", fixed(degraded.goodput_rps, 1))
+        .field("ratio", fixed(ratio, 4))
+        .field("threshold", GOODPUT_FLOOR)
+        .field("pass", sustained && kept)
+        .field("degraded_lost", degraded.lost)
+        .field("nopolicy_goodput_rps", fixed(nopolicy.goodput_rps, 1))
+        .field("collapse_ratio", fixed(collapse, 6));
+    summary.row("acceptance", acceptance);
+    summary.row("acceptance_flight_events", degraded.flight.len());
+    let telemetry = Json::Raw(degraded.telemetry.clone());
+    summary.row("acceptance_telemetry", telemetry);
+
+    // Deterministic-replay gate: the acceptance scenario, re-run on
+    // fresh fleets with the same fault seed, must produce a
+    // byte-identical per-request transcript.
     eprintln!("replaying stall_one_loss10 for the determinism gate...");
-    let replay = run_scenario("stall_one_loss10", &engine, stall_spec(0.10), true);
-    let original = &results
-        .iter()
-        .find(|r| r.name == "stall_one_loss10")
-        .expect("ran")
-        .transcript;
-    if *original != replay.transcript {
-        let first_diff = original
-            .iter()
-            .zip(&replay.transcript)
-            .position(|(a, b)| a != b);
-        eprintln!(
-            "FAIL: chaos transcript diverged between identical seeds (first diff at {first_diff:?})"
-        );
-        let first = results
-            .iter()
-            .find(|r| r.name == "stall_one_loss10")
-            .expect("ran");
-        dump_flight("original run", &first.flight);
-        dump_flight("replay run", &replay.flight);
-        std::process::exit(1);
-    }
-
-    let summary = render_summary(&results, true);
-    write_summary("BENCH_CHAOS_JSON", "BENCH_chaos.json", &summary);
-
-    println!();
-    println!("# chaos drill (availability = completed within {DEADLINE:?} on the modeled clock)");
-    for r in &results {
-        println!(
-            "{:<28} policies={} goodput={:>10.1} rps availability={:.3} p99={:>9}us lost={} hedges={}/{} trips={}",
-            r.name,
-            u8::from(r.policies),
-            r.goodput_rps(),
-            r.availability(),
-            r.p99_us,
-            r.lost,
-            r.hedges_won,
-            r.hedges_fired,
-            r.breaker_trips
-        );
-    }
-    let baseline = results.iter().find(|r| r.name == "baseline").unwrap();
-    let degraded = results
-        .iter()
-        .find(|r| r.name == "stall_one_loss10")
-        .unwrap();
-    let nopolicy = results
-        .iter()
-        .find(|r| r.name == "stall_one_loss10_nopolicy")
-        .unwrap();
-    let ratio = degraded.goodput_rps() / baseline.goodput_rps().max(1e-9);
-    println!();
-    println!(
-        "acceptance: stalled+lossy fleet sustains {:.1}% of baseline goodput with {} lost requests (threshold: >=70%, zero lost)",
-        ratio * 100.0,
-        degraded.lost
-    );
-    println!(
-        "collapse:   the same scenario without policies reaches {:.2}% of baseline goodput",
-        (nopolicy.goodput_rps() / baseline.goodput_rps().max(1e-9)) * 100.0
-    );
-    if degraded.lost > 0 {
-        eprintln!(
-            "FAIL: {} acknowledged requests missing from the fleet windows",
-            degraded.lost
-        );
+    let mut replay_flights = Vec::new();
+    let replay = replay_gate("replay_deterministic", || {
+        let run = run_scenario(degraded.name, &engine, stall_spec(0.10), true, total);
+        replay_flights.push(run.flight);
+        run.transcript
+    });
+    summary.row("replay", Obj::new().field("deterministic", replay.pass));
+    summary.gate(replay);
+    summary.finish(|| {
         dump_flight(degraded.name, &degraded.flight);
-        std::process::exit(1);
-    }
+        for flight in &replay_flights {
+            dump_flight("replay run", flight);
+        }
+    });
 }

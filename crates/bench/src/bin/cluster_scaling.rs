@@ -24,23 +24,18 @@
 //! in-flight requests retry) and how many history entries the migration
 //! carried.
 //!
-//! Env knobs: `CLUSTER_POINT_MS` shortens each measured point (CI smoke);
-//! `BENCH_CLUSTER_JSON` overrides the summary path.
+//! Env knob: `CLUSTER_POINT_MS` shortens each measured point (CI smoke).
 //!
 //! Run: `cargo run -p xsearch-bench --release --bin cluster_scaling`
 
 use parking_lot::Mutex;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use xsearch_bench::summary::{capacity, json_points, write_summary};
-use xsearch_bench::{Dataset, EXPERIMENT_SEED};
-use xsearch_cluster::{Cluster, ClusterClient, ClusterConfig, LaneStats, PlacementPolicy};
+use xsearch_bench::summary::{capacity, env_or, fixed, json_points, Json, Obj, Summary};
+use xsearch_bench::{echo_engine, Dataset, EXPERIMENT_SEED};
+use xsearch_cluster::{Cluster, ClusterClient, ClusterConfig, LaneStats};
 use xsearch_core::config::XSearchConfig;
-use xsearch_engine::corpus::CorpusConfig;
-use xsearch_engine::engine::SearchEngine;
-use xsearch_metrics::series::Table;
 use xsearch_workload::runner::{run_open_loop, sweep_rates};
 use xsearch_workload::{LoadSpec, RunReport};
 
@@ -72,18 +67,6 @@ const RATES: &[f64] = &[
     100_000.0, 130_000.0, 170_000.0, 220_000.0, 300_000.0, 400_000.0,
 ];
 
-fn point_duration() -> Duration {
-    xsearch_bench::summary::point_duration("CLUSTER_POINT_MS", 1_000)
-}
-
-fn engine() -> Arc<SearchEngine> {
-    // Tiny corpus: echo mode keeps the engine out of the measured path.
-    Arc::new(SearchEngine::build(&CorpusConfig {
-        docs_per_topic: 5,
-        ..Default::default()
-    }))
-}
-
 fn launch_fleet(
     replicas: usize,
     seal_every: usize,
@@ -92,10 +75,9 @@ fn launch_fleet(
     warm: &[String],
 ) -> Cluster {
     let cluster = Cluster::launch(
-        engine(),
+        echo_engine(),
         ClusterConfig {
             replicas,
-            placement: PlacementPolicy::ConsistentHash,
             seal_every,
             proxy: XSearchConfig {
                 k: K,
@@ -131,13 +113,17 @@ fn attach_clients(cluster: &Cluster) -> Vec<Mutex<ClusterClient>> {
 }
 
 /// One replica-count point of the sweep.
-fn fleet_reports(replicas: usize, warm: &[String]) -> (Vec<RunReport>, f64, LaneStats) {
+fn fleet_reports(
+    replicas: usize,
+    warm: &[String],
+    point: Duration,
+) -> (Vec<RunReport>, f64, LaneStats) {
     let share = FLEET_WINDOW / replicas;
     let cluster = launch_fleet(replicas, SEAL_EVERY, share, share, warm);
     let clients = attach_clients(&cluster);
     let counter = AtomicUsize::new(0);
     let served = AtomicU64::new(0);
-    let reports = sweep_rates(RATES, point_duration(), THREADS, &|| {
+    let reports = sweep_rates(RATES, point, THREADS, &|| {
         let idx = counter.fetch_add(1, Ordering::Relaxed) % clients.len();
         let ok = clients[idx].lock().search_echo(&cluster, QUERY).is_ok();
         served.fetch_add(1, Ordering::Relaxed);
@@ -194,100 +180,46 @@ fn churn_drill(warm: &[String]) -> (u64, u64, usize) {
     (report.completed, report.failed, fleet_window)
 }
 
-fn render_summary(
-    sweep: &[(usize, Vec<RunReport>, f64, LaneStats)],
-    churn: (u64, u64, usize),
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"point_ms\": {},", point_duration().as_millis());
-    let _ = writeln!(
-        out,
-        "  \"placement\": \"consistent_hash\", \"sessions\": {SESSIONS}, \"threads\": {THREADS}, \"seal_every\": {SEAL_EVERY}, \"fleet_window\": {FLEET_WINDOW},"
-    );
-    out.push_str("  \"replica_sweep\": [\n");
-    for (i, (replicas, reports, hop_us, lanes)) in sweep.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"replicas\": {replicas}, \"max_sustained_rps\": {:.1}, \"hop_us_mean\": {hop_us:.1}, \"ecall_batches\": {}, \"mean_batch\": {:.2}, \"max_batch\": {}, \"points\": ",
-            capacity(reports),
-            lanes.batches,
-            lanes.mean_batch(),
-            lanes.max_batch
-        );
-        json_points(&mut out, reports);
-        out.push('}');
-        if i + 1 < sweep.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ],\n");
-    let (completed, failed, fleet_window) = churn;
-    let _ = writeln!(
-        out,
-        "  \"churn_drill\": {{\"replicas\": 4, \"completed\": {completed}, \"failed\": {failed}, \"fleet_window_after\": {fleet_window}}}"
-    );
-    out.push_str("}\n");
-    out
-}
-
 fn main() {
     let dataset = Dataset::with_users(60);
     let warm = dataset.train_queries();
+    let point_ms = env_or("CLUSTER_POINT_MS", 1_000, 10);
+    let point = Duration::from_millis(point_ms);
 
-    let mut table = Table::new(
-        "cluster-scaling: fleet echo capacity vs replica count",
-        &[
-            "replicas",
-            "offered_rps",
-            "achieved_rps",
-            "median_ms",
-            "p99_ms",
-            "kept_up",
-        ],
+    eprintln!(
+        "open loop, {THREADS} generator threads, {SESSIONS} attested sessions, {point:?} per point, k={K}"
     );
-    table.note(&format!(
-        "open loop, {THREADS} generator threads, {SESSIONS} attested sessions, {:?} per point, k={K}, consistent-hash affinity",
-        point_duration()
-    ));
-    table
-        .note("router is untrusted: it forwards encrypted frames and accounts per-replica DC hops");
-
     let mut sweep = Vec::new();
     for &replicas in REPLICAS {
         eprintln!("running fleet sweep: {replicas} replica(s)...");
-        let (reports, hop_us, lanes) = fleet_reports(replicas, &warm);
-        for r in &reports {
-            table.row(&[
-                replicas as f64,
-                r.offered_rate,
-                r.achieved_rate(),
-                r.median_latency_ms(),
-                r.p99_latency_ms(),
-                f64::from(u8::from(r.kept_up())),
-            ]);
-        }
-        sweep.push((replicas, reports, hop_us, lanes));
-    }
-    table.print();
-
-    eprintln!("running churn drill (kill + restart under load)...");
-    let churn = churn_drill(&warm);
-
-    let summary = render_summary(&sweep, churn);
-    write_summary("BENCH_CLUSTER_JSON", "BENCH_cluster.json", &summary);
-
-    println!();
-    println!("# summary (max sustained rate, req/s)");
-    for (replicas, reports, hop_us, lanes) in &sweep {
-        println!(
-            "cluster replicas={replicas} rate={:.0} hop_us_mean={hop_us:.1} mean_batch={:.2} max_batch={}",
-            capacity(reports),
-            lanes.mean_batch(),
-            lanes.max_batch
+        let (reports, hop_us, lanes) = fleet_reports(replicas, &warm, point);
+        sweep.push(
+            Obj::new()
+                .field("replicas", replicas)
+                .field("max_sustained_rps", fixed(capacity(&reports), 1))
+                .field("hop_us_mean", fixed(hop_us, 1))
+                .field("ecall_batches", lanes.batches)
+                .field("mean_batch", fixed(lanes.mean_batch(), 2))
+                .field("max_batch", lanes.max_batch)
+                .field("points", json_points(&reports)),
         );
     }
-    let (completed, failed, window) = churn;
-    println!("churn_drill completed={completed} failed={failed} fleet_window_after={window}");
+    eprintln!("running churn drill (kill + restart under load)...");
+    let (completed, failed, fleet_window) = churn_drill(&warm);
+
+    let mut summary = Summary::new("cluster");
+    summary.row("point_ms", point_ms);
+    summary.row("placement", "consistent_hash");
+    summary.row("sessions", SESSIONS);
+    summary.row("threads", THREADS);
+    summary.row("seal_every", SEAL_EVERY);
+    summary.row("fleet_window", FLEET_WINDOW);
+    summary.row("replica_sweep", sweep.into_iter().collect::<Json>());
+    let churn = Obj::new()
+        .field("replicas", 4usize)
+        .field("completed", completed)
+        .field("failed", failed)
+        .field("fleet_window_after", fleet_window);
+    summary.row("churn_drill", churn);
+    summary.finish(|| ());
 }

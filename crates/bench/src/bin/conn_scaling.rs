@@ -24,29 +24,23 @@
 //!    frames compared directly — no hashing).
 //!
 //! Env knobs: `CONN_MAX_SESSIONS` caps the idle tiers (CI smoke uses
-//! 10 000); `CONN_POINT_MS` shortens each active measured point;
-//! `BENCH_CONN_JSON` overrides the summary path.
+//! 10 000); `CONN_POINT_MS` shortens each active measured point.
 //!
 //! Run: `cargo run -p xsearch-bench --release --bin conn_scaling`
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xsearch_bench::sessions::FrontSessions;
-use xsearch_bench::summary::{capacity, json_points, write_summary};
-use xsearch_cluster::{
-    Cluster, ClusterConfig, FaultPlan, FaultSpec, FramedClient, FrontConfig, FrontTier,
-    IDLE_SESSION_BYTE_BUDGET,
+use xsearch_bench::echo_fleet;
+use xsearch_bench::sessions::{FrontSessions, RawFramed};
+use xsearch_bench::summary::{
+    capacity, env_or, fixed, json_points, p99_at_capacity, replay_gate, Gate, Json, Obj, Summary,
 };
-use xsearch_core::config::XSearchConfig;
-use xsearch_core::wire::encode_conn_request_into;
-use xsearch_core::Broker;
-use xsearch_engine::corpus::CorpusConfig;
-use xsearch_engine::engine::SearchEngine;
-use xsearch_net_sim::{encode_frame_into, ByteStream, FrameDecoder, StreamError};
+use xsearch_cluster::{
+    FaultPlan, FaultSpec, FramedClient, FrontConfig, FrontTier, IDLE_SESSION_BYTE_BUDGET,
+};
+use xsearch_net_sim::ByteStream;
 use xsearch_workload::runner::sweep_rates;
-use xsearch_workload::RunReport;
 
 /// Idle-sweep tiers; `CONN_MAX_SESSIONS` drops the ones above the cap.
 const IDLE_TIERS: &[usize] = &[10_000, 100_000, 1_000_000];
@@ -63,61 +57,15 @@ const ACTIVE_RATES: &[f64] = &[
 
 const QUERY: &str = "cheap flights paris";
 
-fn point_duration() -> Duration {
-    xsearch_bench::summary::point_duration("CONN_POINT_MS", 800)
-}
-
-fn max_sessions() -> usize {
-    std::env::var("CONN_MAX_SESSIONS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map_or(1_000_000, |n| n.max(1_000))
-}
-
-/// A small fleet: the front is the subject; the enclave tier behind it
-/// only needs to exist.
-fn fleet(faults: Option<Arc<FaultPlan>>) -> Arc<Cluster> {
-    let engine = Arc::new(SearchEngine::build(&CorpusConfig {
-        docs_per_topic: 5,
-        ..Default::default()
-    }));
-    Arc::new(Cluster::launch(
-        engine,
-        ClusterConfig {
-            replicas: 4,
-            proxy: XSearchConfig {
-                k: 2,
-                history_capacity: 1_000_000,
-                ..Default::default()
-            },
-            faults,
-            ..Default::default()
-        },
-    ))
-}
-
-/// One idle tier's result.
-struct IdleTier {
-    sessions: usize,
-    accounted_bytes: usize,
-    accept_ms: f64,
-    account_ms: f64,
-}
-
-impl IdleTier {
-    fn bytes_per_session(&self) -> f64 {
-        self.accounted_bytes as f64 / self.sessions.max(1) as f64
-    }
-
-    fn within_budget(&self) -> bool {
-        self.bytes_per_session() <= IDLE_SESSION_BYTE_BUDGET as f64
-    }
-}
+/// Replicas behind the front: the front is the subject; the enclave
+/// tier behind it only needs to exist.
+const REPLICAS: usize = 4;
 
 /// Phase 1: accept `n` sessions that never send a byte, adopt them onto
-/// one manually-stepped shard, and account their footprint.
-fn idle_tier(n: usize) -> IdleTier {
-    let cluster = fleet(None);
+/// one manually-stepped shard, and account their footprint. Returns the
+/// tier's row and its accounted bytes per session.
+fn idle_tier(n: usize) -> (Obj, f64) {
+    let cluster = echo_fleet(REPLICAS, None);
     let front = FrontTier::new(&cluster, FrontConfig::default());
     let start = Instant::now();
     // Client ends must stay alive: dropping one closes the pair and the
@@ -135,26 +83,23 @@ fn idle_tier(n: usize) -> IdleTier {
     let account_ms = start.elapsed().as_secs_f64() * 1e3;
     assert_eq!(sessions, n, "idle accounting missed sessions");
     drop(held);
-    IdleTier {
-        sessions: n,
-        accounted_bytes,
-        accept_ms,
-        account_ms,
-    }
-}
-
-/// Phase 2 result.
-struct ActiveRun {
-    reports: Vec<RunReport>,
-    churn_cycles: u64,
-    churn_failures: u64,
-    idle_bytes_per_session_after: f64,
+    let bytes_per_session = accounted_bytes as f64 / n.max(1) as f64;
+    let within_budget = bytes_per_session <= IDLE_SESSION_BYTE_BUDGET as f64;
+    let row = Obj::new()
+        .field("sessions", n)
+        .field("accounted_bytes", accounted_bytes)
+        .field("bytes_per_session", fixed(bytes_per_session, 1))
+        .field("accept_ms", fixed(accept_ms, 1))
+        .field("account_ms", fixed(account_ms, 1))
+        .field("within_budget", within_budget);
+    (row, bytes_per_session)
 }
 
 /// Phase 2: threaded front, idle ballast, open-loop load over the active
 /// pool, ephemeral connect/attest/echo/disconnect churn throughout.
-fn active_run() -> ActiveRun {
-    let cluster = fleet(None);
+/// Returns the `active` row.
+fn active_run(point: Duration) -> Obj {
+    let cluster = echo_fleet(REPLICAS, None);
     let front = Arc::new(FrontTier::new(
         &cluster,
         FrontConfig {
@@ -195,7 +140,7 @@ fn active_run() -> ActiveRun {
         })
     };
 
-    let reports = sweep_rates(ACTIVE_RATES, point_duration(), THREADS, &|| {
+    let reports = sweep_rates(ACTIVE_RATES, point, THREADS, &|| {
         active.echo(&cluster, QUERY)
     });
 
@@ -204,73 +149,18 @@ fn active_run() -> ActiveRun {
     // Post-load idle hygiene: the ballast must have fallen back to its
     // floor cost even after the front carried real traffic.
     let (sessions, bytes) = front.account_idle();
-    let idle_bytes_per_session_after = bytes as f64 / sessions.max(1) as f64;
     front.shutdown();
-    ActiveRun {
-        reports,
-        churn_cycles: cycles.load(Ordering::Relaxed),
-        churn_failures: failures.load(Ordering::Relaxed),
-        idle_bytes_per_session_after,
-    }
-}
-
-/// A hand-rolled raw framed session exposing exact reply bytes.
-struct RawSession {
-    broker: Broker,
-    stream: ByteStream,
-    decoder: FrameDecoder,
-}
-
-impl RawSession {
-    fn open(cluster: &Cluster, front: &FrontTier, seed: u64) -> RawSession {
-        let client_pub = Broker::client_pub_for_seed(seed);
-        let replica = cluster.route(client_pub.as_bytes()).unwrap();
-        let broker = cluster
-            .with_replica(replica, |proxy| {
-                Broker::attach(proxy, cluster.ias(), cluster.expected_measurement(), seed)
-            })
-            .unwrap()
-            .unwrap();
-        RawSession {
-            broker,
-            stream: front.accept(),
-            decoder: FrameDecoder::new(),
-        }
-    }
-
-    fn send(&mut self, front: &FrontTier, query: &str) {
-        let ciphertext = self.broker.seal_query(query);
-        let mut payload = Vec::new();
-        encode_conn_request_into(
-            self.broker.client_pub().as_bytes(),
-            &ciphertext,
-            true,
-            &mut payload,
-        );
-        let mut framed = Vec::new();
-        encode_frame_into(&payload, &mut framed);
-        let mut written = 0;
-        while written < framed.len() {
-            match self.stream.write(&framed[written..]) {
-                Ok(n) => written += n,
-                Err(StreamError::WouldBlock) => {
-                    front.step();
-                }
-                Err(StreamError::Closed) => panic!("front closed the connection"),
-            }
-        }
-    }
-
-    fn recv(&mut self, front: &FrontTier) -> Vec<u8> {
-        for _ in 0..10_000 {
-            front.step();
-            self.decoder.read_from(&self.stream, 4096).ok();
-            if let Some(frame) = self.decoder.next_frame().unwrap() {
-                return frame.to_vec();
-            }
-        }
-        panic!("no reply within the step budget");
-    }
+    let idle_after = bytes as f64 / sessions.max(1) as f64;
+    Obj::new()
+        .field("idle_ballast", BALLAST)
+        .field("sessions", ACTIVE_SESSIONS)
+        .field("threads", THREADS)
+        .field("max_sustained_rps", fixed(capacity(&reports), 1))
+        .field("p99_ms_at_capacity", fixed(p99_at_capacity(&reports), 3))
+        .field("churn_cycles", cycles.load(Ordering::Relaxed))
+        .field("churn_failures", failures.load(Ordering::Relaxed))
+        .field("idle_bytes_per_session_after", fixed(idle_after, 1))
+        .field("points", json_points(&reports))
 }
 
 /// The deterministic chaos plan the replay gate runs under: link loss,
@@ -287,155 +177,70 @@ fn chaos_plan() -> Arc<FaultPlan> {
             ..Default::default()
         },
         7,
-        4,
+        REPLICAS,
     ))
 }
 
 /// Phase 3: a fixed interleaved workload on one manually-stepped shard.
 /// Returns every reply frame's raw bytes in arrival order.
 fn transcript(faults: Option<Arc<FaultPlan>>) -> Vec<Vec<u8>> {
-    let cluster = fleet(faults);
+    let cluster = echo_fleet(REPLICAS, faults);
     let front = FrontTier::new(&cluster, FrontConfig::default());
-    let mut sessions: Vec<RawSession> = (0..4)
-        .map(|i| RawSession::open(&cluster, &front, 1000 + i))
+    let mut sessions: Vec<RawFramed> = (0..4)
+        .map(|i| RawFramed::open(&cluster, &front, 1000 + i))
         .collect();
     let mut replies = Vec::new();
     for round in 0..3 {
         for (i, session) in sessions.iter_mut().enumerate() {
-            session.send(&front, &format!("client{i} round{round}"));
+            let sent = session.send(&front, &format!("client{i} round{round}"));
+            assert!(sent, "front closed the connection");
         }
         for session in &mut sessions {
-            replies.push(session.recv(&front));
+            let reply = session.recv(&front, 10_000).frame();
+            replies.push(reply.expect("a reply within the step budget"));
         }
     }
     replies
 }
 
 fn main() {
-    let cap = max_sessions();
-    let point = point_duration();
+    let cap = env_or("CONN_MAX_SESSIONS", 1_000_000, 1_000) as usize;
+    let point_ms = env_or("CONN_POINT_MS", 800, 10);
+    let mut summary = Summary::new("conn");
+    summary.row("point_ms", point_ms);
+    summary.row("max_sessions", cap);
+    summary.row("idle_budget_bytes", IDLE_SESSION_BYTE_BUDGET);
 
     // Phase 1: idle sweep.
     let mut tiers = Vec::new();
     for &n in IDLE_TIERS.iter().filter(|&&n| n <= cap) {
         eprintln!("idle tier: {n} sessions...");
-        let tier = idle_tier(n);
-        eprintln!(
-            "  {} sessions: {:.1} B/session (budget {IDLE_SESSION_BYTE_BUDGET}), accept+adopt {:.0} ms, account {:.0} ms",
-            tier.sessions,
-            tier.bytes_per_session(),
-            tier.accept_ms,
-            tier.account_ms,
-        );
-        tiers.push(tier);
+        let (row, bytes_per_session) = idle_tier(n);
+        summary.gate(Gate::at_most(
+            &format!("idle_bytes_per_session_{n}"),
+            bytes_per_session,
+            IDLE_SESSION_BYTE_BUDGET as f64,
+        ));
+        tiers.push(row);
     }
+    summary.row("idle", tiers.into_iter().collect::<Json>());
 
     // Phase 2: active subset under churn.
     eprintln!("active subset: {ACTIVE_SESSIONS} sessions over {BALLAST} idle, churn alongside...");
-    let active = active_run();
-    let best = active
-        .reports
-        .iter()
-        .filter(|r| r.kept_up())
-        .max_by(|a, b| a.achieved_rate().total_cmp(&b.achieved_rate()));
-    let p99_at_capacity = best.map_or(f64::NAN, RunReport::p99_latency_ms);
-    eprintln!(
-        "  sustained {:.0} req/s, p99 {:.2} ms, churn cycles {} ({} failed)",
-        capacity(&active.reports),
-        p99_at_capacity,
-        active.churn_cycles,
-        active.churn_failures,
-    );
+    summary.row("active", active_run(Duration::from_millis(point_ms)));
 
     // Phase 3: replay gates.
-    eprintln!("replay gate: clean...");
-    let clean_a = transcript(None);
-    let clean_b = transcript(None);
-    eprintln!("replay gate: chaos...");
-    let chaos_a = transcript(Some(chaos_plan()));
-    let chaos_b = transcript(Some(chaos_plan()));
-    let clean_identical = clean_a == clean_b;
-    let chaos_identical = chaos_a == chaos_b;
-    eprintln!(
-        "  clean identical={clean_identical} ({} frames), chaos identical={chaos_identical} ({} frames)",
-        clean_a.len(),
-        chaos_a.len(),
-    );
-
-    let budget_ok = tiers.iter().all(IdleTier::within_budget);
-    let pass = budget_ok && clean_identical && chaos_identical;
-
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(
-        out,
-        "  \"point_ms\": {}, \"max_sessions\": {cap}, \"idle_budget_bytes\": {IDLE_SESSION_BYTE_BUDGET},",
-        point.as_millis()
-    );
-    out.push_str("  \"idle\": [\n");
-    for (i, t) in tiers.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"sessions\": {}, \"accounted_bytes\": {}, \"bytes_per_session\": {:.1}, \"accept_ms\": {:.1}, \"account_ms\": {:.1}, \"within_budget\": {}}}",
-            t.sessions,
-            t.accounted_bytes,
-            t.bytes_per_session(),
-            t.accept_ms,
-            t.account_ms,
-            t.within_budget(),
-        );
-        if i + 1 < tiers.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"active\": {\n");
-    let _ = writeln!(
-        out,
-        "    \"idle_ballast\": {BALLAST}, \"sessions\": {ACTIVE_SESSIONS}, \"threads\": {THREADS},"
-    );
-    let _ = writeln!(
-        out,
-        "    \"max_sustained_rps\": {:.1}, \"p99_ms_at_capacity\": {p99_at_capacity:.3},",
-        capacity(&active.reports)
-    );
-    let _ = writeln!(
-        out,
-        "    \"churn_cycles\": {}, \"churn_failures\": {}, \"idle_bytes_per_session_after\": {:.1},",
-        active.churn_cycles, active.churn_failures, active.idle_bytes_per_session_after
-    );
-    out.push_str("    \"points\": ");
-    json_points(&mut out, &active.reports);
-    out.push_str("\n  },\n");
-    let _ = writeln!(
-        out,
-        "  \"replay\": {{\"frames\": {}, \"clean_identical\": {clean_identical}, \"chaos_frames\": {}, \"chaos_identical\": {chaos_identical}}},",
-        clean_a.len(),
-        chaos_a.len()
-    );
-    let _ = writeln!(out, "  \"pass\": {pass}");
-    out.push_str("}\n");
-    write_summary("BENCH_CONN_JSON", "BENCH_conn.json", &out);
-
-    println!();
-    println!("# conn scaling");
-    for t in &tiers {
-        println!(
-            "idle sessions={} bytes_per_session={:.1} budget={IDLE_SESSION_BYTE_BUDGET} ok={}",
-            t.sessions,
-            t.bytes_per_session(),
-            t.within_budget()
-        );
-    }
-    println!(
-        "active sustained={:.0} req/s p99={p99_at_capacity:.2} ms churn={} cycles",
-        capacity(&active.reports),
-        active.churn_cycles
-    );
-    println!("replay clean={clean_identical} chaos={chaos_identical}");
-    if !pass {
-        eprintln!("FAIL: idle budget or replay gate violated");
-        std::process::exit(1);
-    }
+    eprintln!("replay gate: clean, then chaos...");
+    let clean = replay_gate("replay_clean", || transcript(None));
+    let chaos = replay_gate("replay_chaos", || transcript(Some(chaos_plan())));
+    let row = Obj::new()
+        .field("frames", clean.bound)
+        .field("clean_identical", clean.pass)
+        .field("chaos_frames", chaos.bound)
+        .field("chaos_identical", chaos.pass);
+    summary.row("replay", row);
+    summary.gate(clean);
+    summary.gate(chaos);
+    summary.row("pass", summary.passed());
+    summary.finish(|| ());
 }

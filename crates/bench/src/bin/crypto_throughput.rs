@@ -19,15 +19,14 @@
 //! Payload sizes: 64 B (a sealed query), 1 KiB (a typical sealed result
 //! page), 16 KiB (a large result payload / sealed history blob). Set
 //! `CRYPTO_POINT_MS` to shorten each measured point (CI smoke uses
-//! this); `BENCH_CRYPTO_JSON` overrides the summary path.
+//! this).
 //!
 //! Run: `cargo run -p xsearch-bench --release --bin crypto_throughput`
 
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
+use xsearch_bench::summary::{env_or, fixed, Json, Obj, Summary};
 use xsearch_crypto::aead::{ChaCha20Poly1305, TAG_LEN};
 use xsearch_crypto::reference::ScalarChaCha20Poly1305;
-use xsearch_metrics::series::Table;
 
 /// A sealed query, a result page, a large payload.
 const SIZES: &[usize] = &[64, 1024, 16384];
@@ -38,23 +37,13 @@ const KEY: [u8; 32] = [7u8; 32];
 const NONCE: [u8; 12] = [3u8; 12];
 const AAD: &[u8] = b"results";
 
-/// Per-point measurement duration; `CRYPTO_POINT_MS` overrides the
-/// default so CI can smoke-run the harness in seconds.
-fn point_duration() -> Duration {
-    std::env::var("CRYPTO_POINT_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .map_or(Duration::from_millis(400), Duration::from_millis)
-}
-
-/// Runs `op` for at least the point duration and returns GiB/s of
-/// payload processed. Iterations are batched so the clock is read once
-/// per batch, not once per 64-byte seal.
-fn throughput(payload_len: usize, mut op: impl FnMut()) -> f64 {
+/// Runs `op` for at least `point` and returns GiB/s of payload
+/// processed. Iterations are batched so the clock is read once per
+/// batch, not once per 64-byte seal.
+fn throughput(point: Duration, payload_len: usize, mut op: impl FnMut()) -> f64 {
     for _ in 0..64 {
         op();
     }
-    let point = point_duration();
     let mut iters: u64 = 0;
     let start = Instant::now();
     let elapsed = loop {
@@ -82,15 +71,21 @@ impl OpRates {
     fn seal_open(&self) -> f64 {
         1.0 / (1.0 / self.seal + 1.0 / self.open)
     }
+
+    fn obj(&self) -> Obj {
+        Obj::new()
+            .field("seal_gib_s", fixed(self.seal, 3))
+            .field("open_gib_s", fixed(self.open, 3))
+    }
 }
 
-fn wide_rates(size: usize) -> OpRates {
+fn wide_rates(point: Duration, size: usize) -> OpRates {
     let aead = ChaCha20Poly1305::new(&KEY);
     let payload = vec![0xabu8; size];
 
     // The live hot path: reused buffer, detached tag (seal_into shape).
     let mut buf: Vec<u8> = Vec::with_capacity(size);
-    let seal = throughput(size, || {
+    let seal = throughput(point, size, || {
         buf.clear();
         buf.extend_from_slice(&payload);
         let tag = aead.seal_in_place(&NONCE, AAD, &mut buf);
@@ -99,7 +94,7 @@ fn wide_rates(size: usize) -> OpRates {
 
     let mut ct = payload.clone();
     let tag = aead.seal_in_place(&NONCE, AAD, &mut ct);
-    let open = throughput(size, || {
+    let open = throughput(point, size, || {
         buf.clear();
         buf.extend_from_slice(&ct);
         aead.open_in_place(&NONCE, AAD, &mut buf, &tag)
@@ -109,86 +104,46 @@ fn wide_rates(size: usize) -> OpRates {
     OpRates { seal, open }
 }
 
-fn scalar_rates(size: usize) -> OpRates {
+fn scalar_rates(point: Duration, size: usize) -> OpRates {
     let aead = ScalarChaCha20Poly1305::new(&KEY);
     let payload = vec![0xabu8; size];
-    let seal = throughput(size, || {
+    let seal = throughput(point, size, || {
         std::hint::black_box(aead.seal(&NONCE, AAD, &payload));
     });
     let sealed = aead.seal(&NONCE, AAD, &payload);
     assert_eq!(sealed.len(), size + TAG_LEN);
-    let open = throughput(size, || {
+    let open = throughput(point, size, || {
         std::hint::black_box(aead.open(&NONCE, AAD, &sealed).expect("authentic"));
     });
     OpRates { seal, open }
 }
 
 fn main() {
-    let mut table = Table::new(
-        "crypto_throughput: AEAD GiB/s, wide multi-block vs pre-rewrite scalar",
-        &[
-            "payload_b",
-            "wide_seal",
-            "wide_open",
-            "scalar_seal",
-            "scalar_open",
-            "seal_open_speedup",
-        ],
-    );
-    table.note(&format!(
-        "{:?} per point; wide = live hot path (in-place, detached tag), scalar = pre-PR baseline",
-        point_duration()
-    ));
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"point_ms\": {},", point_duration().as_millis());
-    json.push_str("  \"payloads\": [\n");
+    let point_ms = env_or("CRYPTO_POINT_MS", 400, 10);
+    let point = Duration::from_millis(point_ms);
+    eprintln!("{point:?} per point; wide = live hot path, scalar = pre-rewrite baseline");
+    let mut payloads = Vec::new();
     let mut tracked_speedup = 0.0;
-    for (i, &size) in SIZES.iter().enumerate() {
+    for &size in SIZES {
         eprintln!("measuring {size} B payloads...");
-        let wide = wide_rates(size);
-        let scalar = scalar_rates(size);
+        let wide = wide_rates(point, size);
+        let scalar = scalar_rates(point, size);
         let speedup = wide.seal_open() / scalar.seal_open();
         if size == TRACKED {
             tracked_speedup = speedup;
         }
-        table.row(&[
-            size as f64,
-            wide.seal,
-            wide.open,
-            scalar.seal,
-            scalar.open,
-            speedup,
-        ]);
-        let _ = write!(
-            json,
-            "    {{\"bytes\": {size}, \
-             \"wide\": {{\"seal_gib_s\": {:.3}, \"open_gib_s\": {:.3}}}, \
-             \"scalar\": {{\"seal_gib_s\": {:.3}, \"open_gib_s\": {:.3}}}, \
-             \"seal_open_speedup\": {:.2}}}",
-            wide.seal, wide.open, scalar.seal, scalar.open, speedup
+        payloads.push(
+            Obj::new()
+                .field("bytes", size)
+                .field("wide", wide.obj())
+                .field("scalar", scalar.obj())
+                .field("seal_open_speedup", fixed(speedup, 2)),
         );
-        if i + 1 < SIZES.len() {
-            json.push(',');
-        }
-        json.push('\n');
     }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"seal_open_speedup_at_{TRACKED}B\": {tracked_speedup:.2}"
-    );
-    json.push_str("}\n");
-
-    table.print();
-    println!();
-    println!("# summary");
-    println!("seal+open speedup at {TRACKED} B payloads: {tracked_speedup:.2}x");
-
-    let path =
-        std::env::var("BENCH_CRYPTO_JSON").unwrap_or_else(|_| "BENCH_crypto.json".to_owned());
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("wrote summary to {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    let mut summary = Summary::new("crypto");
+    summary.row("point_ms", point_ms);
+    summary.row("payloads", payloads.into_iter().collect::<Json>());
+    let tracked = format!("seal_open_speedup_at_{TRACKED}B");
+    summary.row(&tracked, fixed(tracked_speedup, 2));
+    summary.finish(|| ());
 }

@@ -15,16 +15,15 @@
 //!   that actually ran. With the pool at least k+1 wide, latency is
 //!   dominated by one service time regardless of k.
 //!
-//! Env knobs: `E2E_QUERIES` (default 60) bounds the per-point query
-//! count; `BENCH_E2E_JSON` overrides the summary path.
+//! Env knob: `E2E_QUERIES` (default 60) bounds the per-point query
+//! count.
 //!
 //! Run: `cargo run -p xsearch-bench --release --bin e2e_ksweep`
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::fmt::Write as _;
 use std::sync::Arc;
-use xsearch_bench::summary::write_summary;
+use xsearch_bench::summary::{env_or, fixed, Json, Obj, Summary};
 use xsearch_bench::{standard_engine, timed_attested_search, Dataset, EXPERIMENT_SEED};
 use xsearch_core::broker::Broker;
 use xsearch_core::config::XSearchConfig;
@@ -32,19 +31,11 @@ use xsearch_core::proxy::XSearchProxy;
 use xsearch_engine::engine::SearchEngine;
 use xsearch_engine::service::EngineService;
 use xsearch_metrics::distribution::Empirical;
-use xsearch_metrics::series::Table;
 use xsearch_net_sim::link::WanModel;
 use xsearch_query_log::record::QueryRecord;
 
 /// Obfuscation degrees swept (k + 1 sub-queries hit the engine).
 const K_SWEEP: &[usize] = &[1, 3, 7, 15];
-
-fn query_count() -> usize {
-    std::env::var("E2E_QUERIES")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map_or(60, |n| n.max(1))
-}
 
 /// One mode's per-query end-to-end samples at a fixed k.
 struct ModePoint {
@@ -96,44 +87,22 @@ fn run_mode(
     }
 }
 
-fn json_mode(out: &mut String, point: &ModePoint) {
-    let _ = write!(
-        out,
-        "{{\"median_s\": {:.4}, \"p99_s\": {:.4}, \"engine_median_s\": {:.4}, \"compute_median_s\": {:.6}}}",
-        point.total_s.median(),
-        point.total_s.quantile(0.99),
-        point.engine_s.median(),
-        point.compute_s.median(),
-    );
+fn json_mode(point: &ModePoint) -> Obj {
+    Obj::new()
+        .field("median_s", fixed(point.total_s.median(), 4))
+        .field("p99_s", fixed(point.total_s.quantile(0.99), 4))
+        .field("engine_median_s", fixed(point.engine_s.median(), 4))
+        .field("compute_median_s", fixed(point.compute_s.median(), 6))
 }
 
 fn main() {
-    let queries = query_count();
+    let queries = env_or("E2E_QUERIES", 60, 1) as usize;
     let dataset = Dataset::with_users(60);
     let warm = dataset.train_queries();
     let test = dataset.sample_test(queries, 7);
     let engine: Arc<SearchEngine> = Arc::new(standard_engine());
     let wan = WanModel::default();
     let mut rng = StdRng::seed_from_u64(EXPERIMENT_SEED);
-
-    let mut table = Table::new(
-        "e2e-ksweep: end-to-end latency vs k, serial baseline vs real parallel fan-out (seconds)",
-        &[
-            "k",
-            "serial_median",
-            "serial_p99",
-            "parallel_median",
-            "parallel_p99",
-            "speedup_median",
-        ],
-    );
-    table.note(&format!(
-        "{queries} queries per point; engine service {:?}; pool {} lanes",
-        wan.engine_service,
-        xsearch_engine::pool::MAX_WORKERS
-    ));
-    table.note("serial = seed behavior (sub-queries back to back, delays summed)");
-    table.note("parallel = worker-pool fan-out (delay = per-lane makespan of real executions)");
 
     let mut sweep = Vec::new();
     for &k in K_SWEEP {
@@ -154,18 +123,8 @@ fn main() {
             &wan,
             &mut rng,
         );
-        table.row(&[
-            k as f64,
-            serial.total_s.median(),
-            serial.total_s.quantile(0.99),
-            parallel.total_s.median(),
-            parallel.total_s.quantile(0.99),
-            serial.total_s.median() / parallel.total_s.median(),
-        ]);
         sweep.push((k, serial, parallel));
     }
-    table.print();
-
     // Growth from k = first to k = last of the sweep: the serial column
     // reproduces the linear-in-k seed behavior; the parallel column must
     // stay sublinear (the whole point of the real fan-out).
@@ -174,56 +133,25 @@ fn main() {
     let parallel_growth = last.2.total_s.median() / first.2.total_s.median();
     let k_growth = (last.0 + 1) as f64 / (first.0 + 1) as f64;
 
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"queries\": {queries},");
-    let _ = writeln!(
-        out,
-        "  \"engine_service\": \"{:?}\", \"pool_workers\": {},",
-        wan.engine_service,
-        xsearch_engine::pool::MAX_WORKERS
-    );
-    out.push_str("  \"k_sweep\": [\n");
-    for (i, (k, serial, parallel)) in sweep.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"k\": {k}, \"subqueries\": {}, \"serial\": ",
-            k + 1
-        );
-        json_mode(&mut out, serial);
-        out.push_str(", \"parallel\": ");
-        json_mode(&mut out, parallel);
-        let _ = write!(
-            out,
-            ", \"speedup_median\": {:.2}}}",
-            serial.total_s.median() / parallel.total_s.median()
-        );
-        if i + 1 < sweep.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ],\n");
-    let _ = writeln!(
-        out,
-        "  \"growth_k{}_to_k{}\": {{\"subquery_factor\": {k_growth:.2}, \"serial_median_factor\": {serial_growth:.2}, \"parallel_median_factor\": {parallel_growth:.2}}}",
-        first.0, last.0
-    );
-    out.push_str("}\n");
-
-    write_summary("BENCH_E2E_JSON", "BENCH_e2e.json", &out);
-
-    println!();
-    println!("# summary (median end-to-end seconds)");
-    for (k, serial, parallel) in &sweep {
-        println!(
-            "k={k} serial={:.3} parallel={:.3} speedup={:.2}x",
-            serial.total_s.median(),
-            parallel.total_s.median(),
-            serial.total_s.median() / parallel.total_s.median()
-        );
-    }
-    println!(
-        "growth x{k_growth:.1} sub-queries: serial x{serial_growth:.2}, parallel x{parallel_growth:.2}"
-    );
+    let mut summary = Summary::new("e2e");
+    summary.row("queries", queries);
+    let service = format!("{:?}", wan.engine_service);
+    summary.row("engine_service", service.as_str());
+    summary.row("pool_workers", xsearch_engine::pool::MAX_WORKERS);
+    let k_sweep = sweep.iter().map(|(k, serial, parallel)| {
+        let speedup = serial.total_s.median() / parallel.total_s.median();
+        Obj::new()
+            .field("k", *k)
+            .field("subqueries", k + 1)
+            .field("serial", json_mode(serial))
+            .field("parallel", json_mode(parallel))
+            .field("speedup_median", fixed(speedup, 2))
+    });
+    summary.row("k_sweep", k_sweep.collect::<Json>());
+    let growth = Obj::new()
+        .field("subquery_factor", fixed(k_growth, 2))
+        .field("serial_median_factor", fixed(serial_growth, 2))
+        .field("parallel_median_factor", fixed(parallel_growth, 2));
+    summary.row(&format!("growth_k{}_to_k{}", first.0, last.0), growth);
+    summary.finish(|| ());
 }

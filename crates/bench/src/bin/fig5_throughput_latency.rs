@@ -18,16 +18,14 @@
 //! shared proxy) — the paper's claim that the proxy "uses multiple
 //! threads" over shared enclave state is only meaningful if added
 //! threads buy throughput, so the sweep tracks exactly that from PR to
-//! PR. The summary is written to `BENCH_fig5.json` (override the path
-//! with `BENCH_FIG5_JSON`). Set `FIG5_POINT_MS` to shorten each
-//! measured point (CI smoke uses this).
+//! PR. The summary is written to `BENCH_fig5.json`. Set `FIG5_POINT_MS`
+//! to shorten each measured point (CI smoke uses this).
 //!
 //! Run: `cargo run -p xsearch-bench --release --bin fig5_throughput_latency`
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -36,7 +34,9 @@ use xsearch_baselines::peas::{
 };
 use xsearch_baselines::tor::network::TorNetwork;
 use xsearch_bench::sessions::BrokerPool;
-use xsearch_bench::summary::{capacity, json_points, write_summary};
+use xsearch_bench::summary::{
+    capacity, env_or, fixed, json_points, p99_at_capacity, Json, Obj, Summary,
+};
 use xsearch_bench::{Dataset, EXPERIMENT_SEED};
 use xsearch_metrics::series::Table;
 use xsearch_query_log::record::UserId;
@@ -75,19 +75,13 @@ const SCALING_RATES: &[f64] = &[
     100_000.0, 130_000.0, 170_000.0, 220_000.0, 300_000.0, 400_000.0, 550_000.0, 700_000.0,
 ];
 
-/// Per-point measurement duration; `FIG5_POINT_MS` overrides the default
-/// so CI can smoke-run the full harness in seconds.
-fn point_duration() -> Duration {
-    xsearch_bench::summary::point_duration("FIG5_POINT_MS", 1_500)
-}
-
 fn round_robin<T>(pool: &[Mutex<T>], counter: &AtomicUsize) -> usize {
     counter.fetch_add(1, Ordering::Relaxed) % pool.len()
 }
 
-fn xsearch_reports(warm: &[String]) -> Vec<RunReport> {
+fn xsearch_reports(warm: &[String], point: Duration) -> Vec<RunReport> {
     let pool = BrokerPool::warmed(K, SESSIONS, warm);
-    sweep_rates(XSEARCH_RATES, point_duration(), THREADS, &|| {
+    sweep_rates(XSEARCH_RATES, point, THREADS, &|| {
         let ok = pool.echo(QUERY);
         xsearch_net_sim::station::busy_wait(SGX_TRANSITION_PAY);
         ok
@@ -105,21 +99,19 @@ fn xsearch_reports(warm: &[String]) -> Vec<RunReport> {
 /// at ~37 k req/s and would mask exactly the lock-contention signal this
 /// sweep exists to expose. Transition costs remain *accounted* in the
 /// proxy's [`xsearch_sgx_sim::boundary::BoundaryStats`] either way.
-fn scaling_reports(warm: &[String]) -> Vec<(usize, Vec<RunReport>)> {
+fn scaling_reports(warm: &[String], point: Duration) -> Vec<(usize, Vec<RunReport>)> {
     let pool = BrokerPool::warmed(K, SESSIONS, warm);
     SCALING_THREADS
         .iter()
         .map(|&threads| {
             eprintln!("  scaling: {threads} generator thread(s)...");
-            let reports = sweep_rates(SCALING_RATES, point_duration(), threads, &|| {
-                pool.echo(QUERY)
-            });
+            let reports = sweep_rates(SCALING_RATES, point, threads, &|| pool.echo(QUERY));
             (threads, reports)
         })
         .collect()
 }
 
-fn peas_reports(warm: &[String]) -> Vec<RunReport> {
+fn peas_reports(warm: &[String], point: Duration) -> Vec<RunReport> {
     let matrix = CooccurrenceMatrix::build(warm);
     let mut issuer = PeasIssuer::new(
         PeasFakeGenerator::new(matrix, EXPERIMENT_SEED),
@@ -141,7 +133,7 @@ fn peas_reports(warm: &[String]) -> Vec<RunReport> {
     let rates = [
         100.0, 250.0, 500.0, 1_000.0, 2_000.0, 4_000.0, 8_000.0, 16_000.0,
     ];
-    sweep_rates(&rates, point_duration(), THREADS, &|| {
+    sweep_rates(&rates, point, THREADS, &|| {
         let idx = round_robin(&clients, &counter);
         clients[idx]
             .lock()
@@ -150,7 +142,7 @@ fn peas_reports(warm: &[String]) -> Vec<RunReport> {
     })
 }
 
-fn tor_reports() -> Vec<RunReport> {
+fn tor_reports(point: Duration) -> Vec<RunReport> {
     let mut rng = StdRng::seed_from_u64(EXPERIMENT_SEED);
     let network = Arc::new(TorNetwork::new(12, TOR_RELAY_SERVICE, &mut rng));
     let circuits: Vec<Mutex<_>> = (0..SESSIONS)
@@ -158,7 +150,7 @@ fn tor_reports() -> Vec<RunReport> {
         .collect();
     let counter = AtomicUsize::new(0);
     let rates = [25.0, 50.0, 100.0, 200.0, 400.0, 800.0, 1_600.0];
-    sweep_rates(&rates, point_duration(), THREADS, &|| {
+    sweep_rates(&rates, point, THREADS, &|| {
         let idx = round_robin(&circuits, &counter);
         let mut circuit = circuits[idx].lock();
         network
@@ -181,48 +173,11 @@ fn emit(table: &mut Table, system: f64, reports: &[RunReport]) {
     }
 }
 
-/// Renders the machine-readable summary the perf trajectory is tracked
-/// with (one file per run, overwritten).
-fn render_summary(
-    scaling: &[(usize, Vec<RunReport>)],
-    xs: &[RunReport],
-    peas: &[RunReport],
-    tor: &[RunReport],
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"point_ms\": {},", point_duration().as_millis());
-    out.push_str("  \"threads_sweep\": [\n");
-    for (i, (threads, reports)) in scaling.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"threads\": {threads}, \"max_sustained_rps\": {:.1}, \"points\": ",
-            capacity(reports)
-        );
-        json_points(&mut out, reports);
-        out.push('}');
-        if i + 1 < scaling.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"systems\": {\n");
-    let _ = writeln!(
-        out,
-        "    \"xsearch_{THREADS}threads_rps\": {:.1},",
-        capacity(xs)
-    );
-    let _ = writeln!(out, "    \"peas_rps\": {:.1},", capacity(peas));
-    let _ = writeln!(out, "    \"tor_rps\": {:.1}", capacity(tor));
-    out.push_str("  }\n");
-    out.push_str("}\n");
-    out
-}
-
 fn main() {
     let dataset = Dataset::with_users(60);
     let warm = dataset.train_queries();
+    let point_ms = env_or("FIG5_POINT_MS", 1_500, 10);
+    let point = Duration::from_millis(point_ms);
 
     let mut table = Table::new(
         "fig5: latency vs offered throughput (system: 0=xsearch 1=peas 2=tor)",
@@ -237,58 +192,38 @@ fn main() {
         ],
     );
     table.note(&format!(
-        "open loop, {THREADS} generator threads, {SESSIONS} sessions, {:?} per point, k={K}",
-        point_duration()
+        "open loop, {THREADS} generator threads, {SESSIONS} sessions, {point:?} per point, k={K}"
     ));
     table.note("paper shape: xsearch ~25k req/s, peas ~1k, tor ~100 (orders of magnitude apart)");
 
     eprintln!("running x-search sweep...");
-    let xs = xsearch_reports(&warm);
+    let xs = xsearch_reports(&warm, point);
     emit(&mut table, 0.0, &xs);
     eprintln!("running peas sweep...");
-    let peas = peas_reports(&warm);
+    let peas = peas_reports(&warm, point);
     emit(&mut table, 1.0, &peas);
     eprintln!("running tor sweep...");
-    let tor = tor_reports();
+    let tor = tor_reports(point);
     emit(&mut table, 2.0, &tor);
     table.print();
 
     eprintln!("running x-search threads-scaling sweep...");
-    let scaling = scaling_reports(&warm);
-    let mut scaling_table = Table::new(
-        "fig5-scaling: x-search echo capacity vs generator threads",
-        &["threads", "max_sustained_rps", "p99_ms_at_capacity"],
-    );
-    scaling_table.note("one shared proxy; enclave state is lock-striped, so threads add capacity");
-    for (threads, reports) in &scaling {
-        let best = reports
-            .iter()
-            .filter(|r| r.kept_up())
-            .max_by(|a, b| a.achieved_rate().total_cmp(&b.achieved_rate()));
-        scaling_table.row(&[
-            *threads as f64,
-            capacity(reports),
-            best.map_or(f64::NAN, RunReport::p99_latency_ms),
-        ]);
-    }
-    println!();
-    scaling_table.print();
-
-    let summary = render_summary(&scaling, &xs, &peas, &tor);
-    write_summary("BENCH_FIG5_JSON", "BENCH_fig5.json", &summary);
-
-    println!();
-    println!("# summary (max sustained rate, req/s)");
-    println!(
-        "xsearch={:.0} peas={:.0} tor={:.0}",
-        capacity(&xs),
-        capacity(&peas),
-        capacity(&tor)
-    );
-    for (threads, reports) in &scaling {
-        println!(
-            "xsearch_scaling threads={threads} rate={:.0}",
-            capacity(reports)
-        );
-    }
+    let scaling = scaling_reports(&warm, point);
+    let mut summary = Summary::new("fig5");
+    summary.row("point_ms", point_ms);
+    let threads_sweep = scaling.iter().map(|(threads, reports)| {
+        Obj::new()
+            .field("threads", *threads)
+            .field("max_sustained_rps", fixed(capacity(reports), 1))
+            .field("p99_ms_at_capacity", fixed(p99_at_capacity(reports), 3))
+            .field("points", json_points(reports))
+    });
+    summary.row("threads_sweep", threads_sweep.collect::<Json>());
+    let xsearch_key = format!("xsearch_{THREADS}threads_rps");
+    let systems = Obj::new()
+        .field(&xsearch_key, fixed(capacity(&xs), 1))
+        .field("peas_rps", fixed(capacity(&peas), 1))
+        .field("tor_rps", fixed(capacity(&tor), 1));
+    summary.row("systems", systems);
+    summary.finish(|| ());
 }

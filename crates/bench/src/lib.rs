@@ -4,6 +4,11 @@
 //! §5.1: a query log (synthetic, AOL-calibrated — see DESIGN.md), the 100
 //! most active users, and a ⅔/⅓ train/test split per user. Centralizing
 //! the setup keeps the figures comparable with each other.
+//!
+//! The perf and chaos binaries are scenario descriptions over the same
+//! small library: the rig here ([`echo_engine`], [`echo_fleet`]), the
+//! session pools and the raw framed client in [`sessions`], and the one
+//! summary / gate / scale-knob stack in [`summary`].
 
 #![deny(missing_docs)]
 
@@ -13,6 +18,9 @@ pub mod summary;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::sync::Arc;
+use xsearch_cluster::{Cluster, ClusterConfig, FaultPlan};
+use xsearch_core::config::XSearchConfig;
 use xsearch_engine::corpus::CorpusConfig;
 use xsearch_engine::engine::SearchEngine;
 use xsearch_query_log::record::QueryRecord;
@@ -79,6 +87,36 @@ pub fn standard_engine() -> SearchEngine {
         seed: EXPERIMENT_SEED,
         ..Default::default()
     })
+}
+
+/// The tiny engine behind every echo-mode rig: echo keeps the engine out
+/// of the measured path, so it only needs to exist.
+#[must_use]
+pub fn echo_engine() -> Arc<SearchEngine> {
+    Arc::new(SearchEngine::build(&CorpusConfig {
+        docs_per_topic: 5,
+        ..Default::default()
+    }))
+}
+
+/// A small echo fleet for the harnesses whose subject is the front tier:
+/// the enclave tier behind it runs k = 2 over an ample window, optionally
+/// under a deterministic fault plan.
+#[must_use]
+pub fn echo_fleet(replicas: usize, faults: Option<Arc<FaultPlan>>) -> Arc<Cluster> {
+    Arc::new(Cluster::launch(
+        echo_engine(),
+        ClusterConfig {
+            replicas,
+            proxy: XSearchConfig {
+                k: 2,
+                history_capacity: 1_000_000,
+                ..Default::default()
+            },
+            faults,
+            ..Default::default()
+        },
+    ))
 }
 
 /// Runs one attested search and splits its latency into

@@ -40,7 +40,7 @@
 //! fault seed replays to an identical transcript.
 
 use crate::error::ClusterError;
-use crate::fleet::Cluster;
+use crate::fleet::{Cluster, MAX_FAILOVERS};
 use crate::obs::FleetMetrics;
 use crate::registry::ReplicaId;
 use crate::resilience::{Backoff, LatencyEstimator};
@@ -252,7 +252,6 @@ impl ClusterClient {
         echo: bool,
     ) -> Result<SearchOutcome, ClusterError> {
         let rcfg = cluster.config().resilience.clone();
-        let max_failovers = cluster.config().max_failovers;
         let deadline = rcfg.deadline;
         let mut backoff = Backoff::new(
             rcfg.backoff_base,
@@ -386,7 +385,7 @@ impl ClusterClient {
             };
             // Recovery tail: re-route + re-attest, bounded by the
             // failover budget (time is bounded by the deadline check).
-            if failovers >= max_failovers {
+            if failovers >= MAX_FAILOVERS {
                 self.last_cost = spent;
                 return Err(last);
             }
@@ -428,7 +427,7 @@ impl ClusterClient {
         let mut winning_results = results;
         let mut hedged = false;
         if rcfg.hedge {
-            let hedge_delay = self.latencies.hedge_delay(rcfg.hedge_after);
+            let hedge_delay = self.latencies.hedge_delay();
             if charge > hedge_delay {
                 // The primary's answer was slower than the hedge
                 // trigger: race the ring successor on a fresh
@@ -529,7 +528,7 @@ impl ClusterClient {
     ) -> Result<SearchOutcome, ClusterError> {
         let mut last = ClusterError::RetriesExhausted;
         let mut spent = Duration::ZERO;
-        let rounds = cluster.config().max_failovers as u32 + 1;
+        let rounds = MAX_FAILOVERS as u32 + 1;
         for attempts in 1..=rounds {
             let target = self.replica;
             let broker = &mut self.broker;

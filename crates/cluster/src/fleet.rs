@@ -52,12 +52,14 @@
 use crate::error::ClusterError;
 use crate::node::ReplicaNode;
 use crate::obs::FleetMetrics;
-use crate::placement::{HashRing, PlacementPolicy};
+use crate::placement::HashRing;
 use crate::registry::{RegistryWriterHold, ReplicaId, ReplicaRegistry};
-use crate::resilience::{degrade_level, CircuitBreaker, ResilienceConfig};
+use crate::resilience::{
+    degrade_level, CircuitBreaker, ResilienceConfig, BREAKER_COOLDOWN_OPS, BREAKER_THRESHOLD,
+};
 use crate::router::{DeliveryFence, Lane, LaneStats, LeaderGuard, Pending, RequestSlot};
 use crate::snapshot::{Published, WriterHold};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use xsearch_core::config::XSearchConfig;
@@ -77,6 +79,12 @@ const MAX_BATCH: usize = 64;
 /// Virtual nodes per replica on the consistent-hash ring.
 const VNODES: usize = 64;
 
+/// Failovers a single request rides out before the client gives up with
+/// [`ClusterError::RetriesExhausted`]: survives the kill → sweep →
+/// successor-also-dies sequence churn testing produces without letting a
+/// broken fleet spin forever.
+pub(crate) const MAX_FAILOVERS: usize = 3;
+
 /// Timed-wait backstop for a blocking [`Cluster::forward`] parked on its
 /// slot while another thread leads the lane. Delivery normally wakes it
 /// via the slot condvar; the timeout only closes a lost wakeup — never
@@ -95,8 +103,6 @@ pub struct ClusterConfig {
     /// Per-replica proxy configuration (each replica gets a distinct
     /// derived `seed`, so channel identity keys differ).
     pub proxy: XSearchConfig,
-    /// How the router places requests.
-    pub placement: PlacementPolicy,
     /// Seal the history after this many served requests per replica —
     /// the recovery-point knob: 1 means a crash loses nothing (every
     /// request is snapshotted before the next), larger values trade
@@ -111,11 +117,6 @@ pub struct ClusterConfig {
     pub queue_limit: usize,
     /// Base seed for attestation service, challenges and host RNGs.
     pub seed: u64,
-    /// Failovers a single request rides out before the client gives up
-    /// with [`ClusterError::RetriesExhausted`]. Default 3: survives the
-    /// kill → sweep → successor-also-dies sequence churn testing
-    /// produces without letting a broken fleet spin forever.
-    pub max_failovers: usize,
     /// The per-request resilience policy stack (deadlines, backoff,
     /// breakers, hedging, degradation). See [`ResilienceConfig`].
     pub resilience: ResilienceConfig,
@@ -129,11 +130,9 @@ impl Default for ClusterConfig {
         ClusterConfig {
             replicas: 4,
             proxy: XSearchConfig::default(),
-            placement: PlacementPolicy::ConsistentHash,
             seal_every: 1,
             queue_limit: 256,
             seed: 0xF1EE7,
-            max_failovers: 3,
             resilience: ResilienceConfig::default(),
             faults: None,
         }
@@ -221,7 +220,6 @@ pub struct Cluster {
     /// One coalescing lane per replica slot (`Arc` so snapshot-time poll
     /// collectors can read the lane stats without borrowing the fleet).
     lanes: Arc<Vec<Lane>>,
-    rr: AtomicUsize,
     /// One circuit breaker per replica slot — routing shifts away from a
     /// replica whose breaker is open before the health sweep declares it
     /// dead (brown-out handling, not crash handling). `Arc` for the same
@@ -254,7 +252,6 @@ impl std::fmt::Debug for Cluster {
         f.debug_struct("Cluster")
             .field("replicas", &self.nodes.len())
             .field("routable", &self.registry.len())
-            .field("placement", &self.config.placement)
             .finish()
     }
 }
@@ -328,7 +325,6 @@ impl Cluster {
             nodes,
             ring: Published::new(HashRing::default()),
             lanes,
-            rr: AtomicUsize::new(0),
             breakers,
             ops: AtomicU64::new(0),
             sweep_active: AtomicBool::new(false),
@@ -611,51 +607,31 @@ impl Cluster {
         Ok(())
     }
 
-    /// Picks a replica for `affinity` under the configured placement
-    /// policy. Only verified (routable) replicas are candidates; the
-    /// affinity key is an opaque, stable per-client byte string — the
-    /// router never sees client channel keys or plaintext. Lock-free:
-    /// reads one registry snapshot and (under consistent hashing) one
-    /// ring snapshot.
+    /// Picks a replica for `affinity` by consistent-hash session affinity:
+    /// a client's requests keep landing on the replica that holds its
+    /// session and its share of the last-x window. Only verified
+    /// (routable) replicas are candidates; the affinity key is an opaque,
+    /// stable per-client byte string — the router never sees client
+    /// channel keys or plaintext. Lock-free: reads one registry snapshot
+    /// and one ring snapshot.
     ///
     /// # Errors
     ///
     /// [`ClusterError::NoReplicasAvailable`] when nothing is routable.
     pub fn route(&self, affinity: &[u8]) -> Result<ReplicaId, ClusterError> {
         let members = self.registry.snapshot();
-        match self.config.placement {
-            PlacementPolicy::ConsistentHash => {
-                // Walk the ring but skip anything no longer verified in
-                // the membership snapshot: the refusal to route to
-                // deregistered replicas must not depend on the ring
-                // having been republished yet. An open circuit breaker
-                // also deflects the walk — but only as a preference:
-                // when every routable replica is browning out we still
-                // route somewhere rather than inventing an outage.
-                let ring = self.ring.load();
-                let choice = ring
-                    .walk_from(affinity)
-                    .find(|&id| members.is_routable(id) && self.breaker_allows(id))
-                    .or_else(|| ring.walk_from(affinity).find(|&id| members.is_routable(id)));
-                choice.ok_or(ClusterError::NoReplicasAvailable)
-            }
-            PlacementPolicy::LeastLoaded => members
-                .ids()
-                .min_by_key(|&id| {
-                    (
-                        self.nodes.get(id.0).map_or(usize::MAX, |n| n.inflight()),
-                        id,
-                    )
-                })
-                .ok_or(ClusterError::NoReplicasAvailable),
-            PlacementPolicy::RoundRobin => {
-                if members.is_empty() {
-                    return Err(ClusterError::NoReplicasAvailable);
-                }
-                let i = self.rr.fetch_add(1, Ordering::Relaxed) % members.len();
-                Ok(members.members()[i].0)
-            }
-        }
+        // Walk the ring but skip anything no longer verified in the
+        // membership snapshot: the refusal to route to deregistered
+        // replicas must not depend on the ring having been republished
+        // yet. An open circuit breaker also deflects the walk — but only
+        // as a preference: when every routable replica is browning out
+        // we still route somewhere rather than inventing an outage.
+        let ring = self.ring.load();
+        let choice = ring
+            .walk_from(affinity)
+            .find(|&id| members.is_routable(id) && self.breaker_allows(id))
+            .or_else(|| ring.walk_from(affinity).find(|&id| members.is_routable(id)));
+        choice.ok_or(ClusterError::NoReplicasAvailable)
     }
 
     /// Whether `id`'s circuit breaker currently admits traffic (closed,
@@ -665,12 +641,9 @@ impl Cluster {
         if !self.config.resilience.enabled {
             return true;
         }
-        self.breakers.get(id.0).is_none_or(|b| {
-            b.allows(
-                self.ops.load(Ordering::Relaxed),
-                self.config.resilience.breaker_cooldown_ops,
-            )
-        })
+        self.breakers
+            .get(id.0)
+            .is_none_or(|b| b.allows(self.ops.load(Ordering::Relaxed), BREAKER_COOLDOWN_OPS))
     }
 
     /// `id`'s breaker, for observability (`None` out of range).
@@ -696,7 +669,7 @@ impl Cluster {
     pub fn record_failure(&self, id: ReplicaId) {
         if let Some(b) = self.breakers.get(id.0) {
             let op = self.ops.load(Ordering::Relaxed);
-            if b.record_failure(op, self.config.resilience.breaker_threshold) {
+            if b.record_failure(op, BREAKER_THRESHOLD) {
                 self.flight.record(FlightEvent::BreakerTrip {
                     replica: id.0 as u64,
                     op,
@@ -716,7 +689,7 @@ impl Cluster {
 
     /// The next distinct live, routable, breaker-admitted replica
     /// clockwise from `of`'s primary ring point — the hedging target.
-    /// `None` when no such replica exists or placement has no ring.
+    /// `None` when no such replica exists.
     #[must_use]
     pub fn ring_successor(&self, of: ReplicaId) -> Option<ReplicaId> {
         let ring = self.ring.load();
@@ -1224,28 +1197,16 @@ impl Cluster {
         }
     }
 
-    /// The designated migration target for `failed`'s sealed window:
-    /// under consistent hashing, the next distinct live routable replica
-    /// clockwise from the failed replica's primary ring point; under the
-    /// other policies, the least-loaded live replica.
+    /// The designated migration target for `failed`'s sealed window: the
+    /// next distinct live routable replica clockwise from the failed
+    /// replica's primary ring point.
     fn pick_successor(&self, failed: ReplicaId) -> Option<ReplicaId> {
-        let candidate_ok = |id: &ReplicaId| {
-            *id != failed
-                && self.registry.is_routable(*id)
+        let ring = self.ring.load();
+        let successor = ring.walk_from_replica(failed).find(|&id| {
+            id != failed
+                && self.registry.is_routable(id)
                 && self.nodes.get(id.0).is_some_and(|n| n.is_up())
-        };
-        match self.config.placement {
-            PlacementPolicy::ConsistentHash => {
-                let ring = self.ring.load();
-                let successor = ring.walk_from_replica(failed).find(|id| candidate_ok(id));
-                successor
-            }
-            PlacementPolicy::LeastLoaded | PlacementPolicy::RoundRobin => self
-                .registry
-                .routable()
-                .into_iter()
-                .filter(|id| candidate_ok(id))
-                .min_by_key(|&id| (self.nodes[id.0].inflight(), id)),
-        }
+        });
+        successor
     }
 }

@@ -10,10 +10,9 @@
 //!   (authentic, pinned measurement, bound to a fresh challenge nonce),
 //!   and the router refuses traffic to anything unverified;
 //! * **the router is untrusted** — it forwards already-encrypted tunnel
-//!   frames keyed by an opaque affinity string; placement is pluggable
-//!   ([`placement::PlacementPolicy`]): consistent-hash session affinity
-//!   (a client's last-x history stays coherent on one replica),
-//!   least-loaded, or round-robin;
+//!   frames keyed by an opaque affinity string; placement is
+//!   consistent-hash session affinity ([`placement::HashRing`]), so a
+//!   client's session and last-x history stay coherent on one replica;
 //! * **failure is survivable** — a replica that stops answering is
 //!   drained by [`fleet::Cluster::health_sweep`], its sealed history
 //!   snapshot (monotonic-versioned, rollback-protected) migrates to its
@@ -80,7 +79,6 @@ pub use front::{
     ConnClass, ConnState, FramedClient, FrontConfig, FrontTier, SurvivalConfig,
     IDLE_SESSION_BYTE_BUDGET,
 };
-pub use placement::PlacementPolicy;
 pub use registry::{RegistrySnapshot, ReplicaId, ReplicaRegistry};
 pub use resilience::{BreakerState, CircuitBreaker, ResilienceConfig};
 pub use router::{LaneStats, RequestSlot};
@@ -106,12 +104,11 @@ mod tests {
         }))
     }
 
-    fn small_cluster(replicas: usize, placement: PlacementPolicy) -> Cluster {
+    fn small_cluster(replicas: usize) -> Cluster {
         Cluster::launch(
             engine(),
             ClusterConfig {
                 replicas,
-                placement,
                 proxy: XSearchConfig {
                     k: 2,
                     history_capacity: 10_000,
@@ -124,7 +121,7 @@ mod tests {
 
     #[test]
     fn launch_enrolls_every_replica() {
-        let cluster = small_cluster(4, PlacementPolicy::ConsistentHash);
+        let cluster = small_cluster(4);
         assert_eq!(cluster.registry().len(), 4);
         for id in cluster.replica_ids() {
             assert!(cluster.registry().is_routable(id));
@@ -134,7 +131,7 @@ mod tests {
 
     #[test]
     fn replicas_share_one_measurement_but_not_identity_keys() {
-        let cluster = small_cluster(3, PlacementPolicy::ConsistentHash);
+        let cluster = small_cluster(3);
         let keys: Vec<_> = cluster
             .replica_ids()
             .into_iter()
@@ -146,7 +143,7 @@ mod tests {
 
     #[test]
     fn consistent_hash_affinity_is_sticky() {
-        let cluster = small_cluster(4, PlacementPolicy::ConsistentHash);
+        let cluster = small_cluster(4);
         let mut client = ClusterClient::attach(&cluster, 42).unwrap();
         let home = client.replica();
         for i in 0..10 {
@@ -162,35 +159,8 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_spreads_single_requests() {
-        let cluster = small_cluster(4, PlacementPolicy::RoundRobin);
-        // Four sequential routes hit four distinct replicas.
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..4 {
-            seen.insert(cluster.route(b"whoever").unwrap());
-        }
-        assert_eq!(seen.len(), 4);
-    }
-
-    #[test]
-    fn least_loaded_prefers_idle_replicas() {
-        let cluster = small_cluster(2, PlacementPolicy::LeastLoaded);
-        let busy = ReplicaId(0);
-        let idle = ReplicaId(1);
-        // While replica 0 holds a request in flight, routing must prefer
-        // replica 1 — route from *inside* the forwarded request, where
-        // the in-flight gauge is up.
-        let picked = cluster
-            .with_replica(busy, |_| cluster.route(b"x").unwrap())
-            .unwrap();
-        assert_eq!(picked, idle);
-        // With both idle again, the tie breaks to the lowest id.
-        assert_eq!(cluster.route(b"x").unwrap(), busy);
-    }
-
-    #[test]
     fn router_refuses_unverified_and_deregistered_replicas() {
-        let cluster = small_cluster(3, PlacementPolicy::ConsistentHash);
+        let cluster = small_cluster(3);
         let id = ReplicaId(1);
         assert!(cluster.registry().deregister(id));
         // Direct forwarding is refused...
@@ -208,7 +178,7 @@ mod tests {
 
     #[test]
     fn health_sweep_drains_and_migrates_to_successor() {
-        let cluster = small_cluster(4, PlacementPolicy::ConsistentHash);
+        let cluster = small_cluster(4);
         let mut client = ClusterClient::attach(&cluster, 9).unwrap();
         let victim = client.replica();
         for q in ["alpha one", "beta two", "gamma three"] {
@@ -245,7 +215,7 @@ mod tests {
 
     #[test]
     fn client_rides_out_kill_and_restart() {
-        let cluster = small_cluster(4, PlacementPolicy::ConsistentHash);
+        let cluster = small_cluster(4);
         let mut client = ClusterClient::attach(&cluster, 5).unwrap();
         let home = client.replica();
         client.search_echo(&cluster, "before the crash").unwrap();
@@ -273,7 +243,7 @@ mod tests {
         // Killed and restarted before any sweep ran: the replica's own
         // sealed snapshot is still current, so the window survives
         // locally.
-        let cluster = small_cluster(4, PlacementPolicy::ConsistentHash);
+        let cluster = small_cluster(4);
         let mut client = ClusterClient::attach(&cluster, 5).unwrap();
         let home = client.replica();
         for q in ["w1", "w2", "w3", "w4"] {
@@ -292,7 +262,7 @@ mod tests {
     fn migrated_window_cannot_be_restored_at_the_source() {
         // Kill → sweep (migrates) → restart: the source's stale snapshot
         // must NOT resurrect — the window lives at the successor now.
-        let cluster = small_cluster(4, PlacementPolicy::ConsistentHash);
+        let cluster = small_cluster(4);
         let mut client = ClusterClient::attach(&cluster, 9).unwrap();
         let victim = client.replica();
         client.search_echo(&cluster, "the one window").unwrap();
@@ -314,7 +284,7 @@ mod tests {
 
     #[test]
     fn single_replica_failure_leaves_no_successor() {
-        let cluster = small_cluster(1, PlacementPolicy::ConsistentHash);
+        let cluster = small_cluster(1);
         let mut client = ClusterClient::attach(&cluster, 1).unwrap();
         client.search_echo(&cluster, "the only window").unwrap();
 
@@ -490,7 +460,7 @@ mod tests {
         // ring writer lock, then push a pile of requests through. If the
         // request path acquired any control-plane mutex, the worker would
         // deadlock and the 30s receive below would expire.
-        let cluster = Arc::new(small_cluster(2, PlacementPolicy::ConsistentHash));
+        let cluster = Arc::new(small_cluster(2));
         let mut client = ClusterClient::attach(&cluster, 11).unwrap();
         let hold = cluster.hold_control_plane_writers();
         let (tx, rx) = std::sync::mpsc::channel();
@@ -647,7 +617,7 @@ mod tests {
 
     #[test]
     fn concurrent_requests_coalesce_and_none_are_lost() {
-        let cluster = Arc::new(small_cluster(1, PlacementPolicy::ConsistentHash));
+        let cluster = Arc::new(small_cluster(1));
         std::thread::scope(|scope| {
             for t in 0..4u64 {
                 let cluster = Arc::clone(&cluster);
@@ -671,7 +641,7 @@ mod tests {
 
     #[test]
     fn accounted_network_delay_grows_with_traffic() {
-        let cluster = small_cluster(2, PlacementPolicy::RoundRobin);
+        let cluster = small_cluster(2);
         let mut client = ClusterClient::attach(&cluster, 3).unwrap();
         let hop_us = || {
             let snap = cluster.telemetry().snapshot();

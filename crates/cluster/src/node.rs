@@ -48,8 +48,8 @@ pub struct ReplicaNode {
     hop_cursor: AtomicUsize,
     /// Total accounted router↔replica delay in nanoseconds.
     hop_ns: AtomicU64,
-    /// Requests currently inside this replica (least-loaded signal and
-    /// the admission queue depth — everything admitted but not finished).
+    /// Requests currently inside this replica (the admission queue
+    /// depth — everything admitted but not finished).
     inflight: AtomicUsize,
     /// Deepest the admission queue has ever been.
     queue_high_water: AtomicUsize,

@@ -1,31 +1,17 @@
-//! Pluggable request placement for the fleet router.
+//! Request placement for the fleet router: consistent-hash session
+//! affinity.
 //!
-//! Three policies, matching what the scaling and failover experiments
-//! need to compare:
-//!
-//! * [`PlacementPolicy::ConsistentHash`] — session affinity: a client's
-//!   requests keep landing on the same replica (64 virtual nodes per
-//!   replica on a hash ring), so the *last-x* window that replica
-//!   accumulates stays coherent with that client's recent traffic, and a
-//!   membership change only remaps the keys adjacent to the changed
-//!   replica;
-//! * [`PlacementPolicy::LeastLoaded`] — pick the replica with the fewest
-//!   in-flight requests (best raw balance, no affinity);
-//! * [`PlacementPolicy::RoundRobin`] — the classic strawman.
+//! A client's requests keep landing on the same replica (64 virtual
+//! nodes per replica on a hash ring), so the enclave session it attested
+//! is where its frames arrive, the *last-x* window that replica
+//! accumulates stays coherent with that client's recent traffic, and a
+//! membership change only remaps the keys adjacent to the changed
+//! replica. Affinity is not optional — the framed front routes every
+//! frame independently, so a policy without it would land a request on a
+//! replica that holds no such session.
 
 use crate::registry::ReplicaId;
 use xsearch_crypto::sha256::Sha256;
-
-/// How the router picks a replica for a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlacementPolicy {
-    /// Consistent-hash session affinity on the client's routing key.
-    ConsistentHash,
-    /// Fewest in-flight requests wins.
-    LeastLoaded,
-    /// Rotate through live replicas.
-    RoundRobin,
-}
 
 /// First 8 bytes of a domain-separated SHA-256, as the ring coordinate.
 fn hash64(domain: &[u8], parts: &[&[u8]]) -> u64 {

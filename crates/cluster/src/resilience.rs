@@ -28,6 +28,14 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::time::Duration;
 
+/// Consecutive failures that trip a replica's breaker open.
+pub(crate) const BREAKER_THRESHOLD: u32 = 3;
+
+/// How long an open breaker refuses traffic, in data-plane operations on
+/// the fleet's logical op clock (deterministic, unlike wall time). After
+/// the cooldown the breaker goes half-open and admits probe traffic.
+pub(crate) const BREAKER_COOLDOWN_OPS: u64 = 512;
+
 /// Tunables for the per-request resilience stack. Carried by
 /// `ClusterConfig`; the documented defaults keep every pre-existing
 /// behaviour observable (hedging off, generous deadline) while making
@@ -47,23 +55,12 @@ pub struct ResilienceConfig {
     /// Backoff ceiling (decorrelated jitter never exceeds it).
     /// Default 50 ms.
     pub backoff_cap: Duration,
-    /// Consecutive failures that trip a replica's breaker open.
-    /// Default 3.
-    pub breaker_threshold: u32,
-    /// How long an open breaker refuses traffic, in data-plane
-    /// operations on the fleet's logical op clock (deterministic, unlike
-    /// wall time). After the cooldown the breaker goes half-open and
-    /// admits probe traffic. Default 512 ops.
-    pub breaker_cooldown_ops: u64,
     /// Request hedging: when a response takes longer than the hedge
     /// delay, fire a second attempt at the ring successor on a fresh
     /// sub-session and take whichever answer is effectively first.
     /// Default **off**: hedges add load and duplicate history pushes,
     /// so they are an explicit opt-in (the chaos drill opts in).
     pub hedge: bool,
-    /// Hedge trigger delay. `None` derives it from the client's observed
-    /// p99 latency (the classic "hedge after the tail starts" rule).
-    pub hedge_after: Option<Duration>,
     /// Graceful degradation: under queue pressure a replica shrinks its
     /// fake-query count `k` (never below 1) before shedding real
     /// queries. Default on.
@@ -77,10 +74,7 @@ impl Default for ResilienceConfig {
             deadline: Duration::from_secs(2),
             backoff_base: Duration::from_micros(500),
             backoff_cap: Duration::from_millis(50),
-            breaker_threshold: 3,
-            breaker_cooldown_ops: 512,
             hedge: false,
-            hedge_after: None,
             degrade: true,
         }
     }
@@ -316,15 +310,14 @@ impl LatencyEstimator {
         (self.cached_p99_ns > 0).then(|| Duration::from_nanos(self.cached_p99_ns))
     }
 
-    /// The hedge trigger delay: the configured override if set, else
-    /// 3× the observed p99, else a conservative floor. Hedging well
-    /// after the p99 keeps the duplicate-work rate around 1% while
-    /// still cutting stalls short by orders of magnitude.
+    /// The hedge trigger delay: 3× the observed p99 (the classic "hedge
+    /// after the tail starts" rule), or a conservative floor before any
+    /// sample. Hedging well after the p99 keeps the duplicate-work rate
+    /// around 1% while still cutting stalls short by orders of magnitude.
     #[must_use]
-    pub fn hedge_delay(&self, configured: Option<Duration>) -> Duration {
-        configured
-            .or_else(|| self.p99().map(|p| p * 3))
-            .unwrap_or(HEDGE_FLOOR)
+    pub fn hedge_delay(&self) -> Duration {
+        self.p99()
+            .map_or(HEDGE_FLOOR, |p| p * 3)
             .max(Duration::from_micros(100))
     }
 }
@@ -425,18 +418,13 @@ mod tests {
     #[test]
     fn latency_estimator_derives_a_p99_hedge_delay() {
         let mut est = LatencyEstimator::default();
-        assert_eq!(est.hedge_delay(None), HEDGE_FLOOR, "floor before samples");
-        assert_eq!(
-            est.hedge_delay(Some(Duration::from_millis(2))),
-            Duration::from_millis(2),
-            "explicit override wins"
-        );
+        assert_eq!(est.hedge_delay(), HEDGE_FLOOR, "floor before samples");
         for _ in 0..128 {
             est.record(Duration::from_micros(400));
         }
         let p99 = est.p99().expect("samples recorded");
         assert_eq!(p99, Duration::from_micros(400));
-        assert_eq!(est.hedge_delay(None), Duration::from_micros(1200));
+        assert_eq!(est.hedge_delay(), Duration::from_micros(1200));
     }
 
     #[test]

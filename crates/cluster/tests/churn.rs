@@ -7,7 +7,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use xsearch_cluster::{Cluster, ClusterClient, ClusterConfig, PlacementPolicy};
+use xsearch_cluster::{Cluster, ClusterClient, ClusterConfig};
 use xsearch_core::config::XSearchConfig;
 use xsearch_core::proxy::XSearchProxy;
 use xsearch_engine::corpus::CorpusConfig;
@@ -29,7 +29,6 @@ fn fleet() -> Cluster {
         engine,
         ClusterConfig {
             replicas: 4,
-            placement: PlacementPolicy::ConsistentHash,
             // Seal after every request: a crash loses nothing.
             seal_every: 1,
             proxy: XSearchConfig {

@@ -15,9 +15,7 @@
 
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
-use xsearch_cluster::{
-    Cluster, ClusterConfig, ClusterError, PlacementPolicy, ReplicaId, RequestSlot,
-};
+use xsearch_cluster::{Cluster, ClusterConfig, ClusterError, ReplicaId, RequestSlot};
 use xsearch_core::broker::Broker;
 use xsearch_core::config::XSearchConfig;
 use xsearch_core::proxy::XSearchProxy;
@@ -57,7 +55,6 @@ fn twins() -> Twins {
         engine(),
         ClusterConfig {
             replicas: 1,
-            placement: PlacementPolicy::ConsistentHash,
             proxy: proxy.clone(),
             seed: FLEET_SEED,
             ..Default::default()

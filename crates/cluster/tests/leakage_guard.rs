@@ -17,9 +17,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 use xsearch_cluster::resilience::ResilienceConfig;
-use xsearch_cluster::{
-    Cluster, ClusterClient, ClusterConfig, FaultPlan, FaultSpec, PlacementPolicy,
-};
+use xsearch_cluster::{Cluster, ClusterClient, ClusterConfig, FaultPlan, FaultSpec};
 use xsearch_core::config::XSearchConfig;
 use xsearch_engine::corpus::CorpusConfig;
 use xsearch_engine::engine::SearchEngine;
@@ -36,7 +34,6 @@ fn fleet_with(replicas: usize, spec: FaultSpec, fault_seed: u64) -> Cluster {
         engine(),
         ClusterConfig {
             replicas,
-            placement: PlacementPolicy::ConsistentHash,
             seal_every: 1,
             proxy: XSearchConfig {
                 k: 2,

@@ -17,8 +17,8 @@ use std::sync::Arc;
 use std::time::Duration;
 use xsearch_cluster::resilience::{BreakerState, ResilienceConfig};
 use xsearch_cluster::{
-    Cluster, ClusterClient, ClusterConfig, ClusterError, FaultPlan, FaultSpec, PlacementPolicy,
-    ReplicaId, RequestSlot,
+    Cluster, ClusterClient, ClusterConfig, ClusterError, FaultPlan, FaultSpec, ReplicaId,
+    RequestSlot,
 };
 use xsearch_core::config::XSearchConfig;
 use xsearch_engine::corpus::CorpusConfig;
@@ -51,7 +51,6 @@ fn fleet_with(
         engine(),
         ClusterConfig {
             replicas,
-            placement: PlacementPolicy::ConsistentHash,
             seal_every: 1,
             proxy: XSearchConfig {
                 k: 2,

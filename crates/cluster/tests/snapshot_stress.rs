@@ -12,7 +12,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use xsearch_cluster::{Cluster, ClusterConfig, ClusterError, PlacementPolicy, ReplicaId};
+use xsearch_cluster::{Cluster, ClusterConfig, ClusterError, ReplicaId};
 use xsearch_core::config::XSearchConfig;
 use xsearch_engine::corpus::CorpusConfig;
 use xsearch_engine::engine::SearchEngine;
@@ -26,7 +26,6 @@ fn fleet(replicas: usize) -> Cluster {
         engine,
         ClusterConfig {
             replicas,
-            placement: PlacementPolicy::ConsistentHash,
             proxy: XSearchConfig {
                 k: 2,
                 history_capacity: 1 << 12,

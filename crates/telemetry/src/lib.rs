@@ -27,8 +27,9 @@
 //! # The disable switch
 //!
 //! [`set_enabled(false)`](set_enabled) turns every recorder into a
-//! single relaxed load-and-return; the overhead bench (`BENCH_obs.json`)
-//! measures the enabled path against this baseline and gates at ≤ 2%.
+//! single relaxed load-and-return; `perf_ledger` measures the enabled
+//! path against this baseline (`telemetry.request_overhead_ns`), and
+//! `tests/kill_switch.rs` pins that the switch really drops records.
 //!
 //! # Example
 //!
@@ -70,8 +71,8 @@ static ENABLED: AtomicBool = AtomicBool::new(true);
 /// Turns all telemetry recording on or off at runtime.
 ///
 /// Disabling reduces every counter/gauge/histogram/flight record to a
-/// single relaxed load — the baseline the `BENCH_obs` overhead gate
-/// compares against. Registration and snapshotting still work while
+/// single relaxed load — the baseline `perf_ledger`'s
+/// `telemetry.request_overhead_ns` compares against. Registration and snapshotting still work while
 /// disabled; only new observations are dropped.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
