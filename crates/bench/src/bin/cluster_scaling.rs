@@ -12,10 +12,10 @@
 //! The fleet serves one fixed user population whose last-x history
 //! (`FLEET_WINDOW` queries fleet-wide) is **split** across replicas:
 //! each holds its consistent-hash share as a bounded window at steady
-//! state. The recurring cost that scales with fleet size is therefore
-//! the sealing burden — every `SEAL_EVERY` requests a replica re-seals
-//! *its share* of the window — which is exactly the recovery-guarantee
-//! work a bigger fleet genuinely distributes.
+//! state. Sealing does not scale with that share: every `SEAL_EVERY`
+//! requests a replica seals the ≤ `SEAL_EVERY` entries that landed since
+//! its last segment, whatever its window holds, so what a bigger fleet
+//! distributes is the request path itself.
 //!
 //! A **churn drill** rides along: a 4-replica fleet under open-loop load
 //! has one replica hard-killed and later restarted mid-run; the summary

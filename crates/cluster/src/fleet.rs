@@ -36,7 +36,7 @@
 //! # Failover
 //!
 //! A replica that stops answering is **drained** (deregistered, removed
-//! from the ring), its newest sealed history snapshot is **migrated** to
+//! from the ring), its sealed history log is **migrated** to
 //! a designated successor — the next distinct live replica clockwise
 //! from the failed replica's primary ring point (the orchestrator only
 //! holds ciphertext end to end) — and in-flight requests are **retried**
@@ -47,12 +47,12 @@
 //! window; the guarantee is that the window survives *in the fleet*.)
 //! Monotonic versions make the migration rollback-safe: the source can
 //! never restore the migrated-away window, and nobody can re-offer a
-//! superseded snapshot.
+//! superseded log (see `xsearch_core::persistence`).
 
 use crate::error::ClusterError;
 use crate::node::ReplicaNode;
 use crate::obs::FleetMetrics;
-use crate::placement::HashRing;
+use crate::placement::{key_coord, HashRing};
 use crate::registry::{RegistryWriterHold, ReplicaId, ReplicaRegistry};
 use crate::resilience::{
     degrade_level, CircuitBreaker, ResilienceConfig, BREAKER_COOLDOWN_OPS, BREAKER_THRESHOLD,
@@ -104,9 +104,9 @@ pub struct ClusterConfig {
     /// derived `seed`, so channel identity keys differ).
     pub proxy: XSearchConfig,
     /// Seal the history after this many served requests per replica —
-    /// the recovery-point knob: 1 means a crash loses nothing (every
-    /// request is snapshotted before the next), larger values trade
-    /// recovery freshness for throughput.
+    /// the recovery point: 1 means a crash loses nothing (every request
+    /// is sealed before the next). A seal covers only what landed since
+    /// the last one, so larger values buy little.
     pub seal_every: usize,
     /// Bounded admission: the most requests one replica may hold
     /// (in service or waiting on its locks) before the router sheds new
@@ -619,6 +619,13 @@ impl Cluster {
     ///
     /// [`ClusterError::NoReplicasAvailable`] when nothing is routable.
     pub fn route(&self, affinity: &[u8]) -> Result<ReplicaId, ClusterError> {
+        self.route_at(key_coord(affinity))
+    }
+
+    /// [`Cluster::route`] for an affinity key whose ring coordinate
+    /// ([`key_coord`]) the caller kept: the front routes every frame of a
+    /// connection, and the coordinate is one SHA-256 it need not repeat.
+    pub(crate) fn route_at(&self, coord: u64) -> Result<ReplicaId, ClusterError> {
         let members = self.registry.snapshot();
         // Walk the ring but skip anything no longer verified in the
         // membership snapshot: the refusal to route to deregistered
@@ -628,9 +635,12 @@ impl Cluster {
         // we still route somewhere rather than inventing an outage.
         let ring = self.ring.load();
         let choice = ring
-            .walk_from(affinity)
+            .walk_from_coord(coord)
             .find(|&id| members.is_routable(id) && self.breaker_allows(id))
-            .or_else(|| ring.walk_from(affinity).find(|&id| members.is_routable(id)));
+            .or_else(|| {
+                ring.walk_from_coord(coord)
+                    .find(|&id| members.is_routable(id))
+            });
         choice.ok_or(ClusterError::NoReplicasAvailable)
     }
 
@@ -1061,8 +1071,8 @@ impl Cluster {
     }
 
     /// Hard-crashes `id`'s enclave (churn injection): sessions and the
-    /// in-EPC window vanish; the platform vault and the newest sealed
-    /// snapshot survive. The replica stays registered until a
+    /// in-EPC window vanish; the platform vault and the sealed log
+    /// survive. The replica stays registered until a
     /// [`Cluster::health_sweep`] drains it — exactly the window in which
     /// clients see [`ClusterError::ReplicaDown`] and retry.
     ///
@@ -1079,7 +1089,7 @@ impl Cluster {
     }
 
     /// Restarts a crashed replica: relaunches the enclave, restores the
-    /// newest locally sealed snapshot if it is still current (the vault
+    /// locally sealed log if it is still current (the vault
     /// rejects anything already migrated away), and re-enrolls through a
     /// fresh challenge quote. Returns the number of restored queries.
     ///
@@ -1150,10 +1160,10 @@ impl Cluster {
     }
 
     /// Migrates the failed replica's sealed window to its designated
-    /// successor. The snapshot is only taken out of the failed node's
-    /// storage once a live successor proxy is in hand, and is put back
-    /// on adoption failure — a fleet with no successor (or a failed
-    /// adoption) keeps the blob so a later restart can still recover the
+    /// successor. The log is only taken out of the failed node's storage
+    /// once a live successor proxy is in hand, and is put back on
+    /// adoption failure — a fleet with no successor (or a failed
+    /// adoption) keeps the log so a later restart can still recover the
     /// window.
     fn failover(&self, failed: ReplicaId) -> FailoverReport {
         let successor = self.pick_successor(failed);
@@ -1163,23 +1173,23 @@ impl Cluster {
             let succ_node = &self.nodes[succ_id.0];
             let guard = succ_node.proxy();
             if let Some(succ_proxy) = guard.as_ref() {
-                if let Some(blob) = failed_node.take_sealed() {
-                    // Atomic adoption inside the successor enclave: the
-                    // front tier only ever relays the opaque blob, the
-                    // source vault retires it (no rollback at a
-                    // restarted `failed`), and there is no
-                    // destination-version window to race with the
-                    // successor's sealing cadence.
-                    match succ_proxy.adopt_migrated_history(failed_node.vault(), &blob) {
-                        Ok(n) => {
-                            migrated_queries = n;
-                            // Snapshot the merged window right away so
-                            // even a prompt crash of the successor
-                            // cannot lose it.
-                            succ_node.seal_snapshot(succ_proxy);
-                        }
-                        Err(_) => failed_node.adopt_sealed(blob),
+                let log = failed_node.take_sealed();
+                // Atomic adoption inside the successor enclave: the
+                // front tier only ever relays the opaque log, the
+                // source vault retires it (no rollback at a restarted
+                // `failed`), and there is no destination-version window
+                // to race with the successor's sealing cadence.
+                match succ_proxy.adopt_migrated_history(failed_node.vault(), &log) {
+                    Ok(0) => {}
+                    Ok(n) => {
+                        migrated_queries = n;
+                        // Seal the merged window right away so even a
+                        // prompt crash of the successor cannot lose it:
+                        // the adopted entries arrived through `push`, so
+                        // they are the successor's next delta.
+                        succ_node.seal_snapshot(succ_proxy);
                     }
+                    Err(_) => failed_node.adopt_sealed(log),
                 }
             }
         }

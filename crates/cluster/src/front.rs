@@ -78,6 +78,7 @@
 use crate::client::handshake_seed;
 use crate::error::ClusterError;
 use crate::fleet::Cluster;
+use crate::placement::key_coord;
 use crate::registry::ReplicaId;
 use crate::router::RequestSlot;
 use parking_lot::Mutex;
@@ -456,6 +457,9 @@ struct Conn {
     /// Channel key of the most recent well-formed request: session
     /// attribution for close-on-disconnect and quarantine strikes.
     channel_key: Option<[u8; 32]>,
+    /// Ring coordinate of `channel_key`: every frame is routed, the key
+    /// is hashed only when it changes.
+    ring_coord: u64,
     /// Shard tick at adoption (handshake deadline, shed-age ordering).
     opened_tick: u64,
     /// Shard tick of the last inbound byte.
@@ -487,6 +491,7 @@ impl Conn {
             in_awaiting: false,
             class: ConnClass::Unattested,
             channel_key: None,
+            ring_coord: 0,
             opened_tick: tick,
             last_read_tick: tick,
             last_write_tick: tick,
@@ -494,6 +499,15 @@ impl Conn {
             window_bytes: 0,
             frames: 0,
             bytes: 0,
+        }
+    }
+
+    /// Attributes the connection to `key`, the channel key of the request
+    /// just parsed.
+    fn set_channel_key(&mut self, key: [u8; 32]) {
+        if self.channel_key != Some(key) {
+            self.channel_key = Some(key);
+            self.ring_coord = key_coord(&key);
         }
     }
 
@@ -1019,7 +1033,7 @@ impl Shard {
                     if conn.over_quota(&cfg.survival) {
                         stats.quota_closed.inc();
                         if let Parsed::Request { client_pub, .. } = &parsed {
-                            conn.channel_key = Some(*client_pub);
+                            conn.set_channel_key(*client_pub);
                         }
                         self.punish(conn, cfg, stats);
                         if matches!(parsed, Parsed::NeedMore) {
@@ -1035,7 +1049,7 @@ impl Shard {
                             echo,
                             ciphertext,
                         } => {
-                            conn.channel_key = Some(client_pub);
+                            conn.set_channel_key(client_pub);
                             // Quarantined keys are refused before any
                             // routing or admission work happens.
                             if let Some(&until) = self.quarantine.get(&client_pub) {
@@ -1059,7 +1073,7 @@ impl Shard {
                             let slot = conn.slot.get_or_insert_with(RequestSlot::new);
                             // The client sealed before its bytes got
                             // here; `seal` only hands the frame over.
-                            let submitted = cluster.route(&client_pub).and_then(|id| {
+                            let submitted = cluster.route_at(conn.ring_coord).and_then(|id| {
                                 cluster
                                     .submit(id, echo, slot, None, || (client_pub, ciphertext))
                                     .map(|charge| (id, charge))
@@ -1815,6 +1829,32 @@ mod tests {
             }
         }
         panic!("no reply within the step budget");
+    }
+
+    #[test]
+    fn a_connection_that_changes_channel_key_is_routed_by_each_frames_key() {
+        let cluster = fleet(256);
+        let front = FrontTier::new(&cluster, FrontConfig::default());
+        let home = |seed| {
+            cluster
+                .route(Broker::client_pub_for_seed(seed).as_bytes())
+                .unwrap()
+        };
+        let other = (2..64)
+            .find(|&seed| home(seed) != home(1))
+            .expect("four replicas share 63 keys");
+        // The ring coordinate is kept per connection: a frame under
+        // another key must not ride the previous key's coordinate to a
+        // replica that holds no such session (→ `UnknownSession`).
+        let mut brokers = [attach(&cluster, 1), attach(&cluster, other)];
+        let stream = front.accept();
+        for turn in [0, 1, 0, 0, 1] {
+            let request = raw_request(&mut brokers[turn], "switch", true);
+            write_all(&front, &stream, &request);
+            let (status, payload) = read_reply(&front, &stream);
+            assert_eq!(status, ConnStatus::Ok, "turn under key {turn}");
+            brokers[turn].open_results(&payload).unwrap();
+        }
     }
 
     fn survival(cfg: SurvivalConfig) -> FrontConfig {

@@ -15,8 +15,8 @@
 //!   client's session and last-x history stay coherent on one replica;
 //! * **failure is survivable** — a replica that stops answering is
 //!   drained by [`fleet::Cluster::health_sweep`], its sealed history
-//!   snapshot (monotonic-versioned, rollback-protected) migrates to its
-//!   ring successor, and clients re-attest the successor and retry
+//!   log (chained, monotonic-versioned, rollback-protected) migrates to
+//!   its ring successor, and clients re-attest the successor and retry
 //!   in-flight requests ([`client::ClusterClient`]);
 //! * **the data plane is lock-free** — routing reads published
 //!   membership/ring snapshots ([`snapshot::Published`]) instead of

@@ -5,7 +5,7 @@
 //! in EPC — sessions, the decoy window) dies with [`ReplicaNode::kill`],
 //! while the **platform** state survives — the sealing identity and
 //! monotonic counter ([`HistoryVault`]), the untrusted storage slot
-//! holding the newest sealed snapshot, and the data-center link to the
+//! holding the sealed history log, and the data-center link to the
 //! router.
 
 use crate::registry::ReplicaId;
@@ -16,13 +16,13 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use xsearch_core::config::XSearchConfig;
-use xsearch_core::persistence::HistoryVault;
+use xsearch_core::persistence::{HistoryVault, SealedLog};
 use xsearch_core::proxy::XSearchProxy;
 use xsearch_engine::engine::SearchEngine;
 use xsearch_net_sim::fault::FaultInjector;
 use xsearch_net_sim::Link;
 use xsearch_sgx_sim::attestation::AttestationService;
-use xsearch_sgx_sim::sealed::{SealedBlob, SealingPlatform};
+use xsearch_sgx_sim::sealed::SealingPlatform;
 
 /// A replica slot in the fleet.
 pub struct ReplicaNode {
@@ -33,8 +33,11 @@ pub struct ReplicaNode {
     proxy: RwLock<Option<XSearchProxy>>,
     /// Sealing identity + monotonic counter (survives enclave death).
     vault: HistoryVault,
-    /// Untrusted storage: the newest sealed history snapshot.
-    sealed: Mutex<Option<SealedBlob>>,
+    /// Untrusted storage: the sealed history log, floor‥head. Its mutex
+    /// is held across the `seal_history` ecall, so cursor read, version
+    /// assignment and append are one step and segments are stored in
+    /// version order whichever ingress came due.
+    sealed: Mutex<SealedLog>,
     /// Router ↔ this replica (delays accounted, not slept).
     link: Link,
     /// Host-side randomness for sealing nonces.
@@ -58,7 +61,7 @@ pub struct ReplicaNode {
     /// Requests served since launch (across enclave restarts).
     served: AtomicU64,
     /// Monotonic request tick for the sealing cadence (every
-    /// `seal_every`-th tick snapshots; never reset).
+    /// `seal_every`-th tick seals; never reset).
     seal_ticks: AtomicUsize,
     /// Ecall-boundary fault injector, kept host-side so a relaunched
     /// enclave gets the same chaos plan re-installed.
@@ -111,7 +114,7 @@ impl ReplicaNode {
             engine,
             proxy: RwLock::new(Some(proxy)),
             vault,
-            sealed: Mutex::new(None),
+            sealed: Mutex::new(SealedLog::default()),
             link,
             rng: Mutex::new(StdRng::seed_from_u64(host_seed ^ 0xA5A5_5A5A)),
             hop_table,
@@ -260,7 +263,7 @@ impl ReplicaNode {
         self.degrade_level.load(Ordering::Relaxed)
     }
 
-    /// Ticks the sealing cadence; returns `true` when a snapshot is due
+    /// Ticks the sealing cadence; returns `true` when a seal is due
     /// (every `every` served requests). The counter is never reset —
     /// each tick takes a unique value and exactly every `every`-th one
     /// fires, so concurrent requests cannot lose cadence ticks.
@@ -270,44 +273,39 @@ impl ReplicaNode {
         n.is_multiple_of(every)
     }
 
-    /// Seals the live window through the vault and publishes the blob to
-    /// this node's untrusted storage slot (newest version wins — two
-    /// racing sealers cannot regress the stored snapshot).
+    /// Seals what reached the live window since the last seal and appends
+    /// the segment to this node's untrusted storage slot (nothing when no
+    /// request landed in between).
     pub(crate) fn seal_snapshot(&self, proxy: &XSearchProxy) {
-        let blob = proxy.seal_history_snapshot(&self.vault, &mut *self.rng.lock());
-        self.adopt_sealed(blob);
-    }
-
-    /// Stores a snapshot in the untrusted storage slot if it is newer
-    /// than what the slot holds.
-    pub(crate) fn adopt_sealed(&self, blob: SealedBlob) {
-        let mut slot = self.sealed.lock();
-        match &*slot {
-            Some(existing) if existing.version() >= blob.version() => {}
-            _ => *slot = Some(blob),
+        let mut log = self.sealed.lock();
+        if let Some(segment) = proxy.seal_history_snapshot(&self.vault, &mut *self.rng.lock()) {
+            log.append(segment);
         }
     }
 
-    /// Takes the newest sealed snapshot out of untrusted storage (the
-    /// failover migration consumes it).
-    pub(crate) fn take_sealed(&self) -> Option<SealedBlob> {
-        self.sealed.lock().take()
+    /// Puts a log a failed adoption could not use back into the storage
+    /// slot, unless the slot has moved on since.
+    pub(crate) fn adopt_sealed(&self, log: SealedLog) {
+        let mut slot = self.sealed.lock();
+        if slot.head_version() < log.head_version() {
+            *slot = log;
+        }
     }
 
-    /// A copy of the newest sealed snapshot, if any.
-    #[must_use]
-    pub fn sealed_snapshot(&self) -> Option<SealedBlob> {
-        self.sealed.lock().clone()
+    /// Takes the sealed log out of untrusted storage (the failover
+    /// migration consumes it).
+    pub(crate) fn take_sealed(&self) -> SealedLog {
+        std::mem::take(&mut *self.sealed.lock())
     }
 
     /// Hard-crashes the enclave: sessions and the in-EPC window are
-    /// gone; only sealed snapshots (and the platform vault) survive.
+    /// gone; only the sealed log (and the platform vault) survives.
     pub(crate) fn kill(&self) {
         *self.proxy.write() = None;
     }
 
     /// Relaunches the enclave after a crash. If the untrusted storage
-    /// slot still holds a snapshot, the fresh enclave adopts it through
+    /// slot still holds a log, the fresh enclave adopts it through
     /// the same atomic version-claiming path failover migration uses —
     /// so even a restart racing a concurrent health sweep cannot restore
     /// a window that a successor adopted (or is adopting): exactly one
@@ -321,22 +319,17 @@ impl ReplicaNode {
         // A fresh enclave starts at full obfuscation strength; the next
         // pressure reading will re-derive the level.
         self.degrade_level.store(0, Ordering::Relaxed);
-        let mut restored = 0;
-        if let Some(blob) = self.sealed.lock().clone() {
-            if let Ok(n) = proxy.adopt_migrated_history(&self.vault, &blob) {
-                restored = n;
-            }
-            // On error the snapshot was already claimed (migrated to a
-            // successor) or is foreign: start empty rather than
-            // resurrect a superseded window.
-        }
-        // Re-seal immediately so the slot reflects the restored state at
-        // a fresh monotonic version.
+        // On error the log was already claimed (migrated to a successor)
+        // or is foreign: start empty rather than resurrect a superseded
+        // window.
+        let restored = proxy
+            .adopt_migrated_history(&self.vault, &self.sealed.lock())
+            .unwrap_or(0);
+        // Re-seal immediately — a chain start, this being a new enclave
+        // lifetime — so the slot reflects the restored state at a fresh
+        // monotonic version.
         if restored > 0 {
-            let mut rng = self.rng.lock();
-            let blob = proxy.seal_history_snapshot(&self.vault, &mut *rng);
-            drop(rng);
-            self.adopt_sealed(blob);
+            self.seal_snapshot(&proxy);
         }
         *self.proxy.write() = Some(proxy);
         restored

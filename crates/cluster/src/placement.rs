@@ -24,6 +24,15 @@ fn hash64(domain: &[u8], parts: &[&[u8]]) -> u64 {
     u64::from_le_bytes(digest[..8].try_into().expect("8 bytes"))
 }
 
+/// The ring coordinate of an affinity key. It depends on the key alone,
+/// so a caller that routes one key many times — a framed connection, a
+/// frame at a time — computes it once and walks from it
+/// ([`HashRing::walk_from_coord`]).
+#[must_use]
+pub fn key_coord(key: &[u8]) -> u64 {
+    hash64(b"xsearch-ring-key-v1", &[key])
+}
+
 /// A consistent-hash ring over the currently routable replicas.
 #[derive(Debug, Clone, Default)]
 pub struct HashRing {
@@ -63,7 +72,7 @@ impl HashRing {
     /// coordinate — element 0 is the owner, then the replicas that would
     /// take over this key as earlier candidates drop out.
     pub fn walk_from(&self, key: &[u8]) -> impl Iterator<Item = ReplicaId> + '_ {
-        self.walk_from_coord(hash64(b"xsearch-ring-key-v1", &[key]))
+        self.walk_from_coord(key_coord(key))
     }
 
     /// Distinct replicas in clockwise order starting at `id`'s **primary
@@ -75,7 +84,8 @@ impl HashRing {
         self.walk_from_coord(vnode_coord(id, 0))
     }
 
-    fn walk_from_coord(&self, coord: u64) -> impl Iterator<Item = ReplicaId> + '_ {
+    /// [`HashRing::walk_from`] for a key whose [`key_coord`] is in hand.
+    pub fn walk_from_coord(&self, coord: u64) -> impl Iterator<Item = ReplicaId> + '_ {
         let start = self.points.partition_point(|&(c, _)| c < coord);
         let n = self.points.len();
         let mut seen: Vec<ReplicaId> = Vec::new();
@@ -250,5 +260,8 @@ mod tests {
         sorted.dedup();
         assert_eq!(sorted.len(), 4, "walk must not repeat replicas");
         assert_eq!(walked[0], ring.lookup(b"some client").unwrap());
+        // A kept coordinate walks the same way as the key it came from.
+        let kept: Vec<ReplicaId> = ring.walk_from_coord(key_coord(b"some client")).collect();
+        assert_eq!(kept, walked);
     }
 }

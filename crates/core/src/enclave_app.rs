@@ -30,6 +30,7 @@ use crate::error::XSearchError;
 use crate::filter::filter_results;
 use crate::history::QueryHistory;
 use crate::obfuscate::{obfuscate, ObfuscatedQuery};
+use crate::persistence::{HistoryVault, SealCursor, SealedSegment};
 use crate::redirect::strip_all;
 use crate::session::{channel_binding, SecureChannel, Side};
 use crate::wire::{
@@ -115,6 +116,9 @@ pub struct EnclaveState {
     identity: StaticSecret,
     identity_pub: PublicKey,
     history: QueryHistory,
+    /// How far this enclave lifetime has sealed `history` (the mutex also
+    /// serializes seals, so segments leave in version order).
+    seal_cursor: Mutex<SealCursor>,
     config: XSearchConfig,
     /// Base seed for per-request RNGs, derived from the config seed at
     /// `init` (after the identity draw, preserving the seed schedule).
@@ -182,6 +186,7 @@ impl EnclaveState {
             identity,
             identity_pub,
             history: QueryHistory::new(config.history_capacity, epc.clone()),
+            seal_cursor: Mutex::new(SealCursor::default()),
             config,
             rng_seed,
             rng_ticket: AtomicU64::new(0),
@@ -238,6 +243,17 @@ impl EnclaveState {
     #[must_use]
     pub fn history(&self) -> &QueryHistory {
         &self.history
+    }
+
+    /// The `seal_history` ecall: seals what landed in the window since
+    /// this enclave's previous seal as the next segment of `vault`'s log
+    /// (`None` when nothing did). Only ciphertext leaves.
+    pub fn seal_history<R: rand::RngCore>(
+        &self,
+        vault: &HistoryVault,
+        rng: &mut R,
+    ) -> Option<SealedSegment> {
+        vault.seal(&self.history, &mut self.seal_cursor.lock(), rng)
     }
 
     /// The private RNG for one request ticket: SplitMix64-spaced streams

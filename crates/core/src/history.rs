@@ -246,9 +246,9 @@ impl QueryHistory {
         &self.epc
     }
 
-    /// An ordered snapshot (oldest first) — used by sealed persistence;
-    /// only callable from in-enclave code in the real system. Cold path:
-    /// locks every stripe and merges by push sequence number.
+    /// An ordered snapshot (oldest first); only callable from in-enclave
+    /// code in the real system. Cold path: locks every stripe and merges
+    /// the whole window by push sequence number.
     #[must_use]
     pub fn snapshot(&self) -> Vec<String> {
         self.snapshot_arcs()
@@ -259,19 +259,59 @@ impl QueryHistory {
 
     /// The zero-copy spine of [`QueryHistory::snapshot`]: the ordered
     /// window as shared `Arc<str>` handles — refcount bumps, no text
-    /// copies. The sealed persistence path serializes straight from
-    /// these, which matters because a fleet replica re-seals its whole
-    /// window every `seal_every` requests.
+    /// copies. It is [`QueryHistory::read_since`] from a cursor that has
+    /// read nothing.
     #[must_use]
     pub fn snapshot_arcs(&self) -> Vec<Arc<str>> {
-        let mut tagged: Vec<Entry> = Vec::with_capacity(self.len());
-        for stripe in &self.stripes {
+        self.read_since(&mut HistoryCursor::default())
+    }
+
+    /// The delta read behind sealed persistence: every entry that landed
+    /// since `cursor` last read this table and is still in the window,
+    /// oldest first, and advances `cursor` past them. Costs the entries
+    /// returned plus one lock per stripe, whatever the window size.
+    ///
+    /// The cursor is a *position* in each stripe (the sequence tag of
+    /// the newest entry it has seen there), not one global sequence
+    /// number. [`QueryHistory::push_arc`] claims its number before it
+    /// takes the stripe lock, so entries land out of sequence order
+    /// across stripes and within one; "everything at or above sequence
+    /// *n*" can skip a push that had claimed a number but not landed,
+    /// and a walk that stops at the first tag below *n* can stop short
+    /// of a higher tag that landed before it. A stripe is a FIFO in
+    /// landing order, so "everything behind the mark" is exactly what
+    /// landed since — an entry is returned by the first read after it
+    /// lands, once, under any interleaving. A mark that has been evicted
+    /// means the whole stripe is new.
+    pub fn read_since(&self, cursor: &mut HistoryCursor) -> Vec<Arc<str>> {
+        cursor.marks.resize(self.stripes.len(), None);
+        let mut tagged: Vec<Entry> = Vec::new();
+        for (stripe, mark) in self.stripes.iter().zip(&mut cursor.marks) {
             let entries = stripe.entries.lock();
-            tagged.extend(entries.iter().cloned());
+            let fresh = match *mark {
+                Some(seen) => entries
+                    .iter()
+                    .rev()
+                    .take_while(|(seq, _)| *seq != seen)
+                    .count(),
+                None => entries.len(),
+            };
+            tagged.extend(entries.range(entries.len() - fresh..).cloned());
+            if let Some((seq, _)) = entries.back() {
+                *mark = Some(*seq);
+            }
         }
         tagged.sort_unstable_by_key(|(seq, _)| *seq);
         tagged.into_iter().map(|(_, q)| q).collect()
     }
+}
+
+/// How far a reader has got through a [`QueryHistory`]: per stripe, the
+/// sequence tag of the newest entry already read (see
+/// [`QueryHistory::read_since`]). The default has read nothing.
+#[derive(Debug, Default)]
+pub struct HistoryCursor {
+    marks: Vec<Option<u64>>,
 }
 
 #[cfg(test)]
@@ -391,6 +431,72 @@ mod tests {
             h.push(&format!("q{i}"));
         }
         assert_eq!(h.snapshot(), vec!["q6", "q7", "q8", "q9"]);
+    }
+
+    fn texts(entries: Vec<Arc<str>>) -> Vec<String> {
+        entries.iter().map(|q| String::from(&**q)).collect()
+    }
+
+    #[test]
+    fn read_since_returns_each_entry_once_oldest_first() {
+        let h = history(16);
+        let mut cursor = HistoryCursor::default();
+        assert!(h.read_since(&mut cursor).is_empty());
+        for i in 0..5 {
+            h.push(&format!("q{i}"));
+        }
+        assert_eq!(
+            texts(h.read_since(&mut cursor)),
+            ["q0", "q1", "q2", "q3", "q4"]
+        );
+        assert!(h.read_since(&mut cursor).is_empty());
+        for i in 5..12 {
+            h.push(&format!("q{i}"));
+        }
+        assert_eq!(
+            texts(h.read_since(&mut cursor)),
+            ["q5", "q6", "q7", "q8", "q9", "q10", "q11"]
+        );
+    }
+
+    #[test]
+    fn read_since_past_an_evicted_mark_returns_what_is_left() {
+        // 8 stripes of 2. After 16 more pushes per stripe position the
+        // marks are gone and the whole window is new; after 17, stripe 0
+        // has also lost an entry nobody read — it is outside the window.
+        let h = history(16);
+        let mut cursor = HistoryCursor::default();
+        for i in 0..16 {
+            h.push(&format!("q{i}"));
+        }
+        assert_eq!(h.read_since(&mut cursor).len(), 16);
+        for i in 16..33 {
+            h.push(&format!("q{i}"));
+        }
+        let expected: Vec<String> = (17..33).map(|i| format!("q{i}")).collect();
+        assert_eq!(texts(h.read_since(&mut cursor)), expected);
+        assert_eq!(h.snapshot(), expected);
+    }
+
+    #[test]
+    fn read_since_keeps_a_late_lander_behind_a_higher_tag() {
+        // Two pushers of one stripe landing against their claim order —
+        // built by hand, since `push_arc` claims and lands in one call.
+        // A reader that had already seen tag 16 must still get tag 8.
+        let h = history(24);
+        let q = |s: &str| Arc::<str>::from(s);
+        h.stripes[0]
+            .entries
+            .lock()
+            .push_back((16, q("claimed second")));
+        let mut cursor = HistoryCursor::default();
+        assert_eq!(texts(h.read_since(&mut cursor)), ["claimed second"]);
+        h.stripes[0]
+            .entries
+            .lock()
+            .push_back((8, q("claimed first")));
+        assert_eq!(texts(h.read_since(&mut cursor)), ["claimed first"]);
+        assert!(h.read_since(&mut cursor).is_empty());
     }
 
     #[test]

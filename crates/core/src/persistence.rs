@@ -4,107 +4,263 @@
 //! in enclave memory). SGX sealing makes a privacy-preserving restart
 //! possible: the enclave serializes the table and seals it to its own
 //! measurement, so only the *same proxy code* on the *same platform* can
-//! restore it — the operator gets a blob it cannot read. This module
+//! restore it — the operator gets bytes it cannot read. This module
 //! implements that extension (listed as such in DESIGN.md: the paper
 //! mentions sealing as an SGX capability in §2.3 but does not use it).
 //!
-//! Two layers live here:
+//! The window is sealed as an append-only **log of segments**, not as one
+//! blob: each [`HistoryVault::seal`] covers only the entries that landed
+//! since the previous one, so its cost follows the request rate and not
+//! the window size. A segment carries, in the clear but authenticated,
 //!
-//! * the free functions [`seal_history`] / [`restore_history`] — the
-//!   plain seal/unseal roundtrip, version 0, no rollback protection;
-//! * [`HistoryVault`] — the fleet-grade path: every snapshot carries a
-//!   **monotonic version** (modeling SGX's hardware monotonic counters),
-//!   restoring anything older than the newest sealed version is rejected
-//!   as a rollback, and [`migrate_history`] re-seals a snapshot from one
-//!   platform's vault to another's so failover (see `xsearch-cluster`)
-//!   can move a dead replica's window to its successor without ever
-//!   exposing plaintext to the operator or enabling history rollback.
+//! * its **version** — the vault's next monotonic counter value
+//!   (modeling SGX's hardware counters);
+//! * its **predecessor's tag**, chaining it to the segment before;
+//! * its **floor** — the version of the oldest segment still needed to
+//!   rebuild the window. The window is exactly the last `capacity`
+//!   pushes, so a segment is dead once the segments after it hold at
+//!   least `capacity` entries; untrusted storage ([`SealedLog`]) drops
+//!   what lies below the newest floor and never holds `2 × capacity`
+//!   entries. There is no compaction pass. A segment that names itself
+//!   as floor is a **chain start** and carries the whole live window.
 //!
-//! The on-disk payload format is the shared length-prefixed query batch
-//! from [`crate::wire`] — the same framing the `seed` ecall uses, so
-//! there is exactly one serializer to fuzz.
+//! [`restore_migrated`] is the one way back in: it verifies the whole
+//! chain floor‥head, claims the head's version at the source vault
+//! (exactly one consumer ever wins; anything older is a rollback) and
+//! only then replays the entries. The free functions [`seal_history`] /
+//! [`restore_history`] are the same path through a throw-away vault: a
+//! chain start and its restore, with no rollback protection.
+//!
+//! A segment's plaintext is the shared length-prefixed query batch from
+//! [`crate::wire`] — the same framing the `seed` ecall uses, so there is
+//! exactly one serializer to fuzz.
 
-use crate::history::QueryHistory;
-use crate::wire::{decode_query_batch, encode_query_batch};
+use crate::history::{HistoryCursor, QueryHistory};
+use crate::wire::{decode_query_batch, encode_query_batch_into};
 use rand::RngCore;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use xsearch_sgx_sim::error::SgxError;
 use xsearch_sgx_sim::measurement::Measurement;
-use xsearch_sgx_sim::sealed::{SealedBlob, SealingPlatform};
+use xsearch_sgx_sim::sealed::{SealingKey, SealingPlatform};
 
-/// Serializes the live window with the shared wire framing
-/// ([`crate::wire::encode_query_batch`]), straight from its shared
-/// `Arc<str>` handles — the hot sealing path. A fleet replica re-seals
-/// its whole window every `seal_every` requests, so this avoids
-/// materializing an owned `Vec<String>` copy of every query text per
-/// snapshot.
-fn serialize_window(history: &QueryHistory) -> Vec<u8> {
-    let arcs = history.snapshot_arcs();
-    encode_query_batch(arcs.iter().map(|q| &**q))
-}
+/// Segment layout: `nonce ‖ version ‖ floor ‖ prev_tag ‖ ciphertext ‖ tag`.
+/// `floor ‖ prev_tag` is the link the AEAD binds beside measurement and
+/// version.
+const NONCE: usize = 12;
+const LINK: usize = NONCE + 8;
+const HEADER: usize = LINK + 8 + TAG;
+const TAG: usize = 16;
 
-fn deserialize(bytes: &[u8]) -> Result<Vec<String>, SgxError> {
-    let queries = decode_query_batch(bytes).map_err(|_| SgxError::UnsealFailed)?;
-    Ok(queries.into_iter().map(str::to_owned).collect())
-}
+/// A borrowed, length-checked view of one encoded segment.
+struct Segment<'a>(&'a [u8]);
 
-/// Seals the history's contents to (platform, measurement).
-///
-/// The returned blob is safe to hand to untrusted storage: it reveals
-/// only its length.
-pub fn seal_history<R: RngCore>(
-    history: &QueryHistory,
-    platform: &SealingPlatform,
-    measurement: &Measurement,
-    rng: &mut R,
-) -> SealedBlob {
-    // Snapshot oldest-first so restore preserves window order.
-    platform.seal(measurement, &serialize_window(history), rng)
-}
-
-/// Restores a sealed snapshot into `history` (pushed oldest-first, so the
-/// sliding window keeps the most recent queries if the snapshot exceeds
-/// capacity).
-///
-/// # Errors
-///
-/// [`SgxError::UnsealFailed`] when the blob was sealed by different code
-/// or a different platform, or was tampered with.
-pub fn restore_history(
-    history: &QueryHistory,
-    platform: &SealingPlatform,
-    measurement: &Measurement,
-    blob: &SealedBlob,
-) -> Result<usize, SgxError> {
-    let bytes = platform.unseal(measurement, blob)?;
-    restore_bytes(history, &bytes)
-}
-
-fn restore_bytes(history: &QueryHistory, bytes: &[u8]) -> Result<usize, SgxError> {
-    let queries = deserialize(bytes)?;
-    let n = queries.len();
-    for q in &queries {
-        history.push(q);
+impl<'a> Segment<'a> {
+    fn parse(bytes: &'a [u8]) -> Result<Self, SgxError> {
+        if bytes.len() < HEADER + TAG {
+            return Err(SgxError::UnsealFailed);
+        }
+        Ok(Segment(bytes))
     }
-    Ok(n)
+
+    fn word(&self, at: usize) -> u64 {
+        u64::from_le_bytes(self.0[at..at + 8].try_into().expect("8 bytes"))
+    }
+
+    fn nonce(&self) -> &'a [u8; NONCE] {
+        self.0[..NONCE].try_into().expect("12 bytes")
+    }
+
+    fn version(&self) -> u64 {
+        self.word(NONCE)
+    }
+
+    fn floor(&self) -> u64 {
+        self.word(LINK)
+    }
+
+    fn link(&self) -> &'a [u8] {
+        &self.0[LINK..HEADER]
+    }
+
+    fn prev_tag(&self) -> &'a [u8] {
+        &self.0[LINK + 8..HEADER]
+    }
+
+    fn sealed(&self) -> &'a [u8] {
+        &self.0[HEADER..]
+    }
+
+    fn tag(&self) -> &'a [u8] {
+        &self.0[self.0.len() - TAG..]
+    }
 }
 
-/// The enclave's sealing facility with rollback protection: a sealing
-/// platform, the enclave measurement, and a monotonic counter standing in
-/// for SGX's hardware monotonic counters.
+/// One sealed segment of the history log in its storage encoding — what
+/// the `seal_history` ecall hands out and untrusted storage keeps. It
+/// reveals its version, its floor and its length, nothing else.
+#[derive(Clone)]
+pub struct SealedSegment(Vec<u8>);
+
+impl std::fmt::Debug for SealedSegment {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SealedSegment")
+            .field("version", &self.version())
+            .field("floor", &self.floor())
+            .field("len", &self.0.len())
+            .finish()
+    }
+}
+
+impl SealedSegment {
+    /// Wraps encoded bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`SgxError::UnsealFailed`] when they are too short to hold a
+    /// header. (Authenticity is only established by a restore.)
+    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, SgxError> {
+        Segment::parse(&bytes)?;
+        Ok(SealedSegment(bytes))
+    }
+
+    fn view(&self) -> Segment<'_> {
+        Segment(&self.0)
+    }
+
+    /// The monotonic version bound into this segment.
+    #[must_use]
+    pub fn version(&self) -> u64 {
+        self.view().version()
+    }
+
+    /// The oldest version a restore from this segment needs; its own
+    /// version for a chain start.
+    #[must_use]
+    pub fn floor(&self) -> u64 {
+        self.view().floor()
+    }
+
+    /// The encoded bytes (nothing here is secret).
+    #[must_use]
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+
+    /// Unwraps the encoded bytes.
+    #[must_use]
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.0
+    }
+}
+
+/// Untrusted storage for one vault's sealed log: the segments from the
+/// newest floor to the head, oldest first.
+#[derive(Debug, Default)]
+pub struct SealedLog {
+    segments: VecDeque<SealedSegment>,
+}
+
+impl SealedLog {
+    /// Appends the next segment and drops every stored segment below its
+    /// floor — all of them when it is a chain start.
+    pub fn append(&mut self, segment: SealedSegment) {
+        while self
+            .segments
+            .front()
+            .is_some_and(|oldest| oldest.version() < segment.floor())
+        {
+            self.segments.pop_front();
+        }
+        self.segments.push_back(segment);
+    }
+
+    /// Whether the log holds no segment.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.segments.is_empty()
+    }
+
+    /// Version of the newest stored segment.
+    #[must_use]
+    pub fn head_version(&self) -> Option<u64> {
+        self.segments.back().map(SealedSegment::version)
+    }
+
+    /// Serializes the log for the `migrate_in` ecall
+    /// (`count ‖ (len ‖ segment)*`, u32 LE prefixes).
+    #[must_use]
+    pub fn encode(&self) -> Vec<u8> {
+        encode_log(self.segments.iter())
+    }
+}
+
+fn encode_log<'a>(segments: impl ExactSizeIterator<Item = &'a SealedSegment>) -> Vec<u8> {
+    let mut out = (segments.len() as u32).to_le_bytes().to_vec();
+    for segment in segments {
+        out.extend_from_slice(&(segment.0.len() as u32).to_le_bytes());
+        out.extend_from_slice(&segment.0);
+    }
+    out
+}
+
+fn decode_log(bytes: &[u8]) -> Result<Vec<Segment<'_>>, SgxError> {
+    let word = |at: usize| -> Result<usize, SgxError> {
+        let raw = bytes.get(at..at + 4).ok_or(SgxError::UnsealFailed)?;
+        Ok(u32::from_le_bytes(raw.try_into().expect("4 bytes")) as usize)
+    };
+    let count = word(0)?;
+    let mut segments = Vec::with_capacity(count.min(bytes.len() / (HEADER + TAG)));
+    let mut at = 4;
+    for _ in 0..count {
+        let len = word(at)?;
+        let raw = bytes
+            .get(at + 4..at + 4 + len)
+            .ok_or(SgxError::UnsealFailed)?;
+        segments.push(Segment::parse(raw)?);
+        at += 4 + len;
+    }
+    if at != bytes.len() {
+        return Err(SgxError::UnsealFailed);
+    }
+    Ok(segments)
+}
+
+/// Where an enclave has got to in sealing its window: the read position
+/// in the history, the predecessor to chain to, and how many entries
+/// each still-needed segment holds (the enclave's own mirror of the log,
+/// from which it derives the floor — the host cannot be trusted to say
+/// what may be forgotten). Lives with the enclave state and dies with
+/// it; the vault outlives it.
+#[derive(Debug, Default)]
+pub struct SealCursor {
+    read: HistoryCursor,
+    /// Version and tag of the segment sealed last.
+    prev: Option<(u64, [u8; TAG])>,
+    /// Entry counts of the segments floor‥head, oldest first.
+    live: VecDeque<usize>,
+    live_entries: usize,
+}
+
+/// The enclave's sealing facility with rollback protection: the sealing
+/// key of (platform, measurement) — derived once, it is the larger half
+/// of sealing a small segment — and a monotonic counter standing in for
+/// SGX's hardware monotonic counters.
 ///
-/// Every [`HistoryVault::seal`] stamps the blob with the next counter
-/// value; [`HistoryVault::restore`] refuses any blob older than the
-/// newest one sealed, so an operator (or a failover orchestrator) cannot
-/// roll the decoy window back to a superseded snapshot. The vault object
-/// models state that survives enclave restarts on the same host — in
-/// real SGX the counter lives in platform hardware, not enclave memory.
+/// Every [`HistoryVault::seal`] stamps its segment with the next counter
+/// value; [`restore_migrated`] refuses any log whose head is older than
+/// the newest version sealed or claimed, so an operator (or a failover
+/// orchestrator) cannot roll the decoy window back to a superseded log.
+/// The vault object models state that survives enclave restarts on the
+/// same host — in real SGX the counter lives in platform hardware, not
+/// enclave memory.
 #[derive(Debug)]
 pub struct HistoryVault {
-    platform: SealingPlatform,
+    key: SealingKey,
     measurement: Measurement,
-    /// Version of the newest blob sealed by this vault — also the floor
-    /// below which restores are rejected as rollbacks.
+    /// Version of the newest segment sealed by this vault — also the
+    /// floor below which restores are rejected as rollbacks.
     last_sealed: AtomicU64,
 }
 
@@ -113,138 +269,190 @@ impl HistoryVault {
     #[must_use]
     pub fn new(platform: SealingPlatform, measurement: Measurement) -> Self {
         HistoryVault {
-            platform,
+            key: platform.key_for(&measurement),
             measurement,
             last_sealed: AtomicU64::new(0),
         }
     }
 
-    /// The measurement blobs from this vault are sealed to.
+    /// The measurement segments from this vault are sealed to.
     #[must_use]
     pub fn measurement(&self) -> Measurement {
         self.measurement
     }
 
-    /// Version of the newest blob this vault sealed (0 if none yet).
+    /// Version of the newest segment this vault sealed (0 if none yet).
     #[must_use]
     pub fn last_sealed(&self) -> u64 {
         self.last_sealed.load(Ordering::Acquire)
     }
 
-    /// Seals a snapshot of `history` at the next monotonic version.
-    pub fn seal<R: RngCore>(&self, history: &QueryHistory, rng: &mut R) -> SealedBlob {
-        self.seal_bytes(&serialize_window(history), rng)
+    /// Seals what landed in `history` since `cursor`'s previous seal as
+    /// the next segment of its chain; `None` (and no version consumed)
+    /// when nothing did. The chain continues only while this vault's
+    /// counter is where the cursor left it — a fresh cursor, or a counter
+    /// moved by a claim, makes this a chain start that carries the whole
+    /// live window. Callers serialize seals on one vault; the storage
+    /// side must [`SealedLog::append`] segments in the order sealed.
+    pub fn seal<R: RngCore>(
+        &self,
+        history: &QueryHistory,
+        cursor: &mut SealCursor,
+        rng: &mut R,
+    ) -> Option<SealedSegment> {
+        if cursor.prev.is_none_or(|(v, _)| v != self.last_sealed()) {
+            *cursor = SealCursor::default();
+        }
+        let delta = history.read_since(&mut cursor.read);
+        if delta.is_empty() {
+            return None;
+        }
+        Some(self.seal_segment(&delta, history.capacity(), cursor, rng))
     }
 
-    fn seal_bytes<R: RngCore>(&self, payload: &[u8], rng: &mut R) -> SealedBlob {
+    fn seal_segment<R: RngCore>(
+        &self,
+        delta: &[Arc<str>],
+        capacity: usize,
+        cursor: &mut SealCursor,
+        rng: &mut R,
+    ) -> SealedSegment {
         let version = self.last_sealed.fetch_add(1, Ordering::AcqRel) + 1;
-        self.platform
-            .seal_versioned(&self.measurement, version, payload, rng)
-    }
-
-    /// Restores a sealed snapshot into `history`, enforcing monotonicity:
-    /// only the newest sealed version (or a newer one produced by a peer
-    /// vault and [`migrate_history`]) is accepted.
-    ///
-    /// # Errors
-    ///
-    /// [`SgxError::RolledBack`] for a blob older than the last sealed
-    /// version; [`SgxError::UnsealFailed`] for wrong platform/measurement
-    /// or tampering.
-    pub fn restore(&self, history: &QueryHistory, blob: &SealedBlob) -> Result<usize, SgxError> {
-        let bytes = self
-            .platform
-            .unseal_monotonic(&self.measurement, blob, self.last_sealed())?;
-        restore_bytes(history, &bytes)
-    }
-
-    /// Marks `version` (and everything older) as consumed, raising the
-    /// restore floor past it. Called after a blob is migrated away so
-    /// the source host cannot restore the pre-migration window — that
-    /// window now lives (and keeps growing) at the successor.
-    pub fn retire(&self, version: u64) {
-        self.last_sealed.fetch_max(version + 1, Ordering::AcqRel);
+        cursor.live.push_back(delta.len());
+        cursor.live_entries += delta.len();
+        while cursor.live_entries - cursor.live[0] >= capacity {
+            cursor.live_entries -= cursor.live.pop_front().expect("non-empty");
+        }
+        assert!(
+            cursor.live_entries < 2 * capacity,
+            "the floor segment holds at most a window, the rest less than one"
+        );
+        let floor = version + 1 - cursor.live.len() as u64;
+        let text: usize = delta.iter().map(|q| 4 + q.len()).sum();
+        let mut bytes = Vec::with_capacity(HEADER + 4 + text + TAG);
+        bytes.extend_from_slice(&[0; NONCE]);
+        bytes.extend_from_slice(&version.to_le_bytes());
+        bytes.extend_from_slice(&floor.to_le_bytes());
+        bytes.extend_from_slice(&cursor.prev.map_or([0; TAG], |(_, tag)| tag));
+        encode_query_batch_into(&mut bytes, delta.iter().map(|q| &**q));
+        let link: [u8; HEADER - LINK] = bytes[LINK..HEADER].try_into().expect("link");
+        let nonce = self.key.seal_tail(version, &link, &mut bytes, HEADER, rng);
+        bytes[..NONCE].copy_from_slice(&nonce);
+        let segment = SealedSegment(bytes);
+        cursor.prev = Some((version, segment.view().tag().try_into().expect("tag")));
+        segment
     }
 }
 
-/// Migrates a sealed history snapshot from `src`'s vault to `dst`'s:
-/// unseals under the source platform, atomically claims the blob's
-/// version at the source (one consumer ever wins; the blob can never be
-/// restored at the source again), and re-seals under the destination
-/// platform at the destination's next monotonic version.
+/// Seals the history's whole window to (platform, measurement) as a
+/// chain start under a throw-away vault: no rollback protection.
 ///
-/// Conceptually both ends run inside attested enclaves of the same
-/// measurement; the orchestrator only ever holds the two opaque blobs.
-///
-/// # Errors
-///
-/// [`SgxError::RolledBack`] when `blob` is older than the newest snapshot
-/// `src` sealed; [`SgxError::UnsealFailed`] for wrong platform,
-/// measurement mismatch, or tampering.
-pub fn migrate_history<R: RngCore>(
-    blob: &SealedBlob,
-    src: &HistoryVault,
-    dst: &HistoryVault,
+/// The returned segment is safe to hand to untrusted storage: it reveals
+/// only its length.
+pub fn seal_history<R: RngCore>(
+    history: &QueryHistory,
+    platform: &SealingPlatform,
+    measurement: &Measurement,
     rng: &mut R,
-) -> Result<SealedBlob, SgxError> {
-    if src.measurement != dst.measurement {
-        // Sealed history only moves between replicas running the exact
-        // same enclave code.
-        return Err(SgxError::UnsealFailed);
-    }
-    let bytes = src.platform.unseal(&src.measurement, blob)?;
-    let claimed = src
-        .last_sealed
-        .fetch_max(blob.version() + 1, Ordering::AcqRel);
-    if claimed > blob.version() {
-        return Err(SgxError::RolledBack {
-            sealed: blob.version(),
-            floor: claimed,
-        });
-    }
-    Ok(dst.seal_bytes(&bytes, rng))
+) -> SealedSegment {
+    HistoryVault::new(platform.clone(), *measurement).seal_segment(
+        &history.snapshot_arcs(),
+        history.capacity(),
+        &mut SealCursor::default(),
+        rng,
+    )
 }
 
-/// The live end of a migration: unseals `blob` under the **source**
-/// vault, atomically *claims* its version against the source's
-/// monotonic counter — exactly one consumer can ever win, even when a
-/// failover sweep and a source restart race for the same blob — and
-/// restores the window directly into `history` (the adopting enclave's
-/// live table). Unlike [`migrate_history`] + a later restore, this
-/// involves no destination-version check, so it cannot race with the
-/// destination's own sealing cadence either.
+/// Restores a [`seal_history`] segment into `history` (pushed
+/// oldest-first, so the sliding window keeps the most recent queries if
+/// the segment exceeds capacity).
 ///
 /// # Errors
 ///
-/// [`SgxError::RolledBack`] when the blob's version was already claimed
+/// [`SgxError::UnsealFailed`] when the segment was sealed by different
+/// code or a different platform, or was tampered with.
+pub fn restore_history(
+    history: &QueryHistory,
+    platform: &SealingPlatform,
+    measurement: &Measurement,
+    segment: &SealedSegment,
+) -> Result<usize, SgxError> {
+    let vault = HistoryVault::new(platform.clone(), *measurement);
+    restore_migrated(history, &encode_log([segment].into_iter()), &vault)
+}
+
+/// The one restore path (restart and failover alike): verifies the
+/// encoded `log` under the **source** vault as one chain — versions
+/// contiguous from the head's floor to the head, every predecessor tag
+/// matching, every segment opening under (platform, measurement) — then
+/// atomically *claims* the head's version against the source's monotonic
+/// counter — exactly one consumer can ever win, even when a failover
+/// sweep and a source restart race for the same log, and a log whose
+/// newest segments were withheld presents a head already superseded —
+/// and only then replays the entries oldest-first into `history` (the
+/// adopting enclave's live table; they arrive through `push`, so its own
+/// next seal picks them up as an ordinary delta). Returns the number of
+/// queries pushed: entries the window would evict again at once are
+/// skipped.
+///
+/// # Errors
+///
+/// [`SgxError::RolledBack`] when the head's version was already claimed
 /// or superseded at the source; [`SgxError::UnsealFailed`] for wrong
-/// platform/measurement or tampering. On error nothing is restored or
-/// claimed.
+/// platform/measurement, tampering, or a chain that is not exactly
+/// floor‥head. On error nothing is restored or claimed.
 pub fn restore_migrated(
     history: &QueryHistory,
-    blob: &SealedBlob,
+    log: &[u8],
     src: &HistoryVault,
 ) -> Result<usize, SgxError> {
-    let bytes = src.platform.unseal(&src.measurement, blob)?;
-    // Claim-then-restore: raise the floor past this version in one
-    // atomic step. The winner observes a previous floor at or below the
-    // blob's version; every racing consumer observes the raised floor
-    // and reports a rollback instead of duplicating the window.
+    let segments = decode_log(log)?;
+    let Some(head) = segments.last() else {
+        return Ok(0);
+    };
+    let mut batches = Vec::with_capacity(segments.len());
+    for (i, segment) in segments.iter().enumerate() {
+        let in_sequence = head.floor().checked_add(i as u64) == Some(segment.version());
+        let chained = i == 0 || segments[i - 1].tag() == segment.prev_tag();
+        if !in_sequence || !chained {
+            return Err(SgxError::UnsealFailed);
+        }
+        batches.push(src.key.open(
+            segment.nonce(),
+            segment.version(),
+            segment.link(),
+            segment.sealed(),
+        )?);
+    }
+    let mut queries = Vec::new();
+    for batch in &batches {
+        queries.extend(decode_query_batch(batch).map_err(|_| SgxError::UnsealFailed)?);
+    }
+    // Claim-then-restore: raise the floor past the head in one atomic
+    // step. The winner observes a previous floor at or below the head's
+    // version; every racing consumer observes the raised floor and
+    // reports a rollback instead of duplicating the window.
     let claimed = src
         .last_sealed
-        .fetch_max(blob.version() + 1, Ordering::AcqRel);
-    if claimed > blob.version() {
+        .fetch_max(head.version() + 1, Ordering::AcqRel);
+    if claimed > head.version() {
         return Err(SgxError::RolledBack {
-            sealed: blob.version(),
+            sealed: head.version(),
             floor: claimed,
         });
     }
-    restore_bytes(history, &bytes)
+    let surplus = queries.len().saturating_sub(history.capacity());
+    for q in &queries[surplus..] {
+        history.push(q);
+    }
+    Ok(queries.len() - surplus)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::encode_query_batch;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use xsearch_sgx_sim::epc::EpcGauge;
@@ -264,6 +472,82 @@ mod tests {
         h
     }
 
+    fn vault(seed: u64) -> HistoryVault {
+        HistoryVault::new(SealingPlatform::from_seed(seed), measurement(b"proxy"))
+    }
+
+    /// One enclave lifetime sealing into one storage slot.
+    struct Sealer {
+        history: QueryHistory,
+        cursor: SealCursor,
+        log: SealedLog,
+        rng: StdRng,
+    }
+
+    impl Sealer {
+        fn new(capacity: usize) -> Self {
+            Sealer {
+                history: QueryHistory::new(capacity, EpcGauge::new()),
+                cursor: SealCursor::default(),
+                log: SealedLog::default(),
+                rng: StdRng::seed_from_u64(capacity as u64),
+            }
+        }
+
+        /// Pushes `queries`, then seals them as one segment.
+        fn seal(&mut self, vault: &HistoryVault, queries: &[&str]) {
+            for q in queries {
+                self.history.push(q);
+            }
+            if let Some(segment) = vault.seal(&self.history, &mut self.cursor, &mut self.rng) {
+                self.log.append(segment);
+            }
+        }
+    }
+
+    /// A three-segment chain (versions 1‥3, floor 1) from `vault`.
+    fn three_segments(vault: &HistoryVault) -> Sealer {
+        let mut sealer = Sealer::new(1000);
+        sealer.seal(vault, &["a1", "a2"]);
+        sealer.seal(vault, &["b1"]);
+        sealer.seal(vault, &["c1", "c2"]);
+        assert_eq!(sealer.log.segments.len(), 3);
+        sealer
+    }
+
+    /// Offers `log` to `vault` and asserts it is refused with `expected`,
+    /// nothing restored and nothing claimed.
+    fn assert_refused(what: &str, log: &SealedLog, vault: &HistoryVault, expected: &SgxError) {
+        let claimed_before = vault.last_sealed();
+        let target = QueryHistory::new(1000, EpcGauge::new());
+        assert_eq!(
+            restore_migrated(&target, &log.encode(), vault).as_ref(),
+            Err(expected),
+            "{what}"
+        );
+        assert_eq!(target.len(), 0, "{what}: nothing restored");
+        assert_eq!(
+            vault.last_sealed(),
+            claimed_before,
+            "{what}: nothing claimed"
+        );
+    }
+
+    fn plaintext(segment: &SealedSegment, vault: &HistoryVault) -> Vec<u8> {
+        let s = segment.view();
+        vault
+            .key
+            .open(s.nonce(), s.version(), s.link(), s.sealed())
+            .expect("the vault's own segment opens")
+    }
+
+    fn entries_in(log: &SealedLog, vault: &HistoryVault) -> usize {
+        log.segments
+            .iter()
+            .map(|s| decode_query_batch(&plaintext(s, vault)).unwrap().len())
+            .sum()
+    }
+
     #[test]
     fn seal_restore_roundtrip_preserves_window() {
         let platform = SealingPlatform::from_seed(1);
@@ -276,6 +560,21 @@ mod tests {
         let n = restore_history(&restored, &platform, &m, &blob).unwrap();
         assert_eq!(n, 3);
         assert_eq!(restored.snapshot(), vec!["first", "second", "third"]);
+    }
+
+    #[test]
+    fn empty_window_seals_and_restores_as_nothing() {
+        let platform = SealingPlatform::from_seed(1);
+        let m = measurement(b"proxy");
+        let mut rng = StdRng::seed_from_u64(2);
+        let blob = seal_history(&filled_history(&[]), &platform, &m, &mut rng);
+        let restored = QueryHistory::new(10, EpcGauge::new());
+        assert_eq!(restore_history(&restored, &platform, &m, &blob), Ok(0));
+        assert_eq!(
+            restore_migrated(&restored, &SealedLog::default().encode(), &vault(1)),
+            Ok(0),
+            "an empty log restores nothing and claims nothing"
+        );
     }
 
     #[test]
@@ -301,7 +600,7 @@ mod tests {
         let blob = seal_history(&big, &platform, &m, &mut rng);
 
         let small = QueryHistory::new(2, EpcGauge::new());
-        restore_history(&small, &platform, &m, &blob).unwrap();
+        assert_eq!(restore_history(&small, &platform, &m, &blob), Ok(2));
         assert_eq!(
             small.snapshot(),
             vec!["q4", "q5"],
@@ -318,127 +617,499 @@ mod tests {
         let blob = seal_history(&history, &platform, &m, &mut rng);
         let debug = format!("{blob:?}");
         assert!(!debug.contains("identifying"), "sealed blob must be opaque");
+        assert!(
+            !blob
+                .as_bytes()
+                .windows(11)
+                .any(|window| window == b"identifying"),
+            "plaintext never leaves the seal"
+        );
     }
 
     #[test]
     fn deserialize_rejects_garbage() {
-        assert_eq!(deserialize(&[1, 2, 3]), Err(SgxError::UnsealFailed));
-        // Count says 1 but no payload follows.
+        let v = vault(1);
+        let target = QueryHistory::new(10, EpcGauge::new());
+        let refused = |bytes: &[u8]| {
+            assert_eq!(
+                restore_migrated(&target, bytes, &v),
+                Err(SgxError::UnsealFailed)
+            );
+            assert_eq!((target.len(), v.last_sealed()), (0, 0));
+        };
+        refused(&[1, 2, 3]);
+        // Count says 1 but no segment follows.
         let mut bytes = 1u32.to_le_bytes().to_vec();
         bytes.extend_from_slice(&100u32.to_le_bytes());
-        assert_eq!(deserialize(&bytes), Err(SgxError::UnsealFailed));
+        refused(&bytes);
+        // A segment too short to hold a header.
+        bytes[4..].copy_from_slice(&8u32.to_le_bytes());
+        bytes.extend_from_slice(&[0; 8]);
+        refused(&bytes);
+        assert!(SealedSegment::from_bytes(vec![0; HEADER + TAG - 1]).is_err());
+        // Well-framed, but bytes trail the last segment.
+        let mut sealer = Sealer::new(10);
+        sealer.seal(&v, &["q"]);
+        let mut trailing = sealer.log.encode();
+        trailing.push(0);
+        let sealed_at = v.last_sealed();
+        assert_eq!(
+            restore_migrated(&target, &trailing, &v),
+            Err(SgxError::UnsealFailed)
+        );
+        assert_eq!((target.len(), v.last_sealed()), (0, sealed_at));
     }
 
     #[test]
     fn serializer_is_the_shared_wire_framing() {
-        let history = filled_history(&["alpha", "beta gamma"]);
+        let v = vault(1);
+        let mut sealer = Sealer::new(1000);
+        sealer.seal(&v, &["alpha", "beta gamma"]);
+        sealer.seal(&v, &["delta"]);
         assert_eq!(
-            serialize_window(&history),
+            plaintext(&sealer.log.segments[0], &v),
             encode_query_batch(["alpha", "beta gamma"]),
             "persistence and the seed ecall must share one framing"
+        );
+        assert_eq!(
+            plaintext(&sealer.log.segments[1], &v),
+            encode_query_batch(["delta"]),
+            "a delta segment is framed like a chain start"
         );
     }
 
     #[test]
     fn vault_versions_are_monotonic() {
-        let vault = HistoryVault::new(SealingPlatform::from_seed(1), measurement(b"proxy"));
-        let mut rng = StdRng::seed_from_u64(6);
-        let h = filled_history(&["a"]);
-        let b1 = vault.seal(&h, &mut rng);
-        let b2 = vault.seal(&h, &mut rng);
-        assert_eq!(b1.version(), 1);
-        assert_eq!(b2.version(), 2);
-        assert_eq!(vault.last_sealed(), 2);
+        let v = vault(1);
+        let mut sealer = Sealer::new(1000);
+        sealer.seal(&v, &["a"]);
+        sealer.seal(&v, &["b"]);
+        let versions: Vec<u64> = sealer.log.segments.iter().map(|s| s.version()).collect();
+        assert_eq!(versions, [1, 2]);
+        assert_eq!(v.last_sealed(), 2);
+        // An empty delta seals nothing and consumes no version.
+        sealer.seal(&v, &[]);
+        assert_eq!((sealer.log.segments.len(), v.last_sealed()), (2, 2));
+    }
+
+    #[test]
+    fn segments_chain_and_name_their_floor() {
+        let v = vault(1);
+        let sealer = three_segments(&v);
+        let segments = &sealer.log.segments;
+        assert_eq!(segments[0].view().prev_tag(), [0; TAG], "a chain start");
+        assert_eq!(segments[0].floor(), segments[0].version());
+        for pair in [(0, 1), (1, 2)] {
+            assert_eq!(
+                segments[pair.1].view().prev_tag(),
+                segments[pair.0].view().tag()
+            );
+            assert_eq!(segments[pair.1].floor(), 1);
+        }
     }
 
     #[test]
     fn vault_rejects_stale_snapshot() {
-        let vault = HistoryVault::new(SealingPlatform::from_seed(1), measurement(b"proxy"));
-        let mut rng = StdRng::seed_from_u64(7);
-        let old = vault.seal(&filled_history(&["old window"]), &mut rng);
-        let new = vault.seal(&filled_history(&["new window"]), &mut rng);
+        let v = vault(1);
+        let mut sealer = Sealer::new(100);
+        sealer.seal(&v, &["old window"]);
+        // The operator keeps the log as it was and withholds the head.
+        let mut stale = SealedLog::default();
+        stale.append(sealer.log.segments[0].clone());
+        sealer.seal(&v, &["new window"]);
 
-        let target = QueryHistory::new(100, EpcGauge::new());
-        assert_eq!(
-            vault.restore(&target, &old),
-            Err(SgxError::RolledBack {
+        assert_refused(
+            "the head withheld",
+            &stale,
+            &v,
+            &SgxError::RolledBack {
                 sealed: 1,
-                floor: 2
-            }),
-            "failover migration must not enable history rollback"
+                floor: 2,
+            },
         );
-        assert_eq!(target.len(), 0);
-        assert_eq!(vault.restore(&target, &new).unwrap(), 1);
-        assert_eq!(target.snapshot(), vec!["new window"]);
+        let target = QueryHistory::new(100, EpcGauge::new());
+        assert_eq!(restore_migrated(&target, &sealer.log.encode(), &v), Ok(2));
+        assert_eq!(target.snapshot(), vec!["old window", "new window"]);
     }
 
     #[test]
     fn migration_moves_the_window_and_retires_the_source() {
-        let m = measurement(b"proxy");
-        let src = HistoryVault::new(SealingPlatform::from_seed(1), m);
-        let dst = HistoryVault::new(SealingPlatform::from_seed(2), m);
-        let mut rng = StdRng::seed_from_u64(8);
+        let src = vault(1);
+        let mut sealer = Sealer::new(100);
+        sealer.seal(&src, &["decoy one", "decoy two"]);
 
-        let blob = src.seal(&filled_history(&["decoy one", "decoy two"]), &mut rng);
-        let migrated = migrate_history(&blob, &src, &dst, &mut rng).unwrap();
-
-        // The successor restores the window under its own platform.
+        // The successor adopts the log under the source's vault.
         let successor = QueryHistory::new(100, EpcGauge::new());
-        assert_eq!(dst.restore(&successor, &migrated).unwrap(), 2);
+        assert_eq!(
+            restore_migrated(&successor, &sealer.log.encode(), &src),
+            Ok(2)
+        );
         assert_eq!(successor.snapshot(), vec!["decoy one", "decoy two"]);
 
-        // The source cannot restore the migrated-away blob: that would
+        // The source cannot restore the migrated-away log: that would
         // duplicate the window and roll back the successor's growth.
-        let revived = QueryHistory::new(100, EpcGauge::new());
-        assert!(matches!(
-            src.restore(&revived, &blob),
-            Err(SgxError::RolledBack { .. })
-        ));
+        assert_refused(
+            "re-adoption at the source",
+            &sealer.log,
+            &src,
+            &SgxError::RolledBack {
+                sealed: 1,
+                floor: 2,
+            },
+        );
     }
 
     #[test]
     fn restore_migrated_adopts_atomically_and_retires_source() {
-        let m = measurement(b"proxy");
-        let src = HistoryVault::new(SealingPlatform::from_seed(1), m);
-        let mut rng = StdRng::seed_from_u64(11);
-        let blob = src.seal(&filled_history(&["w1", "w2", "w3"]), &mut rng);
+        let src = vault(1);
+        let mut sealer = Sealer::new(100);
+        sealer.seal(&src, &["w1", "w2"]);
+        sealer.seal(&src, &["w3"]);
 
         let live = filled_history(&["own entry"]);
-        assert_eq!(restore_migrated(&live, &blob, &src).unwrap(), 3);
+        assert_eq!(restore_migrated(&live, &sealer.log.encode(), &src), Ok(3));
         assert_eq!(live.snapshot(), vec!["own entry", "w1", "w2", "w3"]);
 
-        // Retired at the source: adopting the same blob again is a
+        // Retired at the source: adopting the same log again is a
         // rollback.
         assert!(matches!(
-            restore_migrated(&live, &blob, &src),
+            restore_migrated(&live, &sealer.log.encode(), &src),
             Err(SgxError::RolledBack { .. })
         ));
+        assert_eq!(live.len(), 4);
+    }
+
+    #[test]
+    fn adopted_entries_are_the_successors_next_delta() {
+        let src = vault(1);
+        let mut failed = Sealer::new(100);
+        failed.seal(&src, &["f1", "f2"]);
+
+        let dst = vault(2);
+        let mut successor = Sealer::new(100);
+        successor.seal(&dst, &["s1"]);
+        restore_migrated(&successor.history, &failed.log.encode(), &src).unwrap();
+        successor.seal(&dst, &[]);
+        assert_eq!(
+            successor.log.segments.len(),
+            2,
+            "the chain continues: no chain start"
+        );
+        assert_eq!(
+            plaintext(&successor.log.segments[1], &dst),
+            encode_query_batch(["f1", "f2"])
+        );
+    }
+
+    #[test]
+    fn exactly_one_of_two_racing_adopters_wins() {
+        for round in 0..50 {
+            let src = vault(round);
+            let log = three_segments(&src).log.encode();
+            let barrier = std::sync::Barrier::new(2);
+            let outcomes: Vec<_> = std::thread::scope(|scope| {
+                let adopters: Vec<_> = (0..2)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let target = QueryHistory::new(100, EpcGauge::new());
+                            barrier.wait();
+                            (restore_migrated(&target, &log, &src), target.len())
+                        })
+                    })
+                    .collect();
+                adopters.into_iter().map(|a| a.join().unwrap()).collect()
+            });
+            let winners = outcomes.iter().filter(|(r, _)| r.is_ok()).count();
+            assert_eq!(winners, 1, "round {round}: {outcomes:?}");
+            for (result, restored) in outcomes {
+                match result {
+                    Ok(n) => assert_eq!((n, restored), (5, 5)),
+                    Err(e) => {
+                        assert!(matches!(e, SgxError::RolledBack { .. }));
+                        assert_eq!(restored, 0);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn migration_requires_matching_measurement() {
         let src = HistoryVault::new(SealingPlatform::from_seed(1), measurement(b"proxy-v1"));
-        let dst = HistoryVault::new(SealingPlatform::from_seed(2), measurement(b"proxy-v2"));
-        let mut rng = StdRng::seed_from_u64(9);
-        let blob = src.seal(&filled_history(&["w"]), &mut rng);
-        assert_eq!(
-            migrate_history(&blob, &src, &dst, &mut rng),
-            Err(SgxError::UnsealFailed)
+        let other = HistoryVault::new(SealingPlatform::from_seed(1), measurement(b"proxy-v2"));
+        let mut sealer = Sealer::new(100);
+        sealer.seal(&src, &["w"]);
+        assert_refused(
+            "another measurement",
+            &sealer.log,
+            &other,
+            &SgxError::UnsealFailed,
         );
     }
 
     #[test]
     fn foreign_platform_cannot_restore_vault_blob() {
-        let m = measurement(b"proxy");
-        let vault = HistoryVault::new(SealingPlatform::from_seed(1), m);
-        let other = HistoryVault::new(SealingPlatform::from_seed(2), m);
-        let mut rng = StdRng::seed_from_u64(10);
-        let blob = vault.seal(&filled_history(&["w"]), &mut rng);
-        let target = QueryHistory::new(100, EpcGauge::new());
-        assert_eq!(
-            other.restore(&target, &blob),
-            Err(SgxError::UnsealFailed),
-            "blobs are bound to their sealing platform"
+        let mut sealer = Sealer::new(100);
+        sealer.seal(&vault(1), &["w"]);
+        // Blobs are bound to their sealing platform.
+        assert_refused(
+            "another platform",
+            &sealer.log,
+            &vault(2),
+            &SgxError::UnsealFailed,
         );
+    }
+
+    #[test]
+    fn a_broken_chain_is_refused_whole() {
+        let v = vault(1);
+        let intact = three_segments(&v).log;
+        let tampered = |edit: &dyn Fn(&mut VecDeque<SealedSegment>)| {
+            let mut log = SealedLog {
+                segments: intact.segments.clone(),
+            };
+            edit(&mut log.segments);
+            log
+        };
+        let refused =
+            |what: &str, log: SealedLog| assert_refused(what, &log, &v, &SgxError::UnsealFailed);
+
+        refused(
+            "a middle segment dropped",
+            tampered(&|s| {
+                s.remove(1);
+            }),
+        );
+        refused("two segments swapped", tampered(&|s| s.swap(0, 1)));
+        refused("the head swapped down", tampered(&|s| s.swap(1, 2)));
+        refused(
+            "one segment duplicated",
+            tampered(&|s| s.insert(1, s[1].clone())),
+        );
+        refused(
+            "the floor segment withheld",
+            tampered(&|s| {
+                s.pop_front();
+            }),
+        );
+
+        // Same measurement, same version numbers, another platform's key.
+        let foreign = three_segments(&vault(2)).log;
+        refused(
+            "a segment from another vault spliced in",
+            tampered(&|s| s[1] = foreign.segments[1].clone()),
+        );
+
+        // The clear header is authenticated: each field, on each segment.
+        for at in [0, NONCE, LINK, LINK + 8, HEADER - 1] {
+            for i in 0..3 {
+                refused(
+                    &format!("header byte {at} of segment {i} altered"),
+                    tampered(&|s| s[i].0[at] ^= 1),
+                );
+            }
+        }
+        // A floor rewritten so that the remaining segments look complete.
+        refused(
+            "the head's floor raised past a withheld segment",
+            tampered(&|s| {
+                s.pop_front();
+                s[1].0[LINK..LINK + 8].copy_from_slice(&2u64.to_le_bytes());
+            }),
+        );
+
+        // The head withheld is a rollback, not a broken chain.
+        assert_refused(
+            "the head withheld",
+            &tampered(&|s| {
+                s.pop_back();
+            }),
+            &v,
+            &SgxError::RolledBack {
+                sealed: 2,
+                floor: 3,
+            },
+        );
+        // After all that, the intact log still restores.
+        let target = QueryHistory::new(1000, EpcGauge::new());
+        assert_eq!(restore_migrated(&target, &intact.encode(), &v), Ok(5));
+    }
+
+    #[test]
+    fn a_superseded_chain_cannot_come_back_after_a_chain_start() {
+        let v = vault(1);
+        let mut sealer = three_segments(&v);
+        let superseded = SealedLog {
+            segments: sealer.log.segments.clone(),
+        };
+        // A new enclave lifetime: the next seal is a chain start, and it
+        // replaces what the slot held.
+        sealer.cursor = SealCursor::default();
+        sealer.seal(&v, &["d1"]);
+        assert_eq!(sealer.log.segments.len(), 1);
+        assert_eq!(sealer.log.segments[0].floor(), 4);
+
+        assert_refused(
+            "a superseded chain",
+            &superseded,
+            &v,
+            &SgxError::RolledBack {
+                sealed: 3,
+                floor: 4,
+            },
+        );
+        // Nor can it be glued in front of its successor.
+        let mut glued = superseded;
+        glued.segments.push_back(sealer.log.segments[0].clone());
+        assert_refused(
+            "a superseded chain glued before its successor",
+            &glued,
+            &v,
+            &SgxError::UnsealFailed,
+        );
+
+        let target = QueryHistory::new(1000, EpcGauge::new());
+        assert_eq!(restore_migrated(&target, &sealer.log.encode(), &v), Ok(6));
+    }
+
+    #[test]
+    fn a_claim_on_the_vault_forces_a_chain_start() {
+        let v = vault(1);
+        let mut sealer = Sealer::new(100);
+        sealer.seal(&v, &["a"]);
+        // Someone adopts the log (a failover racing this enclave).
+        let adopter = QueryHistory::new(100, EpcGauge::new());
+        restore_migrated(&adopter, &sealer.log.encode(), &v).unwrap();
+        // The chain cannot continue from a claimed head.
+        sealer.seal(&v, &["b"]);
+        assert_eq!(sealer.log.segments.len(), 1);
+        let head = &sealer.log.segments[0];
+        assert_eq!((head.version(), head.floor()), (3, 3));
+        assert_eq!(plaintext(head, &v), encode_query_batch(["a", "b"]));
+    }
+
+    #[test]
+    fn seal_cost_is_independent_of_window_size() {
+        let delta: Vec<String> = (0..64).map(|i| format!("fresh query {i:02}")).collect();
+        let delta: Vec<&str> = delta.iter().map(String::as_str).collect();
+        let mut lengths = Vec::new();
+        for capacity in [1_024, 65_536] {
+            let v = vault(1);
+            let mut sealer = Sealer::new(capacity);
+            let warm: Vec<String> = (0..capacity).map(|i| format!("warm {i}")).collect();
+            let warm: Vec<&str> = warm.iter().map(String::as_str).collect();
+            sealer.seal(&v, &warm);
+            let mut reader = HistoryCursor::default();
+            assert_eq!(sealer.history.read_since(&mut reader).len(), capacity);
+
+            sealer.seal(&v, &delta);
+            assert_eq!(
+                sealer.history.read_since(&mut reader).len(),
+                64,
+                "the delta read touches the new entries only"
+            );
+            lengths.push(sealer.log.segments.back().unwrap().as_bytes().len());
+        }
+        assert_eq!(lengths[0], lengths[1]);
+        assert_eq!(
+            lengths[0],
+            HEADER + encode_query_batch(delta).len() + TAG,
+            "a segment is its delta, a header and a tag"
+        );
+    }
+
+    /// 4 threads push distinct queries and seal after every push (a
+    /// `seal_every = 1` cadence) against one history and vault. Returns
+    /// the live history and what the log restores to.
+    fn race_pushes_against_seals(capacity: usize, per_thread: usize) -> (Vec<String>, Vec<String>) {
+        let v = vault(7);
+        let history = QueryHistory::new(capacity, EpcGauge::new());
+        let slot = parking_lot::Mutex::new((
+            SealCursor::default(),
+            SealedLog::default(),
+            StdRng::seed_from_u64(1),
+        ));
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (v, history, slot, barrier) = (&v, &history, &slot, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    for i in 0..per_thread {
+                        history.push(&format!("t{t} q{i}"));
+                        let mut guard = slot.lock();
+                        let (cursor, log, rng) = &mut *guard;
+                        if let Some(segment) = v.seal(history, cursor, rng) {
+                            log.append(segment);
+                        }
+                    }
+                });
+            }
+        });
+        let (_, log, _) = slot.into_inner();
+        assert!(entries_in(&log, &v) < 2 * capacity);
+        let restored = QueryHistory::new(capacity, EpcGauge::new());
+        restore_migrated(&restored, &log.encode(), &vault(7)).expect("an intact chain");
+        (history.snapshot(), restored.snapshot())
+    }
+
+    #[test]
+    fn pushes_racing_seals_lose_nothing() {
+        for _ in 0..20 {
+            // Nothing is evicted: every push must be in the log, once.
+            let (mut live, mut restored) = race_pushes_against_seals(4096, 500);
+            assert_eq!(live.len(), 2000);
+            live.sort_unstable();
+            restored.sort_unstable();
+            assert_eq!(live, restored);
+        }
+    }
+
+    #[test]
+    fn pushes_racing_seals_keep_the_window_while_the_ring_wraps() {
+        for _ in 0..5 {
+            // The ring wraps ~30 times and the log trims as it goes.
+            // Replay re-sequences what raced, so which entries sit at
+            // the window's old edge may differ by the few pushes that
+            // were in flight; the newer half may not.
+            let (live, restored) = race_pushes_against_seals(256, 2000);
+            assert_eq!((live.len(), restored.len()), (256, 256));
+            for q in &live[128..] {
+                assert!(restored.contains(q), "{q:?} acked, sealed, and lost");
+            }
+        }
+    }
+
+    proptest! {
+        /// `restore(log)` into a fresh history is `snapshot()` of the
+        /// live one after every seal, and the log stays under two
+        /// windows — for odd / single-stripe / one-entry windows, any
+        /// cadence, rings that wrap several times, and a chain start
+        /// forced mid-run.
+        #[test]
+        fn restored_log_equals_live_window(
+            capacity in (0usize..7).prop_map(|i| [1, 2, 3, 7, 8, 24, 64][i]),
+            cadence in 1usize..200,
+            pushes in 1usize..400,
+            restart_at in 0usize..400,
+        ) {
+            let v = vault(3);
+            let mut sealer = Sealer::new(capacity);
+            for i in 0..pushes {
+                if i == restart_at {
+                    sealer.cursor = SealCursor::default();
+                }
+                sealer.history.push(&format!("q{i}"));
+                if (i + 1) % cadence != 0 && i + 1 != pushes {
+                    continue;
+                }
+                sealer.seal(&v, &[]);
+                prop_assert!(entries_in(&sealer.log, &v) < 2 * capacity);
+                let restored = QueryHistory::new(capacity, EpcGauge::new());
+                // Same key, own counter: checking must not claim the head.
+                restore_migrated(&restored, &sealer.log.encode(), &vault(3)).unwrap();
+                prop_assert_eq!(restored.snapshot(), sealer.history.snapshot());
+            }
+        }
     }
 }

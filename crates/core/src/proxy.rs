@@ -9,7 +9,7 @@
 use crate::config::XSearchConfig;
 use crate::enclave_app::{EnclaveState, ENCLAVE_CODE_V1};
 use crate::error::XSearchError;
-use crate::persistence::HistoryVault;
+use crate::persistence::{HistoryVault, SealedLog, SealedSegment};
 use crate::session::registration_binding;
 use rand::RngCore;
 use std::sync::Arc;
@@ -26,7 +26,6 @@ use xsearch_sgx_sim::enclave::{Enclave, EnclaveBuilder};
 use xsearch_sgx_sim::epc::EpcGauge;
 use xsearch_sgx_sim::error::SgxError;
 use xsearch_sgx_sim::measurement::Measurement;
-use xsearch_sgx_sim::sealed::SealedBlob;
 use xsearch_telemetry::{EnclaveScope, Registry};
 
 /// The handshake response a broker receives.
@@ -232,66 +231,27 @@ impl XSearchProxy {
         Ok((identity, quote))
     }
 
-    /// Seals a snapshot of the in-enclave history through `vault` (the
-    /// `seal_history` ecall): the snapshot is serialized and encrypted
-    /// *inside* the enclave; only the opaque blob crosses the boundary,
-    /// and the boundary counters are charged its exact encoded size.
+    /// Seals what landed in the in-enclave history since the previous
+    /// seal as the next segment of `vault`'s log (the `seal_history`
+    /// ecall; `None` when nothing did). The delta is serialized and
+    /// encrypted *inside* the enclave; the encoded segment is the ecall's
+    /// output, so the boundary counters are charged every sealed byte
+    /// exactly once and the host stores those same bytes.
     pub fn seal_history_snapshot<R: RngCore>(
         &self,
         vault: &HistoryVault,
         rng: &mut R,
-    ) -> SealedBlob {
-        let mut sealed = None;
-        let _ = self
+    ) -> Option<SealedSegment> {
+        let out = self
             .enclave
             .ecall_shared("seal_history", &[], |state, _, _| {
-                let blob = vault.seal(state.history(), rng);
-                let encoded = blob.encode();
-                sealed = Some(blob);
-                encoded
-            });
-        sealed.expect("ecall cannot fail in this model")
-    }
-
-    /// Restores a sealed history snapshot into the live in-enclave table
-    /// (the `restore_history` ecall) — the failover path: a successor
-    /// replica adopts the window a dead replica's vault migrated over.
-    /// Returns the number of queries restored.
-    ///
-    /// # Errors
-    ///
-    /// [`XSearchError::Sgx`] wrapping [`SgxError::RolledBack`] for a
-    /// stale blob or [`SgxError::UnsealFailed`] for a foreign or
-    /// tampered one.
-    pub fn restore_history_blob(
-        &self,
-        vault: &HistoryVault,
-        blob: &SealedBlob,
-    ) -> Result<usize, XSearchError> {
-        self.restore_ecall("restore_history", blob, |history, parsed| {
-            vault.restore(history, parsed)
-        })
-    }
-
-    /// Shared boundary scaffolding of the two restore-style ecalls: the
-    /// encoded blob crosses in, `restore` runs against the live history
-    /// inside the enclave, the restored count comes back.
-    fn restore_ecall(
-        &self,
-        name: &str,
-        blob: &SealedBlob,
-        restore: impl FnOnce(&crate::history::QueryHistory, &SealedBlob) -> Result<usize, SgxError>,
-    ) -> Result<usize, XSearchError> {
-        let payload = blob.encode();
-        let mut outcome: Result<usize, SgxError> = Err(SgxError::UnsealFailed);
-        let _ = self
-            .enclave
-            .ecall_shared(name, &payload, |state, input, _| {
-                outcome =
-                    SealedBlob::decode(input).and_then(|parsed| restore(state.history(), &parsed));
-                Vec::new()
-            })?;
-        outcome.map_err(XSearchError::Sgx)
+                state
+                    .seal_history(vault, rng)
+                    .map(SealedSegment::into_bytes)
+                    .unwrap_or_default()
+            })
+            .expect("ecall cannot fail in this model");
+        SealedSegment::from_bytes(out).ok()
     }
 
     /// Serves one encrypted request end to end (the `request` ecall with
@@ -601,36 +561,46 @@ impl XSearchProxy {
         u64::from_le_bytes(out.try_into().expect("8 bytes")) as usize
     }
 
-    /// Adopts a peer's sealed window into the live in-enclave table (the
-    /// `migrate_in` ecall): unseals under the **peer's** vault,
-    /// atomically claims the blob's version there (exactly one consumer
-    /// ever wins, so racing adopters cannot duplicate the window and a
-    /// restarted peer cannot roll back to it), and merges the window.
-    /// Conceptually the unseal happens inside this enclave after a
-    /// vault-key transfer over an attested channel; the host only ever
-    /// relays ciphertext.
+    /// Adopts a sealed log into the live in-enclave table (the
+    /// `migrate_in` ecall, one for the whole log): verifies the chain
+    /// under the **source** vault — a peer's on failover, this node's own
+    /// on restart — atomically claims the head's version there (exactly
+    /// one consumer ever wins, so racing adopters cannot duplicate the
+    /// window and a restarted peer cannot roll back to it), and merges
+    /// the window. Conceptually the unseal happens inside this enclave
+    /// after a vault-key transfer over an attested channel; the host only
+    /// ever relays ciphertext.
     ///
-    /// Returns the number of adopted queries.
+    /// Returns the number of adopted queries; an empty log is nothing to
+    /// adopt and costs no ecall.
     ///
     /// # Errors
     ///
-    /// [`XSearchError::Protocol`] when the peer vault's measurement is
+    /// [`XSearchError::Protocol`] when the source vault's measurement is
     /// not this enclave's (history only moves between replicas running
     /// identical code); [`XSearchError::Sgx`] for stale
-    /// ([`SgxError::RolledBack`]) or foreign/tampered blobs.
+    /// ([`SgxError::RolledBack`]) or foreign/tampered/incomplete logs.
     pub fn adopt_migrated_history(
         &self,
         src: &HistoryVault,
-        blob: &SealedBlob,
+        log: &SealedLog,
     ) -> Result<usize, XSearchError> {
         if src.measurement() != self.expected_measurement() {
             return Err(XSearchError::Protocol(
                 "migrated history comes from a different enclave code".into(),
             ));
         }
-        self.restore_ecall("migrate_in", blob, |history, parsed| {
-            crate::persistence::restore_migrated(history, parsed, src)
-        })
+        if log.is_empty() {
+            return Ok(0);
+        }
+        let mut outcome: Result<usize, SgxError> = Err(SgxError::UnsealFailed);
+        let _ = self
+            .enclave
+            .ecall_shared("migrate_in", &log.encode(), |state, input, _| {
+                outcome = crate::persistence::restore_migrated(state.history(), input, src);
+                Vec::new()
+            })?;
+        outcome.map_err(XSearchError::Sgx)
     }
 
     /// Plaintext snapshot of the in-enclave window, oldest first.
@@ -768,20 +738,32 @@ mod tests {
         assert_ne!(quote.report_data, other.report_data);
     }
 
+    fn vault_for(p: &XSearchProxy, platform_seed: u64) -> HistoryVault {
+        HistoryVault::new(
+            xsearch_sgx_sim::sealed::SealingPlatform::from_seed(platform_seed),
+            p.expected_measurement(),
+        )
+    }
+
     #[test]
     fn sealed_snapshot_roundtrips_through_a_successor() {
         use rand::rngs::StdRng;
         let (a, ias) = proxy();
-        a.seed_history(["alpha", "beta", "gamma"]);
-        let vault_a = crate::persistence::HistoryVault::new(
-            xsearch_sgx_sim::sealed::SealingPlatform::from_seed(1),
-            a.expected_measurement(),
-        );
+        let vault_a = vault_for(&a, 1);
         let mut rng = StdRng::seed_from_u64(3);
-        let blob = a.seal_history_snapshot(&vault_a, &mut rng);
-        assert_eq!(blob.version(), 1);
+        let mut log = SealedLog::default();
+        a.seed_history(["alpha", "beta"]);
+        log.append(a.seal_history_snapshot(&vault_a, &mut rng).unwrap());
+        a.seed_history(["gamma"]);
+        log.append(a.seal_history_snapshot(&vault_a, &mut rng).unwrap());
+        assert_eq!(log.head_version(), Some(2));
+        assert!(
+            a.seal_history_snapshot(&vault_a, &mut rng).is_none(),
+            "nothing landed since: nothing to seal"
+        );
 
-        // Successor replica on another platform: migrate, then restore.
+        // Successor replica on another platform adopts the log under the
+        // source's vault, in one ecall.
         let engine = a.engine().clone();
         let b = XSearchProxy::launch(
             XSearchConfig {
@@ -792,35 +774,63 @@ mod tests {
             engine,
             &ias,
         );
-        let vault_b = crate::persistence::HistoryVault::new(
-            xsearch_sgx_sim::sealed::SealingPlatform::from_seed(2),
-            b.expected_measurement(),
-        );
-        let migrated =
-            crate::persistence::migrate_history(&blob, &vault_a, &vault_b, &mut rng).unwrap();
-        assert_eq!(b.restore_history_blob(&vault_b, &migrated).unwrap(), 3);
-        assert_eq!(b.history_len(), 3);
+        let ecalls_before = b.boundary().ecalls();
+        assert_eq!(b.adopt_migrated_history(&vault_a, &log).unwrap(), 3);
+        assert_eq!(b.boundary().ecalls() - ecalls_before, 1);
+        assert_eq!(b.history_snapshot(), ["alpha", "beta", "gamma"]);
 
-        // Rollback protection: the pre-migration blob is dead at the
-        // source, and a stale blob is dead at the successor.
+        // Rollback protection: the migrated-away log is dead at the
+        // source.
         assert!(matches!(
-            a.restore_history_blob(&vault_a, &blob),
+            a.adopt_migrated_history(&vault_a, &log),
             Err(XSearchError::Sgx(SgxError::RolledBack { .. }))
         ));
+        assert_eq!(a.history_len(), 3);
+    }
+
+    #[test]
+    fn sealed_bytes_cross_the_boundary_exactly_once() {
+        let (p, _) = proxy();
+        let vault = vault_for(&p, 1);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        p.seed_history(["a fairly identifying query"]);
+        let before = p.boundary().bytes_out();
+        let segment = p.seal_history_snapshot(&vault, &mut rng).unwrap();
+        assert_eq!(
+            p.boundary().bytes_out() - before,
+            segment.as_bytes().len() as u64
+        );
+        // An empty delta is an ecall that moves nothing.
+        let (ecalls, bytes) = (p.boundary().ecalls(), p.boundary().bytes_out());
+        assert!(p.seal_history_snapshot(&vault, &mut rng).is_none());
+        assert_eq!(p.boundary().ecalls() - ecalls, 1);
+        assert_eq!(p.boundary().bytes_out(), bytes);
     }
 
     #[test]
     fn restore_rejects_garbage_blob_bytes() {
         let (p, _) = proxy();
-        let vault = crate::persistence::HistoryVault::new(
-            xsearch_sgx_sim::sealed::SealingPlatform::from_seed(1),
-            p.expected_measurement(),
-        );
-        let bad = xsearch_sgx_sim::sealed::SealedBlob::decode(&[0u8; 24]).unwrap();
+        let vault = vault_for(&p, 1);
+        let mut log = SealedLog::default();
+        log.append(SealedSegment::from_bytes(vec![0u8; 80]).unwrap());
         assert_eq!(
-            p.restore_history_blob(&vault, &bad),
+            p.adopt_migrated_history(&vault, &log),
             Err(XSearchError::Sgx(SgxError::UnsealFailed))
         );
+        assert_eq!((p.history_len(), vault.last_sealed()), (0, 0));
+    }
+
+    #[test]
+    fn history_from_other_enclave_code_is_refused_before_the_ecall() {
+        let (p, _) = proxy();
+        let foreign = HistoryVault::new(
+            xsearch_sgx_sim::sealed::SealingPlatform::from_seed(1),
+            xsearch_sgx_sim::measurement::MeasurementBuilder::new().finalize(),
+        );
+        assert!(matches!(
+            p.adopt_migrated_history(&foreign, &SealedLog::default()),
+            Err(XSearchError::Protocol(_))
+        ));
     }
 
     #[test]

@@ -140,17 +140,28 @@ pub fn encoded_len(results: &[SearchResult]) -> usize {
 /// warming a 10k-query history costs one boundary crossing, not 10k.
 #[must_use]
 pub fn encode_query_batch<'a, I: IntoIterator<Item = &'a str>>(queries: I) -> Vec<u8> {
-    let mut body = Vec::new();
+    let mut out = Vec::new();
+    encode_query_batch_into(&mut out, queries);
+    // A warm-up batch is tens of MiB and outlives this call by a whole
+    // `seed` ecall: hand back the payload, not the growth slack.
+    out.shrink_to_fit();
+    out
+}
+
+/// Appends the [`encode_query_batch`] framing of `queries` to `out` —
+/// the form a caller uses when the batch is the tail of a larger buffer
+/// (a sealed history segment writes its header first, then encrypts the
+/// batch where it lies).
+pub fn encode_query_batch_into<'a, I: IntoIterator<Item = &'a str>>(out: &mut Vec<u8>, queries: I) {
+    let count_at = out.len();
+    out.extend_from_slice(&[0; 4]);
     let mut count: u32 = 0;
     for q in queries {
-        body.extend_from_slice(&(q.len() as u32).to_le_bytes());
-        body.extend_from_slice(q.as_bytes());
+        out.extend_from_slice(&(q.len() as u32).to_le_bytes());
+        out.extend_from_slice(q.as_bytes());
         count += 1;
     }
-    let mut out = Vec::with_capacity(4 + body.len());
-    out.extend_from_slice(&count.to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+    out[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
 }
 
 /// Parses a query batch, borrowing each query from the payload (the

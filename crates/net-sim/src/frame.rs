@@ -153,18 +153,7 @@ impl FrameDecoder {
             return Ok(0);
         }
         self.compact();
-        let old = self.buf.len();
-        self.buf.resize(old + budget, 0);
-        match stream.read(&mut self.buf[old..]) {
-            Ok(n) => {
-                self.buf.truncate(old + n);
-                Ok(n)
-            }
-            Err(e) => {
-                self.buf.truncate(old);
-                Err(e)
-            }
-        }
+        stream.read_into(&mut self.buf, budget)
     }
 
     /// Yields the next complete payload as a slice borrowed from the

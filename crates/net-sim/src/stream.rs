@@ -208,7 +208,30 @@ impl ByteStream {
     /// [`StreamError::WouldBlock`] when nothing is buffered and the peer
     /// is still connected.
     pub fn read(&self, out: &mut [u8]) -> Result<usize, StreamError> {
-        if out.is_empty() {
+        self.read_with(out.len(), |head, tail| {
+            out[..head.len()].copy_from_slice(head);
+            out[head.len()..head.len() + tail.len()].copy_from_slice(tail);
+        })
+    }
+
+    /// [`ByteStream::read`] onto the end of `out`: appends up to `budget`
+    /// buffered bytes, so a reassembly buffer grows by what arrived, not
+    /// by a zero-filled budget.
+    ///
+    /// # Errors
+    ///
+    /// As [`ByteStream::read`].
+    pub fn read_into(&self, out: &mut Vec<u8>, budget: usize) -> Result<usize, StreamError> {
+        self.read_with(budget, |head, tail| {
+            out.extend_from_slice(head);
+            out.extend_from_slice(tail);
+        })
+    }
+
+    /// Takes up to `max` buffered bytes off the incoming ring and hands
+    /// them to `sink` as the ring's two contiguous runs.
+    fn read_with(&self, max: usize, sink: impl FnOnce(&[u8], &[u8])) -> Result<usize, StreamError> {
+        if max == 0 {
             return Ok(0);
         }
         if self.core.any_faults.load(Ordering::Relaxed) {
@@ -232,10 +255,11 @@ impl ByteStream {
                 Err(StreamError::WouldBlock)
             };
         }
-        let n = dir.buf.len().min(out.len());
-        for slot in out.iter_mut().take(n) {
-            *slot = dir.buf.pop_front().expect("length checked");
-        }
+        let n = dir.buf.len().min(max);
+        let (head, tail) = dir.buf.as_slices();
+        let from_head = n.min(head.len());
+        sink(&head[..from_head], &tail[..n - from_head]);
+        dir.buf.drain(..n);
         dir.sync_readiness(self.core.capacity);
         Ok(n)
     }
@@ -627,5 +651,28 @@ mod tests {
             }
         }
         assert_eq!(got, b"the quick brown fox");
+    }
+
+    #[test]
+    fn read_into_appends_what_arrived_across_the_ring_seam() {
+        let (a, b) = stream_pair(8);
+        let mut got = b"kept:".to_vec();
+        assert_eq!(b.read_into(&mut got, 64), Err(StreamError::WouldBlock));
+        assert_eq!(b.read_into(&mut got, 0), Ok(0));
+        // Fill, drain most, refill: the ring's contents now wrap.
+        a.write(b"01234567").unwrap();
+        let mut head = [0u8; 6];
+        assert_eq!(b.read(&mut head).unwrap(), 6);
+        a.write(b"89abcd").unwrap();
+        // The budget caps the read; the rest stays buffered, in order.
+        assert_eq!(b.read_into(&mut got, 5).unwrap(), 5);
+        assert_eq!(got, b"kept:6789a");
+        assert_eq!(b.readable_bytes(), 3);
+        assert_eq!(b.read_into(&mut got, 64).unwrap(), 3);
+        assert_eq!(got, b"kept:6789abcd");
+        // Drained and the peer gone: EOF, nothing appended.
+        a.close();
+        assert_eq!(b.read_into(&mut got, 64), Ok(0));
+        assert_eq!(got.len(), 13);
     }
 }

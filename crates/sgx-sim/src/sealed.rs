@@ -79,12 +79,68 @@ impl SealedBlob {
     }
 }
 
-/// Associated data binding a sealed blob to (measurement, version).
-fn sealing_aad(measurement: &Measurement, version: u64) -> [u8; 40] {
-    let mut aad = [0u8; 40];
-    aad[..32].copy_from_slice(&measurement.0);
-    aad[32..].copy_from_slice(&version.to_le_bytes());
-    aad
+/// The sealing key of one (platform, measurement) pair, derived once.
+///
+/// The HKDF behind [`SealingPlatform::key_for`] costs more than sealing
+/// a small payload does, so a holder that seals repeatedly to one
+/// identity (a history vault) keeps the key instead of the platform.
+#[derive(Debug, Clone)]
+pub struct SealingKey {
+    aead: ChaCha20Poly1305,
+    measurement: Measurement,
+}
+
+impl SealingKey {
+    /// Associated data: `measurement ‖ version ‖ bound`. `bound` is
+    /// whatever else the caller wants authenticated with the payload
+    /// (empty for a plain [`SealedBlob`]).
+    fn aad(&self, version: u64, bound: &[u8]) -> Vec<u8> {
+        let mut aad = Vec::with_capacity(40 + bound.len());
+        aad.extend_from_slice(&self.measurement.0);
+        aad.extend_from_slice(&version.to_le_bytes());
+        aad.extend_from_slice(bound);
+        aad
+    }
+
+    /// Seals the plaintext held in `buf[from..]` where it lies — the
+    /// tail becomes `ciphertext ‖ tag`, `buf[..from]` (a caller's clear
+    /// header) is untouched — binding `version` and `bound` into the
+    /// associated data. Returns the fresh nonce the caller must store.
+    pub fn seal_tail<R: RngCore>(
+        &self,
+        version: u64,
+        bound: &[u8],
+        buf: &mut Vec<u8>,
+        from: usize,
+        rng: &mut R,
+    ) -> [u8; 12] {
+        let mut nonce = [0u8; 12];
+        rng.fill_bytes(&mut nonce);
+        let tag = self
+            .aead
+            .seal_in_place(&nonce, &self.aad(version, bound), &mut buf[from..]);
+        buf.extend_from_slice(&tag);
+        nonce
+    }
+
+    /// Opens `sealed` (`ciphertext ‖ tag`) produced by
+    /// [`SealingKey::seal_tail`] under the same `version` and `bound`.
+    ///
+    /// # Errors
+    ///
+    /// [`SgxError::UnsealFailed`] for a different platform, measurement,
+    /// version or `bound`, or tampered data.
+    pub fn open(
+        &self,
+        nonce: &[u8; 12],
+        version: u64,
+        bound: &[u8],
+        sealed: &[u8],
+    ) -> Result<Vec<u8>, SgxError> {
+        self.aead
+            .open(nonce, &self.aad(version, bound), sealed)
+            .map_err(|_| SgxError::UnsealFailed)
+    }
 }
 
 impl SealingPlatform {
@@ -105,10 +161,16 @@ impl SealingPlatform {
         }
     }
 
-    fn key_for(&self, measurement: &Measurement) -> [u8; 32] {
-        hkdf::derive(&measurement.0, &self.master, b"xsearch-sealing-v1", 32)
+    /// Derives the sealing key for `measurement` on this platform.
+    #[must_use]
+    pub fn key_for(&self, measurement: &Measurement) -> SealingKey {
+        let key: [u8; 32] = hkdf::derive(&measurement.0, &self.master, b"xsearch-sealing-v1", 32)
             .try_into()
-            .expect("exactly 32 bytes requested")
+            .expect("exactly 32 bytes requested");
+        SealingKey {
+            aead: ChaCha20Poly1305::new(&key),
+            measurement: *measurement,
+        }
     }
 
     /// Seals `plaintext` to (this platform, `measurement`) at version 0
@@ -135,13 +197,15 @@ impl SealingPlatform {
         plaintext: &[u8],
         rng: &mut R,
     ) -> SealedBlob {
-        let mut nonce = [0u8; 12];
-        rng.fill_bytes(&mut nonce);
-        let aead = ChaCha20Poly1305::new(&self.key_for(measurement));
+        let mut ciphertext = Vec::with_capacity(plaintext.len() + 16);
+        ciphertext.extend_from_slice(plaintext);
+        let nonce = self
+            .key_for(measurement)
+            .seal_tail(version, &[], &mut ciphertext, 0, rng);
         SealedBlob {
             nonce,
             version,
-            ciphertext: aead.seal(&nonce, &sealing_aad(measurement, version), plaintext),
+            ciphertext,
         }
     }
 
@@ -157,13 +221,8 @@ impl SealingPlatform {
         measurement: &Measurement,
         blob: &SealedBlob,
     ) -> Result<Vec<u8>, SgxError> {
-        let aead = ChaCha20Poly1305::new(&self.key_for(measurement));
-        aead.open(
-            &blob.nonce,
-            &sealing_aad(measurement, blob.version),
-            &blob.ciphertext,
-        )
-        .map_err(|_| SgxError::UnsealFailed)
+        self.key_for(measurement)
+            .open(&blob.nonce, blob.version, &[], &blob.ciphertext)
     }
 
     /// Opens a blob only if its authenticated version is at least
@@ -295,6 +354,35 @@ mod tests {
         assert_eq!(
             platform.unseal_monotonic(&m(b"proxy"), &forged, 4),
             Err(SgxError::UnsealFailed)
+        );
+    }
+
+    #[test]
+    fn sealed_tail_leaves_the_header_clear_and_binds_the_extra_data() {
+        let key = SealingPlatform::from_seed(1).key_for(&m(b"proxy"));
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut buf = b"HEADERpayload".to_vec();
+        let nonce = key.seal_tail(5, b"link", &mut buf, 6, &mut rng);
+        assert_eq!(&buf[..6], b"HEADER");
+        assert_eq!(buf.len(), 13 + 16, "the tail grows by exactly one tag");
+        assert_eq!(key.open(&nonce, 5, b"link", &buf[6..]).unwrap(), b"payload");
+        for (version, bound) in [(5, &b"knil"[..]), (5, b""), (6, b"link")] {
+            assert_eq!(
+                key.open(&nonce, version, bound, &buf[6..]),
+                Err(SgxError::UnsealFailed)
+            );
+        }
+    }
+
+    #[test]
+    fn derived_key_and_platform_seal_interchangeably() {
+        let platform = SealingPlatform::from_seed(1);
+        let mut rng = StdRng::seed_from_u64(2);
+        let blob = platform.seal_versioned(&m(b"proxy"), 3, b"window", &mut rng);
+        let key = platform.key_for(&m(b"proxy"));
+        assert_eq!(
+            key.open(&blob.nonce, 3, &[], &blob.ciphertext).unwrap(),
+            b"window"
         );
     }
 
