@@ -10,10 +10,15 @@
 //! * **serial** — the seed's evaluator: sub-queries one after another on
 //!   the proxy thread, engine leg = Σ (service draw + compute). Latency
 //!   grows linearly in k.
-//! * **parallel** — the worker-pool uplink: sub-queries dispatched
-//!   concurrently, engine leg = the per-lane makespan of the executions
-//!   that actually ran. With the pool at least k+1 wide, latency is
-//!   dominated by one service time regardless of k.
+//! * **parallel** — the worker-pool uplink: every sub-query assigned its
+//!   own lane, engine leg = the per-lane makespan of the executions that
+//!   actually ran. With the pool at least k+1 wide, latency is dominated
+//!   by one service time regardless of k.
+//!
+//! Two gates: the pooled request's measured compute may not exceed twice
+//! the serial one's at any k (the hand-off may not cost more than the
+//! work — the box's core count is recorded beside it), and the parallel
+//! modeled median may grow at most 1.5× from the first k to the last.
 //!
 //! Env knob: `E2E_QUERIES` (default 60) bounds the per-point query
 //! count.
@@ -23,7 +28,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use xsearch_bench::summary::{env_or, fixed, Json, Obj, Summary};
+use xsearch_bench::summary::{env_or, fixed, Gate, Json, Obj, Summary};
 use xsearch_bench::{standard_engine, timed_attested_search, Dataset, EXPERIMENT_SEED};
 use xsearch_core::broker::Broker;
 use xsearch_core::config::XSearchConfig;
@@ -138,6 +143,10 @@ fn main() {
     let service = format!("{:?}", wan.engine_service);
     summary.row("engine_service", service.as_str());
     summary.row("pool_workers", xsearch_engine::pool::MAX_WORKERS);
+    // The pool's lanes outnumber this box's cores at every k > cores - 1;
+    // the compute columns below are what its help-first join costs here.
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    summary.row("cores", cores);
     let k_sweep = sweep.iter().map(|(k, serial, parallel)| {
         let speedup = serial.total_s.median() / parallel.total_s.median();
         Obj::new()
@@ -153,5 +162,21 @@ fn main() {
         .field("serial_median_factor", fixed(serial_growth, 2))
         .field("parallel_median_factor", fixed(parallel_growth, 2));
     summary.row(&format!("growth_k{}_to_k{}", first.0, last.0), growth);
+    // The hand-off to the pool may not cost more than the work it hands
+    // off, at any k; and the modeled latency must stay flat in k.
+    let compute_ratio = sweep
+        .iter()
+        .map(|(_, serial, parallel)| parallel.compute_s.median() / serial.compute_s.median())
+        .fold(0.0, f64::max);
+    summary.gate(Gate::at_most(
+        "pool_compute_vs_serial_max",
+        compute_ratio,
+        2.0,
+    ));
+    summary.gate(Gate::at_most(
+        "parallel_median_growth",
+        parallel_growth,
+        1.5,
+    ));
     summary.finish(|| ());
 }

@@ -8,15 +8,28 @@
 //! algorithm's condition is `score[Qu] = max`, so a draw goes to the
 //! user).
 //!
-//! Hot-path shape: every sub-query is tokenized **once** into a word
-//! set up front and every result's title/description once per result —
-//! the naive form re-tokenizes each (sub-query, result) pair, which is
-//! O(results × k) tokenizations. The input result list is consumed and
-//! filtered in place; no cloning of the kept results.
+//! Hot-path shape: this runs inside the enclave on every real request,
+//! over ≈ 75 results and ≈ 1 800 result words, so it is sized to the
+//! data it touches and allocates nothing per result or per word. The
+//! k+1 sub-queries are tokenized once into a [`WordTable`]: their
+//! distinct words, sorted, and per sub-query a bitmask over that table
+//! (as many `u64`s as the table needs — k = 15 with long queries passes
+//! 64 distinct words). A result field is then streamed through
+//! [`for_each_token`], which lends each word from the text (or from one
+//! reused fold buffer) instead of building a `String`; a word that is in
+//! the table sets its bit in the field's `seen` mask, and a sub-query's
+//! `nbCommonWords` with the field is `popcount(seen & mask)`. Most result
+//! words are in no sub-query; a one-byte [`sketch`] turns them away
+//! before the table is searched, and the search is a binary search of a
+//! sorted slice — bounded per word whatever the engine sends back, which
+//! a cheap-hash map would not be. Title and description are scored
+//! separately and summed, as [`result_score`] — the naive form, kept as
+//! the oracle the tests compare against — does. The result list is
+//! consumed and filtered in place.
 
-use std::collections::HashSet;
 use xsearch_engine::engine::SearchResult;
-use xsearch_text::similarity::{common_words, nb_common_words, word_set};
+use xsearch_text::similarity::nb_common_words;
+use xsearch_text::tokenize::for_each_token;
 
 /// Scores one (query, result) pair per Algorithm 2 lines 5–6.
 #[must_use]
@@ -24,9 +37,93 @@ pub fn result_score(query: &str, result: &SearchResult) -> usize {
     nb_common_words(query, &result.title) + nb_common_words(query, &result.description)
 }
 
-/// Scores a pre-tokenized query against a pre-tokenized result.
-fn score_sets(query: &HashSet<String>, title: &HashSet<String>, desc: &HashSet<String>) -> usize {
-    common_words(query, title) + common_words(query, desc)
+/// The distinct words of the k+1 sub-queries and, per sub-query, which of
+/// them it contains.
+struct WordTable {
+    /// Distinct words, sorted by [`word_order`]; a word's position is its
+    /// bit index.
+    words: Vec<String>,
+    /// `width` mask words per sub-query, sub-query 0 (the original) first.
+    masks: Vec<u64>,
+    /// `u64`s per mask.
+    width: usize,
+    /// Bit [`sketch`]`(word)` is set for every word in the table: most
+    /// result words are turned away here, before any comparison.
+    sketches: [u64; 4],
+}
+
+/// Table order: by length first, so most probes of the binary search
+/// compare two integers and never touch the bytes.
+fn word_order(a: &str, b: &str) -> std::cmp::Ordering {
+    a.len().cmp(&b.len()).then_with(|| a.cmp(b))
+}
+
+/// One byte mixed from a word's length (its low byte) and its first and
+/// last bytes — enough to tell most words that are not in a small table
+/// from those that are. Words are never empty.
+fn sketch(word: &str) -> u8 {
+    let bytes = word.as_bytes();
+    (bytes.len() as u8)
+        .wrapping_mul(29)
+        .wrapping_add(bytes[0].wrapping_mul(7))
+        .wrapping_add(bytes[bytes.len() - 1])
+}
+
+fn set_bit(bits: &mut [u64], bit: usize) {
+    bits[bit / 64] |= 1 << (bit % 64);
+}
+
+fn has_bit(bits: &[u64], bit: usize) -> bool {
+    bits[bit / 64] & 1 << (bit % 64) != 0
+}
+
+impl WordTable {
+    fn build<S: AsRef<str>>(original: &str, fakes: &[S], scratch: &mut String) -> Self {
+        let mut tagged: Vec<(String, usize)> = Vec::new();
+        let subqueries = std::iter::once(original).chain(fakes.iter().map(AsRef::as_ref));
+        for (q, text) in subqueries.enumerate() {
+            for_each_token(text, scratch, |word| tagged.push((word.to_owned(), q)));
+        }
+        tagged.sort_unstable_by(|a, b| word_order(&a.0, &b.0));
+        // At most one bit per tagged word, fewer once duplicates merge.
+        let width = tagged.len().div_ceil(64).max(1);
+        let mut table = WordTable {
+            words: Vec::with_capacity(tagged.len()),
+            masks: vec![0; (fakes.len() + 1) * width],
+            width,
+            sketches: [0; 4],
+        };
+        for (word, q) in tagged {
+            if table.words.last() != Some(&word) {
+                set_bit(&mut table.sketches, usize::from(sketch(&word)));
+                table.words.push(word);
+            }
+            set_bit(&mut table.masks[q * width..], table.words.len() - 1);
+        }
+        table
+    }
+
+    /// Marks in `seen` every table word that occurs in `text`.
+    fn mark(&self, text: &str, scratch: &mut String, seen: &mut [u64]) {
+        seen.fill(0);
+        for_each_token(text, scratch, |word| {
+            if !has_bit(&self.sketches, usize::from(sketch(word))) {
+                return;
+            }
+            if let Ok(bit) = self.words.binary_search_by(|w| word_order(w, word)) {
+                set_bit(seen, bit);
+            }
+        });
+    }
+
+    /// `nbCommonWords(sub-query q, field)` for a field marked into `seen`.
+    fn common(&self, q: usize, seen: &[u64]) -> u32 {
+        let mask = &self.masks[q * self.width..(q + 1) * self.width];
+        mask.iter()
+            .zip(seen)
+            .map(|(m, s)| (m & s).count_ones())
+            .sum()
+    }
 }
 
 /// Runs Algorithm 2: keeps the results whose best-matching sub-query is
@@ -42,16 +139,17 @@ pub fn filter_results<S: AsRef<str>>(
         // results ⇒ nothing to tokenize against (echo-mode hot path).
         return results;
     }
-    let original_words = word_set(original);
-    let fake_words: Vec<HashSet<String>> = fakes.iter().map(|f| word_set(f.as_ref())).collect();
+    let mut scratch = String::new();
+    let table = WordTable::build(original, fakes, &mut scratch);
+    let mut title = vec![0u64; table.width];
+    let mut desc = vec![0u64; table.width];
     results.retain(|r| {
-        let title = word_set(&r.title);
-        let desc = word_set(&r.description);
-        let own = score_sets(&original_words, &title, &desc);
+        table.mark(&r.title, &mut scratch, &mut title);
+        table.mark(&r.description, &mut scratch, &mut desc);
+        let score = |q| table.common(q, &title) + table.common(q, &desc);
+        let own = score(0);
         // `own >= every fake score` ⇔ `own == max` (ties to the user).
-        fake_words
-            .iter()
-            .all(|f| own >= score_sets(f, &title, &desc))
+        (1..=fakes.len()).all(|q| own >= score(q))
     });
     results
 }
@@ -134,7 +232,99 @@ mod tests {
         assert_eq!(result_score("paris", &r), 0);
     }
 
+    #[test]
+    fn more_than_64_distinct_subquery_words_all_count() {
+        // 16 sub-queries × 12 distinct words = 192 table entries, three
+        // mask words: a hit on the last fake's last word must still count.
+        let sub = |q: usize| {
+            let words: Vec<String> = (0..12).map(|w| format!("q{q}w{w}")).collect();
+            words.join(" ")
+        };
+        let fakes: Vec<String> = (1..16).map(sub).collect();
+        let results = vec![
+            result(0, "q0w0 q0w11", "q15w11"),
+            result(1, "q0w0", "q15w10 Q15W11"),
+            result(2, "q7w3 q0w5", "q7w4 q0w6 q7w5"),
+        ];
+        let kept = filter_results(&sub(0), &fakes, results);
+        let ids: Vec<u32> = kept.iter().map(|r| r.doc.0).collect();
+        assert_eq!(ids, [0], "1 loses to fake 15, 2 loses to fake 7");
+    }
+
+    /// Words that collide only after folding, near-misses that must not,
+    /// and enough plain ones that k = 15 passes 64 distinct table words.
+    fn vocabulary() -> Vec<String> {
+        let special = [
+            "paris",
+            "Paris",
+            "PARIS",
+            "parisian",
+            "İstanbul",
+            "istanbul",
+            "i",
+            "İ",
+            "straße",
+            "STRASSE",
+            "Straße",
+            "ß",
+            "ǅungla",
+            "ǆungla",
+            "649",
+            "a",
+            "A",
+            "é",
+            "É",
+            "中",
+        ];
+        let plain = (0..90).map(|n| format!("w{n}"));
+        special
+            .iter()
+            .map(|w| (*w).to_owned())
+            .chain(plain)
+            .collect()
+    }
+
+    /// Joins vocabulary picks with separator picks; an empty pick list is
+    /// an empty field.
+    fn text(vocab: &[String], picks: &[(usize, usize)]) -> String {
+        const SEPARATORS: [&str; 6] = [" ", ", ", "--", " ... ", "\t", "!? "];
+        let mut out = String::new();
+        for (word, sep) in picks {
+            out.push_str(&vocab[word % vocab.len()]);
+            out.push_str(SEPARATORS[sep % SEPARATORS.len()]);
+        }
+        out
+    }
+
     proptest! {
+        #[test]
+        fn keeps_exactly_what_the_naive_scores_keep(
+            k_pick in 0usize..3,
+            subqueries in proptest::collection::vec(
+                proptest::collection::vec((0usize..110, 0usize..6), 0..12), 16),
+            fields in proptest::collection::vec(
+                proptest::collection::vec((0usize..110, 0usize..6), 0..16), 0..24),
+        ) {
+            let vocab = vocabulary();
+            let k = [1, 3, 15][k_pick];
+            let original = text(&vocab, &subqueries[0]);
+            let fakes: Vec<String> = subqueries[1..=k].iter().map(|s| text(&vocab, s)).collect();
+            let results: Vec<SearchResult> = fields
+                .chunks(2)
+                .enumerate()
+                .map(|(i, f)| result(i as u32, &text(&vocab, &f[0]), &text(&vocab, f.last().unwrap())))
+                .collect();
+            let expected: Vec<SearchResult> = results
+                .iter()
+                .filter(|r| {
+                    let own = result_score(&original, r);
+                    fakes.iter().all(|f| own >= result_score(f, r))
+                })
+                .cloned()
+                .collect();
+            prop_assert_eq!(filter_results(&original, &fakes, results), expected);
+        }
+
         #[test]
         fn filtered_is_subset(
             original in "[a-z]{2,8} [a-z]{2,8}",

@@ -69,11 +69,15 @@ fn has_redirector_path(url: &str) -> bool {
 /// ```
 #[must_use]
 pub fn strip_redirect(url: &str) -> String {
-    let Some((_, query)) = url.split_once('?') else {
-        return url.to_owned();
-    };
+    redirect_target(url).unwrap_or_else(|| url.to_owned())
+}
+
+/// The innermost target of a redirector URL, `None` when `url` is not a
+/// redirection.
+fn redirect_target(url: &str) -> Option<String> {
+    let (_, query) = url.split_once('?')?;
     if !has_redirector_path(url) {
-        return url.to_owned();
+        return None;
     }
     for pair in query.split('&') {
         let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
@@ -81,17 +85,20 @@ pub fn strip_redirect(url: &str) -> String {
             let decoded = percent_decode(value);
             if decoded.starts_with("http://") || decoded.starts_with("https://") {
                 // Recurse: trackers sometimes nest.
-                return strip_redirect(&decoded);
+                return Some(redirect_target(&decoded).unwrap_or(decoded));
             }
         }
     }
-    url.to_owned()
+    None
 }
 
-/// Strips redirections from every result in place.
+/// Strips redirections from every result in place; a URL that is not a
+/// redirection keeps its allocation.
 pub fn strip_all(results: &mut [SearchResult]) {
     for r in results {
-        r.url = strip_redirect(&r.url);
+        if let Some(target) = redirect_target(&r.url) {
+            r.url = target;
+        }
     }
 }
 

@@ -2,7 +2,7 @@
 
 use crate::document::DocId;
 use crate::index::InvertedIndex;
-use std::collections::HashMap;
+use std::cell::RefCell;
 
 /// BM25 parameters; defaults are the standard k₁ = 1.2, b = 0.75.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -19,8 +19,24 @@ impl Default for Bm25Params {
     }
 }
 
+/// Per-thread accumulator, reused from query to query: one score slot
+/// per document id and the list of slots the current query has written.
+/// A slot holds NaN while no query term has reached its document, so a
+/// query costs its postings, not the corpus.
+#[derive(Default)]
+struct Scratch {
+    scores: Vec<f64>,
+    touched: Vec<u32>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
 /// Scores all documents matching any query term ("OR" semantics, like a
-/// web engine), returning `(doc, score)` pairs in descending score order.
+/// web engine) and returns the best `k` as `(doc, score)` pairs, score
+/// descending, ties by ascending document id. A term repeated in the
+/// query counts each time.
 ///
 /// The idf uses the standard BM25 form with a +1 inside the log so scores
 /// stay positive for common terms.
@@ -29,35 +45,59 @@ pub fn rank(
     index: &InvertedIndex,
     query_terms: &[String],
     params: Bm25Params,
+    k: usize,
 ) -> Vec<(DocId, f64)> {
     let n = index.doc_count() as f64;
     if n == 0.0 {
         return Vec::new();
     }
     let avgdl = index.avg_doc_len().max(1.0);
-    let mut scores: HashMap<DocId, f64> = HashMap::new();
-    for term in query_terms {
-        let postings = index.postings(term);
-        if postings.is_empty() {
-            continue;
+    SCRATCH.with_borrow_mut(|scratch| {
+        let Scratch { scores, touched } = scratch;
+        if scores.len() < index.doc_slots() {
+            scores.resize(index.doc_slots(), f64::NAN);
         }
-        let df = postings.len() as f64;
-        let idf = (((n - df + 0.5) / (df + 0.5)) + 1.0).ln();
-        for p in postings {
-            let tf = f64::from(p.tf);
-            let dl = f64::from(index.doc_len(p.doc));
-            let denom = tf + params.k1 * (1.0 - params.b + params.b * dl / avgdl);
-            *scores.entry(p.doc).or_insert(0.0) += idf * (tf * (params.k1 + 1.0)) / denom;
+        for term in query_terms {
+            let postings = index.postings(term);
+            if postings.is_empty() {
+                continue;
+            }
+            let df = postings.len() as f64;
+            let idf = (((n - df + 0.5) / (df + 0.5)) + 1.0).ln();
+            for p in postings {
+                let tf = f64::from(p.tf);
+                let dl = f64::from(index.doc_len(p.doc));
+                let denom = tf + params.k1 * (1.0 - params.b + params.b * dl / avgdl);
+                let score = &mut scores[p.doc.0 as usize];
+                if score.is_nan() {
+                    touched.push(p.doc.0);
+                    *score = 0.0;
+                }
+                *score += idf * (tf * (params.k1 + 1.0)) / denom;
+            }
         }
-    }
-    let mut ranked: Vec<(DocId, f64)> = scores.into_iter().collect();
-    // Deterministic order: score desc, then doc id asc.
-    ranked.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .expect("scores finite")
-            .then(a.0.cmp(&b.0))
-    });
-    ranked
+        // Deterministic order: score desc, then doc id asc. Only the best
+        // `k` are put in order; the rest are never compared to each other.
+        let by_rank = |a: &u32, b: &u32| {
+            scores[*b as usize]
+                .total_cmp(&scores[*a as usize])
+                .then(a.cmp(b))
+        };
+        let k = k.min(touched.len());
+        if k < touched.len() {
+            touched.select_nth_unstable_by(k, by_rank);
+        }
+        let top = &mut touched[..k];
+        top.sort_unstable_by(by_rank);
+        let ranked = top
+            .iter()
+            .map(|&doc| (DocId(doc), scores[doc as usize]))
+            .collect();
+        for doc in touched.drain(..) {
+            scores[doc as usize] = f64::NAN;
+        }
+        ranked
+    })
 }
 
 #[cfg(test)]
@@ -88,7 +128,7 @@ mod tests {
     #[test]
     fn matching_docs_only() {
         let idx = build();
-        let ranked = rank(&idx, &["garden".into()], Bm25Params::default());
+        let ranked = rank(&idx, &["garden".into()], Bm25Params::default(), usize::MAX);
         assert_eq!(ranked.len(), 1);
         assert_eq!(ranked[0].0, DocId(2));
     }
@@ -100,6 +140,7 @@ mod tests {
             &idx,
             &["hotel".into(), "garden".into()],
             Bm25Params::default(),
+            usize::MAX,
         );
         let ids: Vec<u32> = ranked.iter().map(|(d, _)| d.0).collect();
         assert!(ids.contains(&0) && ids.contains(&2));
@@ -108,7 +149,7 @@ mod tests {
     #[test]
     fn higher_tf_ranks_higher_for_single_term() {
         let idx = build();
-        let ranked = rank(&idx, &["paris".into()], Bm25Params::default());
+        let ranked = rank(&idx, &["paris".into()], Bm25Params::default(), usize::MAX);
         assert_eq!(ranked[0].0, DocId(3), "the paris-heavy doc wins");
     }
 
@@ -119,6 +160,7 @@ mod tests {
             &idx,
             &["paris".into(), "cheap".into()],
             Bm25Params::default(),
+            usize::MAX,
         );
         for pair in ranked.windows(2) {
             assert!(pair[0].1 >= pair[1].1);
@@ -129,12 +171,12 @@ mod tests {
     #[test]
     fn unknown_terms_produce_empty() {
         let idx = build();
-        assert!(rank(&idx, &["zzzz".into()], Bm25Params::default()).is_empty());
+        assert!(rank(&idx, &["zzzz".into()], Bm25Params::default(), usize::MAX).is_empty());
     }
 
     #[test]
     fn empty_index_is_empty() {
         let idx = InvertedIndex::build(&[]);
-        assert!(rank(&idx, &["paris".into()], Bm25Params::default()).is_empty());
+        assert!(rank(&idx, &["paris".into()], Bm25Params::default(), usize::MAX).is_empty());
     }
 }

@@ -69,10 +69,8 @@ impl SearchEngine {
     #[must_use]
     pub fn search(&self, query: &str, k: usize) -> Vec<SearchResult> {
         let terms = tokenize(query);
-        let ranked = rank(&self.index, &terms, self.params);
-        ranked
+        rank(&self.index, &terms, self.params, k)
             .into_iter()
-            .take(k)
             .map(|(doc, score)| self.to_result(doc, score))
             .collect()
     }
@@ -123,11 +121,12 @@ impl SearchEngine {
 pub fn merge_ranked(per_query: Vec<Vec<SearchResult>>, k_each: usize) -> Vec<SearchResult> {
     let mut merged: Vec<SearchResult> = Vec::new();
     let mut seen = std::collections::HashSet::new();
-    for rank_pos in 0..k_each {
-        for results in &per_query {
-            if let Some(r) = results.get(rank_pos) {
+    let mut rankings: Vec<_> = per_query.into_iter().map(Vec::into_iter).collect();
+    for _ in 0..k_each {
+        for ranking in &mut rankings {
+            if let Some(r) = ranking.next() {
                 if seen.insert(r.doc) {
-                    merged.push(r.clone());
+                    merged.push(r);
                 }
             }
         }
@@ -138,8 +137,64 @@ pub fn merge_ranked(per_query: Vec<Vec<SearchResult>>, k_each: usize) -> Vec<Sea
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use proptest::prelude::*;
+    use std::collections::{HashMap, HashSet};
     use xsearch_query_log::topics::TOPICS;
+
+    /// BM25 the slow way: a map from document to score filled in
+    /// query-term order, then every match sorted (score desc, id asc).
+    fn full_ranking(e: &SearchEngine, query: &str) -> Vec<(DocId, f64)> {
+        let (n, avgdl) = (e.index.doc_count() as f64, e.index.avg_doc_len().max(1.0));
+        let Bm25Params { k1, b } = e.params;
+        let mut scores: HashMap<DocId, f64> = HashMap::new();
+        for term in tokenize(query) {
+            let postings = e.index.postings(&term);
+            let df = postings.len() as f64;
+            let idf = (((n - df + 0.5) / (df + 0.5)) + 1.0).ln();
+            for p in postings {
+                let tf = f64::from(p.tf);
+                let dl = f64::from(e.index.doc_len(p.doc));
+                *scores.entry(p.doc).or_insert(0.0) +=
+                    idf * (tf * (k1 + 1.0)) / (tf + k1 * (1.0 - b + b * dl / avgdl));
+            }
+        }
+        let mut ranked: Vec<(DocId, f64)> = scores.into_iter().collect();
+        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        ranked
+    }
+
+    proptest! {
+        #[test]
+        fn search_is_the_head_of_the_full_ranking(
+            // A two-letter alphabet, mostly spaces: a handful of distinct
+            // words, so equal documents (exact score ties) and repeated
+            // query terms are common; `z` is in no document.
+            docs in proptest::collection::vec(("[ab   ]{0,6}", "[ab   ]{0,12}"), 1..12),
+            query in "[abz   ]{0,10}",
+            k in 0usize..16,
+        ) {
+            let docs: Vec<Document> = docs
+                .into_iter()
+                .enumerate()
+                .map(|(i, (title, description))| Document {
+                    id: DocId(i as u32),
+                    url: format!("u{i}"),
+                    title,
+                    description,
+                    topic: 0,
+                })
+                .collect();
+            let e = SearchEngine::from_documents(docs);
+            let full = full_ranking(&e, &query);
+            let got = e.search(&query, k);
+            prop_assert_eq!(got.len(), k.min(full.len()));
+            for (r, (doc, score)) in got.iter().zip(&full) {
+                prop_assert_eq!(r.doc, *doc);
+                prop_assert_eq!(r.score.to_bits(), score.to_bits());
+                prop_assert_eq!(&r.title, &e.document(*doc).unwrap().title);
+            }
+        }
+    }
 
     fn engine() -> SearchEngine {
         SearchEngine::build(&CorpusConfig {

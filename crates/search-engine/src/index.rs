@@ -20,7 +20,8 @@ pub struct Posting {
 pub struct InvertedIndex {
     interner: TermInterner,
     postings: Vec<Vec<Posting>>,
-    doc_lengths: HashMap<DocId, u32>,
+    /// Indexed by document id (ids are dense in a corpus).
+    doc_lengths: Vec<u32>,
     total_len: u64,
     doc_count: usize,
 }
@@ -31,7 +32,7 @@ impl InvertedIndex {
     pub fn build(docs: &[Document]) -> Self {
         let mut interner = TermInterner::new();
         let mut postings: Vec<Vec<Posting>> = Vec::new();
-        let mut doc_lengths = HashMap::with_capacity(docs.len());
+        let mut doc_lengths = vec![0u32; docs.len()];
         let mut total_len = 0u64;
         for doc in docs {
             let mut counts: HashMap<u32, u32> = HashMap::new();
@@ -54,7 +55,11 @@ impl InvertedIndex {
                 }
                 postings[slot].push(Posting { doc: doc.id, tf });
             }
-            doc_lengths.insert(doc.id, len);
+            let slot = doc.id.0 as usize;
+            if slot >= doc_lengths.len() {
+                doc_lengths.resize(slot + 1, 0);
+            }
+            doc_lengths[slot] = len;
             total_len += u64::from(len);
         }
         InvertedIndex {
@@ -85,7 +90,14 @@ impl InvertedIndex {
     /// Length of one document, 0 if unknown.
     #[must_use]
     pub fn doc_len(&self, doc: DocId) -> u32 {
-        self.doc_lengths.get(&doc).copied().unwrap_or(0)
+        self.doc_lengths.get(doc.0 as usize).copied().unwrap_or(0)
+    }
+
+    /// One more than the largest indexed document id: the size of a table
+    /// indexed by document id.
+    #[must_use]
+    pub fn doc_slots(&self) -> usize {
+        self.doc_lengths.len()
     }
 
     /// The postings list for a term, empty when the term is unknown.

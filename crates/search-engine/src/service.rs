@@ -7,13 +7,16 @@
 //! The seed version of this module *synthesized* concurrency: the engine
 //! evaluated the k+1 sub-queries strictly serially while the model
 //! charged the **max** of k+1 independent delay draws, as if they had run
-//! in parallel. Merged mode now dispatches the sub-queries through a real
+//! in parallel. Merged mode now hands the sub-queries to a real
 //! [`SearchPool`] and attaches one service-time draw to each *actual*
-//! execution: the charged delay is the makespan over worker lanes —
+//! execution: the charged delay is the makespan over the pool's lanes —
 //! `max` over lanes of `Σ (draw + measured compute)` of the sub-queries
-//! that lane really ran. A pool at least k+1 wide therefore charges a
-//! max-of-draws-shaped delay because the fan-out is real, and a narrower
-//! pool honestly charges the queueing its width imposes.
+//! **assigned** to that lane. A lane is one of the modeled engine's
+//! service slots, so a pool at least k+1 wide charges a max-of-draws-shaped
+//! delay and a narrower one charges the queueing its width imposes. Which
+//! local thread executed a sub-query (a pool worker, or the caller
+//! helping — see [`crate::pool`]) is this process's scheduling and does
+//! not enter the model; its measured compute does, wherever it ran.
 //! [`EngineService::serial`] keeps the seed's serial evaluator as an
 //! explicit baseline and charges the serial truth: the **sum** of the
 //! per-sub-query draws.
@@ -156,9 +159,9 @@ impl EngineService {
             }
             Exec::Pool(pool) => {
                 let (results, runs) = pool.search_merged_accounted(subqueries, k_each);
-                // Makespan over the lanes this request actually used:
-                // each lane serves its sub-queries back to back, lanes
-                // run concurrently.
+                // Makespan over the lanes this request was assigned: each
+                // lane serves its sub-queries back to back, lanes run
+                // concurrently.
                 let mut lane_busy = vec![Duration::ZERO; pool.workers()];
                 for (run, draw) in runs.iter().zip(&draws) {
                     lane_busy[run.lane] += *draw + run.compute;
@@ -265,6 +268,33 @@ mod tests {
         let (_, d) = s.search_merged(&subs, 10);
         assert!(d >= Duration::from_millis(2 * SERVICE_MS), "got {d:?}");
         assert!(d < Duration::from_millis(4 * SERVICE_MS), "got {d:?}");
+    }
+
+    #[test]
+    fn wide_pool_charges_the_max_draw_and_a_one_wide_pool_the_sum() {
+        // The charge is a function of the seed's draws and the assigned
+        // lanes alone — not of which thread evaluated what.
+        const SEED: u64 = 41;
+        let model = DelayModel::lognormal_ms(SERVICE_MS, 0.5);
+        let draws: Vec<Duration> = {
+            let mut rng = StdRng::seed_from_u64(SEED);
+            (0..4).map(|_| model.sample(&mut rng)).collect()
+        };
+        let (max, sum) = (*draws.iter().max().unwrap(), draws.iter().sum::<Duration>());
+        assert!(sum > max + Duration::from_millis(SERVICE_MS));
+        // Far above four evaluations of a 400-document index, far below
+        // the gap between the two charges.
+        let compute = Duration::from_millis(100);
+        let subs: Vec<String> = (0..4).map(|i| format!("flights hotel {i}")).collect();
+        let engine = engine();
+        for (workers, draws_part) in [(4, max), (1, sum)] {
+            let s = EngineService::with_workers(engine.clone(), model.clone(), SEED, workers);
+            let (_, d) = s.search_merged(&subs, 10);
+            assert!(
+                d > draws_part && d < draws_part + compute,
+                "{workers} lanes: charged {d:?}, draws give {draws_part:?}"
+            );
+        }
     }
 
     #[test]

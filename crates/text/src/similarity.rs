@@ -57,10 +57,11 @@ pub fn cosine_terms(a: &[String], b: &[String]) -> f64 {
 }
 
 /// The distinct case-folded words of a text, as one pre-tokenized set.
-/// Callers that score one text against many (Algorithm 2 scores every
-/// sub-query against every result) tokenize each side once with this and
-/// then count overlaps with [`common_words`], instead of re-tokenizing
-/// per pair through [`nb_common_words`].
+/// Callers that score one text against many tokenize each side once with
+/// this and then count overlaps with [`common_words`], instead of
+/// re-tokenizing per pair through [`nb_common_words`]. (The enclave's
+/// Algorithm 2 goes further and builds no sets at all — see
+/// [`crate::tokenize::for_each_token`].)
 ///
 /// # Example
 ///

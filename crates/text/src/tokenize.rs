@@ -36,6 +36,59 @@ pub fn tokenize(text: &str) -> Vec<String> {
     tokens
 }
 
+/// Visits the tokens of `text` — exactly the sequence [`tokenize`]
+/// returns — without allocating per token.
+///
+/// A token made only of ASCII lower-case letters and digits is its own
+/// folded form and is lent straight from `text`. Anything else (an
+/// upper-case or non-ASCII character) is folded into `scratch`, whose
+/// allocation is reused from token to token and call to call, with the
+/// same rule as [`tokenize`]: lower-case each character and keep only the
+/// alphanumerics of the expansion (`'İ'` → `"i"`).
+///
+/// # Example
+///
+/// ```
+/// use xsearch_text::tokenize::for_each_token;
+/// let mut scratch = String::new();
+/// let mut seen = Vec::new();
+/// for_each_token("Cheap FLIGHTS, to-Paris!", &mut scratch, |t| seen.push(t.to_owned()));
+/// assert_eq!(seen, ["cheap", "flights", "to", "paris"]);
+/// ```
+pub fn for_each_token(text: &str, scratch: &mut String, mut visit: impl FnMut(&str)) {
+    let bytes = text.as_bytes();
+    let mut pos = 0;
+    while pos < bytes.len() {
+        let start = pos;
+        while pos < bytes.len() && (bytes[pos].is_ascii_lowercase() || bytes[pos].is_ascii_digit())
+        {
+            pos += 1;
+        }
+        if pos == bytes.len() || (bytes[pos].is_ascii() && !bytes[pos].is_ascii_uppercase()) {
+            // The run ended at an ASCII separator or the end of the text.
+            if pos > start {
+                visit(&text[start..pos]);
+            }
+            pos += 1;
+            continue;
+        }
+        // An upper-case or non-ASCII character: it continues the token
+        // (folded) or, not being alphanumeric, separates like any other.
+        scratch.clear();
+        scratch.push_str(&text[start..pos]);
+        for ch in text[pos..].chars() {
+            pos += ch.len_utf8();
+            if !ch.is_alphanumeric() {
+                break;
+            }
+            scratch.extend(ch.to_lowercase().filter(|c| c.is_alphanumeric()));
+        }
+        if !scratch.is_empty() {
+            visit(scratch);
+        }
+    }
+}
+
 /// Tokenizes and removes stopwords in one pass.
 ///
 /// # Example
@@ -96,6 +149,30 @@ mod tests {
         assert_eq!(tokenize("o'reilly's"), vec!["o", "reilly", "s"]);
     }
 
+    fn visited(text: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        for_each_token(text, &mut String::new(), |t| out.push(t.to_owned()));
+        out
+    }
+
+    #[test]
+    fn visitor_borrows_folds_and_splits_like_tokenize() {
+        for text in [
+            "",
+            "  \t ... ",
+            "cheap flights 649",
+            "HeLLo WoRLD",
+            "www.MySpace.com",
+            "İstanbul straße ǅungla",
+            "naïve—café…x",
+            "a\u{307}b İ",
+            "trailingUPPER",
+        ] {
+            assert_eq!(visited(text), tokenize(text), "{text:?}");
+        }
+        assert_eq!(visited("İ"), ["i"]);
+    }
+
     #[test]
     fn content_words_drop_stopwords() {
         assert_eq!(content_words("how to tie a tie"), vec!["tie", "tie"]);
@@ -115,6 +192,17 @@ mod tests {
                 // Case folding is a fixpoint: some uppercase letters (e.g.
                 // '𝒥') have no lowercase mapping and pass through.
                 prop_assert_eq!(tok.to_lowercase(), tok.clone());
+            }
+        }
+
+        #[test]
+        fn visitor_yields_exactly_tokenize(text: String, tail in "[a-dA-D0-2 .,İßǅ\u{307}]{0,24}") {
+            // One scratch across both calls: a stale fold must not leak.
+            let mut scratch = String::new();
+            for t in [text.clone() + &tail, tail + &text] {
+                let mut visited = Vec::new();
+                for_each_token(&t, &mut scratch, |tok| visited.push(tok.to_owned()));
+                prop_assert_eq!(visited, tokenize(&t));
             }
         }
 
