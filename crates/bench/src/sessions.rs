@@ -132,11 +132,8 @@ pub fn attach_by_seed(cluster: &Cluster, seed: u64) -> Broker {
     let client_pub = Broker::client_pub_for_seed(seed);
     let replica = cluster.route(client_pub.as_bytes()).expect("routable");
     cluster
-        .with_replica(replica, |proxy| {
-            Broker::attach(proxy, cluster.ias(), cluster.expected_measurement(), seed)
-        })
-        .expect("replica up")
-        .expect("attested")
+        .attach(replica, seed)
+        .expect("replica up and attested")
 }
 
 /// Write stalls one [`RawFramed::send`] rides out before giving up.

@@ -15,12 +15,12 @@
 //!
 //! # The resilience policy stack
 //!
-//! When [`ResilienceConfig::enabled`] is set (the default), every search
+//! When [`crate::ResilienceConfig::enabled`] is set (the default), every search
 //! runs under a **deadline budget** on the modeled clock and walks a
 //! ladder of policies, cheapest first:
 //!
 //! 1. **deadline** — accounted charges (hops, injected faults, backoff)
-//!    accrue against [`ResilienceConfig::deadline`]; when the budget is
+//!    accrue against [`crate::ResilienceConfig::deadline`]; when the budget is
 //!    gone the search fails *typed* ([`ClusterError::DeadlineExceeded`],
 //!    not [`ClusterError::RetriesExhausted`]);
 //! 2. **backoff** — retries charge capped exponential backoff with
@@ -132,14 +132,7 @@ impl ClusterClient {
     pub fn attach(cluster: &Cluster, seed: u64) -> Result<Self, ClusterError> {
         let affinity = affinity_key(seed);
         let replica = cluster.route(&affinity)?;
-        let broker = cluster.with_replica(replica, |proxy| {
-            Broker::attach(
-                proxy,
-                cluster.ias(),
-                cluster.expected_measurement(),
-                handshake_seed(seed, 0),
-            )
-        })??;
+        let broker = cluster.attach(replica, handshake_seed(seed, 0))?;
         Ok(ClusterClient {
             seed,
             handshakes: 1,
@@ -500,12 +493,7 @@ impl ClusterClient {
         let seed = handshake_seed(self.seed, self.handshakes);
         self.handshakes += 1;
         cluster.metrics.client_reattaches.inc();
-        let mut hedge_broker = cluster
-            .with_replica(successor, |proxy| {
-                Broker::attach(proxy, cluster.ias(), cluster.expected_measurement(), seed)
-            })
-            .ok()?
-            .ok()?;
+        let mut hedge_broker = cluster.attach(successor, seed).ok()?;
         let slot = RequestSlot::new();
         let (response, charge) = cluster
             .forward(successor, echo, &slot, None, || {

@@ -64,6 +64,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use xsearch_core::config::XSearchConfig;
 use xsearch_core::proxy::XSearchProxy;
+use xsearch_core::Broker;
 use xsearch_engine::engine::SearchEngine;
 use xsearch_net_sim::fault::{FaultEvent, FaultPlan};
 use xsearch_net_sim::link::FleetModel;
@@ -781,6 +782,21 @@ impl Cluster {
         Ok(out)
     }
 
+    /// Attests replica `id` and opens a tunnel to it under `seed`: the
+    /// control-plane half of every client, whichever way its requests
+    /// then travel.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cluster::with_replica`], plus the attestation and handshake
+    /// failures of [`Broker::attach`] as [`ClusterError::Proxy`].
+    pub fn attach(&self, id: ReplicaId, seed: u64) -> Result<Broker, ClusterError> {
+        self.with_replica(id, |proxy| {
+            Broker::attach(proxy, &self.ias, self.expected, seed)
+        })?
+        .map_err(ClusterError::Proxy)
+    }
+
     /// The one door into a replica's data plane: admits one request on
     /// `id`'s bounded queue, *then* invokes `seal` for `(client_pub,
     /// ciphertext)` and enqueues it on the replica's lane **without
@@ -904,9 +920,9 @@ impl Cluster {
     }
 
     /// Forwards one request to `id` and blocks until its result is
-    /// delivered: [`Cluster::submit`], then drive the lane (or park on
+    /// delivered: `Cluster::submit`, then drive the lane (or park on
     /// `slot` while another thread leads it) until the delivery lands,
-    /// then [`Cluster::finish`]. Concurrent callers targeting the same
+    /// then `Cluster::finish`. Concurrent callers targeting the same
     /// replica ride a single `proxy_batch` ecall. Returns the sealed
     /// reply and the forward's modeled charge.
     ///
@@ -917,7 +933,8 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// As [`Cluster::submit`]; additionally [`ClusterError::Proxy`]
+    /// As [`Cluster::with_replica`], plus [`ClusterError::LinkLoss`] for
+    /// injected loss or a partition; additionally [`ClusterError::Proxy`]
     /// carries this entry's failure out of a coalesced batch (other
     /// entries are unaffected) and [`ClusterError::DeadlineExceeded`]
     /// means the lane leader found the entry already past `budget` and
@@ -1030,12 +1047,7 @@ impl Cluster {
             let requests = idxs
                 .iter()
                 .map(|&i| (&entries[i].client_pub, entries[i].ciphertext.as_slice()));
-            let wire = if echo {
-                proxy.request_batch_echo_refs(requests)
-            } else {
-                proxy.request_batch_refs(requests)
-            };
-            match wire {
+            match proxy.request_batch(echo, requests) {
                 Ok(per_entry) => {
                     for (&i, entry) in idxs.iter().zip(per_entry) {
                         results[i] = Some(entry.map_err(ClusterError::Proxy));

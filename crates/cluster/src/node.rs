@@ -2,7 +2,7 @@
 //! that outlives enclave crashes.
 //!
 //! The node models a physical machine: the **enclave** (and everything
-//! in EPC — sessions, the decoy window) dies with [`ReplicaNode::kill`],
+//! in EPC — sessions, the decoy window) dies with `ReplicaNode::kill`,
 //! while the **platform** state survives — the sealing identity and
 //! monotonic counter ([`HistoryVault`]), the untrusted storage slot
 //! holding the sealed history log, and the data-center link to the

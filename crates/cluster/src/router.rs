@@ -2,7 +2,7 @@
 //!
 //! Every replica owns a **lane**: a short queue of sealed requests plus
 //! a flat-combining leader flag. A client thread seals its query,
-//! enqueues a [`Pending`] on the target replica's lane, and then either
+//! enqueues a `Pending` on the target replica's lane, and then either
 //! becomes the lane leader (if the flag is free) or parks on its own
 //! [`RequestSlot`]. The leader drains the queue and pushes the whole
 //! batch across the enclave boundary in **one** `proxy_batch` ecall —

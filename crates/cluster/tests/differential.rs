@@ -82,18 +82,7 @@ struct BrokerPair {
 
 impl BrokerPair {
     fn attach(t: &Twins, seed: u64) -> BrokerPair {
-        let cluster_side = t
-            .cluster
-            .with_replica(R0, |proxy| {
-                Broker::attach(
-                    proxy,
-                    t.cluster.ias(),
-                    t.cluster.expected_measurement(),
-                    seed,
-                )
-            })
-            .unwrap()
-            .unwrap();
+        let cluster_side = t.cluster.attach(R0, seed).unwrap();
         let direct_side = Broker::attach(
             &t.direct,
             &t.direct_ias,

@@ -46,12 +46,7 @@ impl RawSession {
     fn open(cluster: &Cluster, front: &FrontTier, seed: u64) -> RawSession {
         let client_pub = Broker::client_pub_for_seed(seed);
         let replica = cluster.route(client_pub.as_bytes()).unwrap();
-        let broker = cluster
-            .with_replica(replica, |proxy| {
-                Broker::attach(proxy, cluster.ias(), cluster.expected_measurement(), seed)
-            })
-            .unwrap()
-            .unwrap();
+        let broker = cluster.attach(replica, seed).unwrap();
         RawSession {
             broker,
             stream: front.accept(),

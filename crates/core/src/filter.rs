@@ -11,7 +11,7 @@
 //! Hot-path shape: this runs inside the enclave on every real request,
 //! over ≈ 75 results and ≈ 1 800 result words, so it is sized to the
 //! data it touches and allocates nothing per result or per word. The
-//! k+1 sub-queries are tokenized once into a [`WordTable`]: their
+//! k+1 sub-queries are tokenized once into a `WordTable`: their
 //! distinct words, sorted, and per sub-query a bitmask over that table
 //! (as many `u64`s as the table needs — k = 15 with long queries passes
 //! 64 distinct words). A result field is then streamed through
@@ -19,7 +19,7 @@
 //! reused fold buffer) instead of building a `String`; a word that is in
 //! the table sets its bit in the field's `seen` mask, and a sub-query's
 //! `nbCommonWords` with the field is `popcount(seen & mask)`. Most result
-//! words are in no sub-query; a one-byte [`sketch`] turns them away
+//! words are in no sub-query; a one-byte `sketch` turns them away
 //! before the table is searched, and the search is a binary search of a
 //! sorted slice — bounded per word whatever the engine sends back, which
 //! a cheap-hash map would not be. Title and description are scored

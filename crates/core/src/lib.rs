@@ -41,7 +41,6 @@ pub mod enclave_app;
 pub mod error;
 pub mod filter;
 pub mod history;
-pub mod http_front;
 pub mod obfuscate;
 pub mod persistence;
 pub mod proxy;

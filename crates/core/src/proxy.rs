@@ -53,8 +53,8 @@ pub struct XSearchProxy {
     fault: Option<Arc<dyn FaultInjector>>,
     /// This node's metrics registry: the enclave's [`EnclaveScope`]
     /// aggregates plus host-side poll collectors over the boundary, EPC
-    /// and engine-uplink accounting atomics. `http_front` renders it at
-    /// `/metrics`.
+    /// and engine-uplink accounting atomics. It renders Prometheus text
+    /// and JSON; serving either is the embedder's job.
     registry: Arc<Registry>,
 }
 
@@ -275,75 +275,40 @@ impl XSearchProxy {
     /// engine). Entries fail independently; the outer `Result` only
     /// covers the batch envelope itself.
     ///
+    /// With `echo` set this is the batch form of
+    /// [`XSearchProxy::request_echo`]: full per-entry
+    /// crypto/obfuscation/filtering work, no engine round trips.
+    ///
+    /// The batch is taken as `(&client_pub, &ciphertext)` references so a
+    /// router that coalesces requests owned by many client threads can put
+    /// them on the wire without first copying them into owned tuples.
+    ///
     /// # Errors
     ///
     /// [`XSearchError::Protocol`] for a malformed batch envelope;
     /// per-entry errors are returned inside the vector.
-    pub fn request_batch(
+    pub fn request_batch<'a>(
         &self,
-        requests: &[([u8; 32], Vec<u8>)],
+        echo: bool,
+        requests: impl IntoIterator<Item = (&'a [u8; 32], &'a [u8])>,
     ) -> Result<Vec<Result<Vec<u8>, XSearchError>>, XSearchError> {
-        self.request_batch_refs(requests.iter().map(|(pk, ct)| (pk, ct.as_slice())))
+        // Two closures, not one that tests `echo`: the in-enclave batch
+        // loop is instantiated per fetch, and the echo instance loses the
+        // engine path altogether (≈ 2 % of `front_echo` throughput).
+        if echo {
+            self.enclave_request_batch(requests, |_, _| Vec::new())
+        } else {
+            self.enclave_request_batch(requests, |subqueries, k_each| {
+                self.service.search_merged(subqueries, k_each).0
+            })
+        }
     }
 
-    /// Borrowing form of [`XSearchProxy::request_batch`]: accepts the
-    /// batch as `(&client_pub, &ciphertext)` references so a router that
-    /// coalesces requests owned by many client threads can put them on
-    /// the wire without first copying them into owned tuples.
-    ///
-    /// # Errors
-    ///
-    /// See [`XSearchProxy::request_batch`].
-    pub fn request_batch_refs<'a, I>(
+    fn enclave_request_batch<'a>(
         &self,
-        requests: I,
-    ) -> Result<Vec<Result<Vec<u8>, XSearchError>>, XSearchError>
-    where
-        I: IntoIterator<Item = (&'a [u8; 32], &'a [u8])>,
-    {
-        self.enclave_request_batch(requests, |subqueries, k_each| {
-            self.service.search_merged(subqueries, k_each).0
-        })
-    }
-
-    /// The batch form of [`XSearchProxy::request_echo`]: full per-entry
-    /// crypto/obfuscation/filtering work, no engine round trips, one
-    /// enclave transition for the whole batch.
-    ///
-    /// # Errors
-    ///
-    /// See [`XSearchProxy::request_batch`].
-    pub fn request_batch_echo(
-        &self,
-        requests: &[([u8; 32], Vec<u8>)],
+        requests: impl IntoIterator<Item = (&'a [u8; 32], &'a [u8])>,
+        fetch: impl Fn(&[Arc<str>], usize) -> Vec<xsearch_engine::engine::SearchResult>,
     ) -> Result<Vec<Result<Vec<u8>, XSearchError>>, XSearchError> {
-        self.request_batch_echo_refs(requests.iter().map(|(pk, ct)| (pk, ct.as_slice())))
-    }
-
-    /// Borrowing form of [`XSearchProxy::request_batch_echo`].
-    ///
-    /// # Errors
-    ///
-    /// See [`XSearchProxy::request_batch`].
-    pub fn request_batch_echo_refs<'a, I>(
-        &self,
-        requests: I,
-    ) -> Result<Vec<Result<Vec<u8>, XSearchError>>, XSearchError>
-    where
-        I: IntoIterator<Item = (&'a [u8; 32], &'a [u8])>,
-    {
-        self.enclave_request_batch(requests, |_, _| Vec::new())
-    }
-
-    fn enclave_request_batch<'a, I, F>(
-        &self,
-        requests: I,
-        fetch: F,
-    ) -> Result<Vec<Result<Vec<u8>, XSearchError>>, XSearchError>
-    where
-        I: IntoIterator<Item = (&'a [u8; 32], &'a [u8])>,
-        F: Fn(&[std::sync::Arc<str>], usize) -> Vec<xsearch_engine::engine::SearchResult>,
-    {
         let payload = crate::wire::encode_request_batch(requests);
         let mut envelope: Result<(), XSearchError> = Ok(());
         let encoded =
@@ -405,15 +370,12 @@ impl XSearchProxy {
         self.enclave_request(client_pub, ciphertext, |_, _| Vec::new())
     }
 
-    fn enclave_request<F>(
+    fn enclave_request(
         &self,
         client_pub: &[u8; 32],
         ciphertext: &[u8],
-        fetch: F,
-    ) -> Result<Vec<u8>, XSearchError>
-    where
-        F: FnOnce(&[std::sync::Arc<str>], usize) -> Vec<xsearch_engine::engine::SearchResult>,
-    {
+        fetch: impl FnOnce(&[Arc<str>], usize) -> Vec<xsearch_engine::engine::SearchResult>,
+    ) -> Result<Vec<u8>, XSearchError> {
         let mut outcome: Result<Vec<u8>, XSearchError> = Err(XSearchError::UnknownSession);
         let _ = self
             .enclave
@@ -673,6 +635,11 @@ mod tests {
     use super::*;
     use xsearch_engine::corpus::CorpusConfig;
 
+    /// Owned test requests in the borrowed shape `request_batch` takes.
+    fn by_ref(requests: &[([u8; 32], Vec<u8>)]) -> impl Iterator<Item = (&[u8; 32], &[u8])> {
+        requests.iter().map(|(pk, ct)| (pk, ct.as_slice()))
+    }
+
     fn proxy() -> (XSearchProxy, AttestationService) {
         let ias = AttestationService::from_seed(11);
         let engine = Arc::new(SearchEngine::build(&CorpusConfig {
@@ -862,7 +829,7 @@ mod tests {
             .map(|(b, q)| (*b.client_pub().as_bytes(), b.seal_query(q)))
             .collect();
         let ecalls_before = batch.boundary().ecalls();
-        let responses = batch.request_batch(&requests).unwrap();
+        let responses = batch.request_batch(false, by_ref(&requests)).unwrap();
         assert_eq!(
             batch.boundary().ecalls() - ecalls_before,
             1,
@@ -894,7 +861,9 @@ mod tests {
         );
         tampered.1[0] ^= 1;
 
-        let responses = p.request_batch(&[good.clone(), unknown, tampered]).unwrap();
+        let responses = p
+            .request_batch(false, by_ref(&[good, unknown, tampered]))
+            .unwrap();
         assert!(broker.open_results(responses[0].as_ref().unwrap()).is_ok());
         assert_eq!(responses[1], Err(XSearchError::UnknownSession));
         assert!(matches!(responses[2], Err(XSearchError::Crypto(_))));
@@ -913,7 +882,7 @@ mod tests {
             .enumerate()
             .map(|(i, b)| (*b.client_pub().as_bytes(), b.seal_query(&format!("q{i}"))))
             .collect();
-        let responses = p.request_batch_echo(&requests).unwrap();
+        let responses = p.request_batch(true, by_ref(&requests)).unwrap();
         for (b, r) in brokers.iter_mut().zip(&responses) {
             assert!(b.open_results(r.as_ref().unwrap()).unwrap().is_empty());
         }
@@ -924,8 +893,7 @@ mod tests {
     fn malformed_batch_envelope_is_rejected_whole() {
         let (p, _) = proxy();
         let requests = [([1u8; 32], b"ct".to_vec())];
-        let mut payload =
-            crate::wire::encode_request_batch(requests.iter().map(|(pk, ct)| (pk, ct.as_slice())));
+        let mut payload = crate::wire::encode_request_batch(by_ref(&requests));
         payload.truncate(payload.len() - 1);
         // Drive the enclave entry directly with the truncated envelope.
         let out = p

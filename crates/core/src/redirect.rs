@@ -6,7 +6,6 @@
 //! proxy unwraps them so the search engine cannot correlate clicks either.
 
 use xsearch_engine::engine::SearchResult;
-use xsearch_net_sim::http::percent_decode;
 
 /// Query-string keys that commonly carry the redirection target
 /// (matched case-insensitively: trackers emit `u=` and `U=` alike).
@@ -54,7 +53,7 @@ fn has_redirector_path(url: &str) -> bool {
 /// otherwise returns the input unchanged. Unwrapping requires **both** a
 /// redirector-shaped path (`/click`, `/redirect`, `/r`, …) and a
 /// target-keyed parameter decoding to an http(s) URL — see
-/// [`REDIRECT_PATH_SEGMENTS`] for why the parameter alone is not enough.
+/// `REDIRECT_PATH_SEGMENTS` for why the parameter alone is not enough.
 ///
 /// # Example
 ///
@@ -90,6 +89,54 @@ fn redirect_target(url: &str) -> Option<String> {
         }
     }
     None
+}
+
+/// Percent-decodes a URL query component (`+` → space, `%xx` → byte).
+///
+/// An escape is only an escape when **both** of the two following bytes
+/// are ASCII hex digits; anything else (truncated `%4`, or `%+5` — which
+/// a `u8::from_str_radix`-based parser would accept because the parser
+/// tolerates a leading `+` sign) passes the `%` through literally and
+/// keeps decoding from the next byte.
+fn percent_decode(s: &str) -> String {
+    let bytes = s.as_bytes();
+    let mut out = Vec::with_capacity(bytes.len());
+    let mut i = 0;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'+' => out.push(b' '),
+            b'%' if i + 3 <= bytes.len()
+                && bytes[i + 1].is_ascii_hexdigit()
+                && bytes[i + 2].is_ascii_hexdigit() =>
+            {
+                let hi = (bytes[i + 1] as char).to_digit(16).expect("checked hex");
+                let lo = (bytes[i + 2] as char).to_digit(16).expect("checked hex");
+                out.push((hi as u8) << 4 | lo as u8);
+                i += 3;
+                continue;
+            }
+            b => out.push(b),
+        }
+        i += 1;
+    }
+    String::from_utf8_lossy(&out).into_owned()
+}
+
+/// Percent-encodes a string for use in a query component: what a
+/// tracker does to the target it wraps, so only the tests need it.
+#[cfg(test)]
+fn percent_encode(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for b in s.bytes() {
+        match b {
+            b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
+                out.push(b as char);
+            }
+            b' ' => out.push('+'),
+            _ => out.push_str(&format!("%{b:02X}")),
+        }
+    }
+    out
 }
 
 /// Strips redirections from every result in place; a URL that is not a
@@ -128,14 +175,8 @@ mod tests {
     #[test]
     fn unwraps_nested_redirects() {
         let inner = "http://final.com/x";
-        let level1 = format!(
-            "http://mid.com/r?u={}",
-            xsearch_net_sim::http::percent_encode(inner)
-        );
-        let level2 = format!(
-            "http://outer.com/r?u={}",
-            xsearch_net_sim::http::percent_encode(&level1)
-        );
+        let level1 = format!("http://mid.com/r?u={}", percent_encode(inner));
+        let level2 = format!("http://outer.com/r?u={}", percent_encode(&level1));
         assert_eq!(strip_redirect(&level2), inner);
     }
 
@@ -238,6 +279,45 @@ mod tests {
         assert_eq!(results[0].url, "http://real.com");
     }
 
+    #[test]
+    fn percent_roundtrip_on_query_text() {
+        for s in ["cheap flights", "c++ tutorial", "100% cotton", "a&b=c"] {
+            assert_eq!(percent_decode(&percent_encode(s)), s, "{s}");
+        }
+    }
+
+    #[test]
+    fn signed_hex_is_not_an_escape() {
+        // Regression: `u8::from_str_radix("+5", 16)` parses to 5, so a
+        // lenient decoder turned `%+5` into the control byte 0x05. The
+        // `%` must pass through; the `+` still decodes to a space by the
+        // normal query rules.
+        assert_eq!(percent_decode("%+5"), "% 5");
+        assert_eq!(percent_decode("% 5"), "% 5");
+        assert_eq!(percent_decode("%-5"), "%-5");
+    }
+
+    #[test]
+    fn truncated_escapes_pass_through() {
+        assert_eq!(percent_decode("%"), "%");
+        assert_eq!(percent_decode("%4"), "%4");
+        assert_eq!(percent_decode("abc%"), "abc%");
+    }
+
+    #[test]
+    fn non_hex_escapes_pass_through() {
+        assert_eq!(percent_decode("%zz"), "%zz");
+        assert_eq!(percent_decode("%4g"), "%4g");
+        // ...and decoding resumes immediately after the literal `%`:
+        // the next byte may itself start a valid escape.
+        assert_eq!(percent_decode("%%41"), "%A");
+    }
+
+    #[test]
+    fn hex_case_is_accepted_both_ways() {
+        assert_eq!(percent_decode("%2b%2B"), "++");
+    }
+
     proptest! {
         #[test]
         fn stripping_never_panics(url in "[ -~]{0,80}") {
@@ -247,9 +327,14 @@ mod tests {
         #[test]
         fn stripping_is_idempotent(host in "[a-z]{3,10}", path in "[a-z]{0,10}") {
             let inner = format!("http://{host}.com/{path}");
-            let wrapped = format!("http://t.com/r?u={}", xsearch_net_sim::http::percent_encode(&inner));
+            let wrapped = format!("http://t.com/r?u={}", percent_encode(&inner));
             let once = strip_redirect(&wrapped);
             prop_assert_eq!(strip_redirect(&once), once.clone());
+        }
+
+        #[test]
+        fn percent_encode_decode_roundtrip(s in "[ -~]{0,50}") {
+            prop_assert_eq!(percent_decode(&percent_encode(&s)), s);
         }
     }
 }

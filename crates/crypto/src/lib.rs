@@ -14,7 +14,7 @@
 //! * [`hybrid`] — an ECIES-style hybrid public-key encryption built from
 //!   X25519 + HKDF + ChaCha20-Poly1305 (used by the PEAS baseline and by the
 //!   X-Search attested channel),
-//! * [`reference`] — the pre-optimization scalar AEAD, kept only as a
+//! * [`mod@reference`] — the pre-optimization scalar AEAD, kept only as a
 //!   differential-testing and benchmarking baseline for the wide
 //!   multi-block hot path.
 //!

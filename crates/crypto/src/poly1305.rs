@@ -95,7 +95,7 @@ impl Poly1305 {
     /// Full blocks are processed by a bulk inner loop that keeps the
     /// accumulator limbs in locals across blocks instead of
     /// round-tripping them through `self` per 16 bytes (see
-    /// [`Poly1305::process_blocks`]).
+    /// `Poly1305::process_blocks`).
     pub fn update(&mut self, mut data: &[u8]) {
         if self.buf_len > 0 {
             let take = (16 - self.buf_len).min(data.len());

@@ -1,10 +1,9 @@
 //! Network substrate for the X-Search reproduction.
 //!
-//! The paper's measurements involve three kinds of network behaviour:
-//! WAN latency between client, proxies and search engine (Fig 7), relay
-//! capacity limits (Tor's Fig 5 saturation), and plain HTTP framing (the
-//! X-Search proxy speaks HTTP so stock clients work). This crate models
-//! each one:
+//! The paper's measurements involve two kinds of network behaviour —
+//! WAN latency between client, proxies and search engine (Fig 7) and
+//! relay capacity limits (Tor's Fig 5 saturation) — and the front tier
+//! needs sockets to multiplex. This crate models each one:
 //!
 //! * [`delay`] — latency distributions (constant, uniform, log-normal) with
 //!   deterministic sampling;
@@ -19,8 +18,6 @@
 //!   deterministic under the modeled clock;
 //! * [`frame`] — incremental length-prefixed framing (zero-copy payload
 //!   hand-off, tolerant of arbitrary read boundaries);
-//! * [`http`] — a minimal HTTP/1.1 request/response codec, with an
-//!   incremental `decode_partial` for byte-stream fronts;
 //! * [`fault`] — seeded, deterministic, replayable fault injection at
 //!   the link, ecall, and socket boundaries (loss, spikes, stalls, gray
 //!   failures, corruption, partitions, crash schedules, and
@@ -32,7 +29,6 @@
 pub mod delay;
 pub mod fault;
 pub mod frame;
-pub mod http;
 pub mod link;
 pub mod reactor;
 pub mod station;

@@ -14,7 +14,7 @@
 //!
 //! # Socket-level fault injection
 //!
-//! A [`SocketFault`](crate::fault::SocketFault) drawn from a
+//! A [`SocketFault`] drawn from a
 //! [`FaultPlan`](crate::fault::FaultPlan) can be installed on one
 //! endpoint with [`ByteStream::sabotage`]: seeded resets, torn mid-frame
 //! writes, single-byte corruption, stuck peers (write-never-read) and

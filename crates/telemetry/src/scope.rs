@@ -8,7 +8,7 @@
 //! `counter!("slow_query", query)` would leak exactly what the enclave
 //! exists to hide. The defense is structural, not disciplinary:
 //!
-//! * in-enclave code never touches the [`Registry`](crate::Registry)
+//! * in-enclave code never touches the [`Registry`]
 //!   directly — it receives an [`EnclaveScope`], built *outside* the
 //!   enclave at launch, holding only pre-registered handles;
 //! * every `EnclaveScope` method takes integers. There is no parameter
