@@ -9,7 +9,7 @@ use rand::RngCore;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use xsearch_net_sim::station::busy_wait;
+use xsearch_net_sim::delay::busy_wait;
 
 /// Errors from a Tor round trip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,6 +1,5 @@
 //! **Chaos drill**: availability of the enclave fleet under seeded,
-//! deterministic fault scenarios, with and without the resilience
-//! policy stack.
+//! deterministic fault scenarios.
 //!
 //! Every scenario drives the same closed-loop workload — `SESSIONS`
 //! attested clients, one driver thread, unique tagged queries — against
@@ -13,16 +12,17 @@
 //! CI gates on.
 //!
 //! Scenarios: baseline, 10% link loss, one stalled replica, the
-//! acceptance pair (one stalled replica + 10% loss, policies ON and
-//! OFF), rolling crash/restarts, and a fleet-wide partition window.
+//! acceptance scenario (one stalled replica + 10% loss), rolling
+//! crash/restarts, and a fleet-wide partition window.
 //!
 //! Per scenario the summary records **goodput** (in-deadline completions
 //! per modeled second, sessions progressing in parallel),
 //! **availability** (fraction of requests answered within the deadline
-//! budget), p99 modeled cost, policy counters, and the **zero-lost
-//! check**: every acknowledged query must be present in the fleet's
-//! merged history windows — an answer the client decrypted can never
-//! belong to a request the fleet later dropped.
+//! budget), p99 modeled cost, policy counters, the enclave sessions
+//! left alive (re-attaches and hedges must not accumulate them), and the
+//! **zero-lost check**: every acknowledged query must be present in the
+//! fleet's merged history windows — an answer the client decrypted can
+//! never belong to a request the fleet later dropped.
 //!
 //! Env knob: `CHAOS_REQUESTS` scales the per-scenario request count
 //! (CI smoke uses a few hundred).
@@ -53,18 +53,7 @@ const STALL: Duration = Duration::from_secs(5);
 /// Goodput the stalled + lossy fleet must keep, as a share of baseline.
 const GOODPUT_FLOOR: f64 = 0.7;
 
-fn policies_on() -> ResilienceConfig {
-    ResilienceConfig {
-        enabled: true,
-        deadline: DEADLINE,
-        backoff_base: Duration::from_micros(500),
-        backoff_cap: Duration::from_millis(10),
-        hedge: true,
-        degrade: true,
-    }
-}
-
-fn launch(engine: &Arc<SearchEngine>, spec: FaultSpec, rcfg: ResilienceConfig) -> Cluster {
+fn launch(engine: &Arc<SearchEngine>, spec: FaultSpec) -> Cluster {
     Cluster::launch(
         Arc::clone(engine),
         ClusterConfig {
@@ -79,7 +68,12 @@ fn launch(engine: &Arc<SearchEngine>, spec: FaultSpec, rcfg: ResilienceConfig) -
                 ..Default::default()
             },
             seed: EXPERIMENT_SEED,
-            resilience: rcfg,
+            resilience: ResilienceConfig {
+                deadline: DEADLINE,
+                backoff_base: Duration::from_micros(500),
+                backoff_cap: Duration::from_millis(10),
+                hedge: true,
+            },
             faults: Some(Arc::new(FaultPlan::new(
                 spec,
                 EXPERIMENT_SEED ^ 0xC4A0,
@@ -99,6 +93,8 @@ struct ScenarioResult {
     goodput_rps: f64,
     /// Acknowledged queries missing from the fleet's merged windows.
     lost: usize,
+    /// Enclave sessions alive once the last request was answered.
+    live_sessions: usize,
     /// The scenario's row in the summary.
     row: Obj,
     transcript: Vec<String>,
@@ -131,15 +127,9 @@ fn run_scenario(
     name: &'static str,
     engine: &Arc<SearchEngine>,
     spec: FaultSpec,
-    policies: bool,
     total: u64,
 ) -> ScenarioResult {
-    let rcfg = if policies {
-        policies_on()
-    } else {
-        ResilienceConfig::disabled()
-    };
-    let cluster = launch(engine, spec, rcfg);
+    let cluster = launch(engine, spec);
     let mut clients: Vec<ClusterClient> = (0..SESSIONS)
         .map(|i| ClusterClient::attach(&cluster, i as u64).expect("attach"))
         .collect();
@@ -154,7 +144,7 @@ fn run_scenario(
         let s = (i as usize) % SESSIONS;
         let query = format!("s{s} q{i}");
         let client = &mut clients[s];
-        match client.search_echo_outcome(&cluster, &query) {
+        match client.search_outcome(&cluster, &query, true) {
             Ok(outcome) => {
                 ok += 1;
                 if outcome.cost <= DEADLINE {
@@ -179,6 +169,7 @@ fn run_scenario(
             }
         }
     }
+    let live_sessions = cluster.session_count();
     // Zero-lost check: drain anything dead, resurrect what is down, and
     // verify every acknowledged query survives in some replica's window
     // (migrated, restored, or still live).
@@ -207,7 +198,6 @@ fn run_scenario(
     let availability = available as f64 / (ok + failed).max(1) as f64;
     let mut row = Obj::new()
         .field("name", name)
-        .field("policies", policies)
         .field("ok", ok)
         .field("failed", failed)
         .field("available", available)
@@ -221,11 +211,13 @@ fn run_scenario(
     let row = row
         .field("sheds", sheds)
         .field("acked", acked.len())
-        .field("lost", lost);
+        .field("lost", lost)
+        .field("live_sessions", live_sessions);
     ScenarioResult {
         name,
         goodput_rps,
         lost,
+        live_sessions,
         row,
         transcript,
         flight: cluster.flight().dump(),
@@ -245,7 +237,7 @@ fn dump_flight(label: &str, events: &[String]) {
 /// Which replica session 0 homes on — the stall/crash victim, found on
 /// a probe fleet so the faulted fleets can name it in their specs.
 fn probe_victim(engine: &Arc<SearchEngine>) -> usize {
-    let cluster = launch(engine, FaultSpec::default(), policies_on());
+    let cluster = launch(engine, FaultSpec::default());
     ClusterClient::attach(&cluster, 0)
         .expect("probe attach")
         .replica()
@@ -283,35 +275,28 @@ fn main() {
     };
 
     let mut results = Vec::new();
-    for (name, spec, policies) in [
-        ("baseline", FaultSpec::default(), true),
+    for (name, spec) in [
+        ("baseline", FaultSpec::default()),
         (
             "loss10",
             FaultSpec {
                 loss: 0.10,
                 ..Default::default()
             },
-            true,
         ),
-        ("stall_one", stall_spec(0.0), true),
-        ("stall_one_loss10", stall_spec(0.10), true),
-        ("stall_one_loss10_nopolicy", stall_spec(0.10), false),
-        ("rolling_restart", rolling, true),
-        ("partition", partition, true),
+        ("stall_one", stall_spec(0.0)),
+        ("stall_one_loss10", stall_spec(0.10)),
+        ("rolling_restart", rolling),
+        ("partition", partition),
     ] {
-        eprintln!(
-            "scenario {name} (policies {})...",
-            if policies { "on" } else { "off" }
-        );
-        results.push(run_scenario(name, &engine, spec, policies, total));
+        eprintln!("scenario {name}...");
+        results.push(run_scenario(name, &engine, spec, total));
     }
     let by_name = |name: &str| results.iter().find(|r| r.name == name);
     let find = |name: &str| by_name(name).expect("scenario ran");
     let baseline = find("baseline");
     let degraded = find("stall_one_loss10");
-    let nopolicy = find("stall_one_loss10_nopolicy");
     let ratio = degraded.goodput_rps / baseline.goodput_rps.max(1e-9);
-    let collapse = nopolicy.goodput_rps / baseline.goodput_rps.max(1e-9);
 
     let mut summary = Summary::new("chaos");
     summary.row("requests", total);
@@ -322,18 +307,22 @@ fn main() {
     let rows = results.iter().map(|r| r.row.clone());
     summary.row("scenarios", rows.collect::<Json>());
     // Acceptance: the stalled + lossy fleet keeps most of its baseline
-    // goodput, and every acknowledged query is still in a fleet window.
+    // goodput, every acknowledged query is still in a fleet window, and
+    // its re-attaches and hedges left one session per client behind.
     let sustained = summary.gate(Gate::at_least("goodput_ratio", ratio, GOODPUT_FLOOR));
     let kept = summary.gate(Gate::at_most("degraded_lost", degraded.lost as f64, 0.0));
+    summary.gate(Gate::at_most(
+        "live_sessions",
+        degraded.live_sessions as f64,
+        SESSIONS as f64,
+    ));
     let acceptance = Obj::new()
         .field("baseline_goodput_rps", fixed(baseline.goodput_rps, 1))
         .field("degraded_goodput_rps", fixed(degraded.goodput_rps, 1))
         .field("ratio", fixed(ratio, 4))
         .field("threshold", GOODPUT_FLOOR)
         .field("pass", sustained && kept)
-        .field("degraded_lost", degraded.lost)
-        .field("nopolicy_goodput_rps", fixed(nopolicy.goodput_rps, 1))
-        .field("collapse_ratio", fixed(collapse, 6));
+        .field("degraded_lost", degraded.lost);
     summary.row("acceptance", acceptance);
     summary.row("acceptance_flight_events", degraded.flight.len());
     let telemetry = Json::Raw(degraded.telemetry.clone());
@@ -345,7 +334,7 @@ fn main() {
     eprintln!("replaying stall_one_loss10 for the determinism gate...");
     let mut replay_flights = Vec::new();
     let replay = replay_gate("replay_deterministic", || {
-        let run = run_scenario(degraded.name, &engine, stall_spec(0.10), true, total);
+        let run = run_scenario(degraded.name, &engine, stall_spec(0.10), total);
         replay_flights.push(run.flight);
         run.transcript
     });

@@ -83,7 +83,7 @@ fn xsearch_reports(warm: &[String], point: Duration) -> Vec<RunReport> {
     let pool = BrokerPool::warmed(K, SESSIONS, warm);
     sweep_rates(XSEARCH_RATES, point, THREADS, &|| {
         let ok = pool.echo(QUERY);
-        xsearch_net_sim::station::busy_wait(SGX_TRANSITION_PAY);
+        xsearch_net_sim::delay::busy_wait(SGX_TRANSITION_PAY);
         ok
     })
 }

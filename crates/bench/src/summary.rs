@@ -206,6 +206,16 @@ impl Gate {
             ..Gate::at_least(name, value, bound)
         }
     }
+
+    /// Passes when `value` is `pin` to the four decimals a summary
+    /// prints: a seeded figure that drifts at all fails.
+    #[must_use]
+    pub fn pinned(name: &str, value: f64, pin: f64) -> Gate {
+        Gate {
+            pass: (value - pin).abs() <= 0.00005,
+            ..Gate::at_least(name, value, pin)
+        }
+    }
 }
 
 /// The deterministic-replay gate: runs `transcript` twice and passes

@@ -1,6 +1,6 @@
 //! A fleet-aware broker: routes by a stable affinity key, attests its
-//! replica end-to-end, and on failure triggers a health sweep, re-routes,
-//! re-attests the successor, and retries the request.
+//! replica end-to-end, and rides out failures by interpreting the
+//! resilience ladder.
 //!
 //! Searches ride the cluster's coalescing data plane through its one
 //! blocking door, [`Cluster::forward`]: the client's seal closure runs
@@ -9,41 +9,39 @@
 //! [`RequestSlot`] until the (possibly batched) response comes back. The
 //! tunnel is established once at attach and reused for every request —
 //! no per-request channel setup; re-attestation happens only on
-//! failover. What the policy stack did (retries, re-attestations, hedges,
-//! deadline misses, link losses) is counted once, on the fleet registry
-//! (`xsearch_client_*_total`).
+//! failover.
 //!
-//! # The resilience policy stack
+//! # One loop, one table
 //!
-//! When [`crate::ResilienceConfig::enabled`] is set (the default), every search
-//! runs under a **deadline budget** on the modeled clock and walks a
-//! ladder of policies, cheapest first:
+//! *What to do next* is not decided here: [`crate::resilience`] holds
+//! the ladder as a pure table over plain integers (deadline budget,
+//! outcome class → reaction, hedge trigger and winner, breaker
+//! judgement). [`ClusterClient::search_outcome`] interprets it in one
+//! loop: take the attempt's budget, forward, classify how the attempt
+//! ended, ask the table, then strike / sweep / pause as the
+//! [`Reaction`](crate::resilience::Reaction) says and finish, retry on
+//! the same session, re-attach or give up. What the loop did is counted
+//! once, on the fleet registry (`xsearch_client_*_total`). Every
+//! decision consumes only deterministic inputs (seeded jitter, accounted
+//! charges, the fleet's op clock), so a chaos run with a fixed fault
+//! seed replays to an identical transcript.
 //!
-//! 1. **deadline** — accounted charges (hops, injected faults, backoff)
-//!    accrue against [`crate::ResilienceConfig::deadline`]; when the budget is
-//!    gone the search fails *typed* ([`ClusterError::DeadlineExceeded`],
-//!    not [`ClusterError::RetriesExhausted`]);
-//! 2. **backoff** — retries charge capped exponential backoff with
-//!    decorrelated jitter instead of hammering the fleet immediately;
-//! 3. **breakers** — repeated failures or over-deadline answers trip the
-//!    replica's circuit breaker, deflecting affinity routing *before*
-//!    the health sweep declares the replica dead;
-//! 4. **hedging** (opt-in) — an answer slower than the p99-derived hedge
-//!    delay is raced against the ring successor on a fresh sub-session;
-//!    the first answer (on the modeled clock) wins;
-//! 5. **degradation** — under queue pressure the fleet shrinks the decoy
-//!    count `k` before it sheds real queries (driven fleet-side from
-//!    each replica's queue depth).
+//! # Sessions
 //!
-//! Every decision consumes only deterministic inputs (seeded jitter,
-//! accounted charges, the fleet's op clock), so a chaos run with a fixed
-//! fault seed replays to an identical transcript.
+//! A client holds **one** enclave session at a time. A re-attach derives
+//! a fresh keypair (fresh channel keys ⇒ no nonce reuse) and so opens a
+//! new session inside the enclave; the client closes the one it
+//! replaces, and a hedge closes its sub-session once the race is
+//! settled. (A session on a crashed replica died with the enclave.)
 
 use crate::error::ClusterError;
-use crate::fleet::{Cluster, MAX_FAILOVERS};
+use crate::fleet::Cluster;
 use crate::obs::FleetMetrics;
 use crate::registry::ReplicaId;
-use crate::resilience::{Backoff, LatencyEstimator};
+use crate::resilience::{
+    blew_deadline, hedge_fires, hedge_wins, survives_failed_reattach, Backoff, LatencyEstimator,
+    Outcome, Progress, Step,
+};
 use crate::router::RequestSlot;
 use std::sync::Arc;
 use std::time::Duration;
@@ -122,6 +120,18 @@ fn seal(broker: &mut Broker, query: &str) -> ([u8; 32], Vec<u8>) {
     (*broker.client_pub().as_bytes(), broker.seal_query(query))
 }
 
+/// The ladder's class for an error a forward or a re-attach returned.
+fn class_of(err: &ClusterError) -> Outcome {
+    match err {
+        ClusterError::LinkLoss(_) => Outcome::LinkLoss,
+        ClusterError::Overloaded(_) => Outcome::Shed,
+        ClusterError::DeadlineExceeded => Outcome::LaneExpired,
+        ClusterError::Proxy(_) => Outcome::EntryFailed,
+        ClusterError::ReplicaDown(_) | ClusterError::NotRoutable(_) => Outcome::ReplicaGone,
+        _ => Outcome::Other,
+    }
+}
+
 impl ClusterClient {
     /// Routes `seed`'s affinity key through the cluster, attests the
     /// chosen replica, and establishes the tunnel.
@@ -169,15 +179,14 @@ impl ClusterClient {
     ///
     /// # Errors
     ///
-    /// [`ClusterError::RetriesExhausted`] (or a routing error) after the
-    /// configured failover budget, [`ClusterError::DeadlineExceeded`]
-    /// when the deadline budget ran out first.
+    /// See [`ClusterClient::search_outcome`].
     pub fn search(
         &mut self,
         cluster: &Cluster,
         query: &str,
     ) -> Result<Vec<WireResult>, ClusterError> {
-        self.search_outcome(cluster, query).map(|o| o.results)
+        self.search_outcome(cluster, query, false)
+            .map(|o| o.results)
     }
 
     /// One request in echo mode (no engine round trip) — the saturation
@@ -185,271 +194,186 @@ impl ClusterClient {
     ///
     /// # Errors
     ///
-    /// See [`ClusterClient::search`].
+    /// See [`ClusterClient::search_outcome`].
     pub fn search_echo(
         &mut self,
         cluster: &Cluster,
         query: &str,
     ) -> Result<Vec<WireResult>, ClusterError> {
-        self.search_echo_outcome(cluster, query).map(|o| o.results)
+        self.search_outcome(cluster, query, true).map(|o| o.results)
     }
 
-    /// [`ClusterClient::search`] with the full [`SearchOutcome`]
-    /// (modeled cost, attempts, hedging).
+    /// One search — `echo` skips the engine round trip — with the full
+    /// [`SearchOutcome`] (modeled cost, attempts, hedging).
     ///
     /// # Errors
     ///
-    /// See [`ClusterClient::search`].
+    /// [`ClusterError::DeadlineExceeded`] when the deadline budget ran
+    /// out; otherwise the error of the attempt the ladder gave up on —
+    /// the last one once [`crate::resilience::MAX_FAILOVERS`] failovers
+    /// are spent, or the first that is not the client's to ride out
+    /// ([`ClusterError::Overloaded`], a routing error).
     pub fn search_outcome(
-        &mut self,
-        cluster: &Cluster,
-        query: &str,
-    ) -> Result<SearchOutcome, ClusterError> {
-        self.search_inner(cluster, query, false)
-    }
-
-    /// [`ClusterClient::search_echo`] with the full [`SearchOutcome`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ClusterClient::search`].
-    pub fn search_echo_outcome(
-        &mut self,
-        cluster: &Cluster,
-        query: &str,
-    ) -> Result<SearchOutcome, ClusterError> {
-        self.search_inner(cluster, query, true)
-    }
-
-    fn search_inner(
         &mut self,
         cluster: &Cluster,
         query: &str,
         echo: bool,
     ) -> Result<SearchOutcome, ClusterError> {
         self.searches = self.searches.wrapping_add(1);
-        if cluster.config().resilience.enabled {
-            self.search_with_policies(cluster, query, echo)
-        } else {
-            self.search_bare(cluster, query, echo)
-        }
+        let mut at = Progress::default();
+        let result = self.climb(cluster, query, echo, &mut at);
+        self.last_cost = result.as_ref().map_or(at.spent, |o| o.cost);
+        result
     }
 
-    /// The policy-stack search loop. All costs are modeled charges, so
-    /// the loop's decisions replay deterministically under a fixed fault
+    /// The ladder's interpreter. All costs are modeled charges, so the
+    /// loop's decisions replay deterministically under a fixed fault
     /// seed.
-    fn search_with_policies(
+    fn climb(
         &mut self,
         cluster: &Cluster,
         query: &str,
         echo: bool,
+        at: &mut Progress,
     ) -> Result<SearchOutcome, ClusterError> {
-        let rcfg = cluster.config().resilience.clone();
-        let deadline = rcfg.deadline;
+        let rcfg = &cluster.config().resilience;
         let mut backoff = Backoff::new(
             rcfg.backoff_base,
             rcfg.backoff_cap,
             self.seed ^ self.searches.wrapping_mul(0x2545_F491_4F6C_DD1D),
         );
-        let mut spent = Duration::ZERO;
-        let mut attempts: u32 = 0;
-        let mut failovers = 0usize;
         loop {
-            if spent >= deadline {
-                cluster.metrics.client_deadline_misses.inc();
-                cluster.flight().record(FlightEvent::DeadlineMiss {
-                    replica: self.replica.0 as u64,
-                });
-                self.last_cost = spent;
+            let Some(budget) = at.budget(rcfg.deadline) else {
+                self.deadline_miss(cluster);
                 return Err(ClusterError::DeadlineExceeded);
-            }
+            };
             // Breaker pre-check: if our replica is browning out, prefer
             // somewhere healthier — but if routing has nowhere better
             // (fleet-wide brown-out) we carry on with what we have
             // rather than inventing an outage.
             if !cluster.replica_accepting(self.replica) {
-                match self.reroute(cluster) {
-                    Ok(()) => {}
-                    Err(
-                        ClusterError::ReplicaDown(_)
-                        | ClusterError::NotRoutable(_)
-                        | ClusterError::Proxy(_),
-                    ) => {
-                        // The forward below will fail on the stale
-                        // replica and take the normal recovery path.
-                        cluster.health_sweep();
-                    }
-                    Err(e) => return Err(e),
-                }
+                self.reattach_or_sweep(cluster, true)?;
             }
-            attempts += 1;
-            if attempts > 1 {
+            at.attempts += 1;
+            if at.attempts > 1 {
                 cluster.metrics.client_retries.inc();
             }
             let target = self.replica;
             let broker = &mut self.broker;
-            // The seal closure runs only after the request is admitted
-            // (and after injected link loss): a request shed with
-            // `Overloaded` or dropped with `LinkLoss` was never sealed,
-            // so the tunnel's strict-sequence nonce counter stays in
-            // sync and retrying on the same session is safe.
-            let outcome = cluster.forward(
-                target,
-                echo,
-                &self.slot,
-                Some(deadline.saturating_sub(spent)),
-                || seal(broker, query),
-            );
-            let last = match outcome {
+            // `seal` runs only once the request is admitted: one shed or
+            // dropped on the link never moved the tunnel's nonce counter,
+            // which is what makes a same-session retry safe.
+            let forwarded = cluster.forward(target, echo, &self.slot, Some(budget), || {
+                seal(broker, query)
+            });
+            let (outcome, charge, answer) = match forwarded {
                 Ok((response, charge)) => match self.broker.open_results(&response) {
-                    Ok(results) => {
-                        return Ok(self.resolve_answer(
-                            cluster, query, echo, &rcfg, spent, charge, attempts, target, results,
-                        ));
-                    }
-                    // The replica answered but not on our session, or the
-                    // response was corrupted in flight (gray failure):
-                    // AEAD caught it, the session may be desynchronized
-                    // either way — re-attest below.
-                    Err(e) => {
-                        cluster.record_failure(target);
-                        let pause = backoff.next_delay();
-                        cluster.metrics.span_backoff.record(FleetMetrics::us(pause));
-                        spent += charge + pause;
-                        ClusterError::Proxy(e)
-                    }
+                    Ok(results) => (Outcome::Opened, charge, Ok(results)),
+                    Err(e) => (Outcome::Unreadable, charge, Err(ClusterError::Proxy(e))),
                 },
-                // Dropped before sealing: same-session retry after a
-                // backoff charge. No reattach, no failover — the tunnel
-                // never moved.
-                Err(ClusterError::LinkLoss(id)) => {
-                    cluster.metrics.client_link_losses.inc();
-                    cluster.record_failure(id);
-                    let pause = backoff.next_delay();
-                    cluster.metrics.span_backoff.record(FleetMetrics::us(pause));
-                    spent += pause;
-                    continue;
-                }
-                // Overloaded is deliberate backpressure from a *healthy*
-                // replica: propagate it instead of hammering the fleet
-                // with an immediate retry (and never health-sweep for
-                // it — the replica is alive, just busy).
-                Err(e @ ClusterError::Overloaded(_)) => {
-                    self.last_cost = spent;
-                    return Err(e);
-                }
-                // The lane leader found our entry past its budget and
-                // refused to execute it. The request *was* sealed, so
-                // the session is desynchronized: re-attest before
-                // handing the typed miss to the caller.
-                Err(ClusterError::DeadlineExceeded) => {
-                    cluster.metrics.client_deadline_misses.inc();
-                    cluster.flight().record(FlightEvent::DeadlineMiss {
-                        replica: target.0 as u64,
-                    });
-                    self.last_cost = spent;
-                    let _ = self.reroute(cluster);
-                    return Err(ClusterError::DeadlineExceeded);
-                }
-                Err(ClusterError::Proxy(e)) => {
-                    // Our entry failed inside a coalesced batch —
-                    // typically a replica that crashed and restarted
-                    // (sessions die with the enclave). Re-attest below.
-                    cluster.record_failure(target);
-                    let pause = backoff.next_delay();
-                    cluster.metrics.span_backoff.record(FleetMetrics::us(pause));
-                    spent += pause;
-                    ClusterError::Proxy(e)
-                }
-                Err(e @ (ClusterError::ReplicaDown(_) | ClusterError::NotRoutable(_))) => {
-                    // The replica stopped answering: drain it and
-                    // migrate its window before re-routing.
-                    cluster.record_failure(target);
-                    cluster.health_sweep();
-                    let pause = backoff.next_delay();
-                    cluster.metrics.span_backoff.record(FleetMetrics::us(pause));
-                    spent += pause;
-                    e
-                }
-                Err(e) => {
-                    self.last_cost = spent;
-                    return Err(e);
-                }
+                Err(e) => (class_of(&e), Duration::ZERO, Err(e)),
             };
-            // Recovery tail: re-route + re-attest, bounded by the
-            // failover budget (time is bounded by the deadline check).
-            if failovers >= MAX_FAILOVERS {
-                self.last_cost = spent;
-                return Err(last);
+            let reaction = at.react(outcome);
+            if outcome == Outcome::LinkLoss {
+                cluster.metrics.client_link_losses.inc();
             }
-            failovers += 1;
-            match self.reroute(cluster) {
-                Ok(()) => {}
-                // The successor can itself die between routing and
-                // attach — sweep and let the next attempt re-route.
-                Err(ClusterError::ReplicaDown(_) | ClusterError::NotRoutable(_)) => {
-                    cluster.health_sweep();
+            if reaction.strike {
+                cluster.record_failure(target);
+            }
+            if reaction.sweep {
+                cluster.health_sweep();
+            }
+            if reaction.pause {
+                let pause = backoff.next_delay();
+                cluster.metrics.span_backoff.record(FleetMetrics::us(pause));
+                // An answer that would not open still took its time.
+                at.spent += charge + pause;
+            }
+            match (reaction.step, answer) {
+                (Step::Finish, Ok(results)) => {
+                    return Ok(self.settle(cluster, query, echo, *at, charge, target, results));
                 }
-                Err(e) => {
-                    self.last_cost = spent;
+                (Step::Finish, Err(_)) | (_, Ok(_)) => {
+                    unreachable!("the ladder finishes the opened outcome and no other")
+                }
+                (Step::Retry, Err(_)) => {}
+                (Step::Reattach, Err(_)) => {
+                    at.failovers += 1;
+                    self.reattach_or_sweep(cluster, false)?;
+                }
+                (Step::GiveUp { reattach }, Err(e)) => {
+                    if reattach {
+                        // Expired in the lane: a deadline miss, and the
+                        // sealed-but-unexecuted request desynchronized
+                        // the tunnel. Best effort — if this leaves no
+                        // usable session, the next search finds out and
+                        // recovers.
+                        self.deadline_miss(cluster);
+                        let _ = self.reattach(cluster);
+                    }
                     return Err(e);
                 }
             }
         }
     }
 
-    /// Resolves a successful answer: hedge if it was slow, settle the
-    /// breaker, record the effective latency sample, and assemble the
-    /// outcome.
+    /// Counts a deadline miss against the replica in hand.
+    fn deadline_miss(&self, cluster: &Cluster) {
+        cluster.metrics.client_deadline_misses.inc();
+        cluster.flight().record(FlightEvent::DeadlineMiss {
+            replica: self.replica.0 as u64,
+        });
+    }
+
+    /// Settles a successful answer: hedge if it was slow, judge the
+    /// primary for its breaker, record the effective latency sample, and
+    /// assemble the outcome. `at.spent` excludes this attempt's `charge`.
     #[allow(clippy::too_many_arguments)]
-    fn resolve_answer(
+    fn settle(
         &mut self,
         cluster: &Cluster,
         query: &str,
         echo: bool,
-        rcfg: &crate::resilience::ResilienceConfig,
-        spent: Duration,
+        at: Progress,
         charge: Duration,
-        attempts: u32,
         target: ReplicaId,
         results: Vec<WireResult>,
     ) -> SearchOutcome {
-        let deadline = rcfg.deadline;
-        let mut cost = spent + charge;
-        let mut winner = target;
-        let mut winning_results = results;
-        let mut hedged = false;
-        if rcfg.hedge {
-            let hedge_delay = self.latencies.hedge_delay();
-            if charge > hedge_delay {
-                // The primary's answer was slower than the hedge
-                // trigger: race the ring successor on a fresh
-                // sub-session and take whichever answer lands first on
-                // the modeled clock. (The primary's answer is already in
-                // hand, so this rewrites cost, not correctness — and the
-                // sub-session's fresh keypair means the race can never
-                // touch the primary tunnel's nonce sequence.)
-                cluster.metrics.client_hedges_fired.inc();
-                hedged = true;
-                if let Some((h_results, h_charge, h_replica)) = self.try_hedge(cluster, query, echo)
-                {
-                    let hedge_cost = spent + hedge_delay + h_charge;
-                    if hedge_cost < cost {
-                        cluster.metrics.client_hedges_won.inc();
-                        cluster.flight().record(FlightEvent::HedgeWon {
-                            replica: h_replica.0 as u64,
-                        });
-                        cost = hedge_cost;
-                        winner = h_replica;
-                        winning_results = h_results;
-                    }
+        let rcfg = &cluster.config().resilience;
+        let mut outcome = SearchOutcome {
+            results,
+            cost: at.spent + charge,
+            attempts: at.attempts,
+            hedged: false,
+            replica: target,
+        };
+        let hedge_delay = self.latencies.hedge_delay();
+        if rcfg.hedge && hedge_fires(charge, hedge_delay) {
+            // The primary's answer was slower than the hedge trigger:
+            // race the ring successor on a fresh sub-session and take
+            // whichever answer lands first on the modeled clock. (The
+            // primary's answer is already in hand, so this rewrites
+            // cost, not correctness — and the sub-session's fresh
+            // keypair means the race can never touch the primary
+            // tunnel's nonce sequence.)
+            cluster.metrics.client_hedges_fired.inc();
+            outcome.hedged = true;
+            if let Some((h_results, h_charge, h_replica)) = self.try_hedge(cluster, query, echo) {
+                if hedge_wins(charge, hedge_delay, h_charge) {
+                    cluster.metrics.client_hedges_won.inc();
+                    cluster.flight().record(FlightEvent::HedgeWon {
+                        replica: h_replica.0 as u64,
+                    });
+                    outcome.cost = at.spent + hedge_delay + h_charge;
+                    outcome.replica = h_replica;
+                    outcome.results = h_results;
                 }
             }
         }
         // The breaker judges the *primary's raw* answer time: a stalled
         // replica must brown out of routing even when hedges keep
         // rescuing its requests.
-        if charge > deadline {
+        if blew_deadline(charge, rcfg.deadline) {
             cluster.record_failure(target);
         } else {
             cluster.record_success(target);
@@ -458,27 +382,23 @@ impl ClusterClient {
         // hedged answers keep the p99 honest; recording a stall's raw
         // charge would inflate the trigger until hedging disabled
         // itself.
-        self.latencies.record(cost.saturating_sub(spent));
-        cluster.metrics.span_request.record(FleetMetrics::us(cost));
-        if cost > deadline {
+        self.latencies.record(outcome.cost.saturating_sub(at.spent));
+        cluster
+            .metrics
+            .span_request
+            .record(FleetMetrics::us(outcome.cost));
+        if blew_deadline(outcome.cost, rcfg.deadline) {
             cluster.metrics.client_deadline_misses.inc();
         }
-        self.last_cost = cost;
-        SearchOutcome {
-            results: winning_results,
-            cost,
-            attempts,
-            hedged,
-            replica: winner,
-        }
+        outcome
     }
 
     /// Fires one hedge request at the ring successor on a fresh
-    /// sub-session. Returns the results, the modeled charge of the
-    /// hedge's own forward, and the answering replica — or `None` when
-    /// there is no eligible successor or the hedge itself failed (the
-    /// primary's answer is already in hand, so a failed hedge costs
-    /// nothing).
+    /// sub-session, and closes that session again whatever came of it.
+    /// Returns the results, the modeled charge of the hedge's own
+    /// forward, and the answering replica — or `None` when there is no
+    /// eligible successor or the hedge itself failed (the primary's
+    /// answer is already in hand, so a failed hedge costs nothing).
     fn try_hedge(
         &mut self,
         cluster: &Cluster,
@@ -494,92 +414,49 @@ impl ClusterClient {
         self.handshakes += 1;
         cluster.metrics.client_reattaches.inc();
         let mut hedge_broker = cluster.attach(successor, seed).ok()?;
-        let slot = RequestSlot::new();
-        let (response, charge) = cluster
-            .forward(successor, echo, &slot, None, || {
-                seal(&mut hedge_broker, query)
-            })
-            .ok()?;
-        let results = hedge_broker.open_results(&response).ok()?;
-        Some((results, charge, successor))
+        let forwarded = cluster.forward(successor, echo, &RequestSlot::new(), None, || {
+            seal(&mut hedge_broker, query)
+        });
+        let answer = forwarded.ok().and_then(|(response, charge)| {
+            let results = hedge_broker.open_results(&response).ok()?;
+            Some((results, charge, successor))
+        });
+        cluster.close_session_at(successor, hedge_broker.client_pub().as_bytes());
+        answer
     }
 
-    /// The pre-policy search loop, kept for `resilience.enabled ==
-    /// false`: immediate retries, no deadline, no breakers — and a
-    /// request dropped on the link is simply a failed request. This is
-    /// the baseline the chaos bench demonstrates collapsing.
-    fn search_bare(
+    /// [`ClusterClient::reattach`], answering a failure the search
+    /// survives (`resilience::survives_failed_reattach`) with a health
+    /// sweep: the next attempt fails over, or re-routes, from there.
+    fn reattach_or_sweep(
         &mut self,
         cluster: &Cluster,
-        query: &str,
-        echo: bool,
-    ) -> Result<SearchOutcome, ClusterError> {
-        let mut last = ClusterError::RetriesExhausted;
-        let mut spent = Duration::ZERO;
-        let rounds = MAX_FAILOVERS as u32 + 1;
-        for attempts in 1..=rounds {
-            let target = self.replica;
-            let broker = &mut self.broker;
-            let outcome = cluster.forward(target, echo, &self.slot, None, || seal(broker, query));
-            match outcome {
-                Ok((response, charge)) => {
-                    spent += charge;
-                    match self.broker.open_results(&response) {
-                        Ok(results) => {
-                            self.last_cost = spent;
-                            return Ok(SearchOutcome {
-                                results,
-                                cost: spent,
-                                attempts,
-                                hedged: false,
-                                replica: target,
-                            });
-                        }
-                        Err(e) => last = ClusterError::Proxy(e),
-                    }
-                }
-                Err(ClusterError::Proxy(e)) => {
-                    last = ClusterError::Proxy(e);
-                }
-                Err(e @ (ClusterError::ReplicaDown(_) | ClusterError::NotRoutable(_))) => {
-                    cluster.health_sweep();
-                    last = e;
-                }
-                // Overloaded, LinkLoss, everything else: without the
-                // policy stack there is no same-session retry discipline
-                // — the failure is the caller's problem.
-                Err(e) => {
-                    self.last_cost = spent;
-                    return Err(e);
-                }
+        session_intact: bool,
+    ) -> Result<(), ClusterError> {
+        match self.reattach(cluster) {
+            Err(e) if survives_failed_reattach(class_of(&e), session_intact) => {
+                cluster.health_sweep();
+                Ok(())
             }
-            match self.reroute(cluster) {
-                Ok(()) => {}
-                Err(e @ (ClusterError::ReplicaDown(_) | ClusterError::NotRoutable(_))) => {
-                    cluster.health_sweep();
-                    last = e;
-                }
-                Err(e) => {
-                    self.last_cost = spent;
-                    return Err(e);
-                }
-            }
+            other => other,
         }
-        self.last_cost = spent;
-        Err(last)
     }
 
     /// Re-routes on the affinity key and re-attests whatever replica now
-    /// owns it, with a fresh handshake seed (fresh channel keys).
-    fn reroute(&mut self, cluster: &Cluster) -> Result<(), ClusterError> {
+    /// owns it, with a fresh handshake seed (fresh channel keys), then
+    /// closes the session this replaces — nothing else would ever name
+    /// it again.
+    fn reattach(&mut self, cluster: &Cluster) -> Result<(), ClusterError> {
         let replica = cluster.route(&self.affinity)?;
         let seed = handshake_seed(self.seed, self.handshakes);
         self.handshakes += 1;
         cluster.metrics.client_reattaches.inc();
+        let replaced = self.broker.client_pub();
         let broker = &mut self.broker;
         cluster.with_replica(replica, |proxy| {
             broker.reattach(proxy, cluster.ias(), cluster.expected_measurement(), seed)
         })??;
+        cluster.close_session_at(self.replica, replaced.as_bytes());
         self.replica = replica;
         Ok(())
     }

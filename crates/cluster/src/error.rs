@@ -38,11 +38,10 @@ pub enum ClusterError {
     Overloaded(ReplicaId),
     /// No verified, live replica is available to route to.
     NoReplicasAvailable,
-    /// A request kept failing after the configured number of failovers.
-    RetriesExhausted,
-    /// The request's deadline budget ran out before an answer arrived —
-    /// distinct from [`ClusterError::RetriesExhausted`]: it was *time*,
-    /// not the attempt count, that was exhausted.
+    /// The request's deadline budget ran out before an answer arrived:
+    /// it was *time*, not the failover count, that was exhausted (a
+    /// search that runs out of failovers returns its last attempt's
+    /// error).
     DeadlineExceeded,
     /// The request was dropped on the link to this replica (injected
     /// loss or a partition window) **before it was sealed**: the
@@ -94,7 +93,6 @@ impl ClusterError {
             | ClusterError::NoChallenge(_)
             | ClusterError::QuoteBindingMismatch
             | ClusterError::NoReplicasAvailable
-            | ClusterError::RetriesExhausted
             | ClusterError::DeadlineExceeded
             | ClusterError::LinkLoss(_) => ConnStatus::Unavailable,
         }
@@ -124,7 +122,6 @@ impl fmt::Display for ClusterError {
                 write!(f, "replica {id} shed the request: admission queue full")
             }
             ClusterError::NoReplicasAvailable => write!(f, "no live verified replicas"),
-            ClusterError::RetriesExhausted => write!(f, "request failed after all failovers"),
             ClusterError::DeadlineExceeded => {
                 write!(f, "request deadline budget exhausted before an answer")
             }
@@ -228,7 +225,6 @@ mod tests {
             (ClusterError::NoChallenge(id), ConnStatus::Unavailable),
             (ClusterError::QuoteBindingMismatch, ConnStatus::Unavailable),
             (ClusterError::NoReplicasAvailable, ConnStatus::Unavailable),
-            (ClusterError::RetriesExhausted, ConnStatus::Unavailable),
             (ClusterError::DeadlineExceeded, ConnStatus::Unavailable),
             (ClusterError::LinkLoss(id), ConnStatus::Unavailable),
         ];

@@ -57,7 +57,7 @@ use crate::registry::{RegistryWriterHold, ReplicaId, ReplicaRegistry};
 use crate::resilience::{
     degrade_level, CircuitBreaker, ResilienceConfig, BREAKER_COOLDOWN_OPS, BREAKER_THRESHOLD,
 };
-use crate::router::{DeliveryFence, Lane, LaneStats, LeaderGuard, Pending, RequestSlot};
+use crate::router::{DeliveryFence, LaneStats, LeaderGuard, Pending, RequestSlot};
 use crate::snapshot::{Published, WriterHold};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -70,7 +70,7 @@ use xsearch_net_sim::fault::{FaultEvent, FaultPlan};
 use xsearch_net_sim::link::FleetModel;
 use xsearch_sgx_sim::attestation::AttestationService;
 use xsearch_sgx_sim::measurement::Measurement;
-use xsearch_telemetry::{Counter, FlightEvent, FlightRecorder, LabelValue, Registry};
+use xsearch_telemetry::{Counter, FlightEvent, FlightRecorder, Registry};
 
 /// Most entries one coalesced `proxy_batch` ecall will carry. Bounds
 /// tail latency for the first request in a long queue; the leader loops
@@ -79,12 +79,6 @@ const MAX_BATCH: usize = 64;
 
 /// Virtual nodes per replica on the consistent-hash ring.
 const VNODES: usize = 64;
-
-/// Failovers a single request rides out before the client gives up with
-/// [`ClusterError::RetriesExhausted`]: survives the kill → sweep →
-/// successor-also-dies sequence churn testing produces without letting a
-/// broken fleet spin forever.
-pub(crate) const MAX_FAILOVERS: usize = 3;
 
 /// Timed-wait backstop for a blocking [`Cluster::forward`] parked on its
 /// slot while another thread leads the lane. Delivery normally wakes it
@@ -218,14 +212,6 @@ pub struct Cluster {
     nodes: Vec<Arc<ReplicaNode>>,
     /// The published consistent-hash ring — read lock-free by `route`.
     ring: Published<HashRing>,
-    /// One coalescing lane per replica slot (`Arc` so snapshot-time poll
-    /// collectors can read the lane stats without borrowing the fleet).
-    lanes: Arc<Vec<Lane>>,
-    /// One circuit breaker per replica slot — routing shifts away from a
-    /// replica whose breaker is open before the health sweep declares it
-    /// dead (brown-out handling, not crash handling). `Arc` for the same
-    /// poll-collector reason as the lanes.
-    breakers: Arc<Vec<CircuitBreaker>>,
     /// Logical operation clock: one tick per data-plane forward. Fault
     /// timelines (partitions, crash schedules) and breaker cooldowns are
     /// expressed in these ticks so chaos runs replay deterministically.
@@ -298,16 +284,9 @@ impl Cluster {
             .expect("just launched")
             .expected_measurement();
         let registry = ReplicaRegistry::new(ias.clone(), expected, config.seed);
-        let lanes: Arc<Vec<Lane>> =
-            Arc::new((0..config.replicas).map(|_| Lane::default()).collect());
-        let breakers: Arc<Vec<CircuitBreaker>> = Arc::new(
-            (0..config.replicas)
-                .map(|_| CircuitBreaker::default())
-                .collect(),
-        );
         let telemetry = Arc::new(Registry::new());
         let metrics = FleetMetrics::register(&telemetry);
-        Self::register_polls(&telemetry, &nodes, &lanes, &breakers);
+        ReplicaNode::register_polls(&nodes, &telemetry);
         let sweeps_run = telemetry.counter(
             "xsearch_fleet_sweeps_run_total",
             "Health sweeps that actually scanned the fleet",
@@ -325,8 +304,6 @@ impl Cluster {
             registry,
             nodes,
             ring: Published::new(HashRing::default()),
-            lanes,
-            breakers,
             ops: AtomicU64::new(0),
             sweep_active: AtomicBool::new(false),
             sweep_gen: AtomicU64::new(0),
@@ -342,120 +319,6 @@ impl Cluster {
                 .expect("fresh replica must enroll");
         }
         cluster
-    }
-
-    /// Registers the snapshot-time poll collectors: every pre-existing
-    /// hot-path atomic (queue depths, shed counts, hop/fault accounting,
-    /// lane coalescing, breaker trips, per-enclave degrade counts) is
-    /// read at snapshot time through a cloned `Arc` — the instrumented
-    /// request path pays nothing for any of these.
-    fn register_polls(
-        telemetry: &Registry,
-        nodes: &[Arc<ReplicaNode>],
-        lanes: &Arc<Vec<Lane>>,
-        breakers: &Arc<Vec<CircuitBreaker>>,
-    ) {
-        for node in nodes {
-            let label = [("replica", LabelValue::Int(node.id().0 as u64))];
-            let n = Arc::clone(node);
-            telemetry.poll(
-                "xsearch_replica_inflight",
-                "Requests currently admitted on this replica",
-                &label,
-                move || n.inflight() as f64,
-            );
-            let n = Arc::clone(node);
-            telemetry.poll(
-                "xsearch_replica_queue_high_water",
-                "Deepest this replica's admission queue has been",
-                &label,
-                move || n.queue_high_water() as f64,
-            );
-            let n = Arc::clone(node);
-            telemetry.poll(
-                "xsearch_replica_shed",
-                "Requests this replica's bounded queue refused",
-                &label,
-                move || n.shed() as f64,
-            );
-            let n = Arc::clone(node);
-            telemetry.poll(
-                "xsearch_replica_served",
-                "Requests served by this replica since launch",
-                &label,
-                move || n.served() as f64,
-            );
-            let n = Arc::clone(node);
-            telemetry.poll(
-                "xsearch_replica_degrade_level",
-                "Degradation level last pushed into this enclave",
-                &label,
-                move || n.degrade_level() as f64,
-            );
-        }
-        let all: Vec<Arc<ReplicaNode>> = nodes.to_vec();
-        telemetry.poll(
-            "xsearch_fleet_hop_delay_us",
-            "Accounted router-replica hop delay, microseconds",
-            &[],
-            move || all.iter().map(|n| n.accounted_hop_ns()).sum::<u64>() as f64 / 1e3,
-        );
-        let all: Vec<Arc<ReplicaNode>> = nodes.to_vec();
-        telemetry.poll(
-            "xsearch_fleet_fault_delay_us",
-            "Accounted injected fault delay, microseconds",
-            &[],
-            move || all.iter().map(|n| n.accounted_fault_ns()).sum::<u64>() as f64 / 1e3,
-        );
-        let all: Vec<Arc<ReplicaNode>> = nodes.to_vec();
-        telemetry.poll(
-            "xsearch_fleet_engine_delay_us",
-            "Modeled engine service time charged fleet-wide, microseconds",
-            &[],
-            move || {
-                all.iter()
-                    .map(|n| {
-                        n.proxy().as_ref().map_or(0, |p| {
-                            p.accounted_engine_delay()
-                                .as_micros()
-                                .min(u128::from(u64::MAX)) as u64
-                        })
-                    })
-                    .sum::<u64>() as f64
-            },
-        );
-        let all: Vec<Arc<ReplicaNode>> = nodes.to_vec();
-        telemetry.poll(
-            "xsearch_fleet_degraded_served",
-            "Requests served at reduced obfuscation strength, fleet-wide",
-            &[],
-            move || {
-                all.iter()
-                    .map(|n| n.proxy().as_ref().map_or(0, |p| p.degrade_stats().1))
-                    .sum::<u64>() as f64
-            },
-        );
-        let l = Arc::clone(lanes);
-        telemetry.poll(
-            "xsearch_lane_batches",
-            "Coalesced proxy_batch ecalls issued by the lanes",
-            &[],
-            move || l.iter().map(|lane| lane.stats().batches).sum::<u64>() as f64,
-        );
-        let l = Arc::clone(lanes);
-        telemetry.poll(
-            "xsearch_lane_entries",
-            "Requests carried inside coalesced ecalls",
-            &[],
-            move || l.iter().map(|lane| lane.stats().entries).sum::<u64>() as f64,
-        );
-        let b = Arc::clone(breakers);
-        telemetry.poll(
-            "xsearch_breaker_trips",
-            "Circuit-breaker trips across the fleet",
-            &[],
-            move || b.iter().map(CircuitBreaker::trips).sum::<u64>() as f64,
-        );
     }
 
     /// The fleet's attestation service (brokers verify quotes with it).
@@ -506,16 +369,21 @@ impl Cluster {
     /// TTL reaper. It deliberately bypasses admission — closing must
     /// work precisely when the fleet is too busy to admit new work.
     pub fn close_session(&self, client_pub: &[u8; 32]) -> bool {
-        let Ok(id) = self.route(client_pub) else {
-            return false;
-        };
-        let Ok(node) = self.node(id) else {
-            return false;
-        };
-        let guard = node.proxy();
-        guard
-            .as_ref()
-            .is_some_and(|proxy| proxy.close_session(client_pub))
+        self.route(client_pub)
+            .is_ok_and(|id| self.close_session_at(id, client_pub))
+    }
+
+    /// [`Cluster::close_session`] for a caller that knows which replica
+    /// holds the session (a [`crate::client::ClusterClient`] routes by
+    /// affinity key, not channel key). Same rules: no admission, no
+    /// accounted hop — closing moves no modeled number — and `false` when
+    /// the replica is down (its sessions died with the enclave).
+    pub(crate) fn close_session_at(&self, id: ReplicaId, client_pub: &[u8; 32]) -> bool {
+        self.node(id).is_ok_and(|node| {
+            node.proxy()
+                .as_ref()
+                .is_some_and(|proxy| proxy.close_session(client_pub))
+        })
     }
 
     /// Live enclave sessions across every running replica. Crashed
@@ -548,9 +416,9 @@ impl Cluster {
     /// ecalls the lanes issued and how many requests rode in them.
     #[must_use]
     pub fn batch_stats(&self) -> LaneStats {
-        self.lanes
-            .iter()
-            .fold(LaneStats::default(), |acc, lane| acc.merged(lane.stats()))
+        self.nodes.iter().fold(LaneStats::default(), |acc, node| {
+            acc.merged(node.lane.stats())
+        })
     }
 
     /// The fleet's metrics registry: one snapshot covering per-replica
@@ -649,24 +517,20 @@ impl Cluster {
     /// or open-long-enough to probe half-open). Consults the op clock.
     #[must_use]
     pub fn breaker_allows(&self, id: ReplicaId) -> bool {
-        if !self.config.resilience.enabled {
-            return true;
-        }
-        self.breakers
-            .get(id.0)
+        self.breaker(id)
             .is_none_or(|b| b.allows(self.ops.load(Ordering::Relaxed), BREAKER_COOLDOWN_OPS))
     }
 
     /// `id`'s breaker, for observability (`None` out of range).
     #[must_use]
     pub fn breaker(&self, id: ReplicaId) -> Option<&CircuitBreaker> {
-        self.breakers.get(id.0)
+        self.nodes.get(id.0).map(|node| &node.breaker)
     }
 
     /// Records a successful answer from `id` (closes a half-open
     /// breaker, resets the failure streak).
     pub fn record_success(&self, id: ReplicaId) {
-        if let Some(b) = self.breakers.get(id.0) {
+        if let Some(b) = self.breaker(id) {
             if b.record_success() {
                 self.flight.record(FlightEvent::BreakerClose {
                     replica: id.0 as u64,
@@ -678,7 +542,7 @@ impl Cluster {
     /// Records a failed/too-slow answer from `id` (may trip the
     /// breaker once the streak reaches the configured threshold).
     pub fn record_failure(&self, id: ReplicaId) {
-        if let Some(b) = self.breakers.get(id.0) {
+        if let Some(b) = self.breaker(id) {
             let op = self.ops.load(Ordering::Relaxed);
             if b.record_failure(op, BREAKER_THRESHOLD) {
                 self.flight.record(FlightEvent::BreakerTrip {
@@ -871,7 +735,7 @@ impl Cluster {
         let (client_pub, ciphertext) = seal();
         charge += node.account_hop();
         slot.begin();
-        self.lanes[id.0].push(Pending {
+        node.lane.push(Pending {
             client_pub,
             ciphertext,
             echo,
@@ -894,7 +758,7 @@ impl Cluster {
         let Ok(node) = self.node(id) else {
             return;
         };
-        let lane = &self.lanes[id.0];
+        let lane = &node.lane;
         while !lane.is_empty() {
             if !lane.try_lead() {
                 break;
@@ -972,7 +836,7 @@ impl Cluster {
     /// leadership.
     fn lead(&self, id: ReplicaId, node: &ReplicaNode) {
         loop {
-            let batch = self.lanes[id.0].drain(MAX_BATCH);
+            let batch = node.lane.drain(MAX_BATCH);
             if batch.is_empty() {
                 break;
             }
@@ -988,7 +852,7 @@ impl Cluster {
     /// cadence's seal, which is what keeps `seal_every == 1` lossless
     /// under churn.
     fn execute_batch(&self, id: ReplicaId, node: &ReplicaNode, batch: Vec<Pending>) {
-        self.lanes[id.0].record_batch(batch.len());
+        node.lane.record_batch(batch.len());
         let fence = DeliveryFence::new(id, batch);
         let guard = node.proxy();
         let Some(proxy) = guard.as_ref() else {
@@ -1000,10 +864,7 @@ impl Cluster {
         // current queue depth and push it into the enclave only when it
         // changed. Shrinking the decoy count is the rung *before*
         // shedding real queries — served-but-weaker beats not-served.
-        if self.config.resilience.enabled
-            && self.config.resilience.degrade
-            && self.config.queue_limit != 0
-        {
+        if self.config.queue_limit != 0 {
             let level = degrade_level(node.inflight(), self.config.queue_limit);
             let prev = node.swap_degrade_level(level);
             if prev != level {

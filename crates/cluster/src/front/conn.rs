@@ -67,9 +67,13 @@ pub(super) struct Conn {
     pub(super) in_awaiting: bool,
     /// Shed-ladder class (see [`ConnClass`]).
     pub(super) class: ConnClass,
-    /// Channel key of the most recent well-formed request: session
-    /// attribution for close-on-disconnect and quarantine strikes.
-    pub(super) channel_key: Option<[u8; 32]>,
+    /// Channel key the most recent well-formed request *claimed* —
+    /// visible on the wire, so anyone can name anyone's.
+    channel_key: Option<[u8; 32]>,
+    /// A request under `channel_key` was answered [`ConnStatus::Ok`] on
+    /// this connection: its AEAD opened inside the enclave, so the peer
+    /// holds the session's keys (see [`Conn::proven_key`]).
+    key_proven: bool,
     /// Ring coordinate of `channel_key`: every frame is routed, the key
     /// is hashed only when it changes.
     ring_coord: u64,
@@ -159,6 +163,7 @@ impl Conn {
             in_awaiting: false,
             class: ConnClass::Unattested,
             channel_key: None,
+            key_proven: false,
             ring_coord: 0,
             opened_tick: tick,
             last_read_tick: tick,
@@ -191,13 +196,20 @@ impl Conn {
         self.window_bytes = 0;
     }
 
-    /// Attributes the connection to `key`, the channel key of the request
-    /// just parsed.
+    /// Routes the connection by `key`, the channel key the request just
+    /// parsed claims. A changed key has everything to prove again.
     fn set_channel_key(&mut self, key: [u8; 32]) {
         if self.channel_key != Some(key) {
             self.channel_key = Some(key);
+            self.key_proven = false;
             self.ring_coord = key_coord(&key);
         }
+    }
+
+    /// The channel key this connection has shown to be its own: the only
+    /// one its misbehavior may strike or its teardown close the session of.
+    pub(super) fn proven_key(&self) -> Option<[u8; 32]> {
+        self.channel_key.filter(|_| self.key_proven)
     }
 
     /// Accounted heap footprint of this session (slab slot + stream
@@ -245,10 +257,11 @@ impl Conn {
         self.queue_reply(stats, status, &[]);
     }
 
-    /// Marks the connection misbehaving and strikes its channel key, if known.
+    /// Marks the connection misbehaving and strikes its channel key, if
+    /// it has proven one.
     fn punish(&mut self, core: &mut ShardCore) {
         self.class = ConnClass::Misbehaving;
-        if let Some(key) = self.channel_key {
+        if let Some(key) = self.proven_key() {
             core.strike(key);
         }
     }
@@ -316,7 +329,10 @@ impl Conn {
                         return Disposition::Close;
                     }
                     match result {
-                        Ok(payload) => self.queue_reply(&core.stats, ConnStatus::Ok, &payload),
+                        Ok(payload) => {
+                            self.key_proven = true;
+                            self.queue_reply(&core.stats, ConnStatus::Ok, &payload);
+                        }
                         Err(err) => self.queue_refusal(&core.stats, &err),
                     }
                 }

@@ -54,8 +54,12 @@
 //! tick clock: handshake/read-stall/write-stall/idle deadlines, an
 //! anti-slowloris minimum-progress rate, lifetime frame/byte quotas,
 //! and a protocol-error strike counter that **quarantines the channel
-//! key** (across connections) once it crosses the limit. Above the
-//! per-shard connection high-water mark the shard sheds by class —
+//! key** (across connections) once it crosses the limit. A frame only
+//! *claims* its channel key, which is visible on the wire: the front
+//! routes by it and checks it for a ban, but strikes it and closes its
+//! session only once a request under it was answered `Ok` on this
+//! connection — the AEAD opened inside the enclave, so the peer owns it.
+//! Above the per-shard connection high-water mark the shard sheds by class —
 //! misbehaving first, then unattested, then oldest-idle established —
 //! so an attack population pays before well-behaved sessions do. A
 //! shard can also be **drained** gracefully: accepts are held (and
@@ -63,9 +67,9 @@
 //! are answered
 //! [`Unavailable`](xsearch_core::wire::ConnStatus::Unavailable). When a
 //! connection dies for any reason, the front best-effort closes the
-//! enclave session behind its channel key ([`Cluster::close_session`]);
-//! sessions the front never learned a key for fall to the fleet's TTL
-//! reaper ([`Cluster::reap_sessions`]).
+//! enclave session behind the channel key it proved
+//! ([`Cluster::close_session`]); sessions no connection ever proved fall
+//! to the fleet's TTL reaper ([`Cluster::reap_sessions`]).
 //!
 //! # Telemetry
 //!

@@ -95,13 +95,14 @@ impl Shard {
     }
 
     /// Tears one connection down: deregisters, closes the stream, and
-    /// best-effort closes the enclave session behind its channel key so
-    /// a disconnect does not leak session state until the TTL reaper.
-    fn retire(&mut self, idx: usize, mut conn: Conn) {
+    /// best-effort closes the enclave session behind the channel key it
+    /// proved, so a disconnect does not leak session state until the TTL
+    /// reaper (which stays the backstop for sessions never proven here).
+    fn retire(&mut self, idx: usize, conn: Conn) {
         self.reactor.deregister(&conn.stream, &conn.reg);
         conn.stream.close();
         self.core.stats.exit(conn.state);
-        if let Some(key) = conn.channel_key.take() {
+        if let Some(key) = conn.proven_key() {
             if self.core.cluster.close_session(&key) {
                 self.core.stats.sessions_closed.inc();
             }
@@ -188,10 +189,10 @@ impl Shard {
             self.core.stats.timeouts[kind as usize].inc();
             let conn = self.conns[idx].take().expect("slot checked above");
             // A slowloris dribble is deliberate misbehavior: strike the
-            // key (if any) so repeat offenders reach quarantine. The
+            // key (if proven) so repeat offenders reach quarantine. The
             // other deadlines are treated as benign peer failures.
             if kind == TimeoutKind::Slowloris {
-                if let Some(key) = conn.channel_key {
+                if let Some(key) = conn.proven_key() {
                     self.core.strike(key);
                 }
             }

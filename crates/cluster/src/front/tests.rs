@@ -378,6 +378,41 @@ fn protocol_strikes_quarantine_the_channel_key() {
 }
 
 #[test]
+fn a_claimed_key_cannot_close_or_strike_its_owner() {
+    let (cluster, front) =
+        rig(|c| (c.survival.strike_limit, c.survival.quarantine_ticks) = (1, 10_000));
+    let mut victim = attach(&cluster, 51);
+    let stream = front.accept();
+    let (status, payload) = ask(&front, &stream, &mut victim, "mine");
+    assert_eq!(status, ConnStatus::Ok);
+    victim.open_results(&payload).unwrap();
+    // A stranger who read the victim's public key off the wire: one
+    // frame naming it over ciphertext it cannot produce, one junk frame
+    // (a strike, at a limit of one), then gone.
+    let stranger = front.accept();
+    let mut forged = Vec::new();
+    encode_conn_request_into(victim.client_pub().as_bytes(), &[0; 40], true, &mut forged);
+    let mut framed = Vec::new();
+    encode_frame_into(&forged, &mut framed);
+    write_all(&front, &stranger, &framed);
+    assert_ne!(read_reply(&front, &stranger).0, ConnStatus::Ok);
+    framed.clear();
+    encode_frame_into(b"junk", &mut framed);
+    write_all(&front, &stranger, &framed);
+    assert_eq!(read_reply(&front, &stranger).0, ConnStatus::Protocol);
+    stranger.close();
+    steps(&front, 4);
+    assert_eq!(front.connections(), 1, "only the stranger is gone");
+    // Neither the strike nor the teardown reached the key's owner.
+    assert_eq!(metric(&cluster, "strikes_total", None), 0.0);
+    assert_eq!(metric(&cluster, "sessions_closed", None), 0.0);
+    assert_eq!(cluster.session_count(), 1);
+    let (status, payload) = ask(&front, &stream, &mut victim, "still mine");
+    assert_eq!(status, ConnStatus::Ok);
+    victim.open_results(&payload).unwrap();
+}
+
+#[test]
 fn frame_quota_closes_a_request_flooder() {
     let (cluster, front) = rig(|c| c.survival.max_frames = 2);
     let mut broker = attach(&cluster, 88);

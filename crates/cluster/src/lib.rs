@@ -239,6 +239,33 @@ mod tests {
     }
 
     #[test]
+    fn reattaching_clients_do_not_accumulate_sessions() {
+        // Every replica gray-fails half its answers, so healthy clients
+        // re-attach (and open hedge sub-sessions) all day. Each must
+        // close what it replaces: one session per client, not one per
+        // handshake.
+        let spec = FaultSpec {
+            gray: (0..4).map(|replica| (replica, 0.5)).collect(),
+            ..Default::default()
+        };
+        let mut config = ClusterConfig {
+            faults: Some(Arc::new(FaultPlan::new(spec, 23, 4))),
+            ..Default::default()
+        };
+        config.resilience.hedge = true;
+        let cluster = Cluster::launch(engine(), config);
+        let mut clients: Vec<ClusterClient> = (0..8)
+            .map(|seed| ClusterClient::attach(&cluster, seed).unwrap())
+            .collect();
+        for i in 0..400 {
+            let _ = clients[i % 8].search_echo(&cluster, &format!("q{i}"));
+        }
+        let snap = cluster.telemetry().snapshot();
+        assert!(snap.value("xsearch_client_reattaches_total", &[]) > Some(100.0));
+        assert!(cluster.session_count() <= 8, "{}", cluster.session_count());
+    }
+
+    #[test]
     fn restart_without_migration_recovers_own_window() {
         // Killed and restarted before any sweep ran: the replica's own
         // sealed snapshot is still current, so the window survives

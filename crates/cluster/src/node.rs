@@ -9,6 +9,8 @@
 //! router.
 
 use crate::registry::ReplicaId;
+use crate::resilience::CircuitBreaker;
+use crate::router::Lane;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,6 +25,7 @@ use xsearch_net_sim::fault::FaultInjector;
 use xsearch_net_sim::Link;
 use xsearch_sgx_sim::attestation::AttestationService;
 use xsearch_sgx_sim::sealed::SealingPlatform;
+use xsearch_telemetry::{LabelValue, Registry};
 
 /// A replica slot in the fleet.
 pub struct ReplicaNode {
@@ -38,8 +41,11 @@ pub struct ReplicaNode {
     /// assignment and append are one step and segments are stored in
     /// version order whichever ingress came due.
     sealed: Mutex<SealedLog>,
-    /// Router ↔ this replica (delays accounted, not slept).
-    link: Link,
+    /// The coalescing lane requests to this replica queue on.
+    pub(crate) lane: Lane,
+    /// Routing shifts away from a replica whose breaker is open before
+    /// the health sweep declares it dead (brown-out, not crash, handling).
+    pub(crate) breaker: CircuitBreaker,
     /// Host-side randomness for sealing nonces.
     rng: Mutex<StdRng>,
     /// Precomputed link RTT draws (ns). Sampling a per-request delay
@@ -115,7 +121,8 @@ impl ReplicaNode {
             proxy: RwLock::new(Some(proxy)),
             vault,
             sealed: Mutex::new(SealedLog::default()),
-            link,
+            lane: Lane::default(),
+            breaker: CircuitBreaker::default(),
             rng: Mutex::new(StdRng::seed_from_u64(host_seed ^ 0xA5A5_5A5A)),
             hop_table,
             hop_cursor: AtomicUsize::new(0),
@@ -128,6 +135,105 @@ impl ReplicaNode {
             fault,
             fault_ns: AtomicU64::new(0),
             degrade_level: AtomicUsize::new(0),
+        }
+    }
+
+    /// Registers the snapshot-time poll collectors: every pre-existing
+    /// hot-path atomic (queue depths, shed counts, hop/fault accounting,
+    /// lane coalescing, breaker trips, per-enclave degrade counts) is
+    /// read at snapshot time through a cloned `Arc` — the instrumented
+    /// request path pays nothing for any of these.
+    pub(crate) fn register_polls(nodes: &[Arc<ReplicaNode>], telemetry: &Registry) {
+        type Read = fn(&ReplicaNode) -> u64;
+        let per_replica: [(&str, &str, Read); 5] = [
+            (
+                "xsearch_replica_inflight",
+                "Requests currently admitted on this replica",
+                |n| n.inflight() as u64,
+            ),
+            (
+                "xsearch_replica_queue_high_water",
+                "Deepest this replica's admission queue has been",
+                |n| n.queue_high_water.load(Ordering::Relaxed) as u64,
+            ),
+            (
+                "xsearch_replica_shed",
+                "Requests this replica's bounded queue refused",
+                |n| n.shed.load(Ordering::Relaxed),
+            ),
+            (
+                "xsearch_replica_served",
+                "Requests served by this replica since launch",
+                |n| n.served.load(Ordering::Relaxed),
+            ),
+            (
+                "xsearch_replica_degrade_level",
+                "Degradation level last pushed into this enclave",
+                |n| n.degrade_level.load(Ordering::Relaxed) as u64,
+            ),
+        ];
+        for node in nodes {
+            let label = [("replica", LabelValue::Int(node.id().0 as u64))];
+            for (name, help, read) in per_replica {
+                let n = Arc::clone(node);
+                telemetry.poll(name, help, &label, move || read(&n) as f64);
+            }
+        }
+        // Fleet-wide: the per-node readings summed, then scaled.
+        let fleet_wide: [(&str, &str, Read, f64); 7] = [
+            (
+                "xsearch_fleet_hop_delay_us",
+                "Accounted router-replica hop delay, microseconds",
+                |n| n.hop_ns.load(Ordering::Relaxed),
+                1e3,
+            ),
+            (
+                "xsearch_fleet_fault_delay_us",
+                "Accounted injected fault delay, microseconds",
+                |n| n.fault_ns.load(Ordering::Relaxed),
+                1e3,
+            ),
+            (
+                "xsearch_fleet_engine_delay_us",
+                "Modeled engine service time charged fleet-wide, microseconds",
+                |n| {
+                    n.proxy().as_ref().map_or(0, |p| {
+                        let us = p.accounted_engine_delay().as_micros();
+                        us.min(u128::from(u64::MAX)) as u64
+                    })
+                },
+                1.0,
+            ),
+            (
+                "xsearch_fleet_degraded_served",
+                "Requests served at reduced obfuscation strength, fleet-wide",
+                |n| n.proxy().as_ref().map_or(0, |p| p.degrade_stats().1),
+                1.0,
+            ),
+            (
+                "xsearch_lane_batches",
+                "Coalesced proxy_batch ecalls issued by the lanes",
+                |n| n.lane.stats().batches,
+                1.0,
+            ),
+            (
+                "xsearch_lane_entries",
+                "Requests carried inside coalesced ecalls",
+                |n| n.lane.stats().entries,
+                1.0,
+            ),
+            (
+                "xsearch_breaker_trips",
+                "Circuit-breaker trips across the fleet",
+                |n| n.breaker.trips(),
+                1.0,
+            ),
+        ];
+        for (name, help, read, per_unit) in fleet_wide {
+            let all = nodes.to_vec();
+            telemetry.poll(name, help, &[], move || {
+                all.iter().map(|n| read(n)).sum::<u64>() as f64 / per_unit
+            });
         }
     }
 
@@ -154,34 +260,10 @@ impl ReplicaNode {
         &self.vault
     }
 
-    /// The router↔replica link.
-    #[must_use]
-    pub fn link(&self) -> &Link {
-        &self.link
-    }
-
     /// Requests currently in flight on this replica.
     #[must_use]
     pub fn inflight(&self) -> usize {
         self.inflight.load(Ordering::Relaxed)
-    }
-
-    /// Requests served since the node was created.
-    #[must_use]
-    pub fn served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
-    }
-
-    /// Deepest the admission queue has ever been on this node.
-    #[must_use]
-    pub fn queue_high_water(&self) -> usize {
-        self.queue_high_water.load(Ordering::Relaxed)
-    }
-
-    /// Requests the bounded admission queue has refused so far.
-    #[must_use]
-    pub fn shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
     }
 
     /// Bounded admission: atomically claims a queue slot unless the node
@@ -227,13 +309,6 @@ impl ReplicaNode {
         Duration::from_nanos(ns)
     }
 
-    /// Total accounted router↔replica network delay on this node, in
-    /// nanoseconds (accounted, not slept — see [`Link`]).
-    #[must_use]
-    pub fn accounted_hop_ns(&self) -> u64 {
-        self.hop_ns.load(Ordering::Relaxed)
-    }
-
     /// Accounts injected fault delay (a stall or spike) against this
     /// node — charged on the modeled clock, never slept.
     pub(crate) fn account_fault(&self, delay: Duration) {
@@ -245,22 +320,10 @@ impl ReplicaNode {
         }
     }
 
-    /// Total accounted injected-fault delay on this node, in nanoseconds.
-    #[must_use]
-    pub fn accounted_fault_ns(&self) -> u64 {
-        self.fault_ns.load(Ordering::Relaxed)
-    }
-
     /// Updates the cached degradation level; returns the previous value
     /// so the caller can skip the `set_degrade` ecall when unchanged.
     pub(crate) fn swap_degrade_level(&self, level: usize) -> usize {
         self.degrade_level.swap(level, Ordering::Relaxed)
-    }
-
-    /// The degradation level last pushed into this replica's enclave.
-    #[must_use]
-    pub fn degrade_level(&self) -> usize {
-        self.degrade_level.load(Ordering::Relaxed)
     }
 
     /// Ticks the sealing cadence; returns `true` when a seal is due

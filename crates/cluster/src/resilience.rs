@@ -1,8 +1,15 @@
 //! The resilience policy stack: deadlines, backoff, circuit breakers,
-//! hedging, and graceful degradation.
+//! hedging, and graceful degradation — and the **ladder**, the decision
+//! table that says what a search does next.
 //!
-//! Every mechanism here runs on **deterministic clocks** so chaos
-//! scenarios replay byte-identically:
+//! Nothing here touches a fleet, a tunnel or a counter; the file imports
+//! only `std`. [`crate::client::ClusterClient`] forwards, opens,
+//! re-attaches and sweeps; *whether* to is decided by [`Progress::budget`],
+//! [`Progress::react`] and the hedge / breaker predicates below, over
+//! plain integers a test can write down.
+//!
+//! Every mechanism runs on **deterministic clocks** so chaos scenarios
+//! replay byte-identically:
 //!
 //! * request **deadline budgets** and **backoff** are charged on the
 //!   *accounted* (modeled) clock, the same one the per-hop link delays
@@ -36,15 +43,20 @@ pub(crate) const BREAKER_THRESHOLD: u32 = 3;
 /// the cooldown the breaker goes half-open and admits probe traffic.
 pub(crate) const BREAKER_COOLDOWN_OPS: u64 = 512;
 
+/// Failovers a single request rides out before the client gives up with
+/// the last error it saw: survives the kill → sweep →
+/// successor-also-dies sequence churn testing produces without letting a
+/// broken fleet spin forever.
+pub const MAX_FAILOVERS: usize = 3;
+
 /// Tunables for the per-request resilience stack. Carried by
 /// `ClusterConfig`; the documented defaults keep every pre-existing
 /// behaviour observable (hedging off, generous deadline) while making
-/// deadlines, backoff and breakers active out of the box.
+/// deadlines, backoff and breakers active out of the box. Graceful
+/// degradation has no knob of its own: it follows the fleet's
+/// `queue_limit` (`0` — no bound, no pressure — turns it off).
 #[derive(Debug, Clone)]
 pub struct ResilienceConfig {
-    /// Master switch. `false` restores the legacy immediate-retry loop
-    /// exactly (the chaos bench measures both sides of this switch).
-    pub enabled: bool,
     /// Per-request deadline budget on the accounted clock. A request
     /// that cannot complete within this budget fails with
     /// `ClusterError::DeadlineExceeded`. Default 2 s — far above any
@@ -61,36 +73,166 @@ pub struct ResilienceConfig {
     /// Default **off**: hedges add load and duplicate history pushes,
     /// so they are an explicit opt-in (the chaos drill opts in).
     pub hedge: bool,
-    /// Graceful degradation: under queue pressure a replica shrinks its
-    /// fake-query count `k` (never below 1) before shedding real
-    /// queries. Default on.
-    pub degrade: bool,
 }
 
 impl Default for ResilienceConfig {
     fn default() -> Self {
         ResilienceConfig {
-            enabled: true,
             deadline: Duration::from_secs(2),
             backoff_base: Duration::from_micros(500),
             backoff_cap: Duration::from_millis(50),
             hedge: false,
-            degrade: true,
         }
     }
 }
 
-impl ResilienceConfig {
-    /// The legacy behaviour: no deadline, no backoff, no breakers, no
-    /// hedging, no degradation — the immediate-retry loop as it was.
+/// How one forward attempt (or one re-attach) ended, as the ladder sees
+/// it. The client maps `ClusterError`s onto these; the table never sees
+/// an error value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// The replica answered and the reply opened under our tunnel.
+    Opened,
+    /// It answered, but AEAD refused the reply (not our session, or a
+    /// gray failure corrupted it): the session may be desynchronized.
+    Unreadable,
+    /// Dropped on the link **before sealing** — the tunnel never moved.
+    LinkLoss,
+    /// Refused by bounded admission, also before sealing: deliberate
+    /// backpressure from a healthy replica.
+    Shed,
+    /// The lane leader found our entry past its budget and refused to
+    /// execute it. It *was* sealed, so the session is desynchronized.
+    LaneExpired,
+    /// Our entry failed inside a coalesced batch — typically a replica
+    /// that crashed and restarted (sessions die with the enclave) — or,
+    /// for a re-attach, the enclave refused the handshake.
+    EntryFailed,
+    /// The replica is down or no longer routable.
+    ReplicaGone,
+    /// Anything else: not the client's to ride out.
+    Other,
+}
+
+/// Which step follows an attempt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// The answer is in hand: settle the hedge and the breaker, return.
+    Finish,
+    /// Forward again on the session in hand. Spends no failover.
+    Retry,
+    /// Spend one failover: re-route, re-attest, forward again.
+    Reattach,
+    /// Return the attempt's own error — after a best-effort `reattach`
+    /// when the attempt left the session desynchronized.
+    GiveUp {
+        /// Re-attach (spending no failover) before returning.
+        reattach: bool,
+    },
+}
+
+/// What the client does about one attempt, in this order: strike, sweep,
+/// pause, then the step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reaction {
+    /// Record a failure on the target replica's circuit breaker.
+    pub strike: bool,
+    /// Run a health sweep (drain the dead replica, migrate its window)
+    /// so the re-route sees the new membership.
+    pub sweep: bool,
+    /// Charge one backoff pause against the deadline budget.
+    pub pause: bool,
+    /// What follows.
+    pub step: Step,
+}
+
+/// Where one search stands on the ladder: three plain counters the
+/// client keeps and the table reads.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Progress {
+    /// Modeled time charged so far: hops and injected delays of answers
+    /// that did not open, plus every backoff pause.
+    pub spent: Duration,
+    /// Forwards made so far (each one past the first is a retry).
+    pub attempts: u32,
+    /// Failovers spent so far, out of [`MAX_FAILOVERS`].
+    pub failovers: usize,
+}
+
+impl Progress {
+    /// The budget the next forward may run under, or `None` when the
+    /// deadline is used up (exactly used up counts): the search fails
+    /// typed, `DeadlineExceeded`, *before* another attempt.
     #[must_use]
-    pub fn disabled() -> Self {
-        ResilienceConfig {
-            enabled: false,
-            degrade: false,
-            ..Default::default()
+    pub fn budget(&self, deadline: Duration) -> Option<Duration> {
+        (self.spent < deadline).then(|| deadline - self.spent)
+    }
+
+    /// What to do about an attempt that ended in `outcome`. Time is
+    /// bounded by [`Progress::budget`], recovery by the failover count:
+    /// an outcome that wants a re-attach once the last failover is spent
+    /// still strikes, sweeps and pauses, then gives up.
+    #[must_use]
+    pub fn react(&self, outcome: Outcome) -> Reaction {
+        let give_up = Step::GiveUp { reattach: false };
+        let recover = if self.failovers < MAX_FAILOVERS {
+            Step::Reattach
+        } else {
+            give_up
+        };
+        let (strike, sweep, pause, step) = match outcome {
+            Outcome::Opened => (false, false, false, Step::Finish),
+            Outcome::Unreadable | Outcome::EntryFailed => (true, false, true, recover),
+            // Never sealed: the same session retries after a pause.
+            Outcome::LinkLoss => (true, false, true, Step::Retry),
+            // Shed: the replica is alive, just busy — no strike, no
+            // sweep, and no immediate retry to hammer it with.
+            Outcome::Shed | Outcome::Other => (false, false, false, give_up),
+            Outcome::LaneExpired => (false, false, false, Step::GiveUp { reattach: true }),
+            Outcome::ReplicaGone => (true, true, true, recover),
+        };
+        Reaction {
+            strike,
+            sweep,
+            pause,
+            step,
         }
     }
+}
+
+/// Whether the search goes on (after a sweep) when a **re-attach** failed
+/// in class `failure`. A successor that died between routing and attach:
+/// always. A refused handshake: only while the session in hand is still
+/// good — the re-attach was a breaker deflection, not a recovery — since
+/// then the next forward can still use it.
+#[must_use]
+pub fn survives_failed_reattach(failure: Outcome, session_intact: bool) -> bool {
+    match failure {
+        Outcome::ReplicaGone => true,
+        Outcome::EntryFailed => session_intact,
+        _ => false,
+    }
+}
+
+/// Hedge now? Only an answer strictly slower than the trigger fires one.
+#[must_use]
+pub fn hedge_fires(charge: Duration, hedge_delay: Duration) -> bool {
+    charge > hedge_delay
+}
+
+/// Who won the race on the modeled clock? The hedge left `hedge_delay`
+/// after the primary and took `hedge_charge`; it wins by landing strictly
+/// before the primary's `charge` — a tie keeps the primary.
+#[must_use]
+pub fn hedge_wins(charge: Duration, hedge_delay: Duration, hedge_charge: Duration) -> bool {
+    hedge_delay + hedge_charge < charge
+}
+
+/// How the breaker (and the deadline-miss counter) judges an answer that
+/// took `took`: over the deadline is a failure, exactly on it a success.
+#[must_use]
+pub fn blew_deadline(took: Duration, deadline: Duration) -> bool {
+    took > deadline
 }
 
 /// Capped exponential backoff with decorrelated jitter
@@ -437,9 +579,79 @@ mod tests {
         assert_eq!(degrade_level(100, 100), 3);
     }
 
+    const MS: Duration = Duration::from_millis(1);
+
     #[test]
-    fn disabled_config_switches_everything_off() {
-        let c = ResilienceConfig::disabled();
-        assert!(!c.enabled && !c.degrade && !c.hedge);
+    fn each_outcome_class_maps_to_its_reaction() {
+        use Outcome::*;
+        let own = Step::GiveUp { reattach: false };
+        let resync = Step::GiveUp { reattach: true };
+        // (class, strike, sweep, pause, step with failovers left, without)
+        for (outcome, strike, sweep, pause, fresh, exhausted) in [
+            (Opened, false, false, false, Step::Finish, Step::Finish),
+            (Unreadable, true, false, true, Step::Reattach, own),
+            (LinkLoss, true, false, true, Step::Retry, Step::Retry),
+            (Shed, false, false, false, own, own),
+            (LaneExpired, false, false, false, resync, resync),
+            (EntryFailed, true, false, true, Step::Reattach, own),
+            (ReplicaGone, true, true, true, Step::Reattach, own),
+            (Other, false, false, false, own, own),
+        ] {
+            for (failovers, step) in [
+                (0, fresh),
+                (MAX_FAILOVERS - 1, fresh),
+                (MAX_FAILOVERS, exhausted),
+            ] {
+                let at = Progress {
+                    failovers,
+                    ..Default::default()
+                };
+                let want = Reaction {
+                    strike,
+                    sweep,
+                    pause,
+                    step,
+                };
+                assert_eq!(at.react(outcome), want, "{outcome:?} at {failovers}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_budget_is_gone_exactly_at_the_deadline() {
+        let spent = |spent| Progress {
+            spent,
+            ..Default::default()
+        };
+        assert_eq!(spent(Duration::ZERO).budget(20 * MS), Some(20 * MS));
+        assert_eq!(spent(19 * MS).budget(20 * MS), Some(MS));
+        assert_eq!(spent(20 * MS).budget(20 * MS), None, "spent == deadline");
+        assert_eq!(spent(21 * MS).budget(20 * MS), None);
+        assert_eq!(spent(Duration::ZERO).budget(Duration::ZERO), None);
+    }
+
+    #[test]
+    fn a_failed_reattach_is_survivable_only_with_something_left_to_try() {
+        for intact in [false, true] {
+            assert!(survives_failed_reattach(Outcome::ReplicaGone, intact));
+            assert!(!survives_failed_reattach(Outcome::Shed, intact));
+            assert!(!survives_failed_reattach(Outcome::Other, intact));
+            assert_eq!(
+                survives_failed_reattach(Outcome::EntryFailed, intact),
+                intact
+            );
+        }
+    }
+
+    #[test]
+    fn hedge_and_breaker_boundaries() {
+        let ns = Duration::from_nanos(1);
+        assert!(!hedge_fires(5 * MS, 5 * MS), "charge == hedge_delay");
+        assert!(hedge_fires(5 * MS + ns, 5 * MS));
+        // The primary answers after 10 ms; the hedge leaves at 5 ms.
+        assert!(hedge_wins(10 * MS, 5 * MS, 5 * MS - ns));
+        assert!(!hedge_wins(10 * MS, 5 * MS, 5 * MS), "equal costs");
+        assert!(!blew_deadline(50 * MS, 50 * MS), "charge == deadline");
+        assert!(blew_deadline(50 * MS + ns, 50 * MS));
     }
 }

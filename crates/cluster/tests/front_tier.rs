@@ -233,7 +233,7 @@ fn both_drivers_record_the_injected_stall_on_the_forward_span() {
     ));
     let front = FrontTier::new(&cluster, FrontConfig::default());
     let mut blocking = ClusterClient::attach(&cluster, 1).unwrap();
-    let outcome = blocking.search_echo_outcome(&cluster, "blocking").unwrap();
+    let outcome = blocking.search_outcome(&cluster, "blocking", true).unwrap();
     assert!(outcome.cost >= stall);
     let mut framed = FramedClient::connect(&cluster, &front, 2).unwrap();
     framed

@@ -122,7 +122,7 @@ proptest! {
             1,
             FaultSpec { loss, ..Default::default() },
             fault_seed,
-            ResilienceConfig::disabled(),
+            ResilienceConfig::default(),
         );
         let slot = RequestSlot::new();
         let mut sealed = 0u32;
@@ -256,7 +256,7 @@ fn a_failover_counts_its_retry_and_reattach_on_the_fleet_registry() {
     assert_eq!(metric(&cluster, "xsearch_client_retries_total"), 0.0);
     assert_eq!(metric(&cluster, "xsearch_client_reattaches_total"), 0.0);
     cluster.kill(client.replica()).unwrap();
-    let outcome = client.search_echo_outcome(&cluster, "during").unwrap();
+    let outcome = client.search_outcome(&cluster, "during", true).unwrap();
     assert_eq!(outcome.attempts, 2);
     assert_eq!(metric(&cluster, "xsearch_client_retries_total"), 1.0);
     assert_eq!(metric(&cluster, "xsearch_client_reattaches_total"), 1.0);
@@ -293,7 +293,7 @@ fn hedging_rescues_a_stalled_replica() {
         "same seed, same affinity, same home"
     );
     let outcome = client
-        .search_echo_outcome(&cluster, "slow primary")
+        .search_outcome(&cluster, "slow primary", true)
         .unwrap();
     assert!(outcome.hedged, "a 5s answer must fire the hedge");
     assert_ne!(outcome.replica, home, "the ring successor's answer won");
@@ -316,7 +316,7 @@ fn hedging_rescues_a_stalled_replica() {
     // With the breaker open the client re-homed: searches no longer pay
     // the stall at all.
     let rerouted = client
-        .search_echo_outcome(&cluster, "after reroute")
+        .search_outcome(&cluster, "after reroute", true)
         .unwrap();
     assert!(rerouted.cost < Duration::from_secs(1));
     assert_ne!(client.replica(), home);
@@ -439,7 +439,7 @@ fn same_fault_seed_replays_identically() {
         for c in 0..3u64 {
             let mut client = ClusterClient::attach(&cluster, 0x7AB + c).unwrap();
             for i in 0..12 {
-                let line = match client.search_echo_outcome(&cluster, &format!("q{i}")) {
+                let line = match client.search_outcome(&cluster, &format!("q{i}"), true) {
                     Ok(o) => format!(
                         "c{c} q{i} ok cost={}us attempts={}",
                         o.cost.as_micros(),

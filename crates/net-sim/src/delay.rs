@@ -1,4 +1,5 @@
-//! Latency distributions.
+//! Latency distributions, and [`busy_wait`] for service time that must
+//! occupy a core.
 //!
 //! DESIGN.md §6 calibrates the WAN model with these distributions:
 //! client↔proxy and proxy↔engine links use log-normal one-way delays
@@ -83,6 +84,15 @@ impl DelayModel {
     }
 }
 
+/// Busy-spins for `d` — models CPU-bound service time without yielding the
+/// core (as a relay's crypto would).
+pub fn busy_wait(d: Duration) {
+    let start = std::time::Instant::now();
+    while start.elapsed() < d {
+        std::hint::spin_loop();
+    }
+}
+
 /// One draw from N(0, 1) via Box-Muller.
 fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
@@ -96,6 +106,13 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn busy_wait_lasts_at_least_requested() {
+        let start = std::time::Instant::now();
+        busy_wait(Duration::from_millis(5));
+        assert!(start.elapsed() >= Duration::from_millis(5));
+    }
 
     #[test]
     fn constant_is_constant() {

@@ -2,16 +2,14 @@
 //!
 //! The paper's measurements involve two kinds of network behaviour —
 //! WAN latency between client, proxies and search engine (Fig 7) and
-//! relay capacity limits (Tor's Fig 5 saturation) — and the front tier
+//! relay service time (Tor's Fig 5 saturation) — and the front tier
 //! needs sockets to multiplex. This crate models each one:
 //!
 //! * [`delay`] — latency distributions (constant, uniform, log-normal) with
-//!   deterministic sampling;
+//!   deterministic sampling, and a busy-wait for CPU-bound service time;
 //! * [`link`] — one-way/RTT delay sampling for a named link, *accounted*
 //!   rather than slept, so end-to-end latency experiments run in
 //!   microseconds of wall time;
-//! * [`station`] — a worker-pool service station with a bounded queue,
-//!   modelling capacity-limited relays;
 //! * [`stream`] — simulated duplex *byte* streams with partial
 //!   reads/writes, bounded buffers and backpressure;
 //! * [`reactor`] — an epoll-style readiness poller over byte streams,
@@ -31,7 +29,6 @@ pub mod fault;
 pub mod frame;
 pub mod link;
 pub mod reactor;
-pub mod station;
 pub mod stream;
 
 pub use delay::DelayModel;
