@@ -17,16 +17,24 @@
 //!   accumulator round-trip, allocating `seal`/`open`).
 //!
 //! Payload sizes: 64 B (a sealed query), 1 KiB (a typical sealed result
-//! page), 16 KiB (a large result payload / sealed history blob). Set
+//! page), 16 KiB (a large result payload / sealed history blob).
+//!
+//! The `x25519` row is the other half of the crypto bill — what a
+//! *session* costs rather than a request: `ladder_ns` (one variable-base
+//! scalar multiplication; an attach performs two) against `keygen_ns`
+//! (the fixed-base table walk behind `StaticSecret::public_key`; an
+//! attach performs one). Both ratios are gated, so a regression of either
+//! hot path fails the run. Set
 //! `CRYPTO_POINT_MS` to shorten each measured point (CI smoke uses
 //! this).
 //!
 //! Run: `cargo run -p xsearch-bench --release --bin crypto_throughput`
 
 use std::time::{Duration, Instant};
-use xsearch_bench::summary::{env_or, fixed, Json, Obj, Summary};
+use xsearch_bench::summary::{env_or, fixed, Gate, Json, Obj, Summary};
 use xsearch_crypto::aead::{ChaCha20Poly1305, TAG_LEN};
 use xsearch_crypto::reference::ScalarChaCha20Poly1305;
+use xsearch_crypto::x25519::{basepoint, x25519, StaticSecret};
 
 /// A sealed query, a result page, a large payload.
 const SIZES: &[usize] = &[64, 1024, 16384];
@@ -37,10 +45,10 @@ const KEY: [u8; 32] = [7u8; 32];
 const NONCE: [u8; 12] = [3u8; 12];
 const AAD: &[u8] = b"results";
 
-/// Runs `op` for at least `point` and returns GiB/s of payload
-/// processed. Iterations are batched so the clock is read once per
-/// batch, not once per 64-byte seal.
-fn throughput(point: Duration, payload_len: usize, mut op: impl FnMut()) -> f64 {
+/// Runs `op` for at least `point` and returns operations per second.
+/// Iterations are batched so the clock is read once per batch, not once
+/// per 64-byte seal.
+fn ops_per_s(point: Duration, mut op: impl FnMut()) -> f64 {
     for _ in 0..64 {
         op();
     }
@@ -56,7 +64,33 @@ fn throughput(point: Duration, payload_len: usize, mut op: impl FnMut()) -> f64 
             break elapsed;
         }
     };
-    (iters as f64 * payload_len as f64) / elapsed.as_secs_f64() / f64::from(1u32 << 30)
+    iters as f64 / elapsed.as_secs_f64()
+}
+
+/// GiB/s of payload processed by `op`.
+fn throughput(point: Duration, payload_len: usize, op: impl FnMut()) -> f64 {
+    ops_per_s(point, op) * payload_len as f64 / f64::from(1u32 << 30)
+}
+
+/// The two X25519 scalar multiplications an attach is made of: the
+/// variable-base ladder (both Diffie-Hellmans) and the fixed-base table
+/// walk (`public_key`). Each feeds its output back in as the next scalar,
+/// so no call can be hoisted.
+fn x25519_row(point: Duration) -> (Obj, f64) {
+    let base = basepoint();
+    let mut scalar = KEY;
+    let ladder_ns = 1e9 / ops_per_s(point, || scalar = x25519(&scalar, &base));
+    let keygen_ns = 1e9
+        / ops_per_s(point, || {
+            scalar = StaticSecret::from_bytes(scalar).public_key().0;
+        });
+    std::hint::black_box(scalar);
+    let speedup = ladder_ns / keygen_ns;
+    let row = Obj::new()
+        .field("ladder_ns", fixed(ladder_ns, 0))
+        .field("keygen_ns", fixed(keygen_ns, 0))
+        .field("keygen_speedup", fixed(speedup, 2));
+    (row, speedup)
 }
 
 /// seal/open GiB/s of one implementation at one payload size.
@@ -140,10 +174,15 @@ fn main() {
                 .field("seal_open_speedup", fixed(speedup, 2)),
         );
     }
+    eprintln!("measuring X25519...");
+    let (x25519, keygen_speedup) = x25519_row(point);
     let mut summary = Summary::new("crypto");
     summary.row("point_ms", point_ms);
     summary.row("payloads", payloads.into_iter().collect::<Json>());
     let tracked = format!("seal_open_speedup_at_{TRACKED}B");
     summary.row(&tracked, fixed(tracked_speedup, 2));
+    summary.row("x25519", x25519);
+    summary.gate(Gate::at_least(&tracked, tracked_speedup, 1.5));
+    summary.gate(Gate::at_least("keygen_speedup", keygen_speedup, 2.5));
     summary.finish(|| ());
 }

@@ -129,11 +129,10 @@ impl FrontSessions {
 /// Panics when routing or attestation fails — broken setup, not data.
 #[must_use]
 pub fn attach_by_seed(cluster: &Cluster, seed: u64) -> Broker {
-    let client_pub = Broker::client_pub_for_seed(seed);
-    let replica = cluster.route(client_pub.as_bytes()).expect("routable");
     cluster
-        .attach(replica, seed)
-        .expect("replica up and attested")
+        .attach_routed(seed)
+        .expect("routable, replica up and attested")
+        .0
 }
 
 /// Write stalls one [`RawFramed::send`] rides out before giving up.

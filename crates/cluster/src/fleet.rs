@@ -64,7 +64,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use xsearch_core::config::XSearchConfig;
 use xsearch_core::proxy::XSearchProxy;
-use xsearch_core::Broker;
+use xsearch_core::{Broker, ClientKeypair};
 use xsearch_engine::engine::SearchEngine;
 use xsearch_net_sim::fault::{FaultEvent, FaultPlan};
 use xsearch_net_sim::link::FleetModel;
@@ -655,10 +655,33 @@ impl Cluster {
     /// As [`Cluster::with_replica`], plus the attestation and handshake
     /// failures of [`Broker::attach`] as [`ClusterError::Proxy`].
     pub fn attach(&self, id: ReplicaId, seed: u64) -> Result<Broker, ClusterError> {
+        self.attach_keypair(id, ClientKeypair::for_seed(seed))
+    }
+
+    fn attach_keypair(
+        &self,
+        id: ReplicaId,
+        keypair: ClientKeypair,
+    ) -> Result<Broker, ClusterError> {
         self.with_replica(id, |proxy| {
-            Broker::attach(proxy, &self.ias, self.expected, seed)
+            Broker::attach_keypair(proxy, &self.ias, self.expected, keypair)
         })?
         .map_err(ClusterError::Proxy)
+    }
+
+    /// Derive → route → attach for a session placed by its own channel
+    /// key (every framed client): derives `seed`'s keypair **once**,
+    /// routes its public half, and attests the chosen replica with that
+    /// same pair — so the replica attested is by construction the one the
+    /// front will forward the session's requests to.
+    ///
+    /// # Errors
+    ///
+    /// Routing errors as [`Cluster::route`], then as [`Cluster::attach`].
+    pub fn attach_routed(&self, seed: u64) -> Result<(Broker, ReplicaId), ClusterError> {
+        let keypair = ClientKeypair::for_seed(seed);
+        let id = self.route(keypair.public().as_bytes())?;
+        Ok((self.attach_keypair(id, keypair)?, id))
     }
 
     /// The one door into a replica's data plane: admits one request on

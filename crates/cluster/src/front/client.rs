@@ -37,8 +37,8 @@ const CLIENT_PUMP_LIMIT: usize = 1_000_000;
 /// calling into the cluster synchronously.
 ///
 /// Routing is by the session's channel public key: the client derives
-/// it from its seed *before* attaching ([`Broker::client_pub_for_seed`]),
-/// routes, and attests exactly the replica the front will forward to.
+/// its keypair from its seed, routes the public half, and attests exactly
+/// the replica the front will forward to ([`Cluster::attach_routed`]).
 pub struct FramedClient {
     broker: Broker,
     stream: ByteStream,
@@ -58,7 +58,7 @@ impl FramedClient {
     /// Routing/attestation failures as for
     /// [`crate::client::ClusterClient::attach`].
     pub fn connect(cluster: &Cluster, front: &FrontTier, seed: u64) -> Result<Self, ClusterError> {
-        let (broker, replica) = Self::attach_broker(cluster, seed, 0)?;
+        let (broker, replica) = cluster.attach_routed(handshake_seed(seed, 0))?;
         Ok(FramedClient {
             broker,
             stream: front.accept(),
@@ -68,17 +68,6 @@ impl FramedClient {
             seed,
             handshakes: 1,
         })
-    }
-
-    fn attach_broker(
-        cluster: &Cluster,
-        seed: u64,
-        handshakes: u64,
-    ) -> Result<(Broker, ReplicaId), ClusterError> {
-        let hs = handshake_seed(seed, handshakes);
-        let client_pub = Broker::client_pub_for_seed(hs);
-        let replica = cluster.route(client_pub.as_bytes())?;
-        Ok((cluster.attach(replica, hs)?, replica))
     }
 
     /// The replica this session is attested to (and routed to by the
@@ -97,7 +86,8 @@ impl FramedClient {
     ///
     /// As [`FramedClient::connect`].
     pub fn reattach(&mut self, cluster: &Cluster) -> Result<(), ClusterError> {
-        let (broker, replica) = Self::attach_broker(cluster, self.seed, self.handshakes)?;
+        let (broker, replica) =
+            cluster.attach_routed(handshake_seed(self.seed, self.handshakes))?;
         self.handshakes += 1;
         self.broker = broker;
         self.replica = replica;

@@ -207,9 +207,7 @@ fn pipelined_requests_are_answered_in_order_with_reads_paused_inflight() {
 /// Attaches a broker session out-of-band (the way [`FramedClient`]
 /// does) so tests can drive raw framed connections.
 fn attach(cluster: &Cluster, seed: u64) -> Broker {
-    let client_pub = Broker::client_pub_for_seed(seed);
-    let replica = cluster.route(client_pub.as_bytes()).unwrap();
-    cluster.attach(replica, seed).unwrap()
+    cluster.attach_routed(seed).unwrap().0
 }
 
 fn write_all(front: &FrontTier, stream: &ByteStream, bytes: &[u8]) {

@@ -159,6 +159,28 @@ mod tests {
     }
 
     #[test]
+    fn attach_routed_attests_the_replica_its_own_key_routes_to() {
+        let cluster = small_cluster(4);
+        let sessions = |id| {
+            let node = cluster.node(id).unwrap();
+            let proxy = node.proxy();
+            proxy.as_ref().unwrap().session_count()
+        };
+        for seed in 0..16u64 {
+            let key = xsearch_core::Broker::client_pub_for_seed(seed);
+            let home = cluster.route(key.as_bytes()).unwrap();
+            let before: Vec<usize> = cluster.replica_ids().into_iter().map(sessions).collect();
+            let (broker, id) = cluster.attach_routed(seed).unwrap();
+            assert_eq!((broker.client_pub(), id), (key, home));
+            // One session, on that replica and no other.
+            for (other, before) in cluster.replica_ids().into_iter().zip(before) {
+                assert_eq!(sessions(other) - before, usize::from(other == home));
+            }
+        }
+        assert_eq!(cluster.session_count(), 16);
+    }
+
+    #[test]
     fn router_refuses_unverified_and_deregistered_replicas() {
         let cluster = small_cluster(3);
         let id = ReplicaId(1);

@@ -44,9 +44,7 @@ struct RawSession {
 
 impl RawSession {
     fn open(cluster: &Cluster, front: &FrontTier, seed: u64) -> RawSession {
-        let client_pub = Broker::client_pub_for_seed(seed);
-        let replica = cluster.route(client_pub.as_bytes()).unwrap();
-        let broker = cluster.attach(replica, seed).unwrap();
+        let (broker, _) = cluster.attach_routed(seed).unwrap();
         RawSession {
             broker,
             stream: front.accept(),

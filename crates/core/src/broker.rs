@@ -8,7 +8,7 @@
 //! and only then tunnels queries.
 
 use crate::error::XSearchError;
-use crate::proxy::XSearchProxy;
+use crate::proxy::{HandshakeResponse, XSearchProxy};
 use crate::session::{channel_binding, SecureChannel, Side};
 use crate::wire::{decode_results, WireResult};
 use rand::rngs::StdRng;
@@ -53,11 +53,41 @@ impl Broker {
         expected: Measurement,
         seed: u64,
     ) -> Result<Broker, XSearchError> {
-        let (secret, client_pub) = keypair_for_seed(seed);
+        Broker::attach_keypair(proxy, ias, expected, ClientKeypair::for_seed(seed))
+    }
 
-        let resp = proxy.handshake(client_pub)?;
+    /// [`Broker::attach`] for a keypair that is already derived — what a
+    /// routing layer holds after placing the session by
+    /// [`ClientKeypair::public`]. Taking the pair by value is what makes
+    /// pre-attach routing sound: the key that was routed is the key that
+    /// is presented, and it costs one derivation, not two.
+    ///
+    /// # Errors
+    ///
+    /// As [`Broker::attach`].
+    pub fn attach_keypair(
+        proxy: &XSearchProxy,
+        ias: &AttestationService,
+        expected: Measurement,
+        keypair: ClientKeypair,
+    ) -> Result<Broker, XSearchError> {
+        let resp = proxy.handshake(keypair.public)?;
+        Broker::verify_and_derive(ias, expected, keypair, &resp)
+    }
+
+    /// The broker's half of the handshake: nothing of `resp` is trusted
+    /// until the quote verifies and binds both keys, and no channel exists
+    /// (so nothing can be sealed) unless the enclave's key is a sound
+    /// Diffie-Hellman peer.
+    fn verify_and_derive(
+        ias: &AttestationService,
+        expected: Measurement,
+        keypair: ClientKeypair,
+        resp: &HandshakeResponse,
+    ) -> Result<Broker, XSearchError> {
+        let ClientKeypair { secret, public } = keypair;
         ias.verify_expecting(&resp.quote, expected)?;
-        let binding = channel_binding(&resp.enclave_pub, &client_pub);
+        let binding = channel_binding(&resp.enclave_pub, &public);
         if resp.quote.report_data != binding {
             return Err(XSearchError::Protocol(
                 "quote does not bind the negotiated channel keys".into(),
@@ -65,10 +95,9 @@ impl Broker {
         }
 
         let shared = secret.diffie_hellman(&resp.enclave_pub)?;
-        let channel =
-            SecureChannel::establish(Side::Client, &shared, &client_pub, &resp.enclave_pub);
+        let channel = SecureChannel::establish(Side::Client, &shared, &public, &resp.enclave_pub);
         Ok(Broker {
-            client_pub,
+            client_pub: public,
             channel,
             scratch: Vec::new(),
         })
@@ -176,23 +205,40 @@ impl Broker {
     }
 
     /// The channel public key [`Broker::attach`] will present for
-    /// `seed` — routing layers use this to compute a session's
-    /// placement *before* any handshake happens, so the client can
-    /// attest exactly the replica its requests will be forwarded to.
+    /// `seed`. A caller that goes on to attach should derive a
+    /// [`ClientKeypair`] once and hand it to [`Broker::attach_keypair`]
+    /// instead of paying for the derivation twice.
     #[must_use]
     pub fn client_pub_for_seed(seed: u64) -> PublicKey {
-        keypair_for_seed(seed).1
+        ClientKeypair::for_seed(seed).public
     }
 }
 
-/// Deterministic seed → channel keypair derivation shared by
-/// [`Broker::attach`] and [`Broker::client_pub_for_seed`]; keeping it in
-/// one place is what makes pre-attach routing sound.
-fn keypair_for_seed(seed: u64) -> (StaticSecret, PublicKey) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let secret = StaticSecret::random(&mut rng);
-    let client_pub = secret.public_key();
-    (secret, client_pub)
+/// A client channel keypair, derived but not yet attached: what exists
+/// between "which replica does this session belong to" and the handshake
+/// with that replica.
+#[derive(Debug)]
+pub struct ClientKeypair {
+    secret: StaticSecret,
+    public: PublicKey,
+}
+
+impl ClientKeypair {
+    /// The deterministic seed → keypair derivation: the one place it
+    /// happens, so every way of naming a seed's session agrees on its key.
+    #[must_use]
+    pub fn for_seed(seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let secret = StaticSecret::random(&mut rng);
+        let public = secret.public_key();
+        ClientKeypair { secret, public }
+    }
+
+    /// The public half — the proxy-side session id and the routing key.
+    #[must_use]
+    pub fn public(&self) -> PublicKey {
+        self.public
+    }
 }
 
 #[cfg(test)]
@@ -269,6 +315,58 @@ mod tests {
     }
 
     #[test]
+    fn client_keys_for_a_seed_are_pinned() {
+        // The bytes the ladder-based derivation produced before the
+        // fixed-base table: routing, the benchmark's reply digests and
+        // every replay transcript hang off them.
+        for (seed, public) in [
+            (
+                0,
+                "f393a413279939d85c5ba7b62a0b5c17917d020d6c7d44f3da0af7a4b1f7964e",
+            ),
+            (
+                2017,
+                "2c52afe92f2ecaaa883d5a0baa6c6f6a8fcbb8ba83ce6b384acc3449146ae232",
+            ),
+            (
+                u64::MAX,
+                "d42bbe7d465f958df58475fbb9c43d606500f5c88d4a71b75eb5afb494c3aa4b",
+            ),
+        ] {
+            let key = Broker::client_pub_for_seed(seed);
+            assert_eq!(xsearch_crypto::hex::encode(key.as_bytes()), public);
+            assert_eq!(ClientKeypair::for_seed(seed).public(), key);
+        }
+    }
+
+    #[test]
+    fn a_low_order_enclave_key_is_refused_before_any_channel_exists() {
+        // An enclave (or a quoting platform) that presents a small-order
+        // identity key with an otherwise perfect quote: the measurement is
+        // right and the report data binds exactly the two keys in use.
+        let (proxy, ias) = setup(1);
+        let expected = proxy.expected_measurement();
+        for point in xsearch_crypto::x25519::low_order_points() {
+            let keypair = ClientKeypair::for_seed(22);
+            let enclave_pub = PublicKey(point);
+            let binding = channel_binding(&enclave_pub, &keypair.public());
+            // A quote on the wire is the MACed message followed by its MAC.
+            let mut quote = [&expected.0[..], &32u64.to_le_bytes(), &binding].concat();
+            let mac = xsearch_crypto::hmac::HmacSha256::mac(&ias.provisioning_key(), &quote);
+            quote.extend_from_slice(&mac);
+            let resp = HandshakeResponse {
+                enclave_pub,
+                quote: xsearch_sgx_sim::attestation::Quote::decode(&quote).unwrap(),
+            };
+            assert!(ias.verify_expecting(&resp.quote, expected).is_ok());
+            assert_eq!(
+                Broker::verify_and_derive(&ias, expected, keypair, &resp).unwrap_err(),
+                XSearchError::Crypto(xsearch_crypto::CryptoError::WeakPublicKey),
+            );
+        }
+    }
+
+    #[test]
     fn consecutive_searches_share_the_session() {
         let (proxy, ias) = setup(1);
         proxy.seed_history(["warmup query"]);
@@ -328,5 +426,7 @@ mod tests {
         let _ = broker.search(&proxy, "sensitive medical query").unwrap();
         // Four requests crossed the boundary: connect/send/recv/close.
         assert_eq!(proxy.boundary().ocalls(), 4);
+        // And three ecalls: init, one handshake, one request.
+        assert_eq!(proxy.boundary().ecalls(), 3);
     }
 }

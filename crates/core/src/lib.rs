@@ -48,7 +48,7 @@ pub mod redirect;
 pub mod session;
 pub mod wire;
 
-pub use broker::Broker;
+pub use broker::{Broker, ClientKeypair};
 pub use config::XSearchConfig;
 pub use error::XSearchError;
 pub use history::QueryHistory;

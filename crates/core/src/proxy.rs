@@ -179,26 +179,35 @@ impl XSearchProxy {
     /// Handshake: opens a session for `client_pub` inside the enclave and
     /// returns the enclave key plus a quote over the channel binding.
     ///
+    /// One ecall answers `binding ‖ identity key`. The host relays the
+    /// key, but the quote's report data binds it: a host that substitutes
+    /// another is caught by the broker's binding check.
+    ///
     /// # Errors
     ///
     /// Propagates enclave/crypto failures (e.g. a low-order client key).
     pub fn handshake(&self, client_pub: PublicKey) -> Result<HandshakeResponse, XSearchError> {
-        let binding = self.enclave.ecall_shared(
+        let reply = self.enclave.ecall_shared(
             "handshake",
             client_pub.as_bytes(),
             |state, _, _| match state.open_session(client_pub) {
-                Ok(binding) => binding.to_vec(),
+                Ok(binding) => [binding, *state.identity_pub().as_bytes()].concat(),
                 Err(_) => Vec::new(),
             },
         )?;
-        if binding.is_empty() {
+        let Some((binding, enclave_pub)) = reply.split_first_chunk::<32>() else {
             return Err(XSearchError::Crypto(
                 xsearch_crypto::CryptoError::WeakPublicKey,
             ));
-        }
-        let quote = self.enclave.quote(&binding)?;
-        let enclave_pub = self.identity_pub()?;
-        Ok(HandshakeResponse { enclave_pub, quote })
+        };
+        let enclave_pub: [u8; 32] = enclave_pub
+            .try_into()
+            .map_err(|_| XSearchError::Protocol("bad handshake reply length".into()))?;
+        let quote = self.enclave.quote(binding)?;
+        Ok(HandshakeResponse {
+            enclave_pub: PublicKey(enclave_pub),
+            quote,
+        })
     }
 
     /// Fetches the enclave's channel identity key (the `identity` ecall).
@@ -678,6 +687,30 @@ mod tests {
         let expected_binding =
             crate::session::channel_binding(&resp.enclave_pub, &client.public_key());
         assert_eq!(resp.quote.report_data, expected_binding);
+    }
+
+    #[test]
+    fn a_handshake_is_one_ecall() {
+        let (p, _) = proxy();
+        let before = p.boundary().ecalls();
+        let resp = p.handshake(PublicKey([9u8; 32])).unwrap();
+        assert_eq!(p.boundary().ecalls(), before + 1);
+        // ...and the key it relays is the one enrollment presents.
+        let (identity, _) = p.enrollment_quote(&[0u8; 32]).unwrap();
+        assert_eq!(resp.enclave_pub, identity);
+    }
+
+    #[test]
+    fn no_low_order_client_key_opens_a_session() {
+        let (p, _) = proxy();
+        p.handshake(PublicKey([9u8; 32])).unwrap();
+        for point in xsearch_crypto::x25519::low_order_points() {
+            assert_eq!(
+                p.handshake(PublicKey(point)).unwrap_err(),
+                XSearchError::Crypto(xsearch_crypto::CryptoError::WeakPublicKey),
+            );
+            assert_eq!(p.session_count(), 1);
+        }
     }
 
     #[test]

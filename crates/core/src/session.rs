@@ -56,10 +56,11 @@ impl SecureChannel {
         client_pub: &PublicKey,
         server_pub: &PublicKey,
     ) -> Self {
-        let mut salt = Vec::with_capacity(64);
-        salt.extend_from_slice(client_pub.as_bytes());
-        salt.extend_from_slice(server_pub.as_bytes());
-        let okm = hkdf::derive(&salt, shared, CHANNEL_INFO, 64);
+        let mut salt = [0u8; 64];
+        salt[..32].copy_from_slice(client_pub.as_bytes());
+        salt[32..].copy_from_slice(server_pub.as_bytes());
+        let mut okm = [0u8; 64];
+        hkdf::expand_into(&hkdf::extract(&salt, shared), CHANNEL_INFO, &mut okm);
         let c2s: [u8; 32] = okm[..32].try_into().expect("64-byte okm");
         let s2c: [u8; 32] = okm[32..].try_into().expect("64-byte okm");
         let (send_key, recv_key, send_domain, recv_domain) = match side {

@@ -29,24 +29,36 @@ pub fn extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
 /// error in this codebase).
 #[must_use]
 pub fn expand(prk: &[u8; DIGEST_LEN], info: &[u8], len: usize) -> Vec<u8> {
-    assert!(len <= MAX_OUTPUT_LEN, "hkdf output too long: {len}");
-    let mut out = Vec::with_capacity(len);
-    let mut previous: Vec<u8> = Vec::new();
-    let mut counter = 1u8;
-    while out.len() < len {
-        let mut h = HmacSha256::new(prk);
-        h.update(&previous);
+    let mut out = vec![0u8; len];
+    expand_into(prk, info, &mut out);
+    out
+}
+
+/// [`expand`] into a caller-provided buffer: fills all of `out`, and
+/// allocates nothing.
+///
+/// # Panics
+///
+/// Panics if `out.len() > MAX_OUTPUT_LEN`.
+pub fn expand_into(prk: &[u8; DIGEST_LEN], info: &[u8], out: &mut [u8]) {
+    assert!(
+        out.len() <= MAX_OUTPUT_LEN,
+        "hkdf output too long: {}",
+        out.len()
+    );
+    // Keyed once; each block clones the keyed state.
+    let keyed = HmacSha256::new(prk);
+    let mut previous = [0u8; DIGEST_LEN];
+    for (chunk, counter) in out.chunks_mut(DIGEST_LEN).zip(1u8..=255) {
+        let mut h = keyed.clone();
+        if counter > 1 {
+            h.update(&previous);
+        }
         h.update(info);
         h.update(&[counter]);
-        let block = h.finalize();
-        let take = (len - out.len()).min(DIGEST_LEN);
-        out.extend_from_slice(&block[..take]);
-        previous = block.to_vec();
-        counter = counter
-            .checked_add(1)
-            .expect("len bound keeps counter in range");
+        previous = h.finalize();
+        chunk.copy_from_slice(&previous[..chunk.len()]);
     }
-    out
 }
 
 /// Convenience: extract-then-expand in one call.
@@ -113,6 +125,16 @@ mod tests {
     fn expand_exact_multiple_of_hash_len() {
         let prk = extract(b"s", b"k");
         assert_eq!(expand(&prk, b"i", 64).len(), 64);
+    }
+
+    #[test]
+    fn expand_fills_the_rfc_maximum() {
+        // 255 blocks: the block counter's last value, and no 256th.
+        let prk = extract(b"s", b"k");
+        let okm = expand(&prk, b"i", MAX_OUTPUT_LEN);
+        assert_eq!(okm.len(), MAX_OUTPUT_LEN);
+        assert_eq!(okm[..64], expand(&prk, b"i", 64)[..]);
+        assert_ne!(okm[MAX_OUTPUT_LEN - DIGEST_LEN..], [0u8; DIGEST_LEN]);
     }
 
     #[test]

@@ -20,8 +20,11 @@ use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 /// ```
 #[derive(Debug, Clone)]
 pub struct HmacSha256 {
+    /// Both hash states with their key pad already absorbed: cloning a
+    /// keyed context costs no compression (what HKDF-Expand does per
+    /// output block).
     inner: Sha256,
-    outer_key: [u8; BLOCK_LEN],
+    outer: Sha256,
 }
 
 impl HmacSha256 {
@@ -35,17 +38,14 @@ impl HmacSha256 {
         } else {
             k[..key.len()].copy_from_slice(key);
         }
-        let mut ipad = [0u8; BLOCK_LEN];
-        let mut opad = [0u8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            ipad[i] = k[i] ^ 0x36;
-            opad[i] = k[i] ^ 0x5c;
-        }
-        let mut inner = Sha256::new();
-        inner.update(&ipad);
+        let keyed = |pad: u8| {
+            let mut state = Sha256::new();
+            state.update(&k.map(|byte| byte ^ pad));
+            state
+        };
         HmacSha256 {
-            inner,
-            outer_key: opad,
+            inner: keyed(0x36),
+            outer: keyed(0x5c),
         }
     }
 
@@ -57,10 +57,8 @@ impl HmacSha256 {
     /// Completes the MAC and returns the 32-byte tag.
     #[must_use]
     pub fn finalize(self) -> [u8; DIGEST_LEN] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.outer_key);
-        outer.update(&inner_digest);
+        let mut outer = self.outer;
+        outer.update(&self.inner.finalize());
         outer.finalize()
     }
 

@@ -22,6 +22,24 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
+/// One round: reads `a..h` in their current roles and writes the two that
+/// change (`d += T1`, `h = T1 + T2`); the caller rotates the roles.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn round(a: u32, b: u32, c: u32, d: &mut u32, e: u32, f: u32, g: u32, h: &mut u32, k: u32, w: u32) {
+    let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+    let ch = (e & f) ^ (!e & g);
+    let temp1 = h
+        .wrapping_add(s1)
+        .wrapping_add(ch)
+        .wrapping_add(k)
+        .wrapping_add(w);
+    let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+    let maj = (a & b) ^ (a & c) ^ (b & c);
+    *d = d.wrapping_add(temp1);
+    *h = temp1.wrapping_add(s0.wrapping_add(maj));
+}
+
 /// Incremental SHA-256 hasher.
 ///
 /// # Example
@@ -83,11 +101,8 @@ impl Sha256 {
                 self.buf_len = 0;
             }
         }
-        while data.len() >= BLOCK_LEN {
-            let (block, rest) = data.split_at(BLOCK_LEN);
-            let mut b = [0u8; BLOCK_LEN];
-            b.copy_from_slice(block);
-            self.compress(&b);
+        while let Some((block, rest)) = data.split_first_chunk::<BLOCK_LEN>() {
+            self.compress(block);
             data = rest;
         }
         if !data.is_empty() {
@@ -99,33 +114,23 @@ impl Sha256 {
     /// Completes the hash, consuming the hasher, and returns the digest.
     #[must_use]
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update_padding(0x80);
-        while self.buf_len != 56 {
-            self.update_padding(0);
+        // Padding: 0x80, zeros, 64-bit big-endian bit length — one fill,
+        // and a second block only when the length no longer fits the first.
+        const LEN_AT: usize = BLOCK_LEN - 8;
+        let mut block = self.buf;
+        block[self.buf_len] = 0x80;
+        block[self.buf_len + 1..].fill(0);
+        if self.buf_len >= LEN_AT {
+            self.compress(&block);
+            block = [0; BLOCK_LEN];
         }
-        let len_bytes = bit_len.to_be_bytes();
-        for b in len_bytes {
-            self.update_padding(b);
-        }
-        debug_assert_eq!(self.buf_len, 0);
+        block[LEN_AT..].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        self.compress(&block);
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
-    }
-
-    /// Feeds a single padding byte without affecting the message length.
-    fn update_padding(&mut self, byte: u8) {
-        self.buf[self.buf_len] = byte;
-        self.buf_len += 1;
-        if self.buf_len == BLOCK_LEN {
-            let block = self.buf;
-            self.compress(&block);
-            self.buf_len = 0;
-        }
     }
 
     fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
@@ -142,26 +147,19 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
+        // Eight rounds per pass with the working variables' roles rotated
+        // through the arguments, so no round moves seven words along (a
+        // shuffle the optimizer otherwise turns into vector permutes).
         let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let temp1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
+        for (k, w) in K.chunks_exact(8).zip(w.chunks_exact(8)) {
+            round(a, b, c, &mut d, e, f, g, &mut h, k[0], w[0]);
+            round(h, a, b, &mut c, d, e, f, &mut g, k[1], w[1]);
+            round(g, h, a, &mut b, c, d, e, &mut f, k[2], w[2]);
+            round(f, g, h, &mut a, b, c, d, &mut e, k[3], w[3]);
+            round(e, f, g, &mut h, a, b, c, &mut d, k[4], w[4]);
+            round(d, e, f, &mut g, h, a, b, &mut c, k[5], w[5]);
+            round(c, d, e, &mut f, g, h, a, &mut b, k[6], w[6]);
+            round(b, c, d, &mut e, f, g, h, &mut a, k[7], w[7]);
         }
 
         self.state[0] = self.state[0].wrapping_add(a);

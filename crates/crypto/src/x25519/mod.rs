@@ -1,222 +1,29 @@
 //! X25519 Diffie-Hellman (RFC 7748) over GF(2^255 − 19), using five 51-bit
-//! limbs with 128-bit intermediate products and a constant-time Montgomery
-//! ladder.
+//! limbs with 128-bit intermediate products.
+//!
+//! Two scalar multiplications, one per kind of point, both constant-time
+//! in the scalar:
+//!
+//! * [`x25519`] — the Montgomery ladder, for a point only known at run
+//!   time: both Diffie-Hellmans of a handshake go through it;
+//! * [`StaticSecret::public_key`] — k·B for the fixed base point, a walk
+//!   over a precomputed table on the birationally equivalent Edwards
+//!   curve (the `edwards` module), about a quarter of a ladder's cost.
+//!   It has no ladder fallback: `x25519(k, &basepoint())` is its oracle
+//!   in the tests, not a second path.
 //!
 //! This primitive anchors the attested channel key exchange and the
 //! ECIES-style hybrid encryption that models PEAS's public-key cost.
 
+mod edwards;
+mod field;
+
 use crate::error::CryptoError;
+use field::Fe;
 use rand::RngCore;
 
 /// Length of scalars, field elements and public keys.
 pub const KEY_LEN: usize = 32;
-
-const MASK_51: u64 = (1u64 << 51) - 1;
-
-/// Field element in GF(2^255 − 19), five 51-bit limbs, little-endian.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Fe([u64; 5]);
-
-impl Fe {
-    const ZERO: Fe = Fe([0; 5]);
-    const ONE: Fe = Fe([1, 0, 0, 0, 0]);
-
-    fn from_bytes(bytes: &[u8; 32]) -> Fe {
-        let load8 = |b: &[u8]| -> u64 {
-            u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
-        };
-        // RFC 7748: the top bit of the u-coordinate is masked off.
-        Fe([
-            load8(&bytes[0..8]) & MASK_51,
-            (load8(&bytes[6..14]) >> 3) & MASK_51,
-            (load8(&bytes[12..20]) >> 6) & MASK_51,
-            (load8(&bytes[19..27]) >> 1) & MASK_51,
-            (load8(&bytes[24..32]) >> 12) & MASK_51,
-        ])
-    }
-
-    fn to_bytes(self) -> [u8; 32] {
-        // Fully reduce mod p = 2^255 - 19.
-        let mut h = self.0;
-        // Two carry passes bring every limb under 52 bits.
-        for _ in 0..2 {
-            let mut carry;
-            carry = h[0] >> 51;
-            h[0] &= MASK_51;
-            h[1] += carry;
-            carry = h[1] >> 51;
-            h[1] &= MASK_51;
-            h[2] += carry;
-            carry = h[2] >> 51;
-            h[2] &= MASK_51;
-            h[3] += carry;
-            carry = h[3] >> 51;
-            h[3] &= MASK_51;
-            h[4] += carry;
-            carry = h[4] >> 51;
-            h[4] &= MASK_51;
-            h[0] += carry * 19;
-        }
-        // Compute q = floor((h + 19) / 2^255): 1 iff h >= p.
-        let mut q = (h[0] + 19) >> 51;
-        q = (h[1] + q) >> 51;
-        q = (h[2] + q) >> 51;
-        q = (h[3] + q) >> 51;
-        q = (h[4] + q) >> 51;
-        // h := h - q*p  ==  h + 19q, then mask to 255 bits.
-        h[0] += 19 * q;
-        let mut carry = h[0] >> 51;
-        h[0] &= MASK_51;
-        h[1] += carry;
-        carry = h[1] >> 51;
-        h[1] &= MASK_51;
-        h[2] += carry;
-        carry = h[2] >> 51;
-        h[2] &= MASK_51;
-        h[3] += carry;
-        carry = h[3] >> 51;
-        h[3] &= MASK_51;
-        h[4] += carry;
-        h[4] &= MASK_51;
-
-        let mut out = [0u8; 32];
-        let write = |out: &mut [u8; 32], bit_offset: usize, limb: u64| {
-            // Scatter a 51-bit limb starting at the given bit offset.
-            let byte = bit_offset / 8;
-            let shift = bit_offset % 8;
-            let v = (limb as u128) << shift;
-            for i in 0..8 {
-                if byte + i < 32 {
-                    out[byte + i] |= (v >> (8 * i)) as u8;
-                }
-            }
-        };
-        write(&mut out, 0, h[0]);
-        write(&mut out, 51, h[1]);
-        write(&mut out, 102, h[2]);
-        write(&mut out, 153, h[3]);
-        write(&mut out, 204, h[4]);
-        out
-    }
-
-    fn add(&self, rhs: &Fe) -> Fe {
-        Fe(std::array::from_fn(|i| self.0[i] + rhs.0[i]))
-    }
-
-    fn sub(&self, rhs: &Fe) -> Fe {
-        // Add a multiple of p large enough (16p) to avoid underflow while
-        // keeping limbs below 2^55 for the following multiplication.
-        const P_TIMES_16: [u64; 5] = [
-            36_028_797_018_963_664, // 16 * (2^51 - 19)
-            36_028_797_018_963_952, // 16 * (2^51 - 1)
-            36_028_797_018_963_952,
-            36_028_797_018_963_952,
-            36_028_797_018_963_952,
-        ];
-        let mut out = [0u64; 5];
-        for i in 0..5 {
-            out[i] = self.0[i] + P_TIMES_16[i] - rhs.0[i];
-        }
-        Fe(out).weak_reduce()
-    }
-
-    fn weak_reduce(self) -> Fe {
-        let mut h = self.0;
-        let mut carry;
-        carry = h[0] >> 51;
-        h[0] &= MASK_51;
-        h[1] += carry;
-        carry = h[1] >> 51;
-        h[1] &= MASK_51;
-        h[2] += carry;
-        carry = h[2] >> 51;
-        h[2] &= MASK_51;
-        h[3] += carry;
-        carry = h[3] >> 51;
-        h[3] &= MASK_51;
-        h[4] += carry;
-        carry = h[4] >> 51;
-        h[4] &= MASK_51;
-        h[0] += carry * 19;
-        Fe(h)
-    }
-
-    fn mul(&self, rhs: &Fe) -> Fe {
-        let [a0, a1, a2, a3, a4] = self.0.map(u128::from);
-        let [b0, b1, b2, b3, b4] = rhs.0.map(u128::from);
-        let (b1_19, b2_19, b3_19, b4_19) = (b1 * 19, b2 * 19, b3 * 19, b4 * 19);
-
-        let c0 = a0 * b0 + a1 * b4_19 + a2 * b3_19 + a3 * b2_19 + a4 * b1_19;
-        let c1 = a0 * b1 + a1 * b0 + a2 * b4_19 + a3 * b3_19 + a4 * b2_19;
-        let c2 = a0 * b2 + a1 * b1 + a2 * b0 + a3 * b4_19 + a4 * b3_19;
-        let c3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + a4 * b4_19;
-        let c4 = a0 * b4 + a1 * b3 + a2 * b2 + a3 * b1 + a4 * b0;
-
-        Fe::carry_wide([c0, c1, c2, c3, c4])
-    }
-
-    fn square(&self) -> Fe {
-        self.mul(self)
-    }
-
-    fn carry_wide(mut c: [u128; 5]) -> Fe {
-        let mut out = [0u64; 5];
-        c[1] += c[0] >> 51;
-        out[0] = (c[0] as u64) & MASK_51;
-        c[2] += c[1] >> 51;
-        out[1] = (c[1] as u64) & MASK_51;
-        c[3] += c[2] >> 51;
-        out[2] = (c[2] as u64) & MASK_51;
-        c[4] += c[3] >> 51;
-        out[3] = (c[3] as u64) & MASK_51;
-        let carry = (c[4] >> 51) as u64;
-        out[4] = (c[4] as u64) & MASK_51;
-        out[0] += carry * 19;
-        let carry = out[0] >> 51;
-        out[0] &= MASK_51;
-        out[1] += carry;
-        Fe(out)
-    }
-
-    fn mul_small(&self, k: u64) -> Fe {
-        let k = u128::from(k);
-        Fe::carry_wide(self.0.map(|l| u128::from(l) * k))
-    }
-
-    /// Computes self^(p − 2) = self^(-1) via square-and-multiply over the
-    /// binary expansion of p − 2 = 2^255 − 21.
-    fn invert(&self) -> Fe {
-        // p - 2 in binary: 253 high one-bits then 0,1,0,1,1 (LSB last):
-        // 2^255 - 21 = 0b111...11101011 (251 ones, then 01011).
-        let mut result = Fe::ONE;
-        let base = *self;
-        // Exponent bits from most significant (bit 254) down to 0.
-        for i in (0..255).rev() {
-            result = result.square();
-            let bit = if i >= 5 {
-                1 // bits 254..=5 of (2^255 - 21) are all 1
-            } else {
-                // Low five bits of -21 mod 32 = 01011.
-                [1u8, 1, 0, 1, 0][i] // bit 0 ->1, 1->1, 2->0, 3->1, 4->0
-            };
-            if bit == 1 {
-                result = result.mul(&base);
-            }
-        }
-        result
-    }
-
-    /// Constant-time conditional swap of two field elements.
-    fn cswap(swap: u64, a: &mut Fe, b: &mut Fe) {
-        debug_assert!(swap <= 1);
-        let mask = swap.wrapping_neg();
-        for i in 0..5 {
-            let t = mask & (a.0[i] ^ b.0[i]);
-            a.0[i] ^= t;
-            b.0[i] ^= t;
-        }
-    }
-}
 
 /// Clamps a 32-byte scalar per RFC 7748 §5.
 fn clamp(scalar: &mut [u8; 32]) {
@@ -307,10 +114,11 @@ impl StaticSecret {
         StaticSecret { scalar }
     }
 
-    /// Derives the corresponding public key.
+    /// Derives the corresponding public key: the fixed-base table walk,
+    /// byte for byte what `x25519(scalar, &basepoint())` returns.
     #[must_use]
     pub fn public_key(&self) -> PublicKey {
-        PublicKey(x25519(&self.scalar, &basepoint()))
+        PublicKey(edwards::mul_base(&self.scalar))
     }
 
     /// Runs the Diffie-Hellman exchange with a peer public key.
@@ -338,6 +146,50 @@ impl PublicKey {
     pub fn as_bytes(&self) -> &[u8; 32] {
         &self.0
     }
+}
+
+/// The u-coordinates [`StaticSecret::diffie_hellman`] refuses: the seven
+/// encodings below 2^255 of a point of order 1, 2, 4 or 8 on the curve or
+/// its twist (0, 1, the two of order 8, p − 1, p, p + 1), each also with
+/// bit 255 set — X25519 masks that bit, so the alias is the same point.
+/// Test material for every layer a hostile key can enter through.
+#[must_use]
+pub fn low_order_points() -> [[u8; 32]; 14] {
+    const ORDER_8: [[u8; 32]; 2] = [
+        [
+            0xe0, 0xeb, 0x7a, 0x7c, 0x3b, 0x41, 0xb8, 0xae, 0x16, 0x56, 0xe3, 0xfa, 0xf1, 0x9f,
+            0xc4, 0x6a, 0xda, 0x09, 0x8d, 0xeb, 0x9c, 0x32, 0xb1, 0xfd, 0x86, 0x62, 0x05, 0x16,
+            0x5f, 0x49, 0xb8, 0x00,
+        ],
+        [
+            0x5f, 0x9c, 0x95, 0xbc, 0xa3, 0x50, 0x8c, 0x24, 0xb1, 0xd0, 0xb1, 0x55, 0x9c, 0x83,
+            0xef, 0x5b, 0x04, 0x44, 0x5c, 0xc4, 0x58, 0x1c, 0x8e, 0x86, 0xd8, 0x22, 0x4e, 0xdd,
+            0xd0, 0x9f, 0x11, 0x57,
+        ],
+    ];
+    // p − 1, p, p + 1 differ in the low byte only: p = 2^255 − 19.
+    let near_p = |low: u8| {
+        let mut bytes = [0xff; 32];
+        bytes[0] = low;
+        bytes[31] = 0x7f;
+        bytes
+    };
+    let mut one = [0u8; 32];
+    one[0] = 1;
+    let canonical = [
+        [0u8; 32],
+        one,
+        ORDER_8[0],
+        ORDER_8[1],
+        near_p(0xec),
+        near_p(0xed),
+        near_p(0xee),
+    ];
+    std::array::from_fn(|i| {
+        let mut point = canonical[i % 7];
+        point[31] |= (i as u8 / 7) << 7;
+        point
+    })
 }
 
 impl From<[u8; 32]> for PublicKey {
@@ -419,6 +271,22 @@ mod tests {
     }
 
     #[test]
+    fn rfc7748_iterated_1000() {
+        // RFC 7748 §5.2, the second checkpoint.
+        let mut k = basepoint();
+        let mut u = basepoint();
+        for _ in 0..1000 {
+            let result = x25519(&k, &u);
+            u = k;
+            k = result;
+        }
+        assert_eq!(
+            hex::encode(&k),
+            "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51"
+        );
+    }
+
+    #[test]
     fn low_order_point_is_rejected() {
         let secret = StaticSecret::from_bytes([7u8; 32]);
         let zero_point = PublicKey([0u8; 32]);
@@ -426,6 +294,35 @@ mod tests {
             secret.diffie_hellman(&zero_point),
             Err(CryptoError::WeakPublicKey)
         );
+    }
+
+    #[test]
+    fn every_low_order_point_and_alias_is_rejected() {
+        for secret in [[7u8; 32], [0xa5; 32]].map(StaticSecret::from_bytes) {
+            for point in low_order_points() {
+                assert_eq!(
+                    secret.diffie_hellman(&PublicKey(point)),
+                    Err(CryptoError::WeakPublicKey),
+                    "{}",
+                    hex::encode(&point)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn public_key_is_the_ladder_on_the_base_point_for_edge_scalars() {
+        // All-zero and all-one bits, and every nibble 0x8 / 0x7 (with
+        // their mixes) so the signed recoding carries, or does not, from
+        // the first digit to the last.
+        for fill in [0x00u8, 0xff, 0x88, 0x77, 0x87, 0x78, 0x8f, 0xf8, 0x01] {
+            let secret = StaticSecret::from_bytes([fill; 32]);
+            assert_eq!(
+                secret.public_key().0,
+                x25519(&[fill; 32], &basepoint()),
+                "fill {fill:#04x}"
+            );
+        }
     }
 
     #[test]
@@ -452,6 +349,17 @@ mod tests {
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn public_key_is_the_ladder_on_the_base_point(scalar: [u8; 32]) {
+            prop_assert_eq!(
+                StaticSecret::from_bytes(scalar).public_key().0,
+                x25519(&scalar, &basepoint())
+            );
+        }
+    }
+
+    proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
         #[test]
         fn dh_commutes(seed_a: u64, seed_b: u64) {
@@ -475,7 +383,7 @@ mod tests {
         fn fe_add_sub_cancels(a_bytes: [u8; 32], b_bytes: [u8; 32]) {
             let a = Fe::from_bytes(&a_bytes);
             let b = Fe::from_bytes(&b_bytes);
-            prop_assert_eq!(a.add(&b).sub(&b).to_bytes(), a.weak_reduce().to_bytes());
+            prop_assert_eq!(a.add(&b).sub(&b).to_bytes(), a.to_bytes());
         }
     }
 }
