@@ -58,10 +58,10 @@ fn main() {
 
     // --- X-Search (k = 3) ---
     let ias = AttestationService::from_seed(EXPERIMENT_SEED);
-    // The engine uplink carries the WAN service-time model: the k+1
-    // sub-queries really fan out over the proxy's worker pool, and the
-    // engine leg below is read back from the delays the pipeline attached
-    // to those actual executions (no external "as if concurrent" draws).
+    // The engine uplink carries the WAN service-time model: each of the
+    // k+1 sub-queries gets its own lane of the modeled engine, and the
+    // engine leg below is read back from the delays the pipeline charged
+    // for the evaluations that ran (no draws outside the pipeline).
     let service = EngineService::new(engine.clone(), wan.engine_service.clone(), EXPERIMENT_SEED);
     let proxy = XSearchProxy::launch_with_service(
         XSearchConfig {

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use xsearch_crypto::x25519::PublicKey;
 use xsearch_engine::engine::SearchEngine;
-use xsearch_engine::pool::MAX_WORKERS;
+use xsearch_engine::pool::MAX_LANES;
 use xsearch_engine::service::EngineService;
 use xsearch_net_sim::fault::FaultInjector;
 use xsearch_net_sim::DelayModel;
@@ -39,10 +39,10 @@ pub struct HandshakeResponse {
 
 /// An X-Search proxy node: enclave + engine uplink.
 ///
-/// The uplink is an [`EngineService`]: a sharded worker pool that issues
-/// the k+1 obfuscated sub-queries **concurrently** (the fan-out the paper
-/// performs against Bing), plus an optional service-time model whose
-/// per-sub-query delays attach to those actual parallel executions.
+/// The uplink is an [`EngineService`]: it evaluates the k+1 obfuscated
+/// sub-queries on the request's own thread and models the paper's
+/// concurrent fan-out against Bing as a k+1-lane engine whose optional
+/// service-time draws combine per lane.
 pub struct XSearchProxy {
     enclave: Enclave<EnclaveState>,
     service: EngineService,
@@ -69,8 +69,8 @@ impl std::fmt::Debug for XSearchProxy {
 impl XSearchProxy {
     /// Launches the proxy: builds the enclave from the canonical code,
     /// provisions it for attestation, and runs the `init` ecall. The
-    /// engine uplink gets a worker pool sized to the configured fan-out
-    /// (k+1 sub-queries per request) and no modeled service time — the
+    /// engine uplink gets one lane per sub-query of the configured
+    /// fan-out (k+1 per request) and no modeled service time — the
     /// in-process engine answers at compute speed.
     #[must_use]
     pub fn launch(
@@ -78,12 +78,12 @@ impl XSearchProxy {
         engine: Arc<SearchEngine>,
         ias: &AttestationService,
     ) -> Self {
-        let workers = (config.k + 1).clamp(1, MAX_WORKERS);
+        let lanes = (config.k + 1).clamp(1, MAX_LANES);
         let service = EngineService::with_workers(
             engine,
             DelayModel::Constant(Duration::ZERO),
             config.seed,
-            workers,
+            lanes,
         );
         Self::launch_with_service(config, service, ias)
     }
@@ -385,13 +385,20 @@ impl XSearchProxy {
         ciphertext: &[u8],
         fetch: impl FnOnce(&[Arc<str>], usize) -> Vec<xsearch_engine::engine::SearchResult>,
     ) -> Result<Vec<u8>, XSearchError> {
-        let mut outcome: Result<Vec<u8>, XSearchError> = Err(XSearchError::UnknownSession);
-        let _ = self
+        // The reply is the ecall's output, so the boundary counts its
+        // bytes; a failure crosses as nothing and travels beside it.
+        let mut failure = None;
+        let reply = self
             .enclave
             .ecall_shared("request", ciphertext, |state, input, port| {
-                outcome = state.request(client_pub, input, port, fetch);
-                outcome.clone().unwrap_or_default()
+                state
+                    .request(client_pub, input, port, fetch)
+                    .unwrap_or_else(|e| {
+                        failure = Some(e);
+                        Vec::new()
+                    })
             })?;
+        let mut outcome = failure.map_or(Ok(reply), Err);
         if self.fault.is_some() {
             self.inject_fault(&mut outcome);
         }
@@ -612,7 +619,7 @@ impl XSearchProxy {
         self.service.engine()
     }
 
-    /// The engine uplink (pool + service-time model).
+    /// The engine uplink (lanes + service-time model).
     #[must_use]
     pub fn engine_service(&self) -> &EngineService {
         &self.service
@@ -620,8 +627,8 @@ impl XSearchProxy {
 
     /// Total modeled engine service time charged to this proxy's requests
     /// so far. End-to-end harnesses read the delta around a request to
-    /// attribute its engine leg (the modeled time now comes from the
-    /// actual parallel sub-query executions, not an external draw).
+    /// attribute its engine leg (the modeled time comes from the
+    /// sub-query evaluations that ran, not an external draw).
     #[must_use]
     pub fn accounted_engine_delay(&self) -> Duration {
         self.service.accounted_delay()
@@ -936,6 +943,36 @@ mod tests {
                 Vec::new()
             });
         assert!(out.is_ok());
+    }
+
+    #[test]
+    fn a_request_ecall_charges_its_reply_and_a_refused_one_nothing() {
+        use crate::broker::Broker;
+        let (p, ias) = proxy();
+        let mut broker = Broker::attach(&p, &ias, p.expected_measurement(), 70).unwrap();
+        let query = "cheap flights";
+        let ciphertext = broker.seal_query(query);
+        let before = p.boundary().bytes_out();
+        let reply = p
+            .request(broker.client_pub().as_bytes(), &ciphertext)
+            .unwrap();
+        // The history is cold, so the `send` ocall carries the query
+        // alone; the other three ocalls carry fixed strings.
+        let ocalls_out =
+            b"sock_connect:engine:80".len() + query.len() + b"recv".len() + b"close:sock:0".len();
+        assert_eq!(
+            p.boundary().bytes_out() - before,
+            (ocalls_out + reply.len()) as u64
+        );
+        assert!(!broker.open_results(&reply).unwrap().is_empty());
+
+        let (ecalls, bytes_out) = (p.boundary().ecalls(), p.boundary().bytes_out());
+        assert_eq!(
+            p.request(&[9u8; 32], b"junk"),
+            Err(XSearchError::UnknownSession)
+        );
+        assert_eq!(p.boundary().ecalls(), ecalls + 1);
+        assert_eq!(p.boundary().bytes_out(), bytes_out);
     }
 
     #[test]

@@ -1,22 +1,34 @@
 //! Okapi BM25 ranking.
+//!
+//! A posting's contribution to its document's score depends only on the
+//! term, the document and corpus statistics that are fixed once the
+//! index is built, so [`crate::index::InvertedIndex::build`] stores it
+//! (see [`impact`]) and [`rank`] only adds stored impacts.
 
 use crate::document::DocId;
 use crate::index::InvertedIndex;
 use std::cell::RefCell;
 
-/// BM25 parameters; defaults are the standard k₁ = 1.2, b = 0.75.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bm25Params {
-    /// Term-frequency saturation.
-    pub k1: f64,
-    /// Length normalization strength.
-    pub b: f64,
-}
+/// BM25's term-frequency saturation k₁ (the standard 1.2).
+pub const K1: f64 = 1.2;
 
-impl Default for Bm25Params {
-    fn default() -> Self {
-        Bm25Params { k1: 1.2, b: 0.75 }
-    }
+/// BM25's length normalization strength b (the standard 0.75).
+pub const B: f64 = 0.75;
+
+/// One posting's BM25 contribution: a term occurring `tf` times in a
+/// document of length `doc_len`, in `df` of `doc_count` documents whose
+/// average length is `avgdl`.
+///
+/// The idf uses the standard BM25 form with a +1 inside the log so scores
+/// stay positive for common terms.
+#[must_use]
+pub fn impact(tf: u32, doc_len: u32, df: usize, doc_count: usize, avgdl: f64) -> f64 {
+    let (n, df) = (doc_count as f64, df as f64);
+    let idf = (((n - df + 0.5) / (df + 0.5)) + 1.0).ln();
+    let tf = f64::from(tf);
+    let dl = f64::from(doc_len);
+    let denom = tf + K1 * (1.0 - B + B * dl / avgdl);
+    idf * (tf * (K1 + 1.0)) / denom
 }
 
 /// Per-thread accumulator, reused from query to query: one score slot
@@ -36,44 +48,23 @@ thread_local! {
 /// Scores all documents matching any query term ("OR" semantics, like a
 /// web engine) and returns the best `k` as `(doc, score)` pairs, score
 /// descending, ties by ascending document id. A term repeated in the
-/// query counts each time.
-///
-/// The idf uses the standard BM25 form with a +1 inside the log so scores
-/// stay positive for common terms.
+/// query counts each time. A document's score is the sum of its stored
+/// impacts in query-term order.
 #[must_use]
-pub fn rank(
-    index: &InvertedIndex,
-    query_terms: &[String],
-    params: Bm25Params,
-    k: usize,
-) -> Vec<(DocId, f64)> {
-    let n = index.doc_count() as f64;
-    if n == 0.0 {
-        return Vec::new();
-    }
-    let avgdl = index.avg_doc_len().max(1.0);
+pub fn rank(index: &InvertedIndex, query_terms: &[String], k: usize) -> Vec<(DocId, f64)> {
     SCRATCH.with_borrow_mut(|scratch| {
         let Scratch { scores, touched } = scratch;
         if scores.len() < index.doc_slots() {
             scores.resize(index.doc_slots(), f64::NAN);
         }
         for term in query_terms {
-            let postings = index.postings(term);
-            if postings.is_empty() {
-                continue;
-            }
-            let df = postings.len() as f64;
-            let idf = (((n - df + 0.5) / (df + 0.5)) + 1.0).ln();
-            for p in postings {
-                let tf = f64::from(p.tf);
-                let dl = f64::from(index.doc_len(p.doc));
-                let denom = tf + params.k1 * (1.0 - params.b + params.b * dl / avgdl);
+            for p in index.postings(term) {
                 let score = &mut scores[p.doc.0 as usize];
                 if score.is_nan() {
                     touched.push(p.doc.0);
                     *score = 0.0;
                 }
-                *score += idf * (tf * (params.k1 + 1.0)) / denom;
+                *score += p.impact;
             }
         }
         // Deterministic order: score desc, then doc id asc. Only the best
@@ -128,7 +119,7 @@ mod tests {
     #[test]
     fn matching_docs_only() {
         let idx = build();
-        let ranked = rank(&idx, &["garden".into()], Bm25Params::default(), usize::MAX);
+        let ranked = rank(&idx, &["garden".into()], usize::MAX);
         assert_eq!(ranked.len(), 1);
         assert_eq!(ranked[0].0, DocId(2));
     }
@@ -136,12 +127,7 @@ mod tests {
     #[test]
     fn or_semantics_unions_matches() {
         let idx = build();
-        let ranked = rank(
-            &idx,
-            &["hotel".into(), "garden".into()],
-            Bm25Params::default(),
-            usize::MAX,
-        );
+        let ranked = rank(&idx, &["hotel".into(), "garden".into()], usize::MAX);
         let ids: Vec<u32> = ranked.iter().map(|(d, _)| d.0).collect();
         assert!(ids.contains(&0) && ids.contains(&2));
     }
@@ -149,19 +135,14 @@ mod tests {
     #[test]
     fn higher_tf_ranks_higher_for_single_term() {
         let idx = build();
-        let ranked = rank(&idx, &["paris".into()], Bm25Params::default(), usize::MAX);
+        let ranked = rank(&idx, &["paris".into()], usize::MAX);
         assert_eq!(ranked[0].0, DocId(3), "the paris-heavy doc wins");
     }
 
     #[test]
     fn scores_are_positive_and_sorted() {
         let idx = build();
-        let ranked = rank(
-            &idx,
-            &["paris".into(), "cheap".into()],
-            Bm25Params::default(),
-            usize::MAX,
-        );
+        let ranked = rank(&idx, &["paris".into(), "cheap".into()], usize::MAX);
         for pair in ranked.windows(2) {
             assert!(pair[0].1 >= pair[1].1);
         }
@@ -171,12 +152,12 @@ mod tests {
     #[test]
     fn unknown_terms_produce_empty() {
         let idx = build();
-        assert!(rank(&idx, &["zzzz".into()], Bm25Params::default(), usize::MAX).is_empty());
+        assert!(rank(&idx, &["zzzz".into()], usize::MAX).is_empty());
     }
 
     #[test]
     fn empty_index_is_empty() {
         let idx = InvertedIndex::build(&[]);
-        assert!(rank(&idx, &["paris".into()], Bm25Params::default(), usize::MAX).is_empty());
+        assert!(rank(&idx, &["paris".into()], usize::MAX).is_empty());
     }
 }

@@ -6,7 +6,7 @@
 //! each sub-query independently and merging the result sets —
 //! [`SearchEngine::search_merged`] reproduces exactly that.
 
-use crate::bm25::{rank, Bm25Params};
+use crate::bm25::rank;
 use crate::corpus::{generate, CorpusConfig};
 use crate::document::{DocId, Document};
 use crate::index::InvertedIndex;
@@ -32,7 +32,6 @@ pub struct SearchResult {
 pub struct SearchEngine {
     docs: Vec<Document>,
     index: InvertedIndex,
-    params: Bm25Params,
 }
 
 impl SearchEngine {
@@ -46,11 +45,7 @@ impl SearchEngine {
     #[must_use]
     pub fn from_documents(docs: Vec<Document>) -> Self {
         let index = InvertedIndex::build(&docs);
-        SearchEngine {
-            docs,
-            index,
-            params: Bm25Params::default(),
-        }
+        SearchEngine { docs, index }
     }
 
     /// Number of indexed documents.
@@ -69,7 +64,7 @@ impl SearchEngine {
     #[must_use]
     pub fn search(&self, query: &str, k: usize) -> Vec<SearchResult> {
         let terms = tokenize(query);
-        rank(&self.index, &terms, self.params, k)
+        rank(&self.index, &terms, k)
             .into_iter()
             .map(|(doc, score)| self.to_result(doc, score))
             .collect()
@@ -77,10 +72,10 @@ impl SearchEngine {
 
     /// The paper's obfuscated-query execution: submit each sub-query
     /// independently (top `k_each` results each) and merge the result
-    /// sets with [`merge_ranked`]. This form evaluates the sub-queries
-    /// **serially on the caller's thread** — it is the paper's seed
-    /// behavior and the baseline the e2e k-sweep compares against;
-    /// [`crate::pool::SearchPool::search_merged`] is the parallel form.
+    /// sets with [`merge_ranked`], one sub-query after another on the
+    /// caller's thread. [`crate::service::EngineService::search_merged`]
+    /// runs the same loop with each evaluation timed and charged to one
+    /// of the modeled engine's lanes; tests hold the two equal.
     ///
     /// Generic over the sub-query representation so the enclave's
     /// `Arc<str>` sub-queries cross without re-owning each string.
@@ -115,8 +110,9 @@ impl SearchEngine {
 /// rank 2, …) so no sub-query is privileged — the search engine does not
 /// know which one is real.
 ///
-/// Shared by the serial [`SearchEngine::search_merged`] and the parallel
-/// [`crate::pool::SearchPool`], so both produce byte-identical merges.
+/// Shared by [`SearchEngine::search_merged`] and the lane-accounted
+/// [`crate::service::EngineService::search_merged`], so both produce
+/// byte-identical merges.
 #[must_use]
 pub fn merge_ranked(per_query: Vec<Vec<SearchResult>>, k_each: usize) -> Vec<SearchResult> {
     let mut merged: Vec<SearchResult> = Vec::new();
@@ -145,7 +141,7 @@ mod tests {
     /// query-term order, then every match sorted (score desc, id asc).
     fn full_ranking(e: &SearchEngine, query: &str) -> Vec<(DocId, f64)> {
         let (n, avgdl) = (e.index.doc_count() as f64, e.index.avg_doc_len().max(1.0));
-        let Bm25Params { k1, b } = e.params;
+        let (k1, b) = (crate::bm25::K1, crate::bm25::B);
         let mut scores: HashMap<DocId, f64> = HashMap::new();
         for term in tokenize(query) {
             let postings = e.index.postings(&term);

@@ -1,18 +1,22 @@
 //! Inverted index over the corpus.
 
+use crate::bm25;
 use crate::document::{DocId, Document};
 use std::collections::HashMap;
 use xsearch_text::tokenize::tokenize;
 use xsearch_text::vector::TermInterner;
 
-/// One posting: a document and the term's frequency in it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One posting: a document, the term's frequency in it, and the BM25
+/// contribution that frequency makes to the document's score.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Posting {
     /// The document containing the term.
     pub doc: DocId,
     /// Term frequency (title terms counted double — title matches matter
     /// more, as in real engines).
     pub tf: u32,
+    /// [`bm25::impact`] of this posting, fixed at build.
+    pub impact: f64,
 }
 
 /// An inverted index with the statistics BM25 needs.
@@ -27,7 +31,8 @@ pub struct InvertedIndex {
 }
 
 impl InvertedIndex {
-    /// Builds the index from documents.
+    /// Builds the index from documents, storing every posting's BM25
+    /// impact.
     #[must_use]
     pub fn build(docs: &[Document]) -> Self {
         let mut interner = TermInterner::new();
@@ -53,7 +58,11 @@ impl InvertedIndex {
                 if slot >= postings.len() {
                     postings.resize_with(slot + 1, Vec::new);
                 }
-                postings[slot].push(Posting { doc: doc.id, tf });
+                postings[slot].push(Posting {
+                    doc: doc.id,
+                    tf,
+                    impact: 0.0,
+                });
             }
             let slot = doc.id.0 as usize;
             if slot >= doc_lengths.len() {
@@ -62,13 +71,24 @@ impl InvertedIndex {
             doc_lengths[slot] = len;
             total_len += u64::from(len);
         }
-        InvertedIndex {
+        let mut index = InvertedIndex {
             interner,
             postings,
             doc_lengths,
             total_len,
             doc_count: docs.len(),
+        };
+        // Impacts need the whole corpus's statistics, so they are a
+        // second pass.
+        let avgdl = index.avg_doc_len().max(1.0);
+        for list in &mut index.postings {
+            let df = list.len();
+            for p in list.iter_mut() {
+                let dl = index.doc_lengths[p.doc.0 as usize];
+                p.impact = bm25::impact(p.tf, dl, df, index.doc_count, avgdl);
+            }
         }
+        index
     }
 
     /// Number of indexed documents.
@@ -168,6 +188,32 @@ mod tests {
         // doc0: title 2 words ×2 + body 3 words = 7.
         assert_eq!(idx.doc_len(DocId(0)), 7);
         assert!(idx.avg_doc_len() > 0.0);
+    }
+
+    #[test]
+    fn stored_impacts_are_the_bm25_formula() {
+        let idx = InvertedIndex::build(&docs());
+        let (n, avgdl) = (2.0, idx.avg_doc_len());
+        let mut checked = 0;
+        for term in ["cheap", "flights", "paris", "deals", "hotel", "rooms", "in"] {
+            let postings = idx.postings(term);
+            let df = postings.len() as f64;
+            let idf = (((n - df + 0.5) / (df + 0.5)) + 1.0).ln();
+            for p in postings {
+                let tf = f64::from(p.tf);
+                let dl = f64::from(idx.doc_len(p.doc));
+                let expected =
+                    idf * (tf * (1.2 + 1.0)) / (tf + 1.2 * (1.0 - 0.75 + 0.75 * dl / avgdl));
+                assert_eq!(
+                    p.impact.to_bits(),
+                    expected.to_bits(),
+                    "{term} in {:?}",
+                    p.doc
+                );
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 9, "every posting of the corpus");
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //! * [`engine`] — the query front-end, including the paper's §5.3.2
 //!   workaround for Bing's single-word-OR limitation (submit each
 //!   sub-query independently and merge the result sets);
-//! * [`pool`] — a sharded worker pool that performs that sub-query
-//!   fan-out **concurrently**, the way the proxy really issues them;
-//! * [`service`] — a latency-modeled wrapper for end-to-end experiments,
-//!   attaching per-sub-query service times to the pool's actual
-//!   parallel executions.
+//! * [`pool`] — the modeled engine's service slots (lanes) that the
+//!   sub-queries of one request are spread over;
+//! * [`service`] — a latency-modeled wrapper for end-to-end experiments:
+//!   it evaluates the sub-queries on the request's own thread and charges
+//!   one service-time draw per sub-query as a makespan over their lanes.
 //!
 //! # Example
 //!
@@ -42,4 +42,3 @@ pub mod service;
 
 pub use document::{DocId, Document};
 pub use engine::{SearchEngine, SearchResult};
-pub use pool::SearchPool;

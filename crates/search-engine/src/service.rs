@@ -4,25 +4,21 @@
 //! the end-to-end harnesses can account a realistic per-query delay
 //! without sleeping.
 //!
-//! The seed version of this module *synthesized* concurrency: the engine
-//! evaluated the k+1 sub-queries strictly serially while the model
-//! charged the **max** of k+1 independent delay draws, as if they had run
-//! in parallel. Merged mode now hands the sub-queries to a real
-//! [`SearchPool`] and attaches one service-time draw to each *actual*
-//! execution: the charged delay is the makespan over the pool's lanes —
+//! Merged mode models the paper's concurrent fan-out (§5.3.2) as a
+//! remote engine with a fixed number of service slots (lanes): each
+//! request claims a run of consecutive lanes, attaches one service-time
+//! draw to each sub-query, and is charged the makespan over its lanes —
 //! `max` over lanes of `Σ (draw + measured compute)` of the sub-queries
-//! **assigned** to that lane. A lane is one of the modeled engine's
-//! service slots, so a pool at least k+1 wide charges a max-of-draws-shaped
-//! delay and a narrower one charges the queueing its width imposes. Which
-//! local thread executed a sub-query (a pool worker, or the caller
-//! helping — see [`crate::pool`]) is this process's scheduling and does
-//! not enter the model; its measured compute does, wherever it ran.
-//! [`EngineService::serial`] keeps the seed's serial evaluator as an
-//! explicit baseline and charges the serial truth: the **sum** of the
-//! per-sub-query draws.
+//! **assigned** to that lane. At least k+1 lanes charge a
+//! max-of-draws-shaped delay; fewer charge the queueing their width
+//! imposes; one lane ([`EngineService::serial`], the seed's baseline)
+//! charges the **sum**. The sub-queries themselves are evaluated on the
+//! calling thread, one after another, each evaluation timed: the
+//! engine's concurrency is remote and lives in the draws (see
+//! [`crate::pool`] for why no local thread stands in for it).
 
-use crate::engine::{SearchEngine, SearchResult};
-use crate::pool::{SearchPool, SubQuery, MAX_WORKERS};
+use crate::engine::{merge_ranked, SearchEngine, SearchResult};
+use crate::pool::{Lanes, MAX_LANES};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,20 +27,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xsearch_net_sim::DelayModel;
 
-/// How merged-mode sub-queries are executed.
-enum Exec {
-    /// The seed baseline: serial on the caller's thread, delays summed.
-    Serial,
-    /// Real fan-out over a worker pool, delays combined per-lane.
-    Pool(SearchPool),
-}
-
 /// A search engine with a modeled service-time distribution.
 pub struct EngineService {
     engine: Arc<SearchEngine>,
     service_time: DelayModel,
     rng: Mutex<StdRng>,
-    exec: Exec,
+    lanes: Lanes,
     /// Total modeled service time charged so far (ns) — harnesses read
     /// per-request deltas instead of re-deriving the model outside the
     /// pipeline. `Arc`-shared so a metrics registry can poll it without
@@ -59,32 +47,27 @@ impl std::fmt::Debug for EngineService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineService")
             .field("service_time", &self.service_time)
-            .field(
-                "workers",
-                &match &self.exec {
-                    Exec::Serial => 0,
-                    Exec::Pool(pool) => pool.workers(),
-                },
-            )
+            .field("lanes", &self.lanes.width())
             .finish()
     }
 }
 
 impl EngineService {
     /// Wraps `engine` with a service-time model and a full-width
-    /// ([`MAX_WORKERS`]) evaluation pool.
+    /// ([`MAX_LANES`]) modeled engine.
     #[must_use]
     pub fn new(engine: Arc<SearchEngine>, service_time: DelayModel, seed: u64) -> Self {
-        Self::with_workers(engine, service_time, seed, MAX_WORKERS)
+        Self::with_workers(engine, service_time, seed, MAX_LANES)
     }
 
-    /// Wraps `engine` with a service-time model and a `workers`-wide
-    /// evaluation pool.
+    /// Wraps `engine` with a service-time model and a modeled engine of
+    /// `workers` service slots (lanes). No thread is spawned: `workers`
+    /// sets how the per-sub-query draws combine, not where the in-process
+    /// evaluation runs.
     ///
     /// # Panics
     ///
-    /// Panics if `workers` is zero (use [`EngineService::serial`] for the
-    /// serial baseline).
+    /// Panics if `workers` is zero.
     #[must_use]
     pub fn with_workers(
         engine: Arc<SearchEngine>,
@@ -92,31 +75,22 @@ impl EngineService {
         seed: u64,
         workers: usize,
     ) -> Self {
-        let pool = SearchPool::new(engine.clone(), workers);
         EngineService {
             engine,
             service_time,
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
-            exec: Exec::Pool(pool),
+            lanes: Lanes::new(workers),
             accounted_ns: Arc::new(AtomicU64::new(0)),
             fetch_wall_ns: Arc::new(AtomicU64::new(0)),
         }
     }
 
-    /// The seed's strictly serial merged-mode evaluator, kept as the
-    /// honest baseline: sub-queries run one after another on the caller's
-    /// thread and the charged delay is the **sum** of the per-sub-query
-    /// draws plus the measured serial compute.
+    /// The seed's serial engine, kept as the honest baseline: one lane,
+    /// so the charged delay is the **sum** of the per-sub-query draws
+    /// plus the measured compute.
     #[must_use]
     pub fn serial(engine: Arc<SearchEngine>, service_time: DelayModel, seed: u64) -> Self {
-        EngineService {
-            engine,
-            service_time,
-            rng: Mutex::new(StdRng::seed_from_u64(seed)),
-            exec: Exec::Serial,
-            accounted_ns: Arc::new(AtomicU64::new(0)),
-            fetch_wall_ns: Arc::new(AtomicU64::new(0)),
-        }
+        Self::with_workers(engine, service_time, seed, 1)
     }
 
     /// Executes a query, returning results and the modeled service time
@@ -132,17 +106,17 @@ impl EngineService {
 
     /// Executes an obfuscated query in the paper's merged mode and
     /// returns the merged results plus the modeled end-to-end engine
-    /// delay of this request's sub-query executions (see module docs for
-    /// how serial and pooled modes charge it).
-    pub fn search_merged<S: SubQuery>(
+    /// delay of this request's sub-queries (see the module docs for how
+    /// it is charged).
+    pub fn search_merged<S: AsRef<str>>(
         &self,
         subqueries: &[S],
         k_each: usize,
     ) -> (Vec<SearchResult>, Duration) {
         let n = subqueries.len();
         // Draw the per-sub-query service times up front, under one lock:
-        // the draw sequence depends only on call order, never on worker
-        // scheduling, so a fixed seed replays identically.
+        // the draw sequence depends only on call order, so a fixed seed
+        // replays identically.
         let draws: Vec<Duration> = {
             let mut rng = self.rng.lock();
             (0..n)
@@ -150,27 +124,18 @@ impl EngineService {
                 .collect()
         };
         let start = Instant::now();
-        let (results, delay) = match &self.exec {
-            Exec::Serial => {
-                let texts: Vec<&str> = subqueries.iter().map(SubQuery::as_str).collect();
-                let results = self.engine.search_merged(&texts, k_each);
-                let compute = start.elapsed();
-                (results, draws.iter().sum::<Duration>() + compute)
-            }
-            Exec::Pool(pool) => {
-                let (results, runs) = pool.search_merged_accounted(subqueries, k_each);
-                // Makespan over the lanes this request was assigned: each
-                // lane serves its sub-queries back to back, lanes run
-                // concurrently.
-                let mut lane_busy = vec![Duration::ZERO; pool.workers()];
-                for (run, draw) in runs.iter().zip(&draws) {
-                    lane_busy[run.lane] += *draw + run.compute;
-                }
-                let makespan = lane_busy.into_iter().max().unwrap_or(Duration::ZERO);
-                (results, makespan)
-            }
-        };
+        let mut lane_busy = vec![Duration::ZERO; self.lanes.width()];
+        let mut per_query = Vec::with_capacity(n);
+        for ((query, lane), draw) in subqueries.iter().zip(self.lanes.claim(n)).zip(draws) {
+            let evaluation = Instant::now();
+            per_query.push(self.engine.search(query.as_ref(), k_each));
+            lane_busy[lane] += draw + evaluation.elapsed();
+        }
+        let results = merge_ranked(per_query, k_each);
         self.charge_wall(start.elapsed());
+        // Makespan: each lane serves its sub-queries back to back, lanes
+        // run concurrently.
+        let delay = lane_busy.into_iter().max().unwrap_or_default();
         self.charge(delay);
         (results, delay)
     }
@@ -202,7 +167,7 @@ impl EngineService {
 
     /// Shared handles to the accounting atomics
     /// `(accounted_ns, fetch_wall_ns)`, so a metrics registry can poll
-    /// the pool's charge counters at snapshot time without borrowing the
+    /// the service's charge counters at snapshot time without borrowing the
     /// service.
     #[must_use]
     pub fn accounting_handles(&self) -> (Arc<AtomicU64>, Arc<AtomicU64>) {
@@ -250,7 +215,7 @@ mod tests {
 
     #[test]
     fn merged_delay_is_one_service_time_when_fanout_is_real() {
-        // 2 sub-queries on a 2-wide pool: both draws overlap, so the
+        // 2 sub-queries on 2 lanes: both draws overlap, so the
         // charged delay is one constant draw plus that lane's (small)
         // measured compute — far below the 700 ms a serial engine pays.
         let s = service(2);
@@ -273,7 +238,7 @@ mod tests {
     #[test]
     fn wide_pool_charges_the_max_draw_and_a_one_wide_pool_the_sum() {
         // The charge is a function of the seed's draws and the assigned
-        // lanes alone — not of which thread evaluated what.
+        // lanes, plus the little the evaluations measured.
         const SEED: u64 = 41;
         let model = DelayModel::lognormal_ms(SERVICE_MS, 0.5);
         let draws: Vec<Duration> = {
@@ -307,15 +272,15 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_agree_on_results() {
-        let pooled = service(3);
+        let wide = service(3);
         let serial = EngineService::serial(
-            pooled.engine().clone(),
+            wide.engine().clone(),
             DelayModel::constant_ms(SERVICE_MS),
             1,
         );
         let subs = vec!["flights hotel".to_owned(), "symptoms doctor".to_owned()];
         assert_eq!(
-            pooled.search_merged(&subs, 10).0,
+            wide.search_merged(&subs, 10).0,
             serial.search_merged(&subs, 10).0
         );
     }
