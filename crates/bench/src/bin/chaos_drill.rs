@@ -99,7 +99,7 @@ struct ScenarioResult {
     row: Obj,
     transcript: Vec<String>,
     /// The fleet's flight-recorder dump (breaker transitions, hedges,
-    /// failovers, injected faults, degrade steps), kept past the
+    /// failovers, injected faults, sheds), kept past the
     /// cluster's teardown so failures can print the run's last events.
     flight: Vec<String>,
     /// The fleet's telemetry registry snapshot as JSON, embedded in the
@@ -120,7 +120,6 @@ const COUNTERS: &[(&str, &str)] = &[
     ("breaker_trips", "xsearch_breaker_trips"),
     ("sweeps_run", "xsearch_fleet_sweeps_run_total"),
     ("sweeps_coalesced", "xsearch_fleet_sweeps_coalesced_total"),
-    ("degraded_served", "xsearch_fleet_degraded_served"),
 ];
 
 fn run_scenario(

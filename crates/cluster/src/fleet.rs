@@ -55,7 +55,7 @@ use crate::obs::FleetMetrics;
 use crate::placement::{key_coord, HashRing};
 use crate::registry::{RegistryWriterHold, ReplicaId, ReplicaRegistry};
 use crate::resilience::{
-    degrade_level, CircuitBreaker, ResilienceConfig, BREAKER_COOLDOWN_OPS, BREAKER_THRESHOLD,
+    CircuitBreaker, ResilienceConfig, BREAKER_COOLDOWN_OPS, BREAKER_THRESHOLD,
 };
 use crate::router::{DeliveryFence, LaneStats, LeaderGuard, Pending, RequestSlot};
 use crate::snapshot::{Published, WriterHold};
@@ -108,12 +108,13 @@ pub struct ClusterConfig {
     /// arrivals with [`ClusterError::Overloaded`]. `0` disables the
     /// bound. Shedding is the backpressure signal that keeps an
     /// overloaded replica answering instead of collapsing under an
-    /// unbounded backlog.
+    /// unbounded backlog. Queue depth never reaches the enclave: a full
+    /// queue sheds, it never thins an admitted request's `proxy.k` fakes.
     pub queue_limit: usize,
     /// Base seed for attestation service, challenges and host RNGs.
     pub seed: u64,
     /// The per-request resilience policy stack (deadlines, backoff,
-    /// breakers, hedging, degradation). See [`ResilienceConfig`].
+    /// breakers, hedging). See [`ResilienceConfig`].
     pub resilience: ResilienceConfig,
     /// Deterministic fault plan for chaos testing; `None` (the default)
     /// injects nothing and costs one branch on the forward path.
@@ -422,7 +423,7 @@ impl Cluster {
     }
 
     /// The fleet's metrics registry: one snapshot covering per-replica
-    /// queue depth/high-water/shed/degrade level, lane coalescing,
+    /// queue depth/high-water/shed, lane coalescing,
     /// breaker trips, sweep coalescing, accounted hop/fault/engine delays,
     /// the client resilience counters and (once a
     /// [`crate::front::FrontTier`] is built) the front's — the only stats
@@ -434,7 +435,7 @@ impl Cluster {
 
     /// The fleet's flight recorder: a fixed ring holding the most recent
     /// structured resilience events (breaker transitions, hedges,
-    /// failovers, injected faults, degrade steps). Chaos harnesses dump
+    /// failovers, injected faults, deadline misses). Chaos harnesses dump
     /// it when a scenario fails.
     #[must_use]
     pub fn flight(&self) -> &Arc<FlightRecorder> {
@@ -883,22 +884,6 @@ impl Cluster {
             // entry; the submitters sweep and re-route.
             return;
         };
-        // Graceful degradation: re-derive the pressure level from the
-        // current queue depth and push it into the enclave only when it
-        // changed. Shrinking the decoy count is the rung *before*
-        // shedding real queries — served-but-weaker beats not-served.
-        if self.config.queue_limit != 0 {
-            let level = degrade_level(node.inflight(), self.config.queue_limit);
-            let prev = node.swap_degrade_level(level);
-            if prev != level {
-                proxy.set_degrade_level(level);
-                self.flight.record(FlightEvent::DegradeStep {
-                    replica: id.0 as u64,
-                    from: prev as u64,
-                    to: level as u64,
-                });
-            }
-        }
         let entries = fence.entries();
         let mut results: Vec<Option<Result<Vec<u8>, ClusterError>>> = Vec::new();
         results.resize_with(entries.len(), || None);

@@ -75,9 +75,6 @@ pub struct ReplicaNode {
     /// Total accounted fault delay (stalls, spikes) in nanoseconds —
     /// charged, never slept, like the hop delays.
     fault_ns: AtomicU64,
-    /// The degradation level last pushed into the enclave: the fleet
-    /// only issues a `set_degrade` ecall when the level changes.
-    degrade_level: AtomicUsize,
 }
 
 impl std::fmt::Debug for ReplicaNode {
@@ -134,18 +131,18 @@ impl ReplicaNode {
             seal_ticks: AtomicUsize::new(0),
             fault,
             fault_ns: AtomicU64::new(0),
-            degrade_level: AtomicUsize::new(0),
         }
     }
 
     /// Registers the snapshot-time poll collectors: every pre-existing
     /// hot-path atomic (queue depths, shed counts, hop/fault accounting,
-    /// lane coalescing, breaker trips, per-enclave degrade counts) is
-    /// read at snapshot time through a cloned `Arc` — the instrumented
-    /// request path pays nothing for any of these.
+    /// lane coalescing, breaker trips) is read at snapshot time through a
+    /// cloned `Arc` — the instrumented request path pays nothing for any
+    /// of these, and none enters an enclave (the engine-delay reading is
+    /// the proxy's host-side uplink accounting).
     pub(crate) fn register_polls(nodes: &[Arc<ReplicaNode>], telemetry: &Registry) {
         type Read = fn(&ReplicaNode) -> u64;
-        let per_replica: [(&str, &str, Read); 5] = [
+        let per_replica: [(&str, &str, Read); 4] = [
             (
                 "xsearch_replica_inflight",
                 "Requests currently admitted on this replica",
@@ -166,11 +163,6 @@ impl ReplicaNode {
                 "Requests served by this replica since launch",
                 |n| n.served.load(Ordering::Relaxed),
             ),
-            (
-                "xsearch_replica_degrade_level",
-                "Degradation level last pushed into this enclave",
-                |n| n.degrade_level.load(Ordering::Relaxed) as u64,
-            ),
         ];
         for node in nodes {
             let label = [("replica", LabelValue::Int(node.id().0 as u64))];
@@ -180,7 +172,7 @@ impl ReplicaNode {
             }
         }
         // Fleet-wide: the per-node readings summed, then scaled.
-        let fleet_wide: [(&str, &str, Read, f64); 7] = [
+        let fleet_wide: [(&str, &str, Read, f64); 6] = [
             (
                 "xsearch_fleet_hop_delay_us",
                 "Accounted router-replica hop delay, microseconds",
@@ -202,12 +194,6 @@ impl ReplicaNode {
                         us.min(u128::from(u64::MAX)) as u64
                     })
                 },
-                1.0,
-            ),
-            (
-                "xsearch_fleet_degraded_served",
-                "Requests served at reduced obfuscation strength, fleet-wide",
-                |n| n.proxy().as_ref().map_or(0, |p| p.degrade_stats().1),
                 1.0,
             ),
             (
@@ -320,12 +306,6 @@ impl ReplicaNode {
         }
     }
 
-    /// Updates the cached degradation level; returns the previous value
-    /// so the caller can skip the `set_degrade` ecall when unchanged.
-    pub(crate) fn swap_degrade_level(&self, level: usize) -> usize {
-        self.degrade_level.swap(level, Ordering::Relaxed)
-    }
-
     /// Ticks the sealing cadence; returns `true` when a seal is due
     /// (every `every` served requests). The counter is never reset —
     /// each tick takes a unique value and exactly every `every`-th one
@@ -379,9 +359,6 @@ impl ReplicaNode {
         if let Some(injector) = &self.fault {
             proxy.set_fault_injector(Arc::clone(injector));
         }
-        // A fresh enclave starts at full obfuscation strength; the next
-        // pressure reading will re-derive the level.
-        self.degrade_level.store(0, Ordering::Relaxed);
         // On error the log was already claimed (migrated to a successor)
         // or is foreign: start empty rather than resurrect a superseded
         // window.

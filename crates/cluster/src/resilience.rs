@@ -1,6 +1,6 @@
-//! The resilience policy stack: deadlines, backoff, circuit breakers,
-//! hedging, and graceful degradation — and the **ladder**, the decision
-//! table that says what a search does next.
+//! The resilience policy stack: deadlines, backoff, circuit breakers and
+//! hedging — and the **ladder**, the decision table that says what a
+//! search does next.
 //!
 //! Nothing here touches a fleet, a tunnel or a counter; the file imports
 //! only `std`. [`crate::client::ClusterClient`] forwards, opens,
@@ -28,9 +28,9 @@
 //! sweep declares it dead; a slow-but-answering replica is cut short by
 //! *hedging* (a second attempt at the ring successor after a
 //! p99-derived delay, first answer wins, nonce-safe because the hedge
-//! runs on a fresh sub-session); and under queue pressure the replica
-//! itself *degrades gracefully*, shrinking the fake-query count `k`
-//! before it sheds real queries.
+//! runs on a fresh sub-session). Under queue pressure the replica sheds
+//! with `Overloaded`, which the client sees; it never serves a request
+//! with fewer fakes than the `k` its enclave was attested with.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::time::Duration;
@@ -52,9 +52,7 @@ pub const MAX_FAILOVERS: usize = 3;
 /// Tunables for the per-request resilience stack. Carried by
 /// `ClusterConfig`; the documented defaults keep every pre-existing
 /// behaviour observable (hedging off, generous deadline) while making
-/// deadlines, backoff and breakers active out of the box. Graceful
-/// degradation has no knob of its own: it follows the fleet's
-/// `queue_limit` (`0` — no bound, no pressure — turns it off).
+/// deadlines, backoff and breakers active out of the box.
 #[derive(Debug, Clone)]
 pub struct ResilienceConfig {
     /// Per-request deadline budget on the accounted clock. A request
@@ -464,24 +462,6 @@ impl LatencyEstimator {
     }
 }
 
-/// Maps a replica's admission-queue pressure to a degradation level:
-/// 0 below 50% of the queue limit, then 1 (≥50%), 2 (≥75%), 3 (≥90%).
-/// Level `n` shrinks the enclave's fake-query count to `max(1, k - n)`
-/// — the ladder sheds obfuscation work before it sheds real queries.
-#[must_use]
-pub fn degrade_level(depth: usize, limit: usize) -> usize {
-    if limit == 0 {
-        return 0;
-    }
-    let pct = depth.saturating_mul(100) / limit;
-    match pct {
-        0..=49 => 0,
-        50..=74 => 1,
-        75..=89 => 2,
-        _ => 3,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -567,16 +547,6 @@ mod tests {
         let p99 = est.p99().expect("samples recorded");
         assert_eq!(p99, Duration::from_micros(400));
         assert_eq!(est.hedge_delay(), Duration::from_micros(1200));
-    }
-
-    #[test]
-    fn degrade_ladder_maps_pressure_to_levels() {
-        assert_eq!(degrade_level(0, 0), 0, "unbounded queues never degrade");
-        assert_eq!(degrade_level(49, 100), 0);
-        assert_eq!(degrade_level(50, 100), 1);
-        assert_eq!(degrade_level(75, 100), 2);
-        assert_eq!(degrade_level(90, 100), 3);
-        assert_eq!(degrade_level(100, 100), 3);
     }
 
     const MS: Duration = Duration::from_millis(1);

@@ -336,11 +336,9 @@ fn exported_series_names_and_labels_are_stable() {
         "xsearch_replica_queue_high_water{replica=0}",
         "xsearch_replica_shed{replica=0}",
         "xsearch_replica_served{replica=0}",
-        "xsearch_replica_degrade_level{replica=0}",
         "xsearch_fleet_hop_delay_us{}",
         "xsearch_fleet_fault_delay_us{}",
         "xsearch_fleet_engine_delay_us{}",
-        "xsearch_fleet_degraded_served{}",
         "xsearch_lane_batches{}",
         "xsearch_lane_entries{}",
         "xsearch_breaker_trips{}",

@@ -23,7 +23,6 @@ use xsearch_cluster::{
 use xsearch_core::config::XSearchConfig;
 use xsearch_engine::corpus::CorpusConfig;
 use xsearch_engine::engine::SearchEngine;
-use xsearch_telemetry::LabelValue;
 
 fn engine() -> Arc<SearchEngine> {
     Arc::new(SearchEngine::build(&CorpusConfig {
@@ -362,55 +361,70 @@ fn concurrent_sweeps_coalesce_to_one_scan() {
 }
 
 #[test]
-fn degradation_ladder_sheds_decoys_before_requests() {
-    // queue_limit 4 with three slots pinned: the lane request executes
-    // at 100% pressure, so the enclave must serve it at reduced k — and
-    // recover full strength once pressure drains.
-    let cluster = Cluster::launch(
-        engine(),
-        ClusterConfig {
-            replicas: 1,
-            queue_limit: 4,
-            proxy: XSearchConfig {
-                k: 3,
-                history_capacity: 1 << 20,
+fn queue_pressure_never_changes_what_a_request_carries() {
+    // Two identically seeded one-replica fleets with a warm window. One
+    // serves a search while three of its four admission slots are held;
+    // its twin serves the same search idle. k is what the enclave was
+    // attested with, so the replies and every byte that crossed the
+    // boundary (the `send` ocall carries the k+1 OR-joined sub-queries)
+    // must match — a full queue sheds, it never thins the fakes.
+    let id = ReplicaId(0);
+    let fleet = || {
+        let cluster = Cluster::launch(
+            engine(),
+            ClusterConfig {
+                replicas: 1,
+                queue_limit: 4,
+                proxy: XSearchConfig {
+                    k: 3,
+                    history_capacity: 1 << 20,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
-            ..Default::default()
-        },
-    );
-    let id = ReplicaId(0);
-    let mut client = ClusterClient::attach(&cluster, 77).unwrap();
-    client.search_echo(&cluster, "warm").unwrap();
-    assert_eq!(
-        metric(&cluster, "xsearch_fleet_degraded_served"),
-        0.0,
-        "no pressure, full strength"
-    );
+        );
+        cluster
+            .with_replica(id, |proxy| {
+                proxy.seed_history(["hotel rome", "cruise deals", "diabetes symptoms", "jobs"]);
+            })
+            .unwrap();
+        let client = ClusterClient::attach(&cluster, 77).unwrap();
+        (cluster, client)
+    };
+    let boundary_bytes = |cluster: &Cluster| {
+        cluster
+            .with_replica(id, |proxy| {
+                let stats = proxy.boundary();
+                (stats.bytes_in(), stats.bytes_out())
+            })
+            .unwrap()
+    };
 
-    let under_pressure = cluster
+    let (pressed, mut pressed_client) = fleet();
+    let under_pressure = pressed
         .with_replica(id, |_| {
-            cluster.with_replica(id, |_| {
-                cluster.with_replica(id, |_| client.search_echo(&cluster, "pressed"))
+            pressed.with_replica(id, |_| {
+                pressed.with_replica(id, |_| pressed_client.search(&pressed, "cheap flights"))
             })
         })
         .unwrap()
+        .unwrap()
+        .unwrap()
         .unwrap();
-    under_pressure.unwrap().unwrap();
-    assert!(
-        metric(&cluster, "xsearch_fleet_degraded_served") >= 1.0,
-        "the pressed request must have been served at reduced k"
-    );
 
-    // Pressure gone: the next request restores level 0.
-    client.search_echo(&cluster, "relaxed").unwrap();
-    assert_eq!(
-        cluster.telemetry().snapshot().value(
-            "xsearch_replica_degrade_level",
-            &[("replica", LabelValue::Int(0))]
-        ),
-        Some(0.0)
+    let (idle, mut idle_client) = fleet();
+    let unpressed = idle_client.search(&idle, "cheap flights").unwrap();
+
+    assert!(
+        !unpressed.is_empty(),
+        "the probe query must match documents"
     );
+    assert_eq!(
+        boundary_bytes(&pressed),
+        boundary_bytes(&idle),
+        "pressure changed the bytes that crossed the enclave boundary"
+    );
+    assert_eq!(under_pressure, unpressed, "pressure changed the reply");
 }
 
 #[test]

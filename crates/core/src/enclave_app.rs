@@ -41,7 +41,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use xsearch_crypto::x25519::{PublicKey, StaticSecret};
 use xsearch_engine::engine::SearchResult;
@@ -133,16 +133,6 @@ pub struct EnclaveState {
     /// [`EnclaveState::reap_sessions`] sweep; requests stamp their
     /// session with the current value.
     session_epoch: AtomicU64,
-    /// Total sessions removed by sweeps (telemetry).
-    sessions_reaped: AtomicU64,
-    /// Graceful-degradation level (the `set_degrade` ecall): level `n`
-    /// shrinks the fake-query count to `max(1, k - n)` so an overloaded
-    /// replica sheds *obfuscation work* before it sheds real queries.
-    /// Level 0 is full strength.
-    degrade: AtomicUsize,
-    /// Requests served with a reduced k — the privacy cost of the
-    /// degradation ladder, surfaced through `degrade_stats`.
-    degraded_served: AtomicU64,
     /// The enclave's telemetry partition: pre-registered, numeric-only
     /// aggregate handles (see [`EnclaveScope`]). This is the *only*
     /// telemetry surface in-enclave code may touch — query strings and
@@ -161,7 +151,9 @@ impl std::fmt::Debug for EnclaveState {
 
 impl EnclaveState {
     /// The `init` ecall: generates the channel identity and sizes the
-    /// history table against the enclave's EPC gauge.
+    /// history table against the enclave's EPC gauge. `config.k` is fixed
+    /// from here on: every request carries exactly that many fakes (fewer
+    /// only while the window itself holds fewer), whatever the host's load.
     #[must_use]
     pub fn init(config: XSearchConfig, epc: &Arc<EpcGauge>, cost: &CostModel) -> Self {
         Self::init_instrumented(config, epc, cost, None)
@@ -194,43 +186,8 @@ impl EnclaveState {
                 .map(|_| Mutex::new(SessionMap::default()))
                 .collect(),
             session_epoch: AtomicU64::new(0),
-            sessions_reaped: AtomicU64::new(0),
-            degrade: AtomicUsize::new(0),
-            degraded_served: AtomicU64::new(0),
             scope,
         }
-    }
-
-    /// Sets the graceful-degradation level. Level `n` serves requests
-    /// with `max(1, k - n)` fake queries; level 0 restores full `k`.
-    pub fn set_degrade_level(&self, level: usize) {
-        self.degrade.store(level, Ordering::Relaxed);
-        if let Some(scope) = &self.scope {
-            scope.set_degrade_level(level as u64);
-        }
-    }
-
-    /// The current degradation level.
-    #[must_use]
-    pub fn degrade_level(&self) -> usize {
-        self.degrade.load(Ordering::Relaxed)
-    }
-
-    /// How many requests were served with a reduced fake-query count.
-    #[must_use]
-    pub fn degraded_served(&self) -> u64 {
-        self.degraded_served.load(Ordering::Relaxed)
-    }
-
-    /// The fake-query count for the current degradation level: never
-    /// below 1 (a real query is never sent bare when obfuscation is
-    /// configured at all), and exactly `k` at level 0.
-    fn effective_k(&self) -> usize {
-        let level = self.degrade.load(Ordering::Relaxed);
-        if level == 0 || self.config.k == 0 {
-            return self.config.k;
-        }
-        self.config.k.saturating_sub(level).max(1)
     }
 
     /// The enclave's channel public key (bound into attestation quotes).
@@ -328,15 +285,7 @@ impl EnclaveState {
             shard.retain(|_, s| now.saturating_sub(s.lock().last_used) <= ttl);
             reaped += before - shard.len();
         }
-        self.sessions_reaped
-            .fetch_add(reaped as u64, Ordering::Relaxed);
         reaped
-    }
-
-    /// Total sessions removed by reap sweeps since launch.
-    #[must_use]
-    pub fn sessions_reaped(&self) -> u64 {
-        self.sessions_reaped.load(Ordering::Relaxed)
     }
 
     /// Seeds the history directly (warm-up for experiments; in production
@@ -433,14 +382,7 @@ impl EnclaveState {
         // The RNG is this request's own — nothing to lock.
         let ticket = self.rng_ticket.fetch_add(1, Ordering::Relaxed);
         let mut rng = self.request_rng(ticket);
-        let k = self.effective_k();
-        if k < self.config.k {
-            self.degraded_served.fetch_add(1, Ordering::Relaxed);
-            if let Some(scope) = &self.scope {
-                scope.degraded_served();
-            }
-        }
-        let obfuscated = obfuscate(query, &self.history, k, &mut rng);
+        let obfuscated = obfuscate(query, &self.history, self.config.k, &mut rng);
 
         // Fetch results via the paper's four-ocall sequence. The payload
         // crossing the boundary is the obfuscated query — exactly what an
@@ -700,15 +642,16 @@ mod tests {
         let port = port();
         // Two sweeps at ttl=1: the active session keeps stamping itself
         // into the current epoch, the idle pair ages out.
+        let mut reaped = 0;
         for _ in 0..2 {
             let ct = ch.seal(b"query", b"keepalive");
             state
                 .request(&active, &ct, &port, |_, _| Vec::new())
                 .unwrap();
-            state.reap_sessions(1);
+            reaped += state.reap_sessions(1);
         }
         assert_eq!(state.session_count(), 1, "idle sessions reaped");
-        assert_eq!(state.sessions_reaped(), 2);
+        assert_eq!(reaped, 2);
         let ct = ch.seal(b"query", b"still here");
         assert!(state
             .request(&active, &ct, &port, |_, _| Vec::new())
@@ -779,40 +722,6 @@ mod tests {
         let (seen_b, resp_b) = run();
         assert_eq!(seen_a, seen_b, "sub-query order must replay exactly");
         assert_eq!(resp_a, resp_b, "filtered output must replay exactly");
-    }
-
-    #[test]
-    fn degradation_ladder_shrinks_k_with_a_floor_of_one() {
-        let state = state(3);
-        for i in 0..10 {
-            state.seed_history(&format!("warm {i}"));
-        }
-        let (id, mut ch) = client_channel(&state, 77);
-        let port = port();
-        let fanout = |state: &EnclaveState, ch: &mut SecureChannel| {
-            let ct = ch.seal(b"query", b"probe");
-            let mut seen = 0;
-            let resp = state
-                .request(&id, &ct, &port, |subqueries, _| {
-                    seen = subqueries.len();
-                    Vec::new()
-                })
-                .unwrap();
-            ch.open(b"results", &resp).unwrap();
-            seen
-        };
-        assert_eq!(fanout(&state, &mut ch), 4, "level 0 serves full k=3");
-        state.set_degrade_level(2);
-        assert_eq!(fanout(&state, &mut ch), 2, "level 2 shrinks to k=1");
-        state.set_degrade_level(9);
-        assert_eq!(fanout(&state, &mut ch), 2, "k never degrades below 1");
-        state.set_degrade_level(0);
-        assert_eq!(fanout(&state, &mut ch), 4, "level 0 restores full k");
-        assert_eq!(
-            state.degraded_served(),
-            2,
-            "exactly the reduced-k requests are counted"
-        );
     }
 
     #[test]

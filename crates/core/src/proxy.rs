@@ -405,42 +405,6 @@ impl XSearchProxy {
         outcome
     }
 
-    /// Sets the enclave's graceful-degradation level (the `set_degrade`
-    /// ecall): level `n` shrinks the fake-query count to
-    /// `max(1, k - n)`, trading obfuscation strength for capacity while
-    /// the replica is browning out. Level 0 restores full `k`.
-    pub fn set_degrade_level(&self, level: usize) {
-        let _ = self.enclave.ecall_shared(
-            "set_degrade",
-            &(level as u64).to_le_bytes(),
-            |state, input, _| {
-                let level = input.try_into().map(u64::from_le_bytes).unwrap_or_default() as usize;
-                state.set_degrade_level(level);
-                Vec::new()
-            },
-        );
-    }
-
-    /// `(current degrade level, requests served with a reduced k)` —
-    /// the observable cost of the degradation ladder, surfaced so the
-    /// chaos bench can report how much obfuscation strength was traded
-    /// for availability.
-    #[must_use]
-    pub fn degrade_stats(&self) -> (usize, u64) {
-        let out = self
-            .enclave
-            .ecall_shared("degrade_stats", &[], |state, _, _| {
-                let mut bytes = Vec::with_capacity(16);
-                bytes.extend_from_slice(&(state.degrade_level() as u64).to_le_bytes());
-                bytes.extend_from_slice(&state.degraded_served().to_le_bytes());
-                bytes
-            })
-            .expect("ecall cannot fail in this model");
-        let level = u64::from_le_bytes(out[..8].try_into().expect("8 bytes")) as usize;
-        let served = u64::from_le_bytes(out[8..].try_into().expect("8 bytes"));
-        (level, served)
-    }
-
     /// Pre-populates the past-query table (experiment warm-up). The whole
     /// batch crosses the boundary in **one** `seed` ecall (length-prefixed
     /// wire batch) — Fig 5 warms 10k queries, which used to cost 10k
@@ -499,18 +463,6 @@ impl XSearchProxy {
             })
             .expect("ecall cannot fail in this model");
         u64::from_le_bytes(out.try_into().expect("8 bytes")) as usize
-    }
-
-    /// Total sessions removed by reap sweeps since launch.
-    #[must_use]
-    pub fn sessions_reaped(&self) -> u64 {
-        let out = self
-            .enclave
-            .ecall_shared("sessions_reaped", &[], |state, _, _| {
-                state.sessions_reaped().to_le_bytes().to_vec()
-            })
-            .expect("ecall cannot fail in this model");
-        u64::from_le_bytes(out.try_into().expect("8 bytes"))
     }
 
     /// Current size of the in-enclave history.

@@ -1,9 +1,9 @@
 //! Enclave lifecycle: build → measure → initialize → ecall → destroy.
 //!
 //! An [`Enclave<T>`] hosts a typed application state `T` that is only
-//! reachable through [`Enclave::ecall`]-style entry points, mirroring how
-//! enclave memory is unreachable from untrusted code. Every entry records
-//! a boundary crossing with its modeled cost.
+//! reachable through [`Enclave::ecall_shared`], mirroring how enclave
+//! memory is unreachable from untrusted code. Every entry records a
+//! boundary crossing with its exact byte counts and modeled cost.
 
 use crate::attestation::Quote;
 use crate::boundary::{BoundaryStats, OcallPort};
@@ -140,74 +140,6 @@ impl<T> Enclave<T> {
         self.cost
     }
 
-    /// Enters the enclave with a typed result.
-    ///
-    /// **Byte accounting is approximate on this path**: the output copy
-    /// is charged as `size_of::<R>()` — the size of the out-struct the
-    /// SGX edge routine would copy — which under-counts any heap data
-    /// `R` owns. Callers that know the real serialized size of their
-    /// output must use [`Enclave::ecall_counted`]; callers moving raw
-    /// bytes must use [`Enclave::ecall_bytes`] / [`Enclave::ecall_shared`]
-    /// (both exact). This typed path remains for control-plane entries
-    /// where the out-struct *is* the whole payload.
-    ///
-    /// # Errors
-    ///
-    /// This model's ecalls always succeed; the `Result` mirrors the SGX
-    /// SDK's fallible `sgx_ecall` signature so call sites stay realistic.
-    pub fn ecall<R>(
-        &mut self,
-        _name: &str,
-        input: &[u8],
-        f: impl FnOnce(&mut T, &[u8]) -> R,
-    ) -> Result<R, SgxError> {
-        let out = f(&mut self.state, input);
-        self.boundary
-            .record_ecall(input.len(), std::mem::size_of::<R>(), &self.cost);
-        Ok(out)
-    }
-
-    /// Like [`Enclave::ecall`], but the entry point reports the real
-    /// serialized size of its output alongside the typed value, so the
-    /// boundary counters charge what would actually cross the boundary
-    /// instead of the `size_of::<R>()` approximation.
-    ///
-    /// # Errors
-    ///
-    /// Always `Ok` in this model; see [`Enclave::ecall`].
-    pub fn ecall_counted<R>(
-        &mut self,
-        _name: &str,
-        input: &[u8],
-        f: impl FnOnce(&mut T, &[u8]) -> (R, usize),
-    ) -> Result<R, SgxError> {
-        let (out, out_bytes) = f(&mut self.state, input);
-        self.boundary
-            .record_ecall(input.len(), out_bytes, &self.cost);
-        Ok(out)
-    }
-
-    /// Enters the enclave on the byte-oriented data path: input bytes are
-    /// copied in, the entry point may make ocalls through the provided
-    /// [`OcallPort`], and the returned bytes are copied out. This is the
-    /// shape of the paper's `request(sock, buff, len)` ecall.
-    ///
-    /// # Errors
-    ///
-    /// Always `Ok` in this model; see [`Enclave::ecall`].
-    pub fn ecall_bytes(
-        &mut self,
-        _name: &str,
-        input: &[u8],
-        f: impl FnOnce(&mut T, &[u8], &OcallPort) -> Vec<u8>,
-    ) -> Result<Vec<u8>, SgxError> {
-        let port = OcallPort::new(self.boundary.clone(), self.cost);
-        let out = f(&mut self.state, input, &port);
-        self.boundary
-            .record_ecall(input.len(), out.len(), &self.cost);
-        Ok(out)
-    }
-
     /// Concurrent enclave entry (real SGX provides multiple TCS slots so
     /// several threads can be inside an enclave at once). The application
     /// state is accessed through a shared reference and must manage its
@@ -216,7 +148,8 @@ impl<T> Enclave<T> {
     ///
     /// # Errors
     ///
-    /// Always `Ok` in this model; see [`Enclave::ecall`].
+    /// This model's ecalls always succeed; the `Result` mirrors the SGX
+    /// SDK's fallible `sgx_ecall` signature so call sites stay realistic.
     pub fn ecall_shared(
         &self,
         _name: &str,
@@ -259,44 +192,48 @@ impl<T> Enclave<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     #[test]
     fn ecall_mutates_protected_state() {
-        let mut e = EnclaveBuilder::new("t")
+        let e = EnclaveBuilder::new("t")
             .with_code(b"code")
-            .build(Vec::<u32>::new());
-        e.ecall("push", &[1], |state, input| state.push(u32::from(input[0])))
+            .build(Mutex::new(Vec::<u32>::new()));
+        let push = |state: &Mutex<Vec<u32>>, input: &[u8], _: &OcallPort| {
+            state.lock().unwrap().push(u32::from(input[0]));
+            Vec::new()
+        };
+        e.ecall_shared("push", &[1], push).unwrap();
+        e.ecall_shared("push", &[2], push).unwrap();
+        let len = e
+            .ecall_shared("len", &[], |state, _, _| {
+                vec![state.lock().unwrap().len() as u8]
+            })
             .unwrap();
-        e.ecall("push", &[2], |state, input| state.push(u32::from(input[0])))
-            .unwrap();
-        let len = e.ecall("len", &[], |state, _| state.len()).unwrap();
-        assert_eq!(len, 2);
+        assert_eq!(len, [2]);
         assert_eq!(e.boundary().ecalls(), 3);
     }
 
     #[test]
     fn ecall_counted_charges_reported_output_size() {
-        let mut e = EnclaveBuilder::new("t")
+        let e = EnclaveBuilder::new("t")
             .with_code(b"code")
             .build(vec!["alpha".to_owned(), "beta".to_owned()]);
-        // The typed result is a Vec header; the real payload is the
-        // serialized strings — the caller knows and reports that size.
+        // Heap-owning state crosses as the bytes it serializes to, never
+        // as the size of its in-enclave representation.
         let out = e
-            .ecall_counted("snapshot", b"rq", |state, _| {
-                let bytes: usize = state.iter().map(String::len).sum();
-                (state.clone(), bytes)
-            })
+            .ecall_shared("snapshot", b"rq", |state, _, _| state.concat().into_bytes())
             .unwrap();
-        assert_eq!(out.len(), 2);
+        assert_eq!(out, b"alphabeta");
         assert_eq!(e.boundary().bytes_in(), 2);
         assert_eq!(e.boundary().bytes_out(), 9, "alpha + beta payload bytes");
     }
 
     #[test]
     fn ecall_bytes_counts_exact_sizes() {
-        let mut e = EnclaveBuilder::new("t").with_code(b"code").build(());
+        let e = EnclaveBuilder::new("t").with_code(b"code").build(());
         let out = e
-            .ecall_bytes("echo", b"12345", |_, input, _| input.to_vec())
+            .ecall_shared("echo", b"12345", |_, input, _| input.to_vec())
             .unwrap();
         assert_eq!(out, b"12345");
         assert_eq!(e.boundary().bytes_in(), 5);
@@ -305,8 +242,8 @@ mod tests {
 
     #[test]
     fn ocalls_from_inside_ecall_are_counted() {
-        let mut e = EnclaveBuilder::new("t").with_code(b"code").build(());
-        e.ecall_bytes("request", b"q", |_, _, port| {
+        let e = EnclaveBuilder::new("t").with_code(b"code").build(());
+        e.ecall_shared("request", b"q", |_, _, port| {
             let dns = port.ocall(b"connect engine", |_| b"sock:1".to_vec());
             assert_eq!(dns, b"sock:1");
             port.ocall(b"send query", |_| Vec::new());
@@ -345,9 +282,9 @@ mod tests {
 
     #[test]
     fn modeled_overhead_grows_with_traffic() {
-        let mut e = EnclaveBuilder::new("t").with_code(b"c").build(());
+        let e = EnclaveBuilder::new("t").with_code(b"c").build(());
         let before = e.boundary().modeled_overhead();
-        e.ecall_bytes("x", &[0u8; 1024], |_, _, _| vec![0u8; 2048])
+        e.ecall_shared("x", &[0u8; 1024], |_, _, _| vec![0u8; 2048])
             .unwrap();
         assert!(e.boundary().modeled_overhead() > before);
     }

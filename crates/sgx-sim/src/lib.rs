@@ -21,26 +21,21 @@
 //! # Example
 //!
 //! ```
+//! use std::sync::atomic::{AtomicU64, Ordering};
 //! use xsearch_sgx_sim::enclave::EnclaveBuilder;
 //!
-//! let mut enclave = EnclaveBuilder::new("demo")
+//! let enclave = EnclaveBuilder::new("demo")
 //!     .with_code(b"demo enclave logic v1")
-//!     .build(0u64); // app state: a counter
-//! let out = enclave.ecall("bump", &[5], |state, input| {
-//!     *state += u64::from(input[0]);
-//!     *state
+//!     .build(AtomicU64::new(0)); // app state: a counter
+//! let out = enclave.ecall_shared("bump", &[5], |state, input, _ocalls| {
+//!     let step = u64::from(input[0]);
+//!     (state.fetch_add(step, Ordering::Relaxed) + step).to_le_bytes().to_vec()
 //! }).unwrap();
-//! assert_eq!(out, 5);
+//! assert_eq!(out, 5u64.to_le_bytes());
 //! assert_eq!(enclave.boundary().ecalls(), 1);
-//!
-//! // Typed entries whose output carries heap data report the real
-//! // serialized size, so the boundary counters stay honest:
-//! let report = enclave.ecall_counted("report", &[], |state, _| {
-//!     let line = format!("count={state}");
-//!     let bytes = line.len();
-//!     (line, bytes)
-//! }).unwrap();
-//! assert_eq!(enclave.boundary().bytes_out(), report.len() as u64 + 8);
+//! // The boundary counters charge exactly the bytes that crossed.
+//! assert_eq!(enclave.boundary().bytes_in(), 1);
+//! assert_eq!(enclave.boundary().bytes_out(), 8);
 //! ```
 
 #![deny(missing_docs)]

@@ -3,9 +3,9 @@
 //!
 //! When a chaos scenario fails, "exit 1" tells you nothing. The flight
 //! recorder keeps the last *N* control-plane decisions — breaker
-//! transitions, hedges, failovers, injected faults, degrade-ladder steps
-//! — so the failure dump shows *what the cluster was doing* when the
-//! invariant broke.
+//! transitions, hedges, failovers, injected faults, crashes, restarts,
+//! deadline misses, sheds — so the failure dump shows *what the cluster
+//! was doing* when the invariant broke.
 //!
 //! Events are all-numeric by construction (replica ids, op counters,
 //! microsecond charges); the only strings involved are static templates
@@ -59,15 +59,6 @@ pub enum FlightEvent {
         replica: u64,
         /// Delay charged, in microseconds.
         delay_us: u64,
-    },
-    /// The degrade ladder changed level on a replica.
-    DegradeStep {
-        /// Replica whose level changed.
-        replica: u64,
-        /// Previous level.
-        from: u64,
-        /// New level.
-        to: u64,
     },
     /// A fault-plan crash killed a replica.
     Crash {
@@ -127,9 +118,6 @@ impl std::fmt::Display for FlightEvent {
             }
             FlightEvent::FaultInjected { replica, delay_us } => {
                 write!(f, "fault_injected replica={replica} delay_us={delay_us}")
-            }
-            FlightEvent::DegradeStep { replica, from, to } => {
-                write!(f, "degrade_step replica={replica} from={from} to={to}")
             }
             FlightEvent::Crash { replica, op } => write!(f, "crash replica={replica} op={op}"),
             FlightEvent::Restart { replica, op } => {

@@ -21,8 +21,8 @@
 //!   no method accepts one.
 //! * [`flight`] — a fixed-size [`FlightRecorder`] ring of structured
 //!   resilience events (breaker trips, hedges, failovers, injected
-//!   faults, degrade steps) so a failed chaos scenario can dump the last
-//!   *N* control-plane decisions instead of exiting bare.
+//!   faults, sheds) so a failed chaos scenario can dump the last *N*
+//!   control-plane decisions instead of exiting bare.
 //!
 //! # The disable switch
 //!

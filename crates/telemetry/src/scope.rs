@@ -16,7 +16,7 @@
 //!   history entries and user identifiers cannot flow into an exported
 //!   name, label or value — the type system rejects the leak at compile
 //!   time;
-//! * exported *values* are aggregates (totals, lengths, levels), never
+//! * exported *values* are aggregates (totals, lengths), never
 //!   per-request or per-user series, so the counters themselves don't
 //!   become a side channel for individual queries.
 //!
@@ -33,10 +33,8 @@ use crate::registry::{Counter, Gauge, Registry};
 pub struct EnclaveScope {
     requests: Counter,
     batch_entries: Counter,
-    degraded: Counter,
     errors: Counter,
     history_len: Gauge,
-    degrade_level: Gauge,
 }
 
 impl EnclaveScope {
@@ -55,11 +53,6 @@ impl EnclaveScope {
                 "Entries processed via proxy_batch ecalls",
                 &[],
             ),
-            degraded: registry.counter(
-                "xsearch_enclave_degraded_served_total",
-                "Requests served with a reduced obfuscation factor",
-                &[],
-            ),
             errors: registry.counter(
                 "xsearch_enclave_errors_total",
                 "Requests the enclave rejected or failed",
@@ -68,11 +61,6 @@ impl EnclaveScope {
             history_len: registry.gauge(
                 "xsearch_enclave_history_len",
                 "Entries currently in the query-history window",
-                &[],
-            ),
-            degrade_level: registry.gauge(
-                "xsearch_enclave_degrade_level",
-                "Current degrade-ladder level (0 = full obfuscation)",
                 &[],
             ),
         }
@@ -88,11 +76,6 @@ impl EnclaveScope {
         self.batch_entries.add(entries);
     }
 
-    /// Counts one request served at a reduced obfuscation factor.
-    pub fn degraded_served(&self) {
-        self.degraded.inc();
-    }
-
     /// Counts one rejected or failed request.
     pub fn error(&self) {
         self.errors.inc();
@@ -101,11 +84,6 @@ impl EnclaveScope {
     /// Publishes the current history-window length.
     pub fn set_history_len(&self, len: u64) {
         self.history_len.set(len as i64);
-    }
-
-    /// Publishes the current degrade-ladder level.
-    pub fn set_degrade_level(&self, level: u64) {
-        self.degrade_level.set(level as i64);
     }
 }
 
@@ -119,23 +97,19 @@ mod tests {
         let scope = EnclaveScope::register(&registry);
         scope.request_served();
         scope.batch_served(64);
-        scope.degraded_served();
         scope.error();
         scope.set_history_len(1000);
-        scope.set_degrade_level(2);
 
         let snap = registry.snapshot();
         let text = snap.render_prometheus();
         assert!(text.contains("xsearch_enclave_requests_total 1"));
         assert!(text.contains("xsearch_enclave_batch_entries_total 64"));
-        assert!(text.contains("xsearch_enclave_degraded_served_total 1"));
         assert!(text.contains("xsearch_enclave_errors_total 1"));
         assert!(text.contains("xsearch_enclave_history_len 1000"));
-        assert!(text.contains("xsearch_enclave_degrade_level 2"));
         // Every exported enclave name is a static from this module: the
-        // exposition contains no sample that didn't come from the six
+        // exposition contains no sample that didn't come from the four
         // handles above.
-        assert_eq!(snap.counters.len(), 4);
-        assert_eq!(snap.gauges.len(), 2);
+        assert_eq!(snap.counters.len(), 3);
+        assert_eq!(snap.gauges.len(), 1);
     }
 }
