@@ -3,9 +3,9 @@
 //! queries the engine, filters, and encrypts the response.
 
 use super::fakegen::PeasFakeGenerator;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Mutex, PoisonError};
 use xsearch_crypto::aead::ChaCha20Poly1305;
 use xsearch_crypto::hybrid;
 use xsearch_crypto::x25519::{PublicKey, StaticSecret};
@@ -96,8 +96,16 @@ impl PeasIssuer {
             .to_owned();
 
         // Obfuscate with co-occurrence fakes at a random position.
-        let mut subqueries = self.fakegen.lock().generate(self.k);
-        let position = self.rng.lock().gen_range(0..=subqueries.len());
+        let mut subqueries = self
+            .fakegen
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .generate(self.k);
+        let position = self
+            .rng
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .gen_range(0..=subqueries.len());
         subqueries.insert(position, query.clone());
 
         let results = fetch(&subqueries, 20);

@@ -1,8 +1,8 @@
 //! A Tor relay: holds an identity key and per-circuit hop state.
 
-use parking_lot::Mutex;
 use rand::RngCore;
 use std::collections::HashMap;
+use std::sync::{Mutex, PoisonError};
 use xsearch_crypto::aead::{counter_nonce, ChaCha20Poly1305, TAG_LEN};
 use xsearch_crypto::hkdf;
 use xsearch_crypto::x25519::{PublicKey, StaticSecret};
@@ -91,14 +91,17 @@ impl Relay {
             .diffie_hellman(client_eph)
             .expect("client ephemeral keys are well-formed in this simulation");
         let key = hop_key(&shared, client_eph, &self.public_key());
-        self.circuits.lock().insert(
-            circuit,
-            HopState {
-                aead: ChaCha20Poly1305::new(&key),
-                forward: 0,
-                backward: 0,
-            },
-        );
+        self.circuits
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(
+                circuit,
+                HopState {
+                    aead: ChaCha20Poly1305::new(&key),
+                    forward: 0,
+                    backward: 0,
+                },
+            );
     }
 
     /// Peels one forward layer (client → exit direction): one result
@@ -108,7 +111,7 @@ impl Relay {
     ///
     /// [`RelayError::UnknownCircuit`] / [`RelayError::BadOnion`].
     pub fn peel_forward(&self, circuit: u64, onion: &[u8]) -> Result<Vec<u8>, RelayError> {
-        let mut circuits = self.circuits.lock();
+        let mut circuits = self.circuits.lock().unwrap_or_else(PoisonError::into_inner);
         let state = circuits
             .get_mut(&circuit)
             .ok_or(RelayError::UnknownCircuit)?;
@@ -129,7 +132,7 @@ impl Relay {
     ///
     /// [`RelayError::UnknownCircuit`].
     pub fn wrap_backward(&self, circuit: u64, payload: &[u8]) -> Result<Vec<u8>, RelayError> {
-        let mut circuits = self.circuits.lock();
+        let mut circuits = self.circuits.lock().unwrap_or_else(PoisonError::into_inner);
         let state = circuits
             .get_mut(&circuit)
             .ok_or(RelayError::UnknownCircuit)?;
@@ -144,7 +147,10 @@ impl Relay {
     /// Number of circuits currently extended through this relay.
     #[must_use]
     pub fn circuit_count(&self) -> usize {
-        self.circuits.lock().len()
+        self.circuits
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 }
 

@@ -28,9 +28,8 @@
 //!
 //! Run: `cargo run -p xsearch-bench --release --bin cluster_scaling`
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 use xsearch_bench::summary::{capacity, env_or, fixed, json_points, Json, Obj, Summary};
 use xsearch_bench::{echo_engine, Dataset, EXPERIMENT_SEED};
@@ -125,7 +124,11 @@ fn fleet_reports(
     let served = AtomicU64::new(0);
     let reports = sweep_rates(RATES, point, THREADS, &|| {
         let idx = counter.fetch_add(1, Ordering::Relaxed) % clients.len();
-        let ok = clients[idx].lock().search_echo(&cluster, QUERY).is_ok();
+        let ok = clients[idx]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .search_echo(&cluster, QUERY)
+            .is_ok();
         served.fetch_add(1, Ordering::Relaxed);
         ok
     });
@@ -144,7 +147,10 @@ fn churn_drill(warm: &[String]) -> (u64, u64, usize) {
     // nothing may be evicted either.
     let cluster = Arc::new(launch_fleet(4, 1, 1 << 20, 2_000, warm));
     let clients = attach_clients(&cluster);
-    let victim = clients[0].lock().replica();
+    let victim = clients[0]
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .replica();
     let total: u64 = 2_000;
     let rate = 4_000.0;
     let ticket = AtomicU64::new(0);
@@ -163,7 +169,11 @@ fn churn_drill(warm: &[String]) -> (u64, u64, usize) {
                 cluster.restart(victim).expect("restart");
             }
             let idx = n as usize % clients.len();
-            clients[idx].lock().search_echo(&cluster, QUERY).is_ok()
+            clients[idx]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .search_echo(&cluster, QUERY)
+                .is_ok()
         },
     );
     // What survived: the failover's sweep runs inside client retries, so

@@ -23,11 +23,10 @@
 //!
 //! Run: `cargo run -p xsearch-bench --release --bin fig5_throughput_latency`
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 use xsearch_baselines::peas::{
     CooccurrenceMatrix, PeasClient, PeasFakeGenerator, PeasIssuer, PeasReceiver,
@@ -137,6 +136,7 @@ fn peas_reports(warm: &[String], point: Duration) -> Vec<RunReport> {
         let idx = round_robin(&clients, &counter);
         clients[idx]
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .search(&receiver, &issuer, QUERY, |_, _| Vec::new())
             .is_ok()
     })
@@ -152,7 +152,7 @@ fn tor_reports(point: Duration) -> Vec<RunReport> {
     let rates = [25.0, 50.0, 100.0, 200.0, 400.0, 800.0, 1_600.0];
     sweep_rates(&rates, point, THREADS, &|| {
         let idx = round_robin(&circuits, &counter);
-        let mut circuit = circuits[idx].lock();
+        let mut circuit = circuits[idx].lock().unwrap_or_else(PoisonError::into_inner);
         network
             .round_trip(&mut circuit, QUERY.as_bytes(), |req| req.to_vec())
             .is_ok()

@@ -9,8 +9,8 @@
 //! share.
 
 use crate::{echo_engine, EXPERIMENT_SEED};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use xsearch_cluster::{Cluster, ClusterError, FramedClient, FrontTier};
 use xsearch_core::broker::Broker;
 use xsearch_core::config::XSearchConfig;
@@ -69,6 +69,7 @@ impl BrokerPool {
         let idx = self.counter.fetch_add(1, Ordering::Relaxed) % self.brokers.len();
         self.brokers[idx]
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .search_echo(&self.proxy, query)
             .is_ok()
     }
@@ -109,7 +110,9 @@ impl FrontSessions {
     /// synchronous harnesses count sheds.
     pub fn echo(&self, cluster: &Cluster, query: &str) -> bool {
         let idx = self.counter.fetch_add(1, Ordering::Relaxed) % self.clients.len();
-        let mut client = self.clients[idx].lock();
+        let mut client = self.clients[idx]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         match client.search_with(query, true, std::thread::yield_now) {
             Ok(_) => true,
             Err(ClusterError::Overloaded(_)) => {

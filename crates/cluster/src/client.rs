@@ -5,11 +5,11 @@
 //! Searches ride the cluster's coalescing data plane through its one
 //! blocking door, [`Cluster::forward`]: the client's seal closure runs
 //! only once the request is admitted, the ciphertext goes onto its
-//! replica's lane, and the client blocks on its own reusable
-//! [`RequestSlot`] until the (possibly batched) response comes back. The
-//! tunnel is established once at attach and reused for every request —
-//! no per-request channel setup; re-attestation happens only on
-//! failover.
+//! replica's lane, and the client's thread drives that lane until its
+//! own reusable [`RequestSlot`] holds the (possibly batched) response.
+//! The tunnel is established once at attach and reused for every
+//! request — no per-request channel setup; re-attestation happens only
+//! on failover.
 //!
 //! # One loop, one table
 //!
@@ -17,7 +17,7 @@
 //! the ladder as a pure table over plain integers (deadline budget,
 //! outcome class → reaction, hedge trigger and winner, breaker
 //! judgement). [`ClusterClient::search_outcome`] interprets it in one
-//! loop: take the attempt's budget, forward, classify how the attempt
+//! loop: check the deadline budget, forward, classify how the attempt
 //! ended, ask the table, then strike / sweep / pause as the
 //! [`Reaction`](crate::resilience::Reaction) says and finish, retry on
 //! the same session, re-attach or give up. What the loop did is counted
@@ -125,7 +125,6 @@ fn class_of(err: &ClusterError) -> Outcome {
     match err {
         ClusterError::LinkLoss(_) => Outcome::LinkLoss,
         ClusterError::Overloaded(_) => Outcome::Shed,
-        ClusterError::DeadlineExceeded => Outcome::LaneExpired,
         ClusterError::Proxy(_) => Outcome::EntryFailed,
         ClusterError::ReplicaDown(_) | ClusterError::NotRoutable(_) => Outcome::ReplicaGone,
         _ => Outcome::Other,
@@ -243,10 +242,10 @@ impl ClusterClient {
             self.seed ^ self.searches.wrapping_mul(0x2545_F491_4F6C_DD1D),
         );
         loop {
-            let Some(budget) = at.budget(rcfg.deadline) else {
+            if !at.budget(rcfg.deadline) {
                 self.deadline_miss(cluster);
                 return Err(ClusterError::DeadlineExceeded);
-            };
+            }
             // Breaker pre-check: if our replica is browning out, prefer
             // somewhere healthier — but if routing has nowhere better
             // (fleet-wide brown-out) we carry on with what we have
@@ -263,9 +262,7 @@ impl ClusterClient {
             // `seal` runs only once the request is admitted: one shed or
             // dropped on the link never moved the tunnel's nonce counter,
             // which is what makes a same-session retry safe.
-            let forwarded = cluster.forward(target, echo, &self.slot, Some(budget), || {
-                seal(broker, query)
-            });
+            let forwarded = cluster.forward(target, echo, &self.slot, || seal(broker, query));
             let (outcome, charge, answer) = match forwarded {
                 Ok((response, charge)) => match self.broker.open_results(&response) {
                     Ok(results) => (Outcome::Opened, charge, Ok(results)),
@@ -301,18 +298,7 @@ impl ClusterClient {
                     at.failovers += 1;
                     self.reattach_or_sweep(cluster, false)?;
                 }
-                (Step::GiveUp { reattach }, Err(e)) => {
-                    if reattach {
-                        // Expired in the lane: a deadline miss, and the
-                        // sealed-but-unexecuted request desynchronized
-                        // the tunnel. Best effort — if this leaves no
-                        // usable session, the next search finds out and
-                        // recovers.
-                        self.deadline_miss(cluster);
-                        let _ = self.reattach(cluster);
-                    }
-                    return Err(e);
-                }
+                (Step::GiveUp, Err(e)) => return Err(e),
             }
         }
     }
@@ -414,7 +400,7 @@ impl ClusterClient {
         self.handshakes += 1;
         cluster.metrics.client_reattaches.inc();
         let mut hedge_broker = cluster.attach(successor, seed).ok()?;
-        let forwarded = cluster.forward(successor, echo, &RequestSlot::new(), None, || {
+        let forwarded = cluster.forward(successor, echo, &RequestSlot::new(), || {
             seal(&mut hedge_broker, query)
         });
         let answer = forwarded.ok().and_then(|(response, charge)| {

@@ -21,15 +21,17 @@
 //!   snapshots ([`crate::snapshot::Published`]) — one atomic load each;
 //!   writers (enroll, deregister, sweeps) copy-on-write and flip;
 //! * admission is an atomic compare-exchange on the target node;
-//! * concurrent requests to the same replica coalesce on its **lane**
-//!   (flat combining): one submitter becomes leader and carries the
-//!   whole queue across the enclave boundary in a single `proxy_batch`
-//!   ecall, the rest park on their per-client slots.
+//! * requests to the same replica queue on its **lane**
+//!   ([`crate::router`]), and whoever holds the lane's turn carries up
+//!   to `MAX_BATCH` of them across the enclave boundary in one
+//!   `proxy_batch` ecall; every submitter drives the lane until its own
+//!   entry is delivered. This module only supplies the batch executor.
 //!
-//! The only mutexes a forwarded request can touch are per-lane queue
-//! pushes and per-slot state flips — microseconds-scale critical
-//! sections that never cover an ecall — plus the per-node proxy
-//! `RwLock` *read* side (writers are kill/restart only).
+//! The locks a forwarded request can touch are all per replica: the
+//! lane's queue and its result slots (push, drain, deliver, take —
+//! microseconds, never across an ecall), the lane's turn (held across
+//! this replica's batch, by whoever runs it) and the proxy `RwLock`'s
+//! *read* side (writers are kill/restart only).
 //! [`Cluster::hold_control_plane_writers`] exists so tests can prove
 //! it: requests must flow while every membership writer is blocked.
 //!
@@ -57,7 +59,7 @@ use crate::registry::{RegistryWriterHold, ReplicaId, ReplicaRegistry};
 use crate::resilience::{
     CircuitBreaker, ResilienceConfig, BREAKER_COOLDOWN_OPS, BREAKER_THRESHOLD,
 };
-use crate::router::{DeliveryFence, LaneStats, LeaderGuard, Pending, RequestSlot};
+use crate::router::{DeliveryFence, LaneStats, Pending, RequestSlot};
 use crate::snapshot::{Published, WriterHold};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -72,19 +74,8 @@ use xsearch_sgx_sim::attestation::AttestationService;
 use xsearch_sgx_sim::measurement::Measurement;
 use xsearch_telemetry::{Counter, FlightEvent, FlightRecorder, Registry};
 
-/// Most entries one coalesced `proxy_batch` ecall will carry. Bounds
-/// tail latency for the first request in a long queue; the leader loops
-/// until the lane drains, so nothing is left behind.
-const MAX_BATCH: usize = 64;
-
 /// Virtual nodes per replica on the consistent-hash ring.
 const VNODES: usize = 64;
-
-/// Timed-wait backstop for a blocking [`Cluster::forward`] parked on its
-/// slot while another thread leads the lane. Delivery normally wakes it
-/// via the slot condvar; the timeout only closes a lost wakeup — never
-/// fires on the happy path, bounds the stutter when it does.
-const LANE_WAIT: Duration = Duration::from_millis(1);
 
 /// Flight-recorder depth: enough to hold every control-plane decision of
 /// a failing chaos scenario's last phase without growing unbounded.
@@ -159,8 +150,8 @@ impl Drop for AdmitGuard<'_> {
 }
 
 /// Runs [`Cluster::finish`] on drop, so a blocking forward that unwinds
-/// while leading its lane mid-batch (the `DeliveryFence` fails its slot)
-/// still releases the admission it holds.
+/// while it holds its lane's turn mid-batch (the `DeliveryFence` fails
+/// its slot) still releases the admission it holds.
 struct FinishGuard<'a> {
     cluster: &'a Cluster,
     id: ReplicaId,
@@ -704,9 +695,8 @@ impl Cluster {
     /// [`Cluster::finish`] — uncollected work counts against the
     /// backpressure bound — and the result is the forward's **modeled
     /// charge**: accounted hop RTT plus injected fault delay,
-    /// deterministic under a fixed fault seed (nothing sleeps). `budget`
-    /// becomes the entry's lane-side expiry backstop. `slot` must have no
-    /// other request outstanding.
+    /// deterministic under a fixed fault seed (nothing sleeps). `slot`
+    /// must have no other request outstanding.
     ///
     /// # Errors
     ///
@@ -718,7 +708,6 @@ impl Cluster {
         id: ReplicaId,
         echo: bool,
         slot: &Arc<RequestSlot>,
-        budget: Option<Duration>,
         seal: impl FnOnce() -> ([u8; 32], Vec<u8>),
     ) -> Result<Duration, ClusterError> {
         let node = self.node(id)?;
@@ -758,12 +747,11 @@ impl Cluster {
         let admitted = AdmitGuard { node };
         let (client_pub, ciphertext) = seal();
         charge += node.account_hop();
-        slot.begin();
+        slot.clear();
         node.lane.push(Pending {
             client_pub,
             ciphertext,
             echo,
-            expires_at: budget.map(|d| std::time::Instant::now() + d),
             slot: Arc::clone(slot),
         });
         // Enqueued: the slot now belongs to `finish`.
@@ -771,25 +759,13 @@ impl Cluster {
         Ok(charge)
     }
 
-    /// Drains `id`'s lane if nobody is already leading it: the caller
-    /// becomes the flat-combining leader and carries every queued entry
-    /// (its own and other submitters') across the boundary in batched
-    /// ecalls. Returns without blocking when another thread leads. Each
-    /// emptiness re-check happens after leadership is released, so a
-    /// late submitter either wins `try_lead` itself or is served by the
-    /// next turn — nobody is stranded.
+    /// Drives `id`'s lane if its turn is free: runs batches — every
+    /// queued entry, its own and other submitters' — until the queue is
+    /// empty. Returns at once when another thread holds the turn; the
+    /// caller drives again while its own entry is undelivered.
     pub(crate) fn drive_lane(&self, id: ReplicaId) {
-        let Ok(node) = self.node(id) else {
-            return;
-        };
-        let lane = &node.lane;
-        while !lane.is_empty() {
-            if !lane.try_lead() {
-                break;
-            }
-            let leading = LeaderGuard::new(lane);
-            self.lead(id, node);
-            drop(leading);
+        if let Ok(node) = self.node(id) {
+            node.lane.drive(|batch| self.execute_batch(id, node, batch));
         }
     }
 
@@ -808,10 +784,10 @@ impl Cluster {
     }
 
     /// Forwards one request to `id` and blocks until its result is
-    /// delivered: `Cluster::submit`, then drive the lane (or park on
-    /// `slot` while another thread leads it) until the delivery lands,
-    /// then `Cluster::finish`. Concurrent callers targeting the same
-    /// replica ride a single `proxy_batch` ecall. Returns the sealed
+    /// delivered: `Cluster::submit`, then take the lane's turn and run
+    /// batches until the delivery lands (or find that the previous
+    /// turn-holder carried it), then `Cluster::finish`. Callers that meet
+    /// in the queue ride one `proxy_batch` ecall. Returns the sealed
     /// reply and the forward's modeled charge.
     ///
     /// `seal` runs only after admission, so a caller that seals inside
@@ -824,59 +800,38 @@ impl Cluster {
     /// As [`Cluster::with_replica`], plus [`ClusterError::LinkLoss`] for
     /// injected loss or a partition; additionally [`ClusterError::Proxy`]
     /// carries this entry's failure out of a coalesced batch (other
-    /// entries are unaffected) and [`ClusterError::DeadlineExceeded`]
-    /// means the lane leader found the entry already past `budget` and
-    /// refused to execute it.
+    /// entries are unaffected).
     pub fn forward(
         &self,
         id: ReplicaId,
         echo: bool,
         slot: &Arc<RequestSlot>,
-        budget: Option<Duration>,
         seal: impl FnOnce() -> ([u8; 32], Vec<u8>),
     ) -> Result<(Vec<u8>, Duration), ClusterError> {
-        let charge = self.submit(id, echo, slot, budget, seal)?;
+        let charge = self.submit(id, echo, slot, seal)?;
         let mut finish = FinishGuard {
             cluster: self,
             id,
             charge,
             served: false,
         };
-        let result = loop {
-            if let Some(result) = slot.take_if_done() {
-                break result;
-            }
-            self.drive_lane(id);
-            if let Some(result) = slot.wait_timeout(LANE_WAIT) {
-                break result;
-            }
-        };
+        let node = self.node(id)?;
+        let result = node
+            .lane
+            .drive_until_delivered(slot, |batch| self.execute_batch(id, node, batch));
         finish.served = result.is_ok();
         drop(finish);
         result.map(|bytes| (bytes, charge))
     }
 
-    /// Drains `id`'s lane batch by batch until empty. Caller holds lane
-    /// leadership.
-    fn lead(&self, id: ReplicaId, node: &ReplicaNode) {
-        loop {
-            let batch = node.lane.drain(MAX_BATCH);
-            if batch.is_empty() {
-                break;
-            }
-            self.execute_batch(id, node, batch);
-        }
-    }
-
-    /// Executes one coalesced batch: a single `proxy_batch` ecall per
-    /// request mode, per-entry delivery, and the sealing cadence. Holds
-    /// the proxy read guard for the whole thing, so a concurrent
-    /// [`Cluster::kill`] serializes before or after the batch — it can
-    /// never land between a request entering the window and the
-    /// cadence's seal, which is what keeps `seal_every == 1` lossless
-    /// under churn.
-    fn execute_batch(&self, id: ReplicaId, node: &ReplicaNode, batch: Vec<Pending>) {
-        node.lane.record_batch(batch.len());
+    /// Executes one coalesced batch — the lane's executor, run by the
+    /// turn-holder: a single `proxy_batch` ecall per request mode,
+    /// per-entry delivery, and the sealing cadence. Holds the proxy read
+    /// guard for the whole thing, so a concurrent [`Cluster::kill`]
+    /// serializes before or after the batch — it can never land between
+    /// a request entering the window and the cadence's seal, which is
+    /// what keeps `seal_every == 1` lossless under churn.
+    pub(crate) fn execute_batch(&self, id: ReplicaId, node: &ReplicaNode, batch: Vec<Pending>) {
         let fence = DeliveryFence::new(id, batch);
         let guard = node.proxy();
         let Some(proxy) = guard.as_ref() else {
@@ -887,27 +842,11 @@ impl Cluster {
         let entries = fence.entries();
         let mut results: Vec<Option<Result<Vec<u8>, ClusterError>>> = Vec::new();
         results.resize_with(entries.len(), || None);
-        // Entries already past their deadline budget are refused without
-        // crossing the enclave boundary: the submitter gets
-        // `DeadlineExceeded` and the enclave's capacity goes to requests
-        // whose answers someone still wants.
-        let mut live = 0usize;
-        for (i, pending) in entries.iter().enumerate() {
-            if pending.expired() {
-                results[i] = Some(Err(ClusterError::DeadlineExceeded));
-                self.metrics.deadline_refusals.inc();
-                self.flight.record(FlightEvent::DeadlineMiss {
-                    replica: id.0 as u64,
-                });
-            } else {
-                live += 1;
-            }
-        }
         for echo in [false, true] {
             let idxs: Vec<usize> = entries
                 .iter()
                 .enumerate()
-                .filter(|&(i, p)| p.echo == echo && results[i].is_none())
+                .filter(|&(_, p)| p.echo == echo)
                 .map(|(i, _)| i)
                 .collect();
             if idxs.is_empty() {
@@ -936,7 +875,7 @@ impl Cluster {
         // guard, so results a client has observed are always covered by
         // a seal that already happened (when the cadence says they must).
         let mut seal = false;
-        for _ in 0..live {
+        for _ in 0..entries.len() {
             if node.seal_due(self.config.seal_every) {
                 seal = true;
             }

@@ -133,7 +133,8 @@ pub(super) struct ShardCore {
     pub book: StrikeBook,
     /// Connection indices with a delivery outstanding.
     pub awaiting: Vec<usize>,
-    /// Replicas submitted to since the last lane drive.
+    /// Replicas to drive at the next drive point: each holds an
+    /// undelivered entry of this shard's.
     pub dirty: Vec<ReplicaId>,
 }
 
@@ -314,10 +315,16 @@ impl Conn {
                     let (replica, charge) =
                         self.inflight.expect("AwaitingEnclave implies inflight");
                     let slot = self.slot.as_ref().expect("AwaitingEnclave implies a slot");
-                    let Some(result) = slot.take_if_done() else {
+                    let Some(result) = slot.take() else {
                         if !self.in_awaiting {
                             self.in_awaiting = true;
                             core.awaiting.push(idx);
+                        }
+                        // Undelivered: drive its replica (again), so an
+                        // entry a foreign turn-holder left queued is run
+                        // by this shard's next step.
+                        if !core.dirty.contains(&replica) {
+                            core.dirty.push(replica);
                         }
                         return Disposition::Keep;
                     };
@@ -418,7 +425,7 @@ impl Conn {
                             // here; `seal` only hands the frame over.
                             let submitted = cluster.route_at(self.ring_coord).and_then(|id| {
                                 cluster
-                                    .submit(id, echo, slot, None, || (client_pub, ciphertext))
+                                    .submit(id, echo, slot, || (client_pub, ciphertext))
                                     .map(|charge| (id, charge))
                             });
                             match submitted {
@@ -431,9 +438,6 @@ impl Conn {
                                     // the request is in flight.
                                     self.reg.set_interest(Interest::NONE);
                                     self.set_state(&core.stats, ConnState::AwaitingEnclave);
-                                    if !core.dirty.contains(&id) {
-                                        core.dirty.push(id);
-                                    }
                                 }
                                 Err(err) => self.queue_refusal(&core.stats, &err),
                             }

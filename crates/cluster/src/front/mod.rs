@@ -1,5 +1,5 @@
 //! The event-driven front tier: framed, non-blocking client sessions
-//! multiplexed onto the fleet's flat-combining lanes by a small pool of
+//! multiplexed onto the fleet's per-replica lanes by a small pool of
 //! reactor shards.
 //!
 //! The thread-per-request harnesses drive one synchronous
@@ -11,8 +11,10 @@
 //! [`xsearch_net_sim::Reactor`], so one shard thread carries tens of
 //! thousands of mostly-idle sessions. Requests crossing the enclave
 //! boundary ride the same [`crate::router`] lanes as the synchronous
-//! path: a shard that just submitted a burst becomes the flat-combining
-//! leader and carries *every* queued entry over in batched ecalls.
+//! path: a shard submits every request one step made ready, then drives
+//! each lane it touched — if the lane's turn is free it carries *every*
+//! queued entry over in batched ecalls, and a connection still awaiting
+//! after that gets its lane driven again on the next step.
 //!
 //! # Layout
 //!
@@ -94,10 +96,9 @@ pub use client::FramedClient;
 pub use survival::{ConnClass, ConnState, SurvivalConfig};
 
 use crate::fleet::Cluster;
-use parking_lot::Mutex;
 use shard::Shard;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use xsearch_net_sim::{stream_pair, ByteStream};
@@ -325,6 +326,10 @@ impl ShardHandle {
         // pending.
         let _ = self.notify_tx.write(&[1]);
     }
+
+    fn shard(&self) -> MutexGuard<'_, Shard> {
+        self.shard.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 struct FrontInner {
@@ -382,7 +387,11 @@ impl FrontTier {
         let i = inner.next_shard.fetch_add(1, Ordering::Relaxed) % inner.shards.len();
         let (client, server) = stream_pair(inner.config.stream_capacity);
         let handle = &inner.shards[i];
-        handle.accepts.lock().push(server);
+        handle
+            .accepts
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(server);
         handle.wake();
         client
     }
@@ -390,15 +399,14 @@ impl FrontTier {
     /// Manually steps every shard once (single-threaded driving mode).
     /// Returns the number of progress events across shards.
     pub fn step(&self) -> usize {
-        let inner = &self.inner;
-        inner.shards.iter().map(|h| h.shard.lock().step(None)).sum()
+        self.inner.shards.iter().map(|h| h.shard().step(None)).sum()
     }
 
     /// Starts one reactor thread per shard. Threads park on their
     /// readiness queues between bursts; [`FrontTier::shutdown`] (or
     /// drop) stops them.
     pub fn spawn(&self) {
-        let mut threads = self.threads.lock();
+        let mut threads = self.threads.lock().unwrap_or_else(PoisonError::into_inner);
         if !threads.is_empty() {
             return;
         }
@@ -407,7 +415,7 @@ impl FrontTier {
             let inner = Arc::clone(&self.inner);
             threads.push(std::thread::spawn(move || {
                 while inner.running.load(Ordering::Acquire) {
-                    inner.shards[i].shard.lock().step(Some(PARK_IDLE));
+                    inner.shards[i].shard().step(Some(PARK_IDLE));
                 }
             }));
         }
@@ -419,7 +427,12 @@ impl FrontTier {
         for handle in &self.inner.shards {
             handle.wake();
         }
-        for thread in self.threads.lock().drain(..) {
+        for thread in self
+            .threads
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .drain(..)
+        {
             let _ = thread.join();
         }
     }
@@ -476,7 +489,7 @@ impl FrontTier {
         let mut sessions = 0;
         let mut bytes = 0;
         for handle in &self.inner.shards {
-            let (s, b) = handle.shard.lock().idle_footprint();
+            let (s, b) = handle.shard().idle_footprint();
             sessions += s;
             bytes += b;
         }

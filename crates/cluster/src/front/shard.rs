@@ -7,15 +7,17 @@ use super::conn::{Conn, Disposition, ShardCore};
 use super::survival::{ConnState, StrikeBook, SurvivalConfig, TimeoutKind, Verdict};
 use super::FrontStats;
 use crate::fleet::Cluster;
-use parking_lot::Mutex;
 use std::mem;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 use xsearch_net_sim::{ByteStream, Event, Interest, Reactor, Registration, Token};
 
-/// Park horizon while deliveries are outstanding: a foreign lane leader
-/// may complete our slots without waking this shard, so poll soon.
+/// Park horizon while deliveries are outstanding, and the bound on how
+/// long one can wait: a foreign turn-holder may complete our slots
+/// without waking this shard, or leave our entries queued for the
+/// re-drive every step gives a still-awaiting connection's replica —
+/// either way the next step must come soon.
 const PARK_AWAITING: Duration = Duration::from_micros(200);
 
 /// Token 0 is each shard's notify stream; connections start at 1.
@@ -78,7 +80,7 @@ impl Shard {
     }
 
     fn adopt_accepts(&mut self) -> usize {
-        let newly = mem::take(&mut *self.accepts.lock());
+        let newly = mem::take(&mut *self.accepts.lock().unwrap_or_else(PoisonError::into_inner));
         let adopted = newly.len();
         for stream in newly {
             let idx = self.free.pop().unwrap_or_else(|| {

@@ -20,10 +20,12 @@
 //!   in-flight requests ([`client::ClusterClient`]);
 //! * **the data plane is lock-free** — routing reads published
 //!   membership/ring snapshots ([`snapshot::Published`]) instead of
-//!   locking them, and concurrent requests to one replica coalesce on
-//!   its lane ([`router`]) into a single `proxy_batch` ecall, so the
-//!   front tier scales with replicas instead of serializing on a
-//!   control-plane mutex.
+//!   locking them; requests to one replica queue on its lane
+//!   ([`router`]), whose per-replica turn carries what is queued into
+//!   one `proxy_batch` ecall, and every submitter drives its own
+//!   replica's lane until its entry is delivered — so the front tier
+//!   scales with replicas instead of serializing on a control-plane
+//!   mutex.
 //!
 //! # Example
 //!
@@ -539,7 +541,7 @@ mod tests {
         let id = ReplicaId(0);
         let slot = RequestSlot::new();
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = cluster.forward(id, true, &slot, None, || panic!("seal bug"));
+            let _ = cluster.forward(id, true, &slot, || panic!("seal bug"));
         }));
         assert!(unwound.is_err());
         assert_eq!(queue(&cluster, id, "inflight"), 0.0);
@@ -558,10 +560,10 @@ mod tests {
         const ID: ReplicaId = ReplicaId(0);
         let drivers: [(&str, Driver); 2] = [
             ("forward", |c, slot, seal| {
-                c.forward(ID, true, slot, None, seal).map(|_| ())
+                c.forward(ID, true, slot, seal).map(|_| ())
             }),
             ("submit", |c, slot, seal| {
-                c.submit(ID, true, slot, None, seal).map(|_| ())
+                c.submit(ID, true, slot, seal).map(|_| ())
             }),
         ];
         let faulted = |spec: FaultSpec| {
@@ -649,19 +651,46 @@ mod tests {
         let id = ReplicaId(0);
         let slot = RequestSlot::new();
         let bogus = || ([0x42u8; 32], vec![1, 2, 3]);
-        let blocking = cluster.forward(id, false, &slot, None, bogus);
+        let blocking = cluster.forward(id, false, &slot, bogus);
         assert!(matches!(blocking, Err(ClusterError::Proxy(_))));
         // The non-blocking protocol, step by step: the slot stays
         // claimed from submit until finish.
-        let charge = cluster.submit(id, false, &slot, None, bogus).unwrap();
+        let charge = cluster.submit(id, false, &slot, bogus).unwrap();
         assert_eq!(queue(&cluster, id, "inflight"), 1.0);
         cluster.drive_lane(id);
-        let delivery = slot.take_if_done().expect("the lane was driven");
+        let delivery = slot.take().expect("the lane was driven");
         assert!(matches!(delivery, Err(ClusterError::Proxy(_))));
         cluster.finish(id, delivery.is_ok(), charge);
         assert_eq!(queue(&cluster, id, "inflight"), 0.0);
         assert_eq!(cluster.metrics.forwards.value(), 0);
         assert_eq!(cluster.metrics.span_forward.count(), 0);
+    }
+
+    #[test]
+    fn a_waiter_whose_entry_the_turn_holder_carried_runs_no_batch() {
+        let cluster = small_cluster(1);
+        let id = ReplicaId(0);
+        let node = Arc::clone(cluster.node(id).unwrap());
+        let mut client = ClusterClient::attach(&cluster, 21).unwrap();
+        let batches = || {
+            let snap = cluster.telemetry().snapshot();
+            snap.value("xsearch_lane_batches", &[]).unwrap()
+        };
+        let turn = node.lane.hold_turn();
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| client.search_echo(&cluster, "carried"));
+            while node.lane.queued() == 0 {
+                std::thread::yield_now();
+            }
+            // The holder carries the waiter's entry, then frees the turn.
+            let mut execute = |batch| cluster.execute_batch(id, &node, batch);
+            assert!(node.lane.run_batch(&mut execute));
+            let carried = batches();
+            drop(turn);
+            assert!(waiter.join().unwrap().is_ok());
+            assert_eq!(batches(), carried, "the waiter found its entry delivered");
+        });
+        assert_eq!(cluster.batch_stats().entries, 1);
     }
 
     #[test]

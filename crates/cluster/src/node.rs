@@ -11,11 +11,10 @@
 use crate::registry::ReplicaId;
 use crate::resilience::CircuitBreaker;
 use crate::router::Lane;
-use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard};
 use std::time::Duration;
 use xsearch_core::config::XSearchConfig;
 use xsearch_core::persistence::{HistoryVault, SealedLog};
@@ -232,12 +231,12 @@ impl ReplicaNode {
     /// Whether the enclave is running.
     #[must_use]
     pub fn is_up(&self) -> bool {
-        self.proxy.read().is_some()
+        self.proxy().is_some()
     }
 
     /// Read access to the live proxy (`None` while down).
     pub(crate) fn proxy(&self) -> RwLockReadGuard<'_, Option<XSearchProxy>> {
-        self.proxy.read()
+        self.proxy.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The node's sealing vault.
@@ -320,8 +319,11 @@ impl ReplicaNode {
     /// the segment to this node's untrusted storage slot (nothing when no
     /// request landed in between).
     pub(crate) fn seal_snapshot(&self, proxy: &XSearchProxy) {
-        let mut log = self.sealed.lock();
-        if let Some(segment) = proxy.seal_history_snapshot(&self.vault, &mut *self.rng.lock()) {
+        let mut log = self.sealed.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(segment) = proxy.seal_history_snapshot(
+            &self.vault,
+            &mut *self.rng.lock().unwrap_or_else(PoisonError::into_inner),
+        ) {
             log.append(segment);
         }
     }
@@ -329,7 +331,7 @@ impl ReplicaNode {
     /// Puts a log a failed adoption could not use back into the storage
     /// slot, unless the slot has moved on since.
     pub(crate) fn adopt_sealed(&self, log: SealedLog) {
-        let mut slot = self.sealed.lock();
+        let mut slot = self.sealed.lock().unwrap_or_else(PoisonError::into_inner);
         if slot.head_version() < log.head_version() {
             *slot = log;
         }
@@ -338,13 +340,13 @@ impl ReplicaNode {
     /// Takes the sealed log out of untrusted storage (the failover
     /// migration consumes it).
     pub(crate) fn take_sealed(&self) -> SealedLog {
-        std::mem::take(&mut *self.sealed.lock())
+        std::mem::take(&mut *self.sealed.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Hard-crashes the enclave: sessions and the in-EPC window are
     /// gone; only the sealed log (and the platform vault) survives.
     pub(crate) fn kill(&self) {
-        *self.proxy.write() = None;
+        *self.proxy.write().unwrap_or_else(PoisonError::into_inner) = None;
     }
 
     /// Relaunches the enclave after a crash. If the untrusted storage
@@ -363,7 +365,10 @@ impl ReplicaNode {
         // or is foreign: start empty rather than resurrect a superseded
         // window.
         let restored = proxy
-            .adopt_migrated_history(&self.vault, &self.sealed.lock())
+            .adopt_migrated_history(
+                &self.vault,
+                &self.sealed.lock().unwrap_or_else(PoisonError::into_inner),
+            )
             .unwrap_or(0);
         // Re-seal immediately — a chain start, this being a new enclave
         // lifetime — so the slot reflects the restored state at a fresh
@@ -371,7 +376,7 @@ impl ReplicaNode {
         if restored > 0 {
             self.seal_snapshot(&proxy);
         }
-        *self.proxy.write() = Some(proxy);
+        *self.proxy.write().unwrap_or_else(PoisonError::into_inner) = Some(proxy);
         restored
     }
 }

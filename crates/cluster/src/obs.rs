@@ -21,8 +21,6 @@ pub(crate) struct FleetMetrics {
     pub forwards: Counter,
     /// Forwards dropped by injected link loss or a partition window.
     pub link_loss: Counter,
-    /// Lane-side refusals of entries already past their deadline budget.
-    pub deadline_refusals: Counter,
     /// Failovers performed by health sweeps.
     pub failovers: Counter,
     /// Queries migrated to a successor's window during failover.
@@ -61,11 +59,6 @@ impl FleetMetrics {
             link_loss: registry.counter(
                 "xsearch_fleet_link_loss_total",
                 "Forwards dropped by injected link loss or partitions",
-                &[],
-            ),
-            deadline_refusals: registry.counter(
-                "xsearch_fleet_lane_deadline_refusals_total",
-                "Lane entries refused because their deadline had passed",
                 &[],
             ),
             failovers: registry.counter(

@@ -27,10 +27,9 @@
 
 use crate::error::ClusterError;
 use crate::snapshot::Published;
-use parking_lot::{Mutex, MutexGuard};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use xsearch_core::session::registration_binding;
 use xsearch_crypto::sha256::Sha256;
 use xsearch_crypto::x25519::PublicKey;
@@ -222,11 +221,15 @@ impl ReplicaRegistry {
             .publish(RegistrySnapshot::build(state.epoch, &state.verified));
     }
 
+    fn writer(&self) -> MutexGuard<'_, WriterState> {
+        self.writer.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Issues a fresh enrollment challenge for `id`, replacing any
     /// outstanding one. The replica must bind this nonce (together with
     /// its channel identity key) into its enrollment quote.
     pub fn challenge(&self, id: ReplicaId) -> [u8; 32] {
-        let mut state = self.writer.lock();
+        let mut state = self.writer();
         state.issued += 1;
         let mut h = Sha256::new();
         h.update(b"xsearch-registry-challenge-v1");
@@ -257,8 +260,7 @@ impl ReplicaRegistry {
         quote: &Quote,
     ) -> Result<(), ClusterError> {
         let nonce = self
-            .writer
-            .lock()
+            .writer()
             .challenges
             .remove(&id)
             .ok_or(ClusterError::NoChallenge(id))?;
@@ -268,7 +270,7 @@ impl ReplicaRegistry {
         if quote.report_data != registration_binding(&enclave_pub, &nonce) {
             return Err(ClusterError::QuoteBindingMismatch);
         }
-        let mut state = self.writer.lock();
+        let mut state = self.writer();
         state.verified.insert(id, enclave_pub);
         state.epoch += 1;
         self.publish_from(&state);
@@ -280,7 +282,7 @@ impl ReplicaRegistry {
     /// that actually flips the membership owns the follow-up failover,
     /// so concurrent sweeps stay idempotent.
     pub fn deregister(&self, id: ReplicaId) -> bool {
-        let mut state = self.writer.lock();
+        let mut state = self.writer();
         if state.verified.remove(&id).is_none() {
             return false;
         }
@@ -297,7 +299,7 @@ impl ReplicaRegistry {
     /// past it) — the property the routing stress test asserts.
     #[must_use]
     pub fn deregister_epoch(&self, id: ReplicaId) -> Option<u64> {
-        self.writer.lock().dereg_epoch.get(&id).copied()
+        self.writer().dereg_epoch.get(&id).copied()
     }
 
     /// Whether the router may send traffic to `id`.
@@ -338,7 +340,7 @@ impl ReplicaRegistry {
     #[must_use]
     pub fn hold_writer(&self) -> RegistryWriterHold<'_> {
         RegistryWriterHold {
-            _guard: self.writer.lock(),
+            _guard: self.writer(),
         }
     }
 }

@@ -13,7 +13,10 @@
 //!
 //! * request **deadline budgets** and **backoff** are charged on the
 //!   *accounted* (modeled) clock, the same one the per-hop link delays
-//!   use — never on wall time;
+//!   use — never on wall time. The budget is checked before each
+//!   attempt; an attempt that starts inside it runs to its answer, and
+//!   an answer that lands past the deadline counts as a miss (and a
+//!   breaker failure), never as a refusal;
 //! * **circuit-breaker cooldowns** are measured on the fleet's logical
 //!   operation clock (one tick per data-plane forward), not on
 //!   `Instant`s;
@@ -99,9 +102,6 @@ pub enum Outcome {
     /// Refused by bounded admission, also before sealing: deliberate
     /// backpressure from a healthy replica.
     Shed,
-    /// The lane leader found our entry past its budget and refused to
-    /// execute it. It *was* sealed, so the session is desynchronized.
-    LaneExpired,
     /// Our entry failed inside a coalesced batch — typically a replica
     /// that crashed and restarted (sessions die with the enclave) — or,
     /// for a re-attach, the enclave refused the handshake.
@@ -121,12 +121,8 @@ pub enum Step {
     Retry,
     /// Spend one failover: re-route, re-attest, forward again.
     Reattach,
-    /// Return the attempt's own error — after a best-effort `reattach`
-    /// when the attempt left the session desynchronized.
-    GiveUp {
-        /// Re-attach (spending no failover) before returning.
-        reattach: bool,
-    },
+    /// Return the attempt's own error.
+    GiveUp,
 }
 
 /// What the client does about one attempt, in this order: strike, sweep,
@@ -158,12 +154,12 @@ pub struct Progress {
 }
 
 impl Progress {
-    /// The budget the next forward may run under, or `None` when the
-    /// deadline is used up (exactly used up counts): the search fails
+    /// Whether the deadline leaves budget for another forward. `false`
+    /// once it is used up (exactly used up counts): the search fails
     /// typed, `DeadlineExceeded`, *before* another attempt.
     #[must_use]
-    pub fn budget(&self, deadline: Duration) -> Option<Duration> {
-        (self.spent < deadline).then(|| deadline - self.spent)
+    pub fn budget(&self, deadline: Duration) -> bool {
+        self.spent < deadline
     }
 
     /// What to do about an attempt that ended in `outcome`. Time is
@@ -172,11 +168,10 @@ impl Progress {
     /// still strikes, sweeps and pauses, then gives up.
     #[must_use]
     pub fn react(&self, outcome: Outcome) -> Reaction {
-        let give_up = Step::GiveUp { reattach: false };
         let recover = if self.failovers < MAX_FAILOVERS {
             Step::Reattach
         } else {
-            give_up
+            Step::GiveUp
         };
         let (strike, sweep, pause, step) = match outcome {
             Outcome::Opened => (false, false, false, Step::Finish),
@@ -185,8 +180,7 @@ impl Progress {
             Outcome::LinkLoss => (true, false, true, Step::Retry),
             // Shed: the replica is alive, just busy — no strike, no
             // sweep, and no immediate retry to hammer it with.
-            Outcome::Shed | Outcome::Other => (false, false, false, give_up),
-            Outcome::LaneExpired => (false, false, false, Step::GiveUp { reattach: true }),
+            Outcome::Shed | Outcome::Other => (false, false, false, Step::GiveUp),
             Outcome::ReplicaGone => (true, true, true, recover),
         };
         Reaction {
@@ -554,15 +548,13 @@ mod tests {
     #[test]
     fn each_outcome_class_maps_to_its_reaction() {
         use Outcome::*;
-        let own = Step::GiveUp { reattach: false };
-        let resync = Step::GiveUp { reattach: true };
+        let own = Step::GiveUp;
         // (class, strike, sweep, pause, step with failovers left, without)
         for (outcome, strike, sweep, pause, fresh, exhausted) in [
             (Opened, false, false, false, Step::Finish, Step::Finish),
             (Unreadable, true, false, true, Step::Reattach, own),
             (LinkLoss, true, false, true, Step::Retry, Step::Retry),
             (Shed, false, false, false, own, own),
-            (LaneExpired, false, false, false, resync, resync),
             (EntryFailed, true, false, true, Step::Reattach, own),
             (ReplicaGone, true, true, true, Step::Reattach, own),
             (Other, false, false, false, own, own),
@@ -593,11 +585,11 @@ mod tests {
             spent,
             ..Default::default()
         };
-        assert_eq!(spent(Duration::ZERO).budget(20 * MS), Some(20 * MS));
-        assert_eq!(spent(19 * MS).budget(20 * MS), Some(MS));
-        assert_eq!(spent(20 * MS).budget(20 * MS), None, "spent == deadline");
-        assert_eq!(spent(21 * MS).budget(20 * MS), None);
-        assert_eq!(spent(Duration::ZERO).budget(Duration::ZERO), None);
+        assert!(spent(Duration::ZERO).budget(20 * MS));
+        assert!(spent(19 * MS).budget(20 * MS));
+        assert!(!spent(20 * MS).budget(20 * MS), "spent == deadline");
+        assert!(!spent(21 * MS).budget(20 * MS));
+        assert!(!spent(Duration::ZERO).budget(Duration::ZERO));
     }
 
     #[test]

@@ -1,122 +1,77 @@
-//! Request-coalescing primitives for the lock-free data plane.
+//! The per-replica request lane: a queue, a turn, and one rule.
 //!
-//! Every replica owns a **lane**: a short queue of sealed requests plus
-//! a flat-combining leader flag. A client thread seals its query,
-//! enqueues a `Pending` on the target replica's lane, and then either
-//! becomes the lane leader (if the flag is free) or parks on its own
-//! [`RequestSlot`]. The leader drains the queue and pushes the whole
-//! batch across the enclave boundary in **one** `proxy_batch` ecall —
-//! the PR-3 batching hook — then delivers each result to its slot and
-//! wakes the owner. Under load this turns `n` contending threads into
-//! one ecall of `n` entries; at low load the submitting thread is its
-//! own leader and the path degenerates to the direct single-request
-//! call, so idle latency is unchanged.
+//! Every replica owns a **lane**: a FIFO of sealed requests plus one
+//! mutex, the **turn**. Whoever holds the turn drains at most
+//! `MAX_BATCH` entries, carries them across the enclave boundary in one
+//! `proxy_batch` ecall per request mode and delivers every result to
+//! its [`RequestSlot`] before releasing the turn. The one rule: **every
+//! submitter drives its own replica's lane until its own entry is
+//! delivered.** A blocking caller takes the turn and runs batches until
+//! its slot fills (or finds that the previous holder filled it); a front
+//! shard only tries the turn, and re-drives on its next step while a
+//! connection's entry is undelivered.
 //!
-//! The lane mutex is **per replica** and held only to push/drain a
-//! `VecDeque` — never across an ecall — so it is not control-plane
-//! state: the writer-lock-held acceptance test keeps requests flowing
-//! while registry and ring writers are blocked.
+//! Batching comes from one front step: a shard submits every connection
+//! the step made ready before it drives. Blocking threads rarely meet in
+//! the queue (1.02–1.06 entries per ecall with four generator threads).
+//! Neither mutex is control-plane state: requests flow while registry
+//! and ring writers are blocked.
 
 use crate::error::ClusterError;
 use crate::registry::ReplicaId;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
+
+/// Most entries one coalesced `proxy_batch` ecall will carry. Bounds
+/// tail latency for the first request in a long queue; a turn-holder
+/// that must empty the lane runs batches until it is.
+pub(crate) const MAX_BATCH: usize = 64;
+
+/// What a delivered request came back as.
+type Delivery = Result<Vec<u8>, ClusterError>;
 
 /// A per-client completion cell. The client keeps one slot for its whole
-/// session (connection reuse): `begin` re-arms it, the lane leader
-/// `deliver`s into it, and the client blocks on the condvar until done.
-///
-/// Built on `std::sync::Mutex` + [`Condvar`] (the vendored `parking_lot`
-/// has no condvar); the mutex only guards the tiny state enum and is
-/// never held while waiting for I/O, so it cannot convoy.
-#[derive(Debug)]
+/// session (connection reuse): submitting clears it, the turn-holder
+/// `deliver`s into it, and the owner `take`s the result — after driving
+/// the lane itself if it has to. Nobody ever waits on the slot.
+#[derive(Debug, Default)]
 pub struct RequestSlot {
-    state: Mutex<SlotState>,
-    done: Condvar,
-}
-
-#[derive(Debug)]
-enum SlotState {
-    /// No request outstanding.
-    Idle,
-    /// Enqueued on a lane, result not yet delivered.
-    Waiting,
-    /// Result delivered, owner has not collected it yet.
-    Done(Result<Vec<u8>, ClusterError>),
-}
-
-impl Default for RequestSlot {
-    fn default() -> Self {
-        RequestSlot {
-            state: Mutex::new(SlotState::Idle),
-            done: Condvar::new(),
-        }
-    }
+    result: Mutex<Option<Delivery>>,
 }
 
 impl RequestSlot {
-    /// A fresh, idle slot.
+    /// A fresh, empty slot.
     #[must_use]
     pub fn new() -> Arc<Self> {
         Arc::new(Self::default())
     }
 
-    /// Arms the slot for a new request. Any stale result from an
+    fn cell(&self) -> MutexGuard<'_, Option<Delivery>> {
+        self.result.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Empties the slot for a new request: a stale result from an
     /// abandoned earlier request is discarded.
-    pub(crate) fn begin(&self) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        *state = SlotState::Waiting;
+    pub(crate) fn clear(&self) {
+        *self.cell() = None;
     }
 
-    /// Delivers the result and wakes the owner. Called by whichever
-    /// thread led the batch this request rode in.
-    pub(crate) fn deliver(&self, result: Result<Vec<u8>, ClusterError>) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        *state = SlotState::Done(result);
-        self.done.notify_all();
+    /// Stores the result. Called by whichever thread held the turn for
+    /// the batch this request rode in.
+    pub(crate) fn deliver(&self, result: Delivery) {
+        *self.cell() = Some(result);
     }
 
-    /// Collects the result if it has been delivered, resetting the slot
-    /// to idle. `None` while still waiting.
-    pub(crate) fn take_if_done(&self) -> Option<Result<Vec<u8>, ClusterError>> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if matches!(*state, SlotState::Done(_)) {
-            match std::mem::replace(&mut *state, SlotState::Idle) {
-                SlotState::Done(result) => Some(result),
-                _ => unreachable!(),
-            }
-        } else {
-            None
-        }
-    }
-
-    /// Blocks until the result arrives or `timeout` elapses, whichever
-    /// first; collects it if delivered. The timeout is a lost-wakeup
-    /// backstop — the caller re-checks lane leadership after it fires.
-    pub(crate) fn wait_timeout(&self, timeout: Duration) -> Option<Result<Vec<u8>, ClusterError>> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if !matches!(*state, SlotState::Done(_)) {
-            let (next, _timed_out) = self
-                .done
-                .wait_timeout(state, timeout)
-                .unwrap_or_else(|e| e.into_inner());
-            state = next;
-        }
-        if matches!(*state, SlotState::Done(_)) {
-            match std::mem::replace(&mut *state, SlotState::Idle) {
-                SlotState::Done(result) => Some(result),
-                _ => unreachable!(),
-            }
-        } else {
-            None
-        }
+    /// Collects the result if it has been delivered, leaving the slot
+    /// empty. `None` while the entry is still queued or in its batch.
+    pub(crate) fn take(&self) -> Option<Delivery> {
+        self.cell().take()
     }
 }
 
-/// One sealed request waiting on a lane: everything the leader needs to
-/// put it on the wire plus the slot to deliver into.
+/// One sealed request waiting on a lane: everything the turn-holder
+/// needs to put it on the wire plus the slot to deliver into.
 #[derive(Debug)]
 pub(crate) struct Pending {
     /// The client's channel public key (wire envelope routing key).
@@ -127,20 +82,6 @@ pub(crate) struct Pending {
     pub echo: bool,
     /// Where the result goes.
     pub slot: Arc<RequestSlot>,
-    /// Wall-clock backstop from the caller's deadline budget: a lane
-    /// leader that drains this entry after the instant has passed
-    /// delivers `DeadlineExceeded` instead of executing it — a request
-    /// whose owner has already given up must not consume enclave work.
-    /// `None` (no budget) never expires.
-    pub expires_at: Option<std::time::Instant>,
-}
-
-impl Pending {
-    /// Whether this entry's deadline backstop has already passed.
-    pub fn expired(&self) -> bool {
-        self.expires_at
-            .is_some_and(|at| std::time::Instant::now() >= at)
-    }
 }
 
 /// Coalescing statistics for one lane (and, summed, for the fleet).
@@ -176,13 +117,18 @@ impl LaneStats {
     }
 }
 
-/// A per-replica request lane: the queue plus the flat-combining leader
-/// flag. The fleet owns one per replica slot.
+/// A per-replica request lane: the queue, the turn, and the coalescing
+/// stats. The fleet owns one per replica slot and supplies the batch
+/// executor (`execute`) every drive runs drained entries through; the
+/// executor must deliver to every entry it is handed, unwinding
+/// included (the fleet's `DeliveryFence`).
 #[derive(Debug, Default)]
 pub(crate) struct Lane {
     queue: Mutex<VecDeque<Pending>>,
-    /// Exactly one thread at a time drains this lane into ecalls.
-    leader: AtomicBool,
+    /// Held for the whole of drain → ecall → delivery: at most one batch
+    /// of this replica is in flight, and whoever takes the turn next sees
+    /// every earlier batch delivered.
+    turn: Mutex<()>,
     batches: AtomicU64,
     entries: AtomicU64,
     max_batch: AtomicU64,
@@ -193,35 +139,73 @@ impl Lane {
     pub fn push(&self, pending: Pending) {
         self.queue
             .lock()
-            .unwrap_or_else(|e| e.into_inner())
+            .unwrap_or_else(PoisonError::into_inner)
             .push_back(pending);
     }
 
     /// Drains up to `max` queued requests in FIFO order.
-    pub fn drain(&self, max: usize) -> Vec<Pending> {
-        let mut queue = self.queue.lock().unwrap_or_else(|e| e.into_inner());
+    fn drain(&self, max: usize) -> Vec<Pending> {
+        let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
         let n = queue.len().min(max);
         queue.drain(..n).collect()
     }
 
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.queue
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_empty()
+    /// Runs one batch of at most [`MAX_BATCH`] entries through `execute`
+    /// and counts it. The caller holds the turn. `false` when the queue
+    /// was empty.
+    pub(crate) fn run_batch(&self, execute: &mut impl FnMut(Vec<Pending>)) -> bool {
+        let batch = self.drain(MAX_BATCH);
+        if batch.is_empty() {
+            return false;
+        }
+        self.record_batch(batch.len());
+        execute(batch);
+        true
     }
 
-    /// Attempts to become the lane leader. On success the caller must
-    /// hold a [`LeaderGuard`] so a panic cannot orphan the lane.
-    pub fn try_lead(&self) -> bool {
-        self.leader
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
+    /// The blocking rule: drives this lane until `slot` — whose entry
+    /// the caller has pushed — holds its result, and returns it. Each
+    /// round checks the slot, takes the turn, checks again (the previous
+    /// holder may have carried the entry) and otherwise runs one batch.
+    /// The entry is queued or delivered whenever the turn is free, so a
+    /// round under the turn either finds it delivered or drains it.
+    pub fn drive_until_delivered(
+        &self,
+        slot: &RequestSlot,
+        mut execute: impl FnMut(Vec<Pending>),
+    ) -> Delivery {
+        loop {
+            if let Some(result) = slot.take() {
+                return result;
+            }
+            let _turn = self.turn.lock().unwrap_or_else(PoisonError::into_inner);
+            if let Some(result) = slot.take() {
+                return result;
+            }
+            self.run_batch(&mut execute);
+        }
+    }
+
+    /// The non-blocking drive: if the turn is free, runs batches until
+    /// the queue is empty; if another thread holds it, returns at once.
+    /// The emptiness check is repeated after the turn is released, so an
+    /// entry pushed by a submitter whose `try_lock` lost to this thread
+    /// is carried here. A submitter whose entry a blocking holder leaves
+    /// behind drives again later (the front re-drives every connection
+    /// still awaiting).
+    pub fn drive(&self, mut execute: impl FnMut(Vec<Pending>)) {
+        while self.queued() > 0 {
+            let _turn = match self.turn.try_lock() {
+                Ok(turn) => turn,
+                Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+                Err(TryLockError::WouldBlock) => return,
+            };
+            while self.run_batch(&mut execute) {}
+        }
     }
 
     /// Records one executed batch in the coalescing stats.
-    pub fn record_batch(&self, batch_entries: usize) {
+    fn record_batch(&self, batch_entries: usize) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.entries
             .fetch_add(batch_entries as u64, Ordering::Relaxed);
@@ -237,33 +221,29 @@ impl Lane {
             max_batch: self.max_batch.load(Ordering::Relaxed),
         }
     }
-}
 
-/// Clears the lane's leader flag on drop — leadership survives neither
-/// normal return nor unwind, so a panicking leader cannot wedge every
-/// later submitter into timed-wait fallbacks forever.
-pub(crate) struct LeaderGuard<'a> {
-    lane: &'a Lane,
-}
-
-impl<'a> LeaderGuard<'a> {
-    /// Wraps freshly acquired leadership (caller just won `try_lead`).
-    pub fn new(lane: &'a Lane) -> Self {
-        LeaderGuard { lane }
+    /// Queued entries not yet drained.
+    pub(crate) fn queued(&self) -> usize {
+        self.queue
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
-}
 
-impl Drop for LeaderGuard<'_> {
-    fn drop(&mut self) {
-        self.lane.leader.store(false, Ordering::Release);
+    /// Takes the turn without driving, standing in for a foreign
+    /// turn-holder mid-batch (tests only).
+    #[cfg(test)]
+    pub(crate) fn hold_turn(&self) -> MutexGuard<'_, ()> {
+        self.turn.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 /// Owns a drained batch until every entry's fate is decided. If the
-/// leader unwinds mid-ecall (the replica's enclave panicked), the fence
-/// delivers `ReplicaDown` to every still-undelivered slot on drop — an
-/// admitted request is **never** silently dropped; its owner always
-/// wakes with a result or an error.
+/// turn-holder unwinds mid-ecall (the replica's enclave panicked), the
+/// fence delivers `ReplicaDown` to every still-undelivered slot on drop
+/// — before the unwind releases the turn — so an admitted request is
+/// **never** silently dropped; its owner always finds a result or an
+/// error.
 pub(crate) struct DeliveryFence {
     entries: Vec<Pending>,
     id: ReplicaId,
@@ -314,51 +294,37 @@ mod tests {
             ciphertext: vec![tag],
             echo: true,
             slot: Arc::clone(slot),
-            expires_at: None,
+        }
+    }
+
+    /// A stand-in executor: answers every entry with its own ciphertext.
+    fn echo_all(batch: Vec<Pending>) {
+        for p in batch {
+            p.slot.deliver(Ok(p.ciphertext.clone()));
         }
     }
 
     #[test]
     fn slot_roundtrip_deliver_then_take() {
         let slot = RequestSlot::new();
-        slot.begin();
-        assert!(slot.take_if_done().is_none(), "not delivered yet");
+        slot.clear();
+        assert!(slot.take().is_none(), "not delivered yet");
         slot.deliver(Ok(vec![1, 2, 3]));
-        assert_eq!(slot.take_if_done(), Some(Ok(vec![1, 2, 3])));
-        assert!(slot.take_if_done().is_none(), "take resets to idle");
-    }
-
-    #[test]
-    fn slot_wait_timeout_returns_delivered_result() {
-        let slot = RequestSlot::new();
-        slot.begin();
-        let waiter = Arc::clone(&slot);
-        let handle = std::thread::spawn(move || {
-            let mut spins = 0u32;
-            loop {
-                if let Some(result) = waiter.wait_timeout(Duration::from_millis(1)) {
-                    return (result, spins);
-                }
-                spins += 1;
-                assert!(spins < 60_000, "delivery never arrived");
-            }
-        });
-        std::thread::sleep(Duration::from_millis(5));
-        slot.deliver(Err(ClusterError::ReplicaDown(ReplicaId(3))));
-        let (result, _) = handle.join().unwrap();
-        assert_eq!(result, Err(ClusterError::ReplicaDown(ReplicaId(3))));
+        assert_eq!(slot.take(), Some(Ok(vec![1, 2, 3])));
+        assert!(slot.take().is_none(), "take empties the slot");
     }
 
     #[test]
     fn begin_discards_a_stale_result() {
         let slot = RequestSlot::new();
-        slot.begin();
+        slot.clear();
         slot.deliver(Ok(vec![9]));
-        // Owner abandoned that request (e.g. failover); re-arm.
-        slot.begin();
-        assert!(slot.take_if_done().is_none(), "stale result discarded");
+        // Owner abandoned that request (e.g. failover); the next submit
+        // clears the slot.
+        slot.clear();
+        assert!(slot.take().is_none(), "stale result discarded");
         slot.deliver(Ok(vec![7]));
-        assert_eq!(slot.take_if_done(), Some(Ok(vec![7])));
+        assert_eq!(slot.take(), Some(Ok(vec![7])));
     }
 
     #[test]
@@ -378,19 +344,7 @@ mod tests {
             rest.iter().map(|p| p.ciphertext[0]).collect::<Vec<_>>(),
             vec![3, 4]
         );
-        assert!(lane.is_empty());
-    }
-
-    #[test]
-    fn leadership_is_exclusive_and_guard_releases_on_drop() {
-        let lane = Lane::default();
-        assert!(lane.try_lead());
-        {
-            let _guard = LeaderGuard::new(&lane);
-            assert!(!lane.try_lead(), "second leader excluded");
-        }
-        assert!(lane.try_lead(), "guard drop released leadership");
-        let _guard = LeaderGuard::new(&lane);
+        assert_eq!(lane.queued(), 0);
     }
 
     #[test]
@@ -414,22 +368,45 @@ mod tests {
     }
 
     #[test]
-    fn pending_expiry_tracks_the_backstop_instant() {
+    fn a_free_drive_empties_the_queue_in_bounded_batches() {
+        let lane = Lane::default();
+        let slots: Vec<_> = (0..MAX_BATCH + 3).map(|_| RequestSlot::new()).collect();
+        for (i, slot) in slots.iter().enumerate() {
+            lane.push(pending(slot, i as u8));
+        }
+        lane.drive(echo_all);
+        assert_eq!(lane.queued(), 0);
+        let stats = lane.stats();
+        assert_eq!((stats.batches, stats.max_batch), (2, MAX_BATCH as u64));
+        for (i, slot) in slots.iter().enumerate() {
+            assert_eq!(slot.take(), Some(Ok(vec![i as u8])));
+        }
+    }
+
+    #[test]
+    fn an_entry_pushed_while_another_thread_holds_the_turn_is_run_by_its_owner() {
+        let lane = Lane::default();
         let slot = RequestSlot::new();
-        let mut p = pending(&slot, 1);
-        assert!(!p.expired(), "no deadline never expires");
-        p.expires_at = Some(std::time::Instant::now());
-        assert!(p.expired(), "a passed instant has expired");
-        p.expires_at = Some(std::time::Instant::now() + Duration::from_secs(600));
-        assert!(!p.expired());
+        let turn = lane.hold_turn();
+        std::thread::scope(|scope| {
+            let owner = scope.spawn(|| {
+                lane.push(pending(&slot, 7));
+                lane.drive_until_delivered(&slot, echo_all)
+            });
+            while lane.queued() == 0 {
+                std::thread::yield_now();
+            }
+            // The holder leaves without running the entry.
+            drop(turn);
+            assert_eq!(owner.join().unwrap(), Ok(vec![7]));
+        });
+        assert_eq!(lane.stats().batches, 1, "the owner ran its own batch");
+        assert_eq!(lane.queued(), 0);
     }
 
     #[test]
     fn dropped_fence_fails_every_undelivered_slot() {
         let slots: Vec<_> = (0..3).map(|_| RequestSlot::new()).collect();
-        for slot in &slots {
-            slot.begin();
-        }
         let batch: Vec<_> = slots
             .iter()
             .enumerate()
@@ -437,10 +414,10 @@ mod tests {
             .collect();
         let fence = DeliveryFence::new(ReplicaId(1), batch);
         assert_eq!(fence.entries().len(), 3);
-        drop(fence); // leader "panicked"
+        drop(fence); // the turn-holder "panicked"
         for slot in &slots {
             assert_eq!(
-                slot.take_if_done(),
+                slot.take(),
                 Some(Err(ClusterError::ReplicaDown(ReplicaId(1))))
             );
         }
@@ -449,13 +426,9 @@ mod tests {
     #[test]
     fn disarmed_fence_hands_the_batch_back_untouched() {
         let slot = RequestSlot::new();
-        slot.begin();
         let fence = DeliveryFence::new(ReplicaId(0), vec![pending(&slot, 5)]);
         let batch = fence.disarm();
         assert_eq!(batch.len(), 1);
-        assert!(
-            slot.take_if_done().is_none(),
-            "disarm must not deliver anything"
-        );
+        assert!(slot.take().is_none(), "disarm must not deliver anything");
     }
 }

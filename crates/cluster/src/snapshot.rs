@@ -12,9 +12,9 @@
 //!
 //! Why not a plain `Mutex<Arc<T>>`? Under a saturating open-loop load
 //! every request would serialize on that mutex — exactly the convoy the
-//! cluster data plane is being rebuilt to avoid. Why not `RwLock`? The
-//! vendored stand-in maps to `std::sync::RwLock`, whose readers still
-//! take a futex in the contended case. The two-slot cell costs two
+//! cluster data plane is being rebuilt to avoid. Why not `RwLock`?
+//! `std::sync::RwLock` readers still take a futex in the contended
+//! case. The two-slot cell costs two
 //! uncontended atomic RMWs per read and never parks a reader.
 //!
 //! # Protocol safety sketch
@@ -32,11 +32,10 @@
 //! assumption, so no torn read is possible. All operations use `SeqCst`,
 //! making the visibility arguments single-total-order arguments.
 
-use parking_lot::{Mutex, MutexGuard};
 use std::cell::UnsafeCell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// One slot of the two-slot cell: the value plus its reader pin count.
 struct Slot<T> {
@@ -124,7 +123,7 @@ impl<T: Send + Sync> Published<T> {
     /// Publishes a fresh snapshot: readers that start after this call
     /// returns observe `value`.
     pub fn publish(&self, value: T) {
-        let guard = self.writer.lock();
+        let guard = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         self.publish_locked(value);
         drop(guard);
     }
@@ -155,7 +154,7 @@ impl<T: Send + Sync> Published<T> {
     #[must_use]
     pub fn hold_writer(&self) -> WriterHold<'_, T> {
         WriterHold {
-            _guard: self.writer.lock(),
+            _guard: self.writer.lock().unwrap_or_else(PoisonError::into_inner),
             _cell: PhantomData,
         }
     }

@@ -5,7 +5,6 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 use xsearch_cluster::{Cluster, ClusterClient, ClusterConfig};
 use xsearch_core::config::XSearchConfig;
@@ -14,7 +13,7 @@ use xsearch_engine::corpus::CorpusConfig;
 use xsearch_engine::engine::SearchEngine;
 use xsearch_workload::{run_open_loop, LoadSpec};
 
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
 const CLIENTS: usize = 16;
 /// Tagged queries each client sends before the churn phase.
@@ -53,14 +52,17 @@ fn churn_under_open_loop_load_preserves_windows_and_decryption() {
     // Phase A — tagged traffic, so every replica's window has known,
     // per-client content.
     for (i, client) in clients.iter().enumerate() {
-        let mut client = client.lock();
+        let mut client = client.lock().unwrap_or_else(PoisonError::into_inner);
         for j in 0..TAGGED_PER_CLIENT {
             client
                 .search_echo(&cluster, &format!("tagged client{i} q{j}"))
                 .unwrap();
         }
     }
-    let victim = clients[0].lock().replica();
+    let victim = clients[0]
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .replica();
     let victim_window = cluster
         .with_replica(victim, XSearchProxy::history_snapshot)
         .unwrap();
@@ -94,7 +96,9 @@ fn churn_under_open_loop_load_preserves_windows_and_decryption() {
         if n == restart_at {
             cluster.restart(victim).unwrap();
         }
-        let mut client = clients[n as usize % CLIENTS].lock();
+        let mut client = clients[n as usize % CLIENTS]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         client
             .search_echo(&cluster, &format!("load query {n}"))
             .is_ok()

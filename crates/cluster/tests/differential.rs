@@ -140,7 +140,7 @@ impl BrokerPair {
         let pk = *self.cluster_side.client_pub().as_bytes();
         let (resp_cluster, _charge) = t
             .cluster
-            .forward(R0, echo, &self.slot, None, move || (pk, ct_cluster))
+            .forward(R0, echo, &self.slot, move || (pk, ct_cluster))
             .expect("healthy cluster forward");
         let resp_direct = if echo {
             t.direct.request_echo(&pk, &ct_direct)
@@ -171,7 +171,7 @@ impl BrokerPair {
         let pk = *self.cluster_side.client_pub().as_bytes();
         let err_cluster = t
             .cluster
-            .forward(R0, echo, &self.slot, None, move || (pk, ct_cluster))
+            .forward(R0, echo, &self.slot, move || (pk, ct_cluster))
             .expect_err("tampered entry must fail");
         let err_direct = if echo {
             t.direct.request_echo(&pk, &ct_direct)
@@ -196,7 +196,7 @@ fn unknown_session_fails_identically_on_both_paths() {
     let slot = RequestSlot::new();
     let err_cluster = t
         .cluster
-        .forward(R0, false, &slot, None, || (bogus_pk, junk.clone()))
+        .forward(R0, false, &slot, || (bogus_pk, junk.clone()))
         .expect_err("no session for a bogus key");
     let err_direct = t
         .direct

@@ -321,7 +321,6 @@ fn exported_series_names_and_labels_are_stable() {
     let expected = [
         "xsearch_fleet_forwards_total{}",
         "xsearch_fleet_link_loss_total{}",
-        "xsearch_fleet_lane_deadline_refusals_total{}",
         "xsearch_fleet_failovers_total{}",
         "xsearch_fleet_migrated_queries_total{}",
         "xsearch_client_retries_total{}",

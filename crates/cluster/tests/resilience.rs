@@ -128,7 +128,7 @@ proptest! {
         let mut dropped = 0u32;
         let mut delivered = 0u32;
         for _ in 0..40 {
-            let result = cluster.forward(ReplicaId(0), true, &slot, None, || {
+            let result = cluster.forward(ReplicaId(0), true, &slot, || {
                 sealed += 1;
                 // A bogus frame: enough to cross the wire; the proxy
                 // rejects it, which still counts as "was sealed & sent".
@@ -161,7 +161,7 @@ fn overloaded_request_is_never_sealed() {
     // seal closure must never run.
     let result = cluster
         .with_replica(id, |_| {
-            cluster.forward(id, true, &slot, None, || {
+            cluster.forward(id, true, &slot, || {
                 sealed = true;
                 ([0x42u8; 32], vec![1, 2, 3])
             })
@@ -241,6 +241,31 @@ fn total_loss_yields_typed_deadline_exceeded() {
     assert!(
         client.last_cost() >= Duration::from_millis(20),
         "backoff charges must have consumed the whole budget"
+    );
+}
+
+#[test]
+fn a_search_that_starts_inside_its_budget_is_served_whatever_the_wall_clock() {
+    // The deadline lives on the modeled clock and is checked before each
+    // attempt: with nothing spent, a 1 ns budget still admits the first
+    // forward, and that forward runs to its answer however long the host
+    // takes. The answer's own charge blows the deadline, which `settle`
+    // counts as the search's one miss — no refusal, no re-attach.
+    let cluster = fleet_with(
+        1,
+        FaultSpec::default(),
+        9,
+        ResilienceConfig {
+            deadline: Duration::from_nanos(1),
+            ..Default::default()
+        },
+    );
+    let mut client = ClusterClient::attach(&cluster, 0x1A5).unwrap();
+    assert!(client.search_echo(&cluster, "one nanosecond").is_ok());
+    assert_eq!(metric(&cluster, "xsearch_client_reattaches_total"), 0.0);
+    assert_eq!(
+        metric(&cluster, "xsearch_client_deadline_misses_total"),
+        1.0
     );
 }
 

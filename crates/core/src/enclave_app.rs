@@ -37,12 +37,11 @@ use crate::wire::{
     decode_query_batch, decode_request_batch, encode_response_batch, encode_results_into,
     encoded_len,
 };
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use xsearch_crypto::x25519::{PublicKey, StaticSecret};
 use xsearch_engine::engine::SearchResult;
 use xsearch_sgx_sim::boundary::OcallPort;
@@ -210,7 +209,14 @@ impl EnclaveState {
         vault: &HistoryVault,
         rng: &mut R,
     ) -> Option<SealedSegment> {
-        vault.seal(&self.history, &mut self.seal_cursor.lock(), rng)
+        vault.seal(
+            &self.history,
+            &mut self
+                .seal_cursor
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+            rng,
+        )
     }
 
     /// The private RNG for one request ticket: SplitMix64-spaced streams
@@ -235,6 +241,7 @@ impl EnclaveState {
             SecureChannel::establish(Side::Server, &shared, &client_pub, &self.identity_pub);
         self.sessions[session_shard(client_pub.as_bytes())]
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .insert(
                 *client_pub.as_bytes(),
                 Arc::new(Mutex::new(Session {
@@ -253,6 +260,7 @@ impl EnclaveState {
     pub fn close_session(&self, client_pub: &[u8; 32]) -> bool {
         self.sessions[session_shard(client_pub)]
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .remove(client_pub)
             .is_some()
     }
@@ -261,7 +269,10 @@ impl EnclaveState {
     /// aggregate (no keys leave the enclave), safe to export.
     #[must_use]
     pub fn session_count(&self) -> usize {
-        self.sessions.iter().map(|s| s.lock().len()).sum()
+        self.sessions
+            .iter()
+            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).len())
+            .sum()
     }
 
     /// The `reap_sessions` ecall: advances the session epoch and removes
@@ -277,12 +288,15 @@ impl EnclaveState {
         let now = self.session_epoch.fetch_add(1, Ordering::Relaxed) + 1;
         let mut reaped = 0;
         for shard in &self.sessions {
-            let mut shard = shard.lock();
+            let mut shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
             let before = shard.len();
             // Sessions lock only briefly here; the request path never
             // holds a session lock while waiting on a shard lock, so
             // the order shard → session cannot invert.
-            shard.retain(|_, s| now.saturating_sub(s.lock().last_used) <= ttl);
+            shard.retain(|_, s| {
+                now.saturating_sub(s.lock().unwrap_or_else(PoisonError::into_inner).last_used)
+                    <= ttl
+            });
             reaped += before - shard.len();
         }
         reaped
@@ -364,10 +378,11 @@ impl EnclaveState {
         // for the lookup, then only this session for the crypto.
         let session = self.sessions[session_shard(client_pub)]
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .get(client_pub)
             .cloned()
             .ok_or(XSearchError::UnknownSession)?;
-        let mut session = session.lock();
+        let mut session = session.lock().unwrap_or_else(PoisonError::into_inner);
         session.last_used = self.session_epoch.load(Ordering::Relaxed);
         let Session {
             channel, query_buf, ..

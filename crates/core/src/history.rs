@@ -23,11 +23,10 @@
 //! deep string copies, which is what makes Algorithm 1's `k` draws per
 //! request cheap.
 
-use parking_lot::Mutex;
 use rand::Rng;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use xsearch_sgx_sim::cost::CostModel;
 use xsearch_sgx_sim::epc::EpcGauge;
 
@@ -141,7 +140,10 @@ impl QueryHistory {
         // Power-of-two stripe count: routing is a mask, not a division.
         let stripe = &self.stripes[(seq as usize) & (self.stripes.len() - 1)];
         let added = entry_bytes(&query);
-        let mut entries = stripe.entries.lock();
+        let mut entries = stripe
+            .entries
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if entries.len() == stripe.capacity {
             // Steady state: pop + push under one lock leaves the length
             // unchanged, so only the byte delta needs publishing.
@@ -172,7 +174,10 @@ impl QueryHistory {
                 r -= len;
                 continue;
             }
-            let entries = stripe.entries.lock();
+            let entries = stripe
+                .entries
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             if let Some((_, q)) = entries.get(r.min(entries.len().wrapping_sub(1))) {
                 return Some(Arc::clone(q));
             }
@@ -181,9 +186,13 @@ impl QueryHistory {
         // Raced with eviction past the end of the walk: take the newest
         // entry of any non-empty stripe (sampling stays uniform in the
         // quiescent case; this branch is unreachable single-threaded).
-        self.stripes
-            .iter()
-            .find_map(|s| s.entries.lock().back().map(|(_, q)| Arc::clone(q)))
+        self.stripes.iter().find_map(|s| {
+            s.entries
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .back()
+                .map(|(_, q)| Arc::clone(q))
+        })
     }
 
     /// Samples one past query uniformly (Algorithm 1 line 7:
@@ -287,7 +296,10 @@ impl QueryHistory {
         cursor.marks.resize(self.stripes.len(), None);
         let mut tagged: Vec<Entry> = Vec::new();
         for (stripe, mark) in self.stripes.iter().zip(&mut cursor.marks) {
-            let entries = stripe.entries.lock();
+            let entries = stripe
+                .entries
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             let fresh = match *mark {
                 Some(seen) => entries
                     .iter()
@@ -488,12 +500,14 @@ mod tests {
         h.stripes[0]
             .entries
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .push_back((16, q("claimed second")));
         let mut cursor = HistoryCursor::default();
         assert_eq!(texts(h.read_since(&mut cursor)), ["claimed second"]);
         h.stripes[0]
             .entries
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .push_back((8, q("claimed first")));
         assert_eq!(texts(h.read_since(&mut cursor)), ["claimed first"]);
         assert!(h.read_since(&mut cursor).is_empty());

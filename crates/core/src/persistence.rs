@@ -1024,7 +1024,7 @@ mod tests {
     fn race_pushes_against_seals(capacity: usize, per_thread: usize) -> (Vec<String>, Vec<String>) {
         let v = vault(7);
         let history = QueryHistory::new(capacity, EpcGauge::new());
-        let slot = parking_lot::Mutex::new((
+        let slot = std::sync::Mutex::new((
             SealCursor::default(),
             SealedLog::default(),
             StdRng::seed_from_u64(1),
@@ -1037,7 +1037,7 @@ mod tests {
                     barrier.wait();
                     for i in 0..per_thread {
                         history.push(&format!("t{t} q{i}"));
-                        let mut guard = slot.lock();
+                        let mut guard = slot.lock().unwrap();
                         let (cursor, log, rng) = &mut *guard;
                         if let Some(segment) = v.seal(history, cursor, rng) {
                             log.append(segment);
@@ -1046,7 +1046,7 @@ mod tests {
                 });
             }
         });
-        let (_, log, _) = slot.into_inner();
+        let (_, log, _) = slot.into_inner().unwrap();
         assert!(entries_in(&log, &v) < 2 * capacity);
         let restored = QueryHistory::new(capacity, EpcGauge::new());
         restore_migrated(&restored, &log.encode(), &vault(7)).expect("an intact chain");

@@ -19,11 +19,10 @@
 
 use crate::engine::{merge_ranked, SearchEngine, SearchResult};
 use crate::pool::{Lanes, MAX_LANES};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use xsearch_net_sim::DelayModel;
 
@@ -99,7 +98,9 @@ impl EngineService {
         let start = Instant::now();
         let results = self.engine.search(query, k);
         self.charge_wall(start.elapsed());
-        let delay = self.service_time.sample(&mut *self.rng.lock());
+        let delay = self
+            .service_time
+            .sample(&mut *self.rng.lock().unwrap_or_else(PoisonError::into_inner));
         self.charge(delay);
         (results, delay)
     }
@@ -118,7 +119,7 @@ impl EngineService {
         // the draw sequence depends only on call order, so a fixed seed
         // replays identically.
         let draws: Vec<Duration> = {
-            let mut rng = self.rng.lock();
+            let mut rng = self.rng.lock().unwrap_or_else(PoisonError::into_inner);
             (0..n)
                 .map(|_| self.service_time.sample(&mut *rng))
                 .collect()

@@ -12,8 +12,8 @@
 //! applied at dump time, so the recorder sits on the exported side of
 //! the privacy partition without widening it.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// One structured resilience event. Every field is numeric — no event
 /// can carry a query string, history entry or user identifier.
@@ -166,7 +166,9 @@ impl FlightRecorder {
             return;
         }
         let seq = self.head.fetch_add(1, Ordering::Relaxed);
-        *self.slots[(seq % self.slots.len() as u64) as usize].lock() = Some((seq, event));
+        *self.slots[(seq % self.slots.len() as u64) as usize]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some((seq, event));
     }
 
     /// Total events ever recorded (including overwritten ones).
@@ -178,8 +180,11 @@ impl FlightRecorder {
     /// The retained events, oldest first, with their sequence numbers.
     #[must_use]
     pub fn events(&self) -> Vec<(u64, FlightEvent)> {
-        let mut out: Vec<(u64, FlightEvent)> =
-            self.slots.iter().filter_map(|s| *s.lock()).collect();
+        let mut out: Vec<(u64, FlightEvent)> = self
+            .slots
+            .iter()
+            .filter_map(|s| *s.lock().unwrap_or_else(PoisonError::into_inner))
+            .collect();
         out.sort_unstable_by_key(|(seq, _)| *seq);
         out
     }

@@ -14,9 +14,8 @@
 //! name, label or value. The cluster leakage-guard test additionally
 //! scans every rendered exposition against injected canary queries.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use xsearch_metrics::{AtomicHistogram, LatencyHistogram};
 
 /// Stripes per counter. Eight cache-padded slots keep concurrent
@@ -238,7 +237,10 @@ impl Registry {
             labels: labels.to_vec(),
             stripes: Default::default(),
         });
-        self.counters.lock().push(Arc::clone(&inner));
+        self.counters
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(Arc::clone(&inner));
         Counter(inner)
     }
 
@@ -255,7 +257,10 @@ impl Registry {
             labels: labels.to_vec(),
             value: AtomicI64::new(0),
         });
-        self.gauges.lock().push(Arc::clone(&inner));
+        self.gauges
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(Arc::clone(&inner));
         Gauge(inner)
     }
 
@@ -272,7 +277,10 @@ impl Registry {
             labels: labels.to_vec(),
             histogram: AtomicHistogram::new(),
         });
-        self.histograms.lock().push(Arc::clone(&inner));
+        self.histograms
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(Arc::clone(&inner));
         Histogram(inner)
     }
 
@@ -290,12 +298,15 @@ impl Registry {
         read: impl Fn() -> f64 + Send + Sync + 'static,
     ) {
         check_name(name);
-        self.polls.lock().push(Poll {
-            name,
-            help,
-            labels: labels.to_vec(),
-            read: Box::new(read),
-        });
+        self.polls
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(Poll {
+                name,
+                help,
+                labels: labels.to_vec(),
+                read: Box::new(read),
+            });
     }
 
     /// Reads every registered metric into an owned [`Snapshot`].
@@ -304,6 +315,7 @@ impl Registry {
         let counters = self
             .counters
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|c| Sample {
                 name: c.name,
@@ -319,6 +331,7 @@ impl Registry {
         let mut gauges: Vec<Sample> = self
             .gauges
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|g| Sample {
                 name: g.name,
@@ -327,15 +340,22 @@ impl Registry {
                 value: g.value.load(Ordering::Relaxed) as f64,
             })
             .collect();
-        gauges.extend(self.polls.lock().iter().map(|p| Sample {
-            name: p.name,
-            help: p.help,
-            labels: p.labels.clone(),
-            value: (p.read)(),
-        }));
+        gauges.extend(
+            self.polls
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .iter()
+                .map(|p| Sample {
+                    name: p.name,
+                    help: p.help,
+                    labels: p.labels.clone(),
+                    value: (p.read)(),
+                }),
+        );
         let histograms = self
             .histograms
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|h| HistogramSample {
                 name: h.name,
