@@ -11,15 +11,17 @@
 //! every broker still attests its own replica end-to-end) and
 //! end-to-end encryption into the enclave.
 //!
-//! # Lock-free data plane
+//! # Data plane locks
 //!
 //! The request path ([`Cluster::route`] + [`Cluster::forward`], or the
-//! front tier's submit/drive/finish over the same door) acquires **no
-//! lock on shared control-plane state**:
+//! front tier's submit/drive/finish over the same door) takes these:
 //!
-//! * membership and the consistent-hash ring are read as published
-//!   snapshots ([`crate::snapshot::Published`]) — one atomic load each;
-//!   writers (enroll, deregister, sweeps) copy-on-write and flip;
+//! * membership and the consistent-hash ring are immutable snapshots
+//!   behind an `RwLock<Arc<_>>` each: a request clones the `Arc` under
+//!   a read guard and drops the guard. A membership writer builds the
+//!   next snapshot, then swaps the pointer; the ring is rebuilt under
+//!   its write lock (see `rebuild_ring`), so during an enroll or a
+//!   health sweep a request may wait for one ring build;
 //! * admission is an atomic compare-exchange on the target node;
 //! * requests to the same replica queue on its **lane**
 //!   ([`crate::router`]), and whoever holds the lane's turn carries up
@@ -27,13 +29,11 @@
 //!   `proxy_batch` ecall; every submitter drives the lane until its own
 //!   entry is delivered. This module only supplies the batch executor.
 //!
-//! The locks a forwarded request can touch are all per replica: the
-//! lane's queue and its result slots (push, drain, deliver, take —
-//! microseconds, never across an ecall), the lane's turn (held across
-//! this replica's batch, by whoever runs it) and the proxy `RwLock`'s
-//! *read* side (writers are kill/restart only).
-//! [`Cluster::hold_control_plane_writers`] exists so tests can prove
-//! it: requests must flow while every membership writer is blocked.
+//! Past the two read locks, every lock a forwarded request touches is
+//! per replica: the lane's queue and its result slots (push, drain,
+//! deliver, take — microseconds, never across an ecall), the lane's
+//! turn (held across this replica's batch, by whoever runs it) and the
+//! proxy `RwLock`'s *read* side (writers are kill/restart only).
 //!
 //! # Failover
 //!
@@ -55,14 +55,13 @@ use crate::error::ClusterError;
 use crate::node::ReplicaNode;
 use crate::obs::FleetMetrics;
 use crate::placement::{key_coord, HashRing};
-use crate::registry::{RegistryWriterHold, ReplicaId, ReplicaRegistry};
+use crate::registry::{ReplicaId, ReplicaRegistry};
 use crate::resilience::{
     CircuitBreaker, ResilienceConfig, BREAKER_COOLDOWN_OPS, BREAKER_THRESHOLD,
 };
 use crate::router::{DeliveryFence, LaneStats, Pending, RequestSlot};
-use crate::snapshot::{Published, WriterHold};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Duration;
 use xsearch_core::config::XSearchConfig;
 use xsearch_core::proxy::XSearchProxy;
@@ -179,22 +178,6 @@ impl Drop for SweepGuard<'_> {
     }
 }
 
-/// Holds every control-plane writer lock at once — registry membership
-/// and ring publication — without mutating anything. While this exists,
-/// enroll/deregister/health sweeps block, but routing and forwarding
-/// must keep flowing: the request path only loads published snapshots.
-/// This is the harness for the lock-free acceptance test.
-pub struct ControlPlaneHold<'a> {
-    _registry: RegistryWriterHold<'a>,
-    _ring: WriterHold<'a, HashRing>,
-}
-
-impl std::fmt::Debug for ControlPlaneHold<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("ControlPlaneHold")
-    }
-}
-
 /// A fleet of attested enclave proxy replicas behind a routing tier.
 pub struct Cluster {
     config: ClusterConfig,
@@ -202,8 +185,9 @@ pub struct Cluster {
     expected: Measurement,
     registry: ReplicaRegistry,
     nodes: Vec<Arc<ReplicaNode>>,
-    /// The published consistent-hash ring — read lock-free by `route`.
-    ring: Published<HashRing>,
+    /// The current consistent-hash ring. `route` clones it under a read
+    /// guard; only `rebuild_ring` takes the write side.
+    ring: RwLock<Arc<HashRing>>,
     /// Logical operation clock: one tick per data-plane forward. Fault
     /// timelines (partitions, crash schedules) and breaker cooldowns are
     /// expressed in these ticks so chaos runs replay deterministically.
@@ -295,7 +279,7 @@ impl Cluster {
             expected,
             registry,
             nodes,
-            ring: Published::new(HashRing::default()),
+            ring: RwLock::new(Arc::new(HashRing::default())),
             ops: AtomicU64::new(0),
             sweep_active: AtomicBool::new(false),
             sweep_gen: AtomicU64::new(0),
@@ -433,20 +417,20 @@ impl Cluster {
         &self.flight
     }
 
-    /// Takes and holds every control-plane writer lock (registry + ring)
-    /// without publishing anything. Requests must keep flowing while the
-    /// hold exists — the property the lock-free data-plane test asserts.
-    #[must_use]
-    pub fn hold_control_plane_writers(&self) -> ControlPlaneHold<'_> {
-        ControlPlaneHold {
-            _registry: self.registry.hold_writer(),
-            _ring: self.ring.hold_writer(),
-        }
+    /// The current ring, cloned out from under its read guard.
+    fn ring(&self) -> Arc<HashRing> {
+        Arc::clone(&self.ring.read().unwrap_or_else(PoisonError::into_inner))
     }
 
+    /// Rebuilds the ring from the current membership. The membership is
+    /// read under the ring's write lock: two concurrent rebuilds then
+    /// store in the order they read, so the ring left behind holds every
+    /// replica registered before the last rebuild began. (Read before
+    /// the lock, an older membership could be stored last and drop a
+    /// verified replica from the ring until the next change.)
     fn rebuild_ring(&self) {
-        let routable = self.registry.routable();
-        self.ring.publish(HashRing::build(&routable, VNODES));
+        let mut ring = self.ring.write().unwrap_or_else(PoisonError::into_inner);
+        *ring = Arc::new(HashRing::build(&self.registry.routable(), VNODES));
     }
 
     /// Enrolls (or re-enrolls) `id` through the challenge/quote protocol
@@ -473,8 +457,8 @@ impl Cluster {
     /// session and its share of the last-x window. Only verified
     /// (routable) replicas are candidates; the affinity key is an opaque,
     /// stable per-client byte string — the router never sees client
-    /// channel keys or plaintext. Lock-free: reads one registry snapshot
-    /// and one ring snapshot.
+    /// channel keys or plaintext. Reads one registry snapshot and one
+    /// ring snapshot, each an `Arc` clone under a read guard.
     ///
     /// # Errors
     ///
@@ -494,7 +478,7 @@ impl Cluster {
         // yet. An open circuit breaker also deflects the walk — but only
         // as a preference: when every routable replica is browning out
         // we still route somewhere rather than inventing an outage.
-        let ring = self.ring.load();
+        let ring = self.ring();
         let choice = ring
             .walk_from_coord(coord)
             .find(|&id| members.is_routable(id) && self.breaker_allows(id))
@@ -559,7 +543,7 @@ impl Cluster {
     /// `None` when no such replica exists.
     #[must_use]
     pub fn ring_successor(&self, of: ReplicaId) -> Option<ReplicaId> {
-        let ring = self.ring.load();
+        let ring = self.ring();
         let successor = ring.walk_from_replica(of).find(|&id| {
             id != of
                 && self.registry.is_routable(id)
@@ -1031,7 +1015,7 @@ impl Cluster {
     /// next distinct live routable replica clockwise from the failed
     /// replica's primary ring point.
     fn pick_successor(&self, failed: ReplicaId) -> Option<ReplicaId> {
-        let ring = self.ring.load();
+        let ring = self.ring();
         let successor = ring.walk_from_replica(failed).find(|&id| {
             id != failed
                 && self.registry.is_routable(id)

@@ -18,14 +18,12 @@
 //!   log (chained, monotonic-versioned, rollback-protected) migrates to
 //!   its ring successor, and clients re-attest the successor and retry
 //!   in-flight requests ([`client::ClusterClient`]);
-//! * **the data plane is lock-free** — routing reads published
-//!   membership/ring snapshots ([`snapshot::Published`]) instead of
-//!   locking them; requests to one replica queue on its lane
-//!   ([`router`]), whose per-replica turn carries what is queued into
-//!   one `proxy_batch` ecall, and every submitter drives its own
-//!   replica's lane until its entry is delivered — so the front tier
-//!   scales with replicas instead of serializing on a control-plane
-//!   mutex.
+//! * **the data plane locks per replica** — routing clones the current
+//!   membership and ring snapshots out of one `RwLock<Arc<_>>` each
+//!   (a read guard held for one `Arc` clone); requests to one replica
+//!   queue on its lane ([`router`]), whose per-replica turn carries what
+//!   is queued into one `proxy_batch` ecall, and every submitter drives
+//!   its own replica's lane until its entry is delivered.
 //!
 //! # Example
 //!
@@ -72,11 +70,10 @@ pub mod placement;
 pub mod registry;
 pub mod resilience;
 pub mod router;
-pub mod snapshot;
 
 pub use client::{ClusterClient, SearchOutcome};
 pub use error::ClusterError;
-pub use fleet::{Cluster, ClusterConfig, ControlPlaneHold, FailoverReport};
+pub use fleet::{Cluster, ClusterConfig, FailoverReport};
 pub use front::{
     ConnClass, ConnState, FramedClient, FrontConfig, FrontTier, SurvivalConfig,
     IDLE_SESSION_BYTE_BUDGET,
@@ -84,7 +81,6 @@ pub use front::{
 pub use registry::{RegistrySnapshot, ReplicaId, ReplicaRegistry};
 pub use resilience::{BreakerState, CircuitBreaker, ResilienceConfig};
 pub use router::{LaneStats, RequestSlot};
-pub use snapshot::Published;
 // Re-exported so chaos harnesses can build fault plans without a direct
 // net-sim dependency.
 pub use xsearch_net_sim::fault::{CrashEvent, FaultPlan, FaultSpec, SocketFault, SocketSpec};
@@ -503,33 +499,6 @@ mod tests {
             shed.load(Ordering::Relaxed) as f64,
             "every refusal was reported as backpressure"
         );
-    }
-
-    #[test]
-    fn requests_flow_while_control_plane_writers_are_blocked() {
-        // THE lock-free acceptance test: grab and hold every registry and
-        // ring writer lock, then push a pile of requests through. If the
-        // request path acquired any control-plane mutex, the worker would
-        // deadlock and the 30s receive below would expire.
-        let cluster = Arc::new(small_cluster(2));
-        let mut client = ClusterClient::attach(&cluster, 11).unwrap();
-        let hold = cluster.hold_control_plane_writers();
-        let (tx, rx) = std::sync::mpsc::channel();
-        let worker_cluster = Arc::clone(&cluster);
-        let worker = std::thread::spawn(move || {
-            for i in 0..50 {
-                client
-                    .search_echo(&worker_cluster, &format!("under hold {i}"))
-                    .unwrap();
-            }
-            tx.send(()).unwrap();
-        });
-        rx.recv_timeout(std::time::Duration::from_secs(30))
-            .expect("requests must not block on held control-plane writer locks");
-        drop(hold);
-        worker.join().unwrap();
-        // The hold changed nothing: membership writers work again.
-        assert!(cluster.restart(ReplicaId(0)).is_ok());
     }
 
     #[test]

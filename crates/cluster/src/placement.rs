@@ -201,7 +201,7 @@ mod tests {
     use proptest::prelude::*;
 
     proptest! {
-        /// The snapshot-remap invariant the lock-free router depends on:
+        /// The snapshot-remap invariant the router depends on:
         /// publishing a ring with one member removed only changes the
         /// owner of keys the removed member held — every other client's
         /// affinity is untouched, so a membership change never causes a

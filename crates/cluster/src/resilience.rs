@@ -292,9 +292,9 @@ const STATE_CLOSED: u8 = 0;
 const STATE_OPEN: u8 = 1;
 const STATE_HALF_OPEN: u8 = 2;
 
-/// One replica's circuit breaker. All-atomic — consulted on the
-/// lock-free routing path — and clocked on the fleet's logical op
-/// counter so that trips and cooldowns replay deterministically.
+/// One replica's circuit breaker. All-atomic — consulted on every
+/// route — and clocked on the fleet's logical op counter so that trips
+/// and cooldowns replay deterministically.
 #[derive(Debug, Default)]
 pub struct CircuitBreaker {
     state: AtomicU8,

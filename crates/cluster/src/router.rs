@@ -14,8 +14,7 @@
 //! Batching comes from one front step: a shard submits every connection
 //! the step made ready before it drives. Blocking threads rarely meet in
 //! the queue (1.02–1.06 entries per ecall with four generator threads).
-//! Neither mutex is control-plane state: requests flow while registry
-//! and ring writers are blocked.
+//! Neither mutex is control-plane state: both belong to this replica.
 
 use crate::error::ClusterError;
 use crate::registry::ReplicaId;

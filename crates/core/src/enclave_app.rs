@@ -9,20 +9,19 @@
 //!
 //! # Concurrency
 //!
-//! The paper's proxy "uses multiple threads" inside one enclave (§4.1),
-//! so the `request` path must not serialize on shared state. Three
-//! mechanisms keep it lock-striped end to end:
+//! The paper's proxy "uses multiple threads" inside one enclave (§4.1).
+//! A `request` takes two short-held locks on shared state:
 //!
-//! * the session table is split over [`SESSION_SHARDS`] shards keyed by
-//!   the client's public-key bytes — a request locks its shard only for
-//!   the table lookup, then holds nothing but its own session's mutex;
-//! * randomness is per-request: an atomic ticket counter plus the
-//!   enclave seed derive an independent `StdRng` per request, replacing
-//!   a global `Mutex<StdRng>` every obfuscation used to contend on;
-//! * the history table is internally lock-striped (see
-//!   [`crate::history`]).
+//! * the session table, one mutex-guarded map keyed by the client's
+//!   public-key bytes, for the lookup only — after it the request holds
+//!   nothing but its own session's mutex;
+//! * the history table's one mutex (see [`crate::history`]), once to
+//!   draw the fakes and once to push the query (and once more to read
+//!   the window length when telemetry is attached).
 //!
-//! The remaining serialization is *per session* (channel nonce counters
+//! Randomness takes none: an atomic ticket counter plus the enclave seed
+//! derive an independent `StdRng` per request. The serialization that
+//! remains across a request is *per session* (channel nonce counters
 //! require ordered seal/open), which is inherent to the protocol.
 
 use crate::config::XSearchConfig;
@@ -41,7 +40,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use xsearch_crypto::x25519::{PublicKey, StaticSecret};
 use xsearch_engine::engine::SearchResult;
 use xsearch_sgx_sim::boundary::OcallPort;
@@ -57,15 +56,11 @@ pub const ENCLAVE_CODE_V1: &[u8] =
       obfuscation=algorithm1(history-sampling); filtering=algorithm2(nbCommonWords); \
       ocalls=sock_connect,send,recv,close";
 
-/// Number of session-table shards. Requests from different clients lock
-/// different shards, so concurrent lookups do not serialize.
-pub const SESSION_SHARDS: usize = 16;
-
 /// Hasher for the session table: reads the first eight bytes of the
 /// 32-byte client key. x25519 public keys are already uniformly
 /// distributed, so a keyed SipHash over all 32 bytes only adds cost on
 /// every request. (A client grinding keys toward one bucket skews only
-/// its own shard's chain, and the same key-generation budget would let
+/// that bucket's chain, and the same key-generation budget would let
 /// it open that many real sessions anyway.)
 #[derive(Default)]
 struct KeyBytesHasher(u64);
@@ -101,14 +96,6 @@ struct Session {
 
 type SessionMap =
     HashMap<[u8; 32], Arc<Mutex<Session>>, std::hash::BuildHasherDefault<KeyBytesHasher>>;
-type SessionShard = Mutex<SessionMap>;
-
-/// Routes a client key to its session shard. x25519 public keys are
-/// close-to-uniform field elements; folding bytes from across the key
-/// keeps the mapping balanced even under byte-level bias.
-fn session_shard(client_pub: &[u8; 32]) -> usize {
-    (client_pub[0] ^ client_pub[11] ^ client_pub[19] ^ client_pub[31]) as usize % SESSION_SHARDS
-}
 
 /// Protected application state.
 pub struct EnclaveState {
@@ -127,7 +114,7 @@ pub struct EnclaveState {
     /// arrival order the streams (and thus Algorithm 1's positions) are
     /// exactly reproducible from the config seed.
     rng_ticket: AtomicU64,
-    sessions: Vec<SessionShard>,
+    sessions: Mutex<SessionMap>,
     /// The reaper's logical clock: advanced once per
     /// [`EnclaveState::reap_sessions`] sweep; requests stamp their
     /// session with the current value.
@@ -181,9 +168,7 @@ impl EnclaveState {
             config,
             rng_seed,
             rng_ticket: AtomicU64::new(0),
-            sessions: (0..SESSION_SHARDS)
-                .map(|_| Mutex::new(SessionMap::default()))
-                .collect(),
+            sessions: Mutex::new(SessionMap::default()),
             session_epoch: AtomicU64::new(0),
             scope,
         }
@@ -219,6 +204,10 @@ impl EnclaveState {
         )
     }
 
+    fn sessions(&self) -> MutexGuard<'_, SessionMap> {
+        self.sessions.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The private RNG for one request ticket: SplitMix64-spaced streams
     /// off the enclave seed, so concurrent requests never share (or lock)
     /// generator state yet a fixed request order replays byte-identically.
@@ -239,17 +228,14 @@ impl EnclaveState {
         let shared = self.identity.diffie_hellman(&client_pub)?;
         let channel =
             SecureChannel::establish(Side::Server, &shared, &client_pub, &self.identity_pub);
-        self.sessions[session_shard(client_pub.as_bytes())]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(
-                *client_pub.as_bytes(),
-                Arc::new(Mutex::new(Session {
-                    channel,
-                    query_buf: Vec::new(),
-                    last_used: self.session_epoch.load(Ordering::Relaxed),
-                })),
-            );
+        self.sessions().insert(
+            *client_pub.as_bytes(),
+            Arc::new(Mutex::new(Session {
+                channel,
+                query_buf: Vec::new(),
+                last_used: self.session_epoch.load(Ordering::Relaxed),
+            })),
+        );
         Ok(channel_binding(&self.identity_pub, &client_pub))
     }
 
@@ -258,21 +244,14 @@ impl EnclaveState {
     /// torn peer cannot strand its enclave state). Returns whether a
     /// session existed. The channel keys drop with the entry.
     pub fn close_session(&self, client_pub: &[u8; 32]) -> bool {
-        self.sessions[session_shard(client_pub)]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(client_pub)
-            .is_some()
+        self.sessions().remove(client_pub).is_some()
     }
 
-    /// The `session_count` ecall: live sessions across every shard — an
-    /// aggregate (no keys leave the enclave), safe to export.
+    /// The `session_count` ecall: live sessions — an aggregate (no keys
+    /// leave the enclave), safe to export.
     #[must_use]
     pub fn session_count(&self) -> usize {
-        self.sessions
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).len())
-            .sum()
+        self.sessions().len()
     }
 
     /// The `reap_sessions` ecall: advances the session epoch and removes
@@ -286,20 +265,15 @@ impl EnclaveState {
     /// since the sweep began.
     pub fn reap_sessions(&self, ttl: u64) -> usize {
         let now = self.session_epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut reaped = 0;
-        for shard in &self.sessions {
-            let mut shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            let before = shard.len();
-            // Sessions lock only briefly here; the request path never
-            // holds a session lock while waiting on a shard lock, so
-            // the order shard → session cannot invert.
-            shard.retain(|_, s| {
-                now.saturating_sub(s.lock().unwrap_or_else(PoisonError::into_inner).last_used)
-                    <= ttl
-            });
-            reaped += before - shard.len();
-        }
-        reaped
+        let mut sessions = self.sessions();
+        let before = sessions.len();
+        // Sessions lock only briefly here; the request path never holds
+        // a session lock while waiting on the table lock, so the order
+        // table → session cannot invert.
+        sessions.retain(|_, s| {
+            now.saturating_sub(s.lock().unwrap_or_else(PoisonError::into_inner).last_used) <= ttl
+        });
+        before - sessions.len()
     }
 
     /// Seeds the history directly (warm-up for experiments; in production
@@ -374,11 +348,10 @@ impl EnclaveState {
     where
         F: FnOnce(&[Arc<str>], usize) -> Vec<SearchResult>,
     {
-        // Decrypt inside the enclave; only this client's shard is locked
-        // for the lookup, then only this session for the crypto.
-        let session = self.sessions[session_shard(client_pub)]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        // Decrypt inside the enclave; the table is locked for the lookup
+        // only, then only this session for the crypto.
+        let session = self
+            .sessions()
             .get(client_pub)
             .cloned()
             .ok_or(XSearchError::UnknownSession)?;
@@ -606,23 +579,17 @@ mod tests {
 
     #[test]
     fn sessions_work_from_every_shard() {
-        // Enough clients to populate many shards; each must stay
-        // reachable — a routing bug would orphan some sessions.
+        // Many clients at once; each must stay reachable — a table bug
+        // would orphan some sessions.
         let state = state(0);
         let port = port();
-        let mut shards_hit = std::collections::HashSet::new();
         for seed in 100..164 {
             let (id, mut ch) = client_channel(&state, seed);
-            shards_hit.insert(session_shard(&id));
             let ct = ch.seal(b"query", b"hello");
             let resp = state.request(&id, &ct, &port, |_, _| Vec::new()).unwrap();
             assert!(ch.open(b"results", &resp).is_ok());
         }
-        assert!(
-            shards_hit.len() > SESSION_SHARDS / 2,
-            "64 random keys should spread over shards, hit {}",
-            shards_hit.len()
-        );
+        assert_eq!(state.session_count(), 64);
     }
 
     #[test]

@@ -7,17 +7,26 @@
 //! memory, so its size is byte-accounted against the enclave's
 //! [`EpcGauge`] — that accounting *is* the Fig 6 measurement.
 //!
-//! # Lock striping
+//! # Locking
 //!
-//! The paper's proxy "uses multiple threads" over this shared table, so
-//! the table must not serialize them. Entries are spread over
-//! [`MAX_STRIPES`] independent stripes, each its own mutex-protected
-//! ring: a push routes to stripe `seq % stripes` via an atomic sequence
-//! counter (so stripes fill at equal rates and eviction stays globally
-//! FIFO up to stripe interleaving), and a sample locks exactly one
-//! stripe. Aggregates that used to require a global lock — length and
-//! the Fig 6 byte count — are maintained as running atomic counters, so
-//! reading them is O(1) and lock-free.
+//! One mutex guards the ring of entries, the next sequence number and
+//! the Fig 6 byte count. A request takes it once to draw its `k` fakes
+//! and once to push its own query; both hold it for microseconds. A
+//! sequence number is claimed under the same lock the entry lands
+//! under, so sequence order is landing order, and a reader's position
+//! ([`HistoryCursor`]) is one number.
+//!
+//! # Draw order
+//!
+//! Draw `r` of `0..len` does not name the `r`-th oldest entry. The
+//! window's entries are grouped by `seq mod n`, where `n` is the largest
+//! power of two dividing the capacity, at most 8; class 0 comes first,
+//! oldest first within each class, and draw `r` is the `r`-th entry in
+//! that order. This is the order an earlier lock-striped table (`n`
+//! stripes, filled round-robin) drew in. The distribution is the same
+//! uniform one either way, but which entry a seeded draw names is not:
+//! the reply digests in `perf_ledger/digests.json` and Fig 3's pins were
+//! recorded with this order, so it stays until those are re-pinned.
 //!
 //! Entries are `Arc<str>`: sampling hands out refcount bumps instead of
 //! deep string copies, which is what makes Algorithm 1's `k` draws per
@@ -25,42 +34,65 @@
 
 use rand::Rng;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use xsearch_sgx_sim::cost::CostModel;
 use xsearch_sgx_sim::epc::EpcGauge;
 
-/// Upper bound on the number of stripes; the actual count is the largest
-/// **power-of-two divisor** of the capacity, capped at this, so routing
-/// is a mask and the striped union is exactly the paper's last-x window
-/// (see [`QueryHistory::new`]). Odd capacities get a single stripe.
-pub const MAX_STRIPES: usize = 8;
-
-/// One stored entry: the query text plus the global push sequence number
-/// that lets [`QueryHistory::snapshot`] reconstruct chronological order
-/// across stripes.
+/// One stored entry: the query text plus its push sequence number.
 type Entry = (u64, Arc<str>);
 
 /// Heap bytes attributed to one stored query: the string bytes plus the
-/// per-entry bookkeeping in the stripe slot (16-byte `Arc<str>` fat
-/// pointer + 8-byte sequence tag — the same 24 bytes the pre-striping
-/// `String` header occupied, so Fig 6 is directly comparable across
-/// versions).
+/// per-entry bookkeeping in the ring slot (16-byte `Arc<str>` fat
+/// pointer + 8-byte sequence number — the same 24 bytes a `String`
+/// header occupies, so Fig 6 is directly comparable across versions).
 fn entry_bytes(query: &str) -> usize {
     query.len() + std::mem::size_of::<Entry>()
 }
 
-/// One lock stripe: a bounded FIFO ring plus a mirror of its length that
-/// samplers can read without taking the lock.
-#[derive(Debug)]
-struct Stripe {
-    entries: Mutex<VecDeque<Entry>>,
-    len: AtomicUsize,
-    capacity: usize,
+/// The residue classes of the draw order (see the module docs): the
+/// largest power of two dividing `capacity`, at most 8.
+fn draw_classes(capacity: usize) -> u64 {
+    1 << capacity.trailing_zeros().min(3)
 }
 
-/// A bounded sliding window of past queries, thread-safe (lock-striped)
-/// and EPC-accounted.
+/// The ring position draw `r` names, for a window of `len` entries whose
+/// oldest has sequence number `oldest`: the `r`-th entry when the window
+/// is grouped by `seq mod classes`, class 0 first, oldest first within a
+/// class. A bijection on `0..len`.
+fn draw_position(classes: u64, oldest: u64, len: usize, mut r: usize) -> usize {
+    let end = oldest + len as u64;
+    for class in 0..classes {
+        // The class's oldest sequence number in the window.
+        let first = oldest + (class + classes - oldest % classes) % classes;
+        let count = end.saturating_sub(first).div_ceil(classes) as usize;
+        if r < count {
+            return (first - oldest) as usize + r * classes as usize;
+        }
+        r -= count;
+    }
+    unreachable!("draw index outside the window")
+}
+
+/// Everything behind the table's one lock.
+#[derive(Debug, Default)]
+struct Ring {
+    /// The window, oldest first; sequence numbers are consecutive.
+    entries: VecDeque<Entry>,
+    /// Sequence number of the next push.
+    next_seq: u64,
+    /// Bytes attributed to `entries` (see `entry_bytes`).
+    bytes: usize,
+}
+
+impl Ring {
+    /// Sequence number of the oldest entry still in the window.
+    fn oldest(&self) -> u64 {
+        self.entries.front().map_or(self.next_seq, |(seq, _)| *seq)
+    }
+}
+
+/// A bounded sliding window of past queries, thread-safe (one mutex) and
+/// EPC-accounted.
 ///
 /// # Example
 ///
@@ -79,14 +111,8 @@ struct Stripe {
 /// ```
 #[derive(Debug)]
 pub struct QueryHistory {
-    stripes: Vec<Stripe>,
+    ring: Mutex<Ring>,
     capacity: usize,
-    /// Global push counter: routes pushes round-robin across stripes and
-    /// tags entries for chronological snapshots.
-    push_seq: AtomicU64,
-    /// Running byte counter (lock-free O(1)
-    /// [`QueryHistory::memory_bytes`], replacing the old O(n) scan).
-    total_bytes: AtomicUsize,
     epc: Arc<EpcGauge>,
     cost: CostModel,
 }
@@ -101,34 +127,20 @@ impl QueryHistory {
     #[must_use]
     pub fn new(capacity: usize, epc: Arc<EpcGauge>) -> Self {
         assert!(capacity > 0, "history window must be positive");
-        // The stripe count must divide the capacity: with equal stripe
-        // capacities and round-robin routing, the union of the stripes
-        // is provably *exactly* the last-`capacity` pushes (each stripe
-        // holds the newest `capacity / n` of its residue class), so
-        // striping does not change the paper's window semantics. It is
-        // also kept a power of two so routing is a mask, not a division.
-        // Odd capacities fall back to fewer stripes — realistic window
-        // sizes are round (even) numbers and get the full fan-out.
-        let stripe_count = 1usize << capacity.trailing_zeros().min(MAX_STRIPES.trailing_zeros());
-        let stripes = (0..stripe_count)
-            .map(|_| Stripe {
-                entries: Mutex::new(VecDeque::new()),
-                len: AtomicUsize::new(0),
-                capacity: capacity / stripe_count,
-            })
-            .collect();
         QueryHistory {
-            stripes,
+            ring: Mutex::new(Ring::default()),
             capacity,
-            push_seq: AtomicU64::new(0),
-            total_bytes: AtomicUsize::new(0),
             epc,
             cost: CostModel::default(),
         }
     }
 
-    /// Appends a query, evicting the oldest in its stripe when the window
-    /// is full (Algorithm 1 line 9: `H ← Q`).
+    fn ring(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Appends a query, evicting the oldest when the window is full
+    /// (Algorithm 1 line 9: `H ← Q`).
     pub fn push(&self, query: &str) {
         self.push_arc(Arc::from(query));
     }
@@ -136,97 +148,54 @@ impl QueryHistory {
     /// Appends an already-shared query without re-allocating its text —
     /// the obfuscation path stores the same `Arc` it sends to the engine.
     pub fn push_arc(&self, query: Arc<str>) {
-        let seq = self.push_seq.fetch_add(1, Ordering::Relaxed);
-        // Power-of-two stripe count: routing is a mask, not a division.
-        let stripe = &self.stripes[(seq as usize) & (self.stripes.len() - 1)];
         let added = entry_bytes(&query);
-        let mut entries = stripe
-            .entries
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if entries.len() == stripe.capacity {
-            // Steady state: pop + push under one lock leaves the length
-            // unchanged, so only the byte delta needs publishing.
-            let (_, evicted) = entries.pop_front().expect("capacity > 0");
+        let mut ring = self.ring();
+        if ring.entries.len() == self.capacity {
+            let (_, evicted) = ring.entries.pop_front().expect("capacity > 0");
             let freed = entry_bytes(&evicted);
             self.epc.release(freed);
-            self.epc.charge(added, &self.cost);
-            if added >= freed {
-                self.total_bytes.fetch_add(added - freed, Ordering::Relaxed);
-            } else {
-                self.total_bytes.fetch_sub(freed - added, Ordering::Relaxed);
-            }
-        } else {
-            self.epc.charge(added, &self.cost);
-            self.total_bytes.fetch_add(added, Ordering::Relaxed);
-            stripe.len.fetch_add(1, Ordering::Release);
+            ring.bytes -= freed;
         }
-        entries.push_back((seq, query));
+        self.epc.charge(added, &self.cost);
+        ring.bytes += added;
+        let seq = ring.next_seq;
+        ring.next_seq += 1;
+        ring.entries.push_back((seq, query));
     }
 
-    /// Fetches the entry at global index `r` (stripe-major order),
-    /// clamping against concurrent eviction so a raced draw still
-    /// returns *some* stored query rather than failing.
-    fn entry_at(&self, mut r: usize) -> Option<Arc<str>> {
-        for stripe in &self.stripes {
-            let len = stripe.len.load(Ordering::Acquire);
-            if r >= len {
-                r -= len;
-                continue;
-            }
-            let entries = stripe
-                .entries
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if let Some((_, q)) = entries.get(r.min(entries.len().wrapping_sub(1))) {
-                return Some(Arc::clone(q));
-            }
-            break;
-        }
-        // Raced with eviction past the end of the walk: take the newest
-        // entry of any non-empty stripe (sampling stays uniform in the
-        // quiescent case; this branch is unreachable single-threaded).
-        self.stripes.iter().find_map(|s| {
-            s.entries
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .back()
-                .map(|(_, q)| Arc::clone(q))
-        })
+    /// Draw `r` of the window (see the module docs for the order).
+    fn draw(&self, ring: &Ring, r: usize) -> Arc<str> {
+        let classes = draw_classes(self.capacity);
+        let at = draw_position(classes, ring.oldest(), ring.entries.len(), r);
+        Arc::clone(&ring.entries[at].1)
     }
 
     /// Samples one past query uniformly (Algorithm 1 line 7:
-    /// `H[random(m)]`), `None` when the table is empty. Locks exactly one
-    /// stripe.
+    /// `H[random(m)]`), `None` when the table is empty.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<Arc<str>> {
-        let len = self.len();
-        if len == 0 {
-            return None;
-        }
-        self.entry_at(rng.gen_range(0..len))
+        let ring = self.ring();
+        let len = ring.entries.len();
+        (len > 0).then(|| self.draw(&ring, rng.gen_range(0..len)))
     }
 
     /// Samples `k` past queries with replacement; empty if the table is.
-    /// Each draw bumps a refcount instead of deep-cloning the string, and
-    /// locks only the one stripe it lands on.
+    /// Each draw bumps a refcount instead of deep-cloning the string; all
+    /// `k` draws take the lock once.
     pub fn sample_many<R: Rng + ?Sized>(&self, k: usize, rng: &mut R) -> Vec<Arc<str>> {
-        let len = self.len();
+        let ring = self.ring();
+        let len = ring.entries.len();
         if len == 0 {
             return Vec::new();
         }
         (0..k)
-            .filter_map(|_| self.entry_at(rng.gen_range(0..len)))
+            .map(|_| self.draw(&ring, rng.gen_range(0..len)))
             .collect()
     }
 
-    /// Number of stored queries (lock-free: sums the per-stripe length
-    /// mirrors, at most [`MAX_STRIPES`] plain loads).
+    /// Number of stored queries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.len.load(Ordering::Acquire))
-            .sum()
+        self.ring().entries.len()
     }
 
     /// Whether the table is empty (cold start).
@@ -243,10 +212,10 @@ impl QueryHistory {
 
     /// Bytes currently attributed to this table (string bytes plus
     /// per-entry bookkeeping), i.e. the Fig 6 y-axis. O(1): a running
-    /// counter maintained by push/evict, not a scan.
+    /// count kept by push/evict, not a scan.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        self.total_bytes.load(Ordering::Relaxed)
+        self.ring().bytes
     }
 
     /// The EPC gauge this table charges.
@@ -256,8 +225,7 @@ impl QueryHistory {
     }
 
     /// An ordered snapshot (oldest first); only callable from in-enclave
-    /// code in the real system. Cold path: locks every stripe and merges
-    /// the whole window by push sequence number.
+    /// code in the real system.
     #[must_use]
     pub fn snapshot(&self) -> Vec<String> {
         self.snapshot_arcs()
@@ -278,52 +246,26 @@ impl QueryHistory {
     /// The delta read behind sealed persistence: every entry that landed
     /// since `cursor` last read this table and is still in the window,
     /// oldest first, and advances `cursor` past them. Costs the entries
-    /// returned plus one lock per stripe, whatever the window size.
-    ///
-    /// The cursor is a *position* in each stripe (the sequence tag of
-    /// the newest entry it has seen there), not one global sequence
-    /// number. [`QueryHistory::push_arc`] claims its number before it
-    /// takes the stripe lock, so entries land out of sequence order
-    /// across stripes and within one; "everything at or above sequence
-    /// *n*" can skip a push that had claimed a number but not landed,
-    /// and a walk that stops at the first tag below *n* can stop short
-    /// of a higher tag that landed before it. A stripe is a FIFO in
-    /// landing order, so "everything behind the mark" is exactly what
-    /// landed since — an entry is returned by the first read after it
-    /// lands, once, under any interleaving. A mark that has been evicted
-    /// means the whole stripe is new.
+    /// returned, whatever the window size. Entries land in sequence
+    /// order, so "since" is "at or above the cursor's sequence number";
+    /// entries evicted unread are outside the window and skipped.
     pub fn read_since(&self, cursor: &mut HistoryCursor) -> Vec<Arc<str>> {
-        cursor.marks.resize(self.stripes.len(), None);
-        let mut tagged: Vec<Entry> = Vec::new();
-        for (stripe, mark) in self.stripes.iter().zip(&mut cursor.marks) {
-            let entries = stripe
-                .entries
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            let fresh = match *mark {
-                Some(seen) => entries
-                    .iter()
-                    .rev()
-                    .take_while(|(seq, _)| *seq != seen)
-                    .count(),
-                None => entries.len(),
-            };
-            tagged.extend(entries.range(entries.len() - fresh..).cloned());
-            if let Some((seq, _)) = entries.back() {
-                *mark = Some(*seq);
-            }
-        }
-        tagged.sort_unstable_by_key(|(seq, _)| *seq);
-        tagged.into_iter().map(|(_, q)| q).collect()
+        let ring = self.ring();
+        let skip = (cursor.next.saturating_sub(ring.oldest()) as usize).min(ring.entries.len());
+        cursor.next = ring.next_seq;
+        ring.entries
+            .range(skip..)
+            .map(|(_, q)| Arc::clone(q))
+            .collect()
     }
 }
 
-/// How far a reader has got through a [`QueryHistory`]: per stripe, the
-/// sequence tag of the newest entry already read (see
+/// How far a reader has got through a [`QueryHistory`]: the sequence
+/// number of the next entry it has not read (see
 /// [`QueryHistory::read_since`]). The default has read nothing.
 #[derive(Debug, Default)]
 pub struct HistoryCursor {
-    marks: Vec<Option<u64>>,
+    next: u64,
 }
 
 #[cfg(test)]
@@ -473,9 +415,9 @@ mod tests {
 
     #[test]
     fn read_since_past_an_evicted_mark_returns_what_is_left() {
-        // 8 stripes of 2. After 16 more pushes per stripe position the
-        // marks are gone and the whole window is new; after 17, stripe 0
-        // has also lost an entry nobody read — it is outside the window.
+        // After 16 more pushes the whole window is new; after 17, the
+        // ring has also lost an entry nobody read — it is outside the
+        // window.
         let h = history(16);
         let mut cursor = HistoryCursor::default();
         for i in 0..16 {
@@ -488,29 +430,6 @@ mod tests {
         let expected: Vec<String> = (17..33).map(|i| format!("q{i}")).collect();
         assert_eq!(texts(h.read_since(&mut cursor)), expected);
         assert_eq!(h.snapshot(), expected);
-    }
-
-    #[test]
-    fn read_since_keeps_a_late_lander_behind_a_higher_tag() {
-        // Two pushers of one stripe landing against their claim order —
-        // built by hand, since `push_arc` claims and lands in one call.
-        // A reader that had already seen tag 16 must still get tag 8.
-        let h = history(24);
-        let q = |s: &str| Arc::<str>::from(s);
-        h.stripes[0]
-            .entries
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push_back((16, q("claimed second")));
-        let mut cursor = HistoryCursor::default();
-        assert_eq!(texts(h.read_since(&mut cursor)), ["claimed second"]);
-        h.stripes[0]
-            .entries
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push_back((8, q("claimed first")));
-        assert_eq!(texts(h.read_since(&mut cursor)), ["claimed first"]);
-        assert!(h.read_since(&mut cursor).is_empty());
     }
 
     #[test]
@@ -566,6 +485,63 @@ mod tests {
         assert_eq!(h.memory_bytes(), h.epc().used());
     }
 
+    /// Seeded draws name the entries the lock-striped table named: for
+    /// each capacity, a window before and after the ring wraps, sixteen
+    /// draws by entry number (`q` is the `q`-th push). Recorded from the
+    /// striped implementation; the reply digests depend on them.
+    #[test]
+    fn seeded_draws_keep_the_striped_order() {
+        #[rustfmt::skip]
+        const RECORDED: [(usize, usize, [usize; 16]); 10] = [
+            (1, 1, [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+            (1, 3, [2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2]),
+            (3, 2, [0, 1, 1, 0, 0, 0, 0, 1, 0, 1, 1, 1, 0, 0, 0, 0]),
+            (3, 8, [5, 6, 7, 5, 6, 5, 7, 5, 7, 6, 7, 6, 6, 7, 7, 7]),
+            (8, 6, [3, 0, 0, 4, 4, 5, 4, 0, 5, 0, 1, 4, 4, 4, 4, 1]),
+            (8, 19, [13, 13, 11, 11, 16, 13, 17, 15, 11, 11, 14, 13, 12, 12, 15, 13]),
+            (24, 16, [0, 3, 7, 2, 15, 12, 0, 11, 2, 3, 7, 11, 13, 1, 15, 1]),
+            (24, 57, [39, 55, 35, 49, 55, 38, 52, 48, 34, 56, 53, 43, 56, 50, 38, 40]),
+            (64, 43, [40, 36, 3, 1, 40, 39, 23, 35, 4, 11, 10, 23, 4, 38, 28, 8]),
+            (64, 150, [122, 101, 108, 102, 89, 103, 122, 116, 89, 100, 122, 134, 98, 130, 96, 135]),
+        ];
+        for (cap, pushes, expected) in RECORDED {
+            let h = history(cap);
+            for i in 0..pushes {
+                h.push(&i.to_string());
+            }
+            let mut rng = StdRng::seed_from_u64(cap as u64 * 1000 + pushes as u64);
+            let drawn: Vec<usize> = h
+                .sample_many(16, &mut rng)
+                .iter()
+                .map(|q| q.parse().unwrap())
+                .collect();
+            assert_eq!(drawn, expected, "capacity {cap} after {pushes} pushes");
+        }
+    }
+
+    /// Every ring position is named by exactly one draw index, at every
+    /// capacity in `1..=64` and every fill level. The map depends on the
+    /// oldest sequence number only modulo the class count (at most 8),
+    /// so `cap + 8` pushes reach every wrap phase: the check is
+    /// exhaustive, not sampled.
+    #[test]
+    fn draw_positions_are_a_bijection() {
+        for cap in 1usize..=64 {
+            for pushes in 0..=cap + 8 {
+                let oldest = pushes.saturating_sub(cap) as u64;
+                let len = pushes.min(cap);
+                let mut positions: Vec<usize> = (0..len)
+                    .map(|r| draw_position(draw_classes(cap), oldest, len, r))
+                    .collect();
+                positions.sort_unstable();
+                assert!(
+                    positions.iter().copied().eq(0..len),
+                    "capacity {cap} after {pushes} pushes"
+                );
+            }
+        }
+    }
+
     proptest! {
         #[test]
         fn accounting_never_drifts(queries in proptest::collection::vec("[a-z ]{1,30}", 1..60), cap in 1usize..20) {
@@ -578,9 +554,9 @@ mod tests {
             prop_assert!(h.len() <= cap);
         }
 
-        /// The striped table must sample from the same distribution the
-        /// old single-lock table did: uniform over the entries the
-        /// sliding window currently holds, nothing outside it.
+        /// The residue-class draw order must sample from the same
+        /// distribution a plain `entries[r]` draw does: uniform over the
+        /// entries the sliding window currently holds, nothing outside it.
         #[test]
         fn striped_sampling_matches_single_lock_distribution(
             n_entries in 1usize..40,
@@ -615,7 +591,7 @@ mod tests {
             }
             // ...and cover it uniformly (±60% of the expected count is
             // ≈6σ at 200 draws per entry — tight enough to catch any
-            // stripe bias, loose enough to never flake).
+            // class bias, loose enough to never flake).
             for w in &window {
                 let c = counts.get(*w).copied().unwrap_or(0);
                 let lo = expected * 2 / 5;
