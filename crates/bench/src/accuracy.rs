@@ -27,7 +27,7 @@ impl PrecisionRecall {
     /// # Example
     ///
     /// ```
-    /// use xsearch_metrics::accuracy::PrecisionRecall;
+    /// use xsearch_bench::accuracy::PrecisionRecall;
     ///
     /// let pr = PrecisionRecall::of(&["a", "b", "c"], &["b", "c", "d"]);
     /// assert!((pr.precision - 2.0 / 3.0).abs() < 1e-12);
@@ -49,16 +49,6 @@ impl PrecisionRecall {
             inter / ref_set.len() as f64
         };
         PrecisionRecall { precision, recall }
-    }
-
-    /// F1 score (harmonic mean), 0.0 when both components are 0.
-    #[must_use]
-    pub fn f1(&self) -> f64 {
-        if self.precision + self.recall == 0.0 {
-            0.0
-        } else {
-            2.0 * self.precision * self.recall / (self.precision + self.recall)
-        }
     }
 
     /// Averages a collection of measurements (macro-average over queries,
@@ -90,7 +80,6 @@ mod tests {
         let pr = PrecisionRecall::of(&[1, 2, 3], &[3, 2, 1]);
         assert_eq!(pr.precision, 1.0);
         assert_eq!(pr.recall, 1.0);
-        assert_eq!(pr.f1(), 1.0);
     }
 
     #[test]
@@ -98,7 +87,6 @@ mod tests {
         let pr = PrecisionRecall::of(&[1, 2], &[3, 4]);
         assert_eq!(pr.precision, 0.0);
         assert_eq!(pr.recall, 0.0);
-        assert_eq!(pr.f1(), 0.0);
     }
 
     #[test]
@@ -155,7 +143,6 @@ mod tests {
             let pr = PrecisionRecall::of(&reference, &returned);
             prop_assert!((0.0..=1.0).contains(&pr.precision));
             prop_assert!((0.0..=1.0).contains(&pr.recall));
-            prop_assert!((0.0..=1.0).contains(&pr.f1()));
         }
 
         #[test]

@@ -20,8 +20,8 @@ use xsearch_baselines::peas::PeasSystem;
 use xsearch_baselines::system::PrivateSearchSystem;
 use xsearch_baselines::tmn::TrackMeNot;
 use xsearch_baselines::xsearch_system::XSearchSystem;
+use xsearch_bench::series::Table;
 use xsearch_bench::{Dataset, EXPERIMENT_SEED};
-use xsearch_metrics::series::Table;
 use xsearch_query_log::record::QueryRecord;
 
 const TEST_QUERIES: usize = 800;

@@ -38,8 +38,8 @@ use xsearch_cluster::resilience::ResilienceConfig;
 use xsearch_cluster::{Cluster, ClusterClient, ClusterConfig, CrashEvent, FaultPlan, FaultSpec};
 use xsearch_core::config::XSearchConfig;
 use xsearch_engine::engine::SearchEngine;
-use xsearch_metrics::LatencyHistogram;
 use xsearch_telemetry::LabelValue;
+use xsearch_telemetry::LatencyHistogram;
 
 const REPLICAS: usize = 8;
 const SESSIONS: usize = 32;

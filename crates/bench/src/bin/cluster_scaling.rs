@@ -31,12 +31,11 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
-use xsearch_bench::summary::{capacity, env_or, fixed, json_points, Json, Obj, Summary};
+use xsearch_bench::load::{capacity, json_points, run_open_loop, sweep_rates, LoadSpec, RunReport};
+use xsearch_bench::summary::{env_or, fixed, Json, Obj, Summary};
 use xsearch_bench::{echo_engine, Dataset, EXPERIMENT_SEED};
 use xsearch_cluster::{Cluster, ClusterClient, ClusterConfig, LaneStats};
 use xsearch_core::config::XSearchConfig;
-use xsearch_workload::runner::{run_open_loop, sweep_rates};
-use xsearch_workload::{LoadSpec, RunReport};
 
 const K: usize = 3;
 /// Attested client sessions spread over the fleet.

@@ -32,15 +32,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xsearch_bench::echo_fleet;
+use xsearch_bench::load::{capacity, json_points, p99_at_capacity, sweep_rates};
 use xsearch_bench::sessions::{FrontSessions, RawFramed};
-use xsearch_bench::summary::{
-    capacity, env_or, fixed, json_points, p99_at_capacity, replay_gate, Gate, Json, Obj, Summary,
-};
+use xsearch_bench::summary::{env_or, fixed, replay_gate, Gate, Json, Obj, Summary};
 use xsearch_cluster::{
     FaultPlan, FaultSpec, FramedClient, FrontConfig, FrontTier, IDLE_SESSION_BYTE_BUDGET,
 };
 use xsearch_net_sim::ByteStream;
-use xsearch_workload::runner::sweep_rates;
 
 /// Idle-sweep tiers; `CONN_MAX_SESSIONS` drops the ones above the cap.
 const IDLE_TIERS: &[usize] = &[10_000, 100_000, 1_000_000];

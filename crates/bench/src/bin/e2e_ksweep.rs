@@ -24,6 +24,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
+use xsearch_bench::distribution::Empirical;
 use xsearch_bench::summary::{env_or, fixed, Gate, Json, Obj, Summary};
 use xsearch_bench::{standard_engine, timed_attested_search, Dataset, EXPERIMENT_SEED};
 use xsearch_core::broker::Broker;
@@ -32,7 +33,6 @@ use xsearch_core::proxy::XSearchProxy;
 use xsearch_engine::engine::SearchEngine;
 use xsearch_engine::pool::MAX_LANES;
 use xsearch_engine::service::EngineService;
-use xsearch_metrics::distribution::Empirical;
 use xsearch_net_sim::link::WanModel;
 use xsearch_query_log::record::QueryRecord;
 

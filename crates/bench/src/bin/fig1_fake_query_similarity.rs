@@ -12,9 +12,9 @@
 use xsearch_attack::profile::ProfileSet;
 use xsearch_baselines::peas::{CooccurrenceMatrix, PeasFakeGenerator};
 use xsearch_baselines::tmn::TrackMeNot;
+use xsearch_bench::distribution::Empirical;
+use xsearch_bench::series::Table;
 use xsearch_bench::{Dataset, EXPERIMENT_SEED};
-use xsearch_metrics::distribution::Empirical;
-use xsearch_metrics::series::Table;
 
 const FAKES: usize = 1_000;
 

@@ -13,13 +13,13 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
+use xsearch_bench::accuracy::PrecisionRecall;
+use xsearch_bench::series::Table;
 use xsearch_bench::{standard_engine, Dataset, EXPERIMENT_SEED};
 use xsearch_core::filter::filter_results;
 use xsearch_core::history::QueryHistory;
 use xsearch_core::obfuscate::obfuscate;
 use xsearch_engine::document::DocId;
-use xsearch_metrics::accuracy::PrecisionRecall;
-use xsearch_metrics::series::Table;
 use xsearch_sgx_sim::epc::EpcGauge;
 
 /// Queries evaluated per k (the paper uses 100 due to Bing rate limits).

@@ -32,15 +32,12 @@ use xsearch_baselines::peas::{
     CooccurrenceMatrix, PeasClient, PeasFakeGenerator, PeasIssuer, PeasReceiver,
 };
 use xsearch_baselines::tor::network::TorNetwork;
+use xsearch_bench::load::{capacity, json_points, p99_at_capacity, sweep_rates, RunReport};
+use xsearch_bench::series::Table;
 use xsearch_bench::sessions::BrokerPool;
-use xsearch_bench::summary::{
-    capacity, env_or, fixed, json_points, p99_at_capacity, Json, Obj, Summary,
-};
+use xsearch_bench::summary::{env_or, fixed, Json, Obj, Summary};
 use xsearch_bench::{Dataset, EXPERIMENT_SEED};
-use xsearch_metrics::series::Table;
 use xsearch_query_log::record::UserId;
-use xsearch_workload::runner::sweep_rates;
-use xsearch_workload::RunReport;
 
 const K: usize = 3;
 const SESSIONS: usize = 32;

@@ -9,14 +9,18 @@
 //!
 //! Run: `cargo run -p xsearch-bench --release --bin fig6_memory`
 
+use xsearch_bench::series::Table;
 use xsearch_core::history::QueryHistory;
-use xsearch_metrics::memory::to_mib;
-use xsearch_metrics::series::Table;
 use xsearch_query_log::synthetic::unique_queries;
 use xsearch_sgx_sim::epc::{EpcGauge, USABLE_EPC_BYTES};
 
 const TOTAL_QUERIES: usize = 1_000_000;
 const POINT_EVERY: usize = 10_000;
+
+/// Bytes as fractional MiB, the unit of Fig 6's y-axis.
+fn to_mib(bytes: usize) -> f64 {
+    bytes as f64 / (1024.0 * 1024.0)
+}
 
 fn main() {
     let queries = unique_queries(TOTAL_QUERIES, 2017);

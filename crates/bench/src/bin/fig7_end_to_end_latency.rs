@@ -17,13 +17,13 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xsearch_baselines::tor::network::TorNetwork;
+use xsearch_bench::distribution::Empirical;
+use xsearch_bench::series::Table;
 use xsearch_bench::{standard_engine, timed_attested_search, Dataset, EXPERIMENT_SEED};
 use xsearch_core::broker::Broker;
 use xsearch_core::config::XSearchConfig;
 use xsearch_core::proxy::XSearchProxy;
 use xsearch_engine::service::EngineService;
-use xsearch_metrics::distribution::Empirical;
-use xsearch_metrics::series::Table;
 use xsearch_net_sim::link::{Link, WanModel};
 use xsearch_net_sim::DelayModel;
 use xsearch_sgx_sim::attestation::AttestationService;

@@ -1,12 +1,12 @@
 //! Empirical distributions: CDF (Fig 7's round-trip latencies) and CCDF
-//! (Fig 1's fake-query similarity) series.
+//! (Fig 1's fake-query similarity).
 
 /// An empirical distribution over `f64` samples.
 ///
 /// # Example
 ///
 /// ```
-/// use xsearch_metrics::distribution::Empirical;
+/// use xsearch_bench::distribution::Empirical;
 ///
 /// let d = Empirical::from_samples(vec![1.0, 2.0, 3.0, 4.0]);
 /// assert_eq!(d.cdf(2.0), 0.5);
@@ -25,18 +25,6 @@ impl Empirical {
         samples.retain(|x| !x.is_nan());
         samples.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaNs removed"));
         Empirical { sorted: samples }
-    }
-
-    /// Number of samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Whether the distribution holds no samples.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
     }
 
     /// P(X ≤ x); 0.0 for an empty distribution.
@@ -77,43 +65,6 @@ impl Empirical {
     pub fn median(&self) -> f64 {
         self.quantile(0.5)
     }
-
-    /// Arithmetic mean; 0.0 when empty.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        self.sorted.iter().sum::<f64>() / self.sorted.len() as f64
-    }
-
-    /// Evaluates the CDF over `points` evenly spaced in [lo, hi],
-    /// returning (x, F(x)) pairs — the series a gnuplot CDF figure plots.
-    #[must_use]
-    pub fn cdf_series(&self, lo: f64, hi: f64, points: usize) -> Vec<(f64, f64)> {
-        grid(lo, hi, points).map(|x| (x, self.cdf(x))).collect()
-    }
-
-    /// Same as [`Self::cdf_series`] for the CCDF (Fig 1's y-axis).
-    #[must_use]
-    pub fn ccdf_series(&self, lo: f64, hi: f64, points: usize) -> Vec<(f64, f64)> {
-        grid(lo, hi, points).map(|x| (x, self.ccdf(x))).collect()
-    }
-}
-
-impl FromIterator<f64> for Empirical {
-    fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
-        Empirical::from_samples(iter.into_iter().collect())
-    }
-}
-
-fn grid(lo: f64, hi: f64, points: usize) -> impl Iterator<Item = f64> {
-    let step = if points > 1 {
-        (hi - lo) / (points - 1) as f64
-    } else {
-        0.0
-    };
-    (0..points.max(1)).map(move |i| lo + step * i as f64)
 }
 
 #[cfg(test)]
@@ -147,31 +98,21 @@ mod tests {
     #[test]
     fn nan_samples_dropped() {
         let d = Empirical::from_samples(vec![1.0, f64::NAN, 2.0]);
-        assert_eq!(d.len(), 2);
+        assert_eq!(d.cdf(1.0), 0.5, "two samples remain");
+        assert_eq!(d.quantile(1.0), 2.0);
     }
 
     #[test]
     fn empty_distribution_behaviour() {
         let d = Empirical::default();
-        assert!(d.is_empty());
         assert_eq!(d.cdf(1.0), 0.0);
         assert_eq!(d.ccdf(1.0), 0.0);
-        assert_eq!(d.mean(), 0.0);
     }
 
     #[test]
     #[should_panic(expected = "quantile of empty")]
     fn quantile_of_empty_panics() {
         let _ = Empirical::default().quantile(0.5);
-    }
-
-    #[test]
-    fn series_has_requested_length_and_bounds() {
-        let d = Empirical::from_samples(vec![0.5]);
-        let s = d.cdf_series(0.0, 1.0, 11);
-        assert_eq!(s.len(), 11);
-        assert_eq!(s[0].0, 0.0);
-        assert!((s[10].0 - 1.0).abs() < 1e-12);
     }
 
     proptest! {

@@ -7,11 +7,19 @@
 //!
 //! The perf and chaos binaries are scenario descriptions over the same
 //! small library: the rig here ([`echo_engine`], [`echo_fleet`]), the
-//! session pools and the raw framed client in [`sessions`], and the one
-//! summary / gate / scale-knob stack in [`summary`].
+//! session pools and the raw framed client in [`sessions`], the wrk2-style
+//! open-loop generator and its Fig 5 reading in [`load`], and the one
+//! summary / gate / scale-knob stack in [`summary`]. The figure binaries
+//! add three small helpers: precision/recall in [`accuracy`] (Fig 4),
+//! empirical CDF/CCDF in [`distribution`] (Figs 1 and 7), and the TSV
+//! tables in [`series`].
 
 #![deny(missing_docs)]
 
+pub mod accuracy;
+pub mod distribution;
+pub mod load;
+pub mod series;
 pub mod sessions;
 pub mod summary;
 

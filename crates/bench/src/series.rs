@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 /// # Example
 ///
 /// ```
-/// use xsearch_metrics::series::Table;
+/// use xsearch_bench::series::Table;
 ///
 /// let mut t = Table::new("fig4", &["k", "precision", "recall"]);
 /// t.row(&[0.0, 1.0, 1.0]);
@@ -58,18 +58,6 @@ impl Table {
             self.title
         );
         self.rows.push(cells.to_vec());
-    }
-
-    /// Number of data rows.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Renders the table: `# title`, `# notes...`, TSV header, TSV rows.
@@ -142,7 +130,6 @@ mod tests {
     #[test]
     fn empty_table_still_renders_header() {
         let t = Table::new("t", &["only"]);
-        assert!(t.is_empty());
         assert!(t.render().contains("only"));
     }
 }

@@ -6,7 +6,6 @@
 //! across harnesses and PRs by a script instead of by eye.
 
 use std::fmt::Write as _;
-use xsearch_workload::RunReport;
 
 /// A JSON value; numbers are `f64` (every figure a harness reports is far
 /// below 2^53).
@@ -315,12 +314,19 @@ impl Summary {
         lines
     }
 
+    /// Writes the machine-readable form to `path`.
+    fn write_to(&self, path: &std::path::Path) -> std::io::Result<()> {
+        std::fs::write(path, self.render())
+    }
+
     /// The shared tail of every harness binary: writes the summary file,
-    /// prints the human-readable lines, and — when a gate failed — runs
-    /// `diagnose` (the flight-recorder dump) and exits 1.
+    /// prints the human-readable lines, and exits 1 when the file could
+    /// not be written or a gate failed — after running `diagnose` (the
+    /// flight-recorder dump) for the latter.
     pub fn finish(self, diagnose: impl FnOnce()) {
         let path = format!("BENCH_{}.json", self.bench);
-        match std::fs::write(&path, self.render()) {
+        let written = self.write_to(path.as_ref());
+        match &written {
             Ok(()) => eprintln!("wrote summary to {path}"),
             Err(e) => eprintln!("could not write {path}: {e}"),
         }
@@ -331,6 +337,9 @@ impl Summary {
         if !self.passed() {
             eprintln!("FAIL: {} gate(s) violated", self.bench);
             diagnose();
+            std::process::exit(1);
+        }
+        if written.is_err() {
             std::process::exit(1);
         }
     }
@@ -350,79 +359,14 @@ fn knob(raw: Option<&str>, default: u64, floor: u64) -> u64 {
         .max(floor)
 }
 
-/// The kept-up point with the best achieved rate.
-fn best(reports: &[RunReport]) -> Option<&RunReport> {
-    let kept_up = reports.iter().filter(|r| r.kept_up());
-    kept_up.max_by(|a, b| a.achieved_rate().total_cmp(&b.achieved_rate()))
-}
-
-/// Max sustained rate: the best achieved rate among kept-up points.
-#[must_use]
-pub fn capacity(reports: &[RunReport]) -> f64 {
-    best(reports).map_or(0.0, RunReport::achieved_rate)
-}
-
-/// p99 latency (ms) at that point; NaN when no point kept up.
-#[must_use]
-pub fn p99_at_capacity(reports: &[RunReport]) -> f64 {
-    best(reports).map_or(f64::NAN, RunReport::p99_latency_ms)
-}
-
-/// The sweep's points as an array of
-/// `{offered_rps, achieved_rps, median_ms, p99_ms, kept_up}` objects.
-#[must_use]
-pub fn json_points(reports: &[RunReport]) -> Json {
-    let point = |r: &RunReport| {
-        Obj::new()
-            .field("offered_rps", fixed(r.offered_rate, 1))
-            .field("achieved_rps", fixed(r.achieved_rate(), 1))
-            .field("median_ms", fixed(r.median_latency_ms(), 3))
-            .field("p99_ms", fixed(r.p99_latency_ms(), 3))
-            .field("kept_up", r.kept_up())
-    };
-    reports.iter().map(point).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xsearch_metrics::histogram::LatencyHistogram;
-
-    fn report(offered: f64, completed: u64, secs: f64) -> RunReport {
-        let mut h = LatencyHistogram::new();
-        h.record(500);
-        RunReport {
-            offered_rate: offered,
-            completed,
-            failed: 0,
-            elapsed_secs: secs,
-            latency_us: h,
-        }
-    }
 
     fn compact(value: &Json) -> String {
         let mut out = String::new();
         value.write(&mut out, 2);
         out
-    }
-
-    #[test]
-    fn capacity_takes_best_kept_up_point() {
-        let reports = vec![
-            report(100.0, 100, 1.0), // kept up at 100
-            report(200.0, 200, 1.0), // kept up at 200
-            report(400.0, 250, 1.0), // collapsed
-        ];
-        assert!((capacity(&reports) - 200.0).abs() < 1e-9);
-        assert_eq!(capacity(&[]), 0.0);
-    }
-
-    #[test]
-    fn json_points_is_valid_shape() {
-        let out = compact(&json_points(&[report(100.0, 100, 1.0)]));
-        assert!(out.starts_with('[') && out.ends_with(']'));
-        assert!(out.contains("\"offered_rps\": 100"));
-        assert!(out.contains("\"kept_up\": true"));
     }
 
     #[test]
@@ -439,6 +383,13 @@ mod tests {
         ]);
         assert_eq!(compact(&bad), "[null, null, null, 2.13]");
         assert_eq!(compact(&Obj::new().into()), "{}");
+    }
+
+    #[test]
+    fn summary_write_fails_for_a_missing_directory() {
+        let summary = Summary::new("unwritable");
+        let missing = std::env::temp_dir().join("xsearch-bench-no-such-dir/BENCH_unwritable.json");
+        assert!(summary.write_to(&missing).is_err());
     }
 
     #[test]

@@ -1,17 +1,15 @@
-//! The acceptance scenario for the fleet tier: under open-loop load
+//! The acceptance scenario for the fleet tier: under concurrent load
 //! against a 4-replica fleet, killing and restarting one replica must
 //! lose no client's last-x history window (sealed migration) and every
 //! surviving response must still decrypt.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 use xsearch_cluster::{Cluster, ClusterClient, ClusterConfig};
 use xsearch_core::config::XSearchConfig;
 use xsearch_core::proxy::XSearchProxy;
 use xsearch_engine::corpus::CorpusConfig;
 use xsearch_engine::engine::SearchEngine;
-use xsearch_workload::{run_open_loop, LoadSpec};
 
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -71,45 +69,50 @@ fn churn_under_open_loop_load_preserves_windows_and_decryption() {
         "client 0's replica must hold its tagged window"
     );
 
-    // Phase B — open-loop load across all clients; the victim replica is
-    // hard-killed a third of the way in and restarted at two thirds.
-    // Every request must eventually succeed: clients ride out the crash
-    // by draining the victim (health sweep), re-attesting whichever
-    // replica inherits their affinity key, and retrying; the victim's
-    // sealed window migrates to its designated ring successor.
+    // Phase B — four threads take tickets until every request has been
+    // issued; the victim replica is hard-killed a third of the way in and
+    // restarted at two thirds. Every request must succeed: clients ride
+    // out the crash by draining the victim (health sweep), re-attesting
+    // whichever replica inherits their affinity key, and retrying; the
+    // victim's sealed window migrates to its designated ring successor.
     let total_requests = 1_200u64;
-    let rate = 2_000.0;
     let kill_at = total_requests / 3;
     let restart_at = 2 * total_requests / 3;
     let ticket = AtomicU64::new(0);
-
-    let spec = LoadSpec {
-        rate_per_sec: rate,
-        duration: Duration::from_secs_f64(total_requests as f64 / rate),
-        threads: 4,
-    };
-    let report = run_open_loop(&spec, &|| {
-        let n = ticket.fetch_add(1, Ordering::Relaxed);
-        if n == kill_at {
-            cluster.kill(victim).unwrap();
+    let (completed, failed) = (AtomicU64::new(0), AtomicU64::new(0));
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            scope.spawn(|| loop {
+                let n = ticket.fetch_add(1, Ordering::Relaxed);
+                if n >= total_requests {
+                    break;
+                }
+                if n == kill_at {
+                    cluster.kill(victim).unwrap();
+                }
+                if n == restart_at {
+                    cluster.restart(victim).unwrap();
+                }
+                let mut client = clients[n as usize % CLIENTS]
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
+                let query = format!("load query {n}");
+                let outcome = match client.search_echo(&cluster, &query) {
+                    Ok(_) => &completed,
+                    Err(_) => &failed,
+                };
+                outcome.fetch_add(1, Ordering::Relaxed);
+            });
         }
-        if n == restart_at {
-            cluster.restart(victim).unwrap();
-        }
-        let mut client = clients[n as usize % CLIENTS]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        client
-            .search_echo(&cluster, &format!("load query {n}"))
-            .is_ok()
     });
 
     assert_eq!(
-        report.failed, 0,
+        failed.into_inner(),
+        0,
         "every request must survive the churn (decrypted response or \
          successful retry against the successor)"
     );
-    assert!(report.completed >= total_requests);
+    assert_eq!(completed.into_inner(), total_requests);
 
     // The victim's pre-kill window survived somewhere in the fleet: the
     // ring successor adopted the sealed migration, and nothing evicted

@@ -2,8 +2,8 @@
 //! HdrHistogram: constant-time recording, bounded relative error on
 //! percentile queries, mergeable across threads.
 //!
-//! Values are dimensionless `u64`s; the workload generator records
-//! microseconds.
+//! Values are dimensionless `u64`s; the load generator and the registry's
+//! histograms record microseconds.
 
 /// Sub-bucket resolution: each power-of-two range is split into this many
 /// linear sub-buckets, bounding relative quantile error to 1/64 ≈ 1.6%.
@@ -18,7 +18,7 @@ const MAJOR_BUCKETS: usize = 64;
 /// # Example
 ///
 /// ```
-/// use xsearch_metrics::histogram::LatencyHistogram;
+/// use xsearch_telemetry::LatencyHistogram;
 ///
 /// let mut h = LatencyHistogram::new();
 /// for v in [100, 200, 300, 400, 1000] {
@@ -67,15 +67,15 @@ impl LatencyHistogram {
         let major = (msb - SUB_BITS + 1) as usize;
         // Sub-bucket: the SUB_BITS bits below the msb.
         let sub = ((value >> (msb - SUB_BITS)) & (SUB_BUCKETS as u64 - 1)) as usize;
-        // Majors start at the linear range (major 0 = values < SUB_BUCKETS,
-        // occupying the first SUB_BUCKETS slots); each subsequent major
-        // contributes SUB_BUCKETS/2 distinct new sub-buckets but we keep the
-        // simple dense layout for clarity.
+        // Major 0 is the linear range (values < SUB_BUCKETS, one slot
+        // each); every later major splits [2^msb, 2^(msb+1)) into
+        // SUB_BUCKETS equal slots, so all SUB_BUCKETS slots of a major are
+        // used.
         major * SUB_BUCKETS + sub
     }
 
-    /// Upper-bound representative value for a bucket index (inverse of
-    /// [`Self::index_of`] up to bucket granularity).
+    /// The lower edge of a bucket: the smallest value `index_of` maps to
+    /// `index` (its inverse up to bucket granularity).
     fn value_of(index: usize) -> u64 {
         let major = index / SUB_BUCKETS;
         let sub = (index % SUB_BUCKETS) as u64;
@@ -134,7 +134,10 @@ impl LatencyHistogram {
         self.sum
     }
 
-    /// Value at quantile `q` in [0, 1], with bucket-granularity error.
+    /// Value at quantile `q` in [0, 1]: the lower edge of the bucket that
+    /// holds the `q`-th recorded value, clamped to [`Self::min`,
+    /// `Self::max`]. It therefore reads up to 1/64 of the value below the
+    /// true quantile and never above it.
     ///
     /// # Panics
     ///
@@ -181,33 +184,20 @@ impl LatencyHistogram {
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A lock-free log-bucketed histogram for concurrent recorders.
+/// A lock-free log-bucketed histogram for concurrent recorders: the
+/// storage behind the registry's [`Histogram`](crate::Histogram) handle.
 ///
 /// Shares the exact bucket layout of [`LatencyHistogram`], so a
-/// [`AtomicHistogram::snapshot`] merges into one losslessly: recording
-/// values through any number of threads and snapshotting is observably
-/// identical (count, sum, min, max, every quantile) to recording the
-/// same values into a single `LatencyHistogram`.
+/// snapshot merges into one losslessly: recording values through any
+/// number of threads and snapshotting is observably identical (count,
+/// sum, min, max, every quantile) to recording the same values into a
+/// single `LatencyHistogram`.
 ///
 /// `record` is two relaxed `fetch_add`s on the hot path (bucket slot and
 /// count) plus sum/min/max maintenance — no locks, no allocation — so it
 /// is safe to call from latency-critical request paths.
-///
-/// # Example
-///
-/// ```
-/// use xsearch_metrics::histogram::AtomicHistogram;
-///
-/// let h = AtomicHistogram::new();
-/// h.record(250);
-/// h.record(4_000);
-/// let snap = h.snapshot();
-/// assert_eq!(snap.count(), 2);
-/// assert_eq!(snap.min(), 250);
-/// assert_eq!(snap.max(), 4_000);
-/// ```
 #[derive(Debug)]
-pub struct AtomicHistogram {
+pub(crate) struct AtomicHistogram {
     counts: Vec<AtomicU64>,
     count: AtomicU64,
     sum: AtomicU64,
@@ -215,16 +205,9 @@ pub struct AtomicHistogram {
     max: AtomicU64,
 }
 
-impl Default for AtomicHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl AtomicHistogram {
     /// Creates an empty histogram.
-    #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         AtomicHistogram {
             counts: (0..MAJOR_BUCKETS * SUB_BUCKETS)
                 .map(|_| AtomicU64::new(0))
@@ -238,7 +221,7 @@ impl AtomicHistogram {
 
     /// Records one observation. Lock-free; callable from any thread
     /// through a shared reference.
-    pub fn record(&self, value: u64) {
+    pub(crate) fn record(&self, value: u64) {
         let idx = LatencyHistogram::index_of(value).min(self.counts.len() - 1);
         self.counts[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
@@ -248,27 +231,8 @@ impl AtomicHistogram {
     }
 
     /// Number of recorded observations.
-    #[must_use]
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all recorded values (wraps above `u64::MAX`; the workloads
-    /// here record microseconds and stay far below).
-    #[must_use]
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Arithmetic mean, or 0.0 when empty.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        let count = self.count();
-        if count == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / count as f64
-        }
     }
 
     /// Resets every bucket and aggregate back to the empty state.
@@ -276,7 +240,7 @@ impl AtomicHistogram {
     /// Not atomic with respect to concurrent recorders: values recorded
     /// during the reset may be partially dropped. Intended for bench
     /// phase boundaries where recorders are quiescent.
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         for slot in &self.counts {
             slot.store(0, Ordering::Relaxed);
         }
@@ -291,9 +255,9 @@ impl AtomicHistogram {
     /// The snapshot is not a point-in-time cut under concurrent writes
     /// (relaxed loads per bucket), but every recorded value lands in
     /// exactly one future snapshot's bucket, so quiescent snapshots are
-    /// exact.
-    #[must_use]
-    pub fn snapshot(&self) -> LatencyHistogram {
+    /// exact. The sum wraps above `u64::MAX`; microsecond latencies stay
+    /// far below it.
+    pub(crate) fn snapshot(&self) -> LatencyHistogram {
         let mut count = 0u64;
         let counts: Vec<u64> = self
             .counts
@@ -487,9 +451,9 @@ mod tests {
     fn atomic_histogram_starts_empty() {
         let h = AtomicHistogram::new();
         assert_eq!(h.count(), 0);
-        assert_eq!(h.mean(), 0.0);
         let snap = h.snapshot();
         assert_eq!(snap.count(), 0);
+        assert_eq!(snap.mean(), 0.0);
         assert_eq!(snap.min(), 0);
         assert_eq!(snap.max(), 0);
         assert_eq!(snap.quantile(0.99), 0);
@@ -522,10 +486,9 @@ mod tests {
         assert_eq!(h.snapshot().min(), 7);
     }
 
-    /// The satellite acceptance test: eight concurrent recorders into one
-    /// `AtomicHistogram` must be observably identical — count, mean,
-    /// p50/p99, min, max — to recording the same values single-threaded
-    /// and merging.
+    /// Eight concurrent recorders into one `AtomicHistogram` must be
+    /// observably identical — count, mean, p50/p99, min, max — to
+    /// recording the same values single-threaded and merging.
     #[test]
     fn eight_thread_atomic_recorder_equals_single_thread_merge() {
         const THREADS: usize = 8;

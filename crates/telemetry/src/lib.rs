@@ -7,7 +7,8 @@
 //!
 //! * [`registry`] — a lock-free metrics [`Registry`]: striped atomic
 //!   [`Counter`]s, [`Gauge`]s, lock-free log-bucketed [`Histogram`]s
-//!   (snapshot-mergeable into `xsearch_metrics::LatencyHistogram`), and
+//!   (snapshots are this crate's mergeable [`LatencyHistogram`], the
+//!   same type the bench load generator records into), and
 //!   pull-style poll gauges that read existing hot-path atomics at
 //!   snapshot time. Recording a counter is one relaxed load (the global
 //!   kill switch) plus one relaxed `fetch_add` on a cache-padded stripe
@@ -53,10 +54,12 @@
 #![deny(missing_docs)]
 
 pub mod flight;
+mod histogram;
 pub mod registry;
 pub mod scope;
 
 pub use flight::{FlightEvent, FlightRecorder};
+pub use histogram::LatencyHistogram;
 pub use registry::{
     Counter, Gauge, Histogram, HistogramSample, LabelValue, Registry, Sample, Snapshot,
 };

@@ -14,9 +14,9 @@
 //! name, label or value. The cluster leakage-guard test additionally
 //! scans every rendered exposition against injected canary queries.
 
+use crate::histogram::{AtomicHistogram, LatencyHistogram};
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use xsearch_metrics::{AtomicHistogram, LatencyHistogram};
 
 /// Stripes per counter. Eight cache-padded slots keep concurrent
 /// incrementers from bouncing one line between cores.
@@ -157,8 +157,23 @@ struct HistogramInner {
     histogram: AtomicHistogram,
 }
 
-/// A lock-free log-bucketed histogram handle
-/// (see [`xsearch_metrics::AtomicHistogram`]).
+/// A lock-free log-bucketed histogram handle; recording is a few relaxed
+/// atomic operations, and [`Histogram::snapshot`] reads it back as a
+/// mergeable [`LatencyHistogram`].
+///
+/// # Example
+///
+/// ```
+/// use xsearch_telemetry::Registry;
+///
+/// let h = Registry::new().histogram("demo_latency_us", "Latency", &[]);
+/// h.record(250);
+/// h.record(4_000);
+/// let snap = h.snapshot();
+/// assert_eq!(snap.count(), 2);
+/// assert_eq!(snap.min(), 250);
+/// assert_eq!(snap.max(), 4_000);
+/// ```
 #[derive(Clone, Debug)]
 pub struct Histogram(Arc<HistogramInner>);
 
@@ -433,6 +448,31 @@ fn write_labels(out: &mut String, labels: &[Label], extra: Option<(&str, &str)>)
     out.push('}');
 }
 
+/// `items` reordered so each name's series are contiguous: a stable sort
+/// on the position of the name's first registration.
+fn by_name<T>(items: &[T], name: impl Fn(&T) -> &'static str) -> Vec<&T> {
+    let mut sorted: Vec<&T> = items.iter().collect();
+    sorted.sort_by_key(|item| items.iter().position(|first| name(first) == name(item)));
+    sorted
+}
+
+/// Writes a name's `# HELP` and `# TYPE` lines when `name` opens a new
+/// group.
+fn write_header(
+    out: &mut String,
+    group: &mut Option<&'static str>,
+    name: &'static str,
+    help: &str,
+    kind: &str,
+) {
+    use std::fmt::Write;
+    if *group != Some(name) {
+        let _ = writeln!(out, "# HELP {name} {help}");
+        let _ = writeln!(out, "# TYPE {name} {kind}");
+        *group = Some(name);
+    }
+}
+
 fn fmt_value(v: f64) -> String {
     if v.fract() == 0.0 && v.abs() < 1e15 {
         format!("{}", v as i64)
@@ -456,28 +496,25 @@ impl Snapshot {
 
     /// Renders Prometheus-style text exposition: counters and gauges as
     /// single samples, histograms as summaries (`quantile` labels plus
-    /// `_count`/`_sum`/`_min`/`_max`).
+    /// `_count`/`_sum`/`_min`/`_max`). Each metric name is one group —
+    /// `# HELP` and `# TYPE` once, then every labelled series of that
+    /// name — with groups in the order their names were first registered.
     #[must_use]
     pub fn render_prometheus(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
-        for s in &self.counters {
-            let _ = writeln!(out, "# HELP {} {}", s.name, s.help);
-            let _ = writeln!(out, "# TYPE {} counter", s.name);
-            out.push_str(s.name);
-            write_labels(&mut out, &s.labels, None);
-            let _ = writeln!(out, " {}", fmt_value(s.value));
+        for (kind, samples) in [("counter", &self.counters), ("gauge", &self.gauges)] {
+            let mut group = None;
+            for s in by_name(samples, |s| s.name) {
+                write_header(&mut out, &mut group, s.name, s.help, kind);
+                out.push_str(s.name);
+                write_labels(&mut out, &s.labels, None);
+                let _ = writeln!(out, " {}", fmt_value(s.value));
+            }
         }
-        for s in &self.gauges {
-            let _ = writeln!(out, "# HELP {} {}", s.name, s.help);
-            let _ = writeln!(out, "# TYPE {} gauge", s.name);
-            out.push_str(s.name);
-            write_labels(&mut out, &s.labels, None);
-            let _ = writeln!(out, " {}", fmt_value(s.value));
-        }
-        for h in &self.histograms {
-            let _ = writeln!(out, "# HELP {} {}", h.name, h.help);
-            let _ = writeln!(out, "# TYPE {} summary", h.name);
+        let mut group = None;
+        for h in by_name(&self.histograms, |h| h.name) {
+            write_header(&mut out, &mut group, h.name, h.help, "summary");
             for (q, label) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99"), (0.999, "0.999")] {
                 out.push_str(h.name);
                 write_labels(&mut out, &h.labels, Some(("quantile", label)));
@@ -671,6 +708,38 @@ mod tests {
         assert!(text.contains("# TYPE demo_us summary"));
         assert!(text.contains("demo_us{quantile=\"0.99\"}"));
         assert!(text.contains("demo_us_count 1"));
+    }
+
+    #[test]
+    fn prometheus_groups_each_name_under_one_type_line() {
+        let registry = Registry::new();
+        for replica in 0..2 {
+            let labels = [("replica", LabelValue::Int(replica))];
+            registry.poll("demo_inflight", "In flight", &labels, || 1.0);
+            registry.poll("demo_queued", "Queued", &labels, || 2.0);
+        }
+        let text = registry.snapshot().render_prometheus();
+        let names: Vec<&str> = text
+            .lines()
+            .filter(|line| !line.starts_with('#'))
+            .map(|line| line.split(['{', ' ']).next().unwrap())
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "demo_inflight",
+                "demo_inflight",
+                "demo_queued",
+                "demo_queued"
+            ],
+            "each name's samples must be contiguous:\n{text}"
+        );
+        for name in ["demo_inflight", "demo_queued"] {
+            let type_lines = format!("# TYPE {name} gauge");
+            let help_lines = format!("# HELP {name} ");
+            assert_eq!(text.matches(&type_lines).count(), 1, "{text}");
+            assert_eq!(text.matches(&help_lines).count(), 1, "{text}");
+        }
     }
 
     #[test]

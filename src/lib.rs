@@ -54,10 +54,8 @@ pub use xsearch_cluster as cluster;
 pub use xsearch_core as core;
 pub use xsearch_crypto as crypto;
 pub use xsearch_engine as engine;
-pub use xsearch_metrics as metrics;
 pub use xsearch_net_sim as net_sim;
 pub use xsearch_query_log as query_log;
 pub use xsearch_sgx_sim as sgx;
 pub use xsearch_telemetry as telemetry;
 pub use xsearch_text as text;
-pub use xsearch_workload as workload;

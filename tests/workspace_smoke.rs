@@ -37,16 +37,13 @@ fn facade_reexports_resolve() {
     assert_eq!(digest.len(), 32);
     // xsearch::text
     assert_eq!(xsearch::text::nb_common_words("a b c", "b c d"), 2);
-    // xsearch::metrics
-    let mut hist = xsearch::metrics::LatencyHistogram::new();
+    // xsearch::telemetry
+    let mut hist = xsearch::telemetry::LatencyHistogram::new();
     hist.record(250);
     assert_eq!(hist.count(), 1);
     // xsearch::net_sim
     let delay = xsearch::net_sim::DelayModel::constant_ms(1);
     let _ = &delay;
-    // xsearch::workload
-    let schedule = xsearch::workload::Schedule::new(1000.0);
-    let _ = &schedule;
 }
 
 /// The quickstart from the README / `src/lib.rs` rustdoc, as a plain
