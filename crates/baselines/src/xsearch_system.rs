@@ -54,13 +54,12 @@ impl PrivateSearchSystem for XSearchSystem {
         let obfuscated = obfuscate(query, &self.history, self.k, &mut self.rng);
         Exposure {
             // The privacy experiments consume owned strings; this is the
-            // cold evaluation path, so re-owning the Arc'd sub-queries
-            // here keeps the hot path copy-free without rippling Arc
-            // through the whole attack stack.
+            // cold evaluation path, so the sub-queries are copied out of
+            // the obfuscated query here.
             subqueries: obfuscated
-                .subqueries
-                .iter()
-                .map(|s| String::from(&**s))
+                .subqueries()
+                .into_iter()
+                .map(str::to_owned)
                 .collect(),
             identity: None,
         }

@@ -57,7 +57,7 @@ fn main() {
                 .map(|r| r.doc)
                 .collect();
             let obfuscated = obfuscate(&record.query, &history, k, &mut rng);
-            let merged = engine.search_merged(&obfuscated.subqueries, TOP_K_RESULTS);
+            let merged = engine.search_merged(&obfuscated.subqueries(), TOP_K_RESULTS);
             let returned: Vec<DocId> = filter_results(&record.query, &obfuscated.fakes(), merged)
                 .into_iter()
                 .map(|r| r.doc)

@@ -15,9 +15,9 @@
 //! * the session table, one mutex-guarded map keyed by the client's
 //!   public-key bytes, for the lookup only — after it the request holds
 //!   nothing but its own session's mutex;
-//! * the history table's one mutex (see [`crate::history`]), once to
-//!   draw the fakes and once to push the query (and once more to read
-//!   the window length when telemetry is attached).
+//! * the history table's one mutex (see [`crate::history`]), once for
+//!   all of Algorithm 1 — the draws, the wire string and the push (and
+//!   once more to read the window length when telemetry is attached).
 //!
 //! Randomness takes none: an atomic ticket counter plus the enclave seed
 //! derive an independent `StdRng` per request. The serialization that
@@ -33,8 +33,7 @@ use crate::persistence::{HistoryVault, SealCursor, SealedSegment};
 use crate::redirect::strip_all;
 use crate::session::{channel_binding, SecureChannel, Side};
 use crate::wire::{
-    decode_query_batch, decode_request_batch, encode_response_batch, encode_results_into,
-    encoded_len,
+    decode_request_batch, encode_response_batch, encode_results_into, encoded_len, QueryBatch,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -282,24 +281,24 @@ impl EnclaveState {
         self.history.push(query);
     }
 
-    /// The batch form of [`EnclaveState::seed_history`]: decodes a
+    /// The batch form of [`EnclaveState::seed_history`]: validates a
     /// length-prefixed query batch (see [`crate::wire::encode_query_batch`])
-    /// so warming a large history costs one ecall instead of one per
-    /// query. Returns the number of queries seeded.
+    /// whole, then pushes it straight from the payload under one
+    /// acquisition of the history's lock, so warming a large history
+    /// costs one ecall per batch instead of one per query. Returns the
+    /// number of queries seeded.
     ///
     /// # Errors
     ///
     /// [`XSearchError::Protocol`] on a malformed batch; nothing is seeded
     /// in that case.
     pub fn seed_history_batch(&self, payload: &[u8]) -> Result<usize, XSearchError> {
-        let queries = decode_query_batch(payload)?;
-        for q in &queries {
-            self.history.push(q);
-        }
+        let batch = QueryBatch::parse(payload)?;
+        self.history.push_all(batch);
         if let Some(scope) = &self.scope {
             scope.set_history_len(self.history.len() as u64);
         }
-        Ok(queries.len())
+        Ok(batch.len())
     }
 
     /// The `request` ecall: decrypts one query from the session of
@@ -323,7 +322,7 @@ impl EnclaveState {
         fetch: F,
     ) -> Result<Vec<u8>, XSearchError>
     where
-        F: FnOnce(&[Arc<str>], usize) -> Vec<SearchResult>,
+        F: FnOnce(&[&str], usize) -> Vec<SearchResult>,
     {
         let result = self.request_inner(client_pub, ciphertext, port, fetch);
         if let Some(scope) = &self.scope {
@@ -346,7 +345,7 @@ impl EnclaveState {
         fetch: F,
     ) -> Result<Vec<u8>, XSearchError>
     where
-        F: FnOnce(&[Arc<str>], usize) -> Vec<SearchResult>,
+        F: FnOnce(&[&str], usize) -> Vec<SearchResult>,
     {
         // Decrypt inside the enclave; the table is locked for the lookup
         // only, then only this session for the crypto.
@@ -416,7 +415,7 @@ impl EnclaveState {
         fetch: F,
     ) -> Result<Vec<u8>, XSearchError>
     where
-        F: Fn(&[Arc<str>], usize) -> Vec<SearchResult>,
+        F: Fn(&[&str], usize) -> Vec<SearchResult>,
     {
         let requests = decode_request_batch(payload)?;
         if let Some(scope) = &self.scope {
@@ -436,19 +435,18 @@ impl EnclaveState {
         fetch: F,
     ) -> Vec<SearchResult>
     where
-        F: FnOnce(&[Arc<str>], usize) -> Vec<SearchResult>,
+        F: FnOnce(&[&str], usize) -> Vec<SearchResult>,
     {
         // sock_connect(host, port)
         port.ocall(b"sock_connect:engine:80", |_| b"sock:0".to_vec());
         // send(sock, buff, len) — the obfuscated query leaves the enclave.
-        let wire_query = obfuscated.to_or_string();
-        port.ocall(wire_query.as_bytes(), |_| Vec::new());
+        port.ocall(obfuscated.to_or_string().as_bytes(), |_| Vec::new());
         // recv(sock, buff, len) — results come back (untrusted fetch runs
         // here). The boundary is charged the exact serialized size the
         // response would occupy, without building that buffer.
         let k_each = self.config.results_per_query;
         let results = port.ocall_sized(b"recv", |_| {
-            let r = fetch(&obfuscated.subqueries, k_each);
+            let r = fetch(&obfuscated.subqueries(), k_each);
             let n = encoded_len(&r);
             (r, n)
         });
@@ -692,7 +690,7 @@ mod tests {
                 let ct = ch.seal(b"query", q.as_bytes());
                 let resp = state
                     .request(&id, &ct, &port, |subqueries, _| {
-                        seen.push(subqueries.iter().map(|s| String::from(&**s)).collect());
+                        seen.push(subqueries.iter().map(|s| s.to_string()).collect());
                         Vec::new()
                     })
                     .unwrap();

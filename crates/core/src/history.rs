@@ -7,14 +7,33 @@
 //! memory, so its size is byte-accounted against the enclave's
 //! [`EpcGauge`] — that accounting *is* the Fig 6 measurement.
 //!
+//! # Layout
+//!
+//! Query text lives in pages of [`PAGE_SIZE`] bytes, oldest first, and
+//! each entry has one `u64` slot: its page number × [`PAGE_SIZE`] plus
+//! its offset in that page. An entry ends where the next slot in the
+//! same page starts, or else at the page's fill, so the table stores no
+//! lengths and no per-entry headers. An entry never straddles two pages;
+//! one longer than a page gets a page of its own size. Offsets stay
+//! below [`PAGE_SIZE`] (an empty entry that meets a full page takes a
+//! new one), so a slot never names the next page by accident.
+//!
+//! A push copies the text into the newest page and appends a slot; it
+//! allocates only when it takes a page. Evicting the oldest entry drops
+//! its slot without reading its text, and frees its page once no live
+//! entry lies in it. The table is charged what it holds: every page's
+//! capacity from the moment it is taken until it is freed, plus
+//! `SLOT_BYTES` per live entry.
+//!
 //! # Locking
 //!
-//! One mutex guards the ring of entries, the next sequence number and
-//! the Fig 6 byte count. A request takes it once to draw its `k` fakes
-//! and once to push its own query; both hold it for microseconds. A
-//! sequence number is claimed under the same lock the entry lands
-//! under, so sequence order is landing order, and a reader's position
-//! ([`HistoryCursor`]) is one number.
+//! One mutex guards the pages, the slots, the next sequence number and
+//! the Fig 6 byte count. Algorithm 1 takes it once per request to draw
+//! its `k` fakes, copy them out and push its own query; a sealer takes
+//! it once to append what landed since its last read. Sequence numbers
+//! are implicit — the oldest entry's is the next push's minus the
+//! window length — so sequence order is landing order, and a reader's
+//! position ([`HistoryCursor`]) is one number.
 //!
 //! # Draw order
 //!
@@ -27,27 +46,19 @@
 //! uniform one either way, but which entry a seeded draw names is not:
 //! the reply digests in `perf_ledger/digests.json` and Fig 3's pins were
 //! recorded with this order, so it stays until those are re-pinned.
-//!
-//! Entries are `Arc<str>`: sampling hands out refcount bumps instead of
-//! deep string copies, which is what makes Algorithm 1's `k` draws per
-//! request cheap.
 
+use crate::wire::encode_query_batch_into;
 use rand::Rng;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use xsearch_sgx_sim::cost::CostModel;
-use xsearch_sgx_sim::epc::EpcGauge;
+use xsearch_sgx_sim::epc::{EpcGauge, PAGE_SIZE};
 
-/// One stored entry: the query text plus its push sequence number.
-type Entry = (u64, Arc<str>);
+/// Bytes charged per stored entry besides its text: its slot word.
+const SLOT_BYTES: usize = std::mem::size_of::<u64>();
 
-/// Heap bytes attributed to one stored query: the string bytes plus the
-/// per-entry bookkeeping in the ring slot (16-byte `Arc<str>` fat
-/// pointer + 8-byte sequence number — the same 24 bytes a `String`
-/// header occupies, so Fig 6 is directly comparable across versions).
-fn entry_bytes(query: &str) -> usize {
-    query.len() + std::mem::size_of::<Entry>()
-}
+/// [`PAGE_SIZE`] in slot arithmetic.
+const PAGE: u64 = PAGE_SIZE as u64;
 
 /// The residue classes of the draw order (see the module docs): the
 /// largest power of two dividing `capacity`, at most 8.
@@ -75,19 +86,37 @@ fn draw_position(classes: u64, oldest: u64, len: usize, mut r: usize) -> usize {
 
 /// Everything behind the table's one lock.
 #[derive(Debug, Default)]
-struct Ring {
-    /// The window, oldest first; sequence numbers are consecutive.
-    entries: VecDeque<Entry>,
+struct Window {
+    /// Text pages, oldest first: `pages[i]` is page number
+    /// `first_page + i`. The newest is the one pushes append to.
+    pages: VecDeque<String>,
+    first_page: u64,
+    /// One word per entry, oldest first: page number × [`PAGE_SIZE`] +
+    /// offset, the offset below [`PAGE_SIZE`].
+    slots: VecDeque<u64>,
     /// Sequence number of the next push.
     next_seq: u64,
-    /// Bytes attributed to `entries` (see `entry_bytes`).
+    /// Bytes charged to the gauge: page capacities plus `SLOT_BYTES`
+    /// per slot.
     bytes: usize,
 }
 
-impl Ring {
+impl Window {
     /// Sequence number of the oldest entry still in the window.
     fn oldest(&self) -> u64 {
-        self.entries.front().map_or(self.next_seq, |(seq, _)| *seq)
+        self.next_seq - self.slots.len() as u64
+    }
+
+    /// The text of ring position `at` (0 = oldest).
+    fn text(&self, at: usize) -> &str {
+        let slot = self.slots[at];
+        let (page, start) = (slot / PAGE, (slot % PAGE) as usize);
+        let text = &self.pages[(page - self.first_page) as usize];
+        let end = match self.slots.get(at + 1) {
+            Some(&next) if next / PAGE == page => (next % PAGE) as usize,
+            _ => text.len(),
+        };
+        &text[start..end]
     }
 }
 
@@ -111,10 +140,83 @@ impl Ring {
 /// ```
 #[derive(Debug)]
 pub struct QueryHistory {
-    ring: Mutex<Ring>,
+    window: Mutex<Window>,
     capacity: usize,
     epc: Arc<EpcGauge>,
     cost: CostModel,
+}
+
+/// The window under its lock: what Algorithm 1 does in its one critical
+/// section (see [`crate::obfuscate::obfuscate`]).
+pub(crate) struct Locked<'a> {
+    history: &'a QueryHistory,
+    window: MutexGuard<'a, Window>,
+}
+
+impl Locked<'_> {
+    /// Number of stored queries.
+    pub(crate) fn len(&self) -> usize {
+        self.window.slots.len()
+    }
+
+    /// Draw `r` of the window (see the module docs for the order).
+    pub(crate) fn draw(&self, r: usize) -> &str {
+        let classes = draw_classes(self.history.capacity);
+        let w = &*self.window;
+        w.text(draw_position(classes, w.oldest(), w.slots.len(), r))
+    }
+
+    /// Appends a query, evicting the oldest when the window is full
+    /// (Algorithm 1 line 9: `H ← Q`).
+    pub(crate) fn push(&mut self, query: &str) {
+        let QueryHistory {
+            capacity,
+            epc,
+            cost,
+            ..
+        } = self.history;
+        let w = &mut *self.window;
+        // A full window trades the oldest slot for the new one, so its
+        // slot bytes stay charged.
+        let full = w.slots.len() == *capacity;
+        if full {
+            w.slots.pop_front();
+            // Free the pages no live entry lies in; the newest stays to
+            // take this push.
+            let live_from = w.slots.front().map_or(u64::MAX, |slot| slot / PAGE);
+            while w.pages.len() > 1 && w.first_page < live_from {
+                let freed = w.pages.pop_front().expect("more than one page").capacity();
+                w.first_page += 1;
+                epc.release(freed);
+                w.bytes -= freed;
+            }
+        }
+        // `max(1)`: an empty entry needs an offset inside the page too.
+        if w.pages
+            .back()
+            .is_none_or(|page| page.len() + query.len().max(1) > PAGE_SIZE)
+        {
+            let page = String::with_capacity(query.len().max(PAGE_SIZE));
+            epc.charge(page.capacity(), cost);
+            w.bytes += page.capacity();
+            w.pages.push_back(page);
+        }
+        let number = w.first_page + w.pages.len() as u64 - 1;
+        let page = w.pages.back_mut().expect("a page was just ensured");
+        let slot = number * PAGE + page.len() as u64;
+        page.push_str(query);
+        // Grow the ring by doubling only while that stays inside the
+        // window; the last step takes exactly what is left.
+        if w.slots.len() == w.slots.capacity() && (w.slots.capacity() * 2).max(4) > *capacity {
+            w.slots.reserve_exact(*capacity - w.slots.len());
+        }
+        w.slots.push_back(slot);
+        if !full {
+            epc.charge(SLOT_BYTES, cost);
+            w.bytes += SLOT_BYTES;
+        }
+        w.next_seq += 1;
+    }
 }
 
 impl QueryHistory {
@@ -128,74 +230,61 @@ impl QueryHistory {
     pub fn new(capacity: usize, epc: Arc<EpcGauge>) -> Self {
         assert!(capacity > 0, "history window must be positive");
         QueryHistory {
-            ring: Mutex::new(Ring::default()),
+            window: Mutex::new(Window::default()),
             capacity,
             epc,
             cost: CostModel::default(),
         }
     }
 
-    fn ring(&self) -> MutexGuard<'_, Ring> {
-        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Takes the table's lock.
+    pub(crate) fn lock(&self) -> Locked<'_> {
+        Locked {
+            history: self,
+            window: self.window.lock().unwrap_or_else(PoisonError::into_inner),
+        }
     }
 
     /// Appends a query, evicting the oldest when the window is full
     /// (Algorithm 1 line 9: `H ← Q`).
     pub fn push(&self, query: &str) {
-        self.push_arc(Arc::from(query));
+        self.lock().push(query);
     }
 
-    /// Appends an already-shared query without re-allocating its text —
-    /// the obfuscation path stores the same `Arc` it sends to the engine.
-    pub fn push_arc(&self, query: Arc<str>) {
-        let added = entry_bytes(&query);
-        let mut ring = self.ring();
-        if ring.entries.len() == self.capacity {
-            let (_, evicted) = ring.entries.pop_front().expect("capacity > 0");
-            let freed = entry_bytes(&evicted);
-            self.epc.release(freed);
-            ring.bytes -= freed;
+    /// Appends `queries` in order under one acquisition of the lock — the
+    /// form a warm-up batch or a restore uses.
+    pub fn push_all<'a>(&self, queries: impl IntoIterator<Item = &'a str>) {
+        let mut window = self.lock();
+        for query in queries {
+            window.push(query);
         }
-        self.epc.charge(added, &self.cost);
-        ring.bytes += added;
-        let seq = ring.next_seq;
-        ring.next_seq += 1;
-        ring.entries.push_back((seq, query));
-    }
-
-    /// Draw `r` of the window (see the module docs for the order).
-    fn draw(&self, ring: &Ring, r: usize) -> Arc<str> {
-        let classes = draw_classes(self.capacity);
-        let at = draw_position(classes, ring.oldest(), ring.entries.len(), r);
-        Arc::clone(&ring.entries[at].1)
     }
 
     /// Samples one past query uniformly (Algorithm 1 line 7:
     /// `H[random(m)]`), `None` when the table is empty.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<Arc<str>> {
-        let ring = self.ring();
-        let len = ring.entries.len();
-        (len > 0).then(|| self.draw(&ring, rng.gen_range(0..len)))
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<String> {
+        let window = self.lock();
+        let len = window.len();
+        (len > 0).then(|| window.draw(rng.gen_range(0..len)).to_owned())
     }
 
     /// Samples `k` past queries with replacement; empty if the table is.
-    /// Each draw bumps a refcount instead of deep-cloning the string; all
-    /// `k` draws take the lock once.
-    pub fn sample_many<R: Rng + ?Sized>(&self, k: usize, rng: &mut R) -> Vec<Arc<str>> {
-        let ring = self.ring();
-        let len = ring.entries.len();
+    /// All `k` draws take the lock once.
+    pub fn sample_many<R: Rng + ?Sized>(&self, k: usize, rng: &mut R) -> Vec<String> {
+        let window = self.lock();
+        let len = window.len();
         if len == 0 {
             return Vec::new();
         }
         (0..k)
-            .map(|_| self.draw(&ring, rng.gen_range(0..len)))
+            .map(|_| window.draw(rng.gen_range(0..len)).to_owned())
             .collect()
     }
 
     /// Number of stored queries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.ring().entries.len()
+        self.lock().len()
     }
 
     /// Whether the table is empty (cold start).
@@ -210,12 +299,12 @@ impl QueryHistory {
         self.capacity
     }
 
-    /// Bytes currently attributed to this table (string bytes plus
-    /// per-entry bookkeeping), i.e. the Fig 6 y-axis. O(1): a running
-    /// count kept by push/evict, not a scan.
+    /// Bytes this table holds — its pages' capacities plus one slot word
+    /// per entry — i.e. the Fig 6 y-axis. A running count kept by
+    /// push/evict, read under the lock.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        self.ring().bytes
+        self.lock().window.bytes
     }
 
     /// The EPC gauge this table charges.
@@ -228,35 +317,32 @@ impl QueryHistory {
     /// code in the real system.
     #[must_use]
     pub fn snapshot(&self) -> Vec<String> {
-        self.snapshot_arcs()
-            .into_iter()
-            .map(|q| String::from(&*q))
-            .collect()
+        let window = self.lock();
+        let w = &*window.window;
+        (0..w.slots.len()).map(|at| w.text(at).to_owned()).collect()
     }
 
-    /// The zero-copy spine of [`QueryHistory::snapshot`]: the ordered
-    /// window as shared `Arc<str>` handles — refcount bumps, no text
-    /// copies. It is [`QueryHistory::read_since`] from a cursor that has
-    /// read nothing.
-    #[must_use]
-    pub fn snapshot_arcs(&self) -> Vec<Arc<str>> {
-        self.read_since(&mut HistoryCursor::default())
-    }
-
-    /// The delta read behind sealed persistence: every entry that landed
-    /// since `cursor` last read this table and is still in the window,
-    /// oldest first, and advances `cursor` past them. Costs the entries
-    /// returned, whatever the window size. Entries land in sequence
-    /// order, so "since" is "at or above the cursor's sequence number";
-    /// entries evicted unread are outside the window and skipped.
-    pub fn read_since(&self, cursor: &mut HistoryCursor) -> Vec<Arc<str>> {
-        let ring = self.ring();
-        let skip = (cursor.next.saturating_sub(ring.oldest()) as usize).min(ring.entries.len());
-        cursor.next = ring.next_seq;
-        ring.entries
-            .range(skip..)
-            .map(|(_, q)| Arc::clone(q))
-            .collect()
+    /// The delta read behind sealed persistence: appends every entry
+    /// that landed since `cursor` last read this table and is still in
+    /// the window to `out`, oldest first, as one query batch (the
+    /// [`crate::wire::encode_query_batch`] framing); advances `cursor`
+    /// past them and returns how many there were. `out` grows once, by
+    /// the batch plus `spare` bytes (a sealer's tag), under the lock.
+    /// Costs the entries read, whatever the window size. Entries land in
+    /// sequence order, so "since" is "at or above the cursor's sequence
+    /// number"; entries evicted unread are outside the window and
+    /// skipped. From [`HistoryCursor::default`] it reads the whole
+    /// window.
+    pub fn read_since(&self, cursor: &mut HistoryCursor, out: &mut Vec<u8>, spare: usize) -> usize {
+        let window = self.lock();
+        let w = &*window.window;
+        let len = w.slots.len();
+        let delta = (cursor.next.saturating_sub(w.oldest()) as usize).min(len)..len;
+        cursor.next = w.next_seq;
+        let batch: usize = 4 + delta.clone().map(|at| 4 + w.text(at).len()).sum::<usize>();
+        out.reserve_exact(batch + spare);
+        encode_query_batch_into(out, delta.clone().map(|at| w.text(at)));
+        delta.len()
     }
 }
 
@@ -271,12 +357,37 @@ pub struct HistoryCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::QueryBatch;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn history(cap: usize) -> QueryHistory {
         QueryHistory::new(cap, EpcGauge::with_limit(1 << 30))
+    }
+
+    /// The texts [`QueryHistory::read_since`] hands out, decoded.
+    fn read(h: &QueryHistory, cursor: &mut HistoryCursor) -> Vec<String> {
+        let mut out = Vec::new();
+        let n = h.read_since(cursor, &mut out, 0);
+        let texts: Vec<String> = QueryBatch::parse(&out)
+            .unwrap()
+            .iter()
+            .map(str::to_owned)
+            .collect();
+        assert_eq!(texts.len(), n);
+        texts
+    }
+
+    /// Pages the table holds, and pages its live entries span.
+    fn pages(h: &QueryHistory) -> (usize, usize) {
+        let window = h.lock();
+        let w = &*window.window;
+        let span = match (w.slots.front(), w.slots.back()) {
+            (Some(first), Some(last)) => (last / PAGE - first / PAGE + 1) as usize,
+            _ => 0,
+        };
+        (w.pages.len(), span)
     }
 
     #[test]
@@ -298,7 +409,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         for _ in 0..50 {
             let s = h.sample(&mut rng).unwrap();
-            assert_ne!(&*s, "first", "oldest entry must be gone");
+            assert_ne!(s, "first", "oldest entry must be gone");
         }
     }
 
@@ -315,23 +426,7 @@ mod tests {
         let h = history(10);
         h.push("only");
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(
-            h.sample_many(4, &mut rng),
-            vec![Arc::<str>::from("only"); 4]
-        );
-    }
-
-    #[test]
-    fn sampling_shares_the_stored_allocation() {
-        let h = history(10);
-        h.push("shared text");
-        let mut rng = StdRng::seed_from_u64(1);
-        let a = h.sample(&mut rng).unwrap();
-        let b = h.sample(&mut rng).unwrap();
-        assert!(
-            Arc::ptr_eq(&a, &b),
-            "samples must be refcount bumps, not copies"
-        );
+        assert_eq!(h.sample_many(4, &mut rng), vec!["only"; 4]);
     }
 
     #[test]
@@ -340,12 +435,13 @@ mod tests {
         let h = QueryHistory::new(100, gauge.clone());
         assert_eq!(gauge.used(), 0);
         h.push("hello world");
-        let one = gauge.used();
-        // 11 string bytes + 24 bytes of slot bookkeeping (fat pointer +
-        // sequence tag) — identical to the pre-striping String header.
-        assert_eq!(one, 11 + std::mem::size_of::<String>());
+        // The first push takes a page; every entry adds its slot word.
+        assert_eq!(gauge.used(), PAGE_SIZE + 8);
         h.push("second query");
-        assert!(gauge.used() > one);
+        assert_eq!(gauge.used(), PAGE_SIZE + 2 * 8);
+        // An entry longer than a page gets a page of its own size.
+        h.push(&"x".repeat(PAGE_SIZE + 1));
+        assert_eq!(gauge.used(), 2 * PAGE_SIZE + 1 + 3 * 8);
     }
 
     #[test]
@@ -356,6 +452,31 @@ mod tests {
         let after_first = gauge.used();
         h.push("bbbb"); // evicts "aaaa" of equal size
         assert_eq!(gauge.used(), after_first);
+    }
+
+    #[test]
+    fn a_page_is_freed_with_its_last_live_entry() {
+        let gauge = EpcGauge::with_limit(1 << 30);
+        let h = QueryHistory::new(2, gauge.clone());
+        let half = "h".repeat(PAGE_SIZE / 2);
+        h.push(&half);
+        h.push(&half); // fills page 0
+        h.push("next"); // page 1; page 0 still holds the second half
+        assert_eq!(pages(&h), (2, 2));
+        assert_eq!(gauge.used(), 2 * PAGE_SIZE + 2 * 8);
+        h.push("last"); // evicts page 0's last entry
+        assert_eq!(pages(&h), (1, 1));
+        assert_eq!(gauge.used(), PAGE_SIZE + 2 * 8);
+        assert_eq!(h.snapshot(), ["next", "last"]);
+    }
+
+    #[test]
+    fn the_slot_ring_stops_at_the_window() {
+        let h = history(1000);
+        for i in 0..3000 {
+            h.push(&i.to_string());
+        }
+        assert_eq!(h.lock().window.slots.capacity(), 1000);
     }
 
     #[test]
@@ -387,28 +508,21 @@ mod tests {
         assert_eq!(h.snapshot(), vec!["q6", "q7", "q8", "q9"]);
     }
 
-    fn texts(entries: Vec<Arc<str>>) -> Vec<String> {
-        entries.iter().map(|q| String::from(&**q)).collect()
-    }
-
     #[test]
     fn read_since_returns_each_entry_once_oldest_first() {
         let h = history(16);
         let mut cursor = HistoryCursor::default();
-        assert!(h.read_since(&mut cursor).is_empty());
+        assert!(read(&h, &mut cursor).is_empty());
         for i in 0..5 {
             h.push(&format!("q{i}"));
         }
-        assert_eq!(
-            texts(h.read_since(&mut cursor)),
-            ["q0", "q1", "q2", "q3", "q4"]
-        );
-        assert!(h.read_since(&mut cursor).is_empty());
+        assert_eq!(read(&h, &mut cursor), ["q0", "q1", "q2", "q3", "q4"]);
+        assert!(read(&h, &mut cursor).is_empty());
         for i in 5..12 {
             h.push(&format!("q{i}"));
         }
         assert_eq!(
-            texts(h.read_since(&mut cursor)),
+            read(&h, &mut cursor),
             ["q5", "q6", "q7", "q8", "q9", "q10", "q11"]
         );
     }
@@ -423,13 +537,25 @@ mod tests {
         for i in 0..16 {
             h.push(&format!("q{i}"));
         }
-        assert_eq!(h.read_since(&mut cursor).len(), 16);
+        assert_eq!(read(&h, &mut cursor).len(), 16);
         for i in 16..33 {
             h.push(&format!("q{i}"));
         }
         let expected: Vec<String> = (17..33).map(|i| format!("q{i}")).collect();
-        assert_eq!(texts(h.read_since(&mut cursor)), expected);
+        assert_eq!(read(&h, &mut cursor), expected);
         assert_eq!(h.snapshot(), expected);
+    }
+
+    #[test]
+    fn read_since_grows_the_buffer_once() {
+        let h = history(64);
+        for i in 0..40 {
+            h.push(&format!("query {i}"));
+        }
+        let mut out = vec![0; 10];
+        let n = h.read_since(&mut HistoryCursor::default(), &mut out, 16);
+        assert_eq!(n, 40);
+        assert_eq!(out.capacity(), out.len() + 16);
     }
 
     #[test]
@@ -542,6 +668,39 @@ mod tests {
         }
     }
 
+    /// One step of the paged-window model test.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Push(String),
+        /// An entry that exactly fills the rest of the newest page.
+        FillPage,
+        /// [`Op::FillPage`], then an empty entry into the full page.
+        FillThenEmpty,
+        /// An entry of `n` two-byte characters, longer than a page.
+        Long(usize),
+        Sample(u64),
+        ReadSince,
+        Snapshot,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let parts = (
+            0u8..11,
+            "[a-zé€😀 ]{0,40}",
+            any::<u64>(),
+            PAGE_SIZE / 2 + 1..PAGE_SIZE,
+        );
+        parts.prop_map(|(kind, text, seed, n)| match kind {
+            0..=3 => Op::Push(text),
+            4 => Op::FillPage,
+            5 => Op::FillThenEmpty,
+            6 => Op::Long(n),
+            7 | 8 => Op::Sample(seed),
+            9 => Op::ReadSince,
+            _ => Op::Snapshot,
+        })
+    }
+
     proptest! {
         #[test]
         fn accounting_never_drifts(queries in proptest::collection::vec("[a-z ]{1,30}", 1..60), cap in 1usize..20) {
@@ -552,6 +711,71 @@ mod tests {
             }
             prop_assert_eq!(h.memory_bytes(), gauge.used());
             prop_assert!(h.len() <= cap);
+        }
+
+        /// The paged window against a `VecDeque<String>` model: the same
+        /// texts for pushes, seeded samples (through `draw_position`),
+        /// delta reads and snapshots; accounting equal to the gauge after
+        /// every step; and never more than one page beyond what the live
+        /// entries span.
+        #[test]
+        fn paged_window_matches_a_string_model(
+            cap in 1usize..=64,
+            ops in proptest::collection::vec(op(), 1..120),
+        ) {
+            let gauge = EpcGauge::with_limit(1 << 30);
+            let h = QueryHistory::new(cap, gauge.clone());
+            let mut model: VecDeque<String> = VecDeque::new();
+            let mut next_seq = 0u64;
+            let mut cursor = HistoryCursor::default();
+            let mut model_cursor = 0u64;
+            for op in ops {
+                let mut pushes = Vec::new();
+                match op {
+                    Op::Push(q) => pushes.push(q),
+                    Op::FillPage | Op::FillThenEmpty => {
+                        let fill = h.lock().window.pages.back().map_or(PAGE_SIZE, String::len);
+                        pushes.push("f".repeat(PAGE_SIZE.saturating_sub(fill)));
+                        if matches!(op, Op::FillThenEmpty) {
+                            pushes.push(String::new());
+                        }
+                    }
+                    Op::Long(n) => pushes.push("ü".repeat(n)),
+                    Op::Sample(seed) => {
+                        let expected = (!model.is_empty()).then(|| {
+                            let mut rng = StdRng::seed_from_u64(seed);
+                            let r = rng.gen_range(0..model.len());
+                            let oldest = next_seq - model.len() as u64;
+                            let at = draw_position(draw_classes(cap), oldest, model.len(), r);
+                            model[at].clone()
+                        });
+                        prop_assert_eq!(h.sample(&mut StdRng::seed_from_u64(seed)), expected);
+                    }
+                    Op::ReadSince => {
+                        let oldest = next_seq - model.len() as u64;
+                        let skip = model_cursor.saturating_sub(oldest) as usize;
+                        let expected: Vec<String> = model.iter().skip(skip).cloned().collect();
+                        prop_assert_eq!(read(&h, &mut cursor), expected);
+                        model_cursor = next_seq;
+                    }
+                    Op::Snapshot => {
+                        prop_assert_eq!(h.snapshot(), Vec::from(model.clone()));
+                    }
+                }
+                for q in pushes {
+                    h.push(&q);
+                    if model.len() == cap {
+                        model.pop_front();
+                    }
+                    model.push_back(q);
+                    next_seq += 1;
+                }
+                prop_assert_eq!(h.len(), model.len());
+                prop_assert_eq!(h.memory_bytes(), gauge.used());
+                let (held, span) = pages(&h);
+                prop_assert!(held <= span + 1, "{} pages held for a span of {}", held, span);
+            }
+            prop_assert_eq!(h.snapshot(), Vec::from(model));
         }
 
         /// The residue-class draw order must sample from the same
@@ -583,7 +807,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             for _ in 0..draws {
                 let s = h.sample(&mut rng).unwrap();
-                *counts.entry(String::from(&*s)).or_insert(0usize) += 1;
+                *counts.entry(s).or_insert(0usize) += 1;
             }
             // Every draw must come from the live window...
             for q in counts.keys() {

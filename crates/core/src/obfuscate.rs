@@ -7,100 +7,116 @@
 //! profile, so a re-identification adversary cannot single out the fake
 //! ones the way it can with PEAS's synthetic co-occurrence queries.
 //!
-//! Sub-queries are `Arc<str>`: the fakes share the history table's
-//! allocations and the original is allocated once and shared with the
-//! history entry Algorithm 1 stores (line 9), so obfuscating is a matter
-//! of refcount bumps, not string copies — this is the request hot path.
+//! All of Algorithm 1's history work is one critical section: the `k`
+//! draws, the original's position, copying the fakes out of the table's
+//! pages into the OR-joined wire string, and the push of the original.
+//! The result is that one exactly-sized string plus the sub-queries'
+//! spans in it — this is the request hot path.
 
 use crate::history::QueryHistory;
 use rand::Rng;
-use std::sync::Arc;
+use std::ops::Range;
+
+/// What joins the sub-queries on the wire.
+const OR: &str = " OR ";
 
 /// An obfuscated query: `k + 1` sub-queries with the original at a known
 /// (enclave-private) position.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObfuscatedQuery {
-    /// The sub-queries in the order they are sent to the engine. Shared
-    /// with the history table's entries (fakes) and its newest entry
-    /// (the original).
-    pub subqueries: Vec<Arc<str>>,
-    /// Index of the original query within `subqueries` — known only
+    /// The OR-joined query the engine receives.
+    text: String,
+    /// Each sub-query's bytes in `text`, in send order.
+    spans: Vec<Range<usize>>,
+    /// Index of the original query within the sub-queries — known only
     /// inside the enclave; never serialized toward the engine.
-    pub original_index: usize,
+    original_index: usize,
 }
 
 impl ObfuscatedQuery {
+    /// The sub-queries in the order they are sent to the engine.
+    #[must_use]
+    pub fn subqueries(&self) -> Vec<&str> {
+        self.spans
+            .iter()
+            .map(|span| &self.text[span.clone()])
+            .collect()
+    }
+
     /// The original query text.
     #[must_use]
     pub fn original(&self) -> &str {
-        &self.subqueries[self.original_index]
+        &self.text[self.spans[self.original_index].clone()]
+    }
+
+    /// Position of the original among [`ObfuscatedQuery::subqueries`].
+    #[must_use]
+    pub fn original_index(&self) -> usize {
+        self.original_index
     }
 
     /// The fake sub-queries, in send order.
     #[must_use]
     pub fn fakes(&self) -> Vec<&str> {
-        self.subqueries
+        self.spans
             .iter()
             .enumerate()
             .filter(|(i, _)| *i != self.original_index)
-            .map(|(_, q)| &**q)
+            .map(|(_, span)| &self.text[span.clone()])
             .collect()
     }
 
     /// The single OR-joined query string the engine would receive
     /// (`Qp0 OR ... OR Qu OR ... OR Qpk`).
     #[must_use]
-    pub fn to_or_string(&self) -> String {
-        self.subqueries.join(" OR ")
+    pub fn to_or_string(&self) -> &str {
+        &self.text
     }
 
     /// Number of fake queries (k).
     #[must_use]
     pub fn k(&self) -> usize {
-        self.subqueries.len() - 1
+        self.spans.len() - 1
     }
 }
 
 /// Runs Algorithm 1: aggregates `query` with `k` random past queries from
 /// `history` at a random position, then stores `query` in the history
-/// (line 9).
+/// (line 9) — under one acquisition of the history's lock.
 ///
 /// Cold start: with an empty history there is nothing plausible to hide
 /// behind, so the query is sent alone (k effectively 0) — the paper's
 /// table is assumed warm; we make the degradation explicit.
+///
+/// The RNG is called `k` times for the draws (`0..len`) and then once for
+/// the position (`0..=k`), and not at all when the table is empty or
+/// `k = 0`.
 pub fn obfuscate<R: Rng + ?Sized>(
     query: &str,
     history: &QueryHistory,
     k: usize,
     rng: &mut R,
 ) -> ObfuscatedQuery {
-    let fakes = history.sample_many(k, rng);
-    let original: Arc<str> = Arc::from(query);
-    history.push_arc(Arc::clone(&original));
-    if fakes.is_empty() {
-        return ObfuscatedQuery {
-            subqueries: vec![original],
-            original_index: 0,
-        };
-    }
-    let original_index = rng.gen_range(0..=fakes.len());
-    let mut subqueries = Vec::with_capacity(fakes.len() + 1);
-    let mut fake_iter = fakes.into_iter();
-    for position in 0.. {
-        if position == original_index {
-            subqueries.push(Arc::clone(&original));
-        } else {
-            match fake_iter.next() {
-                Some(f) => subqueries.push(f),
-                None => break,
-            }
+    let mut window = history.lock();
+    let len = window.len();
+    let k = if len == 0 { 0 } else { k };
+    let mut subqueries: Vec<&str> = (0..k).map(|_| window.draw(rng.gen_range(0..len))).collect();
+    let original_index = if k == 0 { 0 } else { rng.gen_range(0..=k) };
+    subqueries.insert(original_index, query);
+    let bytes = subqueries.iter().map(|q| q.len()).sum::<usize>() + k * OR.len();
+    let mut text = String::with_capacity(bytes);
+    let mut spans = Vec::with_capacity(k + 1);
+    for (i, q) in subqueries.into_iter().enumerate() {
+        if i > 0 {
+            text.push_str(OR);
         }
-        if subqueries.len() == k + 1 {
-            break;
-        }
+        spans.push(text.len()..text.len() + q.len());
+        text.push_str(q);
     }
+    window.push(query);
     ObfuscatedQuery {
-        subqueries,
+        text,
+        spans,
         original_index,
     }
 }
@@ -111,6 +127,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
     use xsearch_sgx_sim::epc::EpcGauge;
 
     fn warm_history(n: usize) -> Arc<QueryHistory> {
@@ -127,7 +144,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         for k in 0..=7 {
             let o = obfuscate("the real one", &h, k, &mut rng);
-            assert_eq!(o.subqueries.len(), k + 1, "k={k}");
+            assert_eq!(o.subqueries().len(), k + 1, "k={k}");
             assert_eq!(o.k(), k);
             assert_eq!(o.original(), "the real one");
         }
@@ -154,7 +171,7 @@ mod tests {
         let mut counts = [0usize; 4];
         for _ in 0..4000 {
             let o = obfuscate("real", &h, k, &mut rng);
-            counts[o.original_index] += 1;
+            counts[o.original_index()] += 1;
         }
         for (i, &c) in counts.iter().enumerate() {
             assert!((800..1200).contains(&c), "position {i} count {c}");
@@ -169,20 +186,8 @@ mod tests {
         assert_eq!(h.len(), 1);
         // The next query can now use it as a fake.
         let o = obfuscate("second", &h, 1, &mut rng);
-        assert_eq!(o.subqueries.len(), 2);
+        assert_eq!(o.subqueries().len(), 2);
         assert!(o.fakes().contains(&"first ever"));
-    }
-
-    #[test]
-    fn stored_entry_shares_the_subquery_allocation() {
-        let h = warm_history(0);
-        let mut rng = StdRng::seed_from_u64(8);
-        let o = obfuscate("no copies", &h, 2, &mut rng);
-        let stored = h.sample(&mut rng).unwrap();
-        assert!(
-            Arc::ptr_eq(&o.subqueries[o.original_index], &stored),
-            "history must store the same Arc the obfuscation emits"
-        );
     }
 
     #[test]
@@ -190,8 +195,8 @@ mod tests {
         let h = warm_history(0);
         let mut rng = StdRng::seed_from_u64(5);
         let o = obfuscate("lonely", &h, 5, &mut rng);
-        assert_eq!(o.subqueries, vec![Arc::<str>::from("lonely")]);
-        assert_eq!(o.original_index, 0);
+        assert_eq!(o.subqueries(), ["lonely"]);
+        assert_eq!(o.original_index(), 0);
     }
 
     #[test]
@@ -205,11 +210,24 @@ mod tests {
     }
 
     #[test]
+    fn or_string_is_the_join_at_its_exact_size() {
+        let h = warm_history(0);
+        for q in ["", "naïve café", "a OR b"] {
+            h.push(q);
+        }
+        let mut rng = StdRng::seed_from_u64(9);
+        let o = obfuscate("π day", &h, 5, &mut rng);
+        assert_eq!(o.to_or_string(), o.subqueries().join(" OR "));
+        assert_eq!(o.text.capacity(), o.text.len());
+        assert_eq!(o.subqueries().len(), 6);
+    }
+
+    #[test]
     fn k_zero_with_warm_history_is_just_the_query() {
         let h = warm_history(10);
         let mut rng = StdRng::seed_from_u64(7);
         let o = obfuscate("real", &h, 0, &mut rng);
-        assert_eq!(o.subqueries, vec![Arc::<str>::from("real")]);
+        assert_eq!(o.subqueries(), ["real"]);
     }
 
     proptest! {
@@ -221,8 +239,8 @@ mod tests {
             // Exactly one sub-query at original_index equals the original.
             prop_assert_eq!(o.original(), "needle");
             let expected_len = if n_hist == 0 { 1 } else { k + 1 };
-            prop_assert_eq!(o.subqueries.len(), expected_len);
-            prop_assert!(o.original_index < o.subqueries.len());
+            prop_assert_eq!(o.subqueries().len(), expected_len);
+            prop_assert!(o.original_index() < o.subqueries().len());
             prop_assert_eq!(o.fakes().len(), expected_len - 1);
         }
     }

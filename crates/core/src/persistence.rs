@@ -33,14 +33,17 @@
 //!
 //! A segment's plaintext is the shared length-prefixed query batch from
 //! [`crate::wire`] — the same framing the `seed` ecall uses, so there is
-//! exactly one serializer to fuzz.
+//! exactly one serializer to fuzz. The history writes it under its lock
+//! straight into the buffer the segment is sealed in
+//! ([`QueryHistory::read_since`]), and a restore pushes it back from the
+//! opened plaintext through [`crate::wire::QueryBatch`], one segment per
+//! lock acquisition.
 
 use crate::history::{HistoryCursor, QueryHistory};
-use crate::wire::{decode_query_batch, encode_query_batch_into};
+use crate::wire::QueryBatch;
 use rand::RngCore;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use xsearch_sgx_sim::error::SgxError;
 use xsearch_sgx_sim::measurement::Measurement;
 use xsearch_sgx_sim::sealed::{SealingKey, SealingPlatform};
@@ -303,23 +306,24 @@ impl HistoryVault {
         if cursor.prev.is_none_or(|(v, _)| v != self.last_sealed()) {
             *cursor = SealCursor::default();
         }
-        let delta = history.read_since(&mut cursor.read);
-        if delta.is_empty() {
-            return None;
-        }
-        Some(self.seal_segment(&delta, history.capacity(), cursor, rng))
+        let (bytes, entries) = read_delta(history, cursor);
+        (entries > 0).then(|| self.seal_segment(bytes, entries, history.capacity(), cursor, rng))
     }
 
+    /// Seals `bytes` — a header's room followed by the query batch of
+    /// `entries` entries, as [`read_delta`] leaves them — in place as the
+    /// next segment of `cursor`'s chain.
     fn seal_segment<R: RngCore>(
         &self,
-        delta: &[Arc<str>],
+        mut bytes: Vec<u8>,
+        entries: usize,
         capacity: usize,
         cursor: &mut SealCursor,
         rng: &mut R,
     ) -> SealedSegment {
         let version = self.last_sealed.fetch_add(1, Ordering::AcqRel) + 1;
-        cursor.live.push_back(delta.len());
-        cursor.live_entries += delta.len();
+        cursor.live.push_back(entries);
+        cursor.live_entries += entries;
         while cursor.live_entries - cursor.live[0] >= capacity {
             cursor.live_entries -= cursor.live.pop_front().expect("non-empty");
         }
@@ -328,13 +332,9 @@ impl HistoryVault {
             "the floor segment holds at most a window, the rest less than one"
         );
         let floor = version + 1 - cursor.live.len() as u64;
-        let text: usize = delta.iter().map(|q| 4 + q.len()).sum();
-        let mut bytes = Vec::with_capacity(HEADER + 4 + text + TAG);
-        bytes.extend_from_slice(&[0; NONCE]);
-        bytes.extend_from_slice(&version.to_le_bytes());
-        bytes.extend_from_slice(&floor.to_le_bytes());
-        bytes.extend_from_slice(&cursor.prev.map_or([0; TAG], |(_, tag)| tag));
-        encode_query_batch_into(&mut bytes, delta.iter().map(|q| &**q));
+        bytes[NONCE..LINK].copy_from_slice(&version.to_le_bytes());
+        bytes[LINK..LINK + 8].copy_from_slice(&floor.to_le_bytes());
+        bytes[LINK + 8..HEADER].copy_from_slice(&cursor.prev.map_or([0; TAG], |(_, tag)| tag));
         let link: [u8; HEADER - LINK] = bytes[LINK..HEADER].try_into().expect("link");
         let nonce = self.key.seal_tail(version, &link, &mut bytes, HEADER, rng);
         bytes[..NONCE].copy_from_slice(&nonce);
@@ -342,6 +342,17 @@ impl HistoryVault {
         cursor.prev = Some((version, segment.view().tag().try_into().expect("tag")));
         segment
     }
+}
+
+/// What landed in `history` since `cursor` last read it, written after
+/// room for a segment header into a buffer that also has room for the
+/// tag; and how many entries that is. An empty delta fits the first
+/// allocation.
+fn read_delta(history: &QueryHistory, cursor: &mut SealCursor) -> (Vec<u8>, usize) {
+    let mut bytes = Vec::with_capacity(HEADER + 4 + TAG);
+    bytes.resize(HEADER, 0);
+    let entries = history.read_since(&mut cursor.read, &mut bytes, TAG);
+    (bytes, entries)
 }
 
 /// Seals the history's whole window to (platform, measurement) as a
@@ -355,10 +366,13 @@ pub fn seal_history<R: RngCore>(
     measurement: &Measurement,
     rng: &mut R,
 ) -> SealedSegment {
+    let mut cursor = SealCursor::default();
+    let (bytes, entries) = read_delta(history, &mut cursor);
     HistoryVault::new(platform.clone(), *measurement).seal_segment(
-        &history.snapshot_arcs(),
+        bytes,
+        entries,
         history.capacity(),
-        &mut SealCursor::default(),
+        &mut cursor,
         rng,
     )
 }
@@ -410,24 +424,24 @@ pub fn restore_migrated(
     let Some(head) = segments.last() else {
         return Ok(0);
     };
-    let mut batches = Vec::with_capacity(segments.len());
+    let mut plaintexts = Vec::with_capacity(segments.len());
     for (i, segment) in segments.iter().enumerate() {
         let in_sequence = head.floor().checked_add(i as u64) == Some(segment.version());
         let chained = i == 0 || segments[i - 1].tag() == segment.prev_tag();
         if !in_sequence || !chained {
             return Err(SgxError::UnsealFailed);
         }
-        batches.push(src.key.open(
+        plaintexts.push(src.key.open(
             segment.nonce(),
             segment.version(),
             segment.link(),
             segment.sealed(),
         )?);
     }
-    let mut queries = Vec::new();
-    for batch in &batches {
-        queries.extend(decode_query_batch(batch).map_err(|_| SgxError::UnsealFailed)?);
-    }
+    let batches = plaintexts
+        .iter()
+        .map(|batch| QueryBatch::parse(batch).map_err(|_| SgxError::UnsealFailed))
+        .collect::<Result<Vec<_>, _>>()?;
     // Claim-then-restore: raise the floor past the head in one atomic
     // step. The winner observes a previous floor at or below the head's
     // version; every racing consumer observes the raised floor and
@@ -441,11 +455,15 @@ pub fn restore_migrated(
             floor: claimed,
         });
     }
-    let surplus = queries.len().saturating_sub(history.capacity());
-    for q in &queries[surplus..] {
-        history.push(q);
+    let total: usize = batches.iter().map(QueryBatch::len).sum();
+    let surplus = total.saturating_sub(history.capacity());
+    let mut skip = surplus;
+    for batch in batches {
+        let skipped = skip.min(batch.len());
+        history.push_all(batch.iter().skip(skipped));
+        skip -= skipped;
     }
-    Ok(queries.len() - surplus)
+    Ok(total - surplus)
 }
 
 #[cfg(test)]
@@ -544,8 +562,24 @@ mod tests {
     fn entries_in(log: &SealedLog, vault: &HistoryVault) -> usize {
         log.segments
             .iter()
-            .map(|s| decode_query_batch(&plaintext(s, vault)).unwrap().len())
+            .map(|s| QueryBatch::parse(&plaintext(s, vault)).unwrap().len())
             .sum()
+    }
+
+    #[test]
+    fn a_query_longer_than_a_page_survives_sample_seal_and_restore() {
+        let long = "ö".repeat(2_560); // 5 KiB, more than an EPC page
+        let h = QueryHistory::new(8, EpcGauge::new());
+        h.push(&long);
+        let mut rng = StdRng::seed_from_u64(5);
+        assert_eq!(h.sample(&mut rng).as_deref(), Some(long.as_str()));
+        h.push("short");
+        let platform = SealingPlatform::from_seed(5);
+        let m = measurement(b"proxy-v1");
+        let segment = seal_history(&h, &platform, &m, &mut rng);
+        let restored = QueryHistory::new(8, EpcGauge::new());
+        assert_eq!(restore_history(&restored, &platform, &m, &segment), Ok(2));
+        assert_eq!(restored.snapshot(), [long.as_str(), "short"]);
     }
 
     #[test]
@@ -1000,11 +1034,12 @@ mod tests {
             let warm: Vec<&str> = warm.iter().map(String::as_str).collect();
             sealer.seal(&v, &warm);
             let mut reader = HistoryCursor::default();
-            assert_eq!(sealer.history.read_since(&mut reader).len(), capacity);
+            let mut read = |h: &QueryHistory| h.read_since(&mut reader, &mut Vec::new(), 0);
+            assert_eq!(read(&sealer.history), capacity);
 
             sealer.seal(&v, &delta);
             assert_eq!(
-                sealer.history.read_since(&mut reader).len(),
+                read(&sealer.history),
                 64,
                 "the delta read touches the new entries only"
             );

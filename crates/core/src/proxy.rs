@@ -9,8 +9,10 @@
 use crate::config::XSearchConfig;
 use crate::enclave_app::{EnclaveState, ENCLAVE_CODE_V1};
 use crate::error::XSearchError;
+use crate::history::HistoryCursor;
 use crate::persistence::{HistoryVault, SealedLog, SealedSegment};
 use crate::session::registration_binding;
+use crate::wire::QueryBatch;
 use rand::RngCore;
 use std::sync::Arc;
 use std::time::Duration;
@@ -27,6 +29,10 @@ use xsearch_sgx_sim::epc::EpcGauge;
 use xsearch_sgx_sim::error::SgxError;
 use xsearch_sgx_sim::measurement::Measurement;
 use xsearch_telemetry::{EnclaveScope, Registry};
+
+/// Largest `seed` ecall payload [`XSearchProxy::seed_history`] sends
+/// (a single longer query goes alone).
+const SEED_BATCH_BYTES: usize = 1 << 20;
 
 /// The handshake response a broker receives.
 #[derive(Debug, Clone)]
@@ -316,7 +322,7 @@ impl XSearchProxy {
     fn enclave_request_batch<'a>(
         &self,
         requests: impl IntoIterator<Item = (&'a [u8; 32], &'a [u8])>,
-        fetch: impl Fn(&[Arc<str>], usize) -> Vec<xsearch_engine::engine::SearchResult>,
+        fetch: impl Fn(&[&str], usize) -> Vec<xsearch_engine::engine::SearchResult>,
     ) -> Result<Vec<Result<Vec<u8>, XSearchError>>, XSearchError> {
         let payload = crate::wire::encode_request_batch(requests);
         let mut envelope: Result<(), XSearchError> = Ok(());
@@ -383,7 +389,7 @@ impl XSearchProxy {
         &self,
         client_pub: &[u8; 32],
         ciphertext: &[u8],
-        fetch: impl FnOnce(&[Arc<str>], usize) -> Vec<xsearch_engine::engine::SearchResult>,
+        fetch: impl FnOnce(&[&str], usize) -> Vec<xsearch_engine::engine::SearchResult>,
     ) -> Result<Vec<u8>, XSearchError> {
         // The reply is the ecall's output, so the boundary counts its
         // bytes; a failure crosses as nothing and travels beside it.
@@ -405,18 +411,31 @@ impl XSearchProxy {
         outcome
     }
 
-    /// Pre-populates the past-query table (experiment warm-up). The whole
-    /// batch crosses the boundary in **one** `seed` ecall (length-prefixed
-    /// wire batch) — Fig 5 warms 10k queries, which used to cost 10k
-    /// crossings.
+    /// Pre-populates the past-query table (experiment warm-up). The
+    /// queries cross the boundary as length-prefixed wire batches of at
+    /// most 1 MiB each, one `seed` ecall per batch: an SGX ecall copies
+    /// its input into enclave memory, so one batch of a whole window
+    /// would be a window-sized EPC spike on top of the window itself.
     pub fn seed_history<'a, I: IntoIterator<Item = &'a str>>(&self, queries: I) {
-        let payload = crate::wire::encode_query_batch(queries);
-        let _ = self
-            .enclave
-            .ecall_shared("seed", &payload, |state, input, _| {
-                let seeded = state.seed_history_batch(input).unwrap_or(0);
-                (seeded as u64).to_le_bytes().to_vec()
+        let mut queries = queries.into_iter().peekable();
+        let mut payload = Vec::new();
+        while queries.peek().is_some() {
+            payload.clear();
+            let mut filled = 4;
+            let batch = std::iter::from_fn(|| {
+                let query =
+                    queries.next_if(|q| filled == 4 || filled + 4 + q.len() <= SEED_BATCH_BYTES)?;
+                filled += 4 + query.len();
+                Some(query)
             });
+            crate::wire::encode_query_batch_into(&mut payload, batch);
+            let _ = self
+                .enclave
+                .ecall_shared("seed", &payload, |state, input, _| {
+                    let seeded = state.seed_history_batch(input).unwrap_or(0);
+                    (seeded as u64).to_le_bytes().to_vec()
+                });
+        }
     }
 
     /// Closes `client_pub`'s enclave session (the `close_session`
@@ -544,12 +563,15 @@ impl XSearchProxy {
         let out = self
             .enclave
             .ecall_shared("history_snapshot", &[], |state, _, _| {
-                let snapshot = state.history().snapshot();
-                crate::wire::encode_query_batch(snapshot.iter().map(String::as_str))
+                let mut window = Vec::new();
+                state
+                    .history()
+                    .read_since(&mut HistoryCursor::default(), &mut window, 0);
+                window
             })
             .expect("ecall cannot fail in this model");
-        crate::wire::decode_query_batch(&out)
-            .map(|queries| queries.into_iter().map(str::to_owned).collect())
+        QueryBatch::parse(&out)
+            .map(|window| window.iter().map(str::to_owned).collect())
             .unwrap_or_default()
     }
 
@@ -678,6 +700,32 @@ mod tests {
         p.seed_history(["a", "b", "c"]);
         assert_eq!(p.history_len(), 3);
         assert!(p.history_memory_bytes() > 0);
+    }
+
+    #[test]
+    fn seeding_crosses_in_batches_of_at_most_a_mebibyte() {
+        let (p, _) = proxy();
+        // 4 + 4 100 bytes per entry: 255 fit in one 1 MiB batch.
+        let queries: Vec<String> = (0..600)
+            .map(|i| format!("{i:04}{}", "q".repeat(4_096)))
+            .collect();
+        let (ecalls, bytes) = (p.boundary().ecalls(), p.boundary().bytes_in());
+        p.seed_history(queries.iter().map(String::as_str));
+        assert_eq!(p.boundary().ecalls() - ecalls, 3);
+        assert_eq!(p.boundary().bytes_in() - bytes, 3 * 4 + 600 * 4_104);
+        assert_eq!(p.history_len(), 600);
+        assert_eq!(p.history_snapshot(), queries);
+
+        // A query longer than a batch crosses alone.
+        let (ecalls, bytes) = (p.boundary().ecalls(), p.boundary().bytes_in());
+        let long = "l".repeat(SEED_BATCH_BYTES);
+        p.seed_history(["a", &long, "b"]);
+        assert_eq!(p.boundary().ecalls() - ecalls, 3);
+        assert_eq!(
+            p.boundary().bytes_in() - bytes,
+            3 * 4 + 2 * 5 + 4 + SEED_BATCH_BYTES as u64
+        );
+        assert_eq!(p.history_len(), 603);
     }
 
     #[test]

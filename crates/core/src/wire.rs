@@ -157,22 +157,19 @@ pub fn encoded_len(results: &[SearchResult]) -> usize {
 }
 
 /// Serializes a query batch as `count ‖ (len ‖ bytes)*` (u32 LE
-/// prefixes) — the payload of the proxy's single `seed` ecall, so
-/// warming a 10k-query history costs one boundary crossing, not 10k.
+/// prefixes) — the payload of the proxy's `seed` ecalls and the
+/// plaintext of a sealed history segment.
 #[must_use]
 pub fn encode_query_batch<'a, I: IntoIterator<Item = &'a str>>(queries: I) -> Vec<u8> {
     let mut out = Vec::new();
     encode_query_batch_into(&mut out, queries);
-    // A warm-up batch is tens of MiB and outlives this call by a whole
-    // `seed` ecall: hand back the payload, not the growth slack.
-    out.shrink_to_fit();
     out
 }
 
 /// Appends the [`encode_query_batch`] framing of `queries` to `out` —
 /// the form a caller uses when the batch is the tail of a larger buffer
 /// (a sealed history segment writes its header first, then encrypts the
-/// batch where it lies).
+/// batch where it lies) or when it reuses one buffer across batches.
 pub fn encode_query_batch_into<'a, I: IntoIterator<Item = &'a str>>(out: &mut Vec<u8>, queries: I) {
     let count_at = out.len();
     out.extend_from_slice(&[0; 4]);
@@ -185,35 +182,104 @@ pub fn encode_query_batch_into<'a, I: IntoIterator<Item = &'a str>>(out: &mut Ve
     out[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
 }
 
-/// Parses a query batch, borrowing each query from the payload (the
-/// enclave re-owns only what it stores).
-///
-/// # Errors
-///
-/// [`XSearchError::Protocol`] on truncation or non-UTF-8 queries.
-pub fn decode_query_batch(bytes: &[u8]) -> Result<Vec<&str>, XSearchError> {
-    let truncated = || XSearchError::Protocol("truncated query batch".into());
-    let count_bytes: [u8; 4] = bytes.get(..4).ok_or_else(truncated)?.try_into().expect("4");
-    let count = u32::from_le_bytes(count_bytes) as usize;
-    let mut queries = Vec::with_capacity(count.min(bytes.len() / 4));
-    let mut offset = 4;
-    for _ in 0..count {
-        let len_bytes: [u8; 4] = bytes
-            .get(offset..offset + 4)
-            .ok_or_else(truncated)?
-            .try_into()
-            .expect("4");
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        offset += 4;
-        let raw = bytes.get(offset..offset + len).ok_or_else(truncated)?;
-        offset += len;
-        queries.push(
-            std::str::from_utf8(raw)
-                .map_err(|_| XSearchError::Protocol("query batch entry is not utf-8".into()))?,
-        );
-    }
-    Ok(queries)
+/// A validated view of an encoded query batch (see
+/// [`encode_query_batch`]): [`QueryBatch::parse`] checks every length
+/// prefix and every entry's UTF-8 in one pass, and the view then hands
+/// out the entries as `&str` borrowed from the payload, without
+/// collecting them — a warm-up batch or a restored segment is pushed
+/// straight from the bytes it arrived in.
+#[derive(Debug, Clone, Copy)]
+pub struct QueryBatch<'a> {
+    /// The entries, `(len ‖ bytes)*`, count prefix stripped.
+    entries: &'a [u8],
+    len: usize,
 }
+
+impl<'a> QueryBatch<'a> {
+    /// Validates `bytes` as a query batch. Bytes after the last entry
+    /// are ignored.
+    ///
+    /// # Errors
+    ///
+    /// [`XSearchError::Protocol`] on truncation or non-UTF-8 queries.
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, XSearchError> {
+        let truncated = || XSearchError::Protocol("truncated query batch".into());
+        let count_bytes: [u8; 4] = bytes.get(..4).ok_or_else(truncated)?.try_into().expect("4");
+        let len = u32::from_le_bytes(count_bytes) as usize;
+        let mut rest = &bytes[4..];
+        for _ in 0..len {
+            let (raw, tail) = split_entry(rest).ok_or_else(truncated)?;
+            std::str::from_utf8(raw)
+                .map_err(|_| XSearchError::Protocol("query batch entry is not utf-8".into()))?;
+            rest = tail;
+        }
+        Ok(QueryBatch {
+            entries: &bytes[4..bytes.len() - rest.len()],
+            len,
+        })
+    }
+
+    /// Number of queries in the batch.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the batch holds no query.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The queries, in batch order.
+    #[must_use]
+    pub fn iter(&self) -> QueryBatchIter<'a> {
+        QueryBatchIter {
+            rest: self.entries,
+            left: self.len,
+        }
+    }
+}
+
+impl<'a> IntoIterator for QueryBatch<'a> {
+    type Item = &'a str;
+    type IntoIter = QueryBatchIter<'a>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// Splits one `len ‖ bytes` entry off the front of `bytes`.
+fn split_entry(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
+    let len = u32::from_le_bytes(bytes.get(..4)?.try_into().expect("4")) as usize;
+    let rest = &bytes[4..];
+    (rest.len() >= len).then(|| rest.split_at(len))
+}
+
+/// The entries of a [`QueryBatch`], oldest first.
+#[derive(Debug, Clone)]
+pub struct QueryBatchIter<'a> {
+    rest: &'a [u8],
+    left: usize,
+}
+
+impl<'a> Iterator for QueryBatchIter<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.left = self.left.checked_sub(1)?;
+        let (raw, rest) = split_entry(self.rest).expect("validated by QueryBatch::parse");
+        self.rest = rest;
+        Some(std::str::from_utf8(raw).expect("validated by QueryBatch::parse"))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for QueryBatchIter<'_> {}
 
 /// Per-entry status codes of the `proxy_batch` response encoding. The
 /// enclave reports *that* an entry failed and its coarse class — never
@@ -589,7 +655,9 @@ mod tests {
     fn query_batch_roundtrips() {
         let queries = ["alpha", "beta gamma", "", "δelta"];
         let encoded = encode_query_batch(queries);
-        assert_eq!(decode_query_batch(&encoded).unwrap(), queries);
+        let batch = QueryBatch::parse(&encoded).unwrap();
+        assert_eq!(batch.len(), 4);
+        assert!(batch.iter().eq(queries));
     }
 
     #[test]
@@ -597,11 +665,11 @@ mod tests {
         let mut encoded = encode_query_batch(["alpha", "beta"]);
         encoded.truncate(encoded.len() - 1);
         assert!(matches!(
-            decode_query_batch(&encoded),
+            QueryBatch::parse(&encoded),
             Err(XSearchError::Protocol(_))
         ));
         assert!(matches!(
-            decode_query_batch(&[1, 0]),
+            QueryBatch::parse(&[1, 0]),
             Err(XSearchError::Protocol(_))
         ));
     }
@@ -612,7 +680,7 @@ mod tests {
         encoded.extend_from_slice(&2u32.to_le_bytes());
         encoded.extend_from_slice(&[0xff, 0xfe]);
         assert!(matches!(
-            decode_query_batch(&encoded),
+            QueryBatch::parse(&encoded),
             Err(XSearchError::Protocol(_))
         ));
     }
@@ -763,7 +831,7 @@ mod tests {
         #[test]
         fn query_batch_roundtrips_any_text(queries in proptest::collection::vec(".{0,20}", 0..8)) {
             let encoded = encode_query_batch(queries.iter().map(String::as_str));
-            let decoded = decode_query_batch(&encoded).unwrap();
+            let decoded: Vec<&str> = QueryBatch::parse(&encoded).unwrap().iter().collect();
             prop_assert_eq!(decoded, queries);
         }
 

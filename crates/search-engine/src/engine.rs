@@ -78,7 +78,8 @@ impl SearchEngine {
     /// of the modeled engine's lanes; tests hold the two equal.
     ///
     /// Generic over the sub-query representation so the enclave's
-    /// `Arc<str>` sub-queries cross without re-owning each string.
+    /// sub-queries, borrowed from its one OR-joined wire string, cross
+    /// without re-owning each string.
     #[must_use]
     pub fn search_merged<S: AsRef<str>>(
         &self,

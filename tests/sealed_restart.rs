@@ -39,7 +39,7 @@ fn restart_preserves_decoy_pool() {
     // And it is immediately usable for obfuscation.
     let mut rng = StdRng::seed_from_u64(2);
     let obfuscated = xsearch::core::obfuscate::obfuscate("fresh query", &second, 3, &mut rng);
-    assert_eq!(obfuscated.subqueries.len(), 4);
+    assert_eq!(obfuscated.subqueries().len(), 4);
 }
 
 #[test]
