@@ -309,7 +309,7 @@ fn main() {
     // goodput, every acknowledged query is still in a fleet window, and
     // its re-attaches and hedges left one session per client behind.
     let sustained = summary.gate(Gate::at_least("goodput_ratio", ratio, GOODPUT_FLOOR));
-    let kept = summary.gate(Gate::at_most("degraded_lost", degraded.lost as f64, 0.0));
+    let kept = summary.gate(Gate::at_most("acked_lost", degraded.lost as f64, 0.0));
     summary.gate(Gate::at_most(
         "live_sessions",
         degraded.live_sessions as f64,
@@ -321,7 +321,7 @@ fn main() {
         .field("ratio", fixed(ratio, 4))
         .field("threshold", GOODPUT_FLOOR)
         .field("pass", sustained && kept)
-        .field("degraded_lost", degraded.lost);
+        .field("acked_lost", degraded.lost);
     summary.row("acceptance", acceptance);
     summary.row("acceptance_flight_events", degraded.flight.len());
     let telemetry = Json::Raw(degraded.telemetry.clone());

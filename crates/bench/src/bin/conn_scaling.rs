@@ -12,12 +12,14 @@
 //!    ([`ByteStream::mem_bytes`] and friends, not an RSS sample — the
 //!    figure is deterministic) against the documented
 //!    [`IDLE_SESSION_BYTE_BUDGET`].
-//! 2. **Active subset under churn** — a threaded front carrying idle
-//!    ballast plus a small active session pool driven by the open-loop
-//!    generator (a fixed-rate approximation of the Poisson-active
-//!    subset), while a churn thread connects, attests, echoes, and
-//!    disconnects ephemeral framed clients the whole time. Reported:
-//!    sustained req/s and p99 under that churn.
+//! 2. **Active subset under churn** — one front carrying idle ballast
+//!    plus a small active session pool driven by the open-loop generator
+//!    (a fixed-rate approximation of the Poisson-active subset), while a
+//!    churn thread connects, attests, echoes, and disconnects ephemeral
+//!    framed clients the whole time. Nothing else drives the front: each
+//!    caller steps it while waiting on its own reply, so the generator
+//!    and churn threads are the front's threads. Reported: sustained
+//!    req/s and p99 under that churn, and the box's core count.
 //! 3. **Replay gate** — a fixed interleaved transcript on one shard,
 //!    run twice clean and twice under a deterministic
 //!    [`FaultPlan`]; both pairs must be byte-identical (raw reply
@@ -93,19 +95,12 @@ fn idle_tier(n: usize) -> (Obj, f64) {
     (row, bytes_per_session)
 }
 
-/// Phase 2: threaded front, idle ballast, open-loop load over the active
-/// pool, ephemeral connect/attest/echo/disconnect churn throughout.
-/// Returns the `active` row.
+/// Phase 2: a caller-stepped front, idle ballast, open-loop load over
+/// the active pool, ephemeral connect/attest/echo/disconnect churn
+/// throughout. Returns the `active` row.
 fn active_run(point: Duration) -> Obj {
     let cluster = echo_fleet(REPLICAS, None);
-    let front = Arc::new(FrontTier::new(
-        &cluster,
-        FrontConfig {
-            shards: 2,
-            ..FrontConfig::default()
-        },
-    ));
-    front.spawn();
+    let front = Arc::new(FrontTier::new(&cluster, FrontConfig::default()));
     let _ballast: Vec<ByteStream> = (0..BALLAST).map(|_| front.accept()).collect();
     let active = FrontSessions::attach(&cluster, &front, ACTIVE_SESSIONS, 500_000);
 
@@ -123,9 +118,7 @@ fn active_run(point: Duration) -> Obj {
             while !stop.load(Ordering::Relaxed) {
                 seed += 1;
                 let ok = FramedClient::connect(&cluster, &front, seed).is_ok_and(|mut client| {
-                    let ok = client
-                        .search_with(QUERY, true, std::thread::yield_now)
-                        .is_ok();
+                    let ok = client.search(&front, QUERY, true).is_ok();
                     client.close();
                     ok
                 });
@@ -139,20 +132,28 @@ fn active_run(point: Duration) -> Obj {
     };
 
     let reports = sweep_rates(ACTIVE_RATES, point, THREADS, &|| {
-        active.echo(&cluster, QUERY)
+        active.echo(&cluster, &front, QUERY)
     });
 
     stop.store(true, Ordering::Relaxed);
     churn.join().expect("churn thread");
     // Post-load idle hygiene: the ballast must have fallen back to its
-    // floor cost even after the front carried real traffic.
+    // floor cost even after the front carried real traffic. A few steps
+    // first retire the churn connections closed since the last caller
+    // stepped.
+    for _ in 0..4 {
+        front.step();
+    }
     let (sessions, bytes) = front.account_idle();
-    front.shutdown();
     let idle_after = bytes as f64 / sessions.max(1) as f64;
     Obj::new()
         .field("idle_ballast", BALLAST)
         .field("sessions", ACTIVE_SESSIONS)
         .field("threads", THREADS)
+        .field(
+            "cores",
+            std::thread::available_parallelism().map_or(1, usize::from),
+        )
         .field("max_sustained_rps", fixed(capacity(&reports), 1))
         .field("p99_ms_at_capacity", fixed(p99_at_capacity(&reports), 3))
         .field("churn_cycles", cycles.load(Ordering::Relaxed))

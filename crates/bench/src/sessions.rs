@@ -76,8 +76,9 @@ impl BrokerPool {
 }
 
 /// A pool of framed sessions over the event-driven front tier — the
-/// reactor-driven counterpart of [`BrokerPool`]. Drive the front in
-/// threaded mode ([`FrontTier::spawn`]); the pump is a yield.
+/// reactor-driven counterpart of [`BrokerPool`]. Each echo steps the
+/// front while it waits, so the generator threads are the front's
+/// threads.
 pub struct FrontSessions {
     clients: Vec<Mutex<FramedClient>>,
     counter: AtomicUsize,
@@ -108,12 +109,12 @@ impl FrontSessions {
     /// re-attests the session — its send counter advanced past what the
     /// enclave saw — and counts as a failure, mirroring how the
     /// synchronous harnesses count sheds.
-    pub fn echo(&self, cluster: &Cluster, query: &str) -> bool {
+    pub fn echo(&self, cluster: &Cluster, front: &FrontTier, query: &str) -> bool {
         let idx = self.counter.fetch_add(1, Ordering::Relaxed) % self.clients.len();
         let mut client = self.clients[idx]
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        match client.search_with(query, true, std::thread::yield_now) {
+        match client.search(front, query, true) {
             Ok(_) => true,
             Err(ClusterError::Overloaded(_)) => {
                 let _ = client.reattach(cluster);

@@ -664,8 +664,8 @@ impl Cluster {
     /// `id`'s bounded queue, *then* invokes `seal` for `(client_pub,
     /// ciphertext)` and enqueues it on the replica's lane **without
     /// waiting for delivery**. Both drivers — the blocking
-    /// [`Cluster::forward`] and the front's reactor shards — go through
-    /// here, so the refusal path cannot differ by ingress.
+    /// [`Cluster::forward`] and a front step — go through here, so the
+    /// refusal path cannot differ by ingress.
     ///
     /// Nonce safety: the fault timeline (scheduled crashes/restarts,
     /// partition windows), injected link loss and bounded admission all

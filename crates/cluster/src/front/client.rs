@@ -27,14 +27,20 @@ fn error_for(status: ConnStatus, replica: ReplicaId) -> ClusterError {
     }
 }
 
-/// Most pump iterations [`FramedClient`] waits for a reply before
-/// concluding the front is wedged.
-const CLIENT_PUMP_LIMIT: usize = 1_000_000;
+/// Most front steps [`FramedClient::search`] takes while waiting for a
+/// reply before concluding the front is wedged.
+const CLIENT_STEP_LIMIT: usize = 1_000_000;
 
 /// A non-blocking framed client: seals queries end-to-end exactly like
 /// [`crate::client::ClusterClient`], but speaks the length-prefixed
 /// wire protocol over a [`ByteStream`] to a [`FrontTier`] instead of
 /// calling into the cluster synchronously.
+///
+/// [`FramedClient::search`] is the blocking call: it steps the front
+/// while it waits, which is the front's one driving rule.
+/// [`begin`](FramedClient::begin), [`poll_send`](FramedClient::poll_send)
+/// and [`poll_reply`](FramedClient::poll_reply) are its non-blocking
+/// parts, for a caller that steps the front itself.
 ///
 /// Routing is by the session's channel public key: the client derives
 /// its keypair from its seed, routes the public half, and attests exactly
@@ -172,33 +178,33 @@ impl FramedClient {
         Ok(Some(opened))
     }
 
-    /// Runs one request to completion, calling `pump` whenever the
-    /// session would block (manual mode: `|| { front.step(); }`;
-    /// threaded mode: `std::thread::yield_now`).
+    /// Runs one request to completion over `front` (the tier this
+    /// client connected to), stepping it whenever the session would
+    /// block.
     ///
     /// # Errors
     ///
     /// As [`FramedClient::poll_send`] / [`FramedClient::poll_reply`];
     /// [`ClusterError::DeadlineExceeded`] if the reply never arrives
-    /// within the pump limit.
-    pub fn search_with(
+    /// within the step limit.
+    pub fn search(
         &mut self,
+        front: &FrontTier,
         query: &str,
         echo: bool,
-        mut pump: impl FnMut(),
     ) -> Result<Vec<WireResult>, ClusterError> {
         self.begin(query, echo);
-        for _ in 0..CLIENT_PUMP_LIMIT {
+        for _ in 0..CLIENT_STEP_LIMIT {
             if self.poll_send()? {
                 break;
             }
-            pump();
+            front.step();
         }
-        for _ in 0..CLIENT_PUMP_LIMIT {
+        for _ in 0..CLIENT_STEP_LIMIT {
             if let Some(results) = self.poll_reply()? {
                 return Ok(results);
             }
-            pump();
+            front.step();
         }
         Err(ClusterError::DeadlineExceeded)
     }

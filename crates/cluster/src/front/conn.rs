@@ -16,7 +16,6 @@ use crate::placement::key_coord;
 use crate::registry::ReplicaId;
 use crate::router::RequestSlot;
 use std::mem;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use xsearch_core::wire::{decode_conn_request, encode_conn_reply_into, ConnStatus};
@@ -127,9 +126,6 @@ pub(super) struct ShardCore {
     /// Logical clock: one tick per shard step. Every survival deadline
     /// is expressed in these.
     pub tick: u64,
-    /// Graceful drain: shared with the [`super::ShardHandle`] so
-    /// [`super::FrontTier::drain_shard`] can flip it from any thread.
-    pub draining: Arc<AtomicBool>,
     pub book: StrikeBook,
     /// Connection indices with a delivery outstanding.
     pub awaiting: Vec<usize>,
@@ -409,13 +405,6 @@ impl Conn {
                             if core.book.banned(&client_pub, core.tick) {
                                 core.stats.quarantine_rejects.inc();
                                 self.class = ConnClass::Misbehaving;
-                                self.refuse(&core.stats, ConnStatus::Unavailable);
-                                continue;
-                            }
-                            // A draining shard finishes in-flight work
-                            // but refuses new requests.
-                            if core.draining.load(Ordering::Relaxed) {
-                                core.stats.drain_rejects.inc();
                                 self.refuse(&core.stats, ConnStatus::Unavailable);
                                 continue;
                             }

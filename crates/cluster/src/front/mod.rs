@@ -1,6 +1,6 @@
 //! The event-driven front tier: framed, non-blocking client sessions
-//! multiplexed onto the fleet's per-replica lanes by a small pool of
-//! reactor shards.
+//! multiplexed onto the fleet's per-replica lanes by one reactor shard
+//! that whoever waits on a reply steps.
 //!
 //! The thread-per-request harnesses drive one synchronous
 //! [`crate::client::ClusterClient`] per OS thread — fine for a dozen
@@ -8,13 +8,24 @@
 //! proxy" regime. This module is the C10K-style rewrite of the
 //! untrusted front: every client session is a **per-connection state
 //! machine** driven by readiness events from a
-//! [`xsearch_net_sim::Reactor`], so one shard thread carries tens of
-//! thousands of mostly-idle sessions. Requests crossing the enclave
-//! boundary ride the same [`crate::router`] lanes as the synchronous
-//! path: a shard submits every request one step made ready, then drives
-//! each lane it touched — if the lane's turn is free it carries *every*
-//! queued entry over in batched ecalls, and a connection still awaiting
-//! after that gets its lane driven again on the next step.
+//! [`xsearch_net_sim::Reactor`], so one shard carries tens of thousands
+//! of mostly-idle sessions. Requests crossing the enclave boundary ride
+//! the same [`crate::router`] lanes as the synchronous path: a step
+//! submits every request it made ready, then drives each lane it
+//! touched — if the lane's turn is free it carries *every* queued entry
+//! over in batched ecalls, and a connection still awaiting after that
+//! gets its lane driven again on the next step.
+//!
+//! # Driving
+//!
+//! One rule, the lane's rule one tier up: **whoever waits on a framed
+//! reply steps the front.** [`FrontTier::step`] is the only driver and
+//! may be called from any thread; it locks the shard, adopts the
+//! connections [`FrontTier::accept`] left in the mailbox, and runs one
+//! iteration. [`FramedClient::search`] steps while it waits, so the
+//! concurrency is that of the callers' threads. A single thread
+//! stepping with the same inputs replays byte-identically (the
+//! determinism the replay gates use).
 //!
 //! # Layout
 //!
@@ -63,11 +74,7 @@
 //! connection — the AEAD opened inside the enclave, so the peer owns it.
 //! Above the per-shard connection high-water mark the shard sheds by class —
 //! misbehaving first, then unattested, then oldest-idle established —
-//! so an attack population pays before well-behaved sessions do. A
-//! shard can also be **drained** gracefully: accepts are held (and
-//! re-adopted on resume), in-flight requests finish, and new requests
-//! are answered
-//! [`Unavailable`](xsearch_core::wire::ConnStatus::Unavailable). When a
+//! so an attack population pays before well-behaved sessions do. When a
 //! connection dies for any reason, the front best-effort closes the
 //! enclave session behind the channel key it proved
 //! ([`Cluster::close_session`]); sessions no connection ever proved fall
@@ -97,10 +104,9 @@ pub use survival::{ConnClass, ConnState, SurvivalConfig};
 
 use crate::fleet::Cluster;
 use shard::Shard;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::mem;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
-use std::time::Duration;
 use xsearch_net_sim::{stream_pair, ByteStream};
 use xsearch_telemetry::{Counter, LabelValue, Registry};
 
@@ -110,16 +116,9 @@ use xsearch_telemetry::{Counter, LabelValue, Registry};
 /// measured figure against this.
 pub const IDLE_SESSION_BYTE_BUDGET: usize = 1024;
 
-/// Park horizon for a shard with nothing in flight: new work arrives
-/// via the notify stream (which wakes the reactor's condvar), so this
-/// only bounds shutdown latency.
-const PARK_IDLE: Duration = Duration::from_millis(5);
-
 /// Tuning for the front tier.
 #[derive(Debug, Clone)]
 pub struct FrontConfig {
-    /// Reactor shards (threads in [`FrontTier::spawn`] mode).
-    pub shards: usize,
     /// Per-direction ring capacity of each accepted connection.
     pub stream_capacity: usize,
     /// The connection-lifecycle defenses (all off by default).
@@ -129,7 +128,6 @@ pub struct FrontConfig {
 impl Default for FrontConfig {
     fn default() -> Self {
         FrontConfig {
-            shards: 1,
             stream_capacity: 4096,
             survival: SurvivalConfig::default(),
         }
@@ -162,7 +160,6 @@ struct FrontStats {
     /// One per [`ConnClass`], indexed by discriminant.
     sheds: [Counter; 3],
     sessions_closed: Counter,
-    drain_rejects: Counter,
 }
 
 impl FrontStats {
@@ -239,10 +236,6 @@ impl FrontStats {
                 "xsearch_front_sessions_closed",
                 "Enclave sessions closed because their connection went away",
             ),
-            drain_rejects: plain(
-                "xsearch_front_drain_rejects",
-                "Requests answered Unavailable by a draining shard",
-            ),
         });
         for (name, state) in [
             ("idle", ConnState::Idle),
@@ -292,68 +285,13 @@ impl FrontStats {
     }
 }
 
-/// One shard's cross-thread handles: the shard itself, its accept
-/// mailbox, and the wake stream.
-struct ShardHandle {
-    shard: Mutex<Shard>,
-    accepts: Arc<Mutex<Vec<ByteStream>>>,
-    notify_tx: ByteStream,
-    draining: Arc<AtomicBool>,
-}
-
-impl ShardHandle {
-    fn new(cluster: &Arc<Cluster>, survival: &SurvivalConfig, stats: &Arc<FrontStats>) -> Self {
-        let (notify_tx, notify_rx) = stream_pair(64);
-        let accepts = Arc::new(Mutex::new(Vec::new()));
-        let draining = Arc::new(AtomicBool::new(false));
-        ShardHandle {
-            shard: Mutex::new(Shard::new(
-                Arc::clone(cluster),
-                survival.clone(),
-                Arc::clone(stats),
-                Arc::clone(&accepts),
-                notify_rx,
-                Arc::clone(&draining),
-            )),
-            accepts,
-            notify_tx,
-            draining,
-        }
-    }
-
-    fn wake(&self) {
-        // Best effort: a full wake ring means a wakeup is already
-        // pending.
-        let _ = self.notify_tx.write(&[1]);
-    }
-
-    fn shard(&self) -> MutexGuard<'_, Shard> {
-        self.shard.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-struct FrontInner {
-    config: FrontConfig,
-    shards: Vec<ShardHandle>,
-    stats: Arc<FrontStats>,
-    next_shard: AtomicUsize,
-    running: AtomicBool,
-}
-
 /// The event-driven front tier (see the module docs).
-///
-/// Two driving modes:
-///
-/// * **manual** — call [`FrontTier::step`] yourself; with one shard the
-///   whole tier is single-threaded and every run with the same inputs
-///   replays byte-identically (the determinism mode the replay gate
-///   uses);
-/// * **threaded** — [`FrontTier::spawn`] starts one reactor thread per
-///   shard; they park on their readiness queues and are woken by
-///   accepts and traffic.
 pub struct FrontTier {
-    inner: Arc<FrontInner>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    shard: Mutex<Shard>,
+    /// Server ends [`FrontTier::accept`] opened since the last step.
+    accepts: Mutex<Vec<ByteStream>>,
+    stats: Arc<FrontStats>,
+    stream_capacity: usize,
 }
 
 impl FrontTier {
@@ -363,146 +301,65 @@ impl FrontTier {
     #[must_use]
     pub fn new(cluster: &Arc<Cluster>, config: FrontConfig) -> FrontTier {
         let stats = FrontStats::register(cluster.telemetry());
-        let shards = (0..config.shards.max(1))
-            .map(|_| ShardHandle::new(cluster, &config.survival, &stats))
-            .collect();
-        let inner = Arc::new(FrontInner {
-            config,
-            shards,
-            stats,
-            next_shard: AtomicUsize::new(0),
-            running: AtomicBool::new(false),
-        });
         FrontTier {
-            inner,
-            threads: Mutex::new(Vec::new()),
+            shard: Mutex::new(Shard::new(
+                Arc::clone(cluster),
+                config.survival,
+                Arc::clone(&stats),
+            )),
+            accepts: Mutex::new(Vec::new()),
+            stats,
+            stream_capacity: config.stream_capacity,
         }
     }
 
     /// Opens a framed connection: the returned stream is the client
-    /// end; the server end lands on a shard round-robin.
+    /// end; the server end waits in the mailbox for the next step.
     #[must_use]
     pub fn accept(&self) -> ByteStream {
-        let inner = &self.inner;
-        let i = inner.next_shard.fetch_add(1, Ordering::Relaxed) % inner.shards.len();
-        let (client, server) = stream_pair(inner.config.stream_capacity);
-        let handle = &inner.shards[i];
-        handle
-            .accepts
+        let (client, server) = stream_pair(self.stream_capacity);
+        self.accepts
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .push(server);
-        handle.wake();
         client
     }
 
-    /// Manually steps every shard once (single-threaded driving mode).
-    /// Returns the number of progress events across shards.
+    /// Steps the front once: adopts the mailbox, then pumps ready
+    /// connections, drives their lanes and collects deliveries. Callable
+    /// from any thread; concurrent callers take turns on the shard.
+    /// Returns the number of progress events.
     pub fn step(&self) -> usize {
-        self.inner.shards.iter().map(|h| h.shard().step(None)).sum()
+        let mut shard = self.shard();
+        let accepted = mem::take(&mut *self.accepts.lock().unwrap_or_else(PoisonError::into_inner));
+        shard.step(accepted)
     }
 
-    /// Starts one reactor thread per shard. Threads park on their
-    /// readiness queues between bursts; [`FrontTier::shutdown`] (or
-    /// drop) stops them.
-    pub fn spawn(&self) {
-        let mut threads = self.threads.lock().unwrap_or_else(PoisonError::into_inner);
-        if !threads.is_empty() {
-            return;
-        }
-        self.inner.running.store(true, Ordering::Release);
-        for i in 0..self.inner.shards.len() {
-            let inner = Arc::clone(&self.inner);
-            threads.push(std::thread::spawn(move || {
-                while inner.running.load(Ordering::Acquire) {
-                    inner.shards[i].shard().step(Some(PARK_IDLE));
-                }
-            }));
-        }
+    fn shard(&self) -> MutexGuard<'_, Shard> {
+        self.shard.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Stops and joins the reactor threads (idempotent).
-    pub fn shutdown(&self) {
-        self.inner.running.store(false, Ordering::Release);
-        for handle in &self.inner.shards {
-            handle.wake();
-        }
-        for thread in self
-            .threads
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .drain(..)
-        {
-            let _ = thread.join();
-        }
-    }
-
-    /// Live connection count across shards.
+    /// Live connection count.
     #[must_use]
     pub fn connections(&self) -> usize {
-        self.inner.stats.total()
+        self.stats.total()
     }
 
     /// Live connections currently in `state`.
     #[must_use]
     pub fn state_count(&self, state: ConnState) -> usize {
-        self.inner.stats.count(state)
+        self.stats.count(state)
     }
 
-    /// Puts shard `shard` into graceful drain: it stops adopting new
-    /// connections (accepts queue in the mailbox), finishes requests
-    /// already in flight, and answers any *new* request with
-    /// [`Unavailable`](xsearch_core::wire::ConnStatus::Unavailable) before
-    /// closing that connection.
-    /// No-op for an out-of-range index.
-    pub fn drain_shard(&self, shard: usize) {
-        if let Some(handle) = self.inner.shards.get(shard) {
-            handle.draining.store(true, Ordering::Release);
-            handle.wake();
-        }
-    }
-
-    /// Ends a graceful drain: connections accepted while draining are
-    /// re-adopted on the shard's next step and served normally.
-    /// No-op for an out-of-range index.
-    pub fn resume_shard(&self, shard: usize) {
-        if let Some(handle) = self.inner.shards.get(shard) {
-            handle.draining.store(false, Ordering::Release);
-            handle.wake();
-        }
-    }
-
-    /// Whether shard `shard` is currently draining.
-    #[must_use]
-    pub fn shard_draining(&self, shard: usize) -> bool {
-        self.inner
-            .shards
-            .get(shard)
-            .is_some_and(|h| h.draining.load(Ordering::Acquire))
-    }
-
-    /// Sweeps every shard and returns `(idle_sessions, accounted
-    /// bytes)`; also refreshes the `xsearch_front_idle_session_bytes`
-    /// poll gauge. The scaling bench gates `bytes / sessions` against
+    /// Sweeps the shard and returns `(idle_sessions, accounted bytes)`;
+    /// also refreshes the `xsearch_front_idle_session_bytes` poll gauge.
+    /// The scaling bench gates `bytes / sessions` against
     /// [`IDLE_SESSION_BYTE_BUDGET`].
     pub fn account_idle(&self) -> (usize, usize) {
-        let mut sessions = 0;
-        let mut bytes = 0;
-        for handle in &self.inner.shards {
-            let (s, b) = handle.shard().idle_footprint();
-            sessions += s;
-            bytes += b;
-        }
-        let stats = &self.inner.stats;
-        stats.idle_sessions.store(sessions, Ordering::Relaxed);
-        stats.idle_bytes.store(bytes, Ordering::Relaxed);
+        let (sessions, bytes) = self.shard().idle_footprint();
+        self.stats.idle_sessions.store(sessions, Ordering::Relaxed);
+        self.stats.idle_bytes.store(bytes, Ordering::Relaxed);
         (sessions, bytes)
-    }
-}
-
-impl Drop for FrontTier {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 

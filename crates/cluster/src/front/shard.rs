@@ -1,5 +1,5 @@
-//! One reactor shard: a slab of connections, their readiness queue, the
-//! bookkeeping to drive lanes and collect deliveries, and the sweeps
+//! The front's one shard: a slab of connections, their readiness queue,
+//! the bookkeeping to drive lanes and collect deliveries, and the sweeps
 //! that *ask* [`super::survival`] what to do with a connection and *act*
 //! on the answer.
 
@@ -8,20 +8,8 @@ use super::survival::{ConnState, StrikeBook, SurvivalConfig, TimeoutKind, Verdic
 use super::FrontStats;
 use crate::fleet::Cluster;
 use std::mem;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Duration;
-use xsearch_net_sim::{ByteStream, Event, Interest, Reactor, Registration, Token};
-
-/// Park horizon while deliveries are outstanding, and the bound on how
-/// long one can wait: a foreign turn-holder may complete our slots
-/// without waking this shard, or leave our entries queued for the
-/// re-drive every step gives a still-awaiting connection's replica —
-/// either way the next step must come soon.
-const PARK_AWAITING: Duration = Duration::from_micros(200);
-
-/// Token 0 is each shard's notify stream; connections start at 1.
-const NOTIFY_TOKEN: u64 = 0;
+use std::sync::Arc;
+use xsearch_net_sim::{ByteStream, Event, Interest, Reactor, Token};
 
 /// Live connection slots a shard examines for expired deadlines per
 /// step — the sweep is incremental so a million-connection shard never
@@ -33,12 +21,6 @@ pub(super) struct Shard {
     reactor: Reactor,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
-    /// Server end of the wake pair; readable ⇒ re-check `accepts`.
-    notify_rx: ByteStream,
-    /// Keeps the notify registration (and its readiness edge) alive.
-    _notify_reg: Registration,
-    /// Handed to us by [`super::FrontTier::accept`] under its own lock.
-    accepts: Arc<Mutex<Vec<ByteStream>>>,
     /// Scratch event buffer, reused across steps.
     events: Vec<Event>,
     /// Incremental deadline sweep position (at most [`SWEEP_CHUNK`]
@@ -51,12 +33,7 @@ impl Shard {
         cluster: Arc<Cluster>,
         survival: SurvivalConfig,
         stats: Arc<FrontStats>,
-        accepts: Arc<Mutex<Vec<ByteStream>>>,
-        notify_rx: ByteStream,
-        draining: Arc<AtomicBool>,
     ) -> Self {
-        let reactor = Reactor::new();
-        let notify_reg = reactor.register(&notify_rx, Token(NOTIFY_TOKEN), Interest::READABLE);
         Shard {
             core: ShardCore {
                 book: StrikeBook::new(&survival),
@@ -64,31 +41,27 @@ impl Shard {
                 survival,
                 stats,
                 tick: 0,
-                draining,
                 awaiting: Vec::new(),
                 dirty: Vec::new(),
             },
-            reactor,
+            reactor: Reactor::new(),
             conns: Vec::new(),
             free: Vec::new(),
-            notify_rx,
-            _notify_reg: notify_reg,
-            accepts,
             events: Vec::new(),
             sweep_cursor: 0,
         }
     }
 
-    fn adopt_accepts(&mut self) -> usize {
-        let newly = mem::take(&mut *self.accepts.lock().unwrap_or_else(PoisonError::into_inner));
-        let adopted = newly.len();
-        for stream in newly {
+    fn adopt(&mut self, accepted: Vec<ByteStream>) -> usize {
+        let adopted = accepted.len();
+        for stream in accepted {
             let idx = self.free.pop().unwrap_or_else(|| {
                 self.conns.push(None);
                 self.conns.len() - 1
             });
-            let token = Token(idx as u64 + 1);
-            let reg = self.reactor.register(&stream, token, Interest::READABLE);
+            let reg = self
+                .reactor
+                .register(&stream, Token(idx as u64), Interest::READABLE);
             debug_assert!(self.conns[idx].is_none());
             self.conns[idx] = Some(Conn::new(stream, reg, self.core.tick));
             self.core.stats.enter(ConnState::Idle);
@@ -112,34 +85,18 @@ impl Shard {
         self.free.push(idx);
     }
 
-    /// One iteration of the shard loop: adopt accepts, poll readiness,
+    /// One iteration of the shard loop: adopt `accepted`, poll readiness,
     /// pump ready connections, drive dirty lanes, collect deliveries.
     /// Returns the number of externally visible progress events.
-    pub(super) fn step(&mut self, park: Option<Duration>) -> usize {
+    pub(super) fn step(&mut self, accepted: Vec<ByteStream>) -> usize {
         self.core.tick += 1;
-        // A draining shard holds accepts in the mailbox instead of
-        // adopting them; they are re-adopted wholesale on resume.
-        let draining = self.core.draining.load(Ordering::Relaxed);
-        let mut progress = if draining { 0 } else { self.adopt_accepts() };
+        let mut progress = self.adopt(accepted);
 
         let mut events = mem::take(&mut self.events);
-        match park {
-            None => self.reactor.poll(&mut events),
-            Some(t) if self.core.awaiting.is_empty() => self.reactor.poll_wait(&mut events, t),
-            Some(_) => self.reactor.poll_wait(&mut events, PARK_AWAITING),
-        };
+        self.reactor.poll(&mut events);
         for ev in &events {
-            if ev.token.0 == NOTIFY_TOKEN {
-                let mut junk = [0u8; 64];
-                while matches!(self.notify_rx.read(&mut junk), Ok(n) if n > 0) {}
-                if !self.core.draining.load(Ordering::Relaxed) {
-                    progress += self.adopt_accepts();
-                }
-                continue;
-            }
             progress += 1;
-            let idx = ev.token.0 as usize - 1;
-            self.pump(idx);
+            self.pump(ev.token.0 as usize);
         }
         events.clear();
         self.events = events;

@@ -10,9 +10,9 @@
 use std::collections::HashMap;
 
 /// Connection-lifecycle defense knobs, all expressed on the front's
-/// **logical tick clock**: one tick per shard step, which makes every
-/// deadline deterministic in manual-stepping mode (the replay gate
-/// runs there) and park-rate-coarse in threaded mode.
+/// **logical tick clock**: one tick per front step, which makes every
+/// deadline deterministic when one thread steps (the replay gate runs
+/// there) and as fine as its callers' step rate when many do.
 ///
 /// `0` disables a knob. The default profile disables everything: the
 /// million-idle-session scaling bench measures the undefended cost,

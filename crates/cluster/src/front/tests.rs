@@ -4,6 +4,7 @@
 use super::*;
 use crate::error::ClusterError;
 use crate::fleet::ClusterConfig;
+use std::time::Duration;
 use xsearch_core::config::XSearchConfig;
 use xsearch_core::wire::{decode_conn_reply, encode_conn_request_into, ConnStatus};
 use xsearch_core::Broker;
@@ -68,12 +69,6 @@ fn steps(front: &FrontTier, n: usize) {
     }
 }
 
-fn step_pump(front: &FrontTier) -> impl FnMut() + '_ {
-    move || {
-        front.step();
-    }
-}
-
 /// Seals `query` and wraps it in a complete request frame.
 fn raw_request(broker: &mut Broker, query: &str, echo: bool) -> Vec<u8> {
     let ciphertext = broker.seal_query(query);
@@ -95,13 +90,9 @@ fn framed_echo_roundtrips_and_reuses_the_connection() {
     let mut client = FramedClient::connect(&cluster, &front, 7).unwrap();
     // Echo replies carry an empty result list by design; opening
     // them at all proves the end-to-end AEAD path.
-    client
-        .search_with("cheap flights", true, step_pump(&front))
-        .unwrap();
+    client.search(&front, "cheap flights", true).unwrap();
     // Same connection, second request (state machine returned to Idle).
-    client
-        .search_with("hotel rome", true, step_pump(&front))
-        .unwrap();
+    client.search(&front, "hotel rome", true).unwrap();
     assert_eq!(front.connections(), 1);
     assert_eq!(front.state_count(ConnState::Idle), 1);
 }
@@ -113,9 +104,7 @@ fn framed_search_runs_the_real_engine_path() {
     // k-obfuscated search returns the filtered result set; it may be
     // empty for an off-corpus query but must decrypt — exercised by
     // getting past the `unwrap` without a Crypto error.
-    client
-        .search_with("topic0 doc", false, step_pump(&front))
-        .unwrap();
+    client.search(&front, "topic0 doc", false).unwrap();
 }
 
 #[test]
@@ -128,18 +117,14 @@ fn overload_returns_a_framed_error_and_reattach_recovers() {
     // request must be shed, not queued.
     let node = Arc::clone(cluster.node(replica).unwrap());
     assert!(node.try_enter(1));
-    let err = client
-        .search_with("shed me", true, step_pump(&front))
-        .unwrap_err();
+    let err = client.search(&front, "shed me", true).unwrap_err();
     assert!(matches!(err, ClusterError::Overloaded(_)), "got {err:?}");
     assert_eq!(metric(&cluster, "overloaded_replies", None), 1.0);
     node.exit();
     // The shed request advanced the session's send counter past what
     // the enclave saw: re-attest, then the path works again.
     client.reattach(&cluster).unwrap();
-    client
-        .search_with("after shed", true, step_pump(&front))
-        .unwrap();
+    client.search(&front, "after shed", true).unwrap();
 }
 
 #[test]
@@ -402,7 +387,7 @@ fn protocol_strikes_quarantine_the_channel_key() {
     assert_eq!(front.connections(), 0, "quarantined conns are closed");
     // The key never comes back: the shard's own sweep must drop the ban
     // once it is over, although no connection deadline is armed.
-    let remembered = || front.inner.shards[0].shard().core.book.len();
+    let remembered = || front.shard().core.book.len();
     assert_eq!(remembered(), 1);
     steps(&front, 10_000);
     assert_eq!(remembered(), 0);
@@ -503,39 +488,10 @@ fn overwatermark_shedding_follows_the_class_ladder() {
 }
 
 #[test]
-fn drain_rejects_new_requests_and_resume_readopts_held_accepts() {
-    let (cluster, front) = rig(|_| {});
-    let mut broker = attach(&cluster, 111);
-    let stream = front.accept();
-    let (status, _) = ask(&front, &stream, &mut broker, "before");
-    assert_eq!(status, ConnStatus::Ok);
-    front.drain_shard(0);
-    assert!(front.shard_draining(0));
-    // Accepts while draining are held in the mailbox, not adopted.
-    let held = front.accept();
-    steps(&front, 3);
-    assert_eq!(front.connections(), 1);
-    // A new request on a live conn is answered Unavailable.
-    let (status, _) = ask(&front, &stream, &mut broker, "during");
-    assert_eq!(status, ConnStatus::Unavailable);
-    assert_eq!(metric(&cluster, "drain_rejects", None), 1.0);
-    steps(&front, 2);
-    assert_eq!(front.connections(), 0, "drained conns close after flush");
-    // Resume re-adopts the held accept.
-    front.resume_shard(0);
-    assert!(!front.shard_draining(0));
-    front.step();
-    assert_eq!(front.connections(), 1, "held accept re-adopted");
-    drop(held);
-}
-
-#[test]
 fn disconnects_and_the_reaper_bound_enclave_sessions() {
     let (cluster, front) = rig(|_| {});
     let mut client = FramedClient::connect(&cluster, &front, 301).unwrap();
-    client
-        .search_with("hello", true, step_pump(&front))
-        .unwrap();
+    client.search(&front, "hello", true).unwrap();
     // A handshake-and-vanish session: attested out-of-band, never
     // sends a framed request, so no disconnect will ever name it.
     let _leaker = attach(&cluster, 302);
@@ -615,7 +571,7 @@ mod adversarial {
             let node = Arc::clone(cluster.node(client.replica()).unwrap());
             prop_assert!(node.try_enter(1));
             let err = client
-                .search_with("shed me", true, step_pump(&front))
+                .search(&front, "shed me", true)
                 .unwrap_err();
             prop_assert!(
                 matches!(
@@ -633,7 +589,7 @@ mod adversarial {
                     continue;
                 }
                 if client
-                    .search_with("after shed", true, step_pump(&front))
+                    .search(&front, "after shed", true)
                     .is_ok()
                 {
                     recovered = true;
@@ -652,7 +608,7 @@ fn idle_sessions_stay_within_the_accounted_byte_budget() {
         .map(|i| FramedClient::connect(&cluster, &front, 100 + i).unwrap())
         .collect();
     for client in &mut clients {
-        client.search_with("warm", true, step_pump(&front)).unwrap();
+        client.search(&front, "warm", true).unwrap();
     }
     let (sessions, bytes) = front.account_idle();
     assert_eq!(sessions, 32);
@@ -663,17 +619,47 @@ fn idle_sessions_stay_within_the_accounted_byte_budget() {
     );
 }
 
+/// The driving rule under contention: eight threads each wait on their
+/// own framed echoes and step the one front while they do, a ninth
+/// accepts beside them, and every request is served.
 #[test]
-fn threaded_front_serves_clients_without_manual_stepping() {
-    let (cluster, front) = rig(|c| c.shards = 2);
-    front.spawn();
-    let mut clients: Vec<FramedClient> = (0..8)
-        .map(|i| FramedClient::connect(&cluster, &front, 500 + i).unwrap())
-        .collect();
-    for (i, client) in clients.iter_mut().enumerate() {
-        client
-            .search_with(&format!("threaded {i}"), true, std::thread::yield_now)
-            .unwrap();
+fn concurrent_callers_step_one_front() {
+    const CALLERS: u64 = 8;
+    const ROUNDS: usize = 16;
+    let (cluster, front) = rig(|_| {});
+    let baseline = front.connections();
+    std::thread::scope(|scope| {
+        let (cluster, front) = (&cluster, &front);
+        for caller in 0..CALLERS {
+            scope.spawn(move || {
+                let mut client = FramedClient::connect(cluster, front, 500 + caller).unwrap();
+                for round in 0..ROUNDS {
+                    // Echo replies are empty; opening them is the check.
+                    client
+                        .search(front, &format!("caller {caller} round {round}"), true)
+                        .unwrap();
+                }
+                client.close();
+            });
+        }
+        scope.spawn(move || {
+            // Accept once a caller's step has adopted its connection (a
+            // closed one stays counted until the next step, which only
+            // this thread can still take): the mailbox hands it to a
+            // later step, which serves it.
+            while front.connections() == baseline {
+                std::thread::yield_now();
+            }
+            let mut broker = attach(cluster, 600);
+            let stream = front.accept();
+            let (status, payload) = ask(front, &stream, &mut broker, "accepted mid-run");
+            assert_eq!(status, ConnStatus::Ok);
+            broker.open_results(&payload).unwrap();
+            stream.close();
+        });
+    });
+    for _ in 0..4 {
+        front.step();
     }
-    front.shutdown();
+    assert_eq!(front.connections(), baseline);
 }

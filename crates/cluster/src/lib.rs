@@ -519,7 +519,7 @@ mod tests {
 
     /// Two drivers, one admission sequence: every refusal reads the same
     /// through the blocking [`Cluster::forward`] and a bare
-    /// [`Cluster::submit`] (what a front shard calls) — same error, `seal`
+    /// [`Cluster::submit`] (what a front step calls) — same error, `seal`
     /// never invoked, no admission left claimed, same flight events.
     #[test]
     fn two_drivers_one_admission_sequence() {

@@ -8,11 +8,11 @@
 //! submitter drives its own replica's lane until its own entry is
 //! delivered.** A blocking caller takes the turn and runs batches until
 //! its slot fills (or finds that the previous holder filled it); a front
-//! shard only tries the turn, and re-drives on its next step while a
-//! connection's entry is undelivered.
+//! step only tries the turn, and the next step — whoever waits on the
+//! reply takes it — re-drives while a connection's entry is undelivered.
 //!
-//! Batching comes from one front step: a shard submits every connection
-//! the step made ready before it drives. Blocking threads rarely meet in
+//! Batching comes from one front step: it submits every connection the
+//! step made ready before it drives. Blocking threads rarely meet in
 //! the queue (1.02–1.06 entries per ecall with four generator threads).
 //! Neither mutex is control-plane state: both belong to this replica.
 

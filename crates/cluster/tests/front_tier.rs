@@ -130,20 +130,14 @@ fn connection_churn_reclaims_sessions_and_keeps_survivors_working() {
     let cluster = fleet();
     let front = FrontTier::new(&cluster, FrontConfig::default());
     let mut survivor = FramedClient::connect(&cluster, &front, 9000).unwrap();
-    survivor
-        .search_with("warm", true, || {
-            front.step();
-        })
-        .unwrap();
+    survivor.search(&front, "warm", true).unwrap();
     for wave in 0..8u64 {
         let mut ephemeral: Vec<FramedClient> = (0..6)
             .map(|i| FramedClient::connect(&cluster, &front, 10_000 + wave * 10 + i).unwrap())
             .collect();
         for client in &mut ephemeral {
             client
-                .search_with(&format!("wave {wave}"), true, || {
-                    front.step();
-                })
+                .search(&front, &format!("wave {wave}"), true)
                 .unwrap();
         }
         // Half disconnect cleanly, half vanish mid-frame.
@@ -158,9 +152,7 @@ fn connection_churn_reclaims_sessions_and_keeps_survivors_working() {
         }
         assert_eq!(front.connections(), 1, "wave {wave} leaked sessions");
         survivor
-            .search_with(&format!("still alive {wave}"), true, || {
-                front.step();
-            })
+            .search(&front, &format!("still alive {wave}"), true)
             .unwrap();
     }
     assert_eq!(front.state_count(ConnState::Idle), 1);
@@ -192,9 +184,7 @@ fn framed_echoes_record_the_forward_span_and_counter() {
     let before = cluster.telemetry().snapshot();
     for i in 0..N {
         client
-            .search_with(&format!("framed echo {i}"), true, || {
-                front.step();
-            })
+            .search(&front, &format!("framed echo {i}"), true)
             .unwrap();
     }
     let after = cluster.telemetry().snapshot();
@@ -234,11 +224,7 @@ fn both_drivers_record_the_injected_stall_on_the_forward_span() {
     let outcome = blocking.search_outcome(&cluster, "blocking", true).unwrap();
     assert!(outcome.cost >= stall);
     let mut framed = FramedClient::connect(&cluster, &front, 2).unwrap();
-    framed
-        .search_with("framed", true, || {
-            front.step();
-        })
-        .unwrap();
+    framed.search(&front, "framed", true).unwrap();
     let (samples, min_us) = forward_span(&cluster.telemetry().snapshot());
     assert_eq!(samples, 2);
     assert!(
@@ -255,11 +241,7 @@ fn a_roundtrip_counts_frames_and_bytes_in_both_directions() {
     let front = FrontTier::new(&cluster, FrontConfig::default());
     let mut client = FramedClient::connect(&cluster, &front, 8).unwrap();
     for query in ["one", "two", "three"] {
-        client
-            .search_with(query, true, || {
-                front.step();
-            })
-            .unwrap();
+        client.search(&front, query, true).unwrap();
     }
     let snap = cluster.telemetry().snapshot();
     let direction = |name, dir| {
@@ -365,7 +347,6 @@ fn exported_series_names_and_labels_are_stable() {
         "xsearch_front_quarantined_keys_total{}",
         "xsearch_front_quarantine_rejects{}",
         "xsearch_front_sessions_closed{}",
-        "xsearch_front_drain_rejects{}",
         "xsearch_front_idle_session_bytes{}",
         "xsearch_span_forward_us{}",
         "xsearch_span_backoff_us{}",

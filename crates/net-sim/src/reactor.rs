@@ -1,7 +1,7 @@
 //! An epoll-style readiness reactor for simulated byte streams.
 //!
 //! The front tier multiplexes hundreds of thousands of mostly-idle
-//! sessions onto a few threads: each connection registers its
+//! sessions onto whichever threads step it: each connection registers its
 //! [`ByteStream`] with a token and an interest set, and
 //! [`Reactor::poll`] reports which registered streams are ready. The
 //! model is **level-triggered**: a stream that stays readable keeps
@@ -17,9 +17,8 @@
 
 use crate::stream::ByteStream;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::{Arc, Mutex, Weak};
 
 /// Readable readiness / interest bit.
 pub(crate) const READABLE: u8 = 0b01;
@@ -50,18 +49,6 @@ impl Interest {
     #[must_use]
     pub fn and(self, other: Interest) -> Interest {
         Interest(self.0 | other.0)
-    }
-
-    /// True if this set includes readable interest.
-    #[must_use]
-    pub fn is_readable(self) -> bool {
-        self.0 & READABLE != 0
-    }
-
-    /// True if this set includes writable interest.
-    #[must_use]
-    pub fn is_writable(self) -> bool {
-        self.0 & WRITABLE != 0
     }
 }
 
@@ -107,24 +94,18 @@ impl RegInner {
             return;
         }
         if let Some(queue) = self.queue.upgrade() {
-            queue.push(Arc::clone(self));
+            queue
+                .lock()
+                .expect("reactor lock")
+                .push_back(Arc::clone(self));
         } else {
             self.queued.store(false, Ordering::Release);
         }
     }
 }
 
-pub(crate) struct ReadyQueue {
-    entries: Mutex<VecDeque<Arc<RegInner>>>,
-    wakeup: Condvar,
-}
-
-impl ReadyQueue {
-    fn push(&self, reg: Arc<RegInner>) {
-        self.entries.lock().expect("reactor lock").push_back(reg);
-        self.wakeup.notify_one();
-    }
-}
+/// Registrations with readiness to report, in the order it arose.
+type ReadyQueue = Mutex<VecDeque<Arc<RegInner>>>;
 
 /// A live registration handle returned by [`Reactor::register`].
 ///
@@ -146,12 +127,6 @@ impl Registration {
         }
     }
 
-    /// The current interest set.
-    #[must_use]
-    pub fn interest(&self) -> Interest {
-        Interest(self.inner.interest.load(Ordering::Acquire))
-    }
-
     /// Accounted heap footprint of this registration.
     #[must_use]
     pub fn mem_bytes(&self) -> usize {
@@ -162,7 +137,6 @@ impl Registration {
 /// An epoll-style readiness poller over [`ByteStream`]s.
 pub struct Reactor {
     queue: Arc<ReadyQueue>,
-    registered: AtomicU64,
 }
 
 impl Default for Reactor {
@@ -176,11 +150,7 @@ impl Reactor {
     #[must_use]
     pub fn new() -> Self {
         Reactor {
-            queue: Arc::new(ReadyQueue {
-                entries: Mutex::new(VecDeque::new()),
-                wakeup: Condvar::new(),
-            }),
-            registered: AtomicU64::new(0),
+            queue: Arc::new(Mutex::new(VecDeque::new())),
         }
     }
 
@@ -196,7 +166,6 @@ impl Reactor {
             queue: Arc::downgrade(&self.queue),
         });
         stream.set_registration(Some(Arc::clone(&inner)));
-        self.registered.fetch_add(1, Ordering::Relaxed);
         Registration { inner }
     }
 
@@ -205,13 +174,6 @@ impl Reactor {
     pub fn deregister(&self, stream: &ByteStream, reg: &Registration) {
         reg.set_interest(Interest::NONE);
         stream.set_registration(None);
-        self.registered.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Number of live registrations.
-    #[must_use]
-    pub fn registered(&self) -> usize {
-        usize::try_from(self.registered.load(Ordering::Relaxed)).unwrap_or(usize::MAX)
     }
 
     /// Drains currently-pending readiness into `events` (cleared first)
@@ -223,9 +185,9 @@ impl Reactor {
     /// that never drains its stream cannot livelock a single poll.
     pub fn poll(&self, events: &mut Vec<Event>) -> usize {
         events.clear();
-        let budget = self.queue.entries.lock().expect("reactor lock").len();
+        let budget = self.queue.lock().expect("reactor lock").len();
         for _ in 0..budget {
-            let Some(reg) = self.queue.entries.lock().expect("reactor lock").pop_front() else {
+            let Some(reg) = self.queue.lock().expect("reactor lock").pop_front() else {
                 break;
             };
             reg.queued.store(false, Ordering::Release);
@@ -244,25 +206,6 @@ impl Reactor {
             reg.enqueue();
         }
         events.len()
-    }
-
-    /// Like [`poll`](Self::poll), but blocks up to `timeout` for the
-    /// first event when the queue is empty.
-    pub fn poll_wait(&self, events: &mut Vec<Event>, timeout: Duration) -> usize {
-        if self.poll(events) > 0 {
-            return events.len();
-        }
-        {
-            let entries = self.queue.entries.lock().expect("reactor lock");
-            if entries.is_empty() {
-                let _unused = self
-                    .queue
-                    .wakeup
-                    .wait_timeout(entries, timeout)
-                    .expect("reactor lock");
-            }
-        }
-        self.poll(events)
     }
 }
 
@@ -354,9 +297,7 @@ mod tests {
         let reactor = Reactor::new();
         let (a, b) = stream_pair(64);
         let reg = reactor.register(&b, Token(6), Interest::READABLE);
-        assert_eq!(reactor.registered(), 1);
         reactor.deregister(&b, &reg);
-        assert_eq!(reactor.registered(), 0);
         a.write(b"late").unwrap();
         assert_eq!(poll_tokens(&reactor).len(), 0);
     }
@@ -376,30 +317,5 @@ mod tests {
         }
         let tokens: Vec<u64> = poll_tokens(&reactor).iter().map(|(t, _, _)| t.0).collect();
         assert_eq!(tokens, vec![7, 6, 5, 4, 3, 2, 1, 0]);
-    }
-
-    #[test]
-    fn poll_wait_times_out_when_idle() {
-        let reactor = Reactor::new();
-        let (_a, b) = stream_pair(64);
-        let _reg = reactor.register(&b, Token(8), Interest::READABLE);
-        let mut events = Vec::new();
-        assert_eq!(reactor.poll_wait(&mut events, Duration::from_millis(5)), 0);
-    }
-
-    #[test]
-    fn poll_wait_wakes_on_cross_thread_write() {
-        let reactor = Reactor::new();
-        let (a, b) = stream_pair(64);
-        let _reg = reactor.register(&b, Token(9), Interest::READABLE);
-        let writer = std::thread::spawn(move || {
-            a.write(b"wake").unwrap();
-            a // keep the peer alive until the poll returns
-        });
-        let mut events = Vec::new();
-        let n = reactor.poll_wait(&mut events, Duration::from_secs(5));
-        assert_eq!(n, 1);
-        assert_eq!(events[0].token, Token(9));
-        drop(writer.join().unwrap());
     }
 }
