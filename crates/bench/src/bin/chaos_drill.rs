@@ -19,17 +19,23 @@
 //! per modeled second, sessions progressing in parallel),
 //! **availability** (fraction of requests answered within the deadline
 //! budget), p99 modeled cost, policy counters, the enclave sessions
-//! left alive (re-attaches and hedges must not accumulate them), and the
-//! **zero-lost check**: every acknowledged query must be present in the
-//! fleet's merged history windows — an answer the client decrypted can
-//! never belong to a request the fleet later dropped.
+//! left alive (re-attaches must not accumulate them), the **zero-lost
+//! check** — every acknowledged query must be present in the fleet's
+//! merged history windows, so an answer the client decrypted can never
+//! belong to a request the fleet later dropped — and the **exposure
+//! check**: no query may sit in more than one replica window. The drill
+//! runs echo mode, which sends nothing to the engine, so a window entry
+//! is the record of one run of Algorithm 1; a request obfuscated twice,
+//! with independent fakes, would hand the engine two OR-queries whose
+//! intersection is the original. A stalled replica's late answer fails
+//! the search at its deadline instead of being sent elsewhere again.
 //!
 //! Env knob: `CHAOS_REQUESTS` scales the per-scenario request count
 //! (CI smoke uses a few hundred).
 //!
 //! Run: `cargo run -p xsearch-bench --release --bin chaos_drill`
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 use xsearch_bench::summary::{env_or, fixed, replay_gate, Gate, Json, Obj, Summary};
@@ -72,7 +78,6 @@ fn launch(engine: &Arc<SearchEngine>, spec: FaultSpec) -> Cluster {
                 deadline: DEADLINE,
                 backoff_base: Duration::from_micros(500),
                 backoff_cap: Duration::from_millis(10),
-                hedge: true,
             },
             faults: Some(Arc::new(FaultPlan::new(
                 spec,
@@ -93,13 +98,15 @@ struct ScenarioResult {
     goodput_rps: f64,
     /// Acknowledged queries missing from the fleet's merged windows.
     lost: usize,
+    /// The most replica windows any one query sits in.
+    max_exposures: usize,
     /// Enclave sessions alive once the last request was answered.
     live_sessions: usize,
     /// The scenario's row in the summary.
     row: Obj,
     transcript: Vec<String>,
-    /// The fleet's flight-recorder dump (breaker transitions, hedges,
-    /// failovers, injected faults, sheds), kept past the
+    /// The fleet's flight-recorder dump (breaker transitions,
+    /// failovers, injected faults, deadline misses, sheds), kept past the
     /// cluster's teardown so failures can print the run's last events.
     flight: Vec<String>,
     /// The fleet's telemetry registry snapshot as JSON, embedded in the
@@ -113,8 +120,6 @@ struct ScenarioResult {
 const COUNTERS: &[(&str, &str)] = &[
     ("retries", "xsearch_client_retries_total"),
     ("reattaches", "xsearch_client_reattaches_total"),
-    ("hedges_fired", "xsearch_client_hedges_fired_total"),
-    ("hedges_won", "xsearch_client_hedges_won_total"),
     ("deadline_misses", "xsearch_client_deadline_misses_total"),
     ("link_losses", "xsearch_client_link_losses_total"),
     ("breaker_trips", "xsearch_breaker_trips"),
@@ -153,10 +158,9 @@ fn run_scenario(
                 hist.record(outcome.cost.as_micros() as u64);
                 acked.insert(query);
                 transcript.push(format!(
-                    "{i}:ok:{}:{}:{}",
+                    "{i}:ok:{}:{}",
                     outcome.cost.as_micros(),
-                    outcome.attempts,
-                    u8::from(outcome.hedged)
+                    outcome.attempts
                 ));
             }
             Err(e) => {
@@ -171,9 +175,11 @@ fn run_scenario(
     let live_sessions = cluster.session_count();
     // Zero-lost check: drain anything dead, resurrect what is down, and
     // verify every acknowledged query survives in some replica's window
-    // (migrated, restored, or still live).
+    // (migrated, restored, or still live). The windows count as a
+    // multiset: how many of them hold a query is how many enclaves
+    // obfuscated it.
     cluster.health_sweep();
-    let mut merged: HashSet<String> = HashSet::new();
+    let mut merged: HashMap<String, usize> = HashMap::new();
     for id in cluster.replica_ids() {
         if !cluster.node(id).expect("known replica").is_up() {
             let _ = cluster.restart(id);
@@ -181,10 +187,13 @@ fn run_scenario(
         if let Ok(window) =
             cluster.with_replica(id, xsearch_core::proxy::XSearchProxy::history_snapshot)
         {
-            merged.extend(window);
+            for query in window {
+                *merged.entry(query).or_default() += 1;
+            }
         }
     }
-    let lost = acked.iter().filter(|q| !merged.contains(*q)).count();
+    let lost = acked.iter().filter(|q| !merged.contains_key(*q)).count();
+    let max_exposures = merged.values().copied().max().unwrap_or(0);
     let snap = cluster.telemetry().snapshot();
     let sheds: u64 = (0..REPLICAS as u64)
         .map(|r| {
@@ -211,11 +220,13 @@ fn run_scenario(
         .field("sheds", sheds)
         .field("acked", acked.len())
         .field("lost", lost)
+        .field("max_exposures", max_exposures)
         .field("live_sessions", live_sessions);
     ScenarioResult {
         name,
         goodput_rps,
         lost,
+        max_exposures,
         live_sessions,
         row,
         transcript,
@@ -306,8 +317,9 @@ fn main() {
     let rows = results.iter().map(|r| r.row.clone());
     summary.row("scenarios", rows.collect::<Json>());
     // Acceptance: the stalled + lossy fleet keeps most of its baseline
-    // goodput, every acknowledged query is still in a fleet window, and
-    // its re-attaches and hedges left one session per client behind.
+    // goodput, every acknowledged query is still in a fleet window, its
+    // re-attaches left one session per client behind, and no scenario
+    // put any query in two replica windows.
     let sustained = summary.gate(Gate::at_least("goodput_ratio", ratio, GOODPUT_FLOOR));
     let kept = summary.gate(Gate::at_most("acked_lost", degraded.lost as f64, 0.0));
     summary.gate(Gate::at_most(
@@ -315,6 +327,8 @@ fn main() {
         degraded.live_sessions as f64,
         SESSIONS as f64,
     ));
+    let exposures = results.iter().map(|r| r.max_exposures).max().unwrap_or(0);
+    summary.gate(Gate::at_most("max_exposures", exposures as f64, 1.0));
     let acceptance = Obj::new()
         .field("baseline_goodput_rps", fixed(baseline.goodput_rps, 1))
         .field("degraded_goodput_rps", fixed(degraded.goodput_rps, 1))

@@ -15,12 +15,15 @@
 //!
 //! *What to do next* is not decided here: [`crate::resilience`] holds
 //! the ladder as a pure table over plain integers (deadline budget,
-//! outcome class → reaction, hedge trigger and winner, breaker
-//! judgement). [`ClusterClient::search_outcome`] interprets it in one
-//! loop: check the deadline budget, forward, classify how the attempt
-//! ended, ask the table, then strike / sweep / pause as the
+//! outcome class → reaction, deadline and breaker judgement).
+//! [`ClusterClient::search_outcome`] interprets it in one loop: check
+//! the deadline budget, forward, classify how the attempt ended, ask the
+//! table, then strike / sweep / pause as the
 //! [`Reaction`](crate::resilience::Reaction) says and finish, retry on
-//! the same session, re-attach or give up. What the loop did is counted
+//! the same session, re-attach, or abandon or give up. A request reaches
+//! one enclave, once: only an attempt no enclave can have served is
+//! sent again, and an answer that lands past the deadline is opened,
+//! discarded and failed typed. What the loop did is counted
 //! once, on the fleet registry (`xsearch_client_*_total`). Every
 //! decision consumes only deterministic inputs (seeded jitter, accounted
 //! charges, the fleet's op clock), so a chaos run with a fixed fault
@@ -31,21 +34,20 @@
 //! A client holds **one** enclave session at a time. A re-attach derives
 //! a fresh keypair (fresh channel keys ⇒ no nonce reuse) and so opens a
 //! new session inside the enclave; the client closes the one it
-//! replaces, and a hedge closes its sub-session once the race is
-//! settled. (A session on a crashed replica died with the enclave.)
+//! replaces. (A session on a crashed replica died with the enclave.)
 
 use crate::error::ClusterError;
 use crate::fleet::Cluster;
 use crate::obs::FleetMetrics;
 use crate::registry::ReplicaId;
 use crate::resilience::{
-    blew_deadline, hedge_fires, hedge_wins, survives_failed_reattach, Backoff, LatencyEstimator,
-    Outcome, Progress, Step,
+    blew_deadline, survives_failed_reattach, Backoff, Outcome, Progress, Step,
 };
 use crate::router::RequestSlot;
 use std::sync::Arc;
 use std::time::Duration;
 use xsearch_core::broker::Broker;
+use xsearch_core::error::XSearchError;
 use xsearch_core::wire::WireResult;
 use xsearch_crypto::sha256::Sha256;
 use xsearch_telemetry::FlightEvent;
@@ -62,10 +64,6 @@ pub struct SearchOutcome {
     pub cost: Duration,
     /// Forward attempts this search made (1 = first try answered).
     pub attempts: u32,
-    /// Whether a hedge request was fired.
-    pub hedged: bool,
-    /// The replica whose answer was used.
-    pub replica: ReplicaId,
 }
 
 /// One client of the fleet: a [`Broker`] plus routing state.
@@ -89,8 +87,6 @@ pub struct ClusterClient {
     /// requests (one outstanding request at a time — guaranteed by
     /// `&mut self` on the search methods).
     slot: Arc<RequestSlot>,
-    /// Effective answer-cost samples, for the p99-derived hedge delay.
-    latencies: LatencyEstimator,
     last_cost: Duration,
 }
 
@@ -120,14 +116,26 @@ fn seal(broker: &mut Broker, query: &str) -> ([u8; 32], Vec<u8>) {
     (*broker.client_pub().as_bytes(), broker.seal_query(query))
 }
 
-/// The ladder's class for an error a forward or a re-attach returned.
+/// The ladder's class for an error a forward returned. Only an unknown
+/// session says the enclave refused the entry unopened; any other proxy
+/// error may follow Algorithm 1's run, so its answer counts as lost.
 fn class_of(err: &ClusterError) -> Outcome {
     match err {
         ClusterError::LinkLoss(_) => Outcome::LinkLoss,
         ClusterError::Overloaded(_) => Outcome::Shed,
-        ClusterError::Proxy(_) => Outcome::EntryFailed,
+        ClusterError::Proxy(XSearchError::UnknownSession) => Outcome::EntryFailed,
+        ClusterError::Proxy(_) => Outcome::AnswerLost,
         ClusterError::ReplicaDown(_) | ClusterError::NotRoutable(_) => Outcome::ReplicaGone,
         _ => Outcome::Other,
+    }
+}
+
+/// The ladder's class for an error a re-attach returned: a handshake
+/// carries no request, so every proxy error is a refused entry.
+fn reattach_class_of(err: &ClusterError) -> Outcome {
+    match class_of(err) {
+        Outcome::AnswerLost => Outcome::EntryFailed,
+        class => class,
     }
 }
 
@@ -150,7 +158,6 @@ impl ClusterClient {
             replica,
             broker,
             slot: RequestSlot::new(),
-            latencies: LatencyEstimator::default(),
             last_cost: Duration::ZERO,
         })
     }
@@ -203,12 +210,15 @@ impl ClusterClient {
     }
 
     /// One search — `echo` skips the engine round trip — with the full
-    /// [`SearchOutcome`] (modeled cost, attempts, hedging).
+    /// [`SearchOutcome`] (modeled cost, attempts).
     ///
     /// # Errors
     ///
     /// [`ClusterError::DeadlineExceeded`] when the deadline budget ran
-    /// out; otherwise the error of the attempt the ladder gave up on —
+    /// out, or when the answer landed past the deadline (then
+    /// [`ClusterClient::last_cost`] is exactly the deadline); otherwise
+    /// the error of the attempt the ladder gave up on — one the enclave
+    /// may have served (a reply that would not open, a proxy failure),
     /// the last one once [`crate::resilience::MAX_FAILOVERS`] failovers
     /// are spent, or the first that is not the client's to ride out
     /// ([`ClusterError::Overloaded`], a routing error).
@@ -221,7 +231,7 @@ impl ClusterClient {
         self.searches = self.searches.wrapping_add(1);
         let mut at = Progress::default();
         let result = self.climb(cluster, query, echo, &mut at);
-        self.last_cost = result.as_ref().map_or(at.spent, |o| o.cost);
+        self.last_cost = at.spent;
         result
     }
 
@@ -266,10 +276,12 @@ impl ClusterClient {
             let (outcome, charge, answer) = match forwarded {
                 Ok((response, charge)) => match self.broker.open_results(&response) {
                     Ok(results) => (Outcome::Opened, charge, Ok(results)),
-                    Err(e) => (Outcome::Unreadable, charge, Err(ClusterError::Proxy(e))),
+                    Err(e) => (Outcome::AnswerLost, charge, Err(ClusterError::Proxy(e))),
                 },
                 Err(e) => (class_of(&e), Duration::ZERO, Err(e)),
             };
+            // Every answer took its time, whether it opened or not.
+            at.spent += charge;
             let reaction = at.react(outcome);
             if outcome == Outcome::LinkLoss {
                 cluster.metrics.client_link_losses.inc();
@@ -283,12 +295,11 @@ impl ClusterClient {
             if reaction.pause {
                 let pause = backoff.next_delay();
                 cluster.metrics.span_backoff.record(FleetMetrics::us(pause));
-                // An answer that would not open still took its time.
-                at.spent += charge + pause;
+                at.spent += pause;
             }
             match (reaction.step, answer) {
                 (Step::Finish, Ok(results)) => {
-                    return Ok(self.settle(cluster, query, echo, *at, charge, target, results));
+                    return self.settle(cluster, at, charge, target, results);
                 }
                 (Step::Finish, Err(_)) | (_, Ok(_)) => {
                     unreachable!("the ladder finishes the opened outcome and no other")
@@ -297,6 +308,12 @@ impl ClusterClient {
                 (Step::Reattach, Err(_)) => {
                     at.failovers += 1;
                     self.reattach_or_sweep(cluster, false)?;
+                }
+                (Step::Abandon, Err(e)) => {
+                    // The re-attach serves the next search; this one
+                    // returns its own error whatever the re-attach met.
+                    let _ = self.reattach_or_sweep(cluster, false);
+                    return Err(e);
                 }
                 (Step::GiveUp, Err(e)) => return Err(e),
             }
@@ -311,104 +328,39 @@ impl ClusterClient {
         });
     }
 
-    /// Settles a successful answer: hedge if it was slow, judge the
-    /// primary for its breaker, record the effective latency sample, and
-    /// assemble the outcome. `at.spent` excludes this attempt's `charge`.
-    #[allow(clippy::too_many_arguments)]
+    /// Settles an opened answer. The breaker judges the attempt's own
+    /// `charge`; the search, its cumulative cost `at.spent` (which
+    /// includes `charge`). An answer past the deadline is discarded —
+    /// it was opened, so the tunnel stays in step — and the search fails
+    /// typed, charged exactly the deadline. It is never sent again.
     fn settle(
-        &mut self,
+        &self,
         cluster: &Cluster,
-        query: &str,
-        echo: bool,
-        at: Progress,
+        at: &mut Progress,
         charge: Duration,
         target: ReplicaId,
         results: Vec<WireResult>,
-    ) -> SearchOutcome {
-        let rcfg = &cluster.config().resilience;
-        let mut outcome = SearchOutcome {
-            results,
-            cost: at.spent + charge,
-            attempts: at.attempts,
-            hedged: false,
-            replica: target,
-        };
-        let hedge_delay = self.latencies.hedge_delay();
-        if rcfg.hedge && hedge_fires(charge, hedge_delay) {
-            // The primary's answer was slower than the hedge trigger:
-            // race the ring successor on a fresh sub-session and take
-            // whichever answer lands first on the modeled clock. (The
-            // primary's answer is already in hand, so this rewrites
-            // cost, not correctness — and the sub-session's fresh
-            // keypair means the race can never touch the primary
-            // tunnel's nonce sequence.)
-            cluster.metrics.client_hedges_fired.inc();
-            outcome.hedged = true;
-            if let Some((h_results, h_charge, h_replica)) = self.try_hedge(cluster, query, echo) {
-                if hedge_wins(charge, hedge_delay, h_charge) {
-                    cluster.metrics.client_hedges_won.inc();
-                    cluster.flight().record(FlightEvent::HedgeWon {
-                        replica: h_replica.0 as u64,
-                    });
-                    outcome.cost = at.spent + hedge_delay + h_charge;
-                    outcome.replica = h_replica;
-                    outcome.results = h_results;
-                }
-            }
-        }
-        // The breaker judges the *primary's raw* answer time: a stalled
-        // replica must brown out of routing even when hedges keep
-        // rescuing its requests.
-        if blew_deadline(charge, rcfg.deadline) {
+    ) -> Result<SearchOutcome, ClusterError> {
+        let deadline = cluster.config().resilience.deadline;
+        if blew_deadline(charge, deadline) {
             cluster.record_failure(target);
         } else {
             cluster.record_success(target);
         }
-        // The estimator records the *effective* cost of this attempt —
-        // hedged answers keep the p99 honest; recording a stall's raw
-        // charge would inflate the trigger until hedging disabled
-        // itself.
-        self.latencies.record(outcome.cost.saturating_sub(at.spent));
+        if blew_deadline(at.spent, deadline) {
+            at.spent = deadline;
+            self.deadline_miss(cluster);
+            return Err(ClusterError::DeadlineExceeded);
+        }
         cluster
             .metrics
             .span_request
-            .record(FleetMetrics::us(outcome.cost));
-        if blew_deadline(outcome.cost, rcfg.deadline) {
-            cluster.metrics.client_deadline_misses.inc();
-        }
-        outcome
-    }
-
-    /// Fires one hedge request at the ring successor on a fresh
-    /// sub-session, and closes that session again whatever came of it.
-    /// Returns the results, the modeled charge of the hedge's own
-    /// forward, and the answering replica — or `None` when there is no
-    /// eligible successor or the hedge itself failed (the primary's
-    /// answer is already in hand, so a failed hedge costs nothing).
-    fn try_hedge(
-        &mut self,
-        cluster: &Cluster,
-        query: &str,
-        echo: bool,
-    ) -> Option<(Vec<WireResult>, Duration, ReplicaId)> {
-        let successor = cluster.ring_successor(self.replica)?;
-        cluster.flight().record(FlightEvent::HedgeFired {
-            primary: self.replica.0 as u64,
-            hedge: successor.0 as u64,
-        });
-        let seed = handshake_seed(self.seed, self.handshakes);
-        self.handshakes += 1;
-        cluster.metrics.client_reattaches.inc();
-        let mut hedge_broker = cluster.attach(successor, seed).ok()?;
-        let forwarded = cluster.forward(successor, echo, &RequestSlot::new(), || {
-            seal(&mut hedge_broker, query)
-        });
-        let answer = forwarded.ok().and_then(|(response, charge)| {
-            let results = hedge_broker.open_results(&response).ok()?;
-            Some((results, charge, successor))
-        });
-        cluster.close_session_at(successor, hedge_broker.client_pub().as_bytes());
-        answer
+            .record(FleetMetrics::us(at.spent));
+        Ok(SearchOutcome {
+            results,
+            cost: at.spent,
+            attempts: at.attempts,
+        })
     }
 
     /// [`ClusterClient::reattach`], answering a failure the search
@@ -420,7 +372,7 @@ impl ClusterClient {
         session_intact: bool,
     ) -> Result<(), ClusterError> {
         match self.reattach(cluster) {
-            Err(e) if survives_failed_reattach(class_of(&e), session_intact) => {
+            Err(e) if survives_failed_reattach(reattach_class_of(&e), session_intact) => {
                 cluster.health_sweep();
                 Ok(())
             }

@@ -204,7 +204,7 @@ pub struct Cluster {
     /// lanes, spans and client resilience counters).
     telemetry: Arc<Registry>,
     /// Pre-registered fleet counters and span histograms (clients count
-    /// their retries, hedges and misses through these).
+    /// their retries, re-attaches and misses through these).
     pub(crate) metrics: FleetMetrics,
     /// Structured event ring dumped on chaos-scenario failures.
     flight: Arc<FlightRecorder>,
@@ -409,8 +409,8 @@ impl Cluster {
     }
 
     /// The fleet's flight recorder: a fixed ring holding the most recent
-    /// structured resilience events (breaker transitions, hedges,
-    /// failovers, injected faults, deadline misses). Chaos harnesses dump
+    /// structured resilience events (breaker transitions, failovers,
+    /// injected faults, deadline misses). Chaos harnesses dump
     /// it when a scenario fails.
     #[must_use]
     pub fn flight(&self) -> &Arc<FlightRecorder> {
@@ -536,21 +536,6 @@ impl Cluster {
     #[must_use]
     pub fn replica_accepting(&self, id: ReplicaId) -> bool {
         self.registry.is_routable(id) && self.breaker_allows(id)
-    }
-
-    /// The next distinct live, routable, breaker-admitted replica
-    /// clockwise from `of`'s primary ring point — the hedging target.
-    /// `None` when no such replica exists.
-    #[must_use]
-    pub fn ring_successor(&self, of: ReplicaId) -> Option<ReplicaId> {
-        let ring = self.ring();
-        let successor = ring.walk_from_replica(of).find(|&id| {
-            id != of
-                && self.registry.is_routable(id)
-                && self.nodes.get(id.0).is_some_and(|n| n.is_up())
-                && self.breaker_allows(id)
-        });
-        successor
     }
 
     /// Advances the logical op clock by one forward and applies any

@@ -261,18 +261,16 @@ mod tests {
     #[test]
     fn reattaching_clients_do_not_accumulate_sessions() {
         // Every replica gray-fails half its answers, so healthy clients
-        // re-attach (and open hedge sub-sessions) all day. Each must
-        // close what it replaces: one session per client, not one per
-        // handshake.
+        // re-attach all day. Each must close what it replaces: one
+        // session per client, not one per handshake.
         let spec = FaultSpec {
             gray: (0..4).map(|replica| (replica, 0.5)).collect(),
             ..Default::default()
         };
-        let mut config = ClusterConfig {
+        let config = ClusterConfig {
             faults: Some(Arc::new(FaultPlan::new(spec, 23, 4))),
             ..Default::default()
         };
-        config.resilience.hedge = true;
         let cluster = Cluster::launch(engine(), config);
         let mut clients: Vec<ClusterClient> = (0..8)
             .map(|seed| ClusterClient::attach(&cluster, seed).unwrap())

@@ -29,11 +29,8 @@ pub(crate) struct FleetMetrics {
     pub client_retries: Counter,
     /// Client re-attestation handshakes after the initial attach.
     pub client_reattaches: Counter,
-    /// Hedge requests fired.
-    pub client_hedges_fired: Counter,
-    /// Hedge answers that beat their primary on the modeled clock.
-    pub client_hedges_won: Counter,
-    /// Searches that missed their deadline budget.
+    /// Searches that missed their deadline budget, or whose answer
+    /// landed past it.
     pub client_deadline_misses: Counter,
     /// Forward attempts dropped on the link, retried on-session.
     pub client_link_losses: Counter,
@@ -42,8 +39,8 @@ pub(crate) struct FleetMetrics {
     pub span_forward: Histogram,
     /// Span: backoff charged against deadline budgets, in microseconds.
     pub span_backoff: Histogram,
-    /// Span: effective end-to-end request cost on the modeled clock
-    /// (forwards + backoff, hedge-rescued where one fired), microseconds.
+    /// Span: end-to-end cost of a search answered within its deadline,
+    /// on the modeled clock (forwards + backoff), microseconds.
     pub span_request: Histogram,
 }
 
@@ -79,16 +76,6 @@ impl FleetMetrics {
             client_reattaches: registry.counter(
                 "xsearch_client_reattaches_total",
                 "Re-attestation handshakes after the initial attach",
-                &[],
-            ),
-            client_hedges_fired: registry.counter(
-                "xsearch_client_hedges_fired_total",
-                "Hedge requests fired at ring successors",
-                &[],
-            ),
-            client_hedges_won: registry.counter(
-                "xsearch_client_hedges_won_total",
-                "Hedge answers that beat their primary",
                 &[],
             ),
             client_deadline_misses: registry.counter(

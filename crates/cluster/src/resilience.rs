@@ -1,12 +1,23 @@
-//! The resilience policy stack: deadlines, backoff, circuit breakers and
-//! hedging — and the **ladder**, the decision table that says what a
+//! The resilience policy stack: deadlines, backoff and circuit
+//! breakers — and the **ladder**, the decision table that says what a
 //! search does next.
 //!
 //! Nothing here touches a fleet, a tunnel or a counter; the file imports
 //! only `std`. [`crate::client::ClusterClient`] forwards, opens,
 //! re-attaches and sweeps; *whether* to is decided by [`Progress::budget`],
-//! [`Progress::react`] and the hedge / breaker predicates below, over
+//! [`Progress::react`] and the deadline / breaker predicates below, over
 //! plain integers a test can write down.
+//!
+//! The ladder keeps one rule above all: **a request reaches one enclave,
+//! once.** X-Search's guarantee is per OR-query — the engine cannot tell
+//! the original among its `k` fakes — but two OR-queries for the same
+//! request, each with independent fakes, intersect to the original. So
+//! a reaction re-sends only when no enclave can have run Algorithm 1 on
+//! the request: it was dropped on the link or shed before sealing, its
+//! replica's enclave is gone, or the enclave refused the entry unopened.
+//! An answer the enclave may have served — one that would not open, or
+//! was lost at the ecall boundary, or arrived past the deadline — ends
+//! the search with a typed error instead.
 //!
 //! Every mechanism runs on **deterministic clocks** so chaos scenarios
 //! replay byte-identically:
@@ -15,8 +26,9 @@
 //!   *accounted* (modeled) clock, the same one the per-hop link delays
 //!   use — never on wall time. The budget is checked before each
 //!   attempt; an attempt that starts inside it runs to its answer, and
-//!   an answer that lands past the deadline counts as a miss (and a
-//!   breaker failure), never as a refusal;
+//!   an answer that lands past the deadline is opened (the tunnel stays
+//!   in step), discarded and failed as `DeadlineExceeded`, charged
+//!   exactly the deadline;
 //! * **circuit-breaker cooldowns** are measured on the fleet's logical
 //!   operation clock (one tick per data-plane forward), not on
 //!   `Instant`s;
@@ -26,14 +38,12 @@
 //! The stack layers in a fixed order. A request first gets a *deadline
 //! budget*; transient failures are retried under *capped exponential
 //! backoff with decorrelated jitter* (charged against the budget, never
-//! slept); repeated failures trip the replica's *circuit breaker*,
-//! shifting routing away from a browning-out replica before the health
-//! sweep declares it dead; a slow-but-answering replica is cut short by
-//! *hedging* (a second attempt at the ring successor after a
-//! p99-derived delay, first answer wins, nonce-safe because the hedge
-//! runs on a fresh sub-session). Under queue pressure the replica sheds
-//! with `Overloaded`, which the client sees; it never serves a request
-//! with fewer fakes than the `k` its enclave was attested with.
+//! slept); repeated failures — late answers included — trip the
+//! replica's *circuit breaker*, shifting routing away from a stalled or
+//! browning-out replica before the health sweep declares it dead. Under
+//! queue pressure the replica sheds with `Overloaded`, which the client
+//! sees; it never serves a request with fewer fakes than the `k` its
+//! enclave was attested with.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::time::Duration;
@@ -53,27 +63,22 @@ pub(crate) const BREAKER_COOLDOWN_OPS: u64 = 512;
 pub const MAX_FAILOVERS: usize = 3;
 
 /// Tunables for the per-request resilience stack. Carried by
-/// `ClusterConfig`; the documented defaults keep every pre-existing
-/// behaviour observable (hedging off, generous deadline) while making
-/// deadlines, backoff and breakers active out of the box.
+/// `ClusterConfig`; the documented defaults (a generous deadline) keep
+/// healthy traffic untouched while making deadlines, backoff and
+/// breakers active out of the box.
 #[derive(Debug, Clone)]
 pub struct ResilienceConfig {
     /// Per-request deadline budget on the accounted clock. A request
-    /// that cannot complete within this budget fails with
-    /// `ClusterError::DeadlineExceeded`. Default 2 s — far above any
-    /// healthy request, so it only fires under real faults.
+    /// that cannot complete within this budget — an answer that lands
+    /// past it included — fails with `ClusterError::DeadlineExceeded`.
+    /// Default 2 s — far above any healthy request, so it only fires
+    /// under real faults.
     pub deadline: Duration,
     /// First backoff step after a transient failure. Default 500 µs.
     pub backoff_base: Duration,
     /// Backoff ceiling (decorrelated jitter never exceeds it).
     /// Default 50 ms.
     pub backoff_cap: Duration,
-    /// Request hedging: when a response takes longer than the hedge
-    /// delay, fire a second attempt at the ring successor on a fresh
-    /// sub-session and take whichever answer is effectively first.
-    /// Default **off**: hedges add load and duplicate history pushes,
-    /// so they are an explicit opt-in (the chaos drill opts in).
-    pub hedge: bool,
 }
 
 impl Default for ResilienceConfig {
@@ -82,7 +87,6 @@ impl Default for ResilienceConfig {
             deadline: Duration::from_secs(2),
             backoff_base: Duration::from_micros(500),
             backoff_cap: Duration::from_millis(50),
-            hedge: false,
         }
     }
 }
@@ -94,17 +98,22 @@ impl Default for ResilienceConfig {
 pub enum Outcome {
     /// The replica answered and the reply opened under our tunnel.
     Opened,
-    /// It answered, but AEAD refused the reply (not our session, or a
-    /// gray failure corrupted it): the session may be desynchronized.
-    Unreadable,
+    /// Served, answer lost: the enclave may have run Algorithm 1 on the
+    /// request, but its answer never opened here — AEAD refused the
+    /// reply (a corrupted ciphertext, or not our session), or the
+    /// forward failed with a proxy error other than an unknown session
+    /// (a gray failure lost it at the ecall boundary). The session may
+    /// be desynchronized, and the request must not be sent again.
+    AnswerLost,
     /// Dropped on the link **before sealing** — the tunnel never moved.
     LinkLoss,
     /// Refused by bounded admission, also before sealing: deliberate
     /// backpressure from a healthy replica.
     Shed,
-    /// Our entry failed inside a coalesced batch — typically a replica
-    /// that crashed and restarted (sessions die with the enclave) — or,
-    /// for a re-attach, the enclave refused the handshake.
+    /// The enclave refused our entry unopened (`UnknownSession`) —
+    /// typically a replica that crashed and restarted, since sessions
+    /// die with the enclave — or, for a re-attach, it refused the
+    /// handshake.
     EntryFailed,
     /// The replica is down or no longer routable.
     ReplicaGone,
@@ -115,12 +124,16 @@ pub enum Outcome {
 /// Which step follows an attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Step {
-    /// The answer is in hand: settle the hedge and the breaker, return.
+    /// The answer is in hand: settle the deadline and the breaker.
     Finish,
     /// Forward again on the session in hand. Spends no failover.
     Retry,
     /// Spend one failover: re-route, re-attest, forward again.
     Reattach,
+    /// Re-route and re-attest so the client's next search has a good
+    /// session, then return the attempt's own error: the request may
+    /// have been served, so it is never sent again.
+    Abandon,
     /// Return the attempt's own error.
     GiveUp,
 }
@@ -144,8 +157,8 @@ pub struct Reaction {
 /// client keeps and the table reads.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Progress {
-    /// Modeled time charged so far: hops and injected delays of answers
-    /// that did not open, plus every backoff pause.
+    /// Modeled time charged so far: hops and injected delays of every
+    /// answer, plus every backoff pause.
     pub spent: Duration,
     /// Forwards made so far (each one past the first is a retry).
     pub attempts: u32,
@@ -162,9 +175,10 @@ impl Progress {
         self.spent < deadline
     }
 
-    /// What to do about an attempt that ended in `outcome`. Time is
-    /// bounded by [`Progress::budget`], recovery by the failover count:
-    /// an outcome that wants a re-attach once the last failover is spent
+    /// What to do about an attempt that ended in `outcome`. Only an
+    /// outcome no enclave can have served is sent again. Time is bounded
+    /// by [`Progress::budget`], recovery by the failover count: an
+    /// outcome that wants a re-attach once the last failover is spent
     /// still strikes, sweeps and pauses, then gives up.
     #[must_use]
     pub fn react(&self, outcome: Outcome) -> Reaction {
@@ -175,7 +189,12 @@ impl Progress {
         };
         let (strike, sweep, pause, step) = match outcome {
             Outcome::Opened => (false, false, false, Step::Finish),
-            Outcome::Unreadable | Outcome::EntryFailed => (true, false, true, recover),
+            // Possibly served: strike, re-attest for the next search,
+            // never re-send this one.
+            Outcome::AnswerLost => (true, false, false, Step::Abandon),
+            // Refused unopened: nothing ran, so a fresh session may
+            // carry the request.
+            Outcome::EntryFailed => (true, false, true, recover),
             // Never sealed: the same session retries after a pause.
             Outcome::LinkLoss => (true, false, true, Step::Retry),
             // Shed: the replica is alive, just busy — no strike, no
@@ -206,22 +225,9 @@ pub fn survives_failed_reattach(failure: Outcome, session_intact: bool) -> bool 
     }
 }
 
-/// Hedge now? Only an answer strictly slower than the trigger fires one.
-#[must_use]
-pub fn hedge_fires(charge: Duration, hedge_delay: Duration) -> bool {
-    charge > hedge_delay
-}
-
-/// Who won the race on the modeled clock? The hedge left `hedge_delay`
-/// after the primary and took `hedge_charge`; it wins by landing strictly
-/// before the primary's `charge` — a tie keeps the primary.
-#[must_use]
-pub fn hedge_wins(charge: Duration, hedge_delay: Duration, hedge_charge: Duration) -> bool {
-    hedge_delay + hedge_charge < charge
-}
-
-/// How the breaker (and the deadline-miss counter) judges an answer that
-/// took `took`: over the deadline is a failure, exactly on it a success.
+/// Whether an answer that took `took` blew the deadline: over it is a
+/// failure, exactly on it a success. The breaker judges an attempt's own
+/// charge with it, the client a search's cumulative cost.
 #[must_use]
 pub fn blew_deadline(took: Duration, deadline: Duration) -> bool {
     took > deadline
@@ -394,68 +400,6 @@ impl CircuitBreaker {
     }
 }
 
-/// Default hedge trigger before any latency has been observed.
-const HEDGE_FLOOR: Duration = Duration::from_millis(5);
-/// Ring size for the latency estimator.
-const LATENCY_RING: usize = 256;
-/// Recompute the cached p99 every this many samples.
-const REFRESH_EVERY: u64 = 64;
-
-/// A small sliding-window latency estimator feeding the p99-derived
-/// hedge delay. Client-local (`&mut self`), so no synchronization.
-#[derive(Debug)]
-pub struct LatencyEstimator {
-    ring: Vec<u64>,
-    count: u64,
-    cached_p99_ns: u64,
-}
-
-impl Default for LatencyEstimator {
-    fn default() -> Self {
-        LatencyEstimator {
-            ring: Vec::with_capacity(LATENCY_RING),
-            count: 0,
-            cached_p99_ns: 0,
-        }
-    }
-}
-
-impl LatencyEstimator {
-    /// Records one observed request latency.
-    pub fn record(&mut self, latency: Duration) {
-        let ns = latency.as_nanos().min(u128::from(u64::MAX)) as u64;
-        if self.ring.len() < LATENCY_RING {
-            self.ring.push(ns);
-        } else {
-            self.ring[(self.count % LATENCY_RING as u64) as usize] = ns;
-        }
-        self.count += 1;
-        if self.count.is_multiple_of(REFRESH_EVERY) || self.cached_p99_ns == 0 {
-            let mut sorted = self.ring.clone();
-            sorted.sort_unstable();
-            let idx = (sorted.len().saturating_sub(1)) * 99 / 100;
-            self.cached_p99_ns = sorted[idx];
-        }
-    }
-
-    /// The current p99 estimate (`None` before any sample).
-    #[must_use]
-    pub fn p99(&self) -> Option<Duration> {
-        (self.cached_p99_ns > 0).then(|| Duration::from_nanos(self.cached_p99_ns))
-    }
-
-    /// The hedge trigger delay: 3× the observed p99 (the classic "hedge
-    /// after the tail starts" rule), or a conservative floor before any
-    /// sample. Hedging well after the p99 keeps the duplicate-work rate
-    /// around 1% while still cutting stalls short by orders of magnitude.
-    #[must_use]
-    pub fn hedge_delay(&self) -> Duration {
-        self.p99()
-            .map_or(HEDGE_FLOOR, |p| p * 3)
-            .max(Duration::from_micros(100))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,18 +475,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn latency_estimator_derives_a_p99_hedge_delay() {
-        let mut est = LatencyEstimator::default();
-        assert_eq!(est.hedge_delay(), HEDGE_FLOOR, "floor before samples");
-        for _ in 0..128 {
-            est.record(Duration::from_micros(400));
-        }
-        let p99 = est.p99().expect("samples recorded");
-        assert_eq!(p99, Duration::from_micros(400));
-        assert_eq!(est.hedge_delay(), Duration::from_micros(1200));
-    }
-
     const MS: Duration = Duration::from_millis(1);
 
     #[test]
@@ -552,7 +484,7 @@ mod tests {
         // (class, strike, sweep, pause, step with failovers left, without)
         for (outcome, strike, sweep, pause, fresh, exhausted) in [
             (Opened, false, false, false, Step::Finish, Step::Finish),
-            (Unreadable, true, false, true, Step::Reattach, own),
+            (AnswerLost, true, false, false, Step::Abandon, Step::Abandon),
             (LinkLoss, true, false, true, Step::Retry, Step::Retry),
             (Shed, false, false, false, own, own),
             (EntryFailed, true, false, true, Step::Reattach, own),
@@ -606,13 +538,8 @@ mod tests {
     }
 
     #[test]
-    fn hedge_and_breaker_boundaries() {
+    fn an_answer_blows_the_deadline_only_past_it() {
         let ns = Duration::from_nanos(1);
-        assert!(!hedge_fires(5 * MS, 5 * MS), "charge == hedge_delay");
-        assert!(hedge_fires(5 * MS + ns, 5 * MS));
-        // The primary answers after 10 ms; the hedge leaves at 5 ms.
-        assert!(hedge_wins(10 * MS, 5 * MS, 5 * MS - ns));
-        assert!(!hedge_wins(10 * MS, 5 * MS, 5 * MS), "equal costs");
         assert!(!blew_deadline(50 * MS, 50 * MS), "charge == deadline");
         assert!(blew_deadline(50 * MS + ns, 50 * MS));
     }

@@ -307,8 +307,6 @@ fn exported_series_names_and_labels_are_stable() {
         "xsearch_fleet_migrated_queries_total{}",
         "xsearch_client_retries_total{}",
         "xsearch_client_reattaches_total{}",
-        "xsearch_client_hedges_fired_total{}",
-        "xsearch_client_hedges_won_total{}",
         "xsearch_client_deadline_misses_total{}",
         "xsearch_client_link_losses_total{}",
         "xsearch_fleet_sweeps_run_total{}",

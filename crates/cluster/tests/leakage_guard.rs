@@ -42,7 +42,6 @@ fn fleet_with(replicas: usize, spec: FaultSpec, fault_seed: u64) -> Cluster {
             },
             resilience: ResilienceConfig {
                 deadline: Duration::from_millis(250),
-                hedge: true,
                 ..Default::default()
             },
             faults: Some(Arc::new(FaultPlan::new(spec, fault_seed, replicas))),
@@ -105,7 +104,8 @@ proptest! {
             let mut client = ClusterClient::attach(&cluster, 0x5E7 + i as u64).unwrap();
             for round in 0..3 {
                 // Failures are fine — a faulted attempt exercises the
-                // retry/hedge paths, which also must not leak.
+                // retry, re-attach and deadline paths, which also must
+                // not leak.
                 let _ = client.search_echo(&cluster, &format!("{canary} round{round}"));
             }
         }

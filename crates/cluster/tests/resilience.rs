@@ -1,12 +1,13 @@
 //! Integration and property tests for the fault-injection layer and the
 //! resilience policy stack.
 //!
-//! The two load-bearing properties (the ISSUE's satellite proptests):
+//! The two load-bearing properties:
 //!
 //! * a **gray-failing replica never nonce-desyncs** the client tunnel —
 //!   whatever mix of injected ecall failures and corruptions a search
 //!   hits, the next clean search on the same client must succeed and
-//!   decrypt;
+//!   decrypt — and never makes the client re-send a request an enclave
+//!   already served;
 //! * a **shed or link-dropped request was never sealed** — the seal
 //!   closure must not have run, because a sealed-but-unsent request
 //!   would advance the tunnel's strict-sequence send counter and poison
@@ -21,6 +22,7 @@ use xsearch_cluster::{
     RequestSlot,
 };
 use xsearch_core::config::XSearchConfig;
+use xsearch_core::proxy::XSearchProxy;
 use xsearch_engine::corpus::CorpusConfig;
 use xsearch_engine::engine::SearchEngine;
 
@@ -107,6 +109,17 @@ proptest! {
                 .is_ok()
         });
         prop_assert!(recovered, "client tunnel never recovered after gray failures");
+        // A gray failure or a corrupted reply came back after Algorithm 1
+        // ran: re-sending it would obfuscate the request a second time.
+        // Echo mode sends nothing to the engine, so each window entry is
+        // one run — no query may sit in two windows.
+        let mut windows: Vec<String> = Vec::new();
+        for id in cluster.replica_ids() {
+            windows.extend(cluster.with_replica(id, XSearchProxy::history_snapshot).unwrap());
+        }
+        windows.sort_unstable();
+        let repeated = windows.windows(2).find(|pair| pair[0] == pair[1]);
+        prop_assert!(repeated.is_none(), "obfuscated twice: {repeated:?}");
     }
 
     /// A request refused by admission (`Overloaded`) or dropped on the
@@ -227,7 +240,6 @@ fn total_loss_yields_typed_deadline_exceeded() {
             deadline: Duration::from_millis(20),
             backoff_base: Duration::from_millis(1),
             backoff_cap: Duration::from_millis(4),
-            ..Default::default()
         },
     );
     let mut client = ClusterClient::attach(&cluster, 0xDEAD).unwrap();
@@ -245,24 +257,29 @@ fn total_loss_yields_typed_deadline_exceeded() {
 }
 
 #[test]
-fn a_search_that_starts_inside_its_budget_is_served_whatever_the_wall_clock() {
+fn a_late_answer_fails_typed_at_its_deadline_whatever_the_wall_clock() {
     // The deadline lives on the modeled clock and is checked before each
     // attempt: with nothing spent, a 1 ns budget still admits the first
     // forward, and that forward runs to its answer however long the host
-    // takes. The answer's own charge blows the deadline, which `settle`
-    // counts as the search's one miss — no refusal, no re-attach.
+    // takes. The answer's own charge blows the deadline, so the search
+    // fails typed, charged exactly the budget — one miss, no retry and
+    // no re-attach, whatever the wall clock said.
+    let deadline = Duration::from_nanos(1);
     let cluster = fleet_with(
         1,
         FaultSpec::default(),
         9,
         ResilienceConfig {
-            deadline: Duration::from_nanos(1),
+            deadline,
             ..Default::default()
         },
     );
     let mut client = ClusterClient::attach(&cluster, 0x1A5).unwrap();
-    assert!(client.search_echo(&cluster, "one nanosecond").is_ok());
+    let err = client.search_echo(&cluster, "one nanosecond").unwrap_err();
+    assert_eq!(err, ClusterError::DeadlineExceeded);
+    assert_eq!(client.last_cost(), deadline);
     assert_eq!(metric(&cluster, "xsearch_client_reattaches_total"), 0.0);
+    assert_eq!(metric(&cluster, "xsearch_client_retries_total"), 0.0);
     assert_eq!(
         metric(&cluster, "xsearch_client_deadline_misses_total"),
         1.0
@@ -287,13 +304,14 @@ fn a_failover_counts_its_retry_and_reattach_on_the_fleet_registry() {
 }
 
 #[test]
-fn hedging_rescues_a_stalled_replica() {
+fn a_stalled_replica_fails_typed_at_the_deadline_and_is_routed_around() {
     // Find where a known client seed lands, then stall that replica.
     let probe = fleet_with(4, FaultSpec::default(), 5, ResilienceConfig::default());
     let home = ClusterClient::attach(&probe, 0x4ED6E).unwrap().replica();
     drop(probe);
 
     let stall = Duration::from_secs(5);
+    let deadline = Duration::from_secs(1);
     let cluster = fleet_with(
         4,
         FaultSpec {
@@ -303,10 +321,7 @@ fn hedging_rescues_a_stalled_replica() {
         },
         5,
         ResilienceConfig {
-            // Short enough that the 5s stall counts as a breaker
-            // failure, long enough that hedged answers are comfortable.
-            deadline: Duration::from_secs(1),
-            hedge: true,
+            deadline,
             ..Default::default()
         },
     );
@@ -316,20 +331,33 @@ fn hedging_rescues_a_stalled_replica() {
         home,
         "same seed, same affinity, same home"
     );
-    let outcome = client
+    // The stalled answer lands past the deadline: it is opened and
+    // discarded, and the search fails typed, charged exactly the
+    // deadline — never sent to a second enclave.
+    let err = client
         .search_outcome(&cluster, "slow primary", true)
-        .unwrap();
-    assert!(outcome.hedged, "a 5s answer must fire the hedge");
-    assert_ne!(outcome.replica, home, "the ring successor's answer won");
-    assert!(
-        outcome.cost < stall,
-        "hedged cost {:?} must beat the stall {stall:?}",
-        outcome.cost
+        .unwrap_err();
+    assert_eq!(err, ClusterError::DeadlineExceeded);
+    assert_eq!(client.last_cost(), deadline);
+    assert_eq!(metric(&cluster, "xsearch_client_retries_total"), 0.0);
+    assert_eq!(
+        metric(&cluster, "xsearch_client_deadline_misses_total"),
+        1.0
     );
-    assert_eq!(metric(&cluster, "xsearch_client_hedges_fired_total"), 1.0);
-    assert_eq!(metric(&cluster, "xsearch_client_hedges_won_total"), 1.0);
-    // The slow primary's breaker took the failure: enough stalled
-    // answers will brown it out of routing entirely.
+    let holders: Vec<ReplicaId> = cluster
+        .replica_ids()
+        .into_iter()
+        .filter(|&id| {
+            cluster
+                .with_replica(id, XSearchProxy::history_snapshot)
+                .unwrap()
+                .iter()
+                .any(|q| q == "slow primary")
+        })
+        .collect();
+    assert_eq!(holders, [home], "one enclave obfuscated the request");
+    // Each late answer struck the stalled replica's breaker: enough of
+    // them brown it out of routing entirely.
     for i in 0..4 {
         let _ = client.search_echo(&cluster, &format!("more q{i}"));
     }
@@ -342,7 +370,7 @@ fn hedging_rescues_a_stalled_replica() {
     let rerouted = client
         .search_outcome(&cluster, "after reroute", true)
         .unwrap();
-    assert!(rerouted.cost < Duration::from_secs(1));
+    assert!(rerouted.cost < deadline);
     assert_ne!(client.replica(), home);
 }
 

@@ -3,7 +3,7 @@
 //!
 //! When a chaos scenario fails, "exit 1" tells you nothing. The flight
 //! recorder keeps the last *N* control-plane decisions — breaker
-//! transitions, hedges, failovers, injected faults, crashes, restarts,
+//! transitions, failovers, injected faults, crashes, restarts,
 //! deadline misses, sheds — so the failure dump shows *what the cluster
 //! was doing* when the invariant broke.
 //!
@@ -29,18 +29,6 @@ pub enum FlightEvent {
     /// A circuit breaker closed again after a half-open probe succeeded.
     BreakerClose {
         /// Replica whose breaker closed.
-        replica: u64,
-    },
-    /// A hedge fired against the ring successor.
-    HedgeFired {
-        /// Replica the primary request was on.
-        primary: u64,
-        /// Replica the hedge went to.
-        hedge: u64,
-    },
-    /// A fired hedge returned before its primary.
-    HedgeWon {
-        /// Replica that answered first.
         replica: u64,
     },
     /// A health sweep drained a replica and migrated its window.
@@ -74,7 +62,8 @@ pub enum FlightEvent {
         /// Cluster op-clock at the restart.
         op: u64,
     },
-    /// A request ran out of deadline budget inside the cluster.
+    /// A request ran out of deadline budget inside the cluster, or its
+    /// answer landed past the deadline.
     DeadlineMiss {
         /// Replica the expired request was queued on.
         replica: u64,
@@ -95,10 +84,6 @@ impl std::fmt::Display for FlightEvent {
             FlightEvent::BreakerClose { replica } => {
                 write!(f, "breaker_close replica={replica}")
             }
-            FlightEvent::HedgeFired { primary, hedge } => {
-                write!(f, "hedge_fired primary={primary} hedge={hedge}")
-            }
-            FlightEvent::HedgeWon { replica } => write!(f, "hedge_won replica={replica}"),
             FlightEvent::Failover {
                 failed,
                 successor,

@@ -21,8 +21,8 @@
 //!   identifiers cannot reach an exported name, label or value because
 //!   no method accepts one.
 //! * [`flight`] — a fixed-size [`FlightRecorder`] ring of structured
-//!   resilience events (breaker trips, hedges, failovers, injected
-//!   faults, sheds) so a failed chaos scenario can dump the last *N*
+//!   resilience events (breaker trips, failovers, injected faults,
+//!   deadline misses, sheds) so a failed chaos scenario can dump the last *N*
 //!   control-plane decisions instead of exiting bare.
 //!
 //! # The disable switch
