@@ -74,12 +74,6 @@ impl ClientCircuit {
         self.id
     }
 
-    /// Number of hops (3 in the standard configuration).
-    #[must_use]
-    pub fn hop_count(&self) -> usize {
-        self.hops.len()
-    }
-
     /// Builds the forward onion: innermost layer for the exit, outermost
     /// for the guard.
     ///
@@ -134,7 +128,6 @@ mod tests {
         let relays = relay_secrets(3, &mut rng);
         let keys: Vec<PublicKey> = relays.iter().map(StaticSecret::public_key).collect();
         let (mut circuit, ephs) = ClientCircuit::establish(1, &keys, &mut rng);
-        assert_eq!(circuit.hop_count(), 3);
         assert_eq!(ephs.len(), 3);
 
         let onion = circuit.wrap_forward(b"query");

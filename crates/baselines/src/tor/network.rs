@@ -77,12 +77,6 @@ impl TorNetwork {
         }
     }
 
-    /// Number of relays in the consensus.
-    #[must_use]
-    pub fn relay_count(&self) -> usize {
-        self.relays.len()
-    }
-
     /// Builds a fresh 3-hop circuit over distinct relays.
     pub fn build_circuit<R: RngCore>(&self, rng: &mut R) -> BoundCircuit {
         let mut indices: Vec<usize> = (0..self.relays.len()).collect();

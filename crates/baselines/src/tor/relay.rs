@@ -143,15 +143,6 @@ impl Relay {
         state.aead.seal_vec(&nonce, &[], &mut out);
         Ok(out)
     }
-
-    /// Number of circuits currently extended through this relay.
-    #[must_use]
-    pub fn circuit_count(&self) -> usize {
-        self.circuits
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
 }
 
 #[cfg(test)]
@@ -204,13 +195,17 @@ mod tests {
         let b = StaticSecret::random(&mut rng);
         relay.extend(1, &a.public_key());
         relay.extend(2, &b.public_key());
-        assert_eq!(relay.circuit_count(), 2);
 
-        let shared = a.diffie_hellman(&relay.public_key()).unwrap();
-        let key = hop_key(&shared, &a.public_key(), &relay.public_key());
-        let onion = ChaCha20Poly1305::new(&key).seal(&counter_nonce(*b"torF", 0), &[], b"p");
-        // Circuit 2 cannot decrypt circuit 1's traffic.
+        let onion_for = |eph: &StaticSecret, payload: &[u8]| {
+            let shared = eph.diffie_hellman(&relay.public_key()).unwrap();
+            let key = hop_key(&shared, &eph.public_key(), &relay.public_key());
+            ChaCha20Poly1305::new(&key).seal(&counter_nonce(*b"torF", 0), &[], payload)
+        };
+        let onion = onion_for(&a, b"p");
+        // Both circuits are live, and circuit 2 cannot decrypt circuit 1's
+        // traffic.
         assert_eq!(relay.peel_forward(2, &onion), Err(RelayError::BadOnion));
         assert_eq!(relay.peel_forward(1, &onion).unwrap(), b"p");
+        assert_eq!(relay.peel_forward(2, &onion_for(&b, b"q")).unwrap(), b"q");
     }
 }

@@ -1,47 +1,60 @@
-//! X-Search as a [`PrivateSearchSystem`] — the lightweight obfuscation
-//! view the privacy experiments (Fig 3) drive, without the crypto tunnel
-//! (the adversary there sits at the search engine and only ever sees the
-//! obfuscated sub-queries, so the tunnel is irrelevant to the attack).
+//! X-Search as a [`PrivateSearchSystem`]: a launched [`XSearchProxy`]
+//! and one attested [`Broker`] behind the shared interface. Each query
+//! crosses the real tunnel and the enclave's `request` ecall; the host
+//! answers the `send`/`recv` ocalls by recording the sub-queries the
+//! enclave hands the engine — exactly what the adversary of Fig 3 sees —
+//! and returning no results.
 
 use crate::system::{Exposure, PrivateSearchSystem};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::Arc;
-use xsearch_core::history::QueryHistory;
-use xsearch_core::obfuscate::obfuscate;
+use xsearch_core::broker::Broker;
+use xsearch_core::config::XSearchConfig;
+use xsearch_core::proxy::XSearchProxy;
+use xsearch_engine::engine::SearchEngine;
 use xsearch_query_log::record::UserId;
-use xsearch_sgx_sim::epc::EpcGauge;
+use xsearch_sgx_sim::attestation::AttestationService;
 
-/// The obfuscation pipeline of the X-Search enclave, standalone.
+/// The X-Search enclave, driven through its ecall boundary.
 #[derive(Debug)]
 pub struct XSearchSystem {
-    history: Arc<QueryHistory>,
-    k: usize,
-    rng: StdRng,
+    proxy: XSearchProxy,
+    broker: Broker,
 }
 
 impl XSearchSystem {
-    /// Creates the system with window size `history_capacity`.
+    /// Launches a proxy with obfuscation level `k` and window size
+    /// `history_capacity`, its enclave seeded with `seed`, and attaches
+    /// one broker to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the broker cannot attest the freshly launched proxy.
     #[must_use]
     pub fn new(k: usize, history_capacity: usize, seed: u64) -> Self {
-        XSearchSystem {
-            history: Arc::new(QueryHistory::new(history_capacity, EpcGauge::new())),
+        let config = XSearchConfig {
             k,
-            rng: StdRng::seed_from_u64(seed),
-        }
+            history_capacity,
+            seed,
+            ..Default::default()
+        };
+        // The host answers every fetch itself, so the engine stays empty.
+        let engine = Arc::new(SearchEngine::from_documents(Vec::new()));
+        let ias = AttestationService::from_seed(seed);
+        let proxy = XSearchProxy::launch(config, engine, &ias);
+        let broker = Broker::attach(&proxy, &ias, proxy.expected_measurement(), seed)
+            .expect("a genuine proxy attests");
+        XSearchSystem { proxy, broker }
     }
 
     /// Pre-fills the history (the warm state the paper assumes).
     pub fn warm<'a, I: IntoIterator<Item = &'a str>>(&self, queries: I) {
-        for q in queries {
-            self.history.push(q);
-        }
+        self.proxy.seed_history(queries);
     }
 
     /// Current history size.
     #[must_use]
     pub fn history_len(&self) -> usize {
-        self.history.len()
+        self.proxy.history_len()
     }
 }
 
@@ -51,16 +64,24 @@ impl PrivateSearchSystem for XSearchSystem {
     }
 
     fn protect(&mut self, _user: UserId, query: &str) -> Exposure {
-        let obfuscated = obfuscate(query, &self.history, self.k, &mut self.rng);
+        let ciphertext = self.broker.seal_query(query);
+        let mut subqueries = Vec::new();
+        let reply = self
+            .proxy
+            .request_with(
+                self.broker.client_pub().as_bytes(),
+                &ciphertext,
+                |sent, _| {
+                    subqueries = sent.iter().map(|&q| q.to_owned()).collect();
+                    Vec::new()
+                },
+            )
+            .expect("the attested session serves its request");
+        self.broker
+            .open_results(&reply)
+            .expect("the enclave's reply opens");
         Exposure {
-            // The privacy experiments consume owned strings; this is the
-            // cold evaluation path, so the sub-queries are copied out of
-            // the obfuscated query here.
-            subqueries: obfuscated
-                .subqueries()
-                .into_iter()
-                .map(str::to_owned)
-                .collect(),
+            subqueries,
             identity: None,
         }
     }

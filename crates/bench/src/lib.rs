@@ -1,6 +1,6 @@
 //! Shared setup for the experiment harnesses.
 //!
-//! Every `fig*` binary uses the same dataset methodology as the paper's
+//! Every figure binary uses the same dataset methodology as the paper's
 //! §5.1: a query log (synthetic, AOL-calibrated — see DESIGN.md), the 100
 //! most active users, and a ⅔/⅓ train/test split per user. Centralizing
 //! the setup keeps the figures comparable with each other.

@@ -280,7 +280,7 @@ impl XSearchProxy {
         client_pub: &[u8; 32],
         ciphertext: &[u8],
     ) -> Result<Vec<u8>, XSearchError> {
-        self.enclave_request(client_pub, ciphertext, |subqueries, k_each| {
+        self.request_with(client_pub, ciphertext, |subqueries, k_each| {
             self.service.search_merged(subqueries, k_each).0
         })
     }
@@ -382,10 +382,20 @@ impl XSearchProxy {
         client_pub: &[u8; 32],
         ciphertext: &[u8],
     ) -> Result<Vec<u8>, XSearchError> {
-        self.enclave_request(client_pub, ciphertext, |_, _| Vec::new())
+        self.request_with(client_pub, ciphertext, |_, _| Vec::new())
     }
 
-    fn enclave_request(
+    /// Serves one encrypted request with the host answering the
+    /// enclave's `send`/`recv` ocalls through `fetch`: it receives the
+    /// sub-queries the enclave hands the engine and the per-sub-query
+    /// result count, and returns what the engine answered. The privacy
+    /// experiments pass a `fetch` that records those sub-queries — the
+    /// engine's view of the request.
+    ///
+    /// # Errors
+    ///
+    /// See [`EnclaveState::request`].
+    pub fn request_with(
         &self,
         client_pub: &[u8; 32],
         ciphertext: &[u8],

@@ -295,12 +295,6 @@ impl FrameEncoder {
         Ok(true)
     }
 
-    /// True once the whole frame has been accepted by the stream.
-    #[must_use]
-    pub fn is_done(&self) -> bool {
-        self.sent == self.total
-    }
-
     /// Bytes still unwritten (header + payload remainder).
     #[must_use]
     pub fn remaining(&self) -> usize {

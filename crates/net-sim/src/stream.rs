@@ -404,18 +404,6 @@ impl ByteStream {
         self.incoming().lock().expect("stream lock").buf.len()
     }
 
-    /// Free space in the outgoing buffer (how much [`write`](Self::write)
-    /// would accept right now).
-    #[must_use]
-    pub fn write_space(&self) -> usize {
-        let dir = self.outgoing().lock().expect("stream lock");
-        if dir.closed {
-            0
-        } else {
-            self.core.capacity - dir.buf.len()
-        }
-    }
-
     /// Releases ring capacity held by *empty* buffers. Idle sessions call
     /// this to fall back to their floor cost.
     pub fn shrink(&self) {

@@ -8,7 +8,7 @@
 use crate::attestation::Quote;
 use crate::boundary::{BoundaryStats, OcallPort};
 use crate::cost::CostModel;
-use crate::epc::{EpcGauge, USABLE_EPC_BYTES};
+use crate::epc::EpcGauge;
 use crate::error::SgxError;
 use crate::measurement::{Measurement, MeasurementBuilder};
 use std::sync::Arc;
@@ -19,8 +19,6 @@ use xsearch_crypto::hmac::HmacSha256;
 pub struct EnclaveBuilder {
     name: String,
     measurement: MeasurementBuilder,
-    cost: CostModel,
-    epc_limit: usize,
     provisioning_key: Option<[u8; 32]>,
 }
 
@@ -31,8 +29,6 @@ impl EnclaveBuilder {
         EnclaveBuilder {
             name: name.into(),
             measurement: MeasurementBuilder::new(),
-            cost: CostModel::default(),
-            epc_limit: USABLE_EPC_BYTES,
             provisioning_key: None,
         }
     }
@@ -42,20 +38,6 @@ impl EnclaveBuilder {
     #[must_use]
     pub fn with_code(mut self, region: &[u8]) -> Self {
         self.measurement.add_region(region);
-        self
-    }
-
-    /// Overrides the cost model.
-    #[must_use]
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    /// Overrides the usable-EPC limit (ablations and tests).
-    #[must_use]
-    pub fn with_epc_limit(mut self, bytes: usize) -> Self {
-        self.epc_limit = bytes;
         self
     }
 
@@ -83,15 +65,16 @@ impl EnclaveBuilder {
         self,
         make_state: impl FnOnce(&Arc<EpcGauge>, &CostModel) -> T,
     ) -> Enclave<T> {
-        let epc = EpcGauge::with_limit(self.epc_limit);
-        let state = make_state(&epc, &self.cost);
+        let epc = EpcGauge::new();
+        let cost = CostModel::default();
+        let state = make_state(&epc, &cost);
         Enclave {
             name: self.name,
             measurement: self.measurement.finalize(),
             state,
             boundary: BoundaryStats::new(),
             epc,
-            cost: self.cost,
+            cost,
             provisioning_key: self.provisioning_key,
         }
     }
@@ -132,12 +115,6 @@ impl<T> Enclave<T> {
     #[must_use]
     pub fn epc(&self) -> Arc<EpcGauge> {
         self.epc.clone()
-    }
-
-    /// The configured cost model.
-    #[must_use]
-    pub fn cost_model(&self) -> CostModel {
-        self.cost
     }
 
     /// Concurrent enclave entry (real SGX provides multiple TCS slots so
@@ -271,12 +248,9 @@ mod tests {
 
     #[test]
     fn epc_gauge_is_shared() {
-        let e = EnclaveBuilder::new("t")
-            .with_code(b"c")
-            .with_epc_limit(1024)
-            .build(());
+        let e = EnclaveBuilder::new("t").with_code(b"c").build(());
         let gauge = e.epc();
-        gauge.charge(100, &e.cost_model());
+        gauge.charge(100, &CostModel::default());
         assert_eq!(e.epc().used(), 100);
     }
 
