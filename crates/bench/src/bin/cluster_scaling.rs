@@ -34,7 +34,7 @@ use std::time::Duration;
 use xsearch_bench::load::{capacity, json_points, run_open_loop, sweep_rates, LoadSpec, RunReport};
 use xsearch_bench::summary::{env_or, fixed, Json, Obj, Summary};
 use xsearch_bench::{echo_engine, Dataset, EXPERIMENT_SEED};
-use xsearch_cluster::{Cluster, ClusterClient, ClusterConfig, LaneStats};
+use xsearch_cluster::{Cluster, ClusterClient, ClusterConfig};
 use xsearch_core::config::XSearchConfig;
 
 const K: usize = 3;
@@ -111,11 +111,7 @@ fn attach_clients(cluster: &Cluster) -> Vec<Mutex<ClusterClient>> {
 }
 
 /// One replica-count point of the sweep.
-fn fleet_reports(
-    replicas: usize,
-    warm: &[String],
-    point: Duration,
-) -> (Vec<RunReport>, f64, LaneStats) {
+fn fleet_reports(replicas: usize, warm: &[String], point: Duration) -> (Vec<RunReport>, f64) {
     let share = FLEET_WINDOW / replicas;
     let cluster = launch_fleet(replicas, SEAL_EVERY, share, share, warm);
     let clients = attach_clients(&cluster);
@@ -135,7 +131,7 @@ fn fleet_reports(
     let snap = cluster.telemetry().snapshot();
     let hop_us = snap.value("xsearch_fleet_hop_delay_us", &[]).unwrap_or(0.0);
     let hop_us_mean = hop_us / served as f64;
-    (reports, hop_us_mean, cluster.batch_stats())
+    (reports, hop_us_mean)
 }
 
 /// The churn drill: open-loop load on a 4-replica fleet with one
@@ -201,15 +197,12 @@ fn main() {
     let mut sweep = Vec::new();
     for &replicas in REPLICAS {
         eprintln!("running fleet sweep: {replicas} replica(s)...");
-        let (reports, hop_us, lanes) = fleet_reports(replicas, &warm, point);
+        let (reports, hop_us) = fleet_reports(replicas, &warm, point);
         sweep.push(
             Obj::new()
                 .field("replicas", replicas)
                 .field("max_sustained_rps", fixed(capacity(&reports), 1))
                 .field("hop_us_mean", fixed(hop_us, 1))
-                .field("ecall_batches", lanes.batches)
-                .field("mean_batch", fixed(lanes.mean_batch(), 2))
-                .field("max_batch", lanes.max_batch)
                 .field("points", json_points(&reports)),
         );
     }

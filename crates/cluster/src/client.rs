@@ -2,14 +2,13 @@
 //! replica end-to-end, and rides out failures by interpreting the
 //! resilience ladder.
 //!
-//! Searches ride the cluster's coalescing data plane through its one
-//! blocking door, [`Cluster::forward`]: the client's seal closure runs
-//! only once the request is admitted, the ciphertext goes onto its
-//! replica's lane, and the client's thread drives that lane until its
-//! own reusable [`RequestSlot`] holds the (possibly batched) response.
-//! The tunnel is established once at attach and reused for every
-//! request — no per-request channel setup; re-attestation happens only
-//! on failover.
+//! Searches go through the cluster's one data-plane door,
+//! [`Cluster::forward`]: the client's seal closure runs only once the
+//! request is admitted, and the client's own thread carries the
+//! ciphertext into its replica's enclave in one `request` ecall. The
+//! tunnel is established once at attach and reused for every request —
+//! no per-request channel setup; re-attestation happens only on
+//! failover.
 //!
 //! # One loop, one table
 //!
@@ -43,8 +42,6 @@ use crate::registry::ReplicaId;
 use crate::resilience::{
     blew_deadline, survives_failed_reattach, Backoff, Outcome, Progress, Step,
 };
-use crate::router::RequestSlot;
-use std::sync::Arc;
 use std::time::Duration;
 use xsearch_core::broker::Broker;
 use xsearch_core::error::XSearchError;
@@ -83,10 +80,6 @@ pub struct ClusterClient {
     affinity: [u8; 32],
     replica: ReplicaId,
     broker: Broker,
-    /// The client's completion cell on the data plane, reused across
-    /// requests (one outstanding request at a time — guaranteed by
-    /// `&mut self` on the search methods).
-    slot: Arc<RequestSlot>,
     last_cost: Duration,
 }
 
@@ -157,7 +150,6 @@ impl ClusterClient {
             affinity,
             replica,
             broker,
-            slot: RequestSlot::new(),
             last_cost: Duration::ZERO,
         })
     }
@@ -272,7 +264,7 @@ impl ClusterClient {
             // `seal` runs only once the request is admitted: one shed or
             // dropped on the link never moved the tunnel's nonce counter,
             // which is what makes a same-session retry safe.
-            let forwarded = cluster.forward(target, echo, &self.slot, || seal(broker, query));
+            let forwarded = cluster.forward(target, echo, || seal(broker, query));
             let (outcome, charge, answer) = match forwarded {
                 Ok((response, charge)) => match self.broker.open_results(&response) {
                     Ok(results) => (Outcome::Opened, charge, Ok(results)),

@@ -13,8 +13,9 @@
 //!
 //! # Data plane locks
 //!
-//! The request path ([`Cluster::route`] + [`Cluster::forward`], or the
-//! front tier's submit/drive/finish over the same door) takes these:
+//! The request path ([`Cluster::route`] + [`Cluster::forward`], whether
+//! a [`crate::client::ClusterClient`] or a front step calls it) takes
+//! these:
 //!
 //! * membership and the consistent-hash ring are immutable snapshots
 //!   behind an `RwLock<Arc<_>>` each: a request clones the `Arc` under
@@ -23,17 +24,16 @@
 //!   its write lock (see `rebuild_ring`), so during an enroll or a
 //!   health sweep a request may wait for one ring build;
 //! * admission is an atomic compare-exchange on the target node;
-//! * requests to the same replica queue on its **lane**
-//!   ([`crate::router`]), and whoever holds the lane's turn carries up
-//!   to `MAX_BATCH` of them across the enclave boundary in one
-//!   `proxy_batch` ecall; every submitter drives the lane until its own
-//!   entry is delivered. This module only supplies the batch executor.
+//! * the request then enters the replica's enclave on its own thread,
+//!   in one `request` ecall, under the read side of the replica's proxy
+//!   `RwLock` (writers are kill/restart only). Concurrent requests to
+//!   one replica are concurrent threads inside one enclave, as in the
+//!   paper (§4.1); nothing queues a request for another thread to run.
 //!
 //! Past the two read locks, every lock a forwarded request touches is
-//! per replica: the lane's queue and its result slots (push, drain,
-//! deliver, take — microseconds, never across an ecall), the lane's
-//! turn (held across this replica's batch, by whoever runs it) and the
-//! proxy `RwLock`'s *read* side (writers are kill/restart only).
+//! per replica or inside the enclave (its session's mutex, the history
+//! window's mutex for Algorithm 1, the sealed log's mutex when the
+//! cadence seals).
 //!
 //! # Failover
 //!
@@ -59,7 +59,6 @@ use crate::registry::{ReplicaId, ReplicaRegistry};
 use crate::resilience::{
     CircuitBreaker, ResilienceConfig, BREAKER_COOLDOWN_OPS, BREAKER_THRESHOLD,
 };
-use crate::router::{DeliveryFence, LaneStats, Pending, RequestSlot};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Duration;
@@ -148,22 +147,6 @@ impl Drop for AdmitGuard<'_> {
     }
 }
 
-/// Runs [`Cluster::finish`] on drop, so a blocking forward that unwinds
-/// while it holds its lane's turn mid-batch (the `DeliveryFence` fails
-/// its slot) still releases the admission it holds.
-struct FinishGuard<'a> {
-    cluster: &'a Cluster,
-    id: ReplicaId,
-    charge: Duration,
-    served: bool,
-}
-
-impl Drop for FinishGuard<'_> {
-    fn drop(&mut self) {
-        self.cluster.finish(self.id, self.served, self.charge);
-    }
-}
-
 /// Ends a health sweep on drop (generation bump, then the active flag),
 /// so a panicking sweep cannot wedge every future sweeper in the
 /// coalesced-wait loop.
@@ -201,7 +184,7 @@ pub struct Cluster {
     sweeps_run: Counter,
     sweeps_coalesced: Counter,
     /// The fleet's metrics registry (one snapshot for queues, breakers,
-    /// lanes, spans and client resilience counters).
+    /// spans and client resilience counters).
     telemetry: Arc<Registry>,
     /// Pre-registered fleet counters and span histograms (clients count
     /// their retries, re-attaches and misses through these).
@@ -388,19 +371,10 @@ impl Cluster {
             .sum()
     }
 
-    /// Fleet-wide request-coalescing statistics: how many `proxy_batch`
-    /// ecalls the lanes issued and how many requests rode in them.
-    #[must_use]
-    pub fn batch_stats(&self) -> LaneStats {
-        self.nodes.iter().fold(LaneStats::default(), |acc, node| {
-            acc.merged(node.lane.stats())
-        })
-    }
-
     /// The fleet's metrics registry: one snapshot covering per-replica
-    /// queue depth/high-water/shed, lane coalescing,
-    /// breaker trips, sweep coalescing, accounted hop/fault/engine delays,
-    /// the client resilience counters and (once a
+    /// queue depth/high-water/shed, breaker trips, sweep coalescing,
+    /// accounted hop/fault/engine delays, the client resilience counters
+    /// and (once a
     /// [`crate::front::FrontTier`] is built) the front's — the only stats
     /// surface; read one series with `snapshot().value(name, labels)`.
     #[must_use]
@@ -570,8 +544,8 @@ impl Cluster {
     /// forwarding primitive (attach, re-attach, migration drills). The
     /// frames `f` moves are already encrypted end-to-end; this tier adds
     /// only the accounted data-center hop, in-flight accounting, and the
-    /// sealing cadence. Data-plane searches take the coalescing
-    /// [`Cluster::forward`] path instead.
+    /// sealing cadence — the same steps, in the same order, as the data
+    /// plane's [`Cluster::forward`].
     ///
     /// # Errors
     ///
@@ -591,20 +565,46 @@ impl Cluster {
         }
         let guard = node.proxy();
         let proxy = guard.as_ref().ok_or(ClusterError::ReplicaDown(id))?;
+        self.admitted(node, proxy, || (), |()| f(proxy))
+            .map(|(out, _hop)| out)
+    }
+
+    /// The steps every request inside a replica takes, once for both
+    /// doors: claim a slot of `node`'s bounded admission queue, `prepare`
+    /// (a forward seals its request here, so nothing refused was ever
+    /// sealed), account the data-center hop, run `serve` against the
+    /// live `proxy` the caller holds the read guard of, tick the sealing
+    /// cadence and seal `proxy` when due, and release the slot — on
+    /// unwind too, so a panicking `prepare` or `serve` cannot leak
+    /// admission capacity. Returns `serve`'s output and the hop's
+    /// modeled RTT.
+    ///
+    /// The caller's proxy guard spans `serve` and the seal, so a
+    /// concurrent [`Cluster::kill`] lands before or after both: it can
+    /// never fall between a request entering the window and the seal
+    /// that covers it, which keeps `seal_every == 1` lossless under
+    /// churn.
+    fn admitted<A, T>(
+        &self,
+        node: &ReplicaNode,
+        proxy: &XSearchProxy,
+        prepare: impl FnOnce() -> A,
+        serve: impl FnOnce(A) -> T,
+    ) -> Result<(T, Duration), ClusterError> {
         if !node.try_enter(self.config.queue_limit) {
-            return Err(ClusterError::Overloaded(id));
+            self.flight.record(FlightEvent::Shed {
+                replica: node.id().0 as u64,
+            });
+            return Err(ClusterError::Overloaded(node.id()));
         }
-        // The admitted slot must drain even if `f` unwinds: a leaked
-        // slot would permanently shrink this replica's bounded queue
-        // until every arrival is shed.
-        let admitted = AdmitGuard { node };
-        node.account_hop();
-        let out = f(proxy);
-        drop(admitted);
+        let _admitted = AdmitGuard { node };
+        let input = prepare();
+        let hop = node.account_hop();
+        let out = serve(input);
         if node.seal_due(self.config.seal_every) {
             node.seal_snapshot(proxy);
         }
-        Ok(out)
+        Ok((out, hop))
     }
 
     /// Attests replica `id` and opens a tunnel to it under `seed`: the
@@ -645,40 +645,36 @@ impl Cluster {
         Ok((self.attach_keypair(id, keypair)?, id))
     }
 
-    /// The one door into a replica's data plane: admits one request on
-    /// `id`'s bounded queue, *then* invokes `seal` for `(client_pub,
-    /// ciphertext)` and enqueues it on the replica's lane **without
-    /// waiting for delivery**. Both drivers — the blocking
-    /// [`Cluster::forward`] and a front step — go through here, so the
-    /// refusal path cannot differ by ingress.
+    /// The one door into a replica's data plane: serves one request on
+    /// `id` with a direct `request` ecall (`request_echo` when `echo`)
+    /// and returns the sealed reply with the forward's **modeled
+    /// charge** — accounted hop RTT plus injected fault delay,
+    /// deterministic under a fixed fault seed (nothing sleeps). The
+    /// blocking [`crate::client::ClusterClient`] and a front step both
+    /// come through here, so the refusal path cannot differ by ingress.
     ///
     /// Nonce safety: the fault timeline (scheduled crashes/restarts,
-    /// partition windows), injected link loss and bounded admission all
-    /// fire *before* `seal`. A request refused with `LinkLoss` or
-    /// `Overloaded` was never sealed, so a local caller's strict-sequence
-    /// counter is intact and the same session may retry. (A framed
-    /// client sealed remotely; its `seal` only hands the ciphertext over
-    /// and the framed error reply tells it to re-attest.)
-    ///
-    /// On success the admission slot stays claimed until
-    /// [`Cluster::finish`] — uncollected work counts against the
-    /// backpressure bound — and the result is the forward's **modeled
-    /// charge**: accounted hop RTT plus injected fault delay,
-    /// deterministic under a fixed fault seed (nothing sleeps). `slot`
-    /// must have no other request outstanding.
+    /// partition windows), injected link loss, a crashed enclave and
+    /// bounded admission all refuse *before* `seal` runs. A request
+    /// refused with `LinkLoss`, `Overloaded`, `NotRoutable` or
+    /// `ReplicaDown` was never sealed, so a local caller's
+    /// strict-sequence counter is intact and the same session may retry.
+    /// (A framed client sealed remotely; its `seal` only hands the
+    /// ciphertext over and the framed error reply tells it to
+    /// re-attest.)
     ///
     /// # Errors
     ///
     /// [`ClusterError::NotRoutable`] / [`ClusterError::ReplicaDown`] /
     /// [`ClusterError::Overloaded`] as for [`Cluster::with_replica`];
-    /// [`ClusterError::LinkLoss`] for injected loss or a partition.
-    pub(crate) fn submit(
+    /// [`ClusterError::LinkLoss`] for injected loss or a partition;
+    /// [`ClusterError::Proxy`] for the enclave's own refusal.
+    pub fn forward(
         &self,
         id: ReplicaId,
         echo: bool,
-        slot: &Arc<RequestSlot>,
         seal: impl FnOnce() -> ([u8; 32], Vec<u8>),
-    ) -> Result<Duration, ClusterError> {
+    ) -> Result<(Vec<u8>, Duration), ClusterError> {
         let node = self.node(id)?;
         if !self.registry.is_routable(id) {
             return Err(ClusterError::NotRoutable(id));
@@ -706,157 +702,22 @@ impl Cluster {
                 });
             }
         }
-        if !node.try_enter(self.config.queue_limit) {
-            self.flight.record(FlightEvent::Shed {
-                replica: id.0 as u64,
-            });
-            return Err(ClusterError::Overloaded(id));
-        }
-        // A panicking seal closure must not leak the admitted slot.
-        let admitted = AdmitGuard { node };
-        let (client_pub, ciphertext) = seal();
-        charge += node.account_hop();
-        slot.clear();
-        node.lane.push(Pending {
-            client_pub,
-            ciphertext,
-            echo,
-            slot: Arc::clone(slot),
-        });
-        // Enqueued: the slot now belongs to `finish`.
-        std::mem::forget(admitted);
-        Ok(charge)
-    }
-
-    /// Drives `id`'s lane if its turn is free: runs batches — every
-    /// queued entry, its own and other submitters' — until the queue is
-    /// empty. Returns at once when another thread holds the turn; the
-    /// caller drives again while its own entry is undelivered.
-    pub(crate) fn drive_lane(&self, id: ReplicaId) {
-        if let Ok(node) = self.node(id) {
-            node.lane.drive(|batch| self.execute_batch(id, node, batch));
-        }
-    }
-
-    /// Releases the admission slot a successful [`Cluster::submit`]
-    /// claimed, once the delivery has been collected from the slot, and
-    /// does all success accounting: a `served` delivery counts one
-    /// forward and records `charge` on the forward span.
-    pub(crate) fn finish(&self, id: ReplicaId, served: bool, charge: Duration) {
-        if let Ok(node) = self.node(id) {
-            node.exit();
-            if served {
-                self.metrics.forwards.inc();
-                self.metrics.span_forward.record(FleetMetrics::us(charge));
-            }
-        }
-    }
-
-    /// Forwards one request to `id` and blocks until its result is
-    /// delivered: `Cluster::submit`, then take the lane's turn and run
-    /// batches until the delivery lands (or find that the previous
-    /// turn-holder carried it), then `Cluster::finish`. Callers that meet
-    /// in the queue ride one `proxy_batch` ecall. Returns the sealed
-    /// reply and the forward's modeled charge.
-    ///
-    /// `seal` runs only after admission, so a caller that seals inside
-    /// it keeps its nonce sequence intact across `Overloaded` and
-    /// `LinkLoss`. The caller keeps `slot` for its whole session
-    /// (connection reuse), one request outstanding at a time.
-    ///
-    /// # Errors
-    ///
-    /// As [`Cluster::with_replica`], plus [`ClusterError::LinkLoss`] for
-    /// injected loss or a partition; additionally [`ClusterError::Proxy`]
-    /// carries this entry's failure out of a coalesced batch (other
-    /// entries are unaffected).
-    pub fn forward(
-        &self,
-        id: ReplicaId,
-        echo: bool,
-        slot: &Arc<RequestSlot>,
-        seal: impl FnOnce() -> ([u8; 32], Vec<u8>),
-    ) -> Result<(Vec<u8>, Duration), ClusterError> {
-        let charge = self.submit(id, echo, slot, seal)?;
-        let mut finish = FinishGuard {
-            cluster: self,
-            id,
-            charge,
-            served: false,
-        };
-        let node = self.node(id)?;
-        let result = node
-            .lane
-            .drive_until_delivered(slot, |batch| self.execute_batch(id, node, batch));
-        finish.served = result.is_ok();
-        drop(finish);
-        result.map(|bytes| (bytes, charge))
-    }
-
-    /// Executes one coalesced batch — the lane's executor, run by the
-    /// turn-holder: a single `proxy_batch` ecall per request mode,
-    /// per-entry delivery, and the sealing cadence. Holds the proxy read
-    /// guard for the whole thing, so a concurrent [`Cluster::kill`]
-    /// serializes before or after the batch — it can never land between
-    /// a request entering the window and the cadence's seal, which is
-    /// what keeps `seal_every == 1` lossless under churn.
-    pub(crate) fn execute_batch(&self, id: ReplicaId, node: &ReplicaNode, batch: Vec<Pending>) {
-        let fence = DeliveryFence::new(id, batch);
+        // The timeline may just have crashed this replica: take the
+        // guard only now, and refuse a dead enclave before sealing.
         let guard = node.proxy();
-        let Some(proxy) = guard.as_ref() else {
-            // Dropping the armed fence delivers ReplicaDown to every
-            // entry; the submitters sweep and re-route.
-            return;
-        };
-        let entries = fence.entries();
-        let mut results: Vec<Option<Result<Vec<u8>, ClusterError>>> = Vec::new();
-        results.resize_with(entries.len(), || None);
-        for echo in [false, true] {
-            let idxs: Vec<usize> = entries
-                .iter()
-                .enumerate()
-                .filter(|&(_, p)| p.echo == echo)
-                .map(|(i, _)| i)
-                .collect();
-            if idxs.is_empty() {
-                continue;
+        let proxy = guard.as_ref().ok_or(ClusterError::ReplicaDown(id))?;
+        let (reply, hop) = self.admitted(node, proxy, seal, |(client_pub, ciphertext)| {
+            if echo {
+                proxy.request_echo(&client_pub, &ciphertext)
+            } else {
+                proxy.request(&client_pub, &ciphertext)
             }
-            let requests = idxs
-                .iter()
-                .map(|&i| (&entries[i].client_pub, entries[i].ciphertext.as_slice()));
-            match proxy.request_batch(echo, requests) {
-                Ok(per_entry) => {
-                    for (&i, entry) in idxs.iter().zip(per_entry) {
-                        results[i] = Some(entry.map_err(ClusterError::Proxy));
-                    }
-                }
-                Err(envelope) => {
-                    // The batch envelope itself failed: every entry in
-                    // this sub-batch shares the failure.
-                    for &i in &idxs {
-                        results[i] = Some(Err(ClusterError::Proxy(envelope.clone())));
-                    }
-                }
-            }
-        }
-        // Sealing cadence: one tick per served entry, at most one
-        // snapshot per batch — before delivery and still under the proxy
-        // guard, so results a client has observed are always covered by
-        // a seal that already happened (when the cadence says they must).
-        let mut seal = false;
-        for _ in 0..entries.len() {
-            if node.seal_due(self.config.seal_every) {
-                seal = true;
-            }
-        }
-        if seal {
-            node.seal_snapshot(proxy);
-        }
-        for (pending, result) in fence.disarm().into_iter().zip(results) {
-            pending
-                .slot
-                .deliver(result.unwrap_or(Err(ClusterError::ReplicaDown(id))));
-        }
+        })?;
+        let reply = reply.map_err(ClusterError::Proxy)?;
+        charge += hop;
+        self.metrics.forwards.inc();
+        self.metrics.span_forward.record(FleetMetrics::us(charge));
+        Ok((reply, charge))
     }
 
     /// Hard-crashes `id`'s enclave (churn injection): sessions and the

@@ -1,23 +1,22 @@
-//! One framed connection's state machine: bytes ↔ frames ↔ lane slot.
+//! One framed connection's state machine: bytes ↔ frames ↔ enclave.
 //!
 //! ```text
-//! Idle ──bytes──▶ Reading ──frame──▶ AwaitingEnclave ──reply──▶ Writing ──flushed──▶ Idle
+//! Idle ──bytes──▶ Reading ──frame + Cluster::forward──▶ Writing ──flushed──▶ Idle
 //! ```
 //!
-//! A [`Conn`] runs until it blocks — on bytes, on ring space, or on an
-//! enclave delivery — or closes. What it may touch of the shard that
-//! owns it is exactly the [`ShardCore`].
+//! A decoded request goes through [`Cluster::forward`] inline, one
+//! `request` ecall, and its reply (or refusal) is queued at once. A
+//! [`Conn`] runs until it blocks — on bytes or on ring space — or
+//! closes. What it may touch of the shard that owns it is exactly the
+//! [`ShardCore`].
 
 use super::survival::{ConnClass, ConnState, Facts, StrikeBook, SurvivalConfig};
 use super::FrontStats;
 use crate::error::ClusterError;
 use crate::fleet::Cluster;
 use crate::placement::key_coord;
-use crate::registry::ReplicaId;
-use crate::router::RequestSlot;
 use std::mem;
 use std::sync::Arc;
-use std::time::Duration;
 use xsearch_core::wire::{decode_conn_request, encode_conn_reply_into, ConnStatus};
 use xsearch_net_sim::{
     ByteStream, FrameDecoder, FrameEncoder, Interest, Registration, StreamError,
@@ -49,21 +48,12 @@ pub(super) struct Conn {
     pub(super) stream: ByteStream,
     pub(super) reg: Registration,
     decoder: FrameDecoder,
-    /// Created on first request, kept for the connection's lifetime
-    /// (connection reuse — one outstanding request at a time).
-    slot: Option<Arc<RequestSlot>>,
-    /// Which replica the in-flight request was admitted on and its
-    /// modeled charge; the admission slot it holds is released by
-    /// [`Cluster::finish`] when the delivery is collected.
-    inflight: Option<(ReplicaId, Duration)>,
     reply: Option<Reply>,
     pub(super) state: ConnState,
     /// Peer reached end-of-stream (or the ring closed under us).
     eof: bool,
     /// Tear the connection down once the pending reply flushes.
     close_after_flush: bool,
-    /// Already on the shard's awaiting list (dedup guard).
-    pub(super) in_awaiting: bool,
     /// Shed-ladder class (see [`ConnClass`]).
     pub(super) class: ConnClass,
     /// Channel key the most recent well-formed request *claimed* —
@@ -100,7 +90,7 @@ enum Parsed {
     Unframeable,
     /// A complete frame that was not a valid request.
     Malformed,
-    /// A well-formed request, copied out for lane ownership transfer.
+    /// A well-formed request, copied out of the decoder's buffer.
     Request {
         client_pub: [u8; 32],
         echo: bool,
@@ -115,10 +105,9 @@ pub(super) enum Disposition {
     Close,
 }
 
-/// The part of a shard a running connection may touch: the clock, the
-/// policy and its strike book, the instruments, and the two lists
-/// through which it asks for a lane drive and a later look at its
-/// delivery. The slab and the reactor stay with the shard.
+/// The part of a shard a running connection may touch: the fleet, the
+/// clock, the policy and its strike book, and the instruments. The slab
+/// and the reactor stay with the shard.
 pub(super) struct ShardCore {
     pub cluster: Arc<Cluster>,
     pub survival: SurvivalConfig,
@@ -127,11 +116,6 @@ pub(super) struct ShardCore {
     /// is expressed in these.
     pub tick: u64,
     pub book: StrikeBook,
-    /// Connection indices with a delivery outstanding.
-    pub awaiting: Vec<usize>,
-    /// Replicas to drive at the next drive point: each holds an
-    /// undelivered entry of this shard's.
-    pub dirty: Vec<ReplicaId>,
 }
 
 impl ShardCore {
@@ -151,13 +135,10 @@ impl Conn {
             stream,
             reg,
             decoder: FrameDecoder::with_max_frame(MAX_FRAME),
-            slot: None,
-            inflight: None,
             reply: None,
             state: ConnState::Idle,
             eof: false,
             close_after_flush: false,
-            in_awaiting: false,
             class: ConnClass::Unattested,
             channel_key: None,
             key_proven: false,
@@ -210,7 +191,7 @@ impl Conn {
     }
 
     /// Accounted heap footprint of this session (slab slot + stream
-    /// core + buffers + registration + per-session slot).
+    /// core + buffers + registration).
     pub(super) fn mem_bytes(&self) -> usize {
         let mut bytes = mem::size_of::<Option<Conn>>();
         bytes += self.stream.mem_bytes();
@@ -218,9 +199,6 @@ impl Conn {
         bytes += self.reg.mem_bytes();
         if let Some(reply) = &self.reply {
             bytes += reply.payload.capacity();
-        }
-        if self.slot.is_some() {
-            bytes += mem::size_of::<RequestSlot>();
         }
         bytes
     }
@@ -244,8 +222,8 @@ impl Conn {
         self.reg.set_interest(Interest::WRITABLE);
     }
 
-    /// Answers a refused submission or a failed delivery with its framed
-    /// error status — one mapping, whichever side of the lane said no.
+    /// Answers a refused or failed request with its framed error status —
+    /// one mapping, whichever tier said no.
     fn queue_refusal(&mut self, stats: &FrontStats, err: &ClusterError) {
         let status = err.conn_status();
         if status == ConnStatus::Overloaded {
@@ -269,10 +247,10 @@ impl Conn {
         self.queue_reply(stats, status, &[]);
     }
 
-    /// Runs the state machine (slab index `idx`) until it blocks or closes.
+    /// Runs the state machine until it blocks or closes.
     #[inline]
     #[allow(clippy::too_many_lines)]
-    pub(super) fn run(&mut self, idx: usize, core: &mut ShardCore) -> Disposition {
+    pub(super) fn run(&mut self, core: &mut ShardCore) -> Disposition {
         loop {
             match self.state {
                 ConnState::Writing => {
@@ -305,38 +283,6 @@ impl Conn {
                             self.reg.set_interest(Interest::READABLE);
                         }
                         Err(_) => return Disposition::Close,
-                    }
-                }
-                ConnState::AwaitingEnclave => {
-                    let (replica, charge) =
-                        self.inflight.expect("AwaitingEnclave implies inflight");
-                    let slot = self.slot.as_ref().expect("AwaitingEnclave implies a slot");
-                    let Some(result) = slot.take() else {
-                        if !self.in_awaiting {
-                            self.in_awaiting = true;
-                            core.awaiting.push(idx);
-                        }
-                        // Undelivered: drive its replica (again), so an
-                        // entry a foreign turn-holder left queued is run
-                        // by this shard's next step.
-                        if !core.dirty.contains(&replica) {
-                            core.dirty.push(replica);
-                        }
-                        return Disposition::Keep;
-                    };
-                    core.cluster.finish(replica, result.is_ok(), charge);
-                    self.inflight = None;
-                    if self.eof {
-                        // Zombie: we only stayed alive to release the
-                        // admission slot.
-                        return Disposition::Close;
-                    }
-                    match result {
-                        Ok(payload) => {
-                            self.key_proven = true;
-                            self.queue_reply(&core.stats, ConnStatus::Ok, &payload);
-                        }
-                        Err(err) => self.queue_refusal(&core.stats, &err),
                     }
                 }
                 ConnState::Idle | ConnState::Reading => {
@@ -409,24 +355,24 @@ impl Conn {
                                 continue;
                             }
                             let cluster = &core.cluster;
-                            let slot = self.slot.get_or_insert_with(RequestSlot::new);
                             // The client sealed before its bytes got
                             // here; `seal` only hands the frame over.
-                            let submitted = cluster.route_at(self.ring_coord).and_then(|id| {
-                                cluster
-                                    .submit(id, echo, slot, || (client_pub, ciphertext))
-                                    .map(|charge| (id, charge))
+                            let forwarded = cluster.route_at(self.ring_coord).and_then(|id| {
+                                cluster.forward(id, echo, || (client_pub, ciphertext))
                             });
-                            match submitted {
-                                Ok((id, charge)) => {
-                                    self.inflight = Some((id, charge));
-                                    if self.class == ConnClass::Unattested {
-                                        self.class = ConnClass::Established;
-                                    }
-                                    // Backpressure: stop reading while
-                                    // the request is in flight.
-                                    self.reg.set_interest(Interest::NONE);
-                                    self.set_state(&core.stats, ConnState::AwaitingEnclave);
+                            // Admitted to a replica: served, or refused
+                            // by the enclave itself.
+                            let admitted = matches!(forwarded, Ok(_) | Err(ClusterError::Proxy(_)));
+                            if admitted && self.class == ConnClass::Unattested {
+                                self.class = ConnClass::Established;
+                            }
+                            match forwarded {
+                                // Peer gone: the answer is undeliverable
+                                // and proves nothing.
+                                Ok(_) if self.eof => return Disposition::Close,
+                                Ok((payload, _charge)) => {
+                                    self.key_proven = true;
+                                    self.queue_reply(&core.stats, ConnStatus::Ok, &payload);
                                 }
                                 Err(err) => self.queue_refusal(&core.stats, &err),
                             }

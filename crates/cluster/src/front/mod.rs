@@ -1,6 +1,6 @@
 //! The event-driven front tier: framed, non-blocking client sessions
-//! multiplexed onto the fleet's per-replica lanes by one reactor shard
-//! that whoever waits on a reply steps.
+//! multiplexed onto the fleet by one reactor shard that whoever waits on
+//! a reply steps.
 //!
 //! The thread-per-request harnesses drive one synchronous
 //! [`crate::client::ClusterClient`] per OS thread — fine for a dozen
@@ -9,17 +9,14 @@
 //! untrusted front: every client session is a **per-connection state
 //! machine** driven by readiness events from a
 //! [`xsearch_net_sim::Reactor`], so one shard carries tens of thousands
-//! of mostly-idle sessions. Requests crossing the enclave boundary ride
-//! the same [`crate::router`] lanes as the synchronous path: a step
-//! submits every request it made ready, then drives each lane it
-//! touched — if the lane's turn is free it carries *every* queued entry
-//! over in batched ecalls, and a connection still awaiting after that
-//! gets its lane driven again on the next step.
+//! of mostly-idle sessions. A request crosses the enclave boundary
+//! through the same door as the synchronous path: the step that decodes
+//! its frame calls [`Cluster::forward`] — one `request` ecall — and
+//! queues the reply on the connection before it pumps the next one.
 //!
 //! # Driving
 //!
-//! One rule, the lane's rule one tier up: **whoever waits on a framed
-//! reply steps the front.** [`FrontTier::step`] is the only driver and
+//! One rule: **whoever waits on a framed reply steps the front.** [`FrontTier::step`] is the only driver and
 //! may be called from any thread; it locks the shard, adopts the
 //! connections [`FrontTier::accept`] left in the mailbox, and runs one
 //! iteration. [`FramedClient::search`] steps while it waits, so the
@@ -39,14 +36,13 @@
 //!
 //! The tiers compose into one end-to-end backpressure chain:
 //!
-//! * while a connection has a request in flight its read interest is
-//!   dropped to [`xsearch_net_sim::Interest::NONE`] — the front stops
+//! * while a connection's reply is flushing its interest is
+//!   [`xsearch_net_sim::Interest::WRITABLE`] only — the front stops
 //!   *reading from the socket*, so a flooding client fills its own send
 //!   ring and blocks in its own write loop (TCP-style), not in
 //!   front-tier memory;
-//! * when the target replica's bounded admission queue is full, the
-//!   cluster's `submit` — the same door the blocking
-//!   [`Cluster::forward`] goes through — sheds with
+//! * when the target replica's bounded admission queue is full,
+//!   [`Cluster::forward`] sheds with
 //!   [`crate::ClusterError::Overloaded`] and the front answers
 //!   immediately with a framed
 //!   [`Overloaded`](xsearch_core::wire::ConnStatus::Overloaded) error
@@ -240,7 +236,6 @@ impl FrontStats {
         for (name, state) in [
             ("idle", ConnState::Idle),
             ("reading", ConnState::Reading),
-            ("awaiting_enclave", ConnState::AwaitingEnclave),
             ("writing", ConnState::Writing),
         ] {
             let polled = Arc::clone(&stats);
@@ -326,7 +321,7 @@ impl FrontTier {
     }
 
     /// Steps the front once: adopts the mailbox, then pumps ready
-    /// connections, drives their lanes and collects deliveries. Callable
+    /// connections, each serving its decoded request inline. Callable
     /// from any thread; concurrent callers take turns on the shard.
     /// Returns the number of progress events.
     pub fn step(&self) -> usize {

@@ -1,7 +1,6 @@
 //! The front's one shard: a slab of connections, their readiness queue,
-//! the bookkeeping to drive lanes and collect deliveries, and the sweeps
-//! that *ask* [`super::survival`] what to do with a connection and *act*
-//! on the answer.
+//! and the sweeps that *ask* [`super::survival`] what to do with a
+//! connection and *act* on the answer.
 
 use super::conn::{Conn, Disposition, ShardCore};
 use super::survival::{ConnState, StrikeBook, SurvivalConfig, TimeoutKind, Verdict};
@@ -41,8 +40,6 @@ impl Shard {
                 survival,
                 stats,
                 tick: 0,
-                awaiting: Vec::new(),
-                dirty: Vec::new(),
             },
             reactor: Reactor::new(),
             conns: Vec::new(),
@@ -86,7 +83,8 @@ impl Shard {
     }
 
     /// One iteration of the shard loop: adopt `accepted`, poll readiness,
-    /// pump ready connections, drive dirty lanes, collect deliveries.
+    /// pump ready connections (each serving its decoded request inline),
+    /// then enforce deadlines and the high-water mark.
     /// Returns the number of externally visible progress events.
     pub(super) fn step(&mut self, accepted: Vec<ByteStream>) -> usize {
         self.core.tick += 1;
@@ -100,18 +98,6 @@ impl Shard {
         }
         events.clear();
         self.events = events;
-
-        for id in mem::take(&mut self.core.dirty) {
-            self.core.cluster.drive_lane(id);
-        }
-
-        let pending = mem::take(&mut self.core.awaiting);
-        for idx in pending {
-            if let Some(conn) = self.conns[idx].as_mut() {
-                conn.in_awaiting = false;
-            }
-            self.pump(idx);
-        }
 
         if self.core.survival.any_deadline() {
             self.enforce_deadlines();
@@ -171,7 +157,7 @@ impl Shard {
             .conns
             .iter()
             .enumerate()
-            .filter_map(|(idx, slot)| Some((slot.as_ref()?.facts().shed_rank()?, idx)))
+            .filter_map(|(idx, slot)| Some((slot.as_ref()?.facts().shed_rank(), idx)))
             .collect();
         candidates.sort_unstable();
         for (_, idx) in candidates.into_iter().take(excess) {
@@ -181,13 +167,13 @@ impl Shard {
         }
     }
 
-    /// Runs `idx`'s state machine until it blocks (on bytes, on ring
-    /// space, or on an enclave delivery) or closes.
+    /// Runs `idx`'s state machine until it blocks (on bytes or on ring
+    /// space) or closes.
     fn pump(&mut self, idx: usize) {
         let Some(mut conn) = self.conns[idx].take() else {
             return;
         };
-        if conn.run(idx, &mut self.core) == Disposition::Keep {
+        if conn.run(&mut self.core) == Disposition::Keep {
             self.conns[idx] = Some(conn);
         } else {
             self.retire(idx, conn);

@@ -94,15 +94,11 @@ impl SurvivalConfig {
     }
 
     /// What the deadline sweep does with a connection at tick `now`.
-    /// A connection with a request in flight ([`ConnState::AwaitingEnclave`])
-    /// is exempt: the enclave path has its own deadline machinery, and the
-    /// admission slot must drain first. A deadline of `d` ticks tolerates
-    /// exactly `d` quiet ticks.
+    /// A deadline of `d` ticks tolerates exactly `d` quiet ticks.
     pub(super) fn verdict(&self, c: &Facts, now: u64) -> Verdict {
         let overdue =
             |deadline: u64, since: u64| deadline != 0 && now.saturating_sub(since) > deadline;
         let reap = match c.state {
-            ConnState::AwaitingEnclave => None,
             ConnState::Writing => {
                 overdue(self.write_deadline, c.last_write_tick).then_some(TimeoutKind::WriteStall)
             }
@@ -154,18 +150,16 @@ impl SurvivalConfig {
 /// per-state telemetry gauges and the scaling bench.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConnState {
-    /// No buffered input, no request in flight, nothing to write.
+    /// No buffered input, nothing to write.
     Idle,
     /// A frame has started arriving but is not yet complete.
     Reading,
-    /// A request was submitted to a lane; its delivery is pending.
-    AwaitingEnclave,
     /// A framed reply is being flushed against ring backpressure.
     Writing,
 }
 
 impl ConnState {
-    pub(super) const COUNT: usize = 4;
+    pub(super) const COUNT: usize = 3;
 }
 
 /// How the shed ladder ranks a connection when its shard is over the
@@ -176,7 +170,7 @@ impl ConnState {
 pub enum ConnClass {
     /// No well-formed request submitted yet.
     Unattested,
-    /// At least one well-formed request accepted onto a lane.
+    /// At least one well-formed request admitted to a replica.
     Established,
     /// Struck for a protocol, quota, or minimum-progress violation.
     Misbehaving,
@@ -218,17 +212,13 @@ impl Facts {
 
     /// Where the connection stands on the shed ladder — lowest goes
     /// first: misbehaving, then unattested oldest-opened, then
-    /// established coldest. `None` for a connection that is never shed
-    /// (in flight: its admission slot must drain).
-    pub(super) fn shed_rank(&self) -> Option<(u8, u64)> {
-        if self.state == ConnState::AwaitingEnclave {
-            return None;
-        }
-        Some(match self.class {
+    /// established coldest.
+    pub(super) fn shed_rank(&self) -> (u8, u64) {
+        match self.class {
             ConnClass::Misbehaving => (0, self.opened_tick),
             ConnClass::Unattested => (1, self.opened_tick),
             ConnClass::Established => (2, self.last_activity()),
-        })
+        }
     }
 }
 
@@ -313,7 +303,7 @@ impl StrikeBook {
 mod tests {
     use super::*;
     use ConnClass::{Established, Misbehaving, Unattested};
-    use ConnState::{AwaitingEnclave, Idle, Reading, Writing};
+    use ConnState::{Idle, Reading, Writing};
 
     const NOW: u64 = 1_000;
 
@@ -383,16 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn an_in_flight_connection_is_exempt_from_every_deadline_and_from_shedding() {
-        for class in [Unattested, Established, Misbehaving] {
-            let c = conn(AwaitingEnclave, class);
-            let verdict = SurvivalConfig::hardened().verdict(&c, u64::MAX);
-            assert_eq!(verdict, Verdict::Keep, "{class:?}");
-            assert_eq!(c.shed_rank(), None, "{class:?}");
-        }
-    }
-
-    #[test]
     fn slowloris_fires_only_on_a_full_window_short_of_the_minimum() {
         let cfg = knobs(|c| (c.min_progress_bytes, c.progress_window) = (8, 5));
         assert!(cfg.any_deadline());
@@ -459,7 +439,7 @@ mod tests {
                 last_write_tick: 0,
                 ..conn(Idle, class)
             };
-            c.shed_rank().unwrap()
+            c.shed_rank()
         };
         let ladder = [
             rank(Misbehaving, 90, 95),

@@ -189,39 +189,6 @@ fn pipelined_requests_are_answered_in_order_with_reads_paused_inflight() {
     }
 }
 
-#[test]
-fn an_entry_a_foreign_turn_holder_left_queued_is_answered_on_the_next_step() {
-    let (cluster, front) = rig(|_| {});
-    let mut broker = attach(&cluster, 61);
-    let replica = cluster.route(broker.client_pub().as_bytes()).unwrap();
-    let node = Arc::clone(cluster.node(replica).unwrap());
-    let stream = front.accept();
-    write_all(
-        &front,
-        &stream,
-        &raw_request(&mut broker, "left behind", true),
-    );
-    // Another thread (a blocking forward, say) holds the replica's turn
-    // while the shard submits: the shard's drive finds the turn taken
-    // and the entry stays queued, step after step.
-    let turn = node.lane.hold_turn();
-    for _ in 0..3 {
-        front.step();
-    }
-    assert_eq!(node.lane.queued(), 1);
-    assert_eq!(front.state_count(ConnState::AwaitingEnclave), 1);
-    // The holder leaves without carrying it. The shard's next step
-    // drives the lane again and flushes the answer.
-    drop(turn);
-    front.step();
-    let mut decoder = FrameDecoder::new();
-    decoder.read_from(&stream, 4096).unwrap();
-    let frame = decoder.next_frame().unwrap().expect("answered in one step");
-    let (status, payload) = decode_conn_reply(frame).unwrap();
-    assert_eq!(status, ConnStatus::Ok);
-    broker.open_results(payload).unwrap();
-}
-
 /// Attaches a broker session out-of-band (the way [`FramedClient`]
 /// does) so tests can drive raw framed connections.
 fn attach(cluster: &Cluster, seed: u64) -> Broker {

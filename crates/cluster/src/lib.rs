@@ -20,10 +20,11 @@
 //!   in-flight requests ([`client::ClusterClient`]);
 //! * **the data plane locks per replica** — routing clones the current
 //!   membership and ring snapshots out of one `RwLock<Arc<_>>` each
-//!   (a read guard held for one `Arc` clone); requests to one replica
-//!   queue on its lane ([`router`]), whose per-replica turn carries what
-//!   is queued into one `proxy_batch` ecall, and every submitter drives
-//!   its own replica's lane until its entry is delivered.
+//!   (a read guard held for one `Arc` clone); admission is one atomic on
+//!   the target replica, and each request then enters that replica's
+//!   enclave on its caller's thread in one `request` ecall
+//!   ([`fleet::Cluster::forward`]) — the paper's shape, several threads
+//!   inside one enclave.
 //!
 //! # Example
 //!
@@ -69,7 +70,6 @@ mod obs;
 pub mod placement;
 pub mod registry;
 pub mod resilience;
-pub mod router;
 
 pub use client::{ClusterClient, SearchOutcome};
 pub use error::ClusterError;
@@ -80,7 +80,6 @@ pub use front::{
 };
 pub use registry::{RegistrySnapshot, ReplicaId, ReplicaRegistry};
 pub use resilience::{BreakerState, CircuitBreaker, ResilienceConfig};
-pub use router::{LaneStats, RequestSlot};
 // Re-exported so chaos harnesses can build fault plans without a direct
 // net-sim dependency.
 pub use xsearch_net_sim::fault::{CrashEvent, FaultPlan, FaultSpec, SocketFault, SocketSpec};
@@ -501,38 +500,27 @@ mod tests {
 
     #[test]
     fn panicking_seal_closure_drains_admission() {
-        // The seal closure runs between admission and enqueue; if it
+        // The seal closure runs between admission and the ecall; if it
         // unwinds, the admitted slot must drain (AdmitGuard) or the
         // bounded queue would shrink forever.
         let cluster = bounded_cluster(1, 1);
         let id = ReplicaId(0);
-        let slot = RequestSlot::new();
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = cluster.forward(id, true, &slot, || panic!("seal bug"));
+            let _ = cluster.forward(id, true, || panic!("seal bug"));
         }));
         assert!(unwound.is_err());
         assert_eq!(queue(&cluster, id, "inflight"), 0.0);
         assert!(cluster.with_replica(id, |_| ()).is_ok());
     }
 
-    /// Two drivers, one admission sequence: every refusal reads the same
-    /// through the blocking [`Cluster::forward`] and a bare
-    /// [`Cluster::submit`] (what a front step calls) — same error, `seal`
-    /// never invoked, no admission left claimed, same flight events.
+    /// The refusal order of [`Cluster::forward`]: not routable, enclave
+    /// down, the fault timeline and the link, then admission — each
+    /// refusal comes back typed, with `seal` never invoked, no admission
+    /// left claimed and only the expected flight events.
     #[test]
-    fn two_drivers_one_admission_sequence() {
+    fn every_refusal_comes_before_the_seal() {
         use ClusterError::{LinkLoss, NotRoutable, Overloaded, ReplicaDown};
-        type Seal<'a> = &'a mut dyn FnMut() -> ([u8; 32], Vec<u8>);
-        type Driver = fn(&Cluster, &Arc<RequestSlot>, Seal<'_>) -> Result<(), ClusterError>;
         const ID: ReplicaId = ReplicaId(0);
-        let drivers: [(&str, Driver); 2] = [
-            ("forward", |c, slot, seal| {
-                c.forward(ID, true, slot, seal).map(|_| ())
-            }),
-            ("submit", |c, slot, seal| {
-                c.submit(ID, true, slot, seal).map(|_| ())
-            }),
-        ];
         let faulted = |spec: FaultSpec| {
             let faults = Some(Arc::new(FaultPlan::new(spec, 7, 1)));
             let config = ClusterConfig {
@@ -554,7 +542,7 @@ mod tests {
             partitions: vec![(0, 1_000)],
             ..Default::default()
         });
-        // The full fleet's one queue slot is held while the drivers run.
+        // The full fleet's one queue slot is held while forward runs.
         let full = bounded_cluster(1, 1);
         let shed = [FlightEvent::Shed { replica: 0 }];
         let cases: [(&str, Cluster, ClusterError, &[FlightEvent]); 5] = [
@@ -570,98 +558,45 @@ mod tests {
             if occupy {
                 assert!(node.try_enter(1));
             }
-            for (driver, run) in drivers {
-                let slot = RequestSlot::new();
-                let recorded = cluster.flight().total();
-                let mut sealed = false;
-                let result = run(&cluster, &slot, &mut || {
-                    sealed = true;
-                    ([0x42; 32], vec![1, 2, 3])
-                });
-                assert_eq!(result, Err(refusal.clone()), "{case} via {driver}");
-                assert!(!sealed, "{case} via {driver}: a refusal must never seal");
-                let new_events: Vec<FlightEvent> = cluster
-                    .flight()
-                    .events()
-                    .into_iter()
-                    .filter(|&(seq, _)| seq >= recorded)
-                    .map(|(_, event)| event)
-                    .collect();
-                assert_eq!(new_events, events, "{case} via {driver}");
-            }
+            let recorded = cluster.flight().total();
+            let mut sealed = false;
+            let result = cluster.forward(ID, true, || {
+                sealed = true;
+                ([0x42; 32], vec![1, 2, 3])
+            });
+            assert_eq!(result.map(|_| ()), Err(refusal.clone()), "{case}");
+            assert!(!sealed, "{case}: a refusal must never seal");
+            let new_events: Vec<FlightEvent> = cluster
+                .flight()
+                .events()
+                .into_iter()
+                .filter(|&(seq, _)| seq >= recorded)
+                .map(|(_, event)| event)
+                .collect();
+            assert_eq!(new_events, events, "{case}");
             if occupy {
                 node.exit();
             }
             assert_eq!(queue(&cluster, ID, "inflight"), 0.0, "{case} leaked");
         }
-        // A seal closure that unwinds after admission drains the slot
-        // under either driver.
-        let cluster = bounded_cluster(1, 1);
-        for (driver, run) in drivers {
-            let slot = RequestSlot::new();
-            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = run(&cluster, &slot, &mut || panic!("seal bug"));
-            }));
-            assert!(unwound.is_err(), "{driver}");
-            assert_eq!(queue(&cluster, ID, "inflight"), 0.0, "{driver} leaked");
-            assert!(cluster.with_replica(ID, |_| ()).is_ok(), "{driver}");
-        }
     }
 
     #[test]
     fn a_failed_delivery_releases_admission_without_counting_a_forward() {
-        // An entry the enclave rejects (no session behind the key) comes
-        // back as a delivered error. Under either driver the admission
-        // it held is released, and neither the forwards counter nor the
-        // forward span moves.
+        // A request the enclave rejects (no session behind the key)
+        // comes back as its error. The admission it held is released,
+        // and neither the forwards counter nor the forward span moves.
         let cluster = bounded_cluster(1, 1);
         let id = ReplicaId(0);
-        let slot = RequestSlot::new();
-        let bogus = || ([0x42u8; 32], vec![1, 2, 3]);
-        let blocking = cluster.forward(id, false, &slot, bogus);
-        assert!(matches!(blocking, Err(ClusterError::Proxy(_))));
-        // The non-blocking protocol, step by step: the slot stays
-        // claimed from submit until finish.
-        let charge = cluster.submit(id, false, &slot, bogus).unwrap();
-        assert_eq!(queue(&cluster, id, "inflight"), 1.0);
-        cluster.drive_lane(id);
-        let delivery = slot.take().expect("the lane was driven");
-        assert!(matches!(delivery, Err(ClusterError::Proxy(_))));
-        cluster.finish(id, delivery.is_ok(), charge);
+        let refused = cluster.forward(id, false, || ([0x42u8; 32], vec![1, 2, 3]));
+        assert!(matches!(refused, Err(ClusterError::Proxy(_))));
         assert_eq!(queue(&cluster, id, "inflight"), 0.0);
         assert_eq!(cluster.metrics.forwards.value(), 0);
         assert_eq!(cluster.metrics.span_forward.count(), 0);
     }
 
     #[test]
-    fn a_waiter_whose_entry_the_turn_holder_carried_runs_no_batch() {
-        let cluster = small_cluster(1);
-        let id = ReplicaId(0);
-        let node = Arc::clone(cluster.node(id).unwrap());
-        let mut client = ClusterClient::attach(&cluster, 21).unwrap();
-        let batches = || {
-            let snap = cluster.telemetry().snapshot();
-            snap.value("xsearch_lane_batches", &[]).unwrap()
-        };
-        let turn = node.lane.hold_turn();
-        std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| client.search_echo(&cluster, "carried"));
-            while node.lane.queued() == 0 {
-                std::thread::yield_now();
-            }
-            // The holder carries the waiter's entry, then frees the turn.
-            let mut execute = |batch| cluster.execute_batch(id, &node, batch);
-            assert!(node.lane.run_batch(&mut execute));
-            let carried = batches();
-            drop(turn);
-            assert!(waiter.join().unwrap().is_ok());
-            assert_eq!(batches(), carried, "the waiter found its entry delivered");
-        });
-        assert_eq!(cluster.batch_stats().entries, 1);
-    }
-
-    #[test]
-    fn concurrent_requests_coalesce_and_none_are_lost() {
+    fn concurrent_requests_enter_one_enclave_and_none_are_lost() {
         let cluster = Arc::new(small_cluster(1));
         std::thread::scope(|scope| {
             for t in 0..4u64 {
@@ -674,14 +609,12 @@ mod tests {
                 });
             }
         });
-        let stats = cluster.batch_stats();
-        // Conservation: every forwarded request crossed in exactly one
-        // batch entry (attaches take the control-plane path and are not
-        // counted).
-        assert_eq!(stats.entries, 100);
-        assert!(stats.batches >= 1 && stats.batches <= stats.entries);
-        assert!(stats.max_batch as usize <= 64);
-        assert!(stats.mean_batch() >= 1.0);
+        // Conservation: every request was served exactly once, and each
+        // one landed in the replica's window.
+        assert_eq!(cluster.metrics.forwards.value(), 100);
+        let len =
+            cluster.with_replica(ReplicaId(0), xsearch_core::proxy::XSearchProxy::history_len);
+        assert_eq!(len.unwrap(), 100);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 
 use crate::registry::ReplicaId;
 use crate::resilience::CircuitBreaker;
-use crate::router::Lane;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -40,8 +39,6 @@ pub struct ReplicaNode {
     /// assignment and append are one step and segments are stored in
     /// version order whichever ingress came due.
     sealed: Mutex<SealedLog>,
-    /// The coalescing lane requests to this replica queue on.
-    pub(crate) lane: Lane,
     /// Routing shifts away from a replica whose breaker is open before
     /// the health sweep declares it dead (brown-out, not crash, handling).
     pub(crate) breaker: CircuitBreaker,
@@ -117,7 +114,6 @@ impl ReplicaNode {
             proxy: RwLock::new(Some(proxy)),
             vault,
             sealed: Mutex::new(SealedLog::default()),
-            lane: Lane::default(),
             breaker: CircuitBreaker::default(),
             rng: Mutex::new(StdRng::seed_from_u64(host_seed ^ 0xA5A5_5A5A)),
             hop_table,
@@ -135,7 +131,7 @@ impl ReplicaNode {
 
     /// Registers the snapshot-time poll collectors: every pre-existing
     /// hot-path atomic (queue depths, shed counts, hop/fault accounting,
-    /// lane coalescing, breaker trips) is read at snapshot time through a
+    /// breaker trips) is read at snapshot time through a
     /// cloned `Arc` — the instrumented request path pays nothing for any
     /// of these, and none enters an enclave (the engine-delay reading is
     /// the proxy's host-side uplink accounting).
@@ -171,7 +167,7 @@ impl ReplicaNode {
             }
         }
         // Fleet-wide: the per-node readings summed, then scaled.
-        let fleet_wide: [(&str, &str, Read, f64); 6] = [
+        let fleet_wide: [(&str, &str, Read, f64); 4] = [
             (
                 "xsearch_fleet_hop_delay_us",
                 "Accounted router-replica hop delay, microseconds",
@@ -193,18 +189,6 @@ impl ReplicaNode {
                         us.min(u128::from(u64::MAX)) as u64
                     })
                 },
-                1.0,
-            ),
-            (
-                "xsearch_lane_batches",
-                "Coalesced proxy_batch ecalls issued by the lanes",
-                |n| n.lane.stats().batches,
-                1.0,
-            ),
-            (
-                "xsearch_lane_entries",
-                "Requests carried inside coalesced ecalls",
-                |n| n.lane.stats().entries,
                 1.0,
             ),
             (

@@ -5,7 +5,7 @@
 //! [`crate::fleet::Cluster::launch`], so the data plane records with the
 //! registry's two-relaxed-atomics fast path and never takes a
 //! registration lock mid-request. Slow-moving state (queue depths,
-//! breaker trips, lane coalescing, accounted delays) is exposed through
+//! breaker trips, accounted delays) is exposed through
 //! poll collectors that read the *existing* hot-path atomics at snapshot
 //! time. Per-replica queue counters, sweep coalescing, the client policy
 //! stack's counters and the front tier's all surface in the one
@@ -34,8 +34,8 @@ pub(crate) struct FleetMetrics {
     pub client_deadline_misses: Counter,
     /// Forward attempts dropped on the link, retried on-session.
     pub client_link_losses: Counter,
-    /// Span: modeled charge of one data-plane forward (router lane +
-    /// accounted hop + injected fault), in microseconds.
+    /// Span: modeled charge of one data-plane forward (accounted hop +
+    /// injected fault), in microseconds.
     pub span_forward: Histogram,
     /// Span: backoff charged against deadline budgets, in microseconds.
     pub span_backoff: Histogram,

@@ -141,7 +141,7 @@ fn churn_under_open_loop_load_preserves_windows_and_decryption() {
 /// transcript (same per-request results, same churn events), lose zero
 /// requests, and end with every query intact in the fleet-union window.
 /// Any nondeterminism smuggled into the data plane by the lock-free
-/// refactor — snapshot races, lane coalescing leaking into results,
+/// refactor — snapshot races, concurrent requests leaking into results,
 /// hop-table accounting feeding back into routing — would break the
 /// byte-for-byte transcript equality.
 #[test]

@@ -9,19 +9,23 @@
 //! same deterministic state. Driving both with the same broker seeds and
 //! the same request sequence must then produce identical bytes on the
 //! wire at every step: sealed queries, responses, and per-entry errors.
-//! Any divergence means the cluster tier (snapshots, lanes, batching)
-//! changed what the enclave sees — exactly the regression this harness
-//! exists to catch.
+//! Any divergence means the cluster tier (snapshots, admission, the
+//! sealing cadence) changed what the enclave sees — exactly the
+//! regression this harness exists to catch.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::sync::{Arc, OnceLock};
-use xsearch_cluster::{Cluster, ClusterConfig, ClusterError, ReplicaId, RequestSlot};
+use xsearch_cluster::{Cluster, ClusterConfig, ClusterError, ReplicaId};
 use xsearch_core::broker::Broker;
 use xsearch_core::config::XSearchConfig;
+use xsearch_core::persistence::HistoryVault;
 use xsearch_core::proxy::XSearchProxy;
 use xsearch_engine::corpus::CorpusConfig;
 use xsearch_engine::engine::SearchEngine;
 use xsearch_sgx_sim::attestation::AttestationService;
+use xsearch_sgx_sim::sealed::SealingPlatform;
 
 const FLEET_SEED: u64 = 0xD1FF;
 const R0: ReplicaId = ReplicaId(0);
@@ -75,7 +79,6 @@ fn twins() -> Twins {
 struct BrokerPair {
     cluster_side: Broker,
     direct_side: Broker,
-    slot: Arc<RequestSlot>,
     seed: u64,
     handshakes: u64,
 }
@@ -98,7 +101,6 @@ impl BrokerPair {
         BrokerPair {
             cluster_side,
             direct_side,
-            slot: RequestSlot::new(),
             seed,
             handshakes: 1,
         }
@@ -140,7 +142,7 @@ impl BrokerPair {
         let pk = *self.cluster_side.client_pub().as_bytes();
         let (resp_cluster, _charge) = t
             .cluster
-            .forward(R0, echo, &self.slot, move || (pk, ct_cluster))
+            .forward(R0, echo, move || (pk, ct_cluster))
             .expect("healthy cluster forward");
         let resp_direct = if echo {
             t.direct.request_echo(&pk, &ct_direct)
@@ -171,7 +173,7 @@ impl BrokerPair {
         let pk = *self.cluster_side.client_pub().as_bytes();
         let err_cluster = t
             .cluster
-            .forward(R0, echo, &self.slot, move || (pk, ct_cluster))
+            .forward(R0, echo, move || (pk, ct_cluster))
             .expect_err("tampered entry must fail");
         let err_direct = if echo {
             t.direct.request_echo(&pk, &ct_direct)
@@ -193,10 +195,9 @@ fn unknown_session_fails_identically_on_both_paths() {
     let t = twins();
     let bogus_pk = [0x42u8; 32];
     let junk = vec![1u8, 2, 3, 4];
-    let slot = RequestSlot::new();
     let err_cluster = t
         .cluster
-        .forward(R0, false, &slot, || (bogus_pk, junk.clone()))
+        .forward(R0, false, || (bogus_pk, junk.clone()))
         .expect_err("no session for a bogus key");
     let err_direct = t
         .direct
@@ -235,23 +236,37 @@ proptest! {
         }
         // The enclaves end the run in identical externally visible
         // state: the same history window on both sides.
-        let cluster_window = t
-            .cluster
-            .with_replica(R0, XSearchProxy::history_snapshot)
-            .unwrap();
-        prop_assert_eq!(cluster_window, t.direct.history_snapshot());
+        let cluster_window = t.cluster.with_replica(R0, sealed_window).unwrap();
+        prop_assert_eq!(cluster_window, sealed_window(&t.direct));
     }
 }
 
+/// A window as production ecalls show it: `history_len`, and the whole
+/// window sealed by `seal_history` as a chain start under a fresh vault
+/// (one fixed platform, this enclave code) with a fixed nonce stream. A
+/// fresh vault's counter matches no earlier seal of either twin, so the
+/// segment carries every entry oldest first: two windows give equal
+/// bytes exactly when they hold the same queries in the same order.
+fn sealed_window(proxy: &XSearchProxy) -> (usize, Option<Vec<u8>>) {
+    let vault = HistoryVault::new(
+        SealingPlatform::from_seed(FLEET_SEED),
+        proxy.expected_measurement(),
+    );
+    let segment = proxy.seal_history_snapshot(&vault, &mut StdRng::seed_from_u64(FLEET_SEED));
+    (
+        proxy.history_len(),
+        segment.map(|segment| segment.as_bytes().to_vec()),
+    )
+}
+
 #[test]
-fn concurrently_coalesced_requests_match_direct_bytes_per_entry() {
+fn concurrent_requests_match_direct_bytes_per_entry() {
     // Echo-mode response bytes depend only on the per-session channel
-    // (keys + strict counters), never on what else rode in the batch —
-    // so even when the lane coalesces entries from many threads in
+    // (keys + strict counters), never on what else is inside the enclave
+    // at the same time — so even when six threads enter it in
     // nondeterministic order, every single response must equal the twin
-    // proxy's. One thread injects tampered entries to prove per-entry
-    // failure isolation inside coalesced batches: its neighbours' bytes
-    // still match.
+    // proxy's. One thread injects tampered entries to prove per-request
+    // failure isolation: its neighbours' bytes still match.
     let t = Arc::new(twins());
     std::thread::scope(|scope| {
         for w in 0..6u64 {
@@ -268,10 +283,11 @@ fn concurrently_coalesced_requests_match_direct_bytes_per_entry() {
             });
         }
     });
-    let stats = t.cluster.batch_stats();
-    assert_eq!(
-        stats.entries, 180,
-        "every request crossed the data plane ({} batches)",
-        stats.batches
-    );
+    // Every request crossed the data plane, the six tampered ones
+    // refused, and both windows hold the 174 served queries.
+    let snap = t.cluster.telemetry().snapshot();
+    assert_eq!(snap.value("xsearch_fleet_forwards_total", &[]), Some(174.0));
+    let cluster_len = t.cluster.with_replica(R0, XSearchProxy::history_len);
+    assert_eq!(cluster_len.unwrap(), 174);
+    assert_eq!(t.direct.history_len(), 174);
 }

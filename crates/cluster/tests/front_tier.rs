@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use xsearch_cluster::{
     Cluster, ClusterClient, ClusterConfig, ConnState, FaultPlan, FaultSpec, FramedClient,
-    FrontConfig, FrontTier,
+    FrontConfig, FrontTier, ReplicaId,
 };
 use xsearch_core::config::XSearchConfig;
 use xsearch_core::wire::{decode_conn_reply, encode_conn_request_into, ConnStatus};
@@ -120,6 +120,65 @@ fn single_shard_replay_is_byte_identical() {
         let (status, _) = decode_conn_reply(reply).unwrap();
         assert_eq!(status, ConnStatus::Ok);
     }
+}
+
+/// The paper's shape (§5.3.3): every served request is exactly one
+/// `request` ecall, whatever the door — a blocking [`ClusterClient`], or
+/// the front serving four framed sessions in flight in one step.
+#[test]
+fn every_served_request_is_one_request_ecall_whatever_the_door() {
+    let engine = Arc::new(SearchEngine::build(&CorpusConfig {
+        docs_per_topic: 5,
+        ..Default::default()
+    }));
+    // No sealing cadence: the requests are the only ecalls left.
+    let cluster = Arc::new(Cluster::launch(
+        engine,
+        ClusterConfig {
+            replicas: 1,
+            seal_every: usize::MAX,
+            proxy: XSearchConfig {
+                k: 2,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    ));
+    let ecalls = || {
+        cluster
+            .with_replica(ReplicaId(0), |proxy| proxy.boundary().ecalls())
+            .unwrap()
+    };
+
+    let mut client = ClusterClient::attach(&cluster, 1).unwrap();
+    let before = ecalls();
+    for i in 0..8 {
+        client
+            .search_echo(&cluster, &format!("blocking {i}"))
+            .unwrap();
+    }
+    assert_eq!(ecalls() - before, 8, "blocking door");
+
+    let front = FrontTier::new(&cluster, FrontConfig::default());
+    let mut sessions: Vec<RawSession> = (0..4)
+        .map(|i| RawSession::open(&cluster, &front, 100 + i))
+        .collect();
+    front.step();
+    assert_eq!(front.connections(), 4);
+    let before = ecalls();
+    for (i, session) in sessions.iter_mut().enumerate() {
+        session.send(&front, &format!("framed {i}"));
+    }
+    // One step decodes all four frames and answers every one of them.
+    front.step();
+    for session in &mut sessions {
+        session.decoder.read_from(&session.stream, 4096).unwrap();
+        let frame = session.decoder.next_frame().unwrap().expect("answered");
+        let (status, payload) = decode_conn_reply(frame).unwrap();
+        assert_eq!(status, ConnStatus::Ok);
+        session.broker.open_results(payload).unwrap();
+    }
+    assert_eq!(ecalls() - before, 4, "framed door");
 }
 
 /// Connect/disconnect churn: waves of short-lived framed clients beside
@@ -318,12 +377,9 @@ fn exported_series_names_and_labels_are_stable() {
         "xsearch_fleet_hop_delay_us{}",
         "xsearch_fleet_fault_delay_us{}",
         "xsearch_fleet_engine_delay_us{}",
-        "xsearch_lane_batches{}",
-        "xsearch_lane_entries{}",
         "xsearch_breaker_trips{}",
         "xsearch_front_connections{state=idle}",
         "xsearch_front_connections{state=reading}",
-        "xsearch_front_connections{state=awaiting_enclave}",
         "xsearch_front_connections{state=writing}",
         "xsearch_front_frames_total{direction=in}",
         "xsearch_front_frames_total{direction=out}",

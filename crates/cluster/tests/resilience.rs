@@ -19,7 +19,6 @@ use std::time::Duration;
 use xsearch_cluster::resilience::{BreakerState, ResilienceConfig};
 use xsearch_cluster::{
     Cluster, ClusterClient, ClusterConfig, ClusterError, FaultPlan, FaultSpec, ReplicaId,
-    RequestSlot,
 };
 use xsearch_core::config::XSearchConfig;
 use xsearch_core::proxy::XSearchProxy;
@@ -136,12 +135,11 @@ proptest! {
             fault_seed,
             ResilienceConfig::default(),
         );
-        let slot = RequestSlot::new();
         let mut sealed = 0u32;
         let mut dropped = 0u32;
         let mut delivered = 0u32;
         for _ in 0..40 {
-            let result = cluster.forward(ReplicaId(0), true, &slot, || {
+            let result = cluster.forward(ReplicaId(0), true, || {
                 sealed += 1;
                 // A bogus frame: enough to cross the wire; the proxy
                 // rejects it, which still counts as "was sealed & sent".
@@ -168,13 +166,12 @@ fn overloaded_request_is_never_sealed() {
         },
     );
     let id = ReplicaId(0);
-    let slot = RequestSlot::new();
     let mut sealed = false;
     // Fill the only admission slot, then forward: the shed request's
     // seal closure must never run.
     let result = cluster
         .with_replica(id, |_| {
-            cluster.forward(id, true, &slot, || {
+            cluster.forward(id, true, || {
                 sealed = true;
                 ([0x42u8; 32], vec![1, 2, 3])
             })

@@ -149,9 +149,10 @@ impl Broker {
         decode_results(&self.scratch)
     }
 
-    /// Seals one query for the tunnel without sending it — callers that
-    /// aggregate several clients' requests into one `proxy_batch` ecall
-    /// collect these ciphertexts first. Sealing advances this session's
+    /// Seals one query for the tunnel without sending it — a caller that
+    /// hands the ciphertext to another door (the fleet's
+    /// `Cluster::forward`, a framed connection) seals with this. Sealing
+    /// advances this session's
     /// nonce counter, so the responses must be opened in the same order
     /// the queries were sealed.
     #[must_use]

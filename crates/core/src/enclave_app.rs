@@ -32,9 +32,7 @@ use crate::obfuscate::{obfuscate, ObfuscatedQuery};
 use crate::persistence::{HistoryVault, SealCursor, SealedSegment};
 use crate::redirect::strip_all;
 use crate::session::{channel_binding, SecureChannel, Side};
-use crate::wire::{
-    decode_request_batch, encode_response_batch, encode_results_into, encoded_len, QueryBatch,
-};
+use crate::wire::{encode_results_into, encoded_len, QueryBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -43,7 +41,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use xsearch_crypto::x25519::{PublicKey, StaticSecret};
 use xsearch_engine::engine::SearchResult;
 use xsearch_sgx_sim::boundary::OcallPort;
-use xsearch_sgx_sim::cost::CostModel;
 use xsearch_sgx_sim::epc::EpcGauge;
 use xsearch_telemetry::EnclaveScope;
 
@@ -139,20 +136,15 @@ impl EnclaveState {
     /// history table against the enclave's EPC gauge. `config.k` is fixed
     /// from here on: every request carries exactly that many fakes (fewer
     /// only while the window itself holds fewer), whatever the host's load.
-    #[must_use]
-    pub fn init(config: XSearchConfig, epc: &Arc<EpcGauge>, cost: &CostModel) -> Self {
-        Self::init_instrumented(config, epc, cost, None)
-    }
-
-    /// The `init` ecall with a telemetry [`EnclaveScope`] attached. The
-    /// scope is built *outside* the enclave at launch, from handles
-    /// pre-registered on the host registry; handing it in here is the
-    /// one and only point telemetry crosses the trust boundary.
+    ///
+    /// The telemetry [`EnclaveScope`], if any, is built *outside* the
+    /// enclave at launch, from handles pre-registered on the host
+    /// registry; handing it in here is the one and only point telemetry
+    /// crosses the trust boundary.
     #[must_use]
     pub fn init_instrumented(
         config: XSearchConfig,
         epc: &Arc<EpcGauge>,
-        _cost: &CostModel,
         scope: Option<EnclaveScope>,
     ) -> Self {
         let mut rng = StdRng::seed_from_u64(config.seed);
@@ -392,42 +384,6 @@ impl EnclaveState {
         Ok(response)
     }
 
-    /// The `proxy_batch` ecall: serves every entry of a length-prefixed
-    /// request batch (see [`crate::wire::encode_request_batch`]) through
-    /// the same per-request path as [`EnclaveState::request`], and
-    /// returns the encoded per-entry outcomes. One enclave transition
-    /// carries the whole batch, amortizing the crossing the way the
-    /// batched `seed` ecall amortizes history warm-up; entries fail
-    /// independently (one broken session cannot poison its neighbours).
-    ///
-    /// `fetch` is invoked once per entry, between that entry's `send` and
-    /// `recv` ocalls.
-    ///
-    /// # Errors
-    ///
-    /// [`XSearchError::Protocol`] when the batch envelope itself is
-    /// malformed; per-entry failures are reported inside the encoded
-    /// response instead.
-    pub fn request_batch<F>(
-        &self,
-        payload: &[u8],
-        port: &OcallPort,
-        fetch: F,
-    ) -> Result<Vec<u8>, XSearchError>
-    where
-        F: Fn(&[&str], usize) -> Vec<SearchResult>,
-    {
-        let requests = decode_request_batch(payload)?;
-        if let Some(scope) = &self.scope {
-            scope.batch_served(requests.len() as u64);
-        }
-        let responses: Vec<Result<Vec<u8>, XSearchError>> = requests
-            .iter()
-            .map(|(client_pub, ciphertext)| self.request(client_pub, ciphertext, port, &fetch))
-            .collect();
-        Ok(encode_response_batch(&responses))
-    }
-
     fn fetch_via_ocalls<F>(
         &self,
         obfuscated: &ObfuscatedQuery,
@@ -460,18 +416,19 @@ impl EnclaveState {
 mod tests {
     use super::*;
     use xsearch_sgx_sim::boundary::BoundaryStats;
+    use xsearch_sgx_sim::cost::CostModel;
     use xsearch_sgx_sim::epc::EpcGauge;
 
     fn state(k: usize) -> EnclaveState {
         let epc = EpcGauge::with_limit(1 << 30);
-        EnclaveState::init(
+        EnclaveState::init_instrumented(
             XSearchConfig {
                 k,
                 history_capacity: 100,
                 ..Default::default()
             },
             &epc,
-            &CostModel::default(),
+            None,
         )
     }
 

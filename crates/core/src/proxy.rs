@@ -51,6 +51,8 @@ pub struct HandshakeResponse {
 /// service-time draws combine per lane.
 pub struct XSearchProxy {
     enclave: Enclave<EnclaveState>,
+    /// The enclave's channel identity key, as `init` produced it.
+    identity_pub: PublicKey,
     service: EngineService,
     /// Chaos hook: when installed, every request-path response consults
     /// the injector for a gray-failure / corruption decision at the
@@ -110,11 +112,16 @@ impl XSearchProxy {
         // it receives this scope of pre-registered numeric-only handles,
         // built out here before the enclave exists.
         let scope = EnclaveScope::register(&registry);
+        // `init` hands the host the one thing it produces for the
+        // outside: the identity public key enrollment quotes bind.
+        let mut identity_pub = PublicKey([0; 32]);
         let enclave = EnclaveBuilder::new("xsearch-proxy")
             .with_code(ENCLAVE_CODE_V1)
             .with_provisioning_key(ias.provisioning_key())
-            .build_with(|epc, cost| {
-                EnclaveState::init_instrumented(config, epc, cost, Some(scope))
+            .build_with(|epc| {
+                let state = EnclaveState::init_instrumented(config, epc, Some(scope));
+                identity_pub = state.identity_pub();
+                state
             });
         // Host-side collectors: read existing accounting atomics at
         // snapshot time, so the instrumented request path pays nothing.
@@ -154,6 +161,7 @@ impl XSearchProxy {
         );
         XSearchProxy {
             enclave,
+            identity_pub,
             service,
             fault: None,
             registry,
@@ -216,17 +224,6 @@ impl XSearchProxy {
         })
     }
 
-    /// Fetches the enclave's channel identity key (the `identity` ecall).
-    fn identity_pub(&self) -> Result<PublicKey, XSearchError> {
-        let enclave_pub = self.enclave.ecall_shared("identity", &[], |state, _, _| {
-            state.identity_pub().as_bytes().to_vec()
-        })?;
-        let enclave_pub: [u8; 32] = enclave_pub
-            .try_into()
-            .map_err(|_| XSearchError::Protocol("bad identity key length".into()))?;
-        Ok(PublicKey(enclave_pub))
-    }
-
     /// Produces this replica's registry-enrollment credentials: its
     /// channel identity key plus a quote binding that key to the fleet
     /// registry's challenge `nonce`
@@ -239,11 +236,10 @@ impl XSearchProxy {
     ///
     /// [`XSearchError::Sgx`] when the platform holds no quoting key.
     pub fn enrollment_quote(&self, nonce: &[u8; 32]) -> Result<(PublicKey, Quote), XSearchError> {
-        let identity = self.identity_pub()?;
         let quote = self
             .enclave
-            .quote(&registration_binding(&identity, nonce))?;
-        Ok((identity, quote))
+            .quote(&registration_binding(&self.identity_pub, nonce))?;
+        Ok((self.identity_pub, quote))
     }
 
     /// Seals what landed in the in-enclave history since the previous
@@ -283,68 +279,6 @@ impl XSearchProxy {
         self.request_with(client_pub, ciphertext, |subqueries, k_each| {
             self.service.search_merged(subqueries, k_each).0
         })
-    }
-
-    /// Serves a whole batch of encrypted requests in **one** `proxy_batch`
-    /// ecall (each entry still performs its own ocall sequence toward the
-    /// engine). Entries fail independently; the outer `Result` only
-    /// covers the batch envelope itself.
-    ///
-    /// With `echo` set this is the batch form of
-    /// [`XSearchProxy::request_echo`]: full per-entry
-    /// crypto/obfuscation/filtering work, no engine round trips.
-    ///
-    /// The batch is taken as `(&client_pub, &ciphertext)` references so a
-    /// router that coalesces requests owned by many client threads can put
-    /// them on the wire without first copying them into owned tuples.
-    ///
-    /// # Errors
-    ///
-    /// [`XSearchError::Protocol`] for a malformed batch envelope;
-    /// per-entry errors are returned inside the vector.
-    pub fn request_batch<'a>(
-        &self,
-        echo: bool,
-        requests: impl IntoIterator<Item = (&'a [u8; 32], &'a [u8])>,
-    ) -> Result<Vec<Result<Vec<u8>, XSearchError>>, XSearchError> {
-        // Two closures, not one that tests `echo`: the in-enclave batch
-        // loop is instantiated per fetch, and the echo instance loses the
-        // engine path altogether (≈ 2 % of `front_echo` throughput).
-        if echo {
-            self.enclave_request_batch(requests, |_, _| Vec::new())
-        } else {
-            self.enclave_request_batch(requests, |subqueries, k_each| {
-                self.service.search_merged(subqueries, k_each).0
-            })
-        }
-    }
-
-    fn enclave_request_batch<'a>(
-        &self,
-        requests: impl IntoIterator<Item = (&'a [u8; 32], &'a [u8])>,
-        fetch: impl Fn(&[&str], usize) -> Vec<xsearch_engine::engine::SearchResult>,
-    ) -> Result<Vec<Result<Vec<u8>, XSearchError>>, XSearchError> {
-        let payload = crate::wire::encode_request_batch(requests);
-        let mut envelope: Result<(), XSearchError> = Ok(());
-        let encoded =
-            self.enclave
-                .ecall_shared("proxy_batch", &payload, |state, input, port| {
-                    match state.request_batch(input, port, &fetch) {
-                        Ok(encoded) => encoded,
-                        Err(e) => {
-                            envelope = Err(e);
-                            Vec::new()
-                        }
-                    }
-                })?;
-        envelope?;
-        let mut responses = crate::wire::decode_response_batch(&encoded)?;
-        if self.fault.is_some() {
-            for response in &mut responses {
-                self.inject_fault(response);
-            }
-        }
-        Ok(responses)
     }
 
     /// Applies one ecall-boundary fault decision to a response in place.
@@ -635,11 +569,6 @@ mod tests {
     use super::*;
     use xsearch_engine::corpus::CorpusConfig;
 
-    /// Owned test requests in the borrowed shape `request_batch` takes.
-    fn by_ref(requests: &[([u8; 32], Vec<u8>)]) -> impl Iterator<Item = (&[u8; 32], &[u8])> {
-        requests.iter().map(|(pk, ct)| (pk, ct.as_slice()))
-    }
-
     fn proxy() -> (XSearchProxy, AttestationService) {
         let ias = AttestationService::from_seed(11);
         let engine = Arc::new(SearchEngine::build(&CorpusConfig {
@@ -848,111 +777,6 @@ mod tests {
             p.adopt_migrated_history(&foreign, &SealedLog::default()),
             Err(XSearchError::Protocol(_))
         ));
-    }
-
-    #[test]
-    fn batch_request_crosses_in_one_ecall_and_matches_individual() {
-        use crate::broker::Broker;
-        // Two identically seeded worlds: one serves requests one ecall
-        // each, the other serves the same requests as a single batch.
-        let (solo, ias_a) = proxy();
-        let (batch, ias_b) = proxy();
-        solo.seed_history(["warm a", "warm b", "warm c"]);
-        batch.seed_history(["warm a", "warm b", "warm c"]);
-        let queries = ["cheap flights", "hotel rome", "cruise deals"];
-
-        let mut solo_brokers: Vec<Broker> = (0..3)
-            .map(|i| Broker::attach(&solo, &ias_a, solo.expected_measurement(), 40 + i).unwrap())
-            .collect();
-        let solo_results: Vec<_> = solo_brokers
-            .iter_mut()
-            .zip(queries)
-            .map(|(b, q)| b.search(&solo, q).unwrap())
-            .collect();
-
-        let mut batch_brokers: Vec<Broker> = (0..3)
-            .map(|i| Broker::attach(&batch, &ias_b, batch.expected_measurement(), 40 + i).unwrap())
-            .collect();
-        let requests: Vec<([u8; 32], Vec<u8>)> = batch_brokers
-            .iter_mut()
-            .zip(queries)
-            .map(|(b, q)| (*b.client_pub().as_bytes(), b.seal_query(q)))
-            .collect();
-        let ecalls_before = batch.boundary().ecalls();
-        let responses = batch.request_batch(false, by_ref(&requests)).unwrap();
-        assert_eq!(
-            batch.boundary().ecalls() - ecalls_before,
-            1,
-            "the whole batch must cross in a single proxy_batch ecall"
-        );
-        let batch_results: Vec<_> = batch_brokers
-            .iter_mut()
-            .zip(&responses)
-            .map(|(b, r)| b.open_results(r.as_ref().unwrap()).unwrap())
-            .collect();
-        assert_eq!(solo_results, batch_results);
-    }
-
-    #[test]
-    fn batch_entries_fail_independently() {
-        use crate::broker::Broker;
-        let (p, ias) = proxy();
-        p.seed_history(["warm a", "warm b"]);
-        let mut broker = Broker::attach(&p, &ias, p.expected_measurement(), 50).unwrap();
-        let good = (
-            *broker.client_pub().as_bytes(),
-            broker.seal_query("flights"),
-        );
-        let unknown = ([9u8; 32], b"junk".to_vec());
-        let mut tampered_broker = Broker::attach(&p, &ias, p.expected_measurement(), 51).unwrap();
-        let mut tampered = (
-            *tampered_broker.client_pub().as_bytes(),
-            tampered_broker.seal_query("secret"),
-        );
-        tampered.1[0] ^= 1;
-
-        let responses = p
-            .request_batch(false, by_ref(&[good, unknown, tampered]))
-            .unwrap();
-        assert!(broker.open_results(responses[0].as_ref().unwrap()).is_ok());
-        assert_eq!(responses[1], Err(XSearchError::UnknownSession));
-        assert!(matches!(responses[2], Err(XSearchError::Crypto(_))));
-    }
-
-    #[test]
-    fn batch_echo_returns_empty_result_lists() {
-        use crate::broker::Broker;
-        let (p, ias) = proxy();
-        p.seed_history(["warm a", "warm b", "warm c"]);
-        let mut brokers: Vec<Broker> = (0..4)
-            .map(|i| Broker::attach(&p, &ias, p.expected_measurement(), 60 + i).unwrap())
-            .collect();
-        let requests: Vec<([u8; 32], Vec<u8>)> = brokers
-            .iter_mut()
-            .enumerate()
-            .map(|(i, b)| (*b.client_pub().as_bytes(), b.seal_query(&format!("q{i}"))))
-            .collect();
-        let responses = p.request_batch(true, by_ref(&requests)).unwrap();
-        for (b, r) in brokers.iter_mut().zip(&responses) {
-            assert!(b.open_results(r.as_ref().unwrap()).unwrap().is_empty());
-        }
-        assert_eq!(p.history_len(), 3 + 4, "every batch entry lands in history");
-    }
-
-    #[test]
-    fn malformed_batch_envelope_is_rejected_whole() {
-        let (p, _) = proxy();
-        let requests = [([1u8; 32], b"ct".to_vec())];
-        let mut payload = crate::wire::encode_request_batch(by_ref(&requests));
-        payload.truncate(payload.len() - 1);
-        // Drive the enclave entry directly with the truncated envelope.
-        let out = p
-            .enclave
-            .ecall_shared("proxy_batch", &payload, |state, input, port| {
-                assert!(state.request_batch(input, port, |_, _| Vec::new()).is_err());
-                Vec::new()
-            });
-        assert!(out.is_ok());
     }
 
     #[test]

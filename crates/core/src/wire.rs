@@ -281,144 +281,6 @@ impl<'a> Iterator for QueryBatchIter<'a> {
 
 impl ExactSizeIterator for QueryBatchIter<'_> {}
 
-/// Per-entry status codes of the `proxy_batch` response encoding. The
-/// enclave reports *that* an entry failed and its coarse class — never
-/// secret-dependent detail (mirrors [`xsearch_crypto::CryptoError`]'s
-/// policy).
-const BATCH_OK: u8 = 0;
-const BATCH_UNKNOWN_SESSION: u8 = 1;
-const BATCH_CRYPTO: u8 = 2;
-const BATCH_PROTOCOL: u8 = 3;
-
-/// Serializes a batch of client requests as
-/// `count ‖ (client_pub ‖ len ‖ ciphertext)*` (u32 LE prefixes) — the
-/// payload of the `proxy_batch` ecall, so N concurrent client requests
-/// cross the trust boundary in **one** enclave transition instead of N.
-#[must_use]
-pub fn encode_request_batch<'a, I>(requests: I) -> Vec<u8>
-where
-    I: IntoIterator<Item = (&'a [u8; 32], &'a [u8])>,
-{
-    let mut body = Vec::new();
-    let mut count: u32 = 0;
-    for (client_pub, ciphertext) in requests {
-        body.extend_from_slice(client_pub);
-        body.extend_from_slice(&(ciphertext.len() as u32).to_le_bytes());
-        body.extend_from_slice(ciphertext);
-        count += 1;
-    }
-    let mut out = Vec::with_capacity(4 + body.len());
-    out.extend_from_slice(&count.to_le_bytes());
-    out.extend_from_slice(&body);
-    out
-}
-
-/// One decoded `proxy_batch` request entry: the client's session key and
-/// its borrowed query ciphertext.
-pub type BatchRequest<'a> = ([u8; 32], &'a [u8]);
-
-/// Parses a request batch, borrowing each ciphertext from the payload.
-///
-/// # Errors
-///
-/// [`XSearchError::Protocol`] on truncation.
-pub fn decode_request_batch(bytes: &[u8]) -> Result<Vec<BatchRequest<'_>>, XSearchError> {
-    let truncated = || XSearchError::Protocol("truncated request batch".into());
-    let count_bytes: [u8; 4] = bytes.get(..4).ok_or_else(truncated)?.try_into().expect("4");
-    let count = u32::from_le_bytes(count_bytes) as usize;
-    let mut requests = Vec::with_capacity(count.min(bytes.len() / 36));
-    let mut offset = 4;
-    for _ in 0..count {
-        let client_pub: [u8; 32] = bytes
-            .get(offset..offset + 32)
-            .ok_or_else(truncated)?
-            .try_into()
-            .expect("32");
-        offset += 32;
-        let len_bytes: [u8; 4] = bytes
-            .get(offset..offset + 4)
-            .ok_or_else(truncated)?
-            .try_into()
-            .expect("4");
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        offset += 4;
-        let ciphertext = bytes.get(offset..offset + len).ok_or_else(truncated)?;
-        offset += len;
-        requests.push((client_pub, ciphertext));
-    }
-    Ok(requests)
-}
-
-/// Serializes the per-entry outcomes of a `proxy_batch` ecall as
-/// `count ‖ (status ‖ len ‖ payload)*`: the payload is the response
-/// ciphertext for successful entries and a diagnostic message for
-/// protocol failures.
-#[must_use]
-pub fn encode_response_batch(responses: &[Result<Vec<u8>, XSearchError>]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + responses.len() * 8);
-    out.extend_from_slice(&(responses.len() as u32).to_le_bytes());
-    for response in responses {
-        let message;
-        let (status, payload): (u8, &[u8]) = match response {
-            Ok(ciphertext) => (BATCH_OK, ciphertext),
-            Err(XSearchError::UnknownSession) => (BATCH_UNKNOWN_SESSION, &[]),
-            Err(XSearchError::Crypto(_)) => (BATCH_CRYPTO, &[]),
-            Err(e) => {
-                message = e.to_string();
-                (BATCH_PROTOCOL, message.as_bytes())
-            }
-        };
-        out.push(status);
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(payload);
-    }
-    out
-}
-
-/// Parses a response batch back into per-entry outcomes.
-///
-/// # Errors
-///
-/// [`XSearchError::Protocol`] on truncation or an unknown status code.
-pub fn decode_response_batch(
-    bytes: &[u8],
-) -> Result<Vec<Result<Vec<u8>, XSearchError>>, XSearchError> {
-    let truncated = || XSearchError::Protocol("truncated response batch".into());
-    let count_bytes: [u8; 4] = bytes.get(..4).ok_or_else(truncated)?.try_into().expect("4");
-    let count = u32::from_le_bytes(count_bytes) as usize;
-    let mut responses = Vec::with_capacity(count.min(bytes.len() / 5));
-    let mut offset = 4;
-    for _ in 0..count {
-        let status = *bytes.get(offset).ok_or_else(truncated)?;
-        offset += 1;
-        let len_bytes: [u8; 4] = bytes
-            .get(offset..offset + 4)
-            .ok_or_else(truncated)?
-            .try_into()
-            .expect("4");
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        offset += 4;
-        let payload = bytes.get(offset..offset + len).ok_or_else(truncated)?;
-        offset += len;
-        responses.push(match status {
-            BATCH_OK => Ok(payload.to_vec()),
-            BATCH_UNKNOWN_SESSION => Err(XSearchError::UnknownSession),
-            BATCH_CRYPTO => Err(XSearchError::Crypto(
-                xsearch_crypto::CryptoError::AuthenticationFailed,
-            )),
-            BATCH_PROTOCOL => Err(XSearchError::Protocol(
-                String::from_utf8_lossy(payload).into_owned(),
-            )),
-            other => {
-                return Err(XSearchError::Protocol(format!(
-                    "unknown batch status {other}"
-                )))
-            }
-        });
-    }
-    Ok(responses)
-}
-
 /// Parses a result list from tunnel bytes.
 ///
 /// # Errors
@@ -457,9 +319,9 @@ pub fn decode_results(bytes: &[u8]) -> Result<Vec<WireResult>, XSearchError> {
 /// calibration mode the overhead benches use.
 const CONN_FLAG_ECHO: u8 = 0b1;
 
-/// Outcome classes of a framed connection reply. Like the batch status
-/// codes, these report *that* and coarsely *why* an entry failed — never
-/// secret-dependent detail.
+/// Outcome classes of a framed connection reply. They report *that* and
+/// coarsely *why* a request failed — never secret-dependent detail
+/// (mirrors [`xsearch_crypto::CryptoError`]'s policy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConnStatus {
     /// The request was served; the payload is the sealed response.
@@ -685,93 +547,7 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn request_batch_roundtrips() {
-        let a = ([1u8; 32], b"cipher one".to_vec());
-        let b = ([2u8; 32], Vec::new());
-        let c = ([3u8; 32], vec![0xff, 0x00, 0x7f]);
-        let encoded = encode_request_batch([&a, &b, &c].map(|(p, ct)| (p, ct.as_slice())));
-        let decoded = decode_request_batch(&encoded).unwrap();
-        assert_eq!(decoded.len(), 3);
-        assert_eq!(decoded[0], ([1u8; 32], b"cipher one".as_slice()));
-        assert_eq!(decoded[1].1, b"");
-        assert_eq!(decoded[2], ([3u8; 32], [0xff, 0x00, 0x7f].as_slice()));
-    }
-
-    #[test]
-    fn request_batch_rejects_truncation() {
-        let pub_key = [9u8; 32];
-        let mut encoded = encode_request_batch([(&pub_key, b"payload".as_slice())]);
-        encoded.truncate(encoded.len() - 1);
-        assert!(matches!(
-            decode_request_batch(&encoded),
-            Err(XSearchError::Protocol(_))
-        ));
-        assert!(matches!(
-            decode_request_batch(&[2, 0, 0]),
-            Err(XSearchError::Protocol(_))
-        ));
-    }
-
-    #[test]
-    fn response_batch_roundtrips_every_status() {
-        let responses = vec![
-            Ok(b"response ct".to_vec()),
-            Err(XSearchError::UnknownSession),
-            Err(XSearchError::Crypto(
-                xsearch_crypto::CryptoError::AuthenticationFailed,
-            )),
-            Err(XSearchError::Protocol("bad hello".into())),
-            Ok(Vec::new()),
-        ];
-        let decoded = decode_response_batch(&encode_response_batch(&responses)).unwrap();
-        assert_eq!(decoded.len(), 5);
-        assert_eq!(decoded[0], Ok(b"response ct".to_vec()));
-        assert_eq!(decoded[1], Err(XSearchError::UnknownSession));
-        assert!(matches!(decoded[2], Err(XSearchError::Crypto(_))));
-        assert!(
-            matches!(&decoded[3], Err(XSearchError::Protocol(msg)) if msg.contains("bad hello"))
-        );
-        assert_eq!(decoded[4], Ok(Vec::new()));
-    }
-
-    #[test]
-    fn response_batch_rejects_truncation_and_bad_status() {
-        let mut encoded = encode_response_batch(&[Ok(b"x".to_vec())]);
-        encoded.truncate(encoded.len() - 1);
-        assert!(matches!(
-            decode_response_batch(&encoded),
-            Err(XSearchError::Protocol(_))
-        ));
-        // status 9 is not a thing
-        let mut bad = 1u32.to_le_bytes().to_vec();
-        bad.push(9);
-        bad.extend_from_slice(&0u32.to_le_bytes());
-        assert!(matches!(
-            decode_response_batch(&bad),
-            Err(XSearchError::Protocol(_))
-        ));
-    }
-
     proptest! {
-        #[test]
-        fn request_batch_roundtrips_any_payloads(
-            payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..40), 0..6),
-        ) {
-            let keyed: Vec<([u8; 32], Vec<u8>)> = payloads
-                .into_iter()
-                .enumerate()
-                .map(|(i, ct)| ([i as u8; 32], ct))
-                .collect();
-            let encoded = encode_request_batch(keyed.iter().map(|(p, ct)| (p, ct.as_slice())));
-            let decoded = decode_request_batch(&encoded).unwrap();
-            prop_assert_eq!(decoded.len(), keyed.len());
-            for ((dp, dct), (p, ct)) in decoded.iter().zip(&keyed) {
-                prop_assert_eq!(dp, p);
-                prop_assert_eq!(*dct, ct.as_slice());
-            }
-        }
-
         #[test]
         fn roundtrip_any_text(url in field(), title in field(), desc in field()) {
             let rs = vec![result(&url, &title, &desc)];

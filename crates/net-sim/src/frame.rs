@@ -107,13 +107,6 @@ impl FrameDecoder {
         }
     }
 
-    /// True once the decoder has reported an oversized frame: the stream
-    /// can never be framed again and the connection should be closed.
-    #[must_use]
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.is_some()
-    }
-
     /// Reclaims the consumed prefix. Cheap when fully drained (the
     /// common case: `clear`); otherwise only compacts once the dead
     /// prefix dominates, keeping push cost amortized O(1).
@@ -381,7 +374,7 @@ mod tests {
         dec.push(&100u32.to_le_bytes());
         let err = FrameError::TooLarge { len: 100, max: 8 };
         assert_eq!(dec.next_frame(), Err(err));
-        assert!(dec.is_poisoned());
+        assert_eq!(dec.next_frame(), Err(err), "the next frame errors too");
         assert_eq!(dec.mem_bytes(), 0, "rejected bytes are released");
 
         // A perfectly valid frame pushed afterwards changes nothing.
@@ -532,7 +525,7 @@ mod tests {
                                 // The first error is the error forever.
                                 Some(first) => prop_assert_eq!(e, first),
                             }
-                            prop_assert!(dec.is_poisoned());
+                            prop_assert_eq!(dec.next_frame(), Err(e));
                             break;
                         }
                     }

@@ -40,9 +40,8 @@ impl Interest {
     /// Wake when the stream can accept more bytes (or is closed, so the
     /// write error can be observed promptly).
     pub const WRITABLE: Interest = Interest(WRITABLE);
-    /// No wakeups — parks the registration without tearing it down.
-    /// This is the backpressure lever: a connection whose request is in
-    /// flight drops to `NONE` so the reactor stops reading from it.
+    /// No wakeups — parks the registration without tearing it down
+    /// ([`Reactor::deregister`] parks before it detaches).
     pub const NONE: Interest = Interest(0);
 
     /// Combines two interest sets.

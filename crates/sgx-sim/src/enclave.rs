@@ -53,28 +53,24 @@ impl EnclaveBuilder {
     /// measurement is final from here on).
     #[must_use]
     pub fn build<T>(self, state: T) -> Enclave<T> {
-        self.build_with(|_, _| state)
+        self.build_with(|_| state)
     }
 
     /// Like [`EnclaveBuilder::build`], but the state constructor receives
-    /// the enclave's EPC gauge and cost model — for application states
-    /// whose data structures charge their memory to the enclave (the
-    /// X-Search history table does).
+    /// the enclave's EPC gauge — for application states whose data
+    /// structures charge their memory to the enclave (the X-Search
+    /// history table does).
     #[must_use]
-    pub fn build_with<T>(
-        self,
-        make_state: impl FnOnce(&Arc<EpcGauge>, &CostModel) -> T,
-    ) -> Enclave<T> {
+    pub fn build_with<T>(self, make_state: impl FnOnce(&Arc<EpcGauge>) -> T) -> Enclave<T> {
         let epc = EpcGauge::new();
-        let cost = CostModel::default();
-        let state = make_state(&epc, &cost);
+        let state = make_state(&epc);
         Enclave {
             name: self.name,
             measurement: self.measurement.finalize(),
             state,
             boundary: BoundaryStats::new(),
             epc,
-            cost,
+            cost: CostModel::default(),
             provisioning_key: self.provisioning_key,
         }
     }

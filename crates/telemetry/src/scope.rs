@@ -32,7 +32,6 @@ use crate::registry::{Counter, Gauge, Registry};
 #[derive(Clone, Debug)]
 pub struct EnclaveScope {
     requests: Counter,
-    batch_entries: Counter,
     errors: Counter,
     history_len: Gauge,
 }
@@ -46,11 +45,6 @@ impl EnclaveScope {
             requests: registry.counter(
                 "xsearch_enclave_requests_total",
                 "Requests served inside the enclave",
-                &[],
-            ),
-            batch_entries: registry.counter(
-                "xsearch_enclave_batch_entries_total",
-                "Entries processed via proxy_batch ecalls",
                 &[],
             ),
             errors: registry.counter(
@@ -69,11 +63,6 @@ impl EnclaveScope {
     /// Counts one served request.
     pub fn request_served(&self) {
         self.requests.inc();
-    }
-
-    /// Counts `entries` requests arriving in one coalesced batch ecall.
-    pub fn batch_served(&self, entries: u64) {
-        self.batch_entries.add(entries);
     }
 
     /// Counts one rejected or failed request.
@@ -96,20 +85,18 @@ mod tests {
         let registry = Registry::new();
         let scope = EnclaveScope::register(&registry);
         scope.request_served();
-        scope.batch_served(64);
         scope.error();
         scope.set_history_len(1000);
 
         let snap = registry.snapshot();
         let text = snap.render_prometheus();
         assert!(text.contains("xsearch_enclave_requests_total 1"));
-        assert!(text.contains("xsearch_enclave_batch_entries_total 64"));
         assert!(text.contains("xsearch_enclave_errors_total 1"));
         assert!(text.contains("xsearch_enclave_history_len 1000"));
         // Every exported enclave name is a static from this module: the
-        // exposition contains no sample that didn't come from the four
+        // exposition contains no sample that didn't come from the three
         // handles above.
-        assert_eq!(snap.counters.len(), 3);
+        assert_eq!(snap.counters.len(), 2);
         assert_eq!(snap.gauges.len(), 1);
     }
 }
