@@ -13,17 +13,32 @@
 //!   engine leg = the per-lane makespan. Latency is dominated by one
 //!   service time regardless of k.
 //!
-//! One gate: the parallel modeled median may grow at most 1.5× from the
-//! first k to the last.
+//! The sweep's gate: the parallel modeled median may grow at most 1.5×
+//! from the first k to the last.
 //!
-//! Env knob: `E2E_QUERIES` (default 60) bounds the per-point query
-//! count.
+//! The same run writes **Figure 7**, the `fig7` table: the round-trip
+//! time of 100 queries (always 100, whatever the knob) searched Direct,
+//! through X-Search (k = 3, the parallel uplink) and through Tor, as
+//! median and p99 per system. Each time is the *measured* compute of the
+//! system's whole protocol stack (attested tunnel, obfuscation, onion
+//! layers, ...) plus the *accounted* WAN and engine-service delays of the
+//! calibrated model in `xsearch-net-sim` — the authors measured a live
+//! WAN; this models one, deterministically. Tor hops get a heavier tail
+//! (σ = 0.95) to match the paper's live-network medians (≈ 1.06 s) and
+//! p99 (≈ 3 s) of May 2017. The paper's shape is gated: the medians
+//! order Direct < X-Search < Tor, and X-Search's is at most 1.5 × Direct's
+//! (paper: X-Search median 0.577 s, p99 0.873 s).
+//!
+//! Env knob: `E2E_QUERIES` (default 60) bounds the sweep's per-point
+//! query count.
 //!
 //! Run: `cargo run -p xsearch-bench --release --bin e2e_ksweep`
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
+use xsearch_baselines::tor::network::TorNetwork;
 use xsearch_bench::distribution::Empirical;
 use xsearch_bench::summary::{env_or, fixed, Gate, Json, Obj, Summary};
 use xsearch_bench::{standard_engine, timed_attested_search, Dataset, EXPERIMENT_SEED};
@@ -33,11 +48,18 @@ use xsearch_core::proxy::XSearchProxy;
 use xsearch_engine::engine::SearchEngine;
 use xsearch_engine::pool::MAX_LANES;
 use xsearch_engine::service::EngineService;
-use xsearch_net_sim::link::WanModel;
+use xsearch_net_sim::link::{Link, WanModel};
+use xsearch_net_sim::DelayModel;
 use xsearch_query_log::record::QueryRecord;
 
 /// Obfuscation degrees swept (k + 1 sub-queries hit the engine).
 const K_SWEEP: &[usize] = &[1, 3, 7, 15];
+
+/// Queries in Fig 7's CDF, as in the paper.
+const FIG7_QUERIES: usize = 100;
+
+/// Fig 7's obfuscation degree.
+const FIG7_K: usize = 3;
 
 /// One mode's per-query end-to-end samples at a fixed k.
 struct ModePoint {
@@ -87,6 +109,65 @@ fn run_mode(
         engine_s: Empirical::from_samples(engine),
         compute_s: Empirical::from_samples(compute),
     }
+}
+
+/// Fig 7: per-query round-trip seconds of Direct, X-Search (k = 3) and
+/// Tor over `queries`, on its own seeded delay draws.
+fn fig7(
+    engine: &Arc<SearchEngine>,
+    warm: &[String],
+    queries: &[QueryRecord],
+) -> [(&'static str, Empirical); 3] {
+    let wan = WanModel {
+        tor_hop: Link::new("tor-hop", DelayModel::lognormal_ms(88, 0.95)),
+        ..Default::default()
+    };
+    let mut rng = StdRng::seed_from_u64(EXPERIMENT_SEED);
+
+    let mut direct = Vec::with_capacity(queries.len());
+    for record in queries {
+        let start = Instant::now();
+        let _ = engine.search(&record.query, 20);
+        let compute = start.elapsed();
+        let total = wan.client_engine.rtt(&mut rng) + wan.engine_service.sample(&mut rng) + compute;
+        direct.push(total.as_secs_f64());
+    }
+
+    let xsearch = run_mode(
+        FIG7_K,
+        EngineService::new(engine.clone(), wan.engine_service.clone(), EXPERIMENT_SEED),
+        warm,
+        queries,
+        &wan,
+        &mut rng,
+    );
+
+    let network = TorNetwork::new(9, Duration::ZERO, &mut rng);
+    let mut circuit = network.build_circuit(&mut rng);
+    let mut tor = Vec::with_capacity(queries.len());
+    for record in queries {
+        let start = Instant::now();
+        let _ = network
+            .round_trip(&mut circuit, record.query.as_bytes(), |req| {
+                let q = String::from_utf8_lossy(req);
+                xsearch_core::wire::encode_results(&engine.search(&q, 20))
+            })
+            .expect("tor round trip");
+        let compute = start.elapsed();
+        // 3 onion hops each way + exit↔engine + engine service.
+        let mut wan_time = Duration::ZERO;
+        for _ in 0..3 {
+            wan_time += wan.tor_hop.rtt(&mut rng);
+        }
+        wan_time += wan.proxy_engine.rtt(&mut rng) + wan.engine_service.sample(&mut rng);
+        tor.push((wan_time + compute).as_secs_f64());
+    }
+
+    [
+        ("direct", Empirical::from_samples(direct)),
+        ("xsearch_k3", xsearch.total_s),
+        ("tor", Empirical::from_samples(tor)),
+    ]
 }
 
 fn json_mode(point: &ModePoint) -> Obj {
@@ -161,6 +242,30 @@ fn main() {
     summary.gate(Gate::at_most(
         "parallel_median_growth",
         parallel_growth,
+        1.5,
+    ));
+
+    eprintln!("running fig 7 ({FIG7_QUERIES} queries)...");
+    let fig7_test = dataset.sample_test(FIG7_QUERIES, 7);
+    let systems = fig7(&engine, &warm, &fig7_test);
+    let mut table = Obj::new().field("queries", fig7_test.len());
+    for (name, times) in &systems {
+        let row = Obj::new()
+            .field("median_s", fixed(times.median(), 4))
+            .field("p99_s", fixed(times.quantile(0.99), 4));
+        table = table.field(name, row);
+    }
+    summary.row("fig7", table);
+    let medians = systems.each_ref().map(|(_, times)| times.median());
+    let order_breaks = medians.windows(2).filter(|w| w[0] >= w[1]).count();
+    summary.gate(Gate::at_most(
+        "fig7_median_order_breaks",
+        order_breaks as f64,
+        0.0,
+    ));
+    summary.gate(Gate::at_most(
+        "fig7_xsearch_over_direct_median",
+        medians[1] / medians[0],
         1.5,
     ));
     summary.finish(|| ());

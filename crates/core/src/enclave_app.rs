@@ -623,10 +623,18 @@ mod tests {
     #[test]
     fn malformed_seed_batch_is_rejected_whole() {
         let s = state(1);
-        let mut payload = crate::wire::encode_query_batch(["ok"]);
-        payload.truncate(payload.len() - 1);
-        assert!(s.seed_history_batch(&payload).is_err());
-        assert_eq!(s.history().len(), 0, "partial batches must not seed");
+        s.seed_history_batch(&crate::wire::encode_query_batch(["warm", "window"]))
+            .unwrap();
+        let h = s.history();
+        let before = (h.len(), h.memory_bytes(), h.epc().used());
+        for (fault, payload) in crate::wire::refused_query_batches() {
+            assert!(s.seed_history_batch(&payload).is_err(), "{fault}");
+            assert_eq!(
+                (h.len(), h.memory_bytes(), h.epc().used()),
+                before,
+                "a refused batch seeds nothing: {fault}"
+            );
+        }
     }
 
     /// The RNG refactor must not change what a fixed seed produces:

@@ -118,6 +118,8 @@ impl WordTable {
 
     /// `nbCommonWords(sub-query q, field)` for a field marked into `seen`.
     fn common(&self, q: usize, seen: &[u64]) -> u32 {
+        #[cfg(test)]
+        tests::COMMON_CALLS.with(|calls| calls.set(calls.get() + 1));
         let mask = &self.masks[q * self.width..(q + 1) * self.width];
         mask.iter()
             .zip(seen)
@@ -147,9 +149,13 @@ pub fn filter_results<S: AsRef<str>>(
         table.mark(&r.title, &mut scratch, &mut title);
         table.mark(&r.description, &mut scratch, &mut desc);
         let score = |q| table.common(q, &title) + table.common(q, &desc);
+        // Every sub-query is scored, whatever the scores: the work does
+        // not stop at the first fake that beats the original, so it does
+        // not depend on where the original sits among the sub-queries.
         let own = score(0);
-        // `own >= every fake score` ⇔ `own == max` (ties to the user).
-        (1..=fakes.len()).all(|q| own >= score(q))
+        let best = (1..=fakes.len()).map(score).fold(own, u32::max);
+        // `own == max` (ties to the user).
+        own == best
     });
     results
 }
@@ -158,7 +164,13 @@ pub fn filter_results<S: AsRef<str>>(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::cell::Cell;
     use xsearch_engine::document::DocId;
+
+    thread_local! {
+        /// `WordTable::common` evaluations on this thread.
+        pub(super) static COMMON_CALLS: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn result(id: u32, title: &str, desc: &str) -> SearchResult {
         SearchResult {
@@ -323,6 +335,31 @@ mod tests {
                 .cloned()
                 .collect();
             prop_assert_eq!(filter_results(&original, &fakes, results), expected);
+        }
+
+        /// The scoring work is k+1 `nbCommonWords` per field per result,
+        /// whichever sub-query wins each result.
+        #[test]
+        fn every_subquery_is_scored_for_every_result(
+            k_pick in 0usize..3,
+            subqueries in proptest::collection::vec(
+                proptest::collection::vec((0usize..110, 0usize..6), 0..12), 16),
+            fields in proptest::collection::vec(
+                proptest::collection::vec((0usize..110, 0usize..6), 0..16), 0..24),
+        ) {
+            let vocab = vocabulary();
+            let k = [1, 3, 15][k_pick];
+            let original = text(&vocab, &subqueries[0]);
+            let fakes: Vec<String> = subqueries[1..=k].iter().map(|s| text(&vocab, s)).collect();
+            let results: Vec<SearchResult> = fields
+                .chunks(2)
+                .enumerate()
+                .map(|(i, f)| result(i as u32, &text(&vocab, &f[0]), &text(&vocab, f.last().unwrap())))
+                .collect();
+            let n = results.len();
+            let before = COMMON_CALLS.with(Cell::get);
+            let _ = filter_results(&original, &fakes, results);
+            prop_assert_eq!(COMMON_CALLS.with(Cell::get) - before, n * 2 * (k + 1));
         }
 
         #[test]

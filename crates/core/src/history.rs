@@ -25,6 +25,15 @@
 //! capacity from the moment it is taken until it is freed, plus
 //! `SLOT_BYTES` per live entry.
 //!
+//! Slot bytes are not charged push by push. They add up under the lock
+//! and reach the gauge in one charge: together with the next page taken,
+//! before an eviction releases a page, or when the lock drops. Every
+//! charge so held back falls inside a run of charges with no release
+//! between them, and the gauge's usage, peak and paged-page count only
+//! depend on where such a run starts and ends, so they read exactly what
+//! a charge per push leaves; a whole warm-up batch or restored segment
+//! costs one gauge update per page instead of one per entry.
+//!
 //! # Locking
 //!
 //! One mutex guards the pages, the slots, the next sequence number and
@@ -151,6 +160,15 @@ pub struct QueryHistory {
 pub(crate) struct Locked<'a> {
     history: &'a QueryHistory,
     window: MutexGuard<'a, Window>,
+    /// Slot bytes pushed under this lock and not yet charged to the
+    /// gauge (see the module docs).
+    uncharged: usize,
+}
+
+impl Drop for Locked<'_> {
+    fn drop(&mut self) {
+        self.history.charge_held(&mut self.uncharged, 0);
+    }
 }
 
 impl Locked<'_> {
@@ -169,12 +187,7 @@ impl Locked<'_> {
     /// Appends a query, evicting the oldest when the window is full
     /// (Algorithm 1 line 9: `H ← Q`).
     pub(crate) fn push(&mut self, query: &str) {
-        let QueryHistory {
-            capacity,
-            epc,
-            cost,
-            ..
-        } = self.history;
+        let QueryHistory { capacity, epc, .. } = self.history;
         let w = &mut *self.window;
         // A full window trades the oldest slot for the new one, so its
         // slot bytes stay charged.
@@ -185,6 +198,9 @@ impl Locked<'_> {
             // take this push.
             let live_from = w.slots.front().map_or(u64::MAX, |slot| slot / PAGE);
             while w.pages.len() > 1 && w.first_page < live_from {
+                // Before the release, so the peak is the one per-entry
+                // charging reaches.
+                self.history.charge_held(&mut self.uncharged, 0);
                 let freed = w.pages.pop_front().expect("more than one page").capacity();
                 w.first_page += 1;
                 epc.release(freed);
@@ -197,7 +213,8 @@ impl Locked<'_> {
             .is_none_or(|page| page.len() + query.len().max(1) > PAGE_SIZE)
         {
             let page = String::with_capacity(query.len().max(PAGE_SIZE));
-            epc.charge(page.capacity(), cost);
+            self.history
+                .charge_held(&mut self.uncharged, page.capacity());
             w.bytes += page.capacity();
             w.pages.push_back(page);
         }
@@ -212,7 +229,7 @@ impl Locked<'_> {
         }
         w.slots.push_back(slot);
         if !full {
-            epc.charge(SLOT_BYTES, cost);
+            self.uncharged += SLOT_BYTES;
             w.bytes += SLOT_BYTES;
         }
         w.next_seq += 1;
@@ -237,11 +254,21 @@ impl QueryHistory {
         }
     }
 
+    /// Charges `extra` bytes plus the slot bytes `held` back under the
+    /// lock, and clears `held`; charges nothing when both are zero.
+    fn charge_held(&self, held: &mut usize, extra: usize) {
+        let bytes = std::mem::take(held) + extra;
+        if bytes > 0 {
+            self.epc.charge(bytes, &self.cost);
+        }
+    }
+
     /// Takes the table's lock.
     pub(crate) fn lock(&self) -> Locked<'_> {
         Locked {
             history: self,
             window: self.window.lock().unwrap_or_else(PoisonError::into_inner),
+            uncharged: 0,
         }
     }
 
@@ -324,10 +351,11 @@ impl QueryHistory {
 
     /// The delta read behind sealed persistence: appends every entry
     /// that landed since `cursor` last read this table and is still in
-    /// the window to `out`, oldest first, as one query batch (the
-    /// [`crate::wire::encode_query_batch`] framing); advances `cursor`
-    /// past them and returns how many there were. `out` grows once, by
-    /// the batch plus `spare` bytes (a sealer's tag), under the lock.
+    /// the window to `out`, oldest first, as one columnar query batch
+    /// (the [`crate::wire::encode_query_batch`] framing: their lengths,
+    /// then their text as one region); advances `cursor` past them and
+    /// returns how many there were. `out` grows once, by the batch plus
+    /// `spare` bytes (a sealer's tag), under the lock.
     /// Costs the entries read, whatever the window size. Entries land in
     /// sequence order, so "since" is "at or above the cursor's sequence
     /// number"; entries evicted unread are outside the window and
@@ -701,7 +729,50 @@ mod tests {
         })
     }
 
+    /// One entry of the batched-charge test: plain text, an empty entry,
+    /// or one longer than a page.
+    fn entry() -> impl Strategy<Value = String> {
+        (0u8..6, "[a-zé ]{0,300}", PAGE_SIZE + 1..2 * PAGE_SIZE).prop_map(|(kind, text, long)| {
+            match kind {
+                0 => String::new(),
+                1 => "l".repeat(long),
+                _ => text,
+            }
+        })
+    }
+
+    /// What the gauge has recorded, in full.
+    fn gauge_state(g: &EpcGauge) -> (usize, usize, u64, std::time::Duration) {
+        (g.used(), g.peak(), g.paged_pages(), g.paging_cost())
+    }
+
     proptest! {
+        /// Slot bytes held back under the lock and charged per page or at
+        /// unlock leave the gauge exactly where a charge per push does:
+        /// the same usage, peak, paged pages and paging cost, and the same
+        /// accounted bytes. The limit is a few pages, so paging happens;
+        /// the window fills to full and keeps evicting.
+        #[test]
+        fn batched_pushes_charge_what_single_pushes_charge(
+            cap in 1usize..48,
+            limit_pages in 0usize..6,
+            batches in proptest::collection::vec(proptest::collection::vec(entry(), 0..40), 1..6),
+        ) {
+            let limit = limit_pages * PAGE_SIZE + 100;
+            let batched = QueryHistory::new(cap, EpcGauge::with_limit(limit));
+            let single = QueryHistory::new(cap, EpcGauge::with_limit(limit));
+            for batch in &batches {
+                batched.push_all(batch.iter().map(String::as_str));
+                for q in batch {
+                    single.push(q);
+                }
+                prop_assert_eq!(batched.memory_bytes(), single.memory_bytes());
+                prop_assert_eq!(batched.memory_bytes(), batched.epc().used());
+                prop_assert_eq!(gauge_state(batched.epc()), gauge_state(single.epc()));
+            }
+            prop_assert_eq!(batched.snapshot(), single.snapshot());
+        }
+
         #[test]
         fn accounting_never_drifts(queries in proptest::collection::vec("[a-z ]{1,30}", 1..60), cap in 1usize..20) {
             let gauge = EpcGauge::with_limit(1 << 30);

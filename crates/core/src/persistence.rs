@@ -31,13 +31,15 @@
 //! [`restore_history`] are the same path through a throw-away vault: a
 //! chain start and its restore, with no rollback protection.
 //!
-//! A segment's plaintext is the shared length-prefixed query batch from
-//! [`crate::wire`] — the same framing the `seed` ecall uses, so there is
-//! exactly one serializer to fuzz. The history writes it under its lock
-//! straight into the buffer the segment is sealed in
-//! ([`QueryHistory::read_since`]), and a restore pushes it back from the
-//! opened plaintext through [`crate::wire::QueryBatch`], one segment per
-//! lock acquisition.
+//! A segment's plaintext is the shared columnar query batch from
+//! [`crate::wire`] — `count ‖ len* ‖ text`, the same framing the `seed`
+//! ecall uses, so there is exactly one serializer to fuzz. The history
+//! writes it under its lock straight into the buffer the segment is
+//! sealed in ([`QueryHistory::read_since`]): the length table, then the
+//! text as one region. A restore validates each opened plaintext whole
+//! through [`crate::wire::QueryBatch`] (one UTF-8 pass over its text
+//! region) before anything is claimed, then pushes the entries straight
+//! from it, one segment per lock acquisition.
 
 use crate::history::{HistoryCursor, QueryHistory};
 use crate::wire::QueryBatch;
@@ -692,6 +694,44 @@ mod tests {
             Err(SgxError::UnsealFailed)
         );
         assert_eq!((target.len(), v.last_sealed()), (0, sealed_at));
+    }
+
+    /// A segment whose plaintext is a malformed batch authenticates, is
+    /// refused whole at parse, and leaves the adopting window, its
+    /// accounting and the source's counter as they were.
+    #[test]
+    fn a_sealed_malformed_batch_restores_nothing() {
+        let seal = |v: &HistoryVault, batch: &[u8]| {
+            let mut bytes = vec![0; HEADER];
+            bytes.extend_from_slice(batch);
+            bytes.reserve_exact(TAG);
+            let mut rng = StdRng::seed_from_u64(1);
+            let segment = v.seal_segment(bytes, 1, 10, &mut SealCursor::default(), &mut rng);
+            let mut log = SealedLog::default();
+            log.append(segment);
+            log.encode()
+        };
+        let target = QueryHistory::new(10, EpcGauge::new());
+        let v = vault(1);
+        let well_formed = seal(&v, &encode_query_batch(["already here"]));
+        assert_eq!(restore_migrated(&target, &well_formed, &v), Ok(1));
+        for (fault, batch) in crate::wire::refused_query_batches() {
+            let v = vault(1);
+            let log = seal(&v, &batch);
+            let before = (target.len(), target.memory_bytes(), target.epc().used());
+            let claimed = v.last_sealed();
+            assert_eq!(
+                restore_migrated(&target, &log, &v),
+                Err(SgxError::UnsealFailed),
+                "{fault}"
+            );
+            assert_eq!(
+                (target.len(), target.memory_bytes(), target.epc().used()),
+                before,
+                "{fault}: nothing restored"
+            );
+            assert_eq!(v.last_sealed(), claimed, "{fault}: nothing claimed");
+        }
     }
 
     #[test]

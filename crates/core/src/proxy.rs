@@ -356,13 +356,15 @@ impl XSearchProxy {
     }
 
     /// Pre-populates the past-query table (experiment warm-up). The
-    /// queries cross the boundary as length-prefixed wire batches of at
-    /// most 1 MiB each, one `seed` ecall per batch: an SGX ecall copies
-    /// its input into enclave memory, so one batch of a whole window
-    /// would be a window-sized EPC spike on top of the window itself.
+    /// queries cross the boundary as columnar wire batches (see
+    /// [`crate::wire::encode_query_batch`]) of at most 1 MiB each, one
+    /// `seed` ecall per batch: an SGX ecall copies its input into enclave
+    /// memory, so one batch of a whole window would be a window-sized EPC
+    /// spike on top of the window itself.
     pub fn seed_history<'a, I: IntoIterator<Item = &'a str>>(&self, queries: I) {
         let mut queries = queries.into_iter().peekable();
-        let mut payload = Vec::new();
+        // Room for a whole batch, so encoding never grows it mid-batch.
+        let mut payload = Vec::with_capacity(SEED_BATCH_BYTES);
         while queries.peek().is_some() {
             payload.clear();
             let mut filled = 4;

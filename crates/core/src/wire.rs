@@ -1,9 +1,19 @@
-//! Wire encoding of result lists for the encrypted tunnel.
+//! Wire encodings: result lists for the encrypted tunnel, query batches
+//! for the past-query window, and the framed connection messages.
 //!
-//! A simple escaped line format: one result per line,
+//! Results use a simple escaped line format: one result per line,
 //! `url \t title \t description`. Chosen over a binary format so that a
 //! captured (encrypted) payload decrypts to something a human can audit —
 //! and because result text dominates the payload anyway.
+//!
+//! A query batch is columnar: `count ‖ len* ‖ text`, a u32 LE count, one
+//! u32 LE length per query, then all the query text as one contiguous
+//! region. It is the one framing every fill of the window goes through —
+//! the `seed` ecall's payload, and the plaintext of a sealed history
+//! segment that a restart or a failover restores. [`QueryBatch::parse`]
+//! validates the text region as UTF-8 once, not entry by entry, and
+//! checks that every entry edge is a character boundary; the entries are
+//! then plain slices of that region.
 
 use crate::error::XSearchError;
 use xsearch_engine::engine::SearchResult;
@@ -156,9 +166,11 @@ pub fn encoded_len(results: &[SearchResult]) -> usize {
         .sum()
 }
 
-/// Serializes a query batch as `count ‖ (len ‖ bytes)*` (u32 LE
-/// prefixes) — the payload of the proxy's `seed` ecalls and the
-/// plaintext of a sealed history segment.
+/// Serializes a query batch as `count ‖ len* ‖ text`: the u32 LE count,
+/// then one u32 LE length per query, then every query's bytes back to
+/// back in batch order as one text region — the payload of the proxy's
+/// `seed` ecalls and the plaintext of a sealed history segment. A batch
+/// of `n` queries is `4 + 4n + Σ len` bytes.
 #[must_use]
 pub fn encode_query_batch<'a, I: IntoIterator<Item = &'a str>>(queries: I) -> Vec<u8> {
     let mut out = Vec::new();
@@ -170,73 +182,100 @@ pub fn encode_query_batch<'a, I: IntoIterator<Item = &'a str>>(queries: I) -> Ve
 /// the form a caller uses when the batch is the tail of a larger buffer
 /// (a sealed history segment writes its header first, then encrypts the
 /// batch where it lies) or when it reuses one buffer across batches.
+///
+/// One pass over `queries`: the text goes straight into `out` and the
+/// lengths into a table beside it, which then goes in front of the text
+/// with one move of it. The table is the only other buffer (4 bytes per
+/// query), and with room reserved for the whole batch `out` does not
+/// grow again.
 pub fn encode_query_batch_into<'a, I: IntoIterator<Item = &'a str>>(out: &mut Vec<u8>, queries: I) {
-    let count_at = out.len();
-    out.extend_from_slice(&[0; 4]);
-    let mut count: u32 = 0;
+    let at = out.len();
+    let mut lengths = Vec::new();
     for q in queries {
-        out.extend_from_slice(&(q.len() as u32).to_le_bytes());
+        lengths.extend_from_slice(&(q.len() as u32).to_le_bytes());
         out.extend_from_slice(q.as_bytes());
-        count += 1;
     }
-    out[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+    let (text_end, head) = (out.len(), 4 + lengths.len());
+    out.resize(text_end + head, 0);
+    out.copy_within(at..text_end, at + head);
+    let count = (lengths.len() / 4) as u32;
+    out[at..at + 4].copy_from_slice(&count.to_le_bytes());
+    out[at + 4..at + head].copy_from_slice(&lengths);
+}
+
+/// Reads one u32 LE length (a 4-byte slice).
+fn length_at(bytes: &[u8]) -> usize {
+    u32::from_le_bytes(bytes.try_into().expect("4")) as usize
 }
 
 /// A validated view of an encoded query batch (see
-/// [`encode_query_batch`]): [`QueryBatch::parse`] checks every length
-/// prefix and every entry's UTF-8 in one pass, and the view then hands
-/// out the entries as `&str` borrowed from the payload, without
-/// collecting them — a warm-up batch or a restored segment is pushed
-/// straight from the bytes it arrived in.
+/// [`encode_query_batch`]). [`QueryBatch::parse`] validates the whole
+/// text region as UTF-8 once and checks that every entry edge falls on a
+/// character boundary; the view then hands out the entries as `&str`
+/// slices of that region, without validating again or collecting them —
+/// a warm-up batch or a restored segment is pushed straight from the
+/// bytes it arrived in.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryBatch<'a> {
-    /// The entries, `(len ‖ bytes)*`, count prefix stripped.
-    entries: &'a [u8],
-    len: usize,
+    /// The length table, 4 bytes per entry.
+    lengths: &'a [u8],
+    /// Every entry's text, back to back.
+    text: &'a str,
 }
 
 impl<'a> QueryBatch<'a> {
-    /// Validates `bytes` as a query batch. Bytes after the last entry
-    /// are ignored.
+    /// Validates `bytes` as a query batch: the length table must be
+    /// whole, its checked sum must fit the bytes after it, that text
+    /// region must be UTF-8 and every entry must start and end on a
+    /// character boundary. Bytes after the text region are ignored.
     ///
     /// # Errors
     ///
     /// [`XSearchError::Protocol`] on truncation or non-UTF-8 queries.
     pub fn parse(bytes: &'a [u8]) -> Result<Self, XSearchError> {
         let truncated = || XSearchError::Protocol("truncated query batch".into());
-        let count_bytes: [u8; 4] = bytes.get(..4).ok_or_else(truncated)?.try_into().expect("4");
-        let len = u32::from_le_bytes(count_bytes) as usize;
-        let mut rest = &bytes[4..];
-        for _ in 0..len {
-            let (raw, tail) = split_entry(rest).ok_or_else(truncated)?;
-            std::str::from_utf8(raw)
-                .map_err(|_| XSearchError::Protocol("query batch entry is not utf-8".into()))?;
-            rest = tail;
+        let not_utf8 = || XSearchError::Protocol("query batch entry is not utf-8".into());
+        let count = length_at(bytes.get(..4).ok_or_else(truncated)?);
+        let table_end = count
+            .checked_mul(4)
+            .and_then(|table| table.checked_add(4))
+            .ok_or_else(truncated)?;
+        let lengths = bytes.get(4..table_end).ok_or_else(truncated)?;
+        let rest = &bytes[table_end..];
+        let text_len = lengths
+            .chunks_exact(4)
+            .try_fold(0usize, |sum, len| sum.checked_add(length_at(len)))
+            .filter(|&sum| sum <= rest.len())
+            .ok_or_else(truncated)?;
+        let text = std::str::from_utf8(&rest[..text_len]).map_err(|_| not_utf8())?;
+        let mut edge = 0;
+        for len in lengths.chunks_exact(4) {
+            edge += length_at(len);
+            if !text.is_char_boundary(edge) {
+                return Err(not_utf8());
+            }
         }
-        Ok(QueryBatch {
-            entries: &bytes[4..bytes.len() - rest.len()],
-            len,
-        })
+        Ok(QueryBatch { lengths, text })
     }
 
     /// Number of queries in the batch.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.lengths.len() / 4
     }
 
     /// Whether the batch holds no query.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.lengths.is_empty()
     }
 
     /// The queries, in batch order.
     #[must_use]
     pub fn iter(&self) -> QueryBatchIter<'a> {
         QueryBatchIter {
-            rest: self.entries,
-            left: self.len,
+            lengths: self.lengths.chunks_exact(4),
+            text: self.text,
         }
     }
 }
@@ -250,36 +289,63 @@ impl<'a> IntoIterator for QueryBatch<'a> {
     }
 }
 
-/// Splits one `len ‖ bytes` entry off the front of `bytes`.
-fn split_entry(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
-    let len = u32::from_le_bytes(bytes.get(..4)?.try_into().expect("4")) as usize;
-    let rest = &bytes[4..];
-    (rest.len() >= len).then(|| rest.split_at(len))
-}
-
-/// The entries of a [`QueryBatch`], oldest first.
+/// The entries of a [`QueryBatch`], oldest first: slices of its
+/// validated text region.
 #[derive(Debug, Clone)]
 pub struct QueryBatchIter<'a> {
-    rest: &'a [u8],
-    left: usize,
+    lengths: std::slice::ChunksExact<'a, u8>,
+    /// The text of the entries not yet handed out.
+    text: &'a str,
 }
 
 impl<'a> Iterator for QueryBatchIter<'a> {
     type Item = &'a str;
 
     fn next(&mut self) -> Option<&'a str> {
-        self.left = self.left.checked_sub(1)?;
-        let (raw, rest) = split_entry(self.rest).expect("validated by QueryBatch::parse");
-        self.rest = rest;
-        Some(std::str::from_utf8(raw).expect("validated by QueryBatch::parse"))
+        let (query, rest) = self.text.split_at(length_at(self.lengths.next()?));
+        self.text = rest;
+        Some(query)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.left, Some(self.left))
+        self.lengths.size_hint()
     }
 }
 
 impl ExactSizeIterator for QueryBatchIter<'_> {}
+
+/// A `count ‖ len* ‖ text` batch with the lengths as given — one the
+/// encoder would never write.
+#[cfg(test)]
+pub(crate) fn raw_query_batch(count: u32, lengths: &[u32], text: &[u8]) -> Vec<u8> {
+    let mut out = count.to_le_bytes().to_vec();
+    for len in lengths {
+        out.extend_from_slice(&len.to_le_bytes());
+    }
+    out.extend_from_slice(text);
+    out
+}
+
+/// Batches [`QueryBatch::parse`] must refuse, each named by its fault.
+#[cfg(test)]
+pub(crate) fn refused_query_batches() -> Vec<(&'static str, Vec<u8>)> {
+    let mut short_text = encode_query_batch(["alpha", "beta"]);
+    short_text.pop();
+    vec![
+        ("truncated count", vec![1, 0]),
+        ("truncated length table", raw_query_batch(3, &[1, 1], b"ab")),
+        (
+            "length sum past u32",
+            raw_query_batch(3, &[u32::MAX, u32::MAX, 2], b"ab"),
+        ),
+        ("text shorter than its lengths", short_text),
+        ("non-utf-8 entry", raw_query_batch(1, &[2], &[0xff, 0xfe])),
+        (
+            "character split across two entries",
+            raw_query_batch(2, &[1, 1], "é".as_bytes()),
+        ),
+    ]
+}
 
 /// Parses a result list from tunnel bytes.
 ///
@@ -545,6 +611,132 @@ mod tests {
             QueryBatch::parse(&encoded),
             Err(XSearchError::Protocol(_))
         ));
+    }
+
+    #[test]
+    fn query_batch_is_columnar() {
+        assert_eq!(
+            encode_query_batch(["ab", "", "cde"]),
+            raw_query_batch(3, &[2, 0, 3], b"abcde"),
+            "count, then the length table, then the text as one region"
+        );
+    }
+
+    #[test]
+    fn query_batch_refuses_every_malformed_batch() {
+        for (fault, bytes) in refused_query_batches() {
+            assert!(
+                matches!(QueryBatch::parse(&bytes), Err(XSearchError::Protocol(_))),
+                "{fault}"
+            );
+            assert_eq!(
+                naive_query_batch(&bytes),
+                None,
+                "the oracle agrees: {fault}"
+            );
+        }
+        // The split character is valid text as a whole; only its edge
+        // is wrong.
+        assert!(std::str::from_utf8("é".as_bytes()).is_ok());
+    }
+
+    #[test]
+    fn query_batch_ignores_bytes_after_the_text() {
+        let mut encoded = encode_query_batch(["alpha", "é"]);
+        encoded.extend_from_slice(&[0xff, 7]);
+        let batch = QueryBatch::parse(&encoded).unwrap();
+        assert!(batch.iter().eq(["alpha", "é"]));
+    }
+
+    /// The oracle [`QueryBatch::parse`] is checked against: the count,
+    /// the length table, then each entry cut from the text and validated
+    /// on its own.
+    fn naive_query_batch(bytes: &[u8]) -> Option<Vec<String>> {
+        let word = |at: usize| -> Option<u64> {
+            Some(u64::from(u32::from_le_bytes(
+                bytes.get(at..at + 4)?.try_into().ok()?,
+            )))
+        };
+        let count = word(0)?;
+        if (bytes.len() as u64) < 4 + 4 * count {
+            return None;
+        }
+        let lengths: Vec<u64> = (0..count as usize)
+            .map(|i| word(4 + 4 * i))
+            .collect::<Option<_>>()?;
+        let mut at = 4 + 4 * count;
+        let mut entries = Vec::new();
+        for len in lengths {
+            let raw = bytes.get(at as usize..(at + len).try_into().ok()?)?;
+            entries.push(std::str::from_utf8(raw).ok()?.to_owned());
+            at += len;
+        }
+        Some(entries)
+    }
+
+    /// Bytes that are mostly almost-batches: a small count, a length
+    /// table and text made of ASCII, multi-byte characters and lone
+    /// pieces of them, then one mutation (an entry edge moved by one
+    /// byte, which keeps the text but can put the edge inside a
+    /// character; a truncation; a patched byte; a trailing byte) — or,
+    /// one time in six, arbitrary bytes.
+    fn batch_bytes() -> impl Strategy<Value = Vec<u8>> {
+        const UNITS: [&[u8]; 9] = [
+            b"a",
+            b" ",
+            "é".as_bytes(),
+            "€".as_bytes(),
+            "😀".as_bytes(),
+            &[0xc3],
+            &[0xa9],
+            &[0x82, 0xac],
+            &[0xff],
+        ];
+        let entries =
+            proptest::collection::vec(proptest::collection::vec(0..UNITS.len(), 0..5), 0..6);
+        let arbitrary = proptest::collection::vec(any::<u8>(), 0..40);
+        (entries, 0u8..6, (any::<usize>(), any::<u8>()), arbitrary).prop_map(
+            |(entries, mutation, (at, byte), arbitrary)| {
+                let entries: Vec<Vec<u8>> = entries
+                    .iter()
+                    .map(|e| e.iter().flat_map(|&i| UNITS[i]).copied().collect())
+                    .collect();
+                let mut lengths: Vec<u32> = entries.iter().map(|e| e.len() as u32).collect();
+                if mutation == 1 && lengths.len() >= 2 {
+                    let i = at % (lengths.len() - 1);
+                    if lengths[i + 1] > 0 {
+                        lengths[i] += 1;
+                        lengths[i + 1] -= 1;
+                    }
+                }
+                let mut bytes = raw_query_batch(lengths.len() as u32, &lengths, &entries.concat());
+                match mutation {
+                    0 | 1 => {}
+                    2 => bytes.truncate(at % (bytes.len() + 1)),
+                    3 => {
+                        let at = at % bytes.len();
+                        bytes[at] = byte;
+                    }
+                    4 => bytes.push(byte),
+                    _ => return arbitrary,
+                }
+                bytes
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The one-validation parse against the per-entry oracle: the
+        /// same accept or refuse decision, and the same entries.
+        #[test]
+        fn query_batch_parse_matches_the_naive_oracle(bytes in batch_bytes()) {
+            let parsed = QueryBatch::parse(&bytes)
+                .ok()
+                .map(|batch| batch.iter().map(str::to_owned).collect::<Vec<_>>());
+            prop_assert_eq!(parsed, naive_query_batch(&bytes));
+        }
     }
 
     proptest! {

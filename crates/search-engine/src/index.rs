@@ -3,7 +3,7 @@
 use crate::bm25;
 use crate::document::{DocId, Document};
 use std::collections::HashMap;
-use xsearch_text::tokenize::tokenize;
+use xsearch_text::tokenize::for_each_token;
 use xsearch_text::vector::TermInterner;
 
 /// One posting: a document, the term's frequency in it, and the BM25
@@ -39,21 +39,21 @@ impl InvertedIndex {
         let mut postings: Vec<Vec<Posting>> = Vec::new();
         let mut doc_lengths = vec![0u32; docs.len()];
         let mut total_len = 0u64;
+        // Reused across documents: the fold buffer the tokenizer lends
+        // non-ASCII or upper-case tokens from, and the per-document
+        // counts.
+        let mut scratch = String::new();
+        let mut counts: HashMap<u32, u32> = HashMap::new();
         for doc in docs {
-            let mut counts: HashMap<u32, u32> = HashMap::new();
             let mut len = 0u32;
             // Title terms weighted ×2.
-            for tok in tokenize(&doc.title) {
-                let id = interner.intern(&tok);
-                *counts.entry(id).or_insert(0) += 2;
-                len += 2;
+            for (text, weight) in [(&doc.title, 2), (&doc.description, 1)] {
+                for_each_token(text, &mut scratch, |tok| {
+                    *counts.entry(interner.intern(tok)).or_insert(0) += weight;
+                    len += weight;
+                });
             }
-            for tok in tokenize(&doc.description) {
-                let id = interner.intern(&tok);
-                *counts.entry(id).or_insert(0) += 1;
-                len += 1;
-            }
-            for (term, tf) in counts {
+            for (term, tf) in counts.drain() {
                 let slot = term as usize;
                 if slot >= postings.len() {
                     postings.resize_with(slot + 1, Vec::new);
@@ -222,6 +222,49 @@ mod tests {
         assert_eq!(idx.doc_count(), 0);
         assert_eq!(idx.avg_doc_len(), 0.0);
         assert!(idx.postings("x").is_empty());
+    }
+
+    /// The build against a count made with the allocating `tokenize`
+    /// on the standard corpus: every term's postings carry the same
+    /// documents, term frequencies and impact bits.
+    #[test]
+    fn postings_match_a_tokenize_count_on_the_standard_corpus() {
+        use xsearch_text::tokenize::tokenize;
+        let docs = crate::corpus::generate(&crate::corpus::CorpusConfig::default());
+        let idx = InvertedIndex::build(&docs);
+        // term → (doc, tf) in document order, and each document's length.
+        let mut expected: HashMap<String, Vec<(DocId, u32)>> = HashMap::new();
+        let mut lengths: HashMap<DocId, u32> = HashMap::new();
+        for doc in &docs {
+            let mut counts: HashMap<String, u32> = HashMap::new();
+            let weighted = tokenize(&doc.title)
+                .into_iter()
+                .map(|t| (t, 2))
+                .chain(tokenize(&doc.description).into_iter().map(|t| (t, 1)));
+            for (term, weight) in weighted {
+                *counts.entry(term).or_insert(0) += weight;
+                *lengths.entry(doc.id).or_insert(0) += weight;
+            }
+            for (term, tf) in counts {
+                expected.entry(term).or_default().push((doc.id, tf));
+            }
+        }
+        let n = docs.len();
+        let total: u64 = lengths.values().map(|&l| u64::from(l)).sum();
+        let avgdl = (total as f64 / n as f64).max(1.0);
+        assert_eq!(idx.vocabulary_size(), expected.len());
+        for (term, list) in &expected {
+            let got = idx.postings(term);
+            assert_eq!(got.len(), list.len(), "{term}");
+            for (p, &(doc, tf)) in got.iter().zip(list) {
+                let impact = bm25::impact(tf, lengths[&doc], list.len(), n, avgdl);
+                assert_eq!(
+                    (p.doc, p.tf, p.impact.to_bits()),
+                    (doc, tf, impact.to_bits()),
+                    "{term}"
+                );
+            }
+        }
     }
 
     #[test]
