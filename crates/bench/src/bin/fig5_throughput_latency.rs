@@ -13,13 +13,10 @@
 //! Tor performs full 3-hop onion round trips with a modeled per-relay
 //! service time (see DESIGN.md on the relay-capacity substitution).
 //!
-//! On top of the paper's three-system comparison this harness runs a
-//! **threads-scaling sweep** (1/2/4/8 generator threads against one
-//! shared proxy) — the paper's claim that the proxy "uses multiple
-//! threads" over shared enclave state is only meaningful if added
-//! threads buy throughput, so the sweep tracks exactly that from PR to
-//! PR. The summary is written to `BENCH_fig5.json`. Set `FIG5_POINT_MS`
-//! to shorten each measured point (CI smoke uses this).
+//! The summary (`BENCH_fig5.json`) records each system's capacity and
+//! gates the paper's shape: X-Search sustains at least twice PEAS's rate
+//! and PEAS at least twice Tor's. Set `FIG5_POINT_MS` to shorten each
+//! measured point (CI smoke uses this).
 //!
 //! Run: `cargo run -p xsearch-bench --release --bin fig5_throughput_latency`
 
@@ -32,19 +29,17 @@ use xsearch_baselines::peas::{
     CooccurrenceMatrix, PeasClient, PeasFakeGenerator, PeasIssuer, PeasReceiver,
 };
 use xsearch_baselines::tor::network::TorNetwork;
-use xsearch_bench::load::{capacity, json_points, p99_at_capacity, sweep_rates, RunReport};
+use xsearch_bench::load::{capacity, sweep_rates, RunReport};
 use xsearch_bench::series::Table;
 use xsearch_bench::sessions::BrokerPool;
-use xsearch_bench::summary::{env_or, fixed, Json, Obj, Summary};
+use xsearch_bench::summary::{env_or, fixed, Gate, Obj, Summary};
 use xsearch_bench::{Dataset, EXPERIMENT_SEED};
 use xsearch_query_log::record::UserId;
 
 const K: usize = 3;
 const SESSIONS: usize = 32;
-/// Generator threads for the paper's three-system comparison.
+/// Generator threads.
 const THREADS: usize = 2;
-/// Thread counts for the scaling sweep over one shared proxy.
-const SCALING_THREADS: &[usize] = &[1, 2, 4, 8];
 /// Modeled CPU service per relay per message: the capacity term standing
 /// in for shared, bandwidth-limited Tor relays.
 const TOR_RELAY_SERVICE: Duration = Duration::from_millis(2);
@@ -63,14 +58,6 @@ const XSEARCH_RATES: &[f64] = &[
     130_000.0, 200_000.0,
 ];
 
-/// Rate ladder for the scaling sweep. Denser than the Fig 5 ladder and
-/// extended upward: without the per-request transition pay the software
-/// hot path saturates much later.
-const SCALING_RATES: &[f64] = &[
-    5_000.0, 10_000.0, 17_500.0, 25_000.0, 32_500.0, 40_000.0, 50_000.0, 65_000.0, 80_000.0,
-    100_000.0, 130_000.0, 170_000.0, 220_000.0, 300_000.0, 400_000.0, 550_000.0, 700_000.0,
-];
-
 fn round_robin<T>(pool: &[Mutex<T>], counter: &AtomicUsize) -> usize {
     counter.fetch_add(1, Ordering::Relaxed) % pool.len()
 }
@@ -82,29 +69,6 @@ fn xsearch_reports(warm: &[String], point: Duration) -> Vec<RunReport> {
         xsearch_net_sim::delay::busy_wait(SGX_TRANSITION_PAY);
         ok
     })
-}
-
-/// The threads-scaling sweep: same proxy, same session pool, increasing
-/// generator-thread counts. The per-thread-count capacity is the series
-/// `BENCH_fig5.json` tracks across PRs.
-///
-/// Unlike the Fig 5 comparison above, the scaling sweep does **not** pay
-/// the wall-clock SGX transition cost per request: that cost is constant
-/// per request and paid in parallel on real multi-core enclave hardware,
-/// but on a small CI box a 27 µs serial busy-wait saturates the machine
-/// at ~37 k req/s and would mask exactly the lock-contention signal this
-/// sweep exists to expose. Transition costs remain *accounted* in the
-/// proxy's [`xsearch_sgx_sim::boundary::BoundaryStats`] either way.
-fn scaling_reports(warm: &[String], point: Duration) -> Vec<(usize, Vec<RunReport>)> {
-    let pool = BrokerPool::warmed(K, SESSIONS, warm);
-    SCALING_THREADS
-        .iter()
-        .map(|&threads| {
-            eprintln!("  scaling: {threads} generator thread(s)...");
-            let reports = sweep_rates(SCALING_RATES, point, threads, &|| pool.echo(QUERY));
-            (threads, reports)
-        })
-        .collect()
 }
 
 fn peas_reports(warm: &[String], point: Duration) -> Vec<RunReport> {
@@ -204,23 +168,15 @@ fn main() {
     emit(&mut table, 2.0, &tor);
     table.print();
 
-    eprintln!("running x-search threads-scaling sweep...");
-    let scaling = scaling_reports(&warm, point);
     let mut summary = Summary::new("fig5");
     summary.row("point_ms", point_ms);
-    let threads_sweep = scaling.iter().map(|(threads, reports)| {
-        Obj::new()
-            .field("threads", *threads)
-            .field("max_sustained_rps", fixed(capacity(reports), 1))
-            .field("p99_ms_at_capacity", fixed(p99_at_capacity(reports), 3))
-            .field("points", json_points(reports))
-    });
-    summary.row("threads_sweep", threads_sweep.collect::<Json>());
-    let xsearch_key = format!("xsearch_{THREADS}threads_rps");
+    let (xs, peas, tor) = (capacity(&xs), capacity(&peas), capacity(&tor));
     let systems = Obj::new()
-        .field(&xsearch_key, fixed(capacity(&xs), 1))
-        .field("peas_rps", fixed(capacity(&peas), 1))
-        .field("tor_rps", fixed(capacity(&tor), 1));
+        .field(&format!("xsearch_{THREADS}threads_rps"), fixed(xs, 1))
+        .field("peas_rps", fixed(peas, 1))
+        .field("tor_rps", fixed(tor, 1));
     summary.row("systems", systems);
+    summary.gate(Gate::at_least("xsearch_over_peas_capacity", xs / peas, 2.0));
+    summary.gate(Gate::at_least("peas_over_tor_capacity", peas / tor, 2.0));
     summary.finish(|| ());
 }

@@ -223,9 +223,8 @@ impl ReplicaNode {
         self.proxy.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The node's sealing vault.
-    #[must_use]
-    pub fn vault(&self) -> &HistoryVault {
+    /// The node's sealing vault (the source a failover adopts from).
+    pub(crate) fn vault(&self) -> &HistoryVault {
         &self.vault
     }
 

@@ -9,7 +9,7 @@
 //! mentions sealing as an SGX capability in §2.3 but does not use it).
 //!
 //! The window is sealed as an append-only **log of segments**, not as one
-//! blob: each [`HistoryVault::seal`] covers only the entries that landed
+//! blob: each `HistoryVault::seal` covers only the entries that landed
 //! since the previous one, so its cost follows the request rate and not
 //! the window size. A segment carries, in the clear but authenticated,
 //!
@@ -24,12 +24,12 @@
 //!   entries. There is no compaction pass. A segment that names itself
 //!   as floor is a **chain start** and carries the whole live window.
 //!
-//! [`restore_migrated`] is the one way back in: it verifies the whole
-//! chain floor‥head, claims the head's version at the source vault
-//! (exactly one consumer ever wins; anything older is a rollback) and
-//! only then replays the entries. The free functions [`seal_history`] /
-//! [`restore_history`] are the same path through a throw-away vault: a
-//! chain start and its restore, with no rollback protection.
+//! Segments are sealed with [`SealingKey::seal_tail`], the one sealing
+//! format of `sgx-sim`, only inside the `seal_history` ecall.
+//! `restore_migrated` is the one way back in, and only the `migrate_in`
+//! ecall reaches it: it verifies the whole chain floor‥head, claims the
+//! head's version at the source vault (exactly one consumer ever wins;
+//! anything older is a rollback) and only then replays the entries.
 //!
 //! A segment's plaintext is the shared columnar query batch from
 //! [`crate::wire`] — `count ‖ len* ‖ text`, the same framing the `seed`
@@ -197,17 +197,13 @@ impl SealedLog {
     /// (`count ‖ (len ‖ segment)*`, u32 LE prefixes).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        encode_log(self.segments.iter())
+        let mut out = (self.segments.len() as u32).to_le_bytes().to_vec();
+        for segment in &self.segments {
+            out.extend_from_slice(&(segment.0.len() as u32).to_le_bytes());
+            out.extend_from_slice(&segment.0);
+        }
+        out
     }
-}
-
-fn encode_log<'a>(segments: impl ExactSizeIterator<Item = &'a SealedSegment>) -> Vec<u8> {
-    let mut out = (segments.len() as u32).to_le_bytes().to_vec();
-    for segment in segments {
-        out.extend_from_slice(&(segment.0.len() as u32).to_le_bytes());
-        out.extend_from_slice(&segment.0);
-    }
-    out
 }
 
 fn decode_log(bytes: &[u8]) -> Result<Vec<Segment<'_>>, SgxError> {
@@ -239,7 +235,7 @@ fn decode_log(bytes: &[u8]) -> Result<Vec<Segment<'_>>, SgxError> {
 /// what may be forgotten). Lives with the enclave state and dies with
 /// it; the vault outlives it.
 #[derive(Debug, Default)]
-pub struct SealCursor {
+pub(crate) struct SealCursor {
     read: HistoryCursor,
     /// Version and tag of the segment sealed last.
     prev: Option<(u64, [u8; TAG])>,
@@ -253,8 +249,8 @@ pub struct SealCursor {
 /// of sealing a small segment — and a monotonic counter standing in for
 /// SGX's hardware monotonic counters.
 ///
-/// Every [`HistoryVault::seal`] stamps its segment with the next counter
-/// value; [`restore_migrated`] refuses any log whose head is older than
+/// Every seal stamps its segment with the next counter value; a restore
+/// (the `migrate_in` ecall) refuses any log whose head is older than
 /// the newest version sealed or claimed, so an operator (or a failover
 /// orchestrator) cannot roll the decoy window back to a superseded log.
 /// The vault object models state that survives enclave restarts on the
@@ -288,7 +284,7 @@ impl HistoryVault {
 
     /// Version of the newest segment this vault sealed (0 if none yet).
     #[must_use]
-    pub fn last_sealed(&self) -> u64 {
+    pub(crate) fn last_sealed(&self) -> u64 {
         self.last_sealed.load(Ordering::Acquire)
     }
 
@@ -299,7 +295,7 @@ impl HistoryVault {
     /// moved by a claim, makes this a chain start that carries the whole
     /// live window. Callers serialize seals on one vault; the storage
     /// side must [`SealedLog::append`] segments in the order sealed.
-    pub fn seal<R: RngCore>(
+    pub(crate) fn seal<R: RngCore>(
         &self,
         history: &QueryHistory,
         cursor: &mut SealCursor,
@@ -308,13 +304,17 @@ impl HistoryVault {
         if cursor.prev.is_none_or(|(v, _)| v != self.last_sealed()) {
             *cursor = SealCursor::default();
         }
-        let (bytes, entries) = read_delta(history, cursor);
+        // The delta goes after room for the header, into a buffer that
+        // also has room for the tag; an empty one fits this allocation.
+        let mut bytes = Vec::with_capacity(HEADER + 4 + TAG);
+        bytes.resize(HEADER, 0);
+        let entries = history.read_since(&mut cursor.read, &mut bytes, TAG);
         (entries > 0).then(|| self.seal_segment(bytes, entries, history.capacity(), cursor, rng))
     }
 
     /// Seals `bytes` — a header's room followed by the query batch of
-    /// `entries` entries, as [`read_delta`] leaves them — in place as the
-    /// next segment of `cursor`'s chain.
+    /// `entries` entries — in place as the next segment of `cursor`'s
+    /// chain.
     fn seal_segment<R: RngCore>(
         &self,
         mut bytes: Vec<u8>,
@@ -346,61 +346,11 @@ impl HistoryVault {
     }
 }
 
-/// What landed in `history` since `cursor` last read it, written after
-/// room for a segment header into a buffer that also has room for the
-/// tag; and how many entries that is. An empty delta fits the first
-/// allocation.
-fn read_delta(history: &QueryHistory, cursor: &mut SealCursor) -> (Vec<u8>, usize) {
-    let mut bytes = Vec::with_capacity(HEADER + 4 + TAG);
-    bytes.resize(HEADER, 0);
-    let entries = history.read_since(&mut cursor.read, &mut bytes, TAG);
-    (bytes, entries)
-}
-
-/// Seals the history's whole window to (platform, measurement) as a
-/// chain start under a throw-away vault: no rollback protection.
-///
-/// The returned segment is safe to hand to untrusted storage: it reveals
-/// only its length.
-pub fn seal_history<R: RngCore>(
-    history: &QueryHistory,
-    platform: &SealingPlatform,
-    measurement: &Measurement,
-    rng: &mut R,
-) -> SealedSegment {
-    let mut cursor = SealCursor::default();
-    let (bytes, entries) = read_delta(history, &mut cursor);
-    HistoryVault::new(platform.clone(), *measurement).seal_segment(
-        bytes,
-        entries,
-        history.capacity(),
-        &mut cursor,
-        rng,
-    )
-}
-
-/// Restores a [`seal_history`] segment into `history` (pushed
-/// oldest-first, so the sliding window keeps the most recent queries if
-/// the segment exceeds capacity).
-///
-/// # Errors
-///
-/// [`SgxError::UnsealFailed`] when the segment was sealed by different
-/// code or a different platform, or was tampered with.
-pub fn restore_history(
-    history: &QueryHistory,
-    platform: &SealingPlatform,
-    measurement: &Measurement,
-    segment: &SealedSegment,
-) -> Result<usize, SgxError> {
-    let vault = HistoryVault::new(platform.clone(), *measurement);
-    restore_migrated(history, &encode_log([segment].into_iter()), &vault)
-}
-
-/// The one restore path (restart and failover alike): verifies the
-/// encoded `log` under the **source** vault as one chain — versions
-/// contiguous from the head's floor to the head, every predecessor tag
-/// matching, every segment opening under (platform, measurement) — then
+/// The one restore path (restart and failover alike), run only inside
+/// the `migrate_in` ecall: verifies the encoded `log` under the
+/// **source** vault as one chain — versions contiguous from the head's
+/// floor to the head, every predecessor tag matching, every segment
+/// opening under (platform, measurement) — then
 /// atomically *claims* the head's version against the source's monotonic
 /// counter — exactly one consumer can ever win, even when a failover
 /// sweep and a source restart race for the same log, and a log whose
@@ -417,7 +367,7 @@ pub fn restore_history(
 /// or superseded at the source; [`SgxError::UnsealFailed`] for wrong
 /// platform/measurement, tampering, or a chain that is not exactly
 /// floor‥head. On error nothing is restored or claimed.
-pub fn restore_migrated(
+pub(crate) fn restore_migrated(
     history: &QueryHistory,
     log: &[u8],
     src: &HistoryVault,
@@ -482,14 +432,6 @@ mod tests {
         let mut b = MeasurementBuilder::new();
         b.add_region(tag);
         b.finalize()
-    }
-
-    fn filled_history(queries: &[&str]) -> QueryHistory {
-        let h = QueryHistory::new(1000, EpcGauge::new());
-        for q in queries {
-            h.push(q);
-        }
-        h
     }
 
     fn vault(seed: u64) -> HistoryVault {
@@ -571,95 +513,112 @@ mod tests {
     #[test]
     fn a_query_longer_than_a_page_survives_sample_seal_and_restore() {
         let long = "ö".repeat(2_560); // 5 KiB, more than an EPC page
-        let h = QueryHistory::new(8, EpcGauge::new());
-        h.push(&long);
-        let mut rng = StdRng::seed_from_u64(5);
-        assert_eq!(h.sample(&mut rng).as_deref(), Some(long.as_str()));
-        h.push("short");
-        let platform = SealingPlatform::from_seed(5);
-        let m = measurement(b"proxy-v1");
-        let segment = seal_history(&h, &platform, &m, &mut rng);
+        let v = vault(5);
+        let mut sealer = Sealer::new(8);
+        sealer.history.push(&long);
+        assert_eq!(
+            sealer.history.sample(&mut sealer.rng).as_deref(),
+            Some(long.as_str())
+        );
+        sealer.seal(&v, &["short"]);
         let restored = QueryHistory::new(8, EpcGauge::new());
-        assert_eq!(restore_history(&restored, &platform, &m, &segment), Ok(2));
+        assert_eq!(restore_migrated(&restored, &sealer.log.encode(), &v), Ok(2));
         assert_eq!(restored.snapshot(), [long.as_str(), "short"]);
     }
 
     #[test]
     fn seal_restore_roundtrip_preserves_window() {
-        let platform = SealingPlatform::from_seed(1);
-        let m = measurement(b"proxy-v1");
-        let mut rng = StdRng::seed_from_u64(2);
-        let original = filled_history(&["first", "second", "third"]);
-        let blob = seal_history(&original, &platform, &m, &mut rng);
-
+        let v = vault(1);
+        let mut sealer = Sealer::new(1000);
+        sealer.seal(&v, &["first", "second", "third"]);
         let restored = QueryHistory::new(1000, EpcGauge::new());
-        let n = restore_history(&restored, &platform, &m, &blob).unwrap();
-        assert_eq!(n, 3);
-        assert_eq!(restored.snapshot(), vec!["first", "second", "third"]);
+        assert_eq!(restore_migrated(&restored, &sealer.log.encode(), &v), Ok(3));
+        assert_eq!(restored.snapshot(), ["first", "second", "third"]);
     }
 
     #[test]
     fn empty_window_seals_and_restores_as_nothing() {
-        let platform = SealingPlatform::from_seed(1);
-        let m = measurement(b"proxy");
-        let mut rng = StdRng::seed_from_u64(2);
-        let blob = seal_history(&filled_history(&[]), &platform, &m, &mut rng);
+        let v = vault(1);
+        let mut sealer = Sealer::new(10);
+        sealer.seal(&v, &[]);
+        assert!(sealer.log.is_empty(), "an empty window seals no segment");
         let restored = QueryHistory::new(10, EpcGauge::new());
-        assert_eq!(restore_history(&restored, &platform, &m, &blob), Ok(0));
         assert_eq!(
-            restore_migrated(&restored, &SealedLog::default().encode(), &vault(1)),
+            restore_migrated(&restored, &sealer.log.encode(), &v),
             Ok(0),
             "an empty log restores nothing and claims nothing"
         );
+        assert_eq!((restored.len(), v.last_sealed()), (0, 0));
     }
 
     #[test]
     fn different_code_cannot_restore() {
-        let platform = SealingPlatform::from_seed(1);
-        let mut rng = StdRng::seed_from_u64(3);
-        let history = filled_history(&["secret query"]);
-        let blob = seal_history(&history, &platform, &measurement(b"proxy-v1"), &mut rng);
+        let honest = vault(1);
+        let mut sealer = Sealer::new(10);
+        sealer.seal(&honest, &["secret query"]);
+        let log = sealer.log.encode();
+        // Another enclave build on the same platform derives another key.
+        let other = HistoryVault::new(SealingPlatform::from_seed(1), measurement(b"proxy-v2"));
         let restored = QueryHistory::new(10, EpcGauge::new());
         assert_eq!(
-            restore_history(&restored, &platform, &measurement(b"proxy-v2"), &blob),
+            restore_migrated(&restored, &log, &other),
             Err(SgxError::UnsealFailed)
         );
         assert_eq!(restored.len(), 0);
+        // The refusal claimed nothing: the honest code still restores it.
+        assert_eq!(restore_migrated(&restored, &log, &honest), Ok(1));
     }
 
     #[test]
     fn oversized_snapshot_keeps_most_recent() {
-        let platform = SealingPlatform::from_seed(1);
-        let m = measurement(b"proxy");
-        let mut rng = StdRng::seed_from_u64(4);
-        let big = filled_history(&["q1", "q2", "q3", "q4", "q5"]);
-        let blob = seal_history(&big, &platform, &m, &mut rng);
-
-        let small = QueryHistory::new(2, EpcGauge::new());
-        assert_eq!(restore_history(&small, &platform, &m, &blob), Ok(2));
-        assert_eq!(
-            small.snapshot(),
-            vec!["q4", "q5"],
-            "window keeps the newest"
-        );
+        let log = three_segments(&vault(1)).log.encode();
+        let window = ["a1", "a2", "b1", "c1", "c2"];
+        // Each capacity skips a different run of the three segments:
+        // part of the first, all of it, all of the first two, ...
+        for capacity in 1..=5 {
+            let small = QueryHistory::new(capacity, EpcGauge::new());
+            // Same key, own counter: each restore claims afresh.
+            assert_eq!(restore_migrated(&small, &log, &vault(1)), Ok(capacity));
+            assert_eq!(
+                small.snapshot(),
+                window[5 - capacity..],
+                "capacity {capacity}: the window keeps the newest"
+            );
+            assert_eq!(
+                small.memory_bytes(),
+                small.epc().used(),
+                "capacity {capacity}: accounting survives the restore"
+            );
+        }
     }
 
     #[test]
     fn blob_reveals_nothing_but_length() {
-        let platform = SealingPlatform::from_seed(1);
-        let m = measurement(b"proxy");
-        let mut rng = StdRng::seed_from_u64(5);
-        let history = filled_history(&["very identifying query"]);
-        let blob = seal_history(&history, &platform, &m, &mut rng);
-        let debug = format!("{blob:?}");
-        assert!(!debug.contains("identifying"), "sealed blob must be opaque");
+        let mut sealer = Sealer::new(10);
+        sealer.seal(&vault(1), &["very identifying query"]);
+        let segment = &sealer.log.segments[0];
+        let debug = format!("{segment:?}");
         assert!(
-            !blob
+            !debug.contains("identifying"),
+            "sealed segment must be opaque"
+        );
+        assert!(
+            !segment
                 .as_bytes()
                 .windows(11)
                 .any(|window| window == b"identifying"),
             "plaintext never leaves the seal"
         );
+        // Sealing is randomized: the same delta sealed again, at the same
+        // version under the same key, keeps its header and changes every
+        // other byte class.
+        let again = vault(1)
+            .seal(&sealer.history, &mut SealCursor::default(), &mut sealer.rng)
+            .expect("the same delta");
+        let (a, b) = (segment.as_bytes(), again.as_bytes());
+        assert_eq!(a[NONCE..HEADER], b[NONCE..HEADER]);
+        assert_ne!(a[..NONCE], b[..NONCE], "a fresh nonce");
+        assert_ne!(a[HEADER..], b[HEADER..], "other ciphertext and tag");
     }
 
     #[test]
@@ -840,7 +799,8 @@ mod tests {
         sealer.seal(&src, &["w1", "w2"]);
         sealer.seal(&src, &["w3"]);
 
-        let live = filled_history(&["own entry"]);
+        let live = QueryHistory::new(100, EpcGauge::new());
+        live.push("own entry");
         assert_eq!(restore_migrated(&live, &sealer.log.encode(), &src), Ok(3));
         assert_eq!(live.snapshot(), vec!["own entry", "w1", "w2", "w3"]);
 
@@ -974,11 +934,13 @@ mod tests {
             tampered(&|s| s[1] = foreign.segments[1].clone()),
         );
 
-        // The clear header is authenticated: each field, on each segment.
-        for at in [0, NONCE, LINK, LINK + 8, HEADER - 1] {
-            for i in 0..3 {
+        // Every byte is authenticated: each clear header field, the
+        // ciphertext and the tag, on each segment.
+        for i in 0..3 {
+            let last = intact.segments[i].0.len() - 1;
+            for at in [0, NONCE, LINK, LINK + 8, HEADER - 1, HEADER, last] {
                 refused(
-                    &format!("header byte {at} of segment {i} altered"),
+                    &format!("byte {at} of segment {i} altered"),
                     tampered(&|s| s[i].0[at] ^= 1),
                 );
             }

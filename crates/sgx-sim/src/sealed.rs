@@ -2,9 +2,12 @@
 //!
 //! Real SGX derives sealing keys from a fused platform secret and the
 //! enclave identity; data sealed by one enclave version on one platform
-//! only opens there. The X-Search proxy could seal its query history
-//! across restarts; the model exists so that behaviour (and its failure
-//! modes) can be exercised.
+//! only opens there. The model has one sealing format: a caller derives
+//! the [`SealingKey`] of (platform, measurement) once, seals a buffer's
+//! tail in place with [`SealingKey::seal_tail`] and opens it with
+//! [`SealingKey::open`] under the same version and bound data. The
+//! X-Search proxy's sealed history log (`xsearch_core::persistence`) is
+//! built on exactly that pair.
 
 use crate::error::SgxError;
 use crate::measurement::Measurement;
@@ -26,57 +29,15 @@ impl std::fmt::Debug for SealingPlatform {
     }
 }
 
-/// A sealed blob: nonce, monotonic version, and AEAD ciphertext.
-///
-/// The version rides in the clear (untrusted storage must be able to
-/// keep only the newest blob) but is authenticated: it is bound into the
-/// AEAD's associated data, so tampering with it fails the open. Blobs
-/// sealed through the legacy [`SealingPlatform::seal`] carry version 0.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What [`SealingPlatform::seal_versioned`] returns: the fresh nonce and
+/// `ciphertext ‖ tag`, which [`SealingKey::open`] opens under the same
+/// version and an empty bound.
+#[derive(Debug, Clone)]
 pub struct SealedBlob {
-    nonce: [u8; 12],
-    version: u64,
-    ciphertext: Vec<u8>,
-}
-
-impl SealedBlob {
-    /// The monotonic version bound into this blob.
-    #[must_use]
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Serializes the blob for untrusted storage or migration transport
-    /// (`nonce ‖ version ‖ ciphertext`; nothing here is secret).
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(12 + 8 + self.ciphertext.len());
-        out.extend_from_slice(&self.nonce);
-        out.extend_from_slice(&self.version.to_le_bytes());
-        out.extend_from_slice(&self.ciphertext);
-        out
-    }
-
-    /// Parses a serialized blob.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SgxError::UnsealFailed`] for structurally invalid bytes.
-    /// (Authenticity is only established by a later unseal: the encoding
-    /// itself is untrusted.)
-    pub fn decode(bytes: &[u8]) -> Result<Self, SgxError> {
-        if bytes.len() < 12 + 8 {
-            return Err(SgxError::UnsealFailed);
-        }
-        let mut nonce = [0u8; 12];
-        nonce.copy_from_slice(&bytes[..12]);
-        let version = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-        Ok(SealedBlob {
-            nonce,
-            version,
-            ciphertext: bytes[20..].to_vec(),
-        })
-    }
+    /// The nonce the seal drew.
+    pub nonce: [u8; 12],
+    /// `ciphertext ‖ tag`.
+    pub sealed: Vec<u8>,
 }
 
 /// The sealing key of one (platform, measurement) pair, derived once.
@@ -92,8 +53,7 @@ pub struct SealingKey {
 
 impl SealingKey {
     /// Associated data: `measurement ‖ version ‖ bound`. `bound` is
-    /// whatever else the caller wants authenticated with the payload
-    /// (empty for a plain [`SealedBlob`]).
+    /// whatever else the caller wants authenticated with the payload.
     fn aad(&self, version: u64, bound: &[u8]) -> Vec<u8> {
         let mut aad = Vec::with_capacity(40 + bound.len());
         aad.extend_from_slice(&self.measurement.0);
@@ -144,13 +104,6 @@ impl SealingKey {
 }
 
 impl SealingPlatform {
-    /// A platform with a random master secret.
-    pub fn new<R: RngCore>(rng: &mut R) -> Self {
-        let mut master = [0u8; 32];
-        rng.fill_bytes(&mut master);
-        SealingPlatform { master }
-    }
-
     /// Deterministic platform for reproducible tests.
     #[must_use]
     pub fn from_seed(seed: u64) -> Self {
@@ -173,23 +126,8 @@ impl SealingPlatform {
         }
     }
 
-    /// Seals `plaintext` to (this platform, `measurement`) at version 0
-    /// (no rollback protection; see [`SealingPlatform::seal_versioned`]).
-    pub fn seal<R: RngCore>(
-        &self,
-        measurement: &Measurement,
-        plaintext: &[u8],
-        rng: &mut R,
-    ) -> SealedBlob {
-        self.seal_versioned(measurement, 0, plaintext, rng)
-    }
-
-    /// Seals `plaintext` to (this platform, `measurement`) and binds the
-    /// caller-supplied monotonic `version` into the AEAD's associated
-    /// data. In real SGX the version would come from a hardware monotonic
-    /// counter; callers are expected to hand out strictly increasing
-    /// versions and check them on unseal
-    /// ([`SealingPlatform::unseal_monotonic`]).
+    /// Seals `plaintext` to (this platform, `measurement`) at `version`:
+    /// one key derivation and one [`SealingKey::seal_tail`] over a copy.
     pub fn seal_versioned<R: RngCore>(
         &self,
         measurement: &Measurement,
@@ -197,55 +135,12 @@ impl SealingPlatform {
         plaintext: &[u8],
         rng: &mut R,
     ) -> SealedBlob {
-        let mut ciphertext = Vec::with_capacity(plaintext.len() + 16);
-        ciphertext.extend_from_slice(plaintext);
+        let mut sealed = Vec::with_capacity(plaintext.len() + 16);
+        sealed.extend_from_slice(plaintext);
         let nonce = self
             .key_for(measurement)
-            .seal_tail(version, &[], &mut ciphertext, 0, rng);
-        SealedBlob {
-            nonce,
-            version,
-            ciphertext,
-        }
-    }
-
-    /// Opens a blob sealed by the same platform and measurement.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SgxError::UnsealFailed`] for a different platform, a
-    /// different enclave measurement, or tampered data (including a
-    /// tampered version field).
-    pub fn unseal(
-        &self,
-        measurement: &Measurement,
-        blob: &SealedBlob,
-    ) -> Result<Vec<u8>, SgxError> {
-        self.key_for(measurement)
-            .open(&blob.nonce, blob.version, &[], &blob.ciphertext)
-    }
-
-    /// Opens a blob only if its authenticated version is at least
-    /// `floor` — the anti-rollback check: an operator re-offering an old
-    /// (authentic) snapshot is detected, not silently accepted.
-    ///
-    /// # Errors
-    ///
-    /// [`SgxError::RolledBack`] when `blob.version() < floor`;
-    /// [`SgxError::UnsealFailed`] as for [`SealingPlatform::unseal`].
-    pub fn unseal_monotonic(
-        &self,
-        measurement: &Measurement,
-        blob: &SealedBlob,
-        floor: u64,
-    ) -> Result<Vec<u8>, SgxError> {
-        if blob.version < floor {
-            return Err(SgxError::RolledBack {
-                sealed: blob.version,
-                floor,
-            });
-        }
-        self.unseal(measurement, blob)
+            .seal_tail(version, &[], &mut sealed, 0, rng);
+        SealedBlob { nonce, sealed }
     }
 }
 
@@ -259,102 +154,6 @@ mod tests {
         let mut b = crate::measurement::MeasurementBuilder::new();
         b.add_region(tag);
         b.finalize()
-    }
-
-    #[test]
-    fn seal_unseal_roundtrip() {
-        let platform = SealingPlatform::from_seed(1);
-        let mut rng = StdRng::seed_from_u64(2);
-        let blob = platform.seal(&m(b"proxy"), b"query history", &mut rng);
-        assert_eq!(
-            platform.unseal(&m(b"proxy"), &blob).unwrap(),
-            b"query history"
-        );
-    }
-
-    #[test]
-    fn different_measurement_cannot_unseal() {
-        let platform = SealingPlatform::from_seed(1);
-        let mut rng = StdRng::seed_from_u64(2);
-        let blob = platform.seal(&m(b"proxy-v1"), b"secret", &mut rng);
-        assert_eq!(
-            platform.unseal(&m(b"proxy-v2"), &blob),
-            Err(SgxError::UnsealFailed)
-        );
-    }
-
-    #[test]
-    fn different_platform_cannot_unseal() {
-        let p1 = SealingPlatform::from_seed(1);
-        let p2 = SealingPlatform::from_seed(2);
-        let mut rng = StdRng::seed_from_u64(3);
-        let blob = p1.seal(&m(b"proxy"), b"secret", &mut rng);
-        assert_eq!(p2.unseal(&m(b"proxy"), &blob), Err(SgxError::UnsealFailed));
-    }
-
-    #[test]
-    fn tampered_blob_fails() {
-        let platform = SealingPlatform::from_seed(1);
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut blob = platform.seal(&m(b"proxy"), b"secret", &mut rng);
-        blob.ciphertext[0] ^= 1;
-        assert_eq!(
-            platform.unseal(&m(b"proxy"), &blob),
-            Err(SgxError::UnsealFailed)
-        );
-    }
-
-    #[test]
-    fn sealing_is_randomized() {
-        let platform = SealingPlatform::from_seed(1);
-        let mut rng = StdRng::seed_from_u64(2);
-        let a = platform.seal(&m(b"proxy"), b"same", &mut rng);
-        let b = platform.seal(&m(b"proxy"), b"same", &mut rng);
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn versioned_seal_roundtrips_and_reports_version() {
-        let platform = SealingPlatform::from_seed(1);
-        let mut rng = StdRng::seed_from_u64(2);
-        let blob = platform.seal_versioned(&m(b"proxy"), 7, b"history", &mut rng);
-        assert_eq!(blob.version(), 7);
-        assert_eq!(platform.unseal(&m(b"proxy"), &blob).unwrap(), b"history");
-        assert_eq!(
-            platform.unseal_monotonic(&m(b"proxy"), &blob, 7).unwrap(),
-            b"history"
-        );
-    }
-
-    #[test]
-    fn stale_version_is_rejected_below_floor() {
-        let platform = SealingPlatform::from_seed(1);
-        let mut rng = StdRng::seed_from_u64(2);
-        let blob = platform.seal_versioned(&m(b"proxy"), 3, b"old window", &mut rng);
-        assert_eq!(
-            platform.unseal_monotonic(&m(b"proxy"), &blob, 4),
-            Err(SgxError::RolledBack {
-                sealed: 3,
-                floor: 4
-            })
-        );
-    }
-
-    #[test]
-    fn tampered_version_fails_authentication() {
-        let platform = SealingPlatform::from_seed(1);
-        let mut rng = StdRng::seed_from_u64(2);
-        let blob = platform.seal_versioned(&m(b"proxy"), 3, b"window", &mut rng);
-        // An operator rewriting the cleartext version field (to sneak a
-        // stale blob past the floor) must break the AEAD.
-        let mut bytes = blob.encode();
-        bytes[12..20].copy_from_slice(&9u64.to_le_bytes());
-        let forged = SealedBlob::decode(&bytes).unwrap();
-        assert_eq!(forged.version(), 9);
-        assert_eq!(
-            platform.unseal_monotonic(&m(b"proxy"), &forged, 4),
-            Err(SgxError::UnsealFailed)
-        );
     }
 
     #[test]
@@ -381,19 +180,8 @@ mod tests {
         let blob = platform.seal_versioned(&m(b"proxy"), 3, b"window", &mut rng);
         let key = platform.key_for(&m(b"proxy"));
         assert_eq!(
-            key.open(&blob.nonce, 3, &[], &blob.ciphertext).unwrap(),
+            key.open(&blob.nonce, 3, &[], &blob.sealed).unwrap(),
             b"window"
         );
-    }
-
-    #[test]
-    fn blob_encoding_roundtrips() {
-        let platform = SealingPlatform::from_seed(1);
-        let mut rng = StdRng::seed_from_u64(2);
-        let blob = platform.seal_versioned(&m(b"proxy"), 42, b"payload", &mut rng);
-        let decoded = SealedBlob::decode(&blob.encode()).unwrap();
-        assert_eq!(decoded, blob);
-        assert_eq!(platform.unseal(&m(b"proxy"), &decoded).unwrap(), b"payload");
-        assert_eq!(SealedBlob::decode(&[0u8; 5]), Err(SgxError::UnsealFailed));
     }
 }
