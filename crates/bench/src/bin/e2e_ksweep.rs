@@ -147,12 +147,15 @@ fn fig7(
     let mut tor = Vec::with_capacity(queries.len());
     for record in queries {
         let start = Instant::now();
-        let _ = network
+        let reply = network
             .round_trip(&mut circuit, record.query.as_bytes(), |req| {
                 let q = String::from_utf8_lossy(req);
                 xsearch_core::wire::encode_results(&engine.search(&q, 20))
             })
             .expect("tor round trip");
+        // The client reads the length-framed reply, as X-Search's broker
+        // reads its own.
+        xsearch_core::wire::decode_results(&reply).expect("tor reply decodes");
         let compute = start.elapsed();
         // 3 onion hops each way + exit↔engine + engine service.
         let mut wan_time = Duration::ZERO;

@@ -375,9 +375,8 @@ impl EnclaveState {
         // Encrypt the response for the broker: serialize into one
         // exactly-sized buffer (tag headroom included) and seal it where
         // it lies. This — the buffer that crosses the boundary — is the
-        // only allocation the sealed path performs; the old path built
-        // an escape `String` per field, an encode `String`, and a sealed
-        // copy on top.
+        // only allocation the sealed path performs. No result leaves an
+        // empty reply (the echo path): zero bytes, sealed to a bare tag.
         let mut response = Vec::with_capacity(encoded_len(&kept) + xsearch_crypto::aead::TAG_LEN);
         encode_results_into(&kept, &mut response);
         channel.seal_in_place(b"results", &mut response);
@@ -399,7 +398,8 @@ impl EnclaveState {
         port.ocall(obfuscated.to_or_string().as_bytes(), |_| Vec::new());
         // recv(sock, buff, len) — results come back (untrusted fetch runs
         // here). The boundary is charged the exact serialized size the
-        // response would occupy, without building that buffer.
+        // response would occupy, without building that buffer: the
+        // framing's header plus the field lengths, arithmetic only.
         let k_each = self.config.results_per_query;
         let results = port.ocall_sized(b"recv", |_| {
             let r = fetch(&obfuscated.subqueries(), k_each);

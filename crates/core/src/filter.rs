@@ -12,20 +12,27 @@
 //! over ≈ 75 results and ≈ 1 800 result words, so it is sized to the
 //! data it touches and allocates nothing per result or per word. The
 //! k+1 sub-queries are tokenized once into a `WordTable`: their
-//! distinct words, sorted, and per sub-query a bitmask over that table
-//! (as many `u64`s as the table needs — k = 15 with long queries passes
-//! 64 distinct words). A result field is then streamed through
-//! [`for_each_token`], which lends each word from the text (or from one
-//! reused fold buffer) instead of building a `String`; a word that is in
-//! the table sets its bit in the field's `seen` mask, and a sub-query's
-//! `nbCommonWords` with the field is `popcount(seen & mask)`. Most result
-//! words are in no sub-query; a one-byte `sketch` turns them away
-//! before the table is searched, and the search is a binary search of a
-//! sorted slice — bounded per word whatever the engine sends back, which
-//! a cheap-hash map would not be. Title and description are scored
-//! separately and summed, as [`result_score`] — the naive form, kept as
-//! the oracle the tests compare against — does. The result list is
-//! consumed and filtered in place.
+//! distinct words, and per sub-query a bitmask over that table (as many
+//! `u64`s as the table needs — k = 15 with long queries passes 64
+//! distinct words). A result field is then streamed through
+//! [`for_each_token`], which splits a field with no upper-case or
+//! non-ASCII byte a 64-byte block at a time and lends each word from the
+//! text (a field with such a byte takes its exact, folding path); a word
+//! that is in the table sets its bit in the field's `seen` mask, and a
+//! sub-query's `nbCommonWords` with the field is `popcount(seen & mask)`.
+//!
+//! The lookup is a bounded scan, not a search. A table word of at most 8
+//! bytes is one zero-padded `u64` key; a result word of that size is
+//! compared with every key at once (the comparisons vectorize) and the
+//! hits are OR-ed into the mask. A longer word is compared exactly with
+//! every longer table word. So a word costs the same whatever it is and
+//! whatever the engine sent back — no probe sequence a hostile engine
+//! could lengthen, as it could a cheap hash's — and the table is sorted
+//! and deduplicated, so neither its layout nor the work depends on where
+//! the original sits among the sub-queries. Title and description are
+//! scored separately and summed, as [`result_score`] — the naive form,
+//! kept as the oracle the tests compare against — does. The result list
+//! is consumed and filtered in place.
 
 use xsearch_engine::engine::SearchResult;
 use xsearch_text::similarity::nb_common_words;
@@ -37,83 +44,146 @@ pub fn result_score(query: &str, result: &SearchResult) -> usize {
     nb_common_words(query, &result.title) + nb_common_words(query, &result.description)
 }
 
+/// Bytes in a short key: a word this long or shorter is one `u64`.
+const KEY_BYTES: usize = 8;
+
+/// A word of 1 to [`KEY_BYTES`] bytes as a zero-padded little-endian
+/// key. Words are never empty and hold no NUL, so no word's key is 0.
+///
+/// Two loads that may overlap, not a copy into a padded buffer (a
+/// `memcpy` call of variable length): 4 to 8 bytes are the first four
+/// and the last four, and 1 to 3 bytes the first, middle and last; an
+/// overlapping byte lands on the same bits from both sides.
+fn key(word: &[u8]) -> u64 {
+    let n = word.len();
+    if n >= 4 {
+        let head = u32::from_le_bytes(word[..4].try_into().expect("4 bytes"));
+        let tail = u32::from_le_bytes(word[n - 4..].try_into().expect("4 bytes"));
+        u64::from(head) | u64::from(tail) << (8 * (n - 4))
+    } else {
+        let byte = |i: usize| u64::from(word[i]) << (8 * i);
+        byte(0) | byte(n / 2) | byte(n - 1)
+    }
+}
+
 /// The distinct words of the k+1 sub-queries and, per sub-query, which of
 /// them it contains.
 struct WordTable {
-    /// Distinct words, sorted by [`word_order`]; a word's position is its
-    /// bit index.
-    words: Vec<String>,
+    /// The short words' keys, ascending, padded with 0 keys (which match
+    /// no word) to a whole number of 8; key `i` is bit `i`.
+    short: Vec<u64>,
+    /// The words longer than [`KEY_BYTES`], sorted; word `i` is bit
+    /// `short.len() + i`.
+    long: Vec<String>,
     /// `width` mask words per sub-query, sub-query 0 (the original) first.
     masks: Vec<u64>,
     /// `u64`s per mask.
     width: usize,
-    /// Bit [`sketch`]`(word)` is set for every word in the table: most
-    /// result words are turned away here, before any comparison.
-    sketches: [u64; 4],
 }
 
-/// Table order: by length first, so most probes of the binary search
-/// compare two integers and never touch the bytes.
-fn word_order(a: &str, b: &str) -> std::cmp::Ordering {
-    a.len().cmp(&b.len()).then_with(|| a.cmp(b))
+/// Bit `i` set where `keys[i]` is `word` (at most 64 keys). Every key is
+/// compared; the comparisons vectorize.
+fn matches(keys: &[u64], word: u64) -> u64 {
+    keys.iter()
+        .enumerate()
+        .fold(0, |hits, (i, &k)| hits | u64::from(k == word) << i)
 }
 
-/// One byte mixed from a word's length (its low byte) and its first and
-/// last bytes — enough to tell most words that are not in a small table
-/// from those that are. Words are never empty.
-fn sketch(word: &str) -> u8 {
-    let bytes = word.as_bytes();
-    (bytes.len() as u8)
-        .wrapping_mul(29)
-        .wrapping_add(bytes[0].wrapping_mul(7))
-        .wrapping_add(bytes[bytes.len() - 1])
+/// The hits of a short key among the short keys past the first 64 (a
+/// table that large is k = 15 with long queries), one mask word per 64.
+#[inline(never)]
+fn mark_rest(rest: &[u64], word: u64, seen: &mut [u64]) {
+    for (keys, seen) in rest.chunks(64).zip(seen) {
+        *seen |= matches(keys, word);
+    }
 }
 
 fn set_bit(bits: &mut [u64], bit: usize) {
     bits[bit / 64] |= 1 << (bit % 64);
 }
 
-fn has_bit(bits: &[u64], bit: usize) -> bool {
-    bits[bit / 64] & 1 << (bit % 64) != 0
-}
-
 impl WordTable {
     fn build<S: AsRef<str>>(original: &str, fakes: &[S], scratch: &mut String) -> Self {
-        let mut tagged: Vec<(String, usize)> = Vec::new();
+        // Each sub-query's words, tagged with the sub-query: short ones
+        // as their keys, longer ones as text.
+        let mut short_words: Vec<(u64, usize)> = Vec::new();
+        let mut long_words: Vec<(String, usize)> = Vec::new();
         let subqueries = std::iter::once(original).chain(fakes.iter().map(AsRef::as_ref));
         for (q, text) in subqueries.enumerate() {
-            for_each_token(text, scratch, |word| tagged.push((word.to_owned(), q)));
+            for_each_token(text, scratch, |word| {
+                if word.len() <= KEY_BYTES {
+                    short_words.push((key(word.as_bytes()), q));
+                } else {
+                    long_words.push((word.to_owned(), q));
+                }
+            });
         }
-        tagged.sort_unstable_by(|a, b| word_order(&a.0, &b.0));
-        // At most one bit per tagged word, fewer once duplicates merge.
-        let width = tagged.len().div_ceil(64).max(1);
-        let mut table = WordTable {
-            words: Vec::with_capacity(tagged.len()),
-            masks: vec![0; (fakes.len() + 1) * width],
+        let mut short: Vec<u64> = short_words.iter().map(|&(key, _)| key).collect();
+        short.sort_unstable();
+        short.dedup();
+        // Whole groups of 8 keys, so the comparisons run in full vectors.
+        let padded = short.len().next_multiple_of(8);
+        let mut long: Vec<String> = long_words.iter().map(|(word, _)| word.clone()).collect();
+        long.sort_unstable();
+        long.dedup();
+        let width = (padded + long.len()).div_ceil(64).max(1);
+        let mut masks = vec![0; (fakes.len() + 1) * width];
+        let found = "every sub-query word is in the table";
+        for (key, q) in short_words {
+            set_bit(
+                &mut masks[q * width..],
+                short.binary_search(&key).expect(found),
+            );
+        }
+        for (word, q) in long_words {
+            let bit = padded + long.binary_search(&word).expect(found);
+            set_bit(&mut masks[q * width..], bit);
+        }
+        short.resize(padded, 0);
+        WordTable {
+            short,
+            long,
+            masks,
             width,
-            sketches: [0; 4],
-        };
-        for (word, q) in tagged {
-            if table.words.last() != Some(&word) {
-                set_bit(&mut table.sketches, usize::from(sketch(&word)));
-                table.words.push(word);
-            }
-            set_bit(&mut table.masks[q * width..], table.words.len() - 1);
         }
-        table
     }
 
-    /// Marks in `seen` every table word that occurs in `text`.
+    /// Marks in `seen` every table word that occurs in `text`. Each word
+    /// is compared with every key of its length class, whatever it
+    /// matches; the hits among the first 64 short keys gather in a
+    /// register and reach `seen` once per field.
     fn mark(&self, text: &str, scratch: &mut String, seen: &mut [u64]) {
         seen.fill(0);
+        let (first, rest) = self.short.split_at(self.short.len().min(64));
+        let mut hits = 0;
         for_each_token(text, scratch, |word| {
-            if !has_bit(&self.sketches, usize::from(sketch(word))) {
-                return;
-            }
-            if let Ok(bit) = self.words.binary_search_by(|w| word_order(w, word)) {
-                set_bit(seen, bit);
+            if word.len() <= KEY_BYTES {
+                #[cfg(test)]
+                tests::KEYS_COMPARED.with(|n| n.set(n.get() + self.short.len()));
+                let word = key(word.as_bytes());
+                hits |= matches(first, word);
+                if !rest.is_empty() {
+                    mark_rest(rest, word, &mut seen[1..]);
+                }
+            } else if !self.long.is_empty() {
+                self.mark_long(word, seen);
             }
         });
+        seen[0] |= hits;
+    }
+
+    /// The exact compare of a word longer than [`KEY_BYTES`] with every
+    /// longer table word. Out of line, so that the short-word path stays
+    /// small enough to inline into the tokenizer's loop.
+    #[inline(never)]
+    fn mark_long(&self, word: &str, seen: &mut [u64]) {
+        #[cfg(test)]
+        tests::KEYS_COMPARED.with(|n| n.set(n.get() + self.long.len()));
+        for (i, long) in self.long.iter().enumerate() {
+            if long == word {
+                set_bit(seen, self.short.len() + i);
+            }
+        }
     }
 
     /// `nbCommonWords(sub-query q, field)` for a field marked into `seen`.
@@ -170,6 +240,8 @@ mod tests {
     thread_local! {
         /// `WordTable::common` evaluations on this thread.
         pub(super) static COMMON_CALLS: Cell<usize> = const { Cell::new(0) };
+        /// Table keys `WordTable::mark` compared on this thread.
+        pub(super) static KEYS_COMPARED: Cell<usize> = const { Cell::new(0) };
     }
 
     fn result(id: u32, title: &str, desc: &str) -> SearchResult {
@@ -308,7 +380,132 @@ mod tests {
         out
     }
 
+    /// Words of 1, 8, 9 and more than 64 bytes, each also with an
+    /// upper-case or non-ASCII spelling that folds onto it (or nearly).
+    const EDGE_WORDS: [&str; 16] = [
+        "a",
+        "A",
+        "0",
+        "hotels12",
+        "HOTELS12",
+        "hotels123",
+        "Hotels123",
+        "straße",
+        "STRASSE",
+        "é",
+        "É",
+        "naïve",
+        "abcdefghabcdefghabcdefghabcdefghabcdefghabcdefghabcdefghabcdefghz",
+        "abcdefghabcdefghabcdefghabcdefghabcdefghabcdefghabcdefghabcdefghZ",
+        "abcdefghabcdefghabcdefghabcdefghabcdefghabcdefghabcdefghabcdefgh",
+        "中",
+    ];
+
+    /// A field from `units`: words, separators (NUL and other control
+    /// bytes among them), and runs of spaces up to — or one or two bytes
+    /// short of — the next 8- or 64-byte block edge, so that words, and
+    /// upper-case and non-ASCII bytes, start and end on the edges the
+    /// tokenizer's block path splits at. `repeat` copies make fields
+    /// longer than 512 bytes, and a field may end on a word's last byte.
+    fn edge_field(units: &[(usize, usize)], repeat: usize) -> String {
+        const SEPARATORS: [&str; 7] = [" ", "\0", "\x01", "\x1f", "\x7f", ", ", "\t"];
+        let mut out = String::new();
+        for _ in 0..repeat {
+            for &(unit, n) in units {
+                match unit {
+                    0..=5 => out.push_str(EDGE_WORDS[n % EDGE_WORDS.len()]),
+                    6 | 7 => out.push_str(SEPARATORS[n % SEPARATORS.len()]),
+                    _ => {
+                        let edge = if n % 2 == 0 { 8 } else { 64 };
+                        while !(out.len() + n % 3).is_multiple_of(edge) {
+                            out.push(' ');
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn edge_units() -> impl Strategy<Value = Vec<(usize, usize)>> {
+        proptest::collection::vec((0usize..9, 0usize..48), 0..24)
+    }
+
     proptest! {
+        /// The block path, its hand-over to the exact path and the
+        /// bounded lookup against the naive scorer: every sub-query's
+        /// `nbCommonWords` with every field, and the kept list, match
+        /// [`result_score`] over [`nb_common_words`].
+        #[test]
+        fn fast_path_scores_match_result_score(
+            subqueries in proptest::collection::vec(edge_units(), 4),
+            fields in proptest::collection::vec((edge_units(), 1usize..4), 0..8),
+        ) {
+            let subs: Vec<String> = subqueries.iter().map(|u| edge_field(u, 1)).collect();
+            let results: Vec<SearchResult> = fields
+                .chunks(2)
+                .enumerate()
+                .map(|(i, f)| {
+                    let (title, desc) = (&f[0], f.last().unwrap());
+                    result(i as u32, &edge_field(&title.0, title.1), &edge_field(&desc.0, desc.1))
+                })
+                .collect();
+            let mut scratch = String::new();
+            let table = WordTable::build(&subs[0], &subs[1..], &mut scratch);
+            let mut seen = vec![0u64; table.width];
+            for r in &results {
+                for field in [&r.title, &r.description] {
+                    table.mark(field, &mut scratch, &mut seen);
+                    for (q, sub) in subs.iter().enumerate() {
+                        prop_assert_eq!(
+                            table.common(q, &seen) as usize,
+                            nb_common_words(sub, field),
+                            "sub-query {:?}, field {:?}", sub, field
+                        );
+                    }
+                }
+            }
+            let expected: Vec<SearchResult> = results
+                .iter()
+                .filter(|r| subs[1..].iter().all(|f| result_score(&subs[0], r) >= result_score(f, r)))
+                .cloned()
+                .collect();
+            prop_assert_eq!(filter_results(&subs[0], &subs[1..], results), expected);
+        }
+
+        /// ROADMAP 2(c) for Algorithm 2: the original at each of the k+1
+        /// positions of one sub-query multiset, over the same results,
+        /// costs the same table lookups (keys compared) and the same
+        /// `nbCommonWords` evaluations.
+        #[test]
+        fn work_does_not_depend_on_the_original_position(
+            k_pick in 0usize..3,
+            subqueries in proptest::collection::vec(
+                proptest::collection::vec((0usize..110, 0usize..6), 0..12), 8),
+            fields in proptest::collection::vec(
+                proptest::collection::vec((0usize..110, 0usize..6), 0..16), 0..24),
+        ) {
+            let vocab = vocabulary();
+            let k = [1, 3, 7][k_pick];
+            let subs: Vec<String> = subqueries[..=k].iter().map(|s| text(&vocab, s)).collect();
+            let results: Vec<SearchResult> = fields
+                .chunks(2)
+                .enumerate()
+                .map(|(i, f)| result(i as u32, &text(&vocab, &f[0]), &text(&vocab, f.last().unwrap())))
+                .collect();
+            let mut work = Vec::new();
+            for position in 0..=k {
+                let fakes: Vec<&String> = (0..=k).filter(|&q| q != position).map(|q| &subs[q]).collect();
+                let (keys, common) = (KEYS_COMPARED.with(Cell::get), COMMON_CALLS.with(Cell::get));
+                let _ = filter_results(&subs[position], &fakes, results.clone());
+                work.push((
+                    KEYS_COMPARED.with(Cell::get) - keys,
+                    COMMON_CALLS.with(Cell::get) - common,
+                ));
+            }
+            prop_assert!(work.iter().all(|w| *w == work[0]), "work per position: {:?}", work);
+        }
+
         #[test]
         fn keeps_exactly_what_the_naive_scores_keep(
             k_pick in 0usize..3,

@@ -1,10 +1,14 @@
 //! Wire encodings: result lists for the encrypted tunnel, query batches
 //! for the past-query window, and the framed connection messages.
 //!
-//! Results use a simple escaped line format: one result per line,
-//! `url \t title \t description`. Chosen over a binary format so that a
-//! captured (encrypted) payload decrypts to something a human can audit —
-//! and because result text dominates the payload anyway.
+//! A result list is length-framed: each result is
+//! `len(url) ‖ len(title) ‖ len(description)`, three u32 LE lengths,
+//! followed by the three fields' bytes. Nothing is escaped, so encoding
+//! is three copies per result and decoding three slices, and the encoded
+//! size is arithmetic on the field lengths — the `recv` ocall's byte
+//! meter reads it without touching a byte of text. The list carries no
+//! count: it ends where the bytes do, so the empty list is zero bytes and
+//! an echo reply seals to a bare tag.
 //!
 //! A query batch is columnar: `count ‖ len* ‖ text`, a u32 LE count, one
 //! u32 LE length per query, then all the query text as one contiguous
@@ -39,100 +43,28 @@ impl From<&SearchResult> for WireResult {
     }
 }
 
-/// Whether the format escapes byte `b`: the field and line separators,
-/// `\r`, and the escape character itself. The writer
-/// ([`encode_results_into`]) and the size accounting ([`encoded_len`])
-/// both ask this one predicate, so they cannot drift apart. A comparison,
-/// not a table lookup, so a pass over a field vectorizes.
-const fn needs_escape(b: u8) -> bool {
-    matches!(b, b'\\' | b'\t' | b'\n' | b'\r')
-}
+/// Bytes of a result's header: three u32 LE field lengths.
+const RESULT_HEADER: usize = 12;
 
-/// Bytes escaping adds to `s` (one backslash per escaped character).
-/// The `recv` ocall's byte meter calls this on every merged result.
-/// Counted per 255-byte chunk, whose count fits a `u8`, so the compiler
-/// keeps the comparisons and the running sum in byte lanes (a `usize`
-/// count is ≈ 2.7× slower).
-fn escape_overhead(s: &str) -> usize {
-    s.as_bytes()
-        .chunks(usize::from(u8::MAX))
-        .map(|chunk| {
-            let escaped = chunk
-                .iter()
-                .fold(0u8, |n, &b| n + u8::from(needs_escape(b)));
-            usize::from(escaped)
-        })
-        .sum()
-}
-
-/// Appends the escaped form of `s` to `out`: whole when nothing in it
-/// needs escaping (almost every field), otherwise copying the runs
-/// between escapes whole. Escapes only ASCII bytes, so the output remains
-/// valid UTF-8.
-fn escape_into(s: &str, out: &mut Vec<u8>) {
-    let bytes = s.as_bytes();
-    if escape_overhead(s) == 0 {
-        out.extend_from_slice(bytes);
-        return;
-    }
-    let mut run_start = 0;
-    for (i, &b) in bytes.iter().enumerate() {
-        if needs_escape(b) {
-            let letter = match b {
-                b'\t' => b't',
-                b'\n' => b'n',
-                b'\r' => b'r',
-                other => other,
-            };
-            out.extend_from_slice(&bytes[run_start..i]);
-            out.extend_from_slice(&[b'\\', letter]);
-            run_start = i + 1;
-        }
-    }
-    out.extend_from_slice(&bytes[run_start..]);
-}
-
-/// Inverts [`escape_into`]: a field without a backslash is copied whole;
-/// otherwise the runs between escapes are. An unknown escape, or a
-/// trailing backslash, stays as written.
-fn unescape(s: &str) -> String {
-    if !s.contains('\\') {
-        return s.to_owned();
-    }
-    let mut out = String::with_capacity(s.len());
-    let mut rest = s;
-    while let Some(at) = rest.find('\\') {
-        out.push_str(&rest[..at]);
-        let mut after = rest[at + 1..].chars();
-        match after.next() {
-            Some('t') => out.push('\t'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('\\') => out.push('\\'),
-            Some(other) => {
-                out.push('\\');
-                out.push(other);
-            }
-            None => out.push('\\'),
-        }
-        rest = after.as_str();
-    }
-    out.push_str(rest);
-    out
+/// A field's length as its u32 LE header word.
+fn field_len(field: &str) -> [u8; 4] {
+    u32::try_from(field.len())
+        .expect("a result field is under 4 GiB")
+        .to_le_bytes()
 }
 
 /// Serializes results for the tunnel, appending to `out` — the
 /// zero-alloc hot path: the enclave encodes into a buffer sized by
 /// [`encoded_len`] (plus tag room) and seals it in place, so a response
-/// costs one exact allocation instead of a `String` per escaped field.
+/// costs one exact allocation.
 pub fn encode_results_into(results: &[SearchResult], out: &mut Vec<u8>) {
     for r in results {
-        escape_into(&r.url, out);
-        out.push(b'\t');
-        escape_into(&r.title, out);
-        out.push(b'\t');
-        escape_into(&r.description, out);
-        out.push(b'\n');
+        for field in [&r.url, &r.title, &r.description] {
+            out.extend_from_slice(&field_len(field));
+        }
+        for field in [&r.url, &r.title, &r.description] {
+            out.extend_from_slice(field.as_bytes());
+        }
     }
 }
 
@@ -149,20 +81,13 @@ pub fn encode_results(results: &[SearchResult]) -> Vec<u8> {
 
 /// Exact length of [`encode_results`]'s output without building it —
 /// the enclave uses this to account the bytes a `recv` ocall carries
-/// across the boundary without serializing a payload nobody reads.
+/// across the boundary without serializing a payload nobody reads. The
+/// header plus the field lengths, per result: no byte of text is read.
 #[must_use]
 pub fn encoded_len(results: &[SearchResult]) -> usize {
     results
         .iter()
-        .map(|r| {
-            r.url.len()
-                + r.title.len()
-                + r.description.len()
-                + escape_overhead(&r.url)
-                + escape_overhead(&r.title)
-                + escape_overhead(&r.description)
-                + 3 // two field tabs + newline
-        })
+        .map(|r| RESULT_HEADER + r.url.len() + r.title.len() + r.description.len())
         .sum()
 }
 
@@ -347,35 +272,43 @@ pub(crate) fn refused_query_batches() -> Vec<(&'static str, Vec<u8>)> {
     ]
 }
 
-/// Parses a result list from tunnel bytes.
+/// Parses a result list from tunnel bytes (see [`encode_results`]):
+/// records until the bytes run out, each a whole header and the three
+/// whole fields it announces.
 ///
 /// # Errors
 ///
-/// [`XSearchError::Protocol`] when the payload is not UTF-8 or a line
-/// does not have three fields.
+/// [`XSearchError::Protocol`] when a header is cut short, the lengths
+/// announce more bytes than are left (or more than `usize` holds), or a
+/// field is not UTF-8 on its own — a character split across two fields
+/// included.
 pub fn decode_results(bytes: &[u8]) -> Result<Vec<WireResult>, XSearchError> {
-    let text = std::str::from_utf8(bytes)
-        .map_err(|_| XSearchError::Protocol("result payload is not utf-8".into()))?;
     let mut results = Vec::new();
-    for line in text.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        let mut fields = line.split('\t');
-        let (url, title, description) =
-            match (fields.next(), fields.next(), fields.next(), fields.next()) {
-                (Some(u), Some(t), Some(d), None) => (u, t, d),
-                _ => {
-                    return Err(XSearchError::Protocol(format!(
-                        "result line has wrong field count: {line:?}"
-                    )))
-                }
-            };
+    let mut rest = bytes;
+    while !rest.is_empty() {
+        let (header, body) = rest
+            .split_at_checked(RESULT_HEADER)
+            .ok_or_else(|| XSearchError::Protocol("truncated result header".into()))?;
+        let [url, title, description] = [0, 4, 8].map(|at| length_at(&header[at..at + 4]));
+        let record = url
+            .checked_add(title)
+            .and_then(|sum| sum.checked_add(description))
+            .filter(|&record| record <= body.len())
+            .ok_or_else(|| XSearchError::Protocol("result fields past the payload".into()))?;
+        let (fields, tail) = body.split_at(record);
+        let (url, fields) = fields.split_at(url);
+        let (title, description) = fields.split_at(title);
+        let field = |bytes: &[u8]| {
+            std::str::from_utf8(bytes)
+                .map(str::to_owned)
+                .map_err(|_| XSearchError::Protocol("result field is not utf-8".into()))
+        };
         results.push(WireResult {
-            url: unescape(url),
-            title: unescape(title),
-            description: unescape(description),
+            url: field(url)?,
+            title: field(title)?,
+            description: field(description)?,
         });
+        rest = tail;
     }
     Ok(results)
 }
@@ -521,17 +454,61 @@ mod tests {
         }
     }
 
-    /// A result field, at even odds plain ASCII without a backslash (the
-    /// codec's copy-whole paths) or dense in escaped bytes, escape
-    /// letters and multi-byte characters (its run-by-run paths).
+    /// A result field, at even odds plain ASCII or dense in tabs,
+    /// newlines, carriage returns, backslashes and multi-byte characters
+    /// (the bytes a separator-based format would have to escape).
     fn field() -> impl Strategy<Value = String> {
-        (0u8..2, "[ -[^-~]{0,30}", "[\t\n\r\\tné€x]{0,30}").prop_map(|(pick, plain, heavy)| {
+        (0u8..2, "[ -[^-~]{0,30}", "[\t\n\r\\\\tné€😀x]{0,30}").prop_map(|(pick, plain, heavy)| {
             if pick == 0 {
                 plain
             } else {
                 heavy
             }
         })
+    }
+
+    /// One record with the three lengths as given — one the encoder
+    /// would never write.
+    fn raw_record(lengths: [u32; 3], fields: &[u8]) -> Vec<u8> {
+        let mut out: Vec<u8> = lengths.iter().flat_map(|len| len.to_le_bytes()).collect();
+        out.extend_from_slice(fields);
+        out
+    }
+
+    /// Result payloads [`decode_results`] must refuse, each named by its
+    /// fault.
+    fn refused_result_payloads() -> Vec<(&'static str, Vec<u8>)> {
+        let whole = encode_results(&[result("http://a.com", "title", "desc")]);
+        let mut trailing = whole.clone();
+        trailing.extend_from_slice(&whole[..RESULT_HEADER + 3]);
+        vec![
+            (
+                "truncated length header",
+                whole[..RESULT_HEADER - 1].to_vec(),
+            ),
+            (
+                "a length past the payload",
+                whole[..whole.len() - 1].to_vec(),
+            ),
+            (
+                "lengths whose sum overflows",
+                raw_record([u32::MAX, u32::MAX, u32::MAX], b"abc"),
+            ),
+            (
+                "non-utf-8 field",
+                raw_record([1, 2, 0], &[b'u', 0xff, 0xfe]),
+            ),
+            (
+                "character split across two fields",
+                raw_record([0, 1, 1], "é".as_bytes()),
+            ),
+            ("trailing partial record", trailing),
+            ("header of a second record cut short", {
+                let mut two = whole.clone();
+                two.extend_from_slice(&[0, 0, 0]);
+                two
+            }),
+        ]
     }
 
     #[test]
@@ -556,25 +533,39 @@ mod tests {
 
     #[test]
     fn empty_list_roundtrips() {
-        assert!(decode_results(&encode_results(&[])).unwrap().is_empty());
+        assert!(
+            encode_results(&[]).is_empty(),
+            "the empty list is zero bytes, so an echo reply is a bare tag"
+        );
+        assert!(decode_results(&[]).unwrap().is_empty());
+        assert_eq!(encoded_len(&[]), 0);
     }
 
     #[test]
-    fn malformed_line_rejected() {
-        assert!(matches!(
-            decode_results(b"only-two\tfields\n"),
-            Err(XSearchError::Protocol(_))
-        ));
-        assert!(matches!(
-            decode_results(b"a\tb\tc\td\n"),
-            Err(XSearchError::Protocol(_))
-        ));
+    fn results_are_length_framed() {
+        let rs = vec![result("u", "ti", ""), result("", "", "d\n")];
+        let mut expected = raw_record([1, 2, 0], b"uti");
+        expected.extend_from_slice(&raw_record([0, 0, 2], b"d\n"));
+        assert_eq!(encode_results(&rs), expected);
+    }
+
+    #[test]
+    fn malformed_records_are_refused() {
+        for (fault, bytes) in refused_result_payloads() {
+            assert!(
+                matches!(decode_results(&bytes), Err(XSearchError::Protocol(_))),
+                "{fault}"
+            );
+        }
+        // The split character is valid text as a whole; only the field
+        // edge inside it is wrong.
+        assert!(decode_results(&raw_record([0, 2, 0], "é".as_bytes())).is_ok());
     }
 
     #[test]
     fn non_utf8_rejected() {
         assert!(matches!(
-            decode_results(&[0xff, 0xfe]),
+            decode_results(&raw_record([0, 0, 2], &[0xff, 0xfe])),
             Err(XSearchError::Protocol(_))
         ));
     }
@@ -760,25 +751,65 @@ mod tests {
             prop_assert_eq!(encoded_len(&rs), encode_results(&rs).len());
         }
 
-        /// Escape-heavy inputs: every field drawn mostly from the four
-        /// escaped characters, so the shared table's overhead accounting
-        /// is exercised on dense, not incidental, escaping.
+        /// Lists of 0 to 5 results whose fields are dense in tabs,
+        /// newlines, backslashes and multi-byte characters, empty fields
+        /// included: the arithmetic size matches the bytes, and every
+        /// field comes back whole.
         #[test]
-        fn encoded_len_matches_on_escape_heavy_inputs(
-            fields in proptest::collection::vec("[\t\n\r\\\\x]{0,40}", 3..9),
+        fn encoded_len_matches_on_separator_heavy_inputs(
+            fields in proptest::collection::vec(field(), 0..16),
         ) {
             let rs: Vec<SearchResult> = fields
-                .chunks(3)
-                .filter(|c| c.len() == 3)
+                .chunks_exact(3)
                 .map(|c| result(&c[0], &c[1], &c[2]))
                 .collect();
             let encoded = encode_results(&rs);
             prop_assert_eq!(encoded_len(&rs), encoded.len());
             let decoded = decode_results(&encoded).unwrap();
+            prop_assert_eq!(decoded.len(), rs.len());
             for (d, r) in decoded.iter().zip(&rs) {
                 prop_assert_eq!(&d.url, &r.url);
                 prop_assert_eq!(&d.title, &r.title);
                 prop_assert_eq!(&d.description, &r.description);
+            }
+        }
+
+        /// Any bytes — a valid list with one byte patched, cut short or
+        /// extended, or arbitrary — decode to a list or to a `Protocol`
+        /// error, never to a panic; and what decodes re-encodes to the
+        /// same bytes, so no two payloads mean one list.
+        #[test]
+        fn decode_never_panics_and_is_canonical(
+            fields in proptest::collection::vec(field(), 0..10),
+            mutation in 0u8..5,
+            at in any::<usize>(),
+            byte in any::<u8>(),
+            arbitrary in proptest::collection::vec(any::<u8>(), 0..48),
+        ) {
+            let rs: Vec<SearchResult> = fields
+                .chunks_exact(3)
+                .map(|c| result(&c[0], &c[1], &c[2]))
+                .collect();
+            let mut bytes = encode_results(&rs);
+            match mutation {
+                0 => {}
+                1 if !bytes.is_empty() => {
+                    let at = at % bytes.len();
+                    bytes[at] = byte;
+                }
+                2 => bytes.truncate(at % (bytes.len() + 1)),
+                3 => bytes.push(byte),
+                _ => bytes = arbitrary,
+            }
+            match decode_results(&bytes) {
+                Ok(decoded) => {
+                    let again: Vec<SearchResult> = decoded
+                        .iter()
+                        .map(|d| result(&d.url, &d.title, &d.description))
+                        .collect();
+                    prop_assert_eq!(encode_results(&again), bytes);
+                }
+                Err(e) => prop_assert!(matches!(e, XSearchError::Protocol(_))),
             }
         }
 

@@ -44,8 +44,19 @@ fn tor_carries_real_searches_end_to_end() {
             xsearch::core::wire::encode_results(&engine.search(&query, 10))
         })
         .unwrap();
+    // The length-framed reply crosses the circuit's cells whole: every
+    // field of every result comes back byte for byte.
     let results = xsearch::core::wire::decode_results(&response).unwrap();
+    let expected = engine.search("flights hotel vacation", 10);
     assert!(!results.is_empty());
+    assert_eq!(response.len(), xsearch::core::wire::encoded_len(&expected));
+    assert_eq!(results.len(), expected.len());
+    for (got, want) in results.iter().zip(&expected) {
+        assert_eq!(
+            (&got.url, &got.title, &got.description),
+            (&want.url, &want.title, &want.description)
+        );
+    }
 }
 
 #[test]
