@@ -17,12 +17,12 @@
 //! a [`crate::client::ClusterClient`] or a front step calls it) takes
 //! these:
 //!
-//! * membership and the consistent-hash ring are immutable snapshots
-//!   behind an `RwLock<Arc<_>>` each: a request clones the `Arc` under
-//!   a read guard and drops the guard. A membership writer builds the
-//!   next snapshot, then swaps the pointer; the ring is rebuilt under
-//!   its write lock (see `rebuild_ring`), so during an enroll or a
-//!   health sweep a request may wait for one ring build;
+//! * membership is one immutable snapshot — the verified members and
+//!   the consistent-hash ring built from them — behind one
+//!   `RwLock<Arc<_>>`: a request clones the `Arc` under a read guard and
+//!   drops the guard. A membership writer builds the next snapshot, ring
+//!   included, then swaps the pointer, so a request waits at most for
+//!   one pointer swap;
 //! * admission is an atomic compare-exchange on the target node;
 //! * the request then enters the replica's enclave on its own thread,
 //!   in one `request` ecall, under the read side of the replica's proxy
@@ -30,10 +30,10 @@
 //!   one replica are concurrent threads inside one enclave, as in the
 //!   paper (§4.1); nothing queues a request for another thread to run.
 //!
-//! Past the two read locks, every lock a forwarded request touches is
-//! per replica or inside the enclave (its session's mutex, the history
-//! window's mutex for Algorithm 1, the sealed log's mutex when the
-//! cadence seals).
+//! Past the two read locks (membership, then the proxy), every lock a
+//! forwarded request touches is per replica or inside the enclave (its
+//! session's mutex, the history window's mutex for Algorithm 1, the
+//! sealed log's mutex when the cadence seals).
 //!
 //! # Failover
 //!
@@ -54,15 +54,16 @@
 use crate::error::ClusterError;
 use crate::node::ReplicaNode;
 use crate::obs::FleetMetrics;
-use crate::placement::{key_coord, HashRing};
+use crate::placement::key_coord;
 use crate::registry::{ReplicaId, ReplicaRegistry};
 use crate::resilience::{
     CircuitBreaker, ResilienceConfig, BREAKER_COOLDOWN_OPS, BREAKER_THRESHOLD,
 };
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError, TryLockError};
 use std::time::Duration;
 use xsearch_core::config::XSearchConfig;
+use xsearch_core::error::XSearchError;
 use xsearch_core::proxy::XSearchProxy;
 use xsearch_core::{Broker, ClientKeypair};
 use xsearch_engine::engine::SearchEngine;
@@ -71,9 +72,6 @@ use xsearch_net_sim::link::FleetModel;
 use xsearch_sgx_sim::attestation::AttestationService;
 use xsearch_sgx_sim::measurement::Measurement;
 use xsearch_telemetry::{Counter, FlightEvent, FlightRecorder, Registry};
-
-/// Virtual nodes per replica on the consistent-hash ring.
-const VNODES: usize = 64;
 
 /// Flight-recorder depth: enough to hold every control-plane decision of
 /// a failing chaos scenario's last phase without growing unbounded.
@@ -147,20 +145,6 @@ impl Drop for AdmitGuard<'_> {
     }
 }
 
-/// Ends a health sweep on drop (generation bump, then the active flag),
-/// so a panicking sweep cannot wedge every future sweeper in the
-/// coalesced-wait loop.
-struct SweepGuard<'a> {
-    cluster: &'a Cluster,
-}
-
-impl Drop for SweepGuard<'_> {
-    fn drop(&mut self) {
-        self.cluster.sweep_gen.fetch_add(1, Ordering::Release);
-        self.cluster.sweep_active.store(false, Ordering::Release);
-    }
-}
-
 /// A fleet of attested enclave proxy replicas behind a routing tier.
 pub struct Cluster {
     config: ClusterConfig,
@@ -168,18 +152,12 @@ pub struct Cluster {
     expected: Measurement,
     registry: ReplicaRegistry,
     nodes: Vec<Arc<ReplicaNode>>,
-    /// The current consistent-hash ring. `route` clones it under a read
-    /// guard; only `rebuild_ring` takes the write side.
-    ring: RwLock<Arc<HashRing>>,
     /// Logical operation clock: one tick per data-plane forward. Fault
     /// timelines (partitions, crash schedules) and breaker cooldowns are
     /// expressed in these ticks so chaos runs replay deterministically.
     ops: AtomicU64,
-    /// Health-sweep coalescing: set while one sweeper is scanning.
-    sweep_active: AtomicBool,
-    /// Bumped when a sweep finishes; latecomers that observed the sweep
-    /// in progress return once the generation moves.
-    sweep_gen: AtomicU64,
+    /// Held by the one health sweep that scans; latecomers wait on it.
+    sweep: Mutex<()>,
     /// Sweep accounting (`xsearch_fleet_sweeps_{run,coalesced}_total`).
     sweeps_run: Counter,
     sweeps_coalesced: Counter,
@@ -233,7 +211,6 @@ impl Cluster {
                     &ias,
                     links.link(i).clone(),
                     config.seed ^ (0xB0B0 + i as u64),
-                    config.faults.as_ref().map(|plan| plan.injector(i)),
                 ))
             })
             .collect();
@@ -262,10 +239,8 @@ impl Cluster {
             expected,
             registry,
             nodes,
-            ring: RwLock::new(Arc::new(HashRing::default())),
             ops: AtomicU64::new(0),
-            sweep_active: AtomicBool::new(false),
-            sweep_gen: AtomicU64::new(0),
+            sweep: Mutex::new(()),
             sweeps_run,
             sweeps_coalesced,
             telemetry,
@@ -391,24 +366,8 @@ impl Cluster {
         &self.flight
     }
 
-    /// The current ring, cloned out from under its read guard.
-    fn ring(&self) -> Arc<HashRing> {
-        Arc::clone(&self.ring.read().unwrap_or_else(PoisonError::into_inner))
-    }
-
-    /// Rebuilds the ring from the current membership. The membership is
-    /// read under the ring's write lock: two concurrent rebuilds then
-    /// store in the order they read, so the ring left behind holds every
-    /// replica registered before the last rebuild began. (Read before
-    /// the lock, an older membership could be stored last and drop a
-    /// verified replica from the ring until the next change.)
-    fn rebuild_ring(&self) {
-        let mut ring = self.ring.write().unwrap_or_else(PoisonError::into_inner);
-        *ring = Arc::new(HashRing::build(&self.registry.routable(), VNODES));
-    }
-
-    /// Enrolls (or re-enrolls) `id` through the challenge/quote protocol
-    /// and publishes a rebuilt ring.
+    /// Enrolls (or re-enrolls) `id` through the challenge/quote protocol;
+    /// the registry publishes the new membership with its ring.
     ///
     /// # Errors
     ///
@@ -421,8 +380,6 @@ impl Cluster {
         let proxy = guard.as_ref().ok_or(ClusterError::ReplicaDown(id))?;
         let (key, quote) = proxy.enrollment_quote(&nonce)?;
         self.registry.register(id, key, &quote)?;
-        drop(guard);
-        self.rebuild_ring();
         Ok(())
     }
 
@@ -431,8 +388,8 @@ impl Cluster {
     /// session and its share of the last-x window. Only verified
     /// (routable) replicas are candidates; the affinity key is an opaque,
     /// stable per-client byte string — the router never sees client
-    /// channel keys or plaintext. Reads one registry snapshot and one
-    /// ring snapshot, each an `Arc` clone under a read guard.
+    /// channel keys or plaintext. Reads one registry snapshot (an `Arc`
+    /// clone under a read guard) and walks its ring.
     ///
     /// # Errors
     ///
@@ -446,20 +403,15 @@ impl Cluster {
     /// connection, and the coordinate is one SHA-256 it need not repeat.
     pub(crate) fn route_at(&self, coord: u64) -> Result<ReplicaId, ClusterError> {
         let members = self.registry.snapshot();
-        // Walk the ring but skip anything no longer verified in the
-        // membership snapshot: the refusal to route to deregistered
-        // replicas must not depend on the ring having been republished
-        // yet. An open circuit breaker also deflects the walk — but only
-        // as a preference: when every routable replica is browning out
-        // we still route somewhere rather than inventing an outage.
-        let ring = self.ring();
+        // The ring holds exactly the snapshot's members. An open circuit
+        // breaker deflects the walk — but only as a preference: when
+        // every routable replica is browning out we still route
+        // somewhere rather than inventing an outage.
+        let ring = members.ring();
         let choice = ring
             .walk_from_coord(coord)
-            .find(|&id| members.is_routable(id) && self.breaker_allows(id))
-            .or_else(|| {
-                ring.walk_from_coord(coord)
-                    .find(|&id| members.is_routable(id))
-            });
+            .find(|&id| self.breaker_allows(id))
+            .or_else(|| ring.walk_from_coord(coord).next());
         choice.ok_or(ClusterError::NoReplicasAvailable)
     }
 
@@ -653,6 +605,11 @@ impl Cluster {
     /// blocking [`crate::client::ClusterClient`] and a front step both
     /// come through here, so the refusal path cannot differ by ingress.
     ///
+    /// With a fault plan installed, the forward is also the plan's one
+    /// door: link faults are drawn before the request is sealed, and one
+    /// ecall fault is drawn right after the ecall returns, whatever it
+    /// returned (see `ecall_fault`).
+    ///
     /// Nonce safety: the fault timeline (scheduled crashes/restarts,
     /// partition windows), injected link loss, a crashed enclave and
     /// bounded admission all refuse *before* `seal` runs. A request
@@ -707,17 +664,49 @@ impl Cluster {
         let guard = node.proxy();
         let proxy = guard.as_ref().ok_or(ClusterError::ReplicaDown(id))?;
         let (reply, hop) = self.admitted(node, proxy, seal, |(client_pub, ciphertext)| {
-            if echo {
+            let reply = if echo {
                 proxy.request_echo(&client_pub, &ciphertext)
             } else {
                 proxy.request(&client_pub, &ciphertext)
-            }
+            };
+            self.ecall_fault(id, reply)
         })?;
         let reply = reply.map_err(ClusterError::Proxy)?;
         charge += hop;
         self.metrics.forwards.inc();
         self.metrics.span_forward.record(FleetMetrics::us(charge));
         Ok((reply, charge))
+    }
+
+    /// Applies the fault plan's ecall-boundary decision for `id` to the
+    /// reply of an ecall that has run (no plan: the reply as is). Gray
+    /// failure: the enclave did the work (the session's counters
+    /// advanced) but the caller sees an error — exactly the ambiguity a
+    /// real timeout produces, which is why the client must re-attest.
+    /// Corruption: one flipped ciphertext byte, so the client's AEAD open
+    /// fails authentication. An enclave error passes through unchanged,
+    /// but still consumes its decision.
+    fn ecall_fault(
+        &self,
+        id: ReplicaId,
+        reply: Result<Vec<u8>, XSearchError>,
+    ) -> Result<Vec<u8>, XSearchError> {
+        let Some(plan) = self.config.faults.as_deref() else {
+            return reply;
+        };
+        let fault = plan.ecall_fault(id.0);
+        let mut payload = reply?;
+        if fault.fail {
+            return Err(XSearchError::Protocol(
+                "injected gray failure: response lost at the ecall boundary".into(),
+            ));
+        }
+        if fault.corrupt {
+            if let Some(byte) = payload.last_mut() {
+                *byte ^= 0x40;
+            }
+        }
+        Ok(payload)
     }
 
     /// Hard-crashes `id`'s enclave (churn injection): sessions and the
@@ -764,34 +753,26 @@ impl Cluster {
     /// into a sweep already in progress).
     ///
     /// Concurrent calls **coalesce**: when a replica dies, every
-    /// in-flight client notices at once and stampedes here. One caller
-    /// wins the CAS and scans; the rest spin until that scan's
-    /// generation completes and return empty — by then the failed
-    /// replica is drained, so their re-route sees the new membership
-    /// without N-1 redundant scans. Within the winning scan, the
+    /// in-flight client notices at once and stampedes here. The caller
+    /// that takes the sweep lock scans; the rest wait for the lock and
+    /// return empty — by then the failed replica is drained, so their
+    /// re-route sees the new membership without N-1 redundant scans. A
+    /// sweep that panicked leaves the lock poisoned, not held: the next
+    /// caller takes it anyway. Within the winning scan, the
     /// registry's deregister remains the single decision point, so even
     /// sweeps from *different* entry points migrate each failed replica
     /// exactly once.
     pub fn health_sweep(&self) -> Vec<FailoverReport> {
-        let gen = self.sweep_gen.load(Ordering::Acquire);
-        if self
-            .sweep_active
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            self.sweeps_coalesced.inc();
-            // Wait for the in-progress sweep to finish (its drop guard
-            // bumps the generation first, so this cannot miss it), then
-            // report "nothing left to do".
-            while self.sweep_active.load(Ordering::Acquire)
-                && self.sweep_gen.load(Ordering::Acquire) == gen
-            {
-                std::thread::yield_now();
+        let _sweeping = match self.sweep.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => {
+                self.sweeps_coalesced.inc();
+                drop(self.sweep.lock().unwrap_or_else(PoisonError::into_inner));
+                return Vec::new();
             }
-            return Vec::new();
-        }
+        };
         self.sweeps_run.inc();
-        let _sweeping = SweepGuard { cluster: self };
         let mut reports = Vec::new();
         for node in &self.nodes {
             let id = node.id();
@@ -803,7 +784,6 @@ impl Cluster {
             if !self.registry.deregister(id) {
                 continue;
             }
-            self.rebuild_ring();
             reports.push(self.failover(id));
         }
         reports
@@ -858,15 +838,13 @@ impl Cluster {
     }
 
     /// The designated migration target for `failed`'s sealed window: the
-    /// next distinct live routable replica clockwise from the failed
-    /// replica's primary ring point.
+    /// next distinct live replica clockwise from the failed replica's
+    /// primary point on the current membership's ring.
     fn pick_successor(&self, failed: ReplicaId) -> Option<ReplicaId> {
-        let ring = self.ring();
-        let successor = ring.walk_from_replica(failed).find(|&id| {
-            id != failed
-                && self.registry.is_routable(id)
-                && self.nodes.get(id.0).is_some_and(|n| n.is_up())
-        });
-        successor
+        self.registry
+            .snapshot()
+            .ring()
+            .walk_from_replica(failed)
+            .find(|&id| id != failed && self.nodes.get(id.0).is_some_and(|n| n.is_up()))
     }
 }

@@ -19,8 +19,9 @@
 //!   its ring successor, and clients re-attest the successor and retry
 //!   in-flight requests ([`client::ClusterClient`]);
 //! * **the data plane locks per replica** — routing clones the current
-//!   membership and ring snapshots out of one `RwLock<Arc<_>>` each
-//!   (a read guard held for one `Arc` clone); admission is one atomic on
+//!   membership snapshot, which carries its ring, out of one
+//!   `RwLock<Arc<_>>` (a read guard held for one `Arc` clone) and walks
+//!   that ring; admission is one atomic on
 //!   the target replica, and each request then enters that replica's
 //!   enclave on its caller's thread in one `request` ecall
 //!   ([`fleet::Cluster::forward`]) — the paper's shape, several threads
@@ -90,6 +91,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use xsearch_core::config::XSearchConfig;
+    use xsearch_core::error::XSearchError;
     use xsearch_engine::corpus::CorpusConfig;
     use xsearch_engine::engine::SearchEngine;
     use xsearch_telemetry::LabelValue;
@@ -187,9 +189,8 @@ mod tests {
             cluster.with_replica(id, |_| ()).unwrap_err(),
             ClusterError::NotRoutable(id)
         );
-        // ...and after a ring rebuild (any enroll/sweep does one) no
-        // route resolves to the deregistered replica.
-        cluster.health_sweep();
+        // ...and no route resolves to it: the snapshot that dropped it
+        // carries a ring without it.
         for i in 0..200u64 {
             assert_ne!(cluster.route(&i.to_le_bytes()).unwrap(), id);
         }
@@ -280,6 +281,66 @@ mod tests {
         let snap = cluster.telemetry().snapshot();
         assert!(snap.value("xsearch_client_reattaches_total", &[]) > Some(100.0));
         assert!(cluster.session_count() <= 8, "{}", cluster.session_count());
+    }
+
+    #[test]
+    fn ecall_faults_are_drawn_by_forward_after_the_enclave_served() {
+        // Replica 0 gray-fails every reply. The fault door is the data
+        // plane's forward: the control plane's `with_replica` draws
+        // nothing, so attach and re-attach go through; a forward to
+        // replica 0 runs the request (its window grows) and then fails
+        // typed; replica 1 serves normally.
+        let spec = FaultSpec {
+            gray: vec![(0, 1.0)],
+            ..Default::default()
+        };
+        let cluster = Cluster::launch(
+            engine(),
+            ClusterConfig {
+                replicas: 2,
+                proxy: XSearchConfig {
+                    k: 2,
+                    history_capacity: 10_000,
+                    ..Default::default()
+                },
+                faults: Some(Arc::new(FaultPlan::new(spec, 31, 2))),
+                ..Default::default()
+            },
+        );
+        let gray = ReplicaId(0);
+        let mut broker = cluster.attach(gray, 1).unwrap();
+        cluster
+            .with_replica(gray, |proxy| {
+                broker.reattach(proxy, cluster.ias(), cluster.expected_measurement(), 2)
+            })
+            .unwrap()
+            .unwrap();
+        let history_len = |id| {
+            cluster
+                .with_replica(id, xsearch_core::proxy::XSearchProxy::history_len)
+                .unwrap()
+        };
+        let served_before = history_len(gray);
+        let lost = cluster.forward(gray, true, || {
+            (*broker.client_pub().as_bytes(), broker.seal_query("lost"))
+        });
+        assert!(
+            matches!(lost, Err(ClusterError::Proxy(XSearchError::Protocol(_)))),
+            "{lost:?}"
+        );
+        assert_eq!(
+            history_len(gray),
+            served_before + 1,
+            "the enclave served it"
+        );
+
+        let mut healthy = cluster.attach(ReplicaId(1), 3).unwrap();
+        let (reply, _) = cluster
+            .forward(ReplicaId(1), true, || {
+                (*healthy.client_pub().as_bytes(), healthy.seal_query("kept"))
+            })
+            .unwrap();
+        assert!(healthy.open_results(&reply).unwrap().is_empty());
     }
 
     #[test]

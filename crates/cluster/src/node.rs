@@ -19,7 +19,6 @@ use xsearch_core::config::XSearchConfig;
 use xsearch_core::persistence::{HistoryVault, SealedLog};
 use xsearch_core::proxy::XSearchProxy;
 use xsearch_engine::engine::SearchEngine;
-use xsearch_net_sim::fault::FaultInjector;
 use xsearch_net_sim::Link;
 use xsearch_sgx_sim::attestation::AttestationService;
 use xsearch_sgx_sim::sealed::SealingPlatform;
@@ -65,9 +64,6 @@ pub struct ReplicaNode {
     /// Monotonic request tick for the sealing cadence (every
     /// `seal_every`-th tick seals; never reset).
     seal_ticks: AtomicUsize,
-    /// Ecall-boundary fault injector, kept host-side so a relaunched
-    /// enclave gets the same chaos plan re-installed.
-    fault: Option<Arc<dyn FaultInjector>>,
     /// Total accounted fault delay (stalls, spikes) in nanoseconds —
     /// charged, never slept, like the hop delays.
     fault_ns: AtomicU64,
@@ -88,19 +84,15 @@ impl ReplicaNode {
     /// identity, per-replica link. `config.seed` should differ per
     /// replica so channel identity keys differ.
     #[must_use]
-    pub fn launch(
+    pub(crate) fn launch(
         id: ReplicaId,
         config: XSearchConfig,
         engine: Arc<SearchEngine>,
         ias: &AttestationService,
         link: Link,
         host_seed: u64,
-        fault: Option<Arc<dyn FaultInjector>>,
     ) -> Self {
-        let mut proxy = XSearchProxy::launch(config.clone(), engine.clone(), ias);
-        if let Some(injector) = &fault {
-            proxy.set_fault_injector(Arc::clone(injector));
-        }
+        let proxy = XSearchProxy::launch(config.clone(), engine.clone(), ias);
         let platform = SealingPlatform::from_seed(host_seed);
         let vault = HistoryVault::new(platform, proxy.expected_measurement());
         let mut hop_rng = StdRng::seed_from_u64(host_seed ^ 0x1A2B_3C4D);
@@ -124,7 +116,6 @@ impl ReplicaNode {
             shed: AtomicU64::new(0),
             served: AtomicU64::new(0),
             seal_ticks: AtomicUsize::new(0),
-            fault,
             fault_ns: AtomicU64::new(0),
         }
     }
@@ -340,10 +331,7 @@ impl ReplicaNode {
     /// consumer wins each sealed version. Returns the number of restored
     /// queries.
     pub(crate) fn relaunch(&self, ias: &AttestationService) -> usize {
-        let mut proxy = XSearchProxy::launch(self.config.clone(), self.engine.clone(), ias);
-        if let Some(injector) = &self.fault {
-            proxy.set_fault_injector(Arc::clone(injector));
-        }
+        let proxy = XSearchProxy::launch(self.config.clone(), self.engine.clone(), ias);
         // On error the log was already claimed (migrated to a successor)
         // or is foreign: start empty rather than resurrect a superseded
         // window.

@@ -13,6 +13,9 @@
 use crate::registry::ReplicaId;
 use xsearch_crypto::sha256::Sha256;
 
+/// Virtual nodes per replica on the consistent-hash ring.
+pub(crate) const VNODES: usize = 64;
+
 /// First 8 bytes of a domain-separated SHA-256, as the ring coordinate.
 fn hash64(domain: &[u8], parts: &[&[u8]]) -> u64 {
     let mut h = Sha256::new();
@@ -34,7 +37,7 @@ pub fn key_coord(key: &[u8]) -> u64 {
 }
 
 /// A consistent-hash ring over the currently routable replicas.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct HashRing {
     /// Sorted (coordinate, replica) points; each replica contributes
     /// `vnodes` points.
@@ -55,26 +58,6 @@ impl HashRing {
         HashRing { points }
     }
 
-    /// Whether the ring has no points.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The replica owning `key` (first point clockwise from the key's
-    /// coordinate).
-    #[must_use]
-    pub fn lookup(&self, key: &[u8]) -> Option<ReplicaId> {
-        self.walk_from(key).next()
-    }
-
-    /// Distinct replicas in clockwise order starting at `key`'s
-    /// coordinate — element 0 is the owner, then the replicas that would
-    /// take over this key as earlier candidates drop out.
-    pub fn walk_from(&self, key: &[u8]) -> impl Iterator<Item = ReplicaId> + '_ {
-        self.walk_from_coord(key_coord(key))
-    }
-
     /// Distinct replicas in clockwise order starting at `id`'s **primary
     /// vnode coordinate** (vnode 0) — the failover walk: element 0 is
     /// the replica that now owns the failed replica's primary point,
@@ -84,7 +67,9 @@ impl HashRing {
         self.walk_from_coord(vnode_coord(id, 0))
     }
 
-    /// [`HashRing::walk_from`] for a key whose [`key_coord`] is in hand.
+    /// Distinct replicas in clockwise order starting at `coord` — for a
+    /// key's [`key_coord`], element 0 is the key's owner, then the
+    /// replicas that would take it over as earlier candidates drop out.
     pub fn walk_from_coord(&self, coord: u64) -> impl Iterator<Item = ReplicaId> + '_ {
         let start = self.points.partition_point(|&(c, _)| c < coord);
         let n = self.points.len();
@@ -118,13 +103,19 @@ mod tests {
         (0..n).map(ReplicaId).collect()
     }
 
+    /// The replica owning `key`: the first point clockwise from its
+    /// coordinate.
+    fn owner(ring: &HashRing, key: &[u8]) -> Option<ReplicaId> {
+        ring.walk_from_coord(key_coord(key)).next()
+    }
+
     #[test]
     fn lookup_is_deterministic_and_total() {
         let ring = HashRing::build(&ids(4), 64);
         for i in 0..100u64 {
             let key = i.to_le_bytes();
-            let a = ring.lookup(&key).unwrap();
-            let b = ring.lookup(&key).unwrap();
+            let a = owner(&ring, &key).unwrap();
+            let b = owner(&ring, &key).unwrap();
             assert_eq!(a, b);
             assert!(a.0 < 4);
         }
@@ -133,8 +124,7 @@ mod tests {
     #[test]
     fn empty_ring_routes_nothing() {
         let ring = HashRing::build(&[], 64);
-        assert!(ring.is_empty());
-        assert_eq!(ring.lookup(b"key"), None);
+        assert_eq!(owner(&ring, b"key"), None);
     }
 
     #[test]
@@ -143,7 +133,7 @@ mod tests {
         let mut counts: HashMap<ReplicaId, usize> = HashMap::new();
         for i in 0..4000u64 {
             *counts
-                .entry(ring.lookup(&i.to_le_bytes()).unwrap())
+                .entry(owner(&ring, &i.to_le_bytes()).unwrap())
                 .or_default() += 1;
         }
         assert_eq!(counts.len(), 4, "every replica owns some keys");
@@ -162,8 +152,8 @@ mod tests {
         let mut moved = 0;
         for i in 0..4000u64 {
             let key = i.to_le_bytes();
-            let owner_before = before.lookup(&key).unwrap();
-            let owner_after = after.lookup(&key).unwrap();
+            let owner_before = owner(&before, &key).unwrap();
+            let owner_after = owner(&after, &key).unwrap();
             if owner_before != owner_after {
                 moved += 1;
                 assert_eq!(
@@ -226,8 +216,8 @@ mod tests {
             let mut moved = 0usize;
             for i in 0..512u64 {
                 let key = i.to_le_bytes();
-                let owner_before = before.lookup(&key).unwrap();
-                let owner_after = after.lookup(&key).unwrap();
+                let owner_before = owner(&before, &key).unwrap();
+                let owner_after = owner(&after, &key).unwrap();
                 if owner_before != owner_after {
                     moved += 1;
                     prop_assert_eq!(owner_before, victim);
@@ -235,7 +225,7 @@ mod tests {
                     // replica clockwise on the old ring — the successor
                     // the failover walk designates.
                     let inherited = before
-                        .walk_from(&key)
+                        .walk_from_coord(key_coord(&key))
                         .find(|&id| id != victim)
                         .unwrap();
                     prop_assert_eq!(owner_after, inherited);
@@ -253,15 +243,16 @@ mod tests {
     #[test]
     fn walk_yields_distinct_replicas_in_order() {
         let ring = HashRing::build(&ids(4), 64);
-        let walked: Vec<ReplicaId> = ring.walk_from(b"some client").collect();
+        let coord = key_coord(b"some client");
+        let walked: Vec<ReplicaId> = ring.walk_from_coord(coord).collect();
         assert_eq!(walked.len(), 4);
         let mut sorted = walked.clone();
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), 4, "walk must not repeat replicas");
-        assert_eq!(walked[0], ring.lookup(b"some client").unwrap());
-        // A kept coordinate walks the same way as the key it came from.
-        let kept: Vec<ReplicaId> = ring.walk_from_coord(key_coord(b"some client")).collect();
-        assert_eq!(kept, walked);
+        // Element 0 holds the first point at or past the coordinate
+        // (wrapping round to the ring's first point).
+        let first = ring.points.iter().find(|&&(c, _)| c >= coord);
+        assert_eq!(walked[0], first.unwrap_or(&ring.points[0]).1);
     }
 }

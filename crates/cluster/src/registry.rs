@@ -18,13 +18,17 @@
 //!
 //! Membership reads sit on the request hot path, so they never take the
 //! registry's writer mutex. Every mutation (register/deregister) bumps a
-//! monotonically increasing **epoch**, rebuilds an immutable
-//! [`RegistrySnapshot`] and stores it in an `RwLock<Arc<_>>`;
-//! [`ReplicaRegistry::is_routable`] and friends clone the current `Arc`
-//! under a read guard and drop the guard. A request therefore takes one
-//! read lock per snapshot, and may wait out a swap of one pointer.
+//! monotonically increasing **epoch**, builds an immutable
+//! [`RegistrySnapshot`] — the members *and* the consistent-hash ring
+//! over them — and stores it in an `RwLock<Arc<_>>`, all under the
+//! writer mutex; [`ReplicaRegistry::is_routable`], the router and
+//! friends clone the current `Arc` under a read guard and drop the
+//! guard. A route therefore takes one read lock, may wait out a swap of
+//! one pointer, and walks a ring that holds exactly the members it was
+//! published with.
 
 use crate::error::ClusterError;
+use crate::placement::{HashRing, VNODES};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
@@ -44,44 +48,28 @@ impl fmt::Display for ReplicaId {
     }
 }
 
-/// An immutable, digest-protected view of the verified membership at one
-/// epoch. The request path routes against exactly one of these, so a
-/// request either sees the fleet before a membership change or after
-/// it, never halfway through.
+/// An immutable view of the verified membership at one epoch, with the
+/// consistent-hash ring built from exactly those members. The request
+/// path routes against exactly one of these, so a request either sees
+/// the fleet before a membership change or after it, never halfway
+/// through.
 #[derive(Debug, Clone)]
 pub struct RegistrySnapshot {
     epoch: u64,
     /// Verified members, ascending by id (binary-searchable).
     members: Vec<(ReplicaId, PublicKey)>,
-    digest: u64,
-}
-
-/// FNV-1a over the epoch and member list — cheap, and any mixture of
-/// two snapshots would fail to reproduce it.
-fn snapshot_digest(epoch: u64, members: &[(ReplicaId, PublicKey)]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    eat(&epoch.to_le_bytes());
-    for (id, key) in members {
-        eat(&(id.0 as u64).to_le_bytes());
-        eat(key.as_bytes());
-    }
-    h
+    ring: HashRing,
 }
 
 impl RegistrySnapshot {
     fn build(epoch: u64, verified: &BTreeMap<ReplicaId, PublicKey>) -> Self {
         let members: Vec<(ReplicaId, PublicKey)> =
             verified.iter().map(|(&id, &key)| (id, key)).collect();
-        let digest = snapshot_digest(epoch, &members);
+        let ids: Vec<ReplicaId> = verified.keys().copied().collect();
         RegistrySnapshot {
             epoch,
             members,
-            digest,
+            ring: HashRing::build(&ids, VNODES),
         }
     }
 
@@ -130,12 +118,11 @@ impl RegistrySnapshot {
         self.members.is_empty()
     }
 
-    /// Recomputes the digest and compares it to the one computed at
-    /// build time: the snapshot a reader holds is one that a writer
-    /// published whole.
+    /// The consistent-hash ring over this snapshot's members (and no
+    /// other replica).
     #[must_use]
-    pub fn digest_ok(&self) -> bool {
-        snapshot_digest(self.epoch, &self.members) == self.digest
+    pub fn ring(&self) -> &HashRing {
+        &self.ring
     }
 }
 
@@ -211,8 +198,10 @@ impl ReplicaRegistry {
         )
     }
 
-    /// Rebuilds and publishes the snapshot from the writer state.
-    /// Callers must hold the writer lock (they pass its guard).
+    /// Rebuilds the snapshot — members and ring — from the writer state
+    /// and publishes it. Callers must hold the writer lock (they pass its
+    /// guard), so snapshots are stored in the order their memberships
+    /// were written.
     fn publish_from(&self, state: &WriterState) {
         let snapshot = Arc::new(RegistrySnapshot::build(state.epoch, &state.verified));
         *self
@@ -315,12 +304,6 @@ impl ReplicaRegistry {
         self.snapshot().verified_key(id)
     }
 
-    /// All currently verified replica ids, ascending.
-    #[must_use]
-    pub fn routable(&self) -> Vec<ReplicaId> {
-        self.snapshot().ids().collect()
-    }
-
     /// Number of verified replicas.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -383,7 +366,7 @@ mod tests {
         let (key, _) = enroll(&registry, id, &proxy);
         assert!(registry.is_routable(id));
         assert_eq!(registry.verified_key(id), Some(key));
-        assert_eq!(registry.routable(), vec![id]);
+        assert_eq!(registry.snapshot().ids().collect::<Vec<_>>(), vec![id]);
     }
 
     #[test]
@@ -512,20 +495,29 @@ mod tests {
         assert_eq!(registry.snapshot().epoch(), e2);
     }
 
+    /// The distinct replicas on `snapshot`'s ring, ascending.
+    fn ring_replicas(snapshot: &RegistrySnapshot) -> Vec<ReplicaId> {
+        let mut on_ring: Vec<ReplicaId> = snapshot.ring().walk_from_coord(0).collect();
+        on_ring.sort_unstable();
+        on_ring
+    }
+
     #[test]
-    fn snapshots_are_digest_consistent_and_immutable() {
+    fn snapshots_carry_their_members_ring_and_are_immutable() {
         let (_, proxy, registry) = fleet_pieces();
         let before = registry.snapshot();
-        assert!(before.digest_ok());
         assert!(before.is_empty());
+        assert!(ring_replicas(&before).is_empty());
         enroll(&registry, ReplicaId(0), &proxy);
+        enroll(&registry, ReplicaId(2), &proxy);
         let after = registry.snapshot();
-        assert!(after.digest_ok());
-        assert_eq!(after.len(), 1);
-        // The previously loaded snapshot is immutable: it still shows
-        // the old membership and still passes its digest.
-        assert!(before.is_empty());
-        assert!(before.digest_ok());
+        assert_eq!(ring_replicas(&after), vec![ReplicaId(0), ReplicaId(2)]);
+        assert!(registry.deregister(ReplicaId(0)));
+        assert_eq!(ring_replicas(&registry.snapshot()), vec![ReplicaId(2)]);
+        // Previously loaded snapshots are immutable: each still shows
+        // its own membership on its own ring.
+        assert!(ring_replicas(&before).is_empty());
+        assert_eq!(ring_replicas(&after), vec![ReplicaId(0), ReplicaId(2)]);
     }
 
     use rand::SeedableRng;

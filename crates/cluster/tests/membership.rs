@@ -1,11 +1,12 @@
 //! Membership changes under concurrent traffic: once `deregister`
 //! returns, no route computed afterwards lands on the deregistered
-//! replica; and enrolls racing each other leave every verified replica
-//! on the ring.
+//! replica; every snapshot loaded under churn carries a ring of exactly
+//! its members; and enrolls racing each other leave every verified
+//! replica on the ring.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use xsearch_cluster::{Cluster, ClusterConfig, ClusterError, ReplicaId};
+use xsearch_cluster::{Cluster, ClusterConfig, ClusterError, RegistrySnapshot, ReplicaId};
 use xsearch_core::config::XSearchConfig;
 use xsearch_engine::corpus::CorpusConfig;
 use xsearch_engine::engine::SearchEngine;
@@ -27,6 +28,14 @@ fn fleet(replicas: usize) -> Cluster {
             ..Default::default()
         },
     )
+}
+
+/// Whether `snapshot`'s ring holds exactly its members: each member has
+/// a point on it and no other replica does.
+fn ring_is_its_members(snapshot: &RegistrySnapshot) -> bool {
+    let mut on_ring: Vec<ReplicaId> = snapshot.ring().walk_from_coord(0).collect();
+    on_ring.sort_unstable();
+    on_ring.into_iter().eq(snapshot.ids())
 }
 
 /// Once `deregister(id)` returns, every subsequently started route
@@ -88,11 +97,13 @@ fn no_request_routes_to_a_deregistered_replica_after_its_epoch() {
             .deregister_epoch(victim)
             .expect("deregistration recorded its epoch");
 
-        // Every snapshot loaded from now on is at or past the epoch and
-        // excludes the victim; the forward path refuses it outright.
+        // Every snapshot loaded from now on is at or past the epoch,
+        // excludes the victim and routes over a ring of exactly its
+        // members, whatever the noise writer is doing; the forward path
+        // refuses the victim outright.
         for _ in 0..2000 {
             let snap = cluster.registry().snapshot();
-            assert!(snap.digest_ok());
+            assert!(ring_is_its_members(&snap));
             assert!(snap.epoch() >= dereg_epoch);
             assert!(!snap.is_routable(victim));
         }

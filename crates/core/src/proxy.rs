@@ -20,7 +20,6 @@ use xsearch_crypto::x25519::PublicKey;
 use xsearch_engine::engine::SearchEngine;
 use xsearch_engine::pool::MAX_LANES;
 use xsearch_engine::service::EngineService;
-use xsearch_net_sim::fault::FaultInjector;
 use xsearch_net_sim::DelayModel;
 use xsearch_sgx_sim::attestation::{AttestationService, Quote};
 use xsearch_sgx_sim::boundary::BoundaryStats;
@@ -54,11 +53,6 @@ pub struct XSearchProxy {
     /// The enclave's channel identity key, as `init` produced it.
     identity_pub: PublicKey,
     service: EngineService,
-    /// Chaos hook: when installed, every request-path response consults
-    /// the injector for a gray-failure / corruption decision at the
-    /// ecall boundary. `None` (the default) is a single branch — the
-    /// production path pays nothing.
-    fault: Option<Arc<dyn FaultInjector>>,
     /// This node's metrics registry: the enclave's [`EnclaveScope`]
     /// aggregates plus host-side poll collectors over the boundary, EPC
     /// and engine-uplink accounting atomics. It renders Prometheus text
@@ -163,7 +157,6 @@ impl XSearchProxy {
             enclave,
             identity_pub,
             service,
-            fault: None,
             registry,
         }
     }
@@ -173,14 +166,6 @@ impl XSearchProxy {
     #[must_use]
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
-    }
-
-    /// Installs a deterministic fault injector at the ecall boundary
-    /// (see [`FaultInjector`]). Test/chaos API: the injector decides,
-    /// per response, whether the reply is lost after execution (gray
-    /// failure) or corrupted in flight.
-    pub fn set_fault_injector(&mut self, injector: Arc<dyn FaultInjector>) {
-        self.fault = Some(injector);
     }
 
     /// The measurement a correctly built proxy enclave must present —
@@ -281,28 +266,6 @@ impl XSearchProxy {
         })
     }
 
-    /// Applies one ecall-boundary fault decision to a response in place.
-    /// Gray failure: the enclave did the work (the session's counters
-    /// advanced) but the caller sees an error — exactly the ambiguity a
-    /// real timeout produces, which is why the client must re-attest.
-    /// Corruption: one flipped ciphertext byte, so the client's AEAD
-    /// open fails authentication.
-    fn inject_fault(&self, response: &mut Result<Vec<u8>, XSearchError>) {
-        let Some(injector) = &self.fault else { return };
-        let fault = injector.ecall_fault();
-        if let Ok(payload) = response {
-            if fault.fail {
-                *response = Err(XSearchError::Protocol(
-                    "injected gray failure: response lost at the ecall boundary".into(),
-                ));
-            } else if fault.corrupt {
-                if let Some(byte) = payload.last_mut() {
-                    *byte ^= 0x40;
-                }
-            }
-        }
-    }
-
     /// Serves one encrypted request without contacting the engine — the
     /// paper's Fig 5 saturation setup ("configured to reply immediately
     /// to requests"): full decryption, obfuscation, filtering and
@@ -348,11 +311,7 @@ impl XSearchProxy {
                         Vec::new()
                     })
             })?;
-        let mut outcome = failure.map_or(Ok(reply), Err);
-        if self.fault.is_some() {
-            self.inject_fault(&mut outcome);
-        }
-        outcome
+        failure.map_or(Ok(reply), Err)
     }
 
     /// Pre-populates the past-query table (experiment warm-up). The

@@ -17,12 +17,12 @@
 //!   request never reaches the replica, and crucially was never
 //!   encrypted, so the AEAD channel stays in sync), delay spikes, and
 //!   whole-replica stalls (the answer arrives, arbitrarily late).
-//! * **Ecall faults** ([`FaultPlan::ecall_fault`], surfaced to
-//!   `xsearch-core` through the [`FaultInjector`] trait) — decided at
-//!   the enclave boundary *after* execution: gray failures (the enclave
-//!   did the work but the response is lost — the client must assume the
-//!   worst and re-attest) and ciphertext corruption on the wire (the
-//!   client's AEAD open fails authentication).
+//! * **Ecall faults** ([`FaultPlan::ecall_fault`]) — decided by the
+//!   same router once the `request` ecall has returned, i.e. *after*
+//!   execution: gray failures (the enclave did the work but the
+//!   response is lost — the client must assume the worst and re-attest)
+//!   and ciphertext corruption on the wire (the client's AEAD open fails
+//!   authentication).
 //!
 //! Fleet-wide events live on a logical *operation clock* the cluster
 //! advances once per data-plane request: partition windows
@@ -35,7 +35,6 @@
 //! single branch on `None`.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// What goes wrong, and how often. All probabilities are in `[0, 1]`;
@@ -182,14 +181,6 @@ pub struct EcallFault {
     pub corrupt: bool,
 }
 
-impl EcallFault {
-    /// A fault decision that changes nothing.
-    pub const NONE: EcallFault = EcallFault {
-        fail: false,
-        corrupt: false,
-    };
-}
-
 /// A fleet-wide fault event that became due on the operation clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultEvent {
@@ -197,15 +188,6 @@ pub enum FaultEvent {
     Crash(usize),
     /// Relaunch the replica with this index.
     Restart(usize),
-}
-
-/// Hook through which `xsearch-core`'s proxy asks for ecall-boundary
-/// fault decisions without depending on the cluster layer. Compiled to
-/// a no-op when absent (the proxy holds an `Option<Arc<dyn
-/// FaultInjector>>`).
-pub trait FaultInjector: Send + Sync + std::fmt::Debug {
-    /// Decide the fate of the next enclave response.
-    fn ecall_fault(&self) -> EcallFault;
 }
 
 /// One scheduled event with a claim flag so concurrent observers apply
@@ -414,28 +396,6 @@ impl FaultPlan {
     pub fn has_timeline(&self) -> bool {
         !self.events.is_empty() || !self.spec.partitions.is_empty()
     }
-
-    /// A [`FaultInjector`] view of this plan pinned to one replica, for
-    /// installation at that replica's enclave boundary.
-    pub fn injector(self: &Arc<Self>, replica: usize) -> Arc<dyn FaultInjector> {
-        Arc::new(ReplicaFaultInjector {
-            plan: Arc::clone(self),
-            replica,
-        })
-    }
-}
-
-/// [`FaultInjector`] adapter: one replica's view of a shared plan.
-#[derive(Debug)]
-struct ReplicaFaultInjector {
-    plan: Arc<FaultPlan>,
-    replica: usize,
-}
-
-impl FaultInjector for ReplicaFaultInjector {
-    fn ecall_fault(&self) -> EcallFault {
-        self.plan.ecall_fault(self.replica)
-    }
 }
 
 #[cfg(test)]
@@ -630,15 +590,21 @@ mod tests {
     }
 
     #[test]
-    fn injector_draws_from_the_pinned_replica_stream() {
+    fn ecall_faults_draw_from_each_replicas_own_stream() {
+        // Replica 0's decisions are the same whether or not draws for
+        // replica 1 interleave with them: each replica has its own
+        // sequence, so one replica's traffic cannot shift another's
+        // faults.
         let spec = FaultSpec {
-            gray: vec![(0, 1.0)],
+            gray: vec![(0, 0.5)],
+            corrupt: 0.5,
             ..Default::default()
         };
-        let plan = Arc::new(FaultPlan::new(spec, 11, 2));
-        let inj0 = plan.injector(0);
-        let inj1 = plan.injector(1);
-        assert!(inj0.ecall_fault().fail);
-        assert!(!inj1.ecall_fault().fail);
+        let alone = FaultPlan::new(spec.clone(), 11, 2);
+        let mixed = FaultPlan::new(spec, 11, 2);
+        for _ in 0..64 {
+            let _ = mixed.ecall_fault(1);
+            assert_eq!(alone.ecall_fault(0), mixed.ecall_fault(0));
+        }
     }
 }

@@ -16,11 +16,13 @@
 //!   deterministic under the modeled clock;
 //! * [`frame`] — incremental length-prefixed framing (zero-copy payload
 //!   hand-off, tolerant of arbitrary read boundaries);
-//! * [`fault`] — seeded, deterministic, replayable fault injection at
-//!   the link, ecall, and socket boundaries (loss, spikes, stalls, gray
+//! * [`fault`] — seeded, deterministic, replayable fault decisions for
+//!   the link, the ecall boundary and sockets (loss, spikes, stalls, gray
 //!   failures, corruption, partitions, crash schedules, and
 //!   per-connection socket afflictions: resets, torn writes, stream
-//!   corruption, stuck and half-open peers).
+//!   corruption, stuck and half-open peers). The plan only decides; the
+//!   caller applies it — the cluster's forward for link and ecall
+//!   faults, a sabotaged stream for socket ones.
 
 #![deny(missing_docs)]
 
@@ -32,9 +34,7 @@ pub mod reactor;
 pub mod stream;
 
 pub use delay::DelayModel;
-pub use fault::{
-    EcallFault, FaultInjector, FaultPlan, FaultSpec, LinkFault, SocketFault, SocketSpec,
-};
+pub use fault::{EcallFault, FaultPlan, FaultSpec, LinkFault, SocketFault, SocketSpec};
 pub use frame::{encode_frame_into, FrameDecoder, FrameEncoder, FrameError};
 pub use link::Link;
 pub use reactor::{Event, Interest, Reactor, Registration, Token};
