@@ -8,7 +8,6 @@ use xsearch_core::wire::{decode_results, WireResult};
 use xsearch_crypto::aead::ChaCha20Poly1305;
 use xsearch_crypto::hybrid;
 use xsearch_crypto::x25519::PublicKey;
-use xsearch_engine::engine::SearchResult;
 use xsearch_query_log::record::UserId;
 
 /// Errors from the client's side of a PEAS exchange.
@@ -53,7 +52,8 @@ impl PeasClient {
     /// One full PEAS exchange: hybrid-encrypt the query + one-time
     /// response key for the issuer, relay through the receiver, have the
     /// issuer run its obfuscate-fetch-filter pipeline, and decrypt the
-    /// response.
+    /// response. `fetch` is the engine: it answers the sub-queries in the
+    /// result framing (see [`PeasIssuer::handle`]).
     ///
     /// # Errors
     ///
@@ -66,7 +66,7 @@ impl PeasClient {
         fetch: F,
     ) -> Result<Vec<WireResult>, PeasError>
     where
-        F: FnOnce(&[String], usize) -> Vec<SearchResult>,
+        F: FnOnce(&[String], usize) -> Vec<u8>,
     {
         let mut response_key = [0u8; 32];
         self.rng.fill_bytes(&mut response_key);
@@ -120,7 +120,7 @@ mod tests {
         let mut client = PeasClient::new(UserId(1), issuer.public_key(), 4);
         let results = client
             .search(&receiver, &issuer, "flights hotel vacation", |subs, k| {
-                engine.search_merged(subs, k)
+                xsearch_core::wire::encode_results(&engine.search_merged(subs, k))
             })
             .unwrap();
         assert!(!results.is_empty());

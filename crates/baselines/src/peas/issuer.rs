@@ -6,11 +6,11 @@ use super::fakegen::PeasFakeGenerator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Mutex, PoisonError};
+use xsearch_core::wire::{encode_results_into, encoded_len, parse_results};
 use xsearch_crypto::aead::ChaCha20Poly1305;
 use xsearch_crypto::hybrid;
 use xsearch_crypto::x25519::{PublicKey, StaticSecret};
 use xsearch_crypto::CryptoError;
-use xsearch_engine::engine::SearchResult;
 
 /// The issuer's half of the PEAS proxy pair.
 pub struct PeasIssuer {
@@ -33,6 +33,8 @@ pub enum IssuerError {
     BadCiphertext(CryptoError),
     /// The decrypted payload was malformed.
     BadPayload,
+    /// The engine's answer was not a well-formed result list.
+    BadResults,
 }
 
 impl std::fmt::Display for IssuerError {
@@ -40,6 +42,7 @@ impl std::fmt::Display for IssuerError {
         match self {
             IssuerError::BadCiphertext(e) => write!(f, "undecryptable request: {e}"),
             IssuerError::BadPayload => write!(f, "malformed request payload"),
+            IssuerError::BadResults => write!(f, "malformed engine results"),
         }
     }
 }
@@ -75,14 +78,18 @@ impl PeasIssuer {
     /// encrypt back.
     ///
     /// The payload format (built by [`super::client::PeasClient`]) is
-    /// `response_key (32 bytes) ‖ query (utf-8)`.
+    /// `response_key (32 bytes) ‖ query (utf-8)`. `fetch` answers the
+    /// sub-queries in the result framing
+    /// ([`xsearch_core::wire::encode_results`]), as the engine answers
+    /// the X-Search enclave.
     ///
     /// # Errors
     ///
-    /// [`IssuerError`] on undecryptable or malformed requests.
+    /// [`IssuerError`] on undecryptable or malformed requests and on a
+    /// malformed engine answer.
     pub fn handle<F>(&self, ciphertext: &[u8], fetch: F) -> Result<Vec<u8>, IssuerError>
     where
-        F: FnOnce(&[String], usize) -> Vec<SearchResult>,
+        F: FnOnce(&[String], usize) -> Vec<u8>,
     {
         // The asymmetric operation Fig 5 charges per request.
         let payload = hybrid::open(&self.secret, ciphertext).map_err(IssuerError::BadCiphertext)?;
@@ -108,7 +115,8 @@ impl PeasIssuer {
             .gen_range(0..=subqueries.len());
         subqueries.insert(position, query.clone());
 
-        let results = fetch(&subqueries, 20);
+        let answer = fetch(&subqueries, 20);
+        let results = parse_results(&answer).map_err(|_| IssuerError::BadResults)?;
 
         // Filter results for the original query (same word-overlap rule
         // X-Search uses; PEAS filters fake results before replying).
@@ -120,16 +128,15 @@ impl PeasIssuer {
             .collect();
         let kept = xsearch_core::filter::filter_results(&query, &fakes, results);
 
-        // Encrypt the response under the client's one-time key: the
-        // result list serializes into one exactly-sized buffer (tag
-        // headroom included) and is sealed in place — the same
-        // zero-copy cipher path the X-Search proxy uses, so the Fig 5
-        // comparison measures protocol differences, not codec ones.
+        // Encrypt the response under the client's one-time key: the kept
+        // views serialize into one exactly-sized buffer (tag headroom
+        // included) and are sealed in place — the same parse, filter,
+        // encode and zero-copy cipher path the X-Search enclave runs, so
+        // the Fig 5 comparison measures protocol differences, not codec
+        // ones.
         let aead = ChaCha20Poly1305::new(&response_key);
-        let mut body = Vec::with_capacity(
-            xsearch_core::wire::encoded_len(&kept) + xsearch_crypto::aead::TAG_LEN,
-        );
-        xsearch_core::wire::encode_results_into(&kept, &mut body);
+        let mut body = Vec::with_capacity(encoded_len(&kept) + xsearch_crypto::aead::TAG_LEN);
+        encode_results_into(&kept, &mut body);
         aead.seal_vec(&[0u8; 12], b"peas-response", &mut body);
         Ok(body)
     }
@@ -188,6 +195,17 @@ mod tests {
             issuer.handle(&[0u8; 64], |_, _| Vec::new()),
             Err(IssuerError::BadCiphertext(_))
         ));
+    }
+
+    #[test]
+    fn malformed_engine_answer_is_refused() {
+        let issuer = issuer();
+        let (_, ct) = sealed_request(&issuer, "my query");
+        // A header announcing a 255-byte URL, and no URL.
+        assert_eq!(
+            issuer.handle(&ct, |_, _| [255, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0].to_vec()),
+            Err(IssuerError::BadResults)
+        );
     }
 
     #[test]

@@ -32,14 +32,13 @@ use crate::obfuscate::{obfuscate, ObfuscatedQuery};
 use crate::persistence::{HistoryVault, SealCursor, SealedSegment};
 use crate::redirect::strip_all;
 use crate::session::{channel_binding, SecureChannel, Side};
-use crate::wire::{encode_results_into, encoded_len, QueryBatch};
+use crate::wire::{encode_results_into, encoded_len, parse_results, QueryBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use xsearch_crypto::x25519::{PublicKey, StaticSecret};
-use xsearch_engine::engine::SearchResult;
 use xsearch_sgx_sim::boundary::OcallPort;
 use xsearch_sgx_sim::epc::EpcGauge;
 use xsearch_telemetry::EnclaveScope;
@@ -299,13 +298,23 @@ impl EnclaveState {
     ///
     /// `fetch` is the untrusted engine transport invoked between the
     /// `send` and `recv` ocalls: it receives the sub-queries and the
-    /// per-sub-query result count.
+    /// per-sub-query result count, and answers the merged results in the
+    /// result framing (see [`crate::wire::encode_results`]) — the bytes
+    /// `recv` returns. The enclave filters views of those bytes and
+    /// encodes its reply from them; no result is copied out of them
+    /// except a redirection's target.
+    ///
+    /// A malformed answer fails the request with no reply. Algorithm 1
+    /// ran before the fetch, so the window holds the query either way:
+    /// a failed fetch does not take back what the engine has already
+    /// seen among the sub-queries.
     ///
     /// # Errors
     ///
     /// [`XSearchError::UnknownSession`] for an unestablished client,
     /// [`XSearchError::Crypto`] for tampered ciphertext,
-    /// [`XSearchError::Protocol`] for a non-UTF-8 query.
+    /// [`XSearchError::Protocol`] for a non-UTF-8 query or a malformed
+    /// `recv` payload.
     pub fn request<F>(
         &self,
         client_pub: &[u8; 32],
@@ -314,7 +323,7 @@ impl EnclaveState {
         fetch: F,
     ) -> Result<Vec<u8>, XSearchError>
     where
-        F: FnOnce(&[&str], usize) -> Vec<SearchResult>,
+        F: FnOnce(&[&str], usize) -> Vec<u8>,
     {
         let result = self.request_inner(client_pub, ciphertext, port, fetch);
         if let Some(scope) = &self.scope {
@@ -337,7 +346,7 @@ impl EnclaveState {
         fetch: F,
     ) -> Result<Vec<u8>, XSearchError>
     where
-        F: FnOnce(&[&str], usize) -> Vec<SearchResult>,
+        F: FnOnce(&[&str], usize) -> Vec<u8>,
     {
         // Decrypt inside the enclave; the table is locked for the lookup
         // only, then only this session for the crypto.
@@ -366,17 +375,22 @@ impl EnclaveState {
         // Fetch results via the paper's four-ocall sequence. The payload
         // crossing the boundary is the obfuscated query — exactly what an
         // untrusted observer is allowed to see.
-        let results = self.fetch_via_ocalls(&obfuscated, port, fetch);
+        let recv = self.fetch_via_ocalls(&obfuscated, port, fetch);
 
-        // Filter (Algorithm 2) and strip analytics redirections.
+        // The engine's answer is untrusted bytes: parse it into views,
+        // each record validated once, or fail the request.
+        let results = parse_results(&recv)?;
+
+        // Filter (Algorithm 2) and strip analytics redirections; only a
+        // kept redirection's target is allocated.
         let mut kept = filter_results(query, &obfuscated.fakes(), results);
         strip_all(&mut kept);
 
-        // Encrypt the response for the broker: serialize into one
-        // exactly-sized buffer (tag headroom included) and seal it where
-        // it lies. This — the buffer that crosses the boundary — is the
-        // only allocation the sealed path performs. No result leaves an
-        // empty reply (the echo path): zero bytes, sealed to a bare tag.
+        // Encrypt the response for the broker: serialize the views into
+        // one exactly-sized buffer (tag headroom included) with the
+        // encoder that built `recv`, and seal it where it lies. No result
+        // leaves an empty reply (the echo path): zero bytes, sealed to a
+        // bare tag.
         let mut response = Vec::with_capacity(encoded_len(&kept) + xsearch_crypto::aead::TAG_LEN);
         encode_results_into(&kept, &mut response);
         channel.seal_in_place(b"results", &mut response);
@@ -388,27 +402,22 @@ impl EnclaveState {
         obfuscated: &ObfuscatedQuery,
         port: &OcallPort,
         fetch: F,
-    ) -> Vec<SearchResult>
+    ) -> Vec<u8>
     where
-        F: FnOnce(&[&str], usize) -> Vec<SearchResult>,
+        F: FnOnce(&[&str], usize) -> Vec<u8>,
     {
         // sock_connect(host, port)
         port.ocall(b"sock_connect:engine:80", |_| b"sock:0".to_vec());
         // send(sock, buff, len) — the obfuscated query leaves the enclave.
         port.ocall(obfuscated.to_or_string().as_bytes(), |_| Vec::new());
-        // recv(sock, buff, len) — results come back (untrusted fetch runs
-        // here). The boundary is charged the exact serialized size the
-        // response would occupy, without building that buffer: the
-        // framing's header plus the field lengths, arithmetic only.
+        // recv(sock, buff, len) — the merged results come back in the
+        // result framing (the untrusted fetch runs here), metered by
+        // their length.
         let k_each = self.config.results_per_query;
-        let results = port.ocall_sized(b"recv", |_| {
-            let r = fetch(&obfuscated.subqueries(), k_each);
-            let n = encoded_len(&r);
-            (r, n)
-        });
+        let recv = port.ocall(b"recv", |_| fetch(&obfuscated.subqueries(), k_each));
         // close(sock)
         port.ocall(b"close:sock:0", |_| Vec::new());
-        results
+        recv
     }
 }
 

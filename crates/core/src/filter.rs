@@ -32,16 +32,17 @@
 //! the original sits among the sub-queries. Title and description are
 //! scored separately and summed, as [`result_score`] — the naive form,
 //! kept as the oracle the tests compare against — does. The result list
-//! is consumed and filtered in place.
+//! is consumed and filtered in place; in the enclave it is a list of
+//! views into the `recv` payload, so a dropped result frees nothing.
 
-use xsearch_engine::engine::SearchResult;
+use crate::wire::ResultFields;
 use xsearch_text::similarity::nb_common_words;
 use xsearch_text::tokenize::for_each_token;
 
 /// Scores one (query, result) pair per Algorithm 2 lines 5–6.
 #[must_use]
-pub fn result_score(query: &str, result: &SearchResult) -> usize {
-    nb_common_words(query, &result.title) + nb_common_words(query, &result.description)
+pub fn result_score<R: ResultFields>(query: &str, result: &R) -> usize {
+    nb_common_words(query, result.title()) + nb_common_words(query, result.description())
 }
 
 /// Bytes in a short key: a word this long or shorter is one `u64`.
@@ -200,12 +201,18 @@ impl WordTable {
 
 /// Runs Algorithm 2: keeps the results whose best-matching sub-query is
 /// the original one. Consumes the result list and retains in place.
+///
+/// Generic over what holds a result's title and description: the
+/// enclave filters [`crate::wire::ResultView`]s borrowed from its `recv`
+/// payload, the reference paths owned [`SearchResult`]s.
+///
+/// [`SearchResult`]: xsearch_engine::engine::SearchResult
 #[must_use]
-pub fn filter_results<S: AsRef<str>>(
+pub fn filter_results<S: AsRef<str>, R: ResultFields>(
     original: &str,
     fakes: &[S],
-    mut results: Vec<SearchResult>,
-) -> Vec<SearchResult> {
+    mut results: Vec<R>,
+) -> Vec<R> {
     if fakes.is_empty() || results.is_empty() {
         // No fakes ⇒ the original trivially attains the max score; no
         // results ⇒ nothing to tokenize against (echo-mode hot path).
@@ -216,8 +223,8 @@ pub fn filter_results<S: AsRef<str>>(
     let mut title = vec![0u64; table.width];
     let mut desc = vec![0u64; table.width];
     results.retain(|r| {
-        table.mark(&r.title, &mut scratch, &mut title);
-        table.mark(&r.description, &mut scratch, &mut desc);
+        table.mark(r.title(), &mut scratch, &mut title);
+        table.mark(r.description(), &mut scratch, &mut desc);
         let score = |q| table.common(q, &title) + table.common(q, &desc);
         // Every sub-query is scored, whatever the scores: the work does
         // not stop at the first fake that beats the original, so it does
@@ -236,6 +243,7 @@ mod tests {
     use proptest::prelude::*;
     use std::cell::Cell;
     use xsearch_engine::document::DocId;
+    use xsearch_engine::engine::SearchResult;
 
     thread_local! {
         /// `WordTable::common` evaluations on this thread.
@@ -300,7 +308,7 @@ mod tests {
 
     #[test]
     fn empty_results_stay_empty() {
-        assert!(filter_results("q", &["f".to_owned()], Vec::new()).is_empty());
+        assert!(filter_results("q", &["f".to_owned()], Vec::<SearchResult>::new()).is_empty());
     }
 
     #[test]

@@ -251,7 +251,7 @@ impl XSearchProxy {
     }
 
     /// Serves one encrypted request end to end (the `request` ecall with
-    /// a live engine behind the ocalls).
+    /// a live engine behind the ocalls, answered by [`XSearchProxy::fetch`]).
     ///
     /// # Errors
     ///
@@ -262,8 +262,18 @@ impl XSearchProxy {
         ciphertext: &[u8],
     ) -> Result<Vec<u8>, XSearchError> {
         self.request_with(client_pub, ciphertext, |subqueries, k_each| {
-            self.service.search_merged(subqueries, k_each).0
+            self.fetch(subqueries, k_each)
         })
+    }
+
+    /// The host's side of the engine hop: the engine uplink merges the
+    /// sub-queries' rankings on document ids, and each merged document's
+    /// url, title and description are written once, into one exactly
+    /// sized buffer in the result framing — the bytes the `recv` ocall
+    /// returns to the enclave.
+    #[must_use]
+    pub fn fetch(&self, subqueries: &[&str], k_each: usize) -> Vec<u8> {
+        crate::wire::encode_results(&self.service.search_merged(subqueries, k_each).0)
     }
 
     /// Serves one encrypted request without contacting the engine — the
@@ -285,7 +295,8 @@ impl XSearchProxy {
     /// Serves one encrypted request with the host answering the
     /// enclave's `send`/`recv` ocalls through `fetch`: it receives the
     /// sub-queries the enclave hands the engine and the per-sub-query
-    /// result count, and returns what the engine answered. The privacy
+    /// result count, and returns what the engine answered, in the result
+    /// framing (see [`crate::wire::encode_results`]). The privacy
     /// experiments pass a `fetch` that records those sub-queries — the
     /// engine's view of the request.
     ///
@@ -296,7 +307,7 @@ impl XSearchProxy {
         &self,
         client_pub: &[u8; 32],
         ciphertext: &[u8],
-        fetch: impl FnOnce(&[&str], usize) -> Vec<xsearch_engine::engine::SearchResult>,
+        fetch: impl FnOnce(&[&str], usize) -> Vec<u8>,
     ) -> Result<Vec<u8>, XSearchError> {
         // The reply is the ecall's output, so the boundary counts its
         // bytes; a failure crosses as nothing and travels beside it.
@@ -768,6 +779,50 @@ mod tests {
         );
         assert_eq!(p.boundary().ecalls(), ecalls + 1);
         assert_eq!(p.boundary().bytes_out(), bytes_out);
+    }
+
+    /// A `recv` payload that is not a result list fails the request:
+    /// `Protocol`, one enclave error counted, no reply byte out of the
+    /// enclave. Algorithm 1 pushed the query before the fetch, so the
+    /// window holds it all the same; and the session stays in step, so the
+    /// next request is served.
+    #[test]
+    fn a_malformed_recv_fails_the_request_with_no_reply() {
+        use crate::broker::Broker;
+        let (p, ias) = proxy();
+        let mut broker = Broker::attach(&p, &ias, p.expected_measurement(), 71).unwrap();
+        let errors = || {
+            p.registry()
+                .snapshot()
+                .value("xsearch_enclave_errors_total", &[])
+                .unwrap()
+        };
+        for (i, (fault, payload)) in crate::wire::refused_result_payloads()
+            .into_iter()
+            .enumerate()
+        {
+            let query = format!("refused query {i}");
+            let ciphertext = broker.seal_query(&query);
+            let (history, failed, bytes_out) =
+                (p.history_len(), errors(), p.boundary().bytes_out());
+            let mut sent = 0;
+            let outcome = p.request_with(broker.client_pub().as_bytes(), &ciphertext, |subs, _| {
+                sent = subs.iter().map(|q| q.len() + 4).sum::<usize>() - 4;
+                payload
+            });
+            assert!(matches!(outcome, Err(XSearchError::Protocol(_))), "{fault}");
+            assert_eq!(errors(), failed + 1.0, "{fault}");
+            let ocalls_out =
+                b"sock_connect:engine:80".len() + sent + b"recv".len() + b"close:sock:0".len();
+            assert_eq!(
+                p.boundary().bytes_out() - bytes_out,
+                ocalls_out as u64,
+                "the four ocalls' requests and no reply: {fault}"
+            );
+            assert_eq!(p.history_len(), history + 1, "{fault}");
+            assert_eq!(p.history_snapshot().last(), Some(&query), "{fault}");
+        }
+        assert!(!broker.search(&p, "cheap flights").unwrap().is_empty());
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! redirectors (`http://tracker/click?u=<real-url>&session=...`); the
 //! proxy unwraps them so the search engine cannot correlate clicks either.
 
+use crate::wire::{ResultFields, ResultView};
+use std::borrow::Cow;
 use xsearch_engine::engine::SearchResult;
 
 /// Query-string keys that commonly carry the redirection target
@@ -119,7 +121,8 @@ fn percent_decode(s: &str) -> String {
         }
         i += 1;
     }
-    String::from_utf8_lossy(&out).into_owned()
+    String::from_utf8(out)
+        .unwrap_or_else(|invalid| String::from_utf8_lossy(invalid.as_bytes()).into_owned())
 }
 
 /// Percent-encodes a string for use in a query component: what a
@@ -139,12 +142,31 @@ fn percent_encode(s: &str) -> String {
     out
 }
 
-/// Strips redirections from every result in place; a URL that is not a
-/// redirection keeps its allocation.
-pub fn strip_all(results: &mut [SearchResult]) {
+/// A result whose URL [`strip_all`] may replace.
+pub trait RewriteUrl: ResultFields {
+    /// Replaces the URL with `url`.
+    fn set_url(&mut self, url: String);
+}
+
+impl RewriteUrl for SearchResult {
+    fn set_url(&mut self, url: String) {
+        self.url = url;
+    }
+}
+
+impl RewriteUrl for ResultView<'_> {
+    fn set_url(&mut self, url: String) {
+        self.url = Cow::Owned(url);
+    }
+}
+
+/// Strips redirections from every result in place. Only a redirection's
+/// target is allocated; any other URL is left as it is — in the
+/// enclave, a slice of the `recv` payload.
+pub fn strip_all<R: RewriteUrl>(results: &mut [R]) {
     for r in results {
-        if let Some(target) = redirect_target(&r.url) {
-            r.url = target;
+        if let Some(target) = redirect_target(r.url()) {
+            r.set_url(target);
         }
     }
 }

@@ -1,14 +1,25 @@
-//! Wire encodings: result lists for the encrypted tunnel, query batches
-//! for the past-query window, and the framed connection messages.
+//! Wire encodings: result lists for the engine hop and the encrypted
+//! tunnel, query batches for the past-query window, and the framed
+//! connection messages.
 //!
 //! A result list is length-framed: each result is
 //! `len(url) ‖ len(title) ‖ len(description)`, three u32 LE lengths,
 //! followed by the three fields' bytes. Nothing is escaped, so encoding
-//! is three copies per result and decoding three slices, and the encoded
-//! size is arithmetic on the field lengths — the `recv` ocall's byte
-//! meter reads it without touching a byte of text. The list carries no
+//! is three copies per result into a buffer sized exactly by
+//! [`encoded_len`], and parsing is three slices. The list carries no
 //! count: it ends where the bytes do, so the empty list is zero bytes and
 //! an echo reply seals to a bare tag.
+//!
+//! The framing carries results twice per request. The host writes the
+//! engine's merged documents in it once, and those bytes are what the
+//! `recv` ocall returns, metered by their length. The enclave
+//! parses them with [`parse_results`] into borrowed [`ResultView`]s,
+//! filters the views and encodes its reply from them with the same
+//! encoder; the broker's [`decode_results`] is the same parse plus one
+//! copy per field. Either way a record is validated once: UTF-8 over the
+//! record, then a character boundary at each of its two inner edges.
+//! [`ResultFields`] is what the encoder and Algorithm 2 read from a
+//! result, whichever type holds it.
 //!
 //! A query batch is columnar: `count ‖ len* ‖ text`, a u32 LE count, one
 //! u32 LE length per query, then all the query text as one contiguous
@@ -20,6 +31,8 @@
 //! then plain slices of that region.
 
 use crate::error::XSearchError;
+use std::borrow::Cow;
+use xsearch_engine::document::Document;
 use xsearch_engine::engine::SearchResult;
 
 /// A result as the client receives it (no engine-internal fields).
@@ -43,6 +56,64 @@ impl From<&SearchResult> for WireResult {
     }
 }
 
+/// A result borrowed from the bytes it arrived in — what the enclave
+/// filters. The URL is a [`Cow`] so that the redirect strip can replace
+/// a tracker-wrapped one with its owned target; every other field stays
+/// a slice of the `recv` payload.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ResultView<'a> {
+    /// Result URL.
+    pub url: Cow<'a, str>,
+    /// Result title.
+    pub title: &'a str,
+    /// Result snippet.
+    pub description: &'a str,
+}
+
+/// A result's three text fields, borrowed: what [`encode_results_into`]
+/// writes and what Algorithm 2 reads, whatever holds the result — an
+/// engine [`Document`], an owned [`SearchResult`] or [`WireResult`], or
+/// a [`ResultView`] of received bytes.
+pub trait ResultFields {
+    /// The result URL.
+    fn url(&self) -> &str;
+    /// The result title.
+    fn title(&self) -> &str;
+    /// The result snippet.
+    fn description(&self) -> &str;
+}
+
+/// One [`ResultFields`] impl per result type, each a field read.
+macro_rules! result_fields {
+    ($($ty:ty),*) => {$(
+        impl ResultFields for $ty {
+            fn url(&self) -> &str {
+                &self.url
+            }
+            fn title(&self) -> &str {
+                &self.title
+            }
+            fn description(&self) -> &str {
+                &self.description
+            }
+        }
+    )*};
+}
+
+result_fields!(Document, SearchResult, WireResult, ResultView<'_>);
+
+impl<T: ResultFields + ?Sized> ResultFields for &T {
+    fn url(&self) -> &str {
+        (**self).url()
+    }
+    fn title(&self) -> &str {
+        (**self).title()
+    }
+    fn description(&self) -> &str {
+        (**self).description()
+    }
+}
+
 /// Bytes of a result's header: three u32 LE field lengths.
 const RESULT_HEADER: usize = 12;
 
@@ -53,41 +124,38 @@ fn field_len(field: &str) -> [u8; 4] {
         .to_le_bytes()
 }
 
-/// Serializes results for the tunnel, appending to `out` — the
-/// zero-alloc hot path: the enclave encodes into a buffer sized by
-/// [`encoded_len`] (plus tag room) and seals it in place, so a response
-/// costs one exact allocation.
-pub fn encode_results_into(results: &[SearchResult], out: &mut Vec<u8>) {
+/// Serializes results in the result framing, appending to `out`. With
+/// [`encoded_len`] bytes reserved (plus tag room, for a reply sealed in
+/// place) nothing grows: the host's `recv` payload and the enclave's
+/// reply are each one exact allocation.
+pub fn encode_results_into<R: ResultFields>(results: &[R], out: &mut Vec<u8>) {
     for r in results {
-        for field in [&r.url, &r.title, &r.description] {
+        let fields = [r.url(), r.title(), r.description()];
+        for field in fields {
             out.extend_from_slice(&field_len(field));
         }
-        for field in [&r.url, &r.title, &r.description] {
+        for field in fields {
             out.extend_from_slice(field.as_bytes());
         }
     }
 }
 
-/// Serializes results for the tunnel.
-///
-/// Allocating wrapper over [`encode_results_into`] (byte-identical,
-/// proptest-enforced); kept for cold paths and tests.
+/// Serializes results in the result framing, into one buffer of exactly
+/// [`encoded_len`] bytes — the host's `recv` payload.
 #[must_use]
-pub fn encode_results(results: &[SearchResult]) -> Vec<u8> {
+pub fn encode_results<R: ResultFields>(results: &[R]) -> Vec<u8> {
     let mut out = Vec::with_capacity(encoded_len(results));
     encode_results_into(results, &mut out);
     out
 }
 
-/// Exact length of [`encode_results`]'s output without building it —
-/// the enclave uses this to account the bytes a `recv` ocall carries
-/// across the boundary without serializing a payload nobody reads. The
-/// header plus the field lengths, per result: no byte of text is read.
+/// Exact length of [`encode_results`]'s output without building it: the
+/// header plus the field lengths, per result; no byte of text is read.
 #[must_use]
-pub fn encoded_len(results: &[SearchResult]) -> usize {
+pub fn encoded_len<R: ResultFields>(results: &[R]) -> usize {
     results
         .iter()
-        .map(|r| RESULT_HEADER + r.url.len() + r.title.len() + r.description.len())
+        .map(|r| RESULT_HEADER + r.url().len() + r.title().len() + r.description().len())
         .sum()
 }
 
@@ -272,9 +340,48 @@ pub(crate) fn refused_query_batches() -> Vec<(&'static str, Vec<u8>)> {
     ]
 }
 
-/// Parses a result list from tunnel bytes (see [`encode_results`]):
+/// Splits the first record off `bytes`: its three fields and the bytes
+/// after it. The record is validated once — UTF-8 over its three fields
+/// together, then a character boundary at each of the two edges inside.
+fn split_record(bytes: &[u8]) -> Result<([&str; 3], &[u8]), XSearchError> {
+    let not_utf8 = || XSearchError::Protocol("result field is not utf-8".into());
+    let (header, body) = bytes
+        .split_at_checked(RESULT_HEADER)
+        .ok_or_else(|| XSearchError::Protocol("truncated result header".into()))?;
+    let [url, title, description] = [0, 4, 8].map(|at| length_at(&header[at..at + 4]));
+    let record = url
+        .checked_add(title)
+        .and_then(|sum| sum.checked_add(description))
+        .filter(|&record| record <= body.len())
+        .ok_or_else(|| XSearchError::Protocol("result fields past the payload".into()))?;
+    let (fields, tail) = body.split_at(record);
+    let fields = std::str::from_utf8(fields).map_err(|_| not_utf8())?;
+    let (url, fields) = fields.split_at_checked(url).ok_or_else(not_utf8)?;
+    let (title, description) = fields.split_at_checked(title).ok_or_else(not_utf8)?;
+    Ok(([url, title, description], tail))
+}
+
+/// The records of a result payload, each split and validated by
+/// [`split_record`] and handed to `record`, in order; the first malformed
+/// record fails the whole payload.
+fn parse_records<'a, T>(
+    bytes: &'a [u8],
+    mut record: impl FnMut([&'a str; 3]) -> T,
+) -> Result<Vec<T>, XSearchError> {
+    let mut records = Vec::new();
+    let mut rest = bytes;
+    while !rest.is_empty() {
+        let (fields, tail) = split_record(rest)?;
+        records.push(record(fields));
+        rest = tail;
+    }
+    Ok(records)
+}
+
+/// Parses a result list (see [`encode_results`]) into views of `bytes`:
 /// records until the bytes run out, each a whole header and the three
-/// whole fields it announces.
+/// whole fields it announces. Nothing is copied; the enclave filters and
+/// re-encodes the views straight from its `recv` payload.
 ///
 /// # Errors
 ///
@@ -282,35 +389,72 @@ pub(crate) fn refused_query_batches() -> Vec<(&'static str, Vec<u8>)> {
 /// announce more bytes than are left (or more than `usize` holds), or a
 /// field is not UTF-8 on its own — a character split across two fields
 /// included.
+pub fn parse_results(bytes: &[u8]) -> Result<Vec<ResultView<'_>>, XSearchError> {
+    parse_records(bytes, |[url, title, description]| ResultView {
+        url: Cow::Borrowed(url),
+        title,
+        description,
+    })
+}
+
+/// Parses a result list into owned results: [`parse_results`]'s parse
+/// and validation, plus one copy per field.
+///
+/// # Errors
+///
+/// As [`parse_results`].
 pub fn decode_results(bytes: &[u8]) -> Result<Vec<WireResult>, XSearchError> {
-    let mut results = Vec::new();
-    let mut rest = bytes;
-    while !rest.is_empty() {
-        let (header, body) = rest
-            .split_at_checked(RESULT_HEADER)
-            .ok_or_else(|| XSearchError::Protocol("truncated result header".into()))?;
-        let [url, title, description] = [0, 4, 8].map(|at| length_at(&header[at..at + 4]));
-        let record = url
-            .checked_add(title)
-            .and_then(|sum| sum.checked_add(description))
-            .filter(|&record| record <= body.len())
-            .ok_or_else(|| XSearchError::Protocol("result fields past the payload".into()))?;
-        let (fields, tail) = body.split_at(record);
-        let (url, fields) = fields.split_at(url);
-        let (title, description) = fields.split_at(title);
-        let field = |bytes: &[u8]| {
-            std::str::from_utf8(bytes)
-                .map(str::to_owned)
-                .map_err(|_| XSearchError::Protocol("result field is not utf-8".into()))
-        };
-        results.push(WireResult {
-            url: field(url)?,
-            title: field(title)?,
-            description: field(description)?,
-        });
-        rest = tail;
-    }
-    Ok(results)
+    parse_records(bytes, |[url, title, description]| WireResult {
+        url: url.to_owned(),
+        title: title.to_owned(),
+        description: description.to_owned(),
+    })
+}
+
+/// One result record with the three lengths as given — one the encoder
+/// would never write.
+#[cfg(test)]
+pub(crate) fn raw_record(lengths: [u32; 3], fields: &[u8]) -> Vec<u8> {
+    let mut out: Vec<u8> = lengths.iter().flat_map(|len| len.to_le_bytes()).collect();
+    out.extend_from_slice(fields);
+    out
+}
+
+/// Result payloads [`parse_results`] and [`decode_results`] must refuse,
+/// each named by its fault.
+#[cfg(test)]
+pub(crate) fn refused_result_payloads() -> Vec<(&'static str, Vec<u8>)> {
+    let whole = raw_record([12, 5, 4], b"http://a.comtitledesc");
+    let mut trailing = whole.clone();
+    trailing.extend_from_slice(&whole[..RESULT_HEADER + 3]);
+    vec![
+        (
+            "truncated length header",
+            whole[..RESULT_HEADER - 1].to_vec(),
+        ),
+        (
+            "a length past the payload",
+            whole[..whole.len() - 1].to_vec(),
+        ),
+        (
+            "lengths whose sum overflows",
+            raw_record([u32::MAX, u32::MAX, u32::MAX], b"abc"),
+        ),
+        (
+            "non-utf-8 field",
+            raw_record([1, 2, 0], &[b'u', 0xff, 0xfe]),
+        ),
+        (
+            "character split across two fields",
+            raw_record([0, 1, 1], "é".as_bytes()),
+        ),
+        ("trailing partial record", trailing),
+        ("header of a second record cut short", {
+            let mut two = whole.clone();
+            two.extend_from_slice(&[0, 0, 0]);
+            two
+        }),
+    ]
 }
 
 /// Echo-mode flag bit of a framed connection request: when set, the
@@ -467,50 +611,6 @@ mod tests {
         })
     }
 
-    /// One record with the three lengths as given — one the encoder
-    /// would never write.
-    fn raw_record(lengths: [u32; 3], fields: &[u8]) -> Vec<u8> {
-        let mut out: Vec<u8> = lengths.iter().flat_map(|len| len.to_le_bytes()).collect();
-        out.extend_from_slice(fields);
-        out
-    }
-
-    /// Result payloads [`decode_results`] must refuse, each named by its
-    /// fault.
-    fn refused_result_payloads() -> Vec<(&'static str, Vec<u8>)> {
-        let whole = encode_results(&[result("http://a.com", "title", "desc")]);
-        let mut trailing = whole.clone();
-        trailing.extend_from_slice(&whole[..RESULT_HEADER + 3]);
-        vec![
-            (
-                "truncated length header",
-                whole[..RESULT_HEADER - 1].to_vec(),
-            ),
-            (
-                "a length past the payload",
-                whole[..whole.len() - 1].to_vec(),
-            ),
-            (
-                "lengths whose sum overflows",
-                raw_record([u32::MAX, u32::MAX, u32::MAX], b"abc"),
-            ),
-            (
-                "non-utf-8 field",
-                raw_record([1, 2, 0], &[b'u', 0xff, 0xfe]),
-            ),
-            (
-                "character split across two fields",
-                raw_record([0, 1, 1], "é".as_bytes()),
-            ),
-            ("trailing partial record", trailing),
-            ("header of a second record cut short", {
-                let mut two = whole.clone();
-                two.extend_from_slice(&[0, 0, 0]);
-                two
-            }),
-        ]
-    }
-
     #[test]
     fn roundtrip_simple() {
         let rs = vec![
@@ -534,11 +634,12 @@ mod tests {
     #[test]
     fn empty_list_roundtrips() {
         assert!(
-            encode_results(&[]).is_empty(),
+            encode_results::<SearchResult>(&[]).is_empty(),
             "the empty list is zero bytes, so an echo reply is a bare tag"
         );
         assert!(decode_results(&[]).unwrap().is_empty());
-        assert_eq!(encoded_len(&[]), 0);
+        assert!(parse_results(&[]).unwrap().is_empty());
+        assert_eq!(encoded_len::<SearchResult>(&[]), 0);
     }
 
     #[test]
@@ -554,6 +655,10 @@ mod tests {
         for (fault, bytes) in refused_result_payloads() {
             assert!(
                 matches!(decode_results(&bytes), Err(XSearchError::Protocol(_))),
+                "{fault}"
+            );
+            assert!(
+                matches!(parse_results(&bytes), Err(XSearchError::Protocol(_))),
                 "{fault}"
             );
         }
@@ -811,6 +916,45 @@ mod tests {
                 }
                 Err(e) => prop_assert!(matches!(e, XSearchError::Protocol(_))),
             }
+        }
+
+        /// The borrowed parse on the same bytes: it never panics, and it
+        /// accepts exactly what [`decode_results`] accepts, with the same
+        /// fields — and the same error.
+        #[test]
+        fn parse_never_panics_and_agrees_with_decode(
+            fields in proptest::collection::vec(field(), 0..10),
+            mutation in 0u8..5,
+            at in any::<usize>(),
+            byte in any::<u8>(),
+            arbitrary in proptest::collection::vec(any::<u8>(), 0..48),
+        ) {
+            let rs: Vec<SearchResult> = fields
+                .chunks_exact(3)
+                .map(|c| result(&c[0], &c[1], &c[2]))
+                .collect();
+            let mut bytes = encode_results(&rs);
+            match mutation {
+                0 => {}
+                1 if !bytes.is_empty() => {
+                    let at = at % bytes.len();
+                    bytes[at] = byte;
+                }
+                2 => bytes.truncate(at % (bytes.len() + 1)),
+                3 => bytes.push(byte),
+                _ => bytes = arbitrary,
+            }
+            let parsed = parse_results(&bytes).map(|views| {
+                views
+                    .iter()
+                    .map(|v| WireResult {
+                        url: v.url.to_string(),
+                        title: v.title.to_owned(),
+                        description: v.description.to_owned(),
+                    })
+                    .collect::<Vec<_>>()
+            });
+            prop_assert_eq!(parsed, decode_results(&bytes));
         }
 
         /// `encode_results` ≡ `encode_results_into`, including when the

@@ -28,15 +28,6 @@ pub struct Document {
     pub topic: usize,
 }
 
-impl Document {
-    /// Concatenated searchable text (title weighted by duplication is
-    /// handled at the index layer; this is the raw text).
-    #[must_use]
-    pub fn text(&self) -> String {
-        format!("{} {}", self.title, self.description)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -44,17 +35,5 @@ mod tests {
     #[test]
     fn doc_id_displays() {
         assert_eq!(DocId(3).to_string(), "d3");
-    }
-
-    #[test]
-    fn text_joins_title_and_description() {
-        let d = Document {
-            id: DocId(0),
-            url: "http://example.com".into(),
-            title: "cheap flights".into(),
-            description: "book paris flights".into(),
-            topic: 0,
-        };
-        assert_eq!(d.text(), "cheap flights book paris flights");
     }
 }

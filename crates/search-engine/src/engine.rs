@@ -5,12 +5,20 @@
 //! single-word operands, §5.3.2 simulates `Q₀ OR … OR Qₖ` by submitting
 //! each sub-query independently and merging the result sets —
 //! [`SearchEngine::search_merged`] reproduces exactly that.
+//!
+//! The merge runs on document ids (`merge_ids`): each sub-query's
+//! ranking is `(doc, score)` pairs, and no result is built until a
+//! caller asks for one. The owned [`SearchResult`]s of
+//! [`SearchEngine::search`] and [`SearchEngine::search_merged`] serve the
+//! cold callers — the direct-search reference, the baselines and tests;
+//! the proxy's hop takes the merged corpus documents from
+//! [`crate::service::EngineService::search_merged`] and writes their text
+//! once, into the bytes it hands the enclave.
 
 use crate::bm25::rank;
 use crate::corpus::{generate, CorpusConfig};
 use crate::document::{DocId, Document};
 use crate::index::InvertedIndex;
-use xsearch_text::tokenize::tokenize;
 
 /// One search result as returned to clients.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,19 +71,19 @@ impl SearchEngine {
     /// Plain keyword search: BM25 over the query's tokens, top `k` results.
     #[must_use]
     pub fn search(&self, query: &str, k: usize) -> Vec<SearchResult> {
-        let terms = tokenize(query);
-        rank(&self.index, &terms, k)
+        rank(&self.index, query, k)
             .into_iter()
             .map(|(doc, score)| self.to_result(doc, score))
             .collect()
     }
 
     /// The paper's obfuscated-query execution: submit each sub-query
-    /// independently (top `k_each` results each) and merge the result
-    /// sets with [`merge_ranked`], one sub-query after another on the
-    /// caller's thread. [`crate::service::EngineService::search_merged`]
-    /// runs the same loop with each evaluation timed and charged to one
-    /// of the modeled engine's lanes; tests hold the two equal.
+    /// independently (top `k_each` results each) and merge the rankings
+    /// with `merge_ids`, one sub-query after another on the caller's
+    /// thread. [`crate::service::EngineService::search_merged`] runs the
+    /// same loop with each evaluation timed and charged to one of the
+    /// modeled engine's lanes and returns the merged documents; tests
+    /// hold the two equal.
     ///
     /// Generic over the sub-query representation so the enclave's
     /// sub-queries, borrowed from its one OR-joined wire string, cross
@@ -86,11 +94,19 @@ impl SearchEngine {
         subqueries: &[S],
         k_each: usize,
     ) -> Vec<SearchResult> {
-        let per_query: Vec<Vec<SearchResult>> = subqueries
+        let per_query: Vec<Vec<(DocId, f64)>> = subqueries
             .iter()
-            .map(|q| self.search(q.as_ref(), k_each))
+            .map(|q| self.ranked(q.as_ref(), k_each))
             .collect();
-        merge_ranked(per_query, k_each)
+        merge_ids(&per_query, k_each)
+            .into_iter()
+            .map(|(doc, score)| self.to_result(doc, score))
+            .collect()
+    }
+
+    /// The top `k` of one sub-query as `(doc, score)`, best first.
+    pub(crate) fn ranked(&self, query: &str, k: usize) -> Vec<(DocId, f64)> {
+        rank(&self.index, query, k)
     }
 
     fn to_result(&self, doc: DocId, score: f64) -> SearchResult {
@@ -105,26 +121,23 @@ impl SearchEngine {
     }
 }
 
-/// Merges per-sub-query rankings into one result list, deduplicating by
-/// document and keeping each document's first-seen (best-ranked) entry.
-/// Merge order interleaves the rankings (rank 1 of each sub-query, then
-/// rank 2, …) so no sub-query is privileged — the search engine does not
-/// know which one is real.
+/// Merges per-sub-query rankings into one, deduplicating by document and
+/// keeping each document's first-seen (best-ranked) entry. Merge order
+/// interleaves the rankings (rank 1 of each sub-query, then rank 2, …)
+/// so no sub-query is privileged — the search engine does not know which
+/// one is real.
 ///
-/// Shared by [`SearchEngine::search_merged`] and the lane-accounted
-/// [`crate::service::EngineService::search_merged`], so both produce
-/// byte-identical merges.
-#[must_use]
-pub fn merge_ranked(per_query: Vec<Vec<SearchResult>>, k_each: usize) -> Vec<SearchResult> {
-    let mut merged: Vec<SearchResult> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    let mut rankings: Vec<_> = per_query.into_iter().map(Vec::into_iter).collect();
-    for _ in 0..k_each {
-        for ranking in &mut rankings {
-            if let Some(r) = ranking.next() {
-                if seen.insert(r.doc) {
-                    merged.push(r);
-                }
+/// The merge is on ids alone: a document is a duplicate when its id is
+/// already in the merged list, found by a scan of at most `(k+1) × k_each`
+/// ids. Shared by [`SearchEngine::search_merged`] and the lane-accounted
+/// [`crate::service::EngineService::search_merged`], so both merge
+/// identically.
+pub(crate) fn merge_ids(per_query: &[Vec<(DocId, f64)>], k_each: usize) -> Vec<(DocId, f64)> {
+    let mut merged: Vec<(DocId, f64)> = Vec::with_capacity(per_query.iter().map(Vec::len).sum());
+    for rank in 0..k_each {
+        for &(doc, score) in per_query.iter().filter_map(|ranking| ranking.get(rank)) {
+            if !merged.iter().any(|&(seen, _)| seen == doc) {
+                merged.push((doc, score));
             }
         }
     }
@@ -137,6 +150,7 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::{HashMap, HashSet};
     use xsearch_query_log::topics::TOPICS;
+    use xsearch_text::tokenize::tokenize;
 
     /// BM25 the slow way: a map from document to score filled in
     /// query-term order, then every match sorted (score desc, id asc).

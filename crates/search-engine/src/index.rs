@@ -128,18 +128,6 @@ impl InvertedIndex {
             .and_then(|id| self.postings.get(id as usize))
             .map_or(&[], Vec::as_slice)
     }
-
-    /// Document frequency of a term.
-    #[must_use]
-    pub fn doc_freq(&self, term: &str) -> usize {
-        self.postings(term).len()
-    }
-
-    /// Distinct indexed terms.
-    #[must_use]
-    pub fn vocabulary_size(&self) -> usize {
-        self.interner.len()
-    }
 }
 
 #[cfg(test)]
@@ -168,9 +156,9 @@ mod tests {
     #[test]
     fn postings_cover_both_fields() {
         let idx = InvertedIndex::build(&docs());
-        assert_eq!(idx.doc_freq("paris"), 2);
-        assert_eq!(idx.doc_freq("flights"), 1);
-        assert_eq!(idx.doc_freq("unknownword"), 0);
+        assert_eq!(idx.postings("paris").len(), 2);
+        assert_eq!(idx.postings("flights").len(), 1);
+        assert_eq!(idx.postings("unknownword").len(), 0);
     }
 
     #[test]
@@ -252,7 +240,7 @@ mod tests {
         let n = docs.len();
         let total: u64 = lengths.values().map(|&l| u64::from(l)).sum();
         let avgdl = (total as f64 / n as f64).max(1.0);
-        assert_eq!(idx.vocabulary_size(), expected.len());
+        assert_eq!(idx.interner.len(), expected.len());
         for (term, list) in &expected {
             let got = idx.postings(term);
             assert_eq!(got.len(), list.len(), "{term}");
@@ -271,6 +259,6 @@ mod tests {
     fn vocabulary_counts_distinct_terms() {
         let idx = InvertedIndex::build(&docs());
         // cheap flights paris deals hotel rooms in = 7 distinct terms.
-        assert_eq!(idx.vocabulary_size(), 7);
+        assert_eq!(idx.interner.len(), 7);
     }
 }

@@ -68,6 +68,7 @@ impl Lanes {
 mod tests {
     use super::*;
     use crate::corpus::CorpusConfig;
+    use crate::document::{DocId, Document};
     use crate::engine::SearchEngine;
     use crate::service::EngineService;
     use rand::rngs::StdRng;
@@ -82,6 +83,19 @@ mod tests {
             docs_per_topic: 30,
             ..Default::default()
         }))
+    }
+
+    fn ids(docs: &[&Document]) -> Vec<DocId> {
+        docs.iter().map(|d| d.id).collect()
+    }
+
+    /// The ids of the owned merge the service's document merge must equal.
+    fn result_ids<S: AsRef<str>>(engine: &SearchEngine, subs: &[S]) -> Vec<DocId> {
+        engine
+            .search_merged(subs, 10)
+            .iter()
+            .map(|r| r.doc)
+            .collect()
     }
 
     fn service(engine: &Arc<SearchEngine>, lanes: usize) -> EngineService {
@@ -103,9 +117,8 @@ mod tests {
                 "cheap cruise".to_owned(),
             ],
         ] {
-            let serial = engine.search_merged(&subs, 10);
             let (merged, _) = service.search_merged(&subs, 10);
-            assert_eq!(serial, merged);
+            assert_eq!(ids(&merged), result_ids(&engine, &subs));
         }
     }
 
@@ -133,8 +146,9 @@ mod tests {
             "symptoms doctor".to_owned(),
             "mortgage rates".to_owned(),
         ];
-        let (merged, charged) = service(&engine, 2).search_merged(&subs, 10);
-        assert_eq!(merged, engine.search_merged(&subs, 10));
+        let service = service(&engine, 2);
+        let (merged, charged) = service.search_merged(&subs, 10);
+        assert_eq!(ids(&merged), result_ids(&engine, &subs));
         assert!(
             charged >= Duration::from_millis(2),
             "two sub-queries queue on one lane: {charged:?}"
@@ -144,7 +158,8 @@ mod tests {
     #[test]
     fn empty_request_is_empty() {
         assert_eq!(Lanes::new(2).claim(0).count(), 0);
-        let (merged, charged) = service(&engine(), 2).search_merged(&Vec::<String>::new(), 10);
+        let service = service(&engine(), 2);
+        let (merged, charged) = service.search_merged(&Vec::<String>::new(), 10);
         assert!(merged.is_empty());
         assert_eq!(charged, Duration::ZERO);
     }
@@ -164,7 +179,7 @@ mod tests {
         let engine = engine();
         let service = EngineService::with_workers(engine.clone(), model.clone(), SEED, MAX_LANES);
         let subs = ["flights hotel", "symptoms doctor", "mortgage rates"];
-        let expected = engine.search_merged(&subs, 10);
+        let expected = result_ids(&engine, &subs);
         let mut charged: Vec<Duration> = std::thread::scope(|scope| {
             let threads: Vec<_> = (0..8)
                 .map(|_| {
@@ -172,7 +187,7 @@ mod tests {
                         (0..PER_THREAD)
                             .map(|_| {
                                 let (merged, charge) = service.search_merged(&subs, 10);
-                                assert_eq!(merged, expected);
+                                assert_eq!(ids(&merged), expected);
                                 charge
                             })
                             .collect::<Vec<_>>()

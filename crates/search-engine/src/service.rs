@@ -16,8 +16,14 @@
 //! calling thread, one after another, each evaluation timed: the
 //! engine's concurrency is remote and lives in the draws (see
 //! [`crate::pool`] for why no local thread stands in for it).
+//!
+//! What a merged request returns is the corpus's own documents, merged
+//! on ids in [`SearchEngine::search_merged`]'s order: nothing is cloned
+//! out of the corpus here, so the caller (the proxy host) writes each
+//! document's text exactly once, into the `recv` payload.
 
-use crate::engine::{merge_ranked, SearchEngine, SearchResult};
+use crate::document::Document;
+use crate::engine::{merge_ids, SearchEngine};
 use crate::pool::{Lanes, MAX_LANES};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -92,28 +98,18 @@ impl EngineService {
         Self::with_workers(engine, service_time, seed, 1)
     }
 
-    /// Executes a query, returning results and the modeled service time
-    /// (query evaluation inside the engine's datacenter).
-    pub fn search(&self, query: &str, k: usize) -> (Vec<SearchResult>, Duration) {
-        let start = Instant::now();
-        let results = self.engine.search(query, k);
-        self.charge_wall(start.elapsed());
-        let delay = self
-            .service_time
-            .sample(&mut *self.rng.lock().unwrap_or_else(PoisonError::into_inner));
-        self.charge(delay);
-        (results, delay)
-    }
-
     /// Executes an obfuscated query in the paper's merged mode and
-    /// returns the merged results plus the modeled end-to-end engine
+    /// returns the merged documents plus the modeled end-to-end engine
     /// delay of this request's sub-queries (see the module docs for how
-    /// it is charged).
+    /// it is charged). The documents are the corpus's own, in
+    /// [`SearchEngine::search_merged`]'s order: the merge runs on ids and
+    /// no result is built, so a caller writes each document's text once,
+    /// wherever it is going.
     pub fn search_merged<S: AsRef<str>>(
         &self,
         subqueries: &[S],
         k_each: usize,
-    ) -> (Vec<SearchResult>, Duration) {
+    ) -> (Vec<&Document>, Duration) {
         let n = subqueries.len();
         // Draw the per-sub-query service times up front, under one lock:
         // the draw sequence depends only on call order, so a fixed seed
@@ -129,16 +125,19 @@ impl EngineService {
         let mut per_query = Vec::with_capacity(n);
         for ((query, lane), draw) in subqueries.iter().zip(self.lanes.claim(n)).zip(draws) {
             let evaluation = Instant::now();
-            per_query.push(self.engine.search(query.as_ref(), k_each));
+            per_query.push(self.engine.ranked(query.as_ref(), k_each));
             lane_busy[lane] += draw + evaluation.elapsed();
         }
-        let results = merge_ranked(per_query, k_each);
+        let docs = merge_ids(&per_query, k_each)
+            .into_iter()
+            .map(|(doc, _)| self.engine.document(doc).expect("a ranked id is indexed"))
+            .collect();
         self.charge_wall(start.elapsed());
         // Makespan: each lane serves its sub-queries back to back, lanes
         // run concurrently.
         let delay = lane_busy.into_iter().max().unwrap_or_default();
         self.charge(delay);
-        (results, delay)
+        (docs, delay)
     }
 
     /// The wrapped engine.
@@ -209,9 +208,11 @@ mod tests {
 
     #[test]
     fn search_reports_modeled_delay() {
+        // One sub-query: one constant draw plus its measured compute.
         let s = service(2);
-        let (_, d) = s.search("flights", 10);
-        assert_eq!(d, Duration::from_millis(SERVICE_MS));
+        let (_, d) = s.search_merged(&["flights"], 10);
+        assert!(d >= Duration::from_millis(SERVICE_MS), "got {d:?}");
+        assert!(d < Duration::from_millis(SERVICE_MS + 100), "got {d:?}");
     }
 
     #[test]
@@ -292,14 +293,22 @@ mod tests {
         let before = s.accounted_delay();
         let (_, d) = s.search_merged(&["flights".to_owned(), "hotel".to_owned()], 10);
         assert_eq!(s.accounted_delay() - before, d);
-        let (_, d2) = s.search("flights", 10);
+        let (_, d2) = s.search_merged(&["flights"], 10);
         assert_eq!(s.accounted_delay() - before, d + d2);
     }
 
     #[test]
     fn results_flow_through() {
         let s = service(2);
-        let (rs, _) = s.search("flights hotel", 10);
-        assert!(!rs.is_empty());
+        let (docs, _) = s.search_merged(&["flights hotel"], 10);
+        assert!(!docs.is_empty());
+        let ids: Vec<_> = docs.iter().map(|d| d.id).collect();
+        let direct: Vec<_> = s
+            .engine()
+            .search("flights hotel", 10)
+            .iter()
+            .map(|r| r.doc)
+            .collect();
+        assert_eq!(ids, direct, "the corpus's own documents, in rank order");
     }
 }

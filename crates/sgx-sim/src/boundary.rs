@@ -4,7 +4,9 @@
 //! `request`) and four ocalls (`sock_connect`, `send`, `recv`, `close`)
 //! precisely because transitions are expensive (§5.3.3). This module
 //! counts every crossing and accumulates the modeled transition cost so
-//! benchmarks can report both real and accounted overhead.
+//! benchmarks can report both real and accounted overhead. What crosses
+//! is always bytes, metered by length: an ecall's input and output, an
+//! ocall's request and response.
 
 use crate::cost::CostModel;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -98,7 +100,9 @@ impl OcallPort {
     }
 
     /// Performs an ocall: `request` bytes leave the enclave, the untrusted
-    /// function `f` runs outside, and its response bytes re-enter.
+    /// function `f` runs outside, and its response bytes re-enter. Both
+    /// directions are metered by their real length: every ocall answers
+    /// in bytes, the engine's result list (`recv`) included.
     pub fn ocall<F>(&self, request: &[u8], f: F) -> Vec<u8>
     where
         F: FnOnce(&[u8]) -> Vec<u8>,
@@ -106,22 +110,6 @@ impl OcallPort {
         let response = f(request);
         self.stats
             .record_ocall(request.len(), response.len(), &self.cost);
-        response
-    }
-
-    /// Like [`OcallPort::ocall`], but the untrusted function returns a
-    /// typed value plus the exact number of response bytes it stands for.
-    /// This keeps the byte accounting honest on paths where serializing
-    /// the response only to measure it would be pure overhead (the
-    /// enclave's `recv` ocall hands back a typed result list; the bytes
-    /// that *would* cross the boundary are still charged).
-    pub fn ocall_sized<F, R>(&self, request: &[u8], f: F) -> R
-    where
-        F: FnOnce(&[u8]) -> (R, usize),
-    {
-        let (response, response_len) = f(request);
-        self.stats
-            .record_ocall(request.len(), response_len, &self.cost);
         response
     }
 
@@ -162,20 +150,6 @@ mod tests {
         assert_eq!(stats.ocalls(), 1);
         assert_eq!(stats.bytes_out(), 10);
         assert_eq!(stats.bytes_in(), 7);
-    }
-
-    #[test]
-    fn ocall_sized_charges_reported_bytes() {
-        let stats = BoundaryStats::new();
-        let port = OcallPort::new(stats.clone(), CostModel::default());
-        let value = port.ocall_sized(b"recv", |req| {
-            assert_eq!(req, b"recv");
-            (vec![1u32, 2, 3], 4096)
-        });
-        assert_eq!(value, vec![1, 2, 3]);
-        assert_eq!(stats.ocalls(), 1);
-        assert_eq!(stats.bytes_out(), 4);
-        assert_eq!(stats.bytes_in(), 4096, "reported size, not Vec length");
     }
 
     #[test]

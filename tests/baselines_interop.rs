@@ -73,7 +73,7 @@ fn peas_full_crypto_path_returns_filtered_results() {
     let results = client
         .search(&receiver, &issuer, "flights hotel vacation", |subs, k| {
             assert_eq!(subs.len(), 4, "k=3 fakes plus the original");
-            engine.search_merged(subs, k)
+            xsearch::core::wire::encode_results(&engine.search_merged(subs, k))
         })
         .unwrap();
     assert!(!results.is_empty());
