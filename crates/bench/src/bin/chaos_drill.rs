@@ -30,15 +30,12 @@
 //! intersection is the original. A stalled replica's late answer fails
 //! the search at its deadline instead of being sent elsewhere again.
 //!
-//! Env knob: `CHAOS_REQUESTS` scales the per-scenario request count
-//! (CI smoke uses a few hundred).
-//!
 //! Run: `cargo run -p xsearch-bench --release --bin chaos_drill`
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
-use xsearch_bench::summary::{env_or, fixed, replay_gate, Gate, Json, Obj, Summary};
+use xsearch_bench::summary::{fixed, replay_gate, Gate, Json, Obj, Summary};
 use xsearch_bench::{echo_engine, EXPERIMENT_SEED};
 use xsearch_cluster::resilience::ResilienceConfig;
 use xsearch_cluster::{Cluster, ClusterClient, ClusterConfig, CrashEvent, FaultPlan, FaultSpec};
@@ -48,6 +45,8 @@ use xsearch_telemetry::LabelValue;
 use xsearch_telemetry::LatencyHistogram;
 
 const REPLICAS: usize = 8;
+/// Requests per scenario.
+const REQUESTS: u64 = 2_000;
 const SESSIONS: usize = 32;
 const K: usize = 3;
 /// The per-request deadline budget on the modeled clock. Hops are
@@ -127,12 +126,7 @@ const COUNTERS: &[(&str, &str)] = &[
     ("sweeps_coalesced", "xsearch_fleet_sweeps_coalesced_total"),
 ];
 
-fn run_scenario(
-    name: &'static str,
-    engine: &Arc<SearchEngine>,
-    spec: FaultSpec,
-    total: u64,
-) -> ScenarioResult {
+fn run_scenario(name: &'static str, engine: &Arc<SearchEngine>, spec: FaultSpec) -> ScenarioResult {
     let cluster = launch(engine, spec);
     let mut clients: Vec<ClusterClient> = (0..SESSIONS)
         .map(|i| ClusterClient::attach(&cluster, i as u64).expect("attach"))
@@ -143,8 +137,8 @@ fn run_scenario(
     let mut total_cost = Duration::ZERO;
     let mut hist = LatencyHistogram::new();
     let mut acked: HashSet<String> = HashSet::new();
-    let mut transcript = Vec::with_capacity(total as usize);
-    for i in 0..total {
+    let mut transcript = Vec::with_capacity(REQUESTS as usize);
+    for i in 0..REQUESTS {
         let s = (i as usize) % SESSIONS;
         let query = format!("s{s} q{i}");
         let client = &mut clients[s];
@@ -257,8 +251,7 @@ fn probe_victim(engine: &Arc<SearchEngine>) -> usize {
 fn main() {
     let engine = echo_engine();
     let victim = probe_victim(&engine);
-    let total = env_or("CHAOS_REQUESTS", 2_000, 1);
-    eprintln!("chaos drill: {total} requests/scenario, victim replica {victim}");
+    eprintln!("chaos drill: {REQUESTS} requests/scenario, victim replica {victim}");
 
     let stall_spec = |loss: f64| FaultSpec {
         loss,
@@ -272,15 +265,15 @@ fn main() {
     let rolling = FaultSpec {
         crashes: (1..=3u64)
             .map(|n| CrashEvent {
-                at_op: total * n / 4,
+                at_op: REQUESTS * n / 4,
                 replica: (victim + n as usize) % REPLICAS,
-                restart_at: Some(total * n / 4 + total / 10),
+                restart_at: Some(REQUESTS * n / 4 + REQUESTS / 10),
             })
             .collect(),
         ..Default::default()
     };
     let partition = FaultSpec {
-        partitions: vec![(2 * total / 5, 2 * total / 5 + total / 5)],
+        partitions: vec![(2 * REQUESTS / 5, 2 * REQUESTS / 5 + REQUESTS / 5)],
         ..Default::default()
     };
 
@@ -300,7 +293,7 @@ fn main() {
         ("partition", partition),
     ] {
         eprintln!("scenario {name}...");
-        results.push(run_scenario(name, &engine, spec, total));
+        results.push(run_scenario(name, &engine, spec));
     }
     let by_name = |name: &str| results.iter().find(|r| r.name == name);
     let find = |name: &str| by_name(name).expect("scenario ran");
@@ -309,7 +302,7 @@ fn main() {
     let ratio = degraded.goodput_rps / baseline.goodput_rps.max(1e-9);
 
     let mut summary = Summary::new("chaos");
-    summary.row("requests", total);
+    summary.row("requests", REQUESTS);
     summary.row("sessions", SESSIONS);
     summary.row("replicas", REPLICAS);
     summary.row("deadline_ms", DEADLINE.as_millis() as u64);
@@ -347,7 +340,7 @@ fn main() {
     eprintln!("replaying stall_one_loss10 for the determinism gate...");
     let mut replay_flights = Vec::new();
     let replay = replay_gate("replay_deterministic", || {
-        let run = run_scenario(degraded.name, &engine, stall_spec(0.10), total);
+        let run = run_scenario(degraded.name, &engine, stall_spec(0.10));
         replay_flights.push(run.flight);
         run.transcript
     });

@@ -22,16 +22,13 @@
 //!    deterministic socket [`FaultPlan`] (every connection afflicted);
 //!    both pairs must be byte-identical, closed conns included.
 //!
-//! Env knob: `FRONTCHAOS_ROUNDS` (default 30) shortens the run for CI
-//! smoke.
-//!
 //! Run: `cargo run -p xsearch-bench --release --bin front_chaos`
 
 use std::sync::Arc;
 use std::time::Duration;
 use xsearch_bench::echo_fleet;
 use xsearch_bench::sessions::{attach_by_seed, RawFramed, Recv};
-use xsearch_bench::summary::{env_or, fixed, replay_gate, Gate, Obj, Summary};
+use xsearch_bench::summary::{fixed, replay_gate, Gate, Obj, Summary};
 use xsearch_cluster::{
     Cluster, FaultPlan, FaultSpec, FrontConfig, FrontTier, SocketSpec, SurvivalConfig,
 };
@@ -42,6 +39,8 @@ use xsearch_telemetry::LabelValue;
 
 /// Replicas behind the front.
 const REPLICAS: usize = 4;
+/// Rounds of the baseline and of the chaos phase.
+const ROUNDS: usize = 30;
 /// Well-behaved clients whose availability is gated.
 const GOOD_CLIENTS: usize = 8;
 /// Slowloris dribblers kept alive (respawned when reaped).
@@ -62,7 +61,6 @@ fn hardened_front(cluster: &Arc<Cluster>) -> FrontTier {
         cluster,
         FrontConfig {
             survival: SurvivalConfig::hardened(),
-            ..FrontConfig::default()
         },
     )
 }
@@ -177,12 +175,12 @@ impl Tally {
 }
 
 /// Phase 1: good clients alone on a clean fleet.
-fn baseline(rounds: usize) -> Tally {
+fn baseline() -> Tally {
     let cluster = echo_fleet(REPLICAS, None);
     let front = hardened_front(&cluster);
     let mut goods: Vec<GoodClient> = (0..GOOD_CLIENTS as u64).map(GoodClient::new).collect();
     let mut tally = Tally::default();
-    for round in 0..rounds {
+    for round in 0..ROUNDS {
         for client in &mut goods {
             client.round(&cluster, &front, round, &mut tally);
         }
@@ -295,7 +293,7 @@ impl Adversaries {
 
 /// Phase 2 + 3: the mixed population, then the session-bound check.
 /// Adds the `chaos` row and the survival gates against `base`.
-fn chaos(rounds: usize, base: &Tally, summary: &mut Summary) {
+fn chaos(base: &Tally, summary: &mut Summary) {
     let socket_plan = socket_chaos();
     let cluster = echo_fleet(REPLICAS, Some(link_chaos()));
     let front = hardened_front(&cluster);
@@ -307,7 +305,7 @@ fn chaos(rounds: usize, base: &Tally, summary: &mut Summary) {
     let mut goods: Vec<GoodClient> = (0..GOOD_CLIENTS as u64).map(GoodClient::new).collect();
     let mut adversaries = Adversaries::new(&cluster, &front, &socket_plan);
     let mut good = Tally::default();
-    for round in 0..rounds {
+    for round in 0..ROUNDS {
         adversaries.round(&cluster, &front, &socket_plan, round);
         for client in &mut goods {
             client.round(&cluster, &front, round, &mut good);
@@ -420,16 +418,15 @@ fn transcript(faults: Option<Arc<FaultPlan>>) -> Vec<Vec<u8>> {
 }
 
 fn main() {
-    let rounds = env_or("FRONTCHAOS_ROUNDS", 30, 6) as usize;
     let mut summary = Summary::new("frontchaos");
-    summary.row("rounds", rounds);
+    summary.row("rounds", ROUNDS);
     summary.row("good_clients", GOOD_CLIENTS);
 
-    eprintln!("baseline: {GOOD_CLIENTS} good clients x {rounds} rounds, no adversaries...");
-    let base = baseline(rounds);
+    eprintln!("baseline: {GOOD_CLIENTS} good clients x {ROUNDS} rounds, no adversaries...");
+    let base = baseline();
     summary.row("baseline", base.obj());
     eprintln!("chaos: same good population + hostile shardmates...");
-    chaos(rounds, &base, &mut summary);
+    chaos(&base, &mut summary);
 
     eprintln!("replay gate: clean, then socket chaos...");
     let clean = replay_gate("replay_clean", || transcript(None));

@@ -93,7 +93,6 @@ pub fn standard_engine() -> SearchEngine {
     SearchEngine::build(&CorpusConfig {
         docs_per_topic: 250,
         seed: EXPERIMENT_SEED,
-        ..Default::default()
     })
 }
 

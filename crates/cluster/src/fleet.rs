@@ -100,8 +100,8 @@ pub struct ClusterConfig {
     pub queue_limit: usize,
     /// Base seed for attestation service, challenges and host RNGs.
     pub seed: u64,
-    /// The per-request resilience policy stack (deadlines, backoff,
-    /// breakers, hedging). See [`ResilienceConfig`].
+    /// The per-request resilience policy stack (deadline, backoff,
+    /// breakers). See [`ResilienceConfig`].
     pub resilience: ResilienceConfig,
     /// Deterministic fault plan for chaos testing; `None` (the default)
     /// injects nothing and costs one branch on the forward path.

@@ -10,7 +10,7 @@
 //! closes. What it may touch of the shard that owns it is exactly the
 //! [`ShardCore`].
 
-use super::survival::{ConnClass, ConnState, Facts, StrikeBook, SurvivalConfig};
+use super::survival::{ConnClass, ConnState, Defense, Facts};
 use super::FrontStats;
 use crate::error::ClusterError;
 use crate::fleet::Cluster;
@@ -106,25 +106,28 @@ pub(super) enum Disposition {
 }
 
 /// The part of a shard a running connection may touch: the fleet, the
-/// clock, the policy and its strike book, and the instruments. The slab
-/// and the reactor stay with the shard.
+/// clock, the survival policy, and the instruments. The slab and the
+/// reactor stay with the shard.
 pub(super) struct ShardCore {
     pub cluster: Arc<Cluster>,
-    pub survival: SurvivalConfig,
     pub stats: Arc<FrontStats>,
     /// Logical clock: one tick per shard step. Every survival deadline
     /// is expressed in these.
     pub tick: u64,
-    pub book: StrikeBook,
+    /// The survival policy's limits and strike book; `None` when the
+    /// policy is off.
+    pub defense: Option<Defense>,
 }
 
 impl ShardCore {
-    /// Counts a protocol-error strike against `key` and records it; at
-    /// the configured limit the key moves into quarantine.
+    /// Counts a protocol-error strike against `key`; a defended shard
+    /// also records it, and at the limit the key moves into quarantine.
     pub(super) fn strike(&mut self, key: [u8; 32]) {
         self.stats.strikes.inc();
-        if self.book.strike(key, self.tick) {
-            self.stats.quarantined_keys.inc();
+        if let Some(defense) = &mut self.defense {
+            if defense.book.strike(key, self.tick) {
+                self.stats.quarantined_keys.inc();
+            }
         }
     }
 }
@@ -327,7 +330,8 @@ impl Conn {
                     // budget is closed with a typed Protocol answer
                     // (mid-frame floods close immediately — there is
                     // nothing well-formed to answer).
-                    if core.survival.over_quota(self.frames, self.bytes) {
+                    let defense = core.defense.as_ref();
+                    if defense.is_some_and(|d| d.limits.over_quota(self.frames, self.bytes)) {
                         core.stats.quota_closed.inc();
                         if let Parsed::Request { client_pub, .. } = &parsed {
                             self.set_channel_key(*client_pub);
@@ -348,7 +352,8 @@ impl Conn {
                             self.set_channel_key(client_pub);
                             // Quarantined keys are refused before any
                             // routing or admission work happens.
-                            if core.book.banned(&client_pub, core.tick) {
+                            let defense = core.defense.as_ref();
+                            if defense.is_some_and(|d| d.book.banned(&client_pub, core.tick)) {
                                 core.stats.quarantine_rejects.inc();
                                 self.class = ConnClass::Misbehaving;
                                 self.refuse(&core.stats, ConnStatus::Unavailable);

@@ -58,12 +58,14 @@
 //!
 //! # Survival
 //!
-//! The front is the first thing a hostile client touches, so every
-//! connection lives under a [`SurvivalConfig`] on the shard's logical
-//! tick clock: handshake/read-stall/write-stall/idle deadlines, an
-//! anti-slowloris minimum-progress rate, lifetime frame/byte quotas,
-//! and a protocol-error strike counter that **quarantines the channel
-//! key** (across connections) once it crosses the limit. A frame only
+//! The front is the first thing a hostile client touches. Under
+//! [`SurvivalConfig::hardened`] every connection lives under limits on
+//! the shard's logical tick clock: handshake/read-stall/write-stall/idle
+//! deadlines, an anti-slowloris minimum-progress rate, lifetime
+//! frame/byte quotas, and a protocol-error strike counter that
+//! **quarantines the channel key** (across connections) once it crosses
+//! the limit. The policy is on or off as a whole; off (the default), the
+//! front still counts strikes but enforces nothing. A frame only
 //! *claims* its channel key, which is visible on the wire: the front
 //! routes by it and checks it for a ban, but strikes it and closes its
 //! session only once a request under it was answered `Ok` on this
@@ -112,22 +114,14 @@ use xsearch_telemetry::{Counter, LabelValue, Registry};
 /// measured figure against this.
 pub const IDLE_SESSION_BYTE_BUDGET: usize = 1024;
 
-/// Tuning for the front tier.
-#[derive(Debug, Clone)]
-pub struct FrontConfig {
-    /// Per-direction ring capacity of each accepted connection.
-    pub stream_capacity: usize,
-    /// The connection-lifecycle defenses (all off by default).
-    pub survival: SurvivalConfig,
-}
+/// Per-direction ring capacity of each accepted connection.
+const STREAM_CAPACITY: usize = 4096;
 
-impl Default for FrontConfig {
-    fn default() -> Self {
-        FrontConfig {
-            stream_capacity: 4096,
-            survival: SurvivalConfig::default(),
-        }
-    }
+/// Tuning for the front tier.
+#[derive(Debug, Clone, Default)]
+pub struct FrontConfig {
+    /// The connection-lifecycle defenses (off by default).
+    pub survival: SurvivalConfig,
 }
 
 /// The front tier's instruments. Event counts are registry [`Counter`]s
@@ -286,7 +280,6 @@ pub struct FrontTier {
     /// Server ends [`FrontTier::accept`] opened since the last step.
     accepts: Mutex<Vec<ByteStream>>,
     stats: Arc<FrontStats>,
-    stream_capacity: usize,
 }
 
 impl FrontTier {
@@ -304,7 +297,6 @@ impl FrontTier {
             )),
             accepts: Mutex::new(Vec::new()),
             stats,
-            stream_capacity: config.stream_capacity,
         }
     }
 
@@ -312,7 +304,7 @@ impl FrontTier {
     /// end; the server end waits in the mailbox for the next step.
     #[must_use]
     pub fn accept(&self) -> ByteStream {
-        let (client, server) = stream_pair(self.stream_capacity);
+        let (client, server) = stream_pair(STREAM_CAPACITY);
         self.accepts
             .lock()
             .unwrap_or_else(PoisonError::into_inner)

@@ -3,7 +3,7 @@
 //! connection and *act* on the answer.
 
 use super::conn::{Conn, Disposition, ShardCore};
-use super::survival::{ConnState, StrikeBook, SurvivalConfig, TimeoutKind, Verdict};
+use super::survival::{ConnState, Defense, Limits, SurvivalConfig, TimeoutKind, Verdict};
 use super::FrontStats;
 use crate::fleet::Cluster;
 use std::mem;
@@ -35,11 +35,10 @@ impl Shard {
     ) -> Self {
         Shard {
             core: ShardCore {
-                book: StrikeBook::new(&survival),
                 cluster,
-                survival,
                 stats,
                 tick: 0,
+                defense: survival.0.map(Defense::new),
             },
             reactor: Reactor::new(),
             conns: Vec::new(),
@@ -84,7 +83,8 @@ impl Shard {
 
     /// One iteration of the shard loop: adopt `accepted`, poll readiness,
     /// pump ready connections (each serving its decoded request inline),
-    /// then enforce deadlines and the high-water mark.
+    /// then, if the survival policy is on, enforce deadlines and the
+    /// high-water mark.
     /// Returns the number of externally visible progress events.
     pub(super) fn step(&mut self, accepted: Vec<ByteStream>) -> usize {
         self.core.tick += 1;
@@ -99,17 +99,18 @@ impl Shard {
         events.clear();
         self.events = events;
 
-        if self.core.survival.any_deadline() {
-            self.enforce_deadlines();
+        if let Some(defense) = &mut self.core.defense {
+            defense.book.sweep(self.core.tick);
+            let limits = defense.limits;
+            self.enforce_deadlines(&limits);
+            self.shed_over_watermark(&limits);
         }
-        self.core.book.sweep(self.core.tick);
-        self.shed_over_watermark();
         progress
     }
 
     /// Examines up to [`SWEEP_CHUNK`] live slots for expired lifecycle
     /// deadlines and minimum-progress violations.
-    fn enforce_deadlines(&mut self) {
+    fn enforce_deadlines(&mut self, limits: &Limits) {
         let len = self.conns.len();
         if len == 0 {
             return;
@@ -123,7 +124,7 @@ impl Shard {
             let Some(conn) = self.conns[idx].as_mut() else {
                 continue;
             };
-            let kind = match self.core.survival.verdict(&conn.facts(), now) {
+            let kind = match limits.verdict(&conn.facts(), now) {
                 Verdict::Keep => continue,
                 Verdict::ResetWindow => {
                     conn.reset_window(now);
@@ -147,9 +148,9 @@ impl Shard {
 
     /// Sheds the connections above the high-water mark, if any, down the
     /// class ladder ([`super::survival::Facts::shed_rank`]).
-    fn shed_over_watermark(&mut self) {
+    fn shed_over_watermark(&mut self, limits: &Limits) {
         let live = self.conns.len() - self.free.len();
-        let excess = self.core.survival.excess(live);
+        let excess = limits.excess(live);
         if excess == 0 {
             return;
         }

@@ -3,23 +3,35 @@
 //!
 //! Nothing here touches a socket, a counter or the fleet. The shard
 //! gathers a connection's [`Facts`], asks, and acts on the answer
-//! (`shard.rs`); a test asks with the integers it likes. Every "`0`
-//! turns this knob off" rule of [`SurvivalConfig`] is decided in this
-//! file and nowhere else.
+//! (`shard.rs`); a test asks with the integers it likes. The policy is
+//! on or off as a whole: off, the shard asks nothing; on, every defense
+//! runs at the limits in `HARDENED`.
 
 use std::collections::HashMap;
 
-/// Connection-lifecycle defense knobs, all expressed on the front's
+/// Whether the front defends its connections. The default profile is
+/// off: the million-idle-session scaling bench measures the undefended
+/// cost, and existing callers see no behavior change. The `front_chaos`
+/// bench defends with [`SurvivalConfig::hardened`].
+#[derive(Debug, Clone, Default)]
+pub struct SurvivalConfig(pub(super) Option<Limits>);
+
+impl SurvivalConfig {
+    /// The defended profile: every lifecycle deadline, the minimum
+    /// progress rate, the lifetime quotas, channel-key quarantine and
+    /// classed shedding, at the limits of `HARDENED`.
+    #[must_use]
+    pub fn hardened() -> Self {
+        SurvivalConfig(Some(HARDENED))
+    }
+}
+
+/// The limits of the defended profile, all expressed on the front's
 /// **logical tick clock**: one tick per front step, which makes every
 /// deadline deterministic when one thread steps (the replay gate runs
 /// there) and as fine as its callers' step rate when many do.
-///
-/// `0` disables a knob. The default profile disables everything: the
-/// million-idle-session scaling bench measures the undefended cost,
-/// and existing callers see no behavior change. The `front_chaos`
-/// bench defends with [`SurvivalConfig::hardened`].
-#[derive(Debug, Clone, Default)]
-pub struct SurvivalConfig {
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Limits {
     /// Ticks a connection may live without ever completing a
     /// well-formed request (covers accept-and-say-nothing peers and
     /// half-open victims whose EOF never arrives).
@@ -32,9 +44,9 @@ pub struct SurvivalConfig {
     /// Ticks an established connection may sit idle between requests.
     pub idle_deadline: u64,
     /// Anti-slowloris minimum progress: a mid-frame connection must
-    /// deliver at least this many bytes every
-    /// [`SurvivalConfig::progress_window`] ticks — a one-byte dribble
-    /// that beats the read-stall deadline still dies here.
+    /// deliver at least this many bytes every `progress_window` ticks —
+    /// a one-byte dribble that beats the read-stall deadline still dies
+    /// here.
     pub min_progress_bytes: usize,
     /// The window (ticks) over which minimum progress is measured.
     pub progress_window: u64,
@@ -55,49 +67,28 @@ pub struct SurvivalConfig {
     pub max_conns_per_shard: usize,
 }
 
-impl SurvivalConfig {
-    /// The defended profile the `front_chaos` bench runs under:
-    /// deadlines tight enough to reap a hostile population within a few
-    /// hundred ticks, quotas far above anything a legitimate session
-    /// does, three strikes to quarantine.
-    #[must_use]
-    pub fn hardened() -> Self {
-        SurvivalConfig {
-            handshake_deadline: 400,
-            read_deadline: 200,
-            write_deadline: 400,
-            idle_deadline: 100_000,
-            min_progress_bytes: 8,
-            progress_window: 50,
-            max_frames: 10_000,
-            max_bytes: 16 << 20,
-            strike_limit: 3,
-            quarantine_ticks: 1_000,
-            max_conns_per_shard: 4_096,
-        }
-    }
+/// The defended profile's limits: deadlines tight enough to reap a
+/// hostile population within a few hundred ticks, quotas far above
+/// anything a legitimate session does, three strikes to quarantine.
+pub(super) const HARDENED: Limits = Limits {
+    handshake_deadline: 400,
+    read_deadline: 200,
+    write_deadline: 400,
+    idle_deadline: 100_000,
+    min_progress_bytes: 8,
+    progress_window: 50,
+    max_frames: 10_000,
+    max_bytes: 16 << 20,
+    strike_limit: 3,
+    quarantine_ticks: 1_000,
+    max_conns_per_shard: 4_096,
+};
 
-    fn progress_armed(&self) -> bool {
-        self.min_progress_bytes != 0 && self.progress_window != 0
-    }
-
-    /// Whether [`SurvivalConfig::verdict`] can ever say anything but
-    /// [`Verdict::Keep`]: with every deadline off the shard skips its
-    /// sweep over the slab altogether.
-    #[inline]
-    pub(super) fn any_deadline(&self) -> bool {
-        self.handshake_deadline != 0
-            || self.read_deadline != 0
-            || self.write_deadline != 0
-            || self.idle_deadline != 0
-            || self.progress_armed()
-    }
-
+impl Limits {
     /// What the deadline sweep does with a connection at tick `now`.
     /// A deadline of `d` ticks tolerates exactly `d` quiet ticks.
     pub(super) fn verdict(&self, c: &Facts, now: u64) -> Verdict {
-        let overdue =
-            |deadline: u64, since: u64| deadline != 0 && now.saturating_sub(since) > deadline;
+        let overdue = |deadline: u64, since: u64| now.saturating_sub(since) > deadline;
         let reap = match c.state {
             ConnState::Writing => {
                 overdue(self.write_deadline, c.last_write_tick).then_some(TimeoutKind::WriteStall)
@@ -106,8 +97,7 @@ impl SurvivalConfig {
                 Some(TimeoutKind::ReadStall)
             }
             ConnState::Reading
-                if self.progress_armed()
-                    && now.saturating_sub(c.window_start_tick) >= self.progress_window =>
+                if now.saturating_sub(c.window_start_tick) >= self.progress_window =>
             {
                 if c.window_bytes >= self.min_progress_bytes {
                     return Verdict::ResetWindow;
@@ -131,18 +121,14 @@ impl SurvivalConfig {
     /// Whether a lifetime frame or byte quota is exhausted.
     #[inline]
     pub(super) fn over_quota(&self, frames: u64, bytes: u64) -> bool {
-        (self.max_frames != 0 && frames > self.max_frames)
-            || (self.max_bytes != 0 && bytes > self.max_bytes)
+        frames > self.max_frames || bytes > self.max_bytes
     }
 
     /// How many of a shard's `live` connections stand above the
     /// high-water mark and must be shed.
     #[inline]
     pub(super) fn excess(&self, live: usize) -> usize {
-        match self.max_conns_per_shard {
-            0 => 0,
-            mark => live.saturating_sub(mark),
-        }
+        live.saturating_sub(self.max_conns_per_shard)
     }
 }
 
@@ -231,6 +217,24 @@ pub(super) enum Verdict {
     Reap(TimeoutKind),
 }
 
+/// The policy at work on one shard: the limits it enforces and the
+/// strikes and bans they have led to. A shard whose policy is off has
+/// none.
+#[derive(Debug)]
+pub(super) struct Defense {
+    pub limits: Limits,
+    pub book: StrikeBook,
+}
+
+impl Defense {
+    pub(super) fn new(limits: Limits) -> Self {
+        Defense {
+            limits,
+            book: StrikeBook::new(&limits),
+        }
+    }
+}
+
 /// Protocol-error strikes per channel key, accumulated across
 /// connections, and the keys they have put in quarantine. Both maps are
 /// keyed by bytes an unauthenticated peer chooses, so both forget: a ban
@@ -247,10 +251,10 @@ pub(super) struct StrikeBook {
 }
 
 impl StrikeBook {
-    pub(super) fn new(cfg: &SurvivalConfig) -> Self {
+    pub(super) fn new(limits: &Limits) -> Self {
         StrikeBook {
-            limit: cfg.strike_limit,
-            horizon: cfg.quarantine_ticks,
+            limit: limits.strike_limit,
+            horizon: limits.quarantine_ticks,
             strikes: HashMap::new(),
             quarantine: HashMap::new(),
         }
@@ -259,9 +263,6 @@ impl StrikeBook {
     /// Records one strike against `key`; `true` when it is the one that
     /// moves the key into quarantine.
     pub(super) fn strike(&mut self, key: [u8; 32], now: u64) -> bool {
-        if self.limit == 0 {
-            return false;
-        }
         let horizon = self.horizon;
         let (count, last) = self.strikes.entry(key).or_insert((0, now));
         if now.saturating_sub(*last) > horizon {
@@ -307,13 +308,6 @@ mod tests {
 
     const NOW: u64 = 1_000;
 
-    /// Everything off but what `arm` sets.
-    fn knobs(arm: impl FnOnce(&mut SurvivalConfig)) -> SurvivalConfig {
-        let mut cfg = SurvivalConfig::default();
-        arm(&mut cfg);
-        cfg
-    }
-
     /// A connection adopted, last heard from and last drained at `NOW`.
     fn conn(state: ConnState, class: ConnClass) -> Facts {
         Facts {
@@ -327,55 +321,32 @@ mod tests {
         }
     }
 
-    /// A deadline, the knob that arms it, and a connection it applies to.
-    type DeadlineRow = (TimeoutKind, fn(&mut SurvivalConfig), ConnState, ConnClass);
-
+    /// A deadline, limits that set it to 7 ticks, and a connection it
+    /// applies to.
     #[rustfmt::skip]
-    const DEADLINES: [DeadlineRow; 4] = [
-        (TimeoutKind::Handshake, |c| c.handshake_deadline = 7, Idle, Unattested),
-        (TimeoutKind::ReadStall, |c| c.read_deadline = 7, Reading, Unattested),
-        (TimeoutKind::WriteStall, |c| c.write_deadline = 7, Writing, Established),
-        (TimeoutKind::Idle, |c| c.idle_deadline = 7, Idle, Established),
+    const DEADLINES: [(TimeoutKind, Limits, ConnState, ConnClass); 4] = [
+        (TimeoutKind::Handshake, Limits { handshake_deadline: 7, ..HARDENED }, Idle, Unattested),
+        (TimeoutKind::ReadStall, Limits { read_deadline: 7, ..HARDENED }, Reading, Unattested),
+        (TimeoutKind::WriteStall, Limits { write_deadline: 7, ..HARDENED }, Writing, Established),
+        (TimeoutKind::Idle, Limits { idle_deadline: 7, ..HARDENED }, Idle, Established),
     ];
 
     #[test]
     fn each_deadline_keeps_at_the_boundary_and_reaps_one_tick_past_it() {
-        for (kind, arm, state, class) in DEADLINES {
-            let (cfg, c) = (knobs(arm), conn(state, class));
-            assert!(cfg.any_deadline(), "{kind:?}");
-            assert_eq!(cfg.verdict(&c, NOW + 7), Verdict::Keep, "{kind:?}");
-            assert_eq!(cfg.verdict(&c, NOW + 8), Verdict::Reap(kind), "{kind:?}");
+        for (kind, limits, state, class) in DEADLINES {
+            let c = conn(state, class);
+            assert_eq!(limits.verdict(&c, NOW + 7), Verdict::Keep, "{kind:?}");
+            assert_eq!(limits.verdict(&c, NOW + 8), Verdict::Reap(kind), "{kind:?}");
         }
-    }
-
-    #[test]
-    fn a_knob_at_zero_never_fires() {
-        let off = SurvivalConfig::default();
-        assert!(!off.any_deadline());
-        for (kind, _, state, class) in DEADLINES {
-            let verdict = off.verdict(&conn(state, class), u64::MAX);
-            assert_eq!(verdict, Verdict::Keep, "{kind:?}");
-        }
-        // Minimum progress needs both of its knobs.
-        let dribbler = conn(Reading, Unattested);
-        for half in [
-            knobs(|c| c.min_progress_bytes = 8),
-            knobs(|c| c.progress_window = 5),
-        ] {
-            assert!(!half.any_deadline());
-            assert_eq!(half.verdict(&dribbler, u64::MAX), Verdict::Keep);
-        }
-        assert!(!off.over_quota(u64::MAX, u64::MAX));
-        assert_eq!(off.excess(usize::MAX), 0);
-        let mut book = StrikeBook::new(&off);
-        assert!(!(0..100).any(|_| book.strike([1; 32], NOW)));
-        assert_eq!(book.len(), 0, "a disarmed book records nothing");
     }
 
     #[test]
     fn slowloris_fires_only_on_a_full_window_short_of_the_minimum() {
-        let cfg = knobs(|c| (c.min_progress_bytes, c.progress_window) = (8, 5));
-        assert!(cfg.any_deadline());
+        let cfg = Limits {
+            min_progress_bytes: 8,
+            progress_window: 5,
+            ..HARDENED
+        };
         let reading = |window_bytes| Facts {
             window_bytes,
             ..conn(Reading, Unattested)
@@ -392,7 +363,7 @@ mod tests {
             Verdict::Keep
         );
         // A read stall outranks the progress rule.
-        let both = SurvivalConfig {
+        let both = Limits {
             read_deadline: 3,
             ..cfg
         };
@@ -402,7 +373,11 @@ mod tests {
 
     #[test]
     fn an_idle_connection_is_judged_by_its_class() {
-        let cfg = knobs(|c| (c.handshake_deadline, c.idle_deadline) = (5, 50));
+        let cfg = Limits {
+            handshake_deadline: 5,
+            idle_deadline: 50,
+            ..HARDENED
+        };
         let at = |class, now| cfg.verdict(&conn(Idle, class), now);
         let handshake = Verdict::Reap(TimeoutKind::Handshake);
         assert_eq!(at(Unattested, NOW + 6), handshake);
@@ -421,7 +396,11 @@ mod tests {
 
     #[test]
     fn quotas_are_strict() {
-        let cfg = knobs(|c| (c.max_frames, c.max_bytes) = (10, 100));
+        let cfg = Limits {
+            max_frames: 10,
+            max_bytes: 100,
+            ..HARDENED
+        };
         assert!(!cfg.over_quota(10, 100));
         assert!(cfg.over_quota(11, 0));
         assert!(cfg.over_quota(0, 101));
@@ -429,7 +408,10 @@ mod tests {
 
     #[test]
     fn shedding_takes_misbehaving_then_unattested_oldest_then_established_coldest() {
-        let cfg = knobs(|c| c.max_conns_per_shard = 2);
+        let cfg = Limits {
+            max_conns_per_shard: 2,
+            ..HARDENED
+        };
         assert_eq!(cfg.excess(2), 0);
         assert_eq!(cfg.excess(5), 3);
         let rank = |class, opened_tick, last_read_tick| {
@@ -453,9 +435,11 @@ mod tests {
 
     /// Three strikes, a 100-tick ban and memory.
     fn book() -> StrikeBook {
-        StrikeBook::new(&knobs(|c| {
-            (c.strike_limit, c.quarantine_ticks) = (3, 100);
-        }))
+        StrikeBook::new(&Limits {
+            strike_limit: 3,
+            quarantine_ticks: 100,
+            ..HARDENED
+        })
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Socket-level tests of the front tier: the wiring the policy table in
 //! `survival.rs` cannot check.
 
+use super::survival::{Limits, HARDENED};
 use super::*;
 use crate::error::ClusterError;
 use crate::fleet::ClusterConfig;
@@ -13,14 +14,19 @@ use xsearch_engine::engine::SearchEngine;
 use xsearch_net_sim::fault::FaultPlan;
 use xsearch_net_sim::{encode_frame_into, FrameDecoder, StreamError};
 
-/// A fleet with room in its queues behind a front `tune`d away from the
-/// default (one shard, every defense off).
-fn rig(tune: impl FnOnce(&mut FrontConfig)) -> (Arc<Cluster>, FrontTier) {
+/// A fleet with room in its queues behind a front under `survival`.
+fn rig(survival: SurvivalConfig) -> (Arc<Cluster>, FrontTier) {
     let cluster = fleet_under(256, None);
-    let mut config = FrontConfig::default();
-    tune(&mut config);
-    let front = FrontTier::new(&cluster, config);
+    let front = FrontTier::new(&cluster, FrontConfig { survival });
     (cluster, front)
+}
+
+/// The same behind the hardened profile with `tune` lowering a limit or
+/// two, so a test reaches its defense in a few ticks.
+fn defended(tune: impl FnOnce(&mut Limits)) -> (Arc<Cluster>, FrontTier) {
+    let mut limits = HARDENED;
+    tune(&mut limits);
+    rig(SurvivalConfig(Some(limits)))
 }
 
 fn fleet_under(queue_limit: usize, faults: Option<Arc<FaultPlan>>) -> Arc<Cluster> {
@@ -86,7 +92,7 @@ fn raw_request(broker: &mut Broker, query: &str, echo: bool) -> Vec<u8> {
 
 #[test]
 fn framed_echo_roundtrips_and_reuses_the_connection() {
-    let (cluster, front) = rig(|_| {});
+    let (cluster, front) = rig(SurvivalConfig::default());
     let mut client = FramedClient::connect(&cluster, &front, 7).unwrap();
     // Echo replies carry an empty result list by design; opening
     // them at all proves the end-to-end AEAD path.
@@ -99,7 +105,7 @@ fn framed_echo_roundtrips_and_reuses_the_connection() {
 
 #[test]
 fn framed_search_runs_the_real_engine_path() {
-    let (cluster, front) = rig(|_| {});
+    let (cluster, front) = rig(SurvivalConfig::default());
     let mut client = FramedClient::connect(&cluster, &front, 11).unwrap();
     // k-obfuscated search returns the filtered result set; it may be
     // empty for an off-corpus query but must decrypt — exercised by
@@ -129,7 +135,7 @@ fn overload_returns_a_framed_error_and_reattach_recovers() {
 
 #[test]
 fn peer_vanishing_mid_frame_counts_torn_and_frees_the_slot() {
-    let (cluster, front) = rig(|_| {});
+    let (cluster, front) = rig(SurvivalConfig::default());
     let stream = front.accept();
     front.step();
     assert_eq!(front.connections(), 1);
@@ -144,7 +150,7 @@ fn peer_vanishing_mid_frame_counts_torn_and_frees_the_slot() {
 
 #[test]
 fn malformed_request_gets_a_protocol_error_then_the_connection_closes() {
-    let (_cluster, front) = rig(|_| {});
+    let (_cluster, front) = rig(SurvivalConfig::default());
     let stream = front.accept();
     // A complete frame that is not a valid request (too short).
     let mut framed = Vec::new();
@@ -159,7 +165,7 @@ fn malformed_request_gets_a_protocol_error_then_the_connection_closes() {
 
 #[test]
 fn pipelined_requests_are_answered_in_order_with_reads_paused_inflight() {
-    let (cluster, front) = rig(|_| {});
+    let (cluster, front) = rig(SurvivalConfig::default());
     // Hand-rolled raw session so two requests can be written
     // back-to-back (FramedClient enforces one in flight).
     let mut broker = attach(&cluster, 33);
@@ -234,7 +240,7 @@ fn read_reply(front: &FrontTier, stream: &ByteStream) -> (ConnStatus, Vec<u8>) {
 
 #[test]
 fn a_connection_that_changes_channel_key_is_routed_by_each_frames_key() {
-    let (cluster, front) = rig(|_| {});
+    let (cluster, front) = rig(SurvivalConfig::default());
     let home = |seed| {
         cluster
             .route(Broker::client_pub_for_seed(seed).as_bytes())
@@ -257,7 +263,7 @@ fn a_connection_that_changes_channel_key_is_routed_by_each_frames_key() {
 
 #[test]
 fn handshake_deadline_reaps_a_silent_connection() {
-    let (cluster, front) = rig(|c| c.survival.handshake_deadline = 5);
+    let (cluster, front) = defended(|l| l.handshake_deadline = 5);
     let stream = front.accept();
     front.step();
     assert_eq!(front.connections(), 1);
@@ -273,7 +279,7 @@ fn handshake_deadline_reaps_a_silent_connection() {
 
 #[test]
 fn read_stall_deadline_reaps_a_mid_frame_peer() {
-    let (cluster, front) = rig(|c| c.survival.read_deadline = 4);
+    let (cluster, front) = defended(|l| l.read_deadline = 4);
     let stream = front.accept();
     stream.write(&[0xAB, 0xCD]).unwrap();
     steps(&front, 10);
@@ -283,10 +289,12 @@ fn read_stall_deadline_reaps_a_mid_frame_peer() {
 
 #[test]
 fn slowloris_dribble_below_minimum_progress_is_closed() {
-    let (cluster, front) =
-        rig(|c| (c.survival.min_progress_bytes, c.survival.progress_window) = (4, 3));
+    let (cluster, front) = defended(|l| (l.min_progress_bytes, l.progress_window) = (4, 3));
+    // A key proven first makes the reap a strike against it.
+    let mut broker = attach(&cluster, 45);
     let stream = front.accept();
-    front.step();
+    let (status, _) = ask(&front, &stream, &mut broker, "then a dribble");
+    assert_eq!(status, ConnStatus::Ok);
     // One byte per four ticks: mid-frame forever, always below the
     // 4-bytes-per-3-ticks floor, but never hitting a read deadline.
     let mut closed = false;
@@ -303,19 +311,24 @@ fn slowloris_dribble_below_minimum_progress_is_closed() {
     }
     assert!(closed, "the dribbler was never reaped");
     assert!(timeouts(&cluster, "slowloris") >= 1.0);
+    assert_eq!(metric(&cluster, "strikes_total", None), 1.0);
 }
 
 #[test]
 fn write_stall_deadline_reaps_a_peer_that_never_drains_and_closes_its_session() {
-    let (cluster, front) = rig(|c| (c.stream_capacity, c.survival.write_deadline) = (16, 5));
+    let (cluster, front) = defended(|l| l.write_deadline = 5);
     let mut broker = attach(&cluster, 41);
     assert_eq!(cluster.session_count(), 1);
     let stream = front.accept();
-    write_all(&front, &stream, &raw_request(&mut broker, "stall me", true));
-    // Never read the reply: the 16-byte ring fills and the flush
-    // stalls until the write deadline reaps the connection — which
-    // also closes the enclave session behind the channel key.
-    steps(&front, 200);
+    // Pipeline echoes and never read a reply: once the replies fill the
+    // ring toward the peer, a flush stalls until the write deadline
+    // reaps the connection — which also closes the enclave session
+    // behind the channel key.
+    while front.state_count(ConnState::Writing) == 0 {
+        write_all(&front, &stream, &raw_request(&mut broker, "stall me", true));
+        front.step();
+    }
+    steps(&front, 8);
     assert_eq!(front.connections(), 0);
     assert!(timeouts(&cluster, "write_stall") >= 1.0);
     assert_eq!(metric(&cluster, "sessions_closed", None), 1.0);
@@ -324,23 +337,8 @@ fn write_stall_deadline_reaps_a_peer_that_never_drains_and_closes_its_session() 
 
 #[test]
 fn protocol_strikes_quarantine_the_channel_key() {
-    let (cluster, front) =
-        rig(|c| (c.survival.strike_limit, c.survival.quarantine_ticks) = (2, 10_000));
-    // Two connections, each: one valid request (so the front learns
-    // the channel key), then a junk frame (one strike each). The
-    // teardown closes the enclave session, so the hostile client
-    // re-attests per connection — but the *channel key* (and its
-    // strike count) is the same every time.
-    for round in 0..2 {
-        let mut broker = attach(&cluster, 77);
-        let stream = front.accept();
-        let (status, _) = ask(&front, &stream, &mut broker, &format!("warm {round}"));
-        assert_eq!(status, ConnStatus::Ok);
-        let mut framed = Vec::new();
-        encode_frame_into(b"junk", &mut framed);
-        stream.write(&framed).unwrap();
-        steps(&front, 6);
-    }
+    let (cluster, front) = defended(|l| (l.strike_limit, l.quarantine_ticks) = (2, 10_000));
+    earn_strikes(&cluster, &front, 77, 2);
     assert_eq!(metric(&cluster, "strikes_total", None), 2.0);
     assert_eq!(metric(&cluster, "quarantined_keys_total", None), 1.0);
     // The quarantined key's next request is refused before routing —
@@ -353,17 +351,70 @@ fn protocol_strikes_quarantine_the_channel_key() {
     front.step();
     assert_eq!(front.connections(), 0, "quarantined conns are closed");
     // The key never comes back: the shard's own sweep must drop the ban
-    // once it is over, although no connection deadline is armed.
-    let remembered = || front.shard().core.book.len();
+    // once it is over.
+    let remembered = || front.shard().core.defense.as_ref().unwrap().book.len();
     assert_eq!(remembered(), 1);
     steps(&front, 10_000);
     assert_eq!(remembered(), 0);
 }
 
+/// Opens `rounds` connections under `seed`'s channel key; on each, one
+/// valid request proves the key and a junk frame strikes it. The
+/// teardown closes the enclave session, so the hostile client re-attests
+/// per connection — but the *channel key* (and its strike count) is the
+/// same every time.
+fn earn_strikes(cluster: &Cluster, front: &FrontTier, seed: u64, rounds: usize) {
+    for round in 0..rounds {
+        let mut broker = attach(cluster, seed);
+        let stream = front.accept();
+        let (status, _) = ask(front, &stream, &mut broker, &format!("warm {round}"));
+        assert_eq!(status, ConnStatus::Ok);
+        let mut framed = Vec::new();
+        encode_frame_into(b"junk", &mut framed);
+        stream.write(&framed).unwrap();
+        steps(front, 6);
+    }
+}
+
+/// With the policy off nothing is reaped or quarantined, however long a
+/// peer stalls or however often its key is struck; the strikes are still
+/// counted.
+#[test]
+fn the_off_profile_reaps_nothing_and_strikes_without_quarantine() {
+    let (cluster, front) = rig(SurvivalConfig::default());
+    let _silent = front.accept();
+    let mid_frame = front.accept();
+    mid_frame.write(&[0xAB, 0xCD]).unwrap();
+    earn_strikes(&cluster, &front, 71, HARDENED.strike_limit as usize + 1);
+    // Past every hardened deadline.
+    steps(&front, 1_000);
+    assert_eq!(front.connections(), 2);
+    assert_eq!(metric(&cluster, "strikes_total", None), 4.0);
+    assert_eq!(metric(&cluster, "quarantined_keys_total", None), 0.0);
+    let mut broker = attach(&cluster, 71);
+    let stream = front.accept();
+    assert_eq!(
+        ask(&front, &stream, &mut broker, "still served").0,
+        ConnStatus::Ok
+    );
+}
+
+#[test]
+fn idle_deadline_reaps_an_established_session_and_closes_it() {
+    let (cluster, front) = defended(|l| l.idle_deadline = 5);
+    let mut client = FramedClient::connect(&cluster, &front, 61).unwrap();
+    client.search(&front, "then nothing", true).unwrap();
+    assert_eq!(cluster.session_count(), 1);
+    steps(&front, 8);
+    assert_eq!(front.connections(), 0);
+    assert_eq!(timeouts(&cluster, "idle"), 1.0);
+    assert_eq!(metric(&cluster, "sessions_closed", None), 1.0);
+    assert_eq!(cluster.session_count(), 0);
+}
+
 #[test]
 fn a_claimed_key_cannot_close_or_strike_its_owner() {
-    let (cluster, front) =
-        rig(|c| (c.survival.strike_limit, c.survival.quarantine_ticks) = (1, 10_000));
+    let (cluster, front) = defended(|l| (l.strike_limit, l.quarantine_ticks) = (1, 10_000));
     let mut victim = attach(&cluster, 51);
     let stream = front.accept();
     let (status, payload) = ask(&front, &stream, &mut victim, "mine");
@@ -397,7 +448,7 @@ fn a_claimed_key_cannot_close_or_strike_its_owner() {
 
 #[test]
 fn frame_quota_closes_a_request_flooder() {
-    let (cluster, front) = rig(|c| c.survival.max_frames = 2);
+    let (cluster, front) = defended(|l| l.max_frames = 2);
     let mut broker = attach(&cluster, 88);
     let stream = front.accept();
     for i in 0..2 {
@@ -413,7 +464,7 @@ fn frame_quota_closes_a_request_flooder() {
 
 #[test]
 fn byte_quota_closes_a_mid_frame_flooder() {
-    let (cluster, front) = rig(|c| c.survival.max_bytes = 512);
+    let (cluster, front) = defended(|l| l.max_bytes = 512);
     let stream = front.accept();
     // A huge announced frame keeps everything mid-frame; the byte
     // quota, not the frame parser, must stop the flood.
@@ -437,7 +488,7 @@ fn byte_quota_closes_a_mid_frame_flooder() {
 
 #[test]
 fn overwatermark_shedding_follows_the_class_ladder() {
-    let (cluster, front) = rig(|c| c.survival.max_conns_per_shard = 2);
+    let (cluster, front) = defended(|l| l.max_conns_per_shard = 2);
     let mut broker = attach(&cluster, 99);
     let stream = front.accept();
     let (status, _) = ask(&front, &stream, &mut broker, "warm");
@@ -456,7 +507,7 @@ fn overwatermark_shedding_follows_the_class_ladder() {
 
 #[test]
 fn disconnects_and_the_reaper_bound_enclave_sessions() {
-    let (cluster, front) = rig(|_| {});
+    let (cluster, front) = rig(SurvivalConfig::default());
     let mut client = FramedClient::connect(&cluster, &front, 301).unwrap();
     client.search(&front, "hello", true).unwrap();
     // A handshake-and-vanish session: attested out-of-band, never
@@ -496,7 +547,7 @@ mod adversarial {
                 1..10usize,
             )
         ) {
-            let (_cluster, front) = rig(|c| c.survival = SurvivalConfig::hardened());
+            let (_cluster, front) = rig(SurvivalConfig::hardened());
             let stream = front.accept();
             front.step();
             for chunk in &chunks {
@@ -570,7 +621,7 @@ mod adversarial {
 
 #[test]
 fn idle_sessions_stay_within_the_accounted_byte_budget() {
-    let (cluster, front) = rig(|_| {});
+    let (cluster, front) = rig(SurvivalConfig::default());
     let mut clients: Vec<FramedClient> = (0..32)
         .map(|i| FramedClient::connect(&cluster, &front, 100 + i).unwrap())
         .collect();
@@ -593,7 +644,7 @@ fn idle_sessions_stay_within_the_accounted_byte_budget() {
 fn concurrent_callers_step_one_front() {
     const CALLERS: u64 = 8;
     const ROUNDS: usize = 16;
-    let (cluster, front) = rig(|_| {});
+    let (cluster, front) = rig(SurvivalConfig::default());
     let baseline = front.connections();
     std::thread::scope(|scope| {
         let (cluster, front) = (&cluster, &front);

@@ -1,8 +1,8 @@
-//! Constant-time comparison helpers.
+//! Constant-time comparison.
 //!
 //! Tag verification must not leak, through timing, the position of the first
-//! mismatching byte; these helpers accumulate differences without branching
-//! on secret data.
+//! mismatching byte; [`ct_eq`] accumulates differences without branching on
+//! secret data.
 
 /// Compares two byte slices in constant time.
 ///
@@ -29,19 +29,6 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
     }
     // Collapse to 0/1 without a data-dependent branch.
     diff == 0
-}
-
-/// Selects between two words in constant time: returns `a` if `choice` is 1,
-/// `b` if `choice` is 0.
-///
-/// # Panics
-///
-/// Panics in debug builds if `choice` is neither 0 nor 1.
-#[must_use]
-pub fn ct_select_u64(choice: u64, a: u64, b: u64) -> u64 {
-    debug_assert!(choice <= 1);
-    let mask = choice.wrapping_neg(); // all ones if choice==1
-    b ^ (mask & (a ^ b))
 }
 
 #[cfg(test)]
@@ -72,12 +59,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn select_picks_correct_operand() {
-        assert_eq!(ct_select_u64(1, 7, 9), 7);
-        assert_eq!(ct_select_u64(0, 7, 9), 9);
-    }
-
     proptest! {
         #[test]
         fn ct_eq_matches_plain_eq(a: Vec<u8>, b: Vec<u8>) {
@@ -87,12 +68,6 @@ mod tests {
         #[test]
         fn ct_eq_is_reflexive(a: Vec<u8>) {
             prop_assert!(ct_eq(&a, &a));
-        }
-
-        #[test]
-        fn select_matches_branching(choice in 0u64..=1, a: u64, b: u64) {
-            let expect = if choice == 1 { a } else { b };
-            prop_assert_eq!(ct_select_u64(choice, a, b), expect);
         }
     }
 }

@@ -105,8 +105,7 @@ pub struct SocketSpec {
 
 impl SocketSpec {
     /// True when no socket affliction can ever fire.
-    #[must_use]
-    pub fn is_quiet(&self) -> bool {
+    fn is_quiet(&self) -> bool {
         self.reset <= 0.0
             && self.torn <= 0.0
             && self.corrupt <= 0.0

@@ -94,8 +94,7 @@ mod tests {
 
     fn sample_log() -> Vec<QueryRecord> {
         generate(&SyntheticConfig {
-            num_users: 40,
-            median_queries_per_user: 30.0,
+            num_users: 15,
             ..Default::default()
         })
     }

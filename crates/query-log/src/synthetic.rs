@@ -23,6 +23,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
+use std::ops::RangeInclusive;
 
 /// First timestamp of the synthetic window: 2006-03-01 00:00:00 UTC,
 /// matching the AOL collection start.
@@ -30,37 +31,38 @@ pub const DATASET_START: u64 = 1_141_171_200;
 /// Length of the collection window: three months, as in the AOL log.
 pub const DATASET_SPAN: u64 = 92 * 86_400;
 
+/// Minimum queries per user.
+const MIN_QUERIES_PER_USER: usize = 20;
+/// Cap on queries per user.
+const MAX_QUERIES_PER_USER: usize = 2_000;
+/// Median of the log-normal activity distribution.
+const MEDIAN_QUERIES_PER_USER: f64 = 90.0;
+/// σ of the log-normal activity distribution (tail heaviness).
+const ACTIVITY_SIGMA: f64 = 0.9;
+/// Topics mixed into one user profile.
+const TOPICS_PER_USER: RangeInclusive<usize> = 2..=4;
+/// Probability that a fresh topical query comes from the shared
+/// per-topic pool (vs. a freshly composed term combination).
+const SHARED_POOL_PROBABILITY: f64 = 0.65;
+/// Probability of attaching a modifier word ("free", "best", ...).
+const MODIFIER_PROBABILITY: f64 = 0.30;
+/// Size of each topic's shared query pool.
+const POOL_PER_TOPIC: usize = 150;
+/// Zipf exponent over pool queries.
+const POOL_ZIPF_EXPONENT: f64 = 1.05;
+
 /// Generator parameters. `Default` matches the calibration used by the
-/// experiment harnesses.
+/// experiment harnesses; the rest of the calibration is fixed.
 #[derive(Debug, Clone)]
 pub struct SyntheticConfig {
     /// Number of users in the log.
     pub num_users: usize,
     /// RNG seed; equal seeds give byte-identical logs.
     pub seed: u64,
-    /// Minimum queries per user.
-    pub min_queries_per_user: usize,
-    /// Cap on queries per user.
-    pub max_queries_per_user: usize,
-    /// Median of the log-normal activity distribution.
-    pub median_queries_per_user: f64,
-    /// σ of the log-normal activity distribution (tail heaviness).
-    pub activity_sigma: f64,
-    /// Inclusive range of topics mixed into one user profile.
-    pub topics_per_user: (usize, usize),
     /// Probability that a query re-issues one of the user's past queries.
     pub repeat_probability: f64,
     /// Probability that a fresh query is a personal (identifying) query.
     pub personal_probability: f64,
-    /// Probability that a fresh topical query comes from the shared
-    /// per-topic pool (vs. a freshly composed term combination).
-    pub shared_pool_probability: f64,
-    /// Probability of attaching a modifier word ("free", "best", ...).
-    pub modifier_probability: f64,
-    /// Size of each topic's shared query pool.
-    pub pool_per_topic: usize,
-    /// Zipf exponent over pool queries.
-    pub pool_zipf_exponent: f64,
 }
 
 impl Default for SyntheticConfig {
@@ -68,17 +70,8 @@ impl Default for SyntheticConfig {
         SyntheticConfig {
             num_users: 200,
             seed: 42,
-            min_queries_per_user: 20,
-            max_queries_per_user: 2_000,
-            median_queries_per_user: 90.0,
-            activity_sigma: 0.9,
-            topics_per_user: (2, 4),
             repeat_probability: 0.22,
             personal_probability: 0.28,
-            shared_pool_probability: 0.65,
-            modifier_probability: 0.30,
-            pool_per_topic: 150,
-            pool_zipf_exponent: 1.05,
         }
     }
 }
@@ -109,20 +102,16 @@ pub fn generate(config: &SyntheticConfig) -> Vec<QueryRecord> {
 #[must_use]
 pub fn generate_with_profiles(config: &SyntheticConfig) -> (Vec<QueryRecord>, Vec<UserProfile>) {
     assert!(config.num_users > 0, "need at least one user");
-    assert!(
-        config.topics_per_user.0 >= 1 && config.topics_per_user.0 <= config.topics_per_user.1,
-        "invalid topics_per_user range"
-    );
     let mut rng = StdRng::seed_from_u64(config.seed);
 
-    let pools = build_topic_pools(config, &mut rng);
-    let pool_zipf = Zipf::new(config.pool_per_topic, config.pool_zipf_exponent);
+    let pools = build_topic_pools(&mut rng);
+    let pool_zipf = Zipf::new(POOL_PER_TOPIC, POOL_ZIPF_EXPONENT);
 
     let mut records = Vec::new();
     let mut profiles = Vec::with_capacity(config.num_users);
     for uid in 0..config.num_users {
         let user = UserId(uid as u32);
-        let profile = sample_profile(user, config, &mut rng);
+        let profile = sample_profile(user, &mut rng);
         let mut own_queries: Vec<String> = Vec::new();
         let mut times: Vec<u64> = (0..profile.activity)
             .map(|_| DATASET_START + rng.gen_range(0..DATASET_SPAN))
@@ -139,14 +128,14 @@ pub fn generate_with_profiles(config: &SyntheticConfig) -> (Vec<QueryRecord>, Ve
     (records, profiles)
 }
 
-/// Shared per-topic query pools: `pool_per_topic` queries of 1–3 terms.
-fn build_topic_pools(config: &SyntheticConfig, rng: &mut StdRng) -> Vec<Vec<String>> {
+/// Shared per-topic query pools: `POOL_PER_TOPIC` queries of 1–3 terms.
+fn build_topic_pools(rng: &mut StdRng) -> Vec<Vec<String>> {
     TOPICS
         .iter()
         .map(|topic| {
-            let mut pool = Vec::with_capacity(config.pool_per_topic);
+            let mut pool = Vec::with_capacity(POOL_PER_TOPIC);
             let mut seen = HashSet::new();
-            while pool.len() < config.pool_per_topic {
+            while pool.len() < POOL_PER_TOPIC {
                 let q = compose_topical(topic.terms, rng);
                 if seen.insert(q.clone()) {
                     pool.push(q);
@@ -157,8 +146,8 @@ fn build_topic_pools(config: &SyntheticConfig, rng: &mut StdRng) -> Vec<Vec<Stri
         .collect()
 }
 
-fn sample_profile(user: UserId, config: &SyntheticConfig, rng: &mut StdRng) -> UserProfile {
-    let n_topics = rng.gen_range(config.topics_per_user.0..=config.topics_per_user.1);
+fn sample_profile(user: UserId, rng: &mut StdRng) -> UserProfile {
+    let n_topics = rng.gen_range(TOPICS_PER_USER);
     let mut indices: Vec<usize> = (0..TOPICS.len()).collect();
     indices.shuffle(rng);
     indices.truncate(n_topics);
@@ -176,8 +165,8 @@ fn sample_profile(user: UserId, config: &SyntheticConfig, rng: &mut StdRng) -> U
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen();
     let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-    let count = (config.median_queries_per_user.ln() + config.activity_sigma * z).exp();
-    let activity = (count as usize).clamp(config.min_queries_per_user, config.max_queries_per_user);
+    let count = (MEDIAN_QUERIES_PER_USER.ln() + ACTIVITY_SIGMA * z).exp();
+    let activity = (count as usize).clamp(MIN_QUERIES_PER_USER, MAX_QUERIES_PER_USER);
 
     UserProfile {
         user,
@@ -211,13 +200,13 @@ fn next_query(
         } else {
             (*p).to_owned()
         }
-    } else if rng.gen_bool(config.shared_pool_probability) {
+    } else if rng.gen_bool(SHARED_POOL_PROBABILITY) {
         pools[topic_idx][pool_zipf.sample(rng)].clone()
     } else {
         compose_topical(topic_terms, rng)
     };
 
-    if rng.gen_bool(config.modifier_probability) {
+    if rng.gen_bool(MODIFIER_PROBABILITY) {
         let m = MODIFIERS[rng.gen_range(0..MODIFIERS.len())];
         query = if rng.gen_bool(0.5) {
             format!("{m} {query}")
@@ -287,8 +276,7 @@ mod tests {
 
     fn small_config() -> SyntheticConfig {
         SyntheticConfig {
-            num_users: 30,
-            median_queries_per_user: 40.0,
+            num_users: 15,
             ..Default::default()
         }
     }
@@ -334,7 +322,7 @@ mod tests {
         }
         assert_eq!(counts.len(), cfg.num_users);
         for (&u, &c) in &counts {
-            assert!(c >= cfg.min_queries_per_user, "user {u} has {c}");
+            assert!(c >= MIN_QUERIES_PER_USER, "user {u} has {c}");
         }
     }
 
@@ -422,11 +410,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
         #[test]
-        fn generate_respects_user_count(users in 1usize..40, seed: u64) {
+        fn generate_respects_user_count(users in 1usize..12, seed: u64) {
             let cfg = SyntheticConfig {
                 num_users: users,
                 seed,
-                median_queries_per_user: 25.0,
                 ..Default::default()
             };
             let log = generate(&cfg);

@@ -8,7 +8,16 @@ use crate::document::{DocId, Document};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::ops::RangeInclusive;
 use xsearch_query_log::topics::{MODIFIERS, TOPICS};
+
+/// Words per title.
+const TITLE_WORDS: RangeInclusive<usize> = 3..=6;
+/// Words per description.
+const DESCRIPTION_WORDS: RangeInclusive<usize> = 12..=28;
+/// Probability a description word is borrowed from a random *other*
+/// topic (cross-topic noise, which keeps filtering non-trivial).
+const NOISE_PROBABILITY: f64 = 0.12;
 
 /// Corpus generation parameters.
 #[derive(Debug, Clone)]
@@ -17,13 +26,6 @@ pub struct CorpusConfig {
     pub docs_per_topic: usize,
     /// RNG seed (same seed → identical corpus).
     pub seed: u64,
-    /// Words per title (inclusive range).
-    pub title_words: (usize, usize),
-    /// Words per description (inclusive range).
-    pub description_words: (usize, usize),
-    /// Probability a description word is borrowed from a random *other*
-    /// topic (cross-topic noise, which keeps filtering non-trivial).
-    pub noise_probability: f64,
 }
 
 impl Default for CorpusConfig {
@@ -31,9 +33,6 @@ impl Default for CorpusConfig {
         CorpusConfig {
             docs_per_topic: 250,
             seed: 7,
-            title_words: (3, 6),
-            description_words: (12, 28),
-            noise_probability: 0.12,
         }
     }
 }
@@ -46,20 +45,14 @@ pub fn generate(config: &CorpusConfig) -> Vec<Document> {
     for (topic_idx, topic) in TOPICS.iter().enumerate() {
         for _ in 0..config.docs_per_topic {
             let id = DocId(docs.len() as u32);
-            docs.push(generate_doc(id, topic_idx, topic.terms, config, &mut rng));
+            docs.push(generate_doc(id, topic_idx, topic.terms, &mut rng));
         }
     }
     docs
 }
 
-fn generate_doc(
-    id: DocId,
-    topic_idx: usize,
-    terms: &[&str],
-    config: &CorpusConfig,
-    rng: &mut StdRng,
-) -> Document {
-    let title_len = rng.gen_range(config.title_words.0..=config.title_words.1);
+fn generate_doc(id: DocId, topic_idx: usize, terms: &[&str], rng: &mut StdRng) -> Document {
+    let title_len = rng.gen_range(TITLE_WORDS);
     let mut title_words: Vec<&str> = terms
         .choose_multiple(rng, title_len.min(terms.len()))
         .copied()
@@ -69,10 +62,10 @@ fn generate_doc(
     }
     let title = title_words.join(" ");
 
-    let desc_len = rng.gen_range(config.description_words.0..=config.description_words.1);
+    let desc_len = rng.gen_range(DESCRIPTION_WORDS);
     let mut desc_words = Vec::with_capacity(desc_len);
     for _ in 0..desc_len {
-        if rng.gen_bool(config.noise_probability) {
+        if rng.gen_bool(NOISE_PROBABILITY) {
             let other = &TOPICS[rng.gen_range(0..TOPICS.len())];
             desc_words.push(other.terms[rng.gen_range(0..other.terms.len())]);
         } else if rng.gen_bool(0.15) {

@@ -99,20 +99,6 @@ pub fn nb_common_words(q: &str, e: &str) -> usize {
     common_words(&word_set(q), &word_set(e))
 }
 
-/// Jaccard similarity of the word sets of two texts — used by evaluation
-/// code to compare result lists and query overlap.
-#[must_use]
-pub fn jaccard_words(a: &str, b: &str) -> f64 {
-    let sa: HashSet<String> = tokenize(a).into_iter().collect();
-    let sb: HashSet<String> = tokenize(b).into_iter().collect();
-    if sa.is_empty() && sb.is_empty() {
-        return 0.0;
-    }
-    let inter = sa.intersection(&sb).count() as f64;
-    let union = sa.union(&sb).count() as f64;
-    inter / union
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,16 +148,6 @@ mod tests {
         assert_eq!(nb_common_words("alpha beta", "gamma delta"), 0);
     }
 
-    #[test]
-    fn jaccard_identical_is_one() {
-        assert!((jaccard_words("a b c", "c b a") - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn jaccard_empty_is_zero() {
-        assert_eq!(jaccard_words("", ""), 0.0);
-    }
-
     proptest! {
         #[test]
         fn cosine_is_symmetric(a in "[a-z ]{0,40}", b in "[a-z ]{0,40}") {
@@ -190,11 +166,6 @@ mod tests {
             let qa: std::collections::HashSet<_> = tokenize(&a).into_iter().collect();
             let qb: std::collections::HashSet<_> = tokenize(&b).into_iter().collect();
             prop_assert!(n <= qa.len().min(qb.len()));
-        }
-
-        #[test]
-        fn jaccard_symmetric(a in "[a-z ]{0,30}", b in "[a-z ]{0,30}") {
-            prop_assert!((jaccard_words(&a, &b) - jaccard_words(&b, &a)).abs() < 1e-12);
         }
 
         #[test]
