@@ -60,12 +60,6 @@ impl CooccurrenceMatrix {
         m
     }
 
-    /// Number of distinct terms observed.
-    #[must_use]
-    pub fn vocabulary_size(&self) -> usize {
-        self.frequencies.len()
-    }
-
     /// Total occurrences of `term`.
     #[must_use]
     pub fn frequency(&self, term: &str) -> u64 {
@@ -183,7 +177,7 @@ mod tests {
     #[test]
     fn empty_corpus_is_empty() {
         let m = CooccurrenceMatrix::build(&[]);
-        assert_eq!(m.vocabulary_size(), 0);
+        assert!(m.terms().is_empty());
         assert!(m.neighbors("x").is_empty());
     }
 }

@@ -46,9 +46,8 @@ use xsearch_core::broker::Broker;
 use xsearch_core::config::XSearchConfig;
 use xsearch_core::proxy::XSearchProxy;
 use xsearch_engine::engine::SearchEngine;
-use xsearch_engine::pool::MAX_LANES;
-use xsearch_engine::service::EngineService;
-use xsearch_net_sim::link::{Link, WanModel};
+use xsearch_engine::service::{EngineService, MAX_LANES};
+use xsearch_net_sim::link::WanModel;
 use xsearch_net_sim::DelayModel;
 use xsearch_query_log::record::QueryRecord;
 
@@ -119,7 +118,7 @@ fn fig7(
     queries: &[QueryRecord],
 ) -> [(&'static str, Empirical); 3] {
     let wan = WanModel {
-        tor_hop: Link::new("tor-hop", DelayModel::lognormal_ms(88, 0.95)),
+        tor_hop: DelayModel::lognormal_ms(88, 0.95),
         ..Default::default()
     };
     let mut rng = StdRng::seed_from_u64(EXPERIMENT_SEED);

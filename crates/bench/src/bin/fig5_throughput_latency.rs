@@ -35,6 +35,7 @@ use xsearch_bench::sessions::BrokerPool;
 use xsearch_bench::summary::{env_or, fixed, Gate, Obj, Summary};
 use xsearch_bench::{Dataset, EXPERIMENT_SEED};
 use xsearch_query_log::record::UserId;
+use xsearch_sgx_sim::cost::crossing;
 
 const K: usize = 3;
 const SESSIONS: usize = 32;
@@ -49,7 +50,7 @@ const TOR_RELAY_SERVICE: Duration = Duration::from_millis(2);
 /// crossings each) at ≈2.7 µs per crossing on Skylake. The simulator
 /// *accounts* this cost; here the proxy must also *pay* it so the
 /// saturation point reflects enclave hardware, not just raw crypto.
-const SGX_TRANSITION_PAY: Duration = Duration::from_micros(27);
+const SGX_TRANSITION_PAY: Duration = crossing().saturating_mul(10);
 
 const QUERY: &str = "cheap flights paris";
 

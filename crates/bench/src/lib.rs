@@ -130,10 +130,10 @@ pub fn echo_fleet(replicas: usize, faults: Option<Arc<FaultPlan>>) -> Arc<Cluste
 /// `(modeled engine leg, proxy-side compute)` without double counting.
 ///
 /// The engine leg is read from the pipeline's own accounting
-/// ([`xsearch_core::proxy::XSearchProxy::accounted_engine_delay`]) and
+/// ([`xsearch_engine::service::EngineService::accounted_delay`]) and
 /// already includes each evaluation's measured compute, so the wall time
 /// the caller physically spent inside those evaluations
-/// ([`xsearch_core::proxy::XSearchProxy::accounted_engine_fetch_wall`])
+/// ([`xsearch_engine::service::EngineService::accounted_fetch_wall`])
 /// is subtracted from the request wall: crypto/obfuscation/filtering is
 /// counted once, and the in-process engine evaluation exactly once.
 ///
@@ -146,13 +146,14 @@ pub fn timed_attested_search(
     broker: &mut xsearch_core::broker::Broker,
     query: &str,
 ) -> (std::time::Duration, std::time::Duration) {
-    let engine_before = proxy.accounted_engine_delay();
-    let fetch_before = proxy.accounted_engine_fetch_wall();
+    let service = proxy.engine_service();
+    let engine_before = service.accounted_delay();
+    let fetch_before = service.accounted_fetch_wall();
     let start = std::time::Instant::now();
     let _ = broker.search(proxy, query).expect("attested search");
     let wall = start.elapsed();
-    let engine_leg = proxy.accounted_engine_delay() - engine_before;
-    let fetch_wall = proxy.accounted_engine_fetch_wall() - fetch_before;
+    let engine_leg = service.accounted_delay() - engine_before;
+    let fetch_wall = service.accounted_fetch_wall() - fetch_before;
     (engine_leg, wall.saturating_sub(fetch_wall))
 }
 

@@ -68,7 +68,7 @@ use xsearch_core::proxy::XSearchProxy;
 use xsearch_core::{Broker, ClientKeypair};
 use xsearch_engine::engine::SearchEngine;
 use xsearch_net_sim::fault::{FaultEvent, FaultPlan};
-use xsearch_net_sim::link::FleetModel;
+use xsearch_net_sim::link::fleet_hop;
 use xsearch_sgx_sim::attestation::AttestationService;
 use xsearch_sgx_sim::measurement::Measurement;
 use xsearch_telemetry::{Counter, FlightEvent, FlightRecorder, Registry};
@@ -92,11 +92,11 @@ pub struct ClusterConfig {
     pub seal_every: usize,
     /// Bounded admission: the most requests one replica may hold
     /// (in service or waiting on its locks) before the router sheds new
-    /// arrivals with [`ClusterError::Overloaded`]. `0` disables the
-    /// bound. Shedding is the backpressure signal that keeps an
-    /// overloaded replica answering instead of collapsing under an
-    /// unbounded backlog. Queue depth never reaches the enclave: a full
-    /// queue sheds, it never thins an admitted request's `proxy.k` fakes.
+    /// arrivals with [`ClusterError::Overloaded`]; at least 1. Shedding is
+    /// the backpressure signal that keeps an overloaded replica answering
+    /// instead of collapsing under an unbounded backlog. Queue depth never
+    /// reaches the enclave: a full queue sheds, it never thins an admitted
+    /// request's `proxy.k` fakes.
     pub queue_limit: usize,
     /// Base seed for attestation service, challenges and host RNGs.
     pub seed: u64,
@@ -194,7 +194,6 @@ impl Cluster {
     pub fn launch(engine: Arc<SearchEngine>, config: ClusterConfig) -> Self {
         assert!(config.replicas > 0, "a fleet needs at least one replica");
         let ias = AttestationService::from_seed(config.seed);
-        let links = FleetModel::new(config.replicas);
         let nodes: Vec<Arc<ReplicaNode>> = (0..config.replicas)
             .map(|i| {
                 let mut proxy_config = config.proxy.clone();
@@ -209,7 +208,7 @@ impl Cluster {
                     proxy_config,
                     engine.clone(),
                     &ias,
-                    links.link(i).clone(),
+                    fleet_hop(i),
                     config.seed ^ (0xB0B0 + i as u64),
                 ))
             })

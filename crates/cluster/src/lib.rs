@@ -497,8 +497,8 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_queue_never_sheds() {
-        let cluster = bounded_cluster(1, 0);
+    fn queue_at_its_limit_admits_without_shedding() {
+        let cluster = bounded_cluster(1, 3);
         let id = ReplicaId(0);
         let inner = cluster
             .with_replica(id, |_| {

@@ -19,7 +19,7 @@ use xsearch_core::config::XSearchConfig;
 use xsearch_core::persistence::{HistoryVault, SealedLog};
 use xsearch_core::proxy::XSearchProxy;
 use xsearch_engine::engine::SearchEngine;
-use xsearch_net_sim::Link;
+use xsearch_net_sim::DelayModel;
 use xsearch_sgx_sim::attestation::AttestationService;
 use xsearch_sgx_sim::sealed::SealingPlatform;
 use xsearch_telemetry::{LabelValue, Registry};
@@ -89,7 +89,7 @@ impl ReplicaNode {
         config: XSearchConfig,
         engine: Arc<SearchEngine>,
         ias: &AttestationService,
-        link: Link,
+        link: DelayModel,
         host_seed: u64,
     ) -> Self {
         let proxy = XSearchProxy::launch(config.clone(), engine.clone(), ias);
@@ -176,7 +176,7 @@ impl ReplicaNode {
                 "Modeled engine service time charged fleet-wide, microseconds",
                 |n| {
                     n.proxy().as_ref().map_or(0, |p| {
-                        let us = p.accounted_engine_delay().as_micros();
+                        let us = p.engine_service().accounted_delay().as_micros();
                         us.min(u128::from(u64::MAX)) as u64
                     })
                 },
@@ -226,14 +226,14 @@ impl ReplicaNode {
     }
 
     /// Bounded admission: atomically claims a queue slot unless the node
-    /// already holds `limit` requests (`limit == 0` disables the bound).
+    /// already holds `limit` requests.
     /// Returns `false` — and counts the shed — when the request must be
     /// refused; the caller surfaces that as backpressure instead of
     /// queueing without bound and collapsing.
     pub(crate) fn try_enter(&self, limit: usize) -> bool {
         let mut current = self.inflight.load(Ordering::Relaxed);
         loop {
-            if limit != 0 && current >= limit {
+            if current >= limit {
                 self.shed.fetch_add(1, Ordering::Relaxed);
                 return false;
             }

@@ -425,7 +425,6 @@ impl EnclaveState {
 mod tests {
     use super::*;
     use xsearch_sgx_sim::boundary::BoundaryStats;
-    use xsearch_sgx_sim::cost::CostModel;
     use xsearch_sgx_sim::epc::EpcGauge;
 
     fn state(k: usize) -> EnclaveState {
@@ -442,7 +441,7 @@ mod tests {
     }
 
     fn port() -> OcallPort {
-        OcallPort::new(BoundaryStats::new(), CostModel::default())
+        OcallPort::new(BoundaryStats::new())
     }
 
     fn client_channel(state: &EnclaveState, seed: u64) -> ([u8; 32], SecureChannel) {
@@ -499,7 +498,7 @@ mod tests {
         let state = state(0);
         let (client_id, mut channel) = client_channel(&state, 3);
         let stats = BoundaryStats::new();
-        let port = OcallPort::new(stats.clone(), CostModel::default());
+        let port = OcallPort::new(stats.clone());
         let ct = channel.seal(b"query", b"q");
         state
             .request(&client_id, &ct, &port, |_, _| Vec::new())

@@ -60,7 +60,6 @@ use crate::wire::encode_query_batch_into;
 use rand::Rng;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use xsearch_sgx_sim::cost::CostModel;
 use xsearch_sgx_sim::epc::{EpcGauge, PAGE_SIZE};
 
 /// Bytes charged per stored entry besides its text: its slot word.
@@ -152,7 +151,6 @@ pub struct QueryHistory {
     window: Mutex<Window>,
     capacity: usize,
     epc: Arc<EpcGauge>,
-    cost: CostModel,
 }
 
 /// The window under its lock: what Algorithm 1 does in its one critical
@@ -250,7 +248,6 @@ impl QueryHistory {
             window: Mutex::new(Window::default()),
             capacity,
             epc,
-            cost: CostModel::default(),
         }
     }
 
@@ -259,7 +256,7 @@ impl QueryHistory {
     fn charge_held(&self, held: &mut usize, extra: usize) {
         let bytes = std::mem::take(held) + extra;
         if bytes > 0 {
-            self.epc.charge(bytes, &self.cost);
+            self.epc.charge(bytes);
         }
     }
 
@@ -293,19 +290,6 @@ impl QueryHistory {
         let window = self.lock();
         let len = window.len();
         (len > 0).then(|| window.draw(rng.gen_range(0..len)).to_owned())
-    }
-
-    /// Samples `k` past queries with replacement; empty if the table is.
-    /// All `k` draws take the lock once.
-    pub fn sample_many<R: Rng + ?Sized>(&self, k: usize, rng: &mut R) -> Vec<String> {
-        let window = self.lock();
-        let len = window.len();
-        if len == 0 {
-            return Vec::new();
-        }
-        (0..k)
-            .map(|_| window.draw(rng.gen_range(0..len)).to_owned())
-            .collect()
     }
 
     /// Number of stored queries.
@@ -446,15 +430,6 @@ mod tests {
         let h = history(3);
         let mut rng = StdRng::seed_from_u64(0);
         assert_eq!(h.sample(&mut rng), None);
-        assert!(h.sample_many(3, &mut rng).is_empty());
-    }
-
-    #[test]
-    fn sample_many_draws_with_replacement() {
-        let h = history(10);
-        h.push("only");
-        let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(h.sample_many(4, &mut rng), vec!["only"; 4]);
     }
 
     #[test]
@@ -664,10 +639,8 @@ mod tests {
                 h.push(&i.to_string());
             }
             let mut rng = StdRng::seed_from_u64(cap as u64 * 1000 + pushes as u64);
-            let drawn: Vec<usize> = h
-                .sample_many(16, &mut rng)
-                .iter()
-                .map(|q| q.parse().unwrap())
+            let drawn: Vec<usize> = (0..16)
+                .map(|_| h.sample(&mut rng).unwrap().parse().unwrap())
                 .collect();
             assert_eq!(drawn, expected, "capacity {cap} after {pushes} pushes");
         }

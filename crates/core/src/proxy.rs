@@ -18,8 +18,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use xsearch_crypto::x25519::PublicKey;
 use xsearch_engine::engine::SearchEngine;
-use xsearch_engine::pool::MAX_LANES;
-use xsearch_engine::service::EngineService;
+use xsearch_engine::service::{EngineService, MAX_LANES};
 use xsearch_net_sim::DelayModel;
 use xsearch_sgx_sim::attestation::{AttestationService, Quote};
 use xsearch_sgx_sim::boundary::BoundaryStats;
@@ -509,30 +508,13 @@ impl XSearchProxy {
         self.service.engine()
     }
 
-    /// The engine uplink (lanes + service-time model).
+    /// The engine uplink (lanes + service-time model). Its
+    /// [`EngineService::accounted_delay`] is the modeled engine time
+    /// charged to this proxy's requests; end-to-end harnesses read the
+    /// delta around a request to attribute its engine leg.
     #[must_use]
     pub fn engine_service(&self) -> &EngineService {
         &self.service
-    }
-
-    /// Total modeled engine service time charged to this proxy's requests
-    /// so far. End-to-end harnesses read the delta around a request to
-    /// attribute its engine leg (the modeled time comes from the
-    /// sub-query evaluations that ran, not an external draw).
-    #[must_use]
-    pub fn accounted_engine_delay(&self) -> Duration {
-        self.service.accounted_delay()
-    }
-
-    /// Wall time callers have actually spent inside the engine uplink's
-    /// evaluations. [`XSearchProxy::accounted_engine_delay`] already
-    /// includes each execution's measured compute, and that same time
-    /// also elapses on the caller's clock — harnesses that add the
-    /// modeled engine leg to a measured request wall time subtract this
-    /// delta so the in-process evaluation is not counted twice.
-    #[must_use]
-    pub fn accounted_engine_fetch_wall(&self) -> Duration {
-        self.service.accounted_fetch_wall()
     }
 }
 

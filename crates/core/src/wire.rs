@@ -46,16 +46,6 @@ pub struct WireResult {
     pub description: String,
 }
 
-impl From<&SearchResult> for WireResult {
-    fn from(r: &SearchResult) -> Self {
-        WireResult {
-            url: r.url.clone(),
-            title: r.title.clone(),
-            description: r.description.clone(),
-        }
-    }
-}
-
 /// A result borrowed from the bytes it arrived in — what the enclave
 /// filters. The URL is a [`Cow`] so that the redirect strip can replace
 /// a tracker-wrapped one with its owned target; every other field stays

@@ -14,8 +14,6 @@ use std::time::Duration;
 pub enum DelayModel {
     /// Always exactly this long.
     Constant(Duration),
-    /// Uniform between the two bounds (inclusive lower, exclusive upper).
-    Uniform(Duration, Duration),
     /// Log-normal parameterized by its *median* and the σ of the
     /// underlying normal — the natural way to quote WAN latency
     /// ("median 40 ms, long tail").
@@ -57,13 +55,6 @@ impl DelayModel {
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Duration {
         match self {
             DelayModel::Constant(d) => *d,
-            DelayModel::Uniform(lo, hi) => {
-                let (lo_n, hi_n) = (lo.as_nanos() as u64, hi.as_nanos() as u64);
-                if hi_n <= lo_n {
-                    return *lo;
-                }
-                Duration::from_nanos(rng.gen_range(lo_n..hi_n))
-            }
             DelayModel::LogNormal { median, sigma } => {
                 let z = standard_normal(rng);
                 let ln_median = (median.as_nanos() as f64).max(1.0).ln();
@@ -73,12 +64,28 @@ impl DelayModel {
         }
     }
 
+    /// Draws a round trip over a link with this one-way delay: two
+    /// independent one-way draws, outbound first.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use xsearch_net_sim::DelayModel;
+    /// use rand::SeedableRng;
+    ///
+    /// let link = DelayModel::constant_ms(20);
+    /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+    /// assert_eq!(link.rtt(&mut rng).as_millis(), 40);
+    /// ```
+    pub fn rtt<R: Rng + ?Sized>(&self, rng: &mut R) -> Duration {
+        self.sample(rng) + self.sample(rng)
+    }
+
     /// The distribution's median (exact for all variants).
     #[must_use]
     pub fn median(&self) -> Duration {
         match self {
             DelayModel::Constant(d) => *d,
-            DelayModel::Uniform(lo, hi) => (*lo + *hi) / 2,
             DelayModel::LogNormal { median, .. } => *median,
         }
     }
@@ -124,26 +131,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_within_bounds() {
-        let lo = Duration::from_millis(10);
-        let hi = Duration::from_millis(20);
-        let m = DelayModel::Uniform(lo, hi);
-        let mut rng = StdRng::seed_from_u64(2);
-        for _ in 0..1000 {
-            let d = m.sample(&mut rng);
-            assert!(d >= lo && d < hi);
-        }
-    }
-
-    #[test]
-    fn uniform_degenerate_bounds() {
-        let d = Duration::from_millis(5);
-        let m = DelayModel::Uniform(d, d);
-        let mut rng = StdRng::seed_from_u64(3);
-        assert_eq!(m.sample(&mut rng), d);
-    }
-
-    #[test]
     fn lognormal_median_is_close() {
         let m = DelayModel::lognormal_ms(100, 0.5);
         let mut rng = StdRng::seed_from_u64(4);
@@ -170,10 +157,6 @@ mod tests {
         assert_eq!(
             DelayModel::constant_ms(7).median(),
             Duration::from_millis(7)
-        );
-        assert_eq!(
-            DelayModel::Uniform(Duration::from_millis(10), Duration::from_millis(20)).median(),
-            Duration::from_millis(15)
         );
         assert_eq!(
             DelayModel::lognormal_ms(40, 0.4).median(),

@@ -5,11 +5,13 @@
 //! relay service time (Tor's Fig 5 saturation) — and the front tier
 //! needs sockets to multiplex. This crate models each one:
 //!
-//! * [`delay`] — latency distributions (constant, uniform, log-normal) with
-//!   deterministic sampling, and a busy-wait for CPU-bound service time;
-//! * [`link`] — one-way/RTT delay sampling for a named link, *accounted*
-//!   rather than slept, so end-to-end latency experiments run in
-//!   microseconds of wall time;
+//! * [`delay`] — latency distributions (constant, log-normal) with
+//!   deterministic one-way and round-trip sampling, and a busy-wait for
+//!   CPU-bound service time;
+//! * [`link`] — the calibrated WAN paths and a fleet's per-replica hops,
+//!   each a one-way delay model whose draws are *accounted* rather than
+//!   slept, so end-to-end latency experiments run in microseconds of
+//!   wall time;
 //! * [`stream`] — simulated duplex *byte* streams with partial
 //!   reads/writes, bounded buffers and backpressure;
 //! * [`reactor`] — an epoll-style readiness poller over byte streams,
@@ -36,6 +38,5 @@ pub mod stream;
 pub use delay::DelayModel;
 pub use fault::{EcallFault, FaultPlan, FaultSpec, LinkFault, SocketFault, SocketSpec};
 pub use frame::{encode_frame_into, FrameDecoder, FrameEncoder, FrameError};
-pub use link::Link;
 pub use reactor::{Event, Interest, Reactor, Registration, Token};
 pub use stream::{stream_pair, ByteStream, StreamError};

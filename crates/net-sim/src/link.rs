@@ -1,77 +1,27 @@
-//! A named network link with a one-way delay model.
+//! The deployment's link delays: the paper's WAN and a fleet's
+//! router↔replica hops.
 //!
-//! Delays are *accounted*, not slept: an experiment asks a link for a
-//! sampled one-way or round-trip delay and adds it to its latency budget.
-//! This keeps the Fig 7 end-to-end experiment deterministic and fast while
-//! preserving the distributional shape.
+//! Delays are *accounted*, not slept: an experiment draws a one-way
+//! ([`DelayModel::sample`]) or round-trip ([`DelayModel::rtt`]) delay
+//! and adds it to its latency budget. This keeps the Fig 7 end-to-end
+//! experiment deterministic and fast while preserving the distributional
+//! shape.
 
 use crate::delay::DelayModel;
-use rand::Rng;
-use std::time::Duration;
-
-/// A point-to-point link.
-#[derive(Debug, Clone)]
-pub struct Link {
-    name: String,
-    delay: DelayModel,
-}
-
-impl Link {
-    /// Creates a link with a one-way delay model.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use xsearch_net_sim::{Link, DelayModel};
-    /// use rand::SeedableRng;
-    ///
-    /// let link = Link::new("client-proxy", DelayModel::constant_ms(20));
-    /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-    /// assert_eq!(link.rtt(&mut rng).as_millis(), 40);
-    /// ```
-    #[must_use]
-    pub fn new(name: impl Into<String>, delay: DelayModel) -> Self {
-        Link {
-            name: name.into(),
-            delay,
-        }
-    }
-
-    /// The link's label (for reports).
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Samples a one-way traversal delay.
-    pub fn one_way<R: Rng + ?Sized>(&self, rng: &mut R) -> Duration {
-        self.delay.sample(rng)
-    }
-
-    /// Samples a round trip: two independent one-way traversals.
-    pub fn rtt<R: Rng + ?Sized>(&self, rng: &mut R) -> Duration {
-        self.one_way(rng) + self.one_way(rng)
-    }
-
-    /// The underlying delay model.
-    #[must_use]
-    pub fn delay_model(&self) -> &DelayModel {
-        &self.delay
-    }
-}
 
 /// The WAN topology of the paper's deployment, calibrated per DESIGN.md §6.
+/// Each link is its one-way delay.
 #[derive(Debug, Clone)]
 pub struct WanModel {
     /// Client (broker) ↔ X-Search/PEAS proxy in a public cloud.
-    pub client_proxy: Link,
+    pub client_proxy: DelayModel,
     /// Proxy ↔ search engine.
-    pub proxy_engine: Link,
+    pub proxy_engine: DelayModel,
     /// Client ↔ search engine directly (the Direct baseline).
-    pub client_engine: Link,
+    pub client_engine: DelayModel,
     /// One Tor relay hop (client→guard, relay→relay, exit→engine all use
     /// independent samples of this link).
-    pub tor_hop: Link,
+    pub tor_hop: DelayModel,
     /// Search-engine service time (query evaluation at Bing).
     pub engine_service: DelayModel,
 }
@@ -79,59 +29,27 @@ pub struct WanModel {
 impl Default for WanModel {
     fn default() -> Self {
         WanModel {
-            client_proxy: Link::new("client-proxy", DelayModel::lognormal_ms(20, 0.35)),
-            proxy_engine: Link::new("proxy-engine", DelayModel::lognormal_ms(15, 0.35)),
-            client_engine: Link::new("client-engine", DelayModel::lognormal_ms(18, 0.35)),
-            tor_hop: Link::new("tor-hop", DelayModel::lognormal_ms(110, 0.55)),
+            client_proxy: DelayModel::lognormal_ms(20, 0.35),
+            proxy_engine: DelayModel::lognormal_ms(15, 0.35),
+            client_engine: DelayModel::lognormal_ms(18, 0.35),
+            tor_hop: DelayModel::lognormal_ms(110, 0.55),
             engine_service: DelayModel::lognormal_ms(380, 0.25),
         }
     }
 }
 
-/// Per-replica front-tier links for a multi-enclave proxy fleet: the
-/// router sits in the same data center as the replicas, but racks are
-/// heterogeneous, so each replica gets its own (deterministically varied)
-/// one-way delay model. Like everything in this crate, delays are
-/// *accounted*, not slept.
-#[derive(Debug, Clone)]
-pub struct FleetModel {
-    /// Router ↔ replica `i` (index into the fleet).
-    pub router_replica: Vec<Link>,
-}
+/// Base median one-way delay between a fleet's router and a replica, in µs.
+const BASE_HOP_US: u64 = 250;
 
-impl FleetModel {
-    /// Base median one-way delay between router and a replica, in µs.
-    pub const BASE_HOP_US: u64 = 250;
-
-    /// Builds links for `replicas` nodes: replica `i` gets a log-normal
-    /// one-way delay whose median is the base hop plus a per-replica
-    /// skew of `i % 4` × 50 µs — enough spread that placement policies
-    /// see a heterogeneous fleet, small enough that the hop never
-    /// dominates the enclave service time.
-    #[must_use]
-    pub fn new(replicas: usize) -> Self {
-        FleetModel {
-            router_replica: (0..replicas)
-                .map(|i| {
-                    let median_us = Self::BASE_HOP_US + 50 * (i as u64 % 4);
-                    Link::new(
-                        format!("router-replica{i}"),
-                        DelayModel::lognormal_us(median_us, 0.25),
-                    )
-                })
-                .collect(),
-        }
-    }
-
-    /// The link to replica `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is out of range for the fleet.
-    #[must_use]
-    pub fn link(&self, i: usize) -> &Link {
-        &self.router_replica[i]
-    }
+/// The one-way router ↔ replica `i` delay of a multi-enclave proxy
+/// fleet. The router sits in the same data center as the replicas, but
+/// racks are heterogeneous: replica `i` gets a log-normal delay whose
+/// median is the base hop plus a per-replica skew of `i % 4` × 50 µs —
+/// enough spread that placement policies see a heterogeneous fleet,
+/// small enough that the hop never dominates the enclave service time.
+#[must_use]
+pub fn fleet_hop(i: usize) -> DelayModel {
+    DelayModel::lognormal_us(BASE_HOP_US + 50 * (i as u64 % 4), 0.25)
 }
 
 #[cfg(test)]
@@ -139,19 +57,14 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::time::Duration;
 
     #[test]
     fn rtt_is_sum_of_two_one_ways_for_constant() {
-        let link = Link::new("l", DelayModel::constant_ms(30));
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(link.rtt(&mut rng), Duration::from_millis(60));
-    }
-
-    #[test]
-    fn name_is_preserved() {
         assert_eq!(
-            Link::new("alpha", DelayModel::constant_ms(1)).name(),
-            "alpha"
+            DelayModel::constant_ms(30).rtt(&mut rng),
+            Duration::from_millis(60)
         );
     }
 
@@ -159,22 +72,18 @@ mod tests {
     fn default_wan_orders_paths_sensibly() {
         // A Tor hop is slower than the direct paths; the engine dominates.
         let wan = WanModel::default();
-        assert!(wan.tor_hop.delay_model().median() > wan.client_proxy.delay_model().median());
-        assert!(wan.engine_service.median() > wan.tor_hop.delay_model().median());
+        assert!(wan.tor_hop.median() > wan.client_proxy.median());
+        assert!(wan.engine_service.median() > wan.tor_hop.median());
     }
 
     #[test]
     fn fleet_links_are_per_replica_and_heterogeneous() {
-        let fleet = FleetModel::new(8);
-        assert_eq!(fleet.router_replica.len(), 8);
-        assert_eq!(fleet.link(0).name(), "router-replica0");
         // Replicas 0 and 1 sit on different racks: different medians.
-        assert!(fleet.link(1).delay_model().median() > fleet.link(0).delay_model().median());
+        assert!(fleet_hop(1).median() > fleet_hop(0).median());
+        // Four racks: replica 4 shares replica 0's.
+        assert_eq!(fleet_hop(4), fleet_hop(0));
         // The hop stays intra-DC: well under a WAN client-proxy hop.
-        let wan = WanModel::default();
-        assert!(
-            fleet.link(3).delay_model().median() * 10 < wan.client_proxy.delay_model().median()
-        );
+        assert!(fleet_hop(3).median() * 10 < WanModel::default().client_proxy.median());
     }
 
     #[test]

@@ -33,7 +33,6 @@
 pub mod parse;
 pub mod record;
 pub mod split;
-pub mod stats;
 pub mod synthetic;
 pub mod topics;
 pub mod zipf;

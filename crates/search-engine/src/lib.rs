@@ -12,11 +12,10 @@
 //! * [`engine`] — the query front-end, including the paper's §5.3.2
 //!   workaround for Bing's single-word-OR limitation (submit each
 //!   sub-query independently and merge the result sets);
-//! * [`pool`] — the modeled engine's service slots (lanes) that the
-//!   sub-queries of one request are spread over;
 //! * [`service`] — a latency-modeled wrapper for end-to-end experiments:
 //!   it evaluates the sub-queries on the request's own thread and charges
-//!   one service-time draw per sub-query as a makespan over their lanes.
+//!   one service-time draw per sub-query as a makespan over the modeled
+//!   engine's service slots (lanes), sub-query `i` on lane `i % lanes`.
 //!
 //! # Example
 //!
@@ -37,7 +36,6 @@ pub mod corpus;
 pub mod document;
 pub mod engine;
 pub mod index;
-pub mod pool;
 pub mod service;
 
 pub use document::{DocId, Document};

@@ -8,7 +8,7 @@
 //! is always bytes, metered by length: an ecall's input and output, an
 //! ocall's request and response.
 
-use crate::cost::CostModel;
+use crate::cost::crossing;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -60,23 +60,26 @@ impl BoundaryStats {
         Duration::from_nanos(self.overhead_ns.load(Ordering::Relaxed))
     }
 
-    pub(crate) fn record_ecall(&self, bytes_in: usize, bytes_out: usize, cost: &CostModel) {
+    pub(crate) fn record_ecall(&self, bytes_in: usize, bytes_out: usize) {
         self.ecalls.fetch_add(1, Ordering::Relaxed);
         self.bytes_in.fetch_add(bytes_in as u64, Ordering::Relaxed);
         self.bytes_out
             .fetch_add(bytes_out as u64, Ordering::Relaxed);
         // An ecall is two crossings: enter with input, exit with output.
-        let d = cost.crossing(bytes_in) + cost.crossing(bytes_out);
-        self.overhead_ns
-            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
+        self.charge_round_trip();
     }
 
-    pub(crate) fn record_ocall(&self, bytes_out: usize, bytes_in: usize, cost: &CostModel) {
+    pub(crate) fn record_ocall(&self, bytes_out: usize, bytes_in: usize) {
         self.ocalls.fetch_add(1, Ordering::Relaxed);
         self.bytes_out
             .fetch_add(bytes_out as u64, Ordering::Relaxed);
         self.bytes_in.fetch_add(bytes_in as u64, Ordering::Relaxed);
-        let d = cost.crossing(bytes_out) + cost.crossing(bytes_in);
+        self.charge_round_trip();
+    }
+
+    /// Two crossings: one out of the calling side, one back into it.
+    fn charge_round_trip(&self) {
+        let d = crossing() * 2;
         self.overhead_ns
             .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     }
@@ -89,14 +92,13 @@ impl BoundaryStats {
 #[derive(Debug, Clone)]
 pub struct OcallPort {
     stats: Arc<BoundaryStats>,
-    cost: CostModel,
 }
 
 impl OcallPort {
-    /// Creates a port that records to `stats` with the given cost model.
+    /// Creates a port that records to `stats`.
     #[must_use]
-    pub fn new(stats: Arc<BoundaryStats>, cost: CostModel) -> Self {
-        OcallPort { stats, cost }
+    pub fn new(stats: Arc<BoundaryStats>) -> Self {
+        OcallPort { stats }
     }
 
     /// Performs an ocall: `request` bytes leave the enclave, the untrusted
@@ -108,8 +110,7 @@ impl OcallPort {
         F: FnOnce(&[u8]) -> Vec<u8>,
     {
         let response = f(request);
-        self.stats
-            .record_ocall(request.len(), response.len(), &self.cost);
+        self.stats.record_ocall(request.len(), response.len());
         response
     }
 
@@ -127,21 +128,17 @@ mod tests {
     #[test]
     fn ecall_recording_counts_both_directions() {
         let stats = BoundaryStats::new();
-        let cost = CostModel::default();
-        stats.record_ecall(100, 50, &cost);
+        stats.record_ecall(100, 50);
         assert_eq!(stats.ecalls(), 1);
         assert_eq!(stats.bytes_in(), 100);
         assert_eq!(stats.bytes_out(), 50);
-        assert_eq!(
-            stats.modeled_overhead(),
-            cost.crossing(100) + cost.crossing(50)
-        );
+        assert_eq!(stats.modeled_overhead(), crossing() * 2);
     }
 
     #[test]
     fn ocall_port_runs_untrusted_function() {
         let stats = BoundaryStats::new();
-        let port = OcallPort::new(stats.clone(), CostModel::default());
+        let port = OcallPort::new(stats.clone());
         let reply = port.ocall(b"dns lookup", |req| {
             assert_eq!(req, b"dns lookup");
             b"1.2.3.4".to_vec()
@@ -155,9 +152,8 @@ mod tests {
     #[test]
     fn overhead_accumulates_across_calls() {
         let stats = BoundaryStats::new();
-        let cost = CostModel::default();
-        stats.record_ecall(0, 0, &cost);
-        stats.record_ecall(0, 0, &cost);
-        assert_eq!(stats.modeled_overhead(), cost.crossing(0) * 4);
+        stats.record_ecall(0, 0);
+        stats.record_ecall(0, 0);
+        assert_eq!(stats.modeled_overhead(), crossing() * 4);
     }
 }

@@ -1,4 +1,5 @@
-//! The enclave cost model.
+//! The enclave cost model: two constants and the two charges built on
+//! them.
 //!
 //! §5.3.3 of the paper names the two SGX performance effects that shape
 //! its design: (i) trusted/untrusted mode transitions and (ii) memory
@@ -6,44 +7,30 @@
 //! encryption + OS swaps when exceeding the EPC. The constants here are
 //! taken from the published SGX literature for the paper's Skylake-era
 //! hardware (an i7-6700) and drive the *accounted* overhead figures in the
-//! benchmarks; real wall-clock costs of the computation come on top.
+//! benchmarks; real wall-clock costs of the computation come on top. A
+//! crossing costs the same whatever it carries: marshalling is a copy the
+//! measured compute already contains.
 
 use std::time::Duration;
 
-/// Cost constants, in nanoseconds, for one enclave.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CostModel {
-    /// One ecall or ocall transition (≈8,000–12,000 cycles on Skylake;
-    /// ~2.7 µs at 3.4 GHz).
-    pub transition_ns: u64,
-    /// Copying one byte across the enclave boundary (marshalling).
-    pub per_byte_copy_ns: u64,
-    /// Encrypting/decrypting one 4 KiB page on EPC eviction/reload.
-    pub page_crypt_ns: u64,
+/// One ecall or ocall transition, in nanoseconds (≈8,000–12,000 cycles
+/// on Skylake; ~2.7 µs at 3.4 GHz).
+pub const TRANSITION_NS: u64 = 2_700;
+
+/// Encrypting/decrypting one 4 KiB page on EPC eviction/reload, in
+/// nanoseconds.
+pub const PAGE_CRYPT_NS: u64 = 3_900;
+
+/// Modeled cost of one boundary crossing.
+#[must_use]
+pub const fn crossing() -> Duration {
+    Duration::from_nanos(TRANSITION_NS)
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            transition_ns: 2_700,
-            per_byte_copy_ns: 0,
-            page_crypt_ns: 3_900,
-        }
-    }
-}
-
-impl CostModel {
-    /// Modeled cost of one boundary crossing carrying `bytes` of payload.
-    #[must_use]
-    pub fn crossing(&self, bytes: usize) -> Duration {
-        Duration::from_nanos(self.transition_ns + self.per_byte_copy_ns * bytes as u64)
-    }
-
-    /// Modeled cost of paging `pages` 4 KiB pages in or out of the EPC.
-    #[must_use]
-    pub fn paging(&self, pages: usize) -> Duration {
-        Duration::from_nanos(self.page_crypt_ns * pages as u64)
-    }
+/// Modeled cost of paging `pages` 4 KiB pages in or out of the EPC.
+#[must_use]
+pub const fn paging(pages: usize) -> Duration {
+    Duration::from_nanos(PAGE_CRYPT_NS * pages as u64)
 }
 
 #[cfg(test)]
@@ -52,24 +39,13 @@ mod tests {
 
     #[test]
     fn default_transition_is_microseconds_scale() {
-        let c = CostModel::default();
-        let d = c.crossing(0);
+        let d = crossing();
         assert!(d >= Duration::from_nanos(1_000) && d <= Duration::from_micros(20));
     }
 
     #[test]
-    fn crossing_scales_with_bytes() {
-        let c = CostModel {
-            per_byte_copy_ns: 2,
-            ..Default::default()
-        };
-        assert_eq!(c.crossing(100) - c.crossing(0), Duration::from_nanos(200));
-    }
-
-    #[test]
     fn paging_scales_with_pages() {
-        let c = CostModel::default();
-        assert_eq!(c.paging(2), Duration::from_nanos(2 * c.page_crypt_ns));
-        assert_eq!(c.paging(0), Duration::ZERO);
+        assert_eq!(paging(2), Duration::from_nanos(2 * PAGE_CRYPT_NS));
+        assert_eq!(paging(0), Duration::ZERO);
     }
 }

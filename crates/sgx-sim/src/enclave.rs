@@ -7,7 +7,6 @@
 
 use crate::attestation::Quote;
 use crate::boundary::{BoundaryStats, OcallPort};
-use crate::cost::CostModel;
 use crate::epc::EpcGauge;
 use crate::error::SgxError;
 use crate::measurement::{Measurement, MeasurementBuilder};
@@ -70,7 +69,6 @@ impl EnclaveBuilder {
             state,
             boundary: BoundaryStats::new(),
             epc,
-            cost: CostModel::default(),
             provisioning_key: self.provisioning_key,
         }
     }
@@ -84,7 +82,6 @@ pub struct Enclave<T> {
     state: T,
     boundary: Arc<BoundaryStats>,
     epc: Arc<EpcGauge>,
-    cost: CostModel,
     provisioning_key: Option<[u8; 32]>,
 }
 
@@ -129,10 +126,9 @@ impl<T> Enclave<T> {
         input: &[u8],
         f: impl FnOnce(&T, &[u8], &OcallPort) -> Vec<u8>,
     ) -> Result<Vec<u8>, SgxError> {
-        let port = OcallPort::new(self.boundary.clone(), self.cost);
+        let port = OcallPort::new(self.boundary.clone());
         let out = f(&self.state, input, &port);
-        self.boundary
-            .record_ecall(input.len(), out.len(), &self.cost);
+        self.boundary.record_ecall(input.len(), out.len());
         Ok(out)
     }
 
@@ -246,7 +242,7 @@ mod tests {
     fn epc_gauge_is_shared() {
         let e = EnclaveBuilder::new("t").with_code(b"c").build(());
         let gauge = e.epc();
-        gauge.charge(100, &CostModel::default());
+        gauge.charge(100);
         assert_eq!(e.epc().used(), 100);
     }
 

@@ -7,7 +7,7 @@
 //! whether 1M stored queries stay inside the budget; this model answers it
 //! with exact byte accounting and charges the paging cost when exceeded.
 
-use crate::cost::CostModel;
+use crate::cost::paging;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -49,7 +49,7 @@ impl EpcGauge {
 
     /// Records an allocation of `bytes`. Returns the modeled paging cost
     /// incurred *by this allocation* (zero while under the limit).
-    pub fn charge(&self, bytes: usize, cost: &CostModel) -> Duration {
+    pub fn charge(&self, bytes: usize) -> Duration {
         let old = self.used.fetch_add(bytes, Ordering::Relaxed);
         let new = old + bytes;
         self.peak.fetch_max(new, Ordering::Relaxed);
@@ -65,7 +65,7 @@ impl EpcGauge {
         }
         self.paged_pages
             .fetch_add(new_pages as u64, Ordering::Relaxed);
-        let d = cost.paging(new_pages);
+        let d = paging(new_pages);
         self.paging_ns
             .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
         d
@@ -125,9 +125,8 @@ mod tests {
     #[test]
     fn usage_tracks_charge_release() {
         let g = EpcGauge::with_limit(1 << 20);
-        let cost = CostModel::default();
-        assert_eq!(g.charge(1000, &cost), Duration::ZERO);
-        g.charge(500, &cost);
+        assert_eq!(g.charge(1000), Duration::ZERO);
+        g.charge(500);
         assert_eq!(g.used(), 1500);
         g.release(1000);
         assert_eq!(g.used(), 500);
@@ -137,20 +136,18 @@ mod tests {
     #[test]
     fn within_limit_flips_at_boundary() {
         let g = EpcGauge::with_limit(1000);
-        let cost = CostModel::default();
-        g.charge(1000, &cost);
+        g.charge(1000);
         assert!(g.within_limit());
-        g.charge(1, &cost);
+        g.charge(1);
         assert!(!g.within_limit());
     }
 
     #[test]
     fn paging_charged_only_beyond_limit() {
         let g = EpcGauge::with_limit(2 * PAGE_SIZE);
-        let cost = CostModel::default();
-        assert_eq!(g.charge(2 * PAGE_SIZE, &cost), Duration::ZERO);
-        let d = g.charge(PAGE_SIZE, &cost);
-        assert_eq!(d, cost.paging(1));
+        assert_eq!(g.charge(2 * PAGE_SIZE), Duration::ZERO);
+        let d = g.charge(PAGE_SIZE);
+        assert_eq!(d, paging(1));
         assert_eq!(g.paged_pages(), 1);
         assert!(g.paging_cost() > Duration::ZERO);
     }
@@ -158,8 +155,7 @@ mod tests {
     #[test]
     fn partial_page_overflow_rounds_up() {
         let g = EpcGauge::with_limit(0);
-        let cost = CostModel::default();
-        g.charge(1, &cost);
+        g.charge(1);
         assert_eq!(g.paged_pages(), 1, "1 byte beyond the limit costs a page");
     }
 
@@ -173,11 +169,10 @@ mod tests {
         #[test]
         fn used_never_negative_and_peak_dominates(ops in proptest::collection::vec((any::<bool>(), 1usize..10_000), 1..50)) {
             let g = EpcGauge::with_limit(1 << 30);
-            let cost = CostModel::default();
-            let mut shadow: i64 = 0;
+                let mut shadow: i64 = 0;
             for (is_charge, bytes) in ops {
                 if is_charge {
-                    g.charge(bytes, &cost);
+                    g.charge(bytes);
                     shadow += bytes as i64;
                 } else if shadow >= bytes as i64 {
                     g.release(bytes);

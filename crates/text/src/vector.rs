@@ -108,13 +108,6 @@ impl SparseVector {
         SparseVector { entries }
     }
 
-    /// Builds a term-frequency vector from tokens, interning as needed.
-    #[must_use]
-    pub fn term_frequencies(tokens: &[String], interner: &mut TermInterner) -> Self {
-        let pairs = tokens.iter().map(|t| (interner.intern(t), 1.0)).collect();
-        SparseVector::from_pairs(pairs)
-    }
-
     /// Adds `weight` to the entry for `id`.
     pub fn add(&mut self, id: u32, weight: f64) {
         match self.entries.binary_search_by_key(&id, |&(i, _)| i) {
@@ -130,12 +123,6 @@ impl SparseVector {
             .binary_search_by_key(&id, |&(i, _)| i)
             .map(|pos| self.entries[pos].1)
             .unwrap_or(0.0)
-    }
-
-    /// Number of non-zero entries.
-    #[must_use]
-    pub fn nnz(&self) -> usize {
-        self.entries.len()
     }
 
     /// Whether the vector has no entries.
@@ -222,13 +209,13 @@ mod tests {
         let v = SparseVector::from_pairs(vec![(3, 1.0), (1, 2.0), (3, 4.0)]);
         assert_eq!(v.weight(3), 5.0);
         assert_eq!(v.weight(1), 2.0);
-        assert_eq!(v.nnz(), 2);
+        assert_eq!(v.iter().count(), 2);
     }
 
     #[test]
     fn zero_weights_are_dropped() {
         let v = SparseVector::from_pairs(vec![(1, 0.0), (2, 1.0)]);
-        assert_eq!(v.nnz(), 1);
+        assert_eq!(v.iter().collect::<Vec<_>>(), [(2, 1.0)]);
     }
 
     #[test]
@@ -249,18 +236,6 @@ mod tests {
         let a = SparseVector::new();
         let b = SparseVector::from_pairs(vec![(1, 1.0)]);
         assert_eq!(a.cosine(&b), 0.0);
-    }
-
-    #[test]
-    fn term_frequencies_count_tokens() {
-        let mut interner = TermInterner::new();
-        let tokens: Vec<String> = ["tie", "a", "tie"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        let v = SparseVector::term_frequencies(&tokens, &mut interner);
-        assert_eq!(v.weight(interner.get("tie").unwrap()), 2.0);
-        assert_eq!(v.weight(interner.get("a").unwrap()), 1.0);
     }
 
     #[test]
