@@ -158,6 +158,8 @@ impl WordTable {
         let (first, rest) = self.short.split_at(self.short.len().min(64));
         let mut hits = 0;
         for_each_token(text, scratch, |word| {
+            #[cfg(test)]
+            tests::TOKENS_LOOKED_UP.with(|n| n.set(n.get() + 1));
             if word.len() <= KEY_BYTES {
                 #[cfg(test)]
                 tests::KEYS_COMPARED.with(|n| n.set(n.get() + self.short.len()));
@@ -250,6 +252,70 @@ mod tests {
         pub(super) static COMMON_CALLS: Cell<usize> = const { Cell::new(0) };
         /// Table keys `WordTable::mark` compared on this thread.
         pub(super) static KEYS_COMPARED: Cell<usize> = const { Cell::new(0) };
+        /// Result tokens `WordTable::mark` looked up in the table on this
+        /// thread.
+        pub(super) static TOKENS_LOOKED_UP: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Algorithm 2's work on this thread:
+    /// `[tokens looked up, table keys compared, nbCommonWords evaluations]`.
+    fn work() -> [usize; 3] {
+        [
+            TOKENS_LOOKED_UP.with(Cell::get),
+            KEYS_COMPARED.with(Cell::get),
+            COMMON_CALLS.with(Cell::get),
+        ]
+    }
+
+    /// Algorithm 2's exact work over 100 seeded `proxy_search`-shaped
+    /// requests: the seed-2017 synthetic log (60 users) warms a history,
+    /// Algorithm 1 draws k = 3 fakes for each of the log's last 100
+    /// queries, and the standard corpus answers the four sub-queries with
+    /// 20 results each, merged. The pins move only where the lookup
+    /// changes how many tokens it looks up or how many keys it compares;
+    /// the `nbCommonWords` count and the results kept never move.
+    #[test]
+    fn seeded_requests_pin_the_work() {
+        use crate::history::QueryHistory;
+        use crate::obfuscate::obfuscate;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use xsearch_engine::corpus::CorpusConfig;
+        use xsearch_engine::engine::SearchEngine;
+        use xsearch_query_log::synthetic::{generate, SyntheticConfig};
+        use xsearch_sgx_sim::epc::EpcGauge;
+
+        const REQUESTS: usize = 100;
+        let engine = SearchEngine::build(&CorpusConfig::default());
+        let log: Vec<String> = generate(&SyntheticConfig {
+            num_users: 60,
+            seed: 2017,
+            ..Default::default()
+        })
+        .into_iter()
+        .map(|r| r.query)
+        .collect();
+        let (warm, requests) = log.split_at(log.len() - REQUESTS);
+        let history = QueryHistory::new(log.len(), EpcGauge::with_limit(1 << 30));
+        history.push_all(warm.iter().map(String::as_str));
+        let mut rng = StdRng::seed_from_u64(2017);
+        let before = work();
+        let (mut results, mut kept) = (0, 0);
+        for query in requests {
+            let obfuscated = obfuscate(query, &history, 3, &mut rng);
+            let merged = engine.search_merged(&obfuscated.subqueries(), 20);
+            results += merged.len();
+            kept += filter_results(query, &obfuscated.fakes(), merged).len();
+        }
+        let after = work();
+        let delta: Vec<usize> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+        assert_eq!(results, 7_484, "results fetched");
+        assert_eq!(
+            delta,
+            [184_957, 1_463_866, 59_872],
+            "tokens looked up, keys compared, nbCommonWords"
+        );
+        assert_eq!(kept, 1_902, "results kept");
     }
 
     fn result(id: u32, title: &str, desc: &str) -> SearchResult {
