@@ -14,30 +14,63 @@
 //! k+1 sub-queries are tokenized once into a `WordTable`: their
 //! distinct words, and per sub-query a bitmask over that table (as many
 //! `u64`s as the table needs — k = 15 with long queries passes 64
-//! distinct words). A result field is then streamed through
-//! [`for_each_token`], which splits a field with no upper-case or
-//! non-ASCII byte a 64-byte block at a time and lends each word from the
-//! text (a field with such a byte takes its exact, folding path); a word
-//! that is in the table sets its bit in the field's `seen` mask, and a
-//! sub-query's `nbCommonWords` with the field is `popcount(seen & mask)`.
+//! distinct words). A field's `seen` mask gets the bit of every table
+//! word the field contains, and a sub-query's `nbCommonWords` with the
+//! field is `popcount(seen & mask)`. The table, the masks and the `seen`
+//! buffers live in per-thread scratch that keeps its allocations from one
+//! request to the next, so a warm request allocates nothing here.
 //!
-//! The lookup is a bounded scan, not a search. A table word of at most 8
-//! bytes is one zero-padded `u64` key; a result word of that size is
-//! compared with every key at once (the comparisons vectorize) and the
-//! hits are OR-ed into the mask. A longer word is compared exactly with
-//! every longer table word. So a word costs the same whatever it is and
-//! whatever the engine sent back — no probe sequence a hostile engine
-//! could lengthen, as it could a cheap hash's — and the table is sorted
-//! and deduplicated, so neither its layout nor the work depends on where
-//! the original sits among the sub-queries. Title and description are
-//! scored separately and summed, as [`result_score`] — the naive form,
-//! kept as the oracle the tests compare against — does. The result list
-//! is consumed and filtered in place; in the enclave it is a list of
-//! views into the `recv` payload, so a dropped result frees nothing.
+//! **The walk.** A field is walked a 64-byte block at a time by byte
+//! offset. [`token_bits`] classifies a block into a token bitmap; a token
+//! starts on a set bit after a clear one and ends on the clear bit after
+//! it, both found with `trailing_zeros`, and no token is lent out as a
+//! `&str`. The block is read through a window that also holds the 8 bytes
+//! after it — the field itself where the field is that long, else a
+//! zero-padded copy of its last bytes — so a token's first 8 bytes are
+//! one load at its start offset, whatever block it ends in. A block with
+//! an upper-case or non-ASCII byte hands the rest of the field, from the
+//! start of the token that block is in, to [`for_each_folded_token`],
+//! the exact folding path, whose words take the same lookup.
+//!
+//! **The lookup.** A token's key is its first `min(len, 8)` bytes,
+//! zero-padded, with the top bit set if it is longer than 8 bytes (a
+//! token is never empty and holds no NUL, so no key is 0). Short table
+//! words and the first 8 bytes of the long ones share one fixed-width
+//! array of 16 keys, short words first, each sorted. Every token is
+//! compared with all 16 at once (the comparisons vectorize); a short key
+//! can only equal a short word's and a long key a long word's. A long
+//! token whose key hits a long word's is then compared exactly with that
+//! word — the only compare whose cost depends on the bytes. Tables past
+//! 16 words (k ≥ 7, mostly) compare each token with the rest 16 keys at a
+//! time, out of line. The table is sorted and deduplicated, so neither
+//! its layout nor the work depends on where the original sits among the
+//! sub-queries.
+//!
+//! **The work is bounded by the bytes.** A field of `n` bytes holds at
+//! most `⌈n / 2⌉` tokens and at most `n / 10 + 1` tokens longer than 8
+//! bytes. Each token costs one key load and `16 · ⌈E / 16⌉` key compares
+//! for a table of `E` words, and a long token at most `L` exact compares
+//! of at most its own length, `L` being the table's long words. So
+//! whatever the engine sends, a field costs at most
+//! `⌈n / 2⌉ · 16 · ⌈E / 16⌉` key compares and `(n / 10 + 1) · L` exact
+//! compares touching at most `n · L` bytes: no probe sequence or
+//! candidate list a hostile engine could lengthen, as it could a cheap
+//! hash's. A two-byte-prefix prefilter that skips the compare for tokens
+//! no table word starts with was measured and left out: as a branch per
+//! token it mispredicts on ≈ 23 % of the tokens, and as a vectorized pass
+//! over each block it costs more than the compares it saves.
+//!
+//! Title and description are scored separately and summed, as
+//! [`result_score`] — the naive form, kept as the oracle the tests
+//! compare against — does. The result list is consumed and filtered in
+//! place; in the enclave it is a list of views into the `recv` payload,
+//! so a dropped result frees nothing.
 
 use crate::wire::ResultFields;
+use std::cell::RefCell;
+use std::ops::Range;
 use xsearch_text::similarity::nb_common_words;
-use xsearch_text::tokenize::for_each_token;
+use xsearch_text::tokenize::{for_each_folded_token, for_each_token, token_bits, BLOCK};
 
 /// Scores one (query, result) pair per Algorithm 2 lines 5–6.
 #[must_use]
@@ -45,146 +78,287 @@ pub fn result_score<R: ResultFields>(query: &str, result: &R) -> usize {
     nb_common_words(query, result.title()) + nb_common_words(query, result.description())
 }
 
-/// Bytes in a short key: a word this long or shorter is one `u64`.
+/// Bytes in a key: a word this long or shorter is short, and its key is
+/// the whole word.
 const KEY_BYTES: usize = 8;
 
-/// A word of 1 to [`KEY_BYTES`] bytes as a zero-padded little-endian
-/// key. Words are never empty and hold no NUL, so no word's key is 0.
-///
-/// Two loads that may overlap, not a copy into a padded buffer (a
-/// `memcpy` call of variable length): 4 to 8 bytes are the first four
-/// and the last four, and 1 to 3 bytes the first, middle and last; an
-/// overlapping byte lands on the same bits from both sides.
-fn key(word: &[u8]) -> u64 {
-    let n = word.len();
-    if n >= 4 {
-        let head = u32::from_le_bytes(word[..4].try_into().expect("4 bytes"));
-        let tail = u32::from_le_bytes(word[n - 4..].try_into().expect("4 bytes"));
-        u64::from(head) | u64::from(tail) << (8 * (n - 4))
-    } else {
-        let byte = |i: usize| u64::from(word[i]) << (8 * i);
-        byte(0) | byte(n / 2) | byte(n - 1)
-    }
+/// Keys a token is compared with at once: the width of the key array.
+const LANES: usize = 16;
+
+/// A block and the [`KEY_BYTES`] after it, so that the key load at any
+/// offset in the block stays inside.
+type Window = [u8; BLOCK + KEY_BYTES];
+
+/// The [`KEY_BYTES`] bytes at offset `at` of the window's block.
+fn load(window: &Window, at: usize) -> u64 {
+    u64::from_le_bytes(
+        window[at % BLOCK..][..KEY_BYTES]
+            .try_into()
+            .expect("8 bytes"),
+    )
 }
 
-/// The distinct words of the k+1 sub-queries and, per sub-query, which of
-/// them it contains.
-struct WordTable {
-    /// The short words' keys, ascending, padded with 0 keys (which match
-    /// no word) to a whole number of 8; key `i` is bit `i`.
-    short: Vec<u64>,
-    /// The words longer than [`KEY_BYTES`], sorted; word `i` is bit
-    /// `short.len() + i`.
-    long: Vec<String>,
-    /// `width` mask words per sub-query, sub-query 0 (the original) first.
-    masks: Vec<u64>,
-    /// `u64`s per mask.
-    width: usize,
+/// Set in the key of a long word.
+const LONG: u64 = 1 << 63;
+
+/// The key of a `len`-byte token whose first bytes are `head`: its first
+/// `min(len, 8)` bytes, zero-padded, with [`LONG`] set if it is longer
+/// than 8 bytes. A word is long if its key has [`LONG`]: every word
+/// longer than 8 bytes, and an 8-byte one whose last byte is not ASCII
+/// (only the exact path makes those). So a short word's key is the word,
+/// and two long words share a key only if they share their first 8 bytes.
+fn key(head: u64, len: usize) -> u64 {
+    head & u64::MAX >> (64 - 8 * len.min(KEY_BYTES)) | u64::from(len > KEY_BYTES) << 63
 }
 
-/// Bit `i` set where `keys[i]` is `word` (at most 64 keys). Every key is
-/// compared; the comparisons vectorize.
-fn matches(keys: &[u64], word: u64) -> u64 {
+/// [`key`] of a word given as bytes.
+fn word_key(word: &[u8]) -> u64 {
+    let mut head = [0; KEY_BYTES];
+    let n = word.len().min(KEY_BYTES);
+    head[..n].copy_from_slice(&word[..n]);
+    key(u64::from_le_bytes(head), word.len())
+}
+
+/// Bit `i` set where `keys[i]` is `key`. Every key is compared; the
+/// comparisons vectorize.
+fn matches(keys: &[u64; LANES], key: u64) -> u64 {
     keys.iter()
         .enumerate()
-        .fold(0, |hits, (i, &k)| hits | u64::from(k == word) << i)
-}
-
-/// The hits of a short key among the short keys past the first 64 (a
-/// table that large is k = 15 with long queries), one mask word per 64.
-#[inline(never)]
-fn mark_rest(rest: &[u64], word: u64, seen: &mut [u64]) {
-    for (keys, seen) in rest.chunks(64).zip(seen) {
-        *seen |= matches(keys, word);
-    }
+        .fold(0, |hits, (i, &k)| hits | u64::from(k == key) << i)
 }
 
 fn set_bit(bits: &mut [u64], bit: usize) {
     bits[bit / 64] |= 1 << (bit % 64);
 }
 
+/// The distinct words of the k+1 sub-queries and, per sub-query, which of
+/// them it contains. Word `e` (bit `e`) is short for `e < short`, sorted
+/// by key, and long (see [`key`]) after that, sorted by text.
+#[derive(Default)]
+struct WordTable {
+    /// The keys of words 0 to 15, 0 past the last word.
+    keys: [u64; LANES],
+    /// The keys of words 16 on, 16 to an array, 0 past the last word.
+    rest: Vec<[u64; LANES]>,
+    /// Short words in the table.
+    short: usize,
+    /// The bits of `keys` that are long words.
+    long_lanes: u64,
+    /// The long words, as ranges of `text`.
+    long: Vec<Range<usize>>,
+    /// `width` mask words per sub-query, sub-query 0 (the original) first.
+    masks: Vec<u64>,
+    /// `u64`s per mask.
+    width: usize,
+    /// What the build collects: the bytes of every long sub-query word,
+    /// each word's key or range tagged with its sub-query, and the short
+    /// keys sorted.
+    text: String,
+    short_words: Vec<(u64, usize)>,
+    long_words: Vec<(Range<usize>, usize)>,
+    sorted: Vec<u64>,
+}
+
 impl WordTable {
-    fn build<S: AsRef<str>>(original: &str, fakes: &[S], scratch: &mut String) -> Self {
-        // Each sub-query's words, tagged with the sub-query: short ones
-        // as their keys, longer ones as text.
-        let mut short_words: Vec<(u64, usize)> = Vec::new();
-        let mut long_words: Vec<(String, usize)> = Vec::new();
+    /// Rebuilds the table for these sub-queries in the space the last
+    /// build left.
+    fn build<S: AsRef<str>>(&mut self, original: &str, fakes: &[S], fold: &mut String) {
+        let WordTable {
+            text,
+            short_words,
+            long_words,
+            sorted,
+            long,
+            ..
+        } = self;
+        text.clear();
+        short_words.clear();
+        long_words.clear();
         let subqueries = std::iter::once(original).chain(fakes.iter().map(AsRef::as_ref));
-        for (q, text) in subqueries.enumerate() {
-            for_each_token(text, scratch, |word| {
-                if word.len() <= KEY_BYTES {
-                    short_words.push((key(word.as_bytes()), q));
+        for (q, sub) in subqueries.enumerate() {
+            for_each_token(sub, fold, |word| {
+                let key = word_key(word.as_bytes());
+                if key & LONG == 0 {
+                    short_words.push((key, q));
                 } else {
-                    long_words.push((word.to_owned(), q));
+                    text.push_str(word);
+                    long_words.push((text.len() - word.len()..text.len(), q));
                 }
             });
         }
-        let mut short: Vec<u64> = short_words.iter().map(|&(key, _)| key).collect();
-        short.sort_unstable();
-        short.dedup();
-        // Whole groups of 8 keys, so the comparisons run in full vectors.
-        let padded = short.len().next_multiple_of(8);
-        let mut long: Vec<String> = long_words.iter().map(|(word, _)| word.clone()).collect();
-        long.sort_unstable();
-        long.dedup();
-        let width = (padded + long.len()).div_ceil(64).max(1);
-        let mut masks = vec![0; (fakes.len() + 1) * width];
+        sorted.clear();
+        sorted.extend(short_words.iter().map(|&(key, _)| key));
+        sorted.sort_unstable();
+        sorted.dedup();
+        let word = |r: &Range<usize>| &text[r.clone()];
+        long.clear();
+        long.extend(long_words.iter().map(|(r, _)| r.clone()));
+        long.sort_unstable_by(|a, b| word(a).cmp(word(b)));
+        long.dedup_by(|a, b| word(a) == word(b));
+
+        let short = sorted.len();
+        let words = short + long.len();
+        let width = words.div_ceil(64).max(1);
+        self.masks.clear();
+        self.masks.resize((fakes.len() + 1) * width, 0);
         let found = "every sub-query word is in the table";
-        for (key, q) in short_words {
-            set_bit(
-                &mut masks[q * width..],
-                short.binary_search(&key).expect(found),
-            );
+        for &(key, q) in &self.short_words {
+            let bit = self.sorted.binary_search(&key).expect(found);
+            set_bit(&mut self.masks[q * width..], bit);
         }
-        for (word, q) in long_words {
-            let bit = padded + long.binary_search(&word).expect(found);
-            set_bit(&mut masks[q * width..], bit);
+        for (r, q) in &self.long_words {
+            let bit = short
+                + self
+                    .long
+                    .binary_search_by(|l| word(l).cmp(word(r)))
+                    .expect(found);
+            set_bit(&mut self.masks[q * width..], bit);
         }
-        short.resize(padded, 0);
-        WordTable {
-            short,
-            long,
-            masks,
-            width,
+
+        let mut keys = self.sorted.iter().copied().chain(
+            self.long
+                .iter()
+                .map(|r| word_key(self.text[r.clone()].as_bytes())),
+        );
+        self.keys = std::array::from_fn(|_| keys.next().unwrap_or(0));
+        self.rest.clear();
+        for _ in 1..words.div_ceil(LANES) {
+            self.rest
+                .push(std::array::from_fn(|_| keys.next().unwrap_or(0)));
         }
+        let below = |n: usize| if n >= 64 { u64::MAX } else { (1 << n) - 1 };
+        self.long_lanes = below(words.min(LANES)) & !below(short);
+        self.short = short;
+        self.width = width;
     }
 
-    /// Marks in `seen` every table word that occurs in `text`. Each word
-    /// is compared with every key of its length class, whatever it
-    /// matches; the hits among the first 64 short keys gather in a
-    /// register and reach `seen` once per field.
-    fn mark(&self, text: &str, scratch: &mut String, seen: &mut [u64]) {
+    /// Long word `i`.
+    fn long_word(&self, i: usize) -> &[u8] {
+        self.text[self.long[i].clone()].as_bytes()
+    }
+
+    /// Marks in `seen` every table word that occurs in `text`.
+    fn mark(&self, text: &str, fold: &mut String, seen: &mut [u64]) {
         seen.fill(0);
-        let (first, rest) = self.short.split_at(self.short.len().min(64));
+        let bytes = text.as_bytes();
+        // The hits among the first 16 words gather in a register and
+        // reach `seen` once per field.
         let mut hits = 0;
-        for_each_token(text, scratch, |word| {
-            #[cfg(test)]
-            tests::TOKENS_LOOKED_UP.with(|n| n.set(n.get() + 1));
-            if word.len() <= KEY_BYTES {
-                #[cfg(test)]
-                tests::KEYS_COMPARED.with(|n| n.set(n.get() + self.short.len()));
-                let word = key(word.as_bytes());
-                hits |= matches(first, word);
-                if !rest.is_empty() {
-                    mark_rest(rest, word, &mut seen[1..]);
+        let mut padded: Window;
+        // A token still open at the end of a block: its start and head.
+        let (mut carry, mut start, mut head) = (0, 0, 0);
+        for n in 0..=bytes.len() / BLOCK {
+            let base = n * BLOCK;
+            let window: &Window = match bytes.get(base..base + BLOCK + KEY_BYTES) {
+                Some(window) => window.try_into().expect("a window"),
+                None => {
+                    let rest = &bytes[base..];
+                    padded = [0; BLOCK + KEY_BYTES];
+                    padded[..rest.len()].copy_from_slice(rest);
+                    &padded
                 }
-            } else if !self.long.is_empty() {
-                self.mark_long(word, seen);
+            };
+            let Some(bits) = token_bits(window[..BLOCK].try_into().expect("a block")) else {
+                // Every byte before this block is ASCII, and the byte
+                // before `from` is a separator (or there is none), so the
+                // exact path picks up at a token boundary.
+                seen[0] |= hits;
+                let from = if carry == 1 { start } else { base };
+                for_each_folded_token(&text[from..], fold, &mut |word| {
+                    let word = word.as_bytes();
+                    let hits = self.look_up(word_key(word), word, 0..word.len(), seen);
+                    seen[0] |= hits;
+                });
+                return;
+            };
+            // As in `for_each_token`: starts and ends pair up in order,
+            // after the end of a token still open from the block before.
+            let before = bits << 1 | carry;
+            let mut starts = bits & !before;
+            let mut ends = !bits & before;
+            if carry == 1 && ends != 0 {
+                let end = base + ends.trailing_zeros() as usize;
+                hits |= self.look_up(head, bytes, start..end, seen);
+                ends &= ends - 1;
             }
-        });
+            while ends != 0 {
+                let (from, to) = (
+                    starts.trailing_zeros() as usize,
+                    ends.trailing_zeros() as usize,
+                );
+                starts &= starts - 1;
+                ends &= ends - 1;
+                hits |= self.look_up(load(window, from), bytes, base + from..base + to, seen);
+            }
+            if starts != 0 {
+                let from = starts.trailing_zeros() as usize;
+                start = base + from;
+                head = load(window, from);
+            }
+            carry = bits >> (BLOCK - 1);
+        }
         seen[0] |= hits;
     }
 
-    /// The exact compare of a word longer than [`KEY_BYTES`] with every
-    /// longer table word. Out of line, so that the short-word path stays
-    /// small enough to inline into the tokenizer's loop.
-    #[inline(never)]
-    fn mark_long(&self, word: &str, seen: &mut [u64]) {
+    /// The bits of the first 16 table words that the token
+    /// `text[token]`, whose first bytes are `head`, is; a word past the
+    /// first 16 is marked in `seen`. The token is sliced only for an
+    /// exact compare.
+    #[inline(always)]
+    fn look_up(&self, head: u64, text: &[u8], token: Range<usize>, seen: &mut [u64]) -> u64 {
+        let key = key(head, token.end - token.start);
         #[cfg(test)]
-        tests::KEYS_COMPARED.with(|n| n.set(n.get() + self.long.len()));
-        for (i, long) in self.long.iter().enumerate() {
-            if long == word {
-                set_bit(seen, self.short.len() + i);
+        tests::count(&tests::TOKENS_LOOKED_UP, 1);
+        #[cfg(test)]
+        tests::count(&tests::KEYS_COMPARED, LANES * (1 + self.rest.len()));
+        if !self.rest.is_empty() {
+            self.look_up_rest(key, &text[token.clone()], seen);
+        }
+        // A short key can only be a short word's and a long key a long
+        // word's, and a long word's is only its first 8 bytes.
+        let hits = matches(&self.keys, key);
+        if hits & self.long_lanes == 0 {
+            hits
+        } else {
+            self.confirm(hits, &text[token])
+        }
+    }
+
+    /// `hits`, all long words whose first 8 bytes `token`'s are, less
+    /// those it is not.
+    #[inline(never)]
+    fn confirm(&self, hits: u64, token: &[u8]) -> u64 {
+        let mut confirmed = 0;
+        let mut left = hits;
+        while left != 0 {
+            let bit = left.trailing_zeros() as usize;
+            left &= left - 1;
+            #[cfg(test)]
+            tests::count(&tests::LONG_CONFIRMS, 1);
+            if self.long_word(bit - self.short) == token {
+                confirmed |= 1 << bit;
+            }
+        }
+        confirmed
+    }
+
+    /// The lookup among the words past the first 16 (a table that large
+    /// is k ≥ 7, mostly), 16 keys at a time, hits marked in `seen`.
+    #[inline(never)]
+    fn look_up_rest(&self, key: u64, token: &[u8], seen: &mut [u64]) {
+        for (i, keys) in self.rest.iter().enumerate() {
+            let mut hits = matches(keys, key);
+            while hits != 0 {
+                let word = LANES * (i + 1) + hits.trailing_zeros() as usize;
+                hits &= hits - 1;
+                if word >= self.short {
+                    #[cfg(test)]
+                    tests::count(&tests::LONG_CONFIRMS, 1);
+                    if self.long_word(word - self.short) != token {
+                        continue;
+                    }
+                }
+                set_bit(seen, word);
             }
         }
     }
@@ -192,13 +366,29 @@ impl WordTable {
     /// `nbCommonWords(sub-query q, field)` for a field marked into `seen`.
     fn common(&self, q: usize, seen: &[u64]) -> u32 {
         #[cfg(test)]
-        tests::COMMON_CALLS.with(|calls| calls.set(calls.get() + 1));
+        tests::count(&tests::COMMON_CALLS, 1);
         let mask = &self.masks[q * self.width..(q + 1) * self.width];
         mask.iter()
             .zip(seen)
             .map(|(m, s)| (m & s).count_ones())
             .sum()
     }
+}
+
+/// What Algorithm 2 builds per request, kept per thread so that its
+/// allocations outlive the request: the word table, the buffer the exact
+/// path folds a word into, and the title's and description's `seen`
+/// masks.
+#[derive(Default)]
+struct Scratch {
+    table: WordTable,
+    fold: String,
+    title: Vec<u64>,
+    desc: Vec<u64>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
 /// Runs Algorithm 2: keeps the results whose best-matching sub-query is
@@ -220,21 +410,29 @@ pub fn filter_results<S: AsRef<str>, R: ResultFields>(
         // results ⇒ nothing to tokenize against (echo-mode hot path).
         return results;
     }
-    let mut scratch = String::new();
-    let table = WordTable::build(original, fakes, &mut scratch);
-    let mut title = vec![0u64; table.width];
-    let mut desc = vec![0u64; table.width];
-    results.retain(|r| {
-        table.mark(r.title(), &mut scratch, &mut title);
-        table.mark(r.description(), &mut scratch, &mut desc);
-        let score = |q| table.common(q, &title) + table.common(q, &desc);
-        // Every sub-query is scored, whatever the scores: the work does
-        // not stop at the first fake that beats the original, so it does
-        // not depend on where the original sits among the sub-queries.
-        let own = score(0);
-        let best = (1..=fakes.len()).map(score).fold(own, u32::max);
-        // `own == max` (ties to the user).
-        own == best
+    SCRATCH.with_borrow_mut(|scratch| {
+        let Scratch {
+            table,
+            fold,
+            title,
+            desc,
+        } = scratch;
+        table.build(original, fakes, fold);
+        title.resize(table.width, 0);
+        desc.resize(table.width, 0);
+        results.retain(|r| {
+            table.mark(r.title(), fold, title);
+            table.mark(r.description(), fold, desc);
+            let score = |q| table.common(q, title) + table.common(q, desc);
+            // Every sub-query is scored, whatever the scores: the work
+            // does not stop at the first fake that beats the original, so
+            // it does not depend on where the original sits among the
+            // sub-queries.
+            let own = score(0);
+            let best = (1..=fakes.len()).map(score).fold(own, u32::max);
+            // `own == max` (ties to the user).
+            own == best
+        });
     });
     results
 }
@@ -255,14 +453,22 @@ mod tests {
         /// Result tokens `WordTable::mark` looked up in the table on this
         /// thread.
         pub(super) static TOKENS_LOOKED_UP: Cell<usize> = const { Cell::new(0) };
+        /// Exact compares of a long token with a long table word that
+        /// shares its first 8 bytes, on this thread.
+        pub(super) static LONG_CONFIRMS: Cell<usize> = const { Cell::new(0) };
     }
 
-    /// Algorithm 2's work on this thread:
-    /// `[tokens looked up, table keys compared, nbCommonWords evaluations]`.
-    fn work() -> [usize; 3] {
+    pub(super) fn count(counter: &'static std::thread::LocalKey<Cell<usize>>, n: usize) {
+        counter.with(|c| c.set(c.get() + n));
+    }
+
+    /// Algorithm 2's work on this thread: `[tokens looked up, table keys
+    /// compared, long-word confirmations, nbCommonWords evaluations]`.
+    fn work() -> [usize; 4] {
         [
             TOKENS_LOOKED_UP.with(Cell::get),
             KEYS_COMPARED.with(Cell::get),
+            LONG_CONFIRMS.with(Cell::get),
             COMMON_CALLS.with(Cell::get),
         ]
     }
@@ -273,7 +479,10 @@ mod tests {
     /// queries, and the standard corpus answers the four sub-queries with
     /// 20 results each, merged. The pins move only where the lookup
     /// changes how many tokens it looks up or how many keys it compares;
-    /// the `nbCommonWords` count and the results kept never move.
+    /// the `nbCommonWords` count and the results kept never move. Every
+    /// token is looked up (no prefilter skips any), against the 16 keys
+    /// of the fixed-width array (every table here has at most 16 words),
+    /// and 6 043 long tokens shared a long table word's first 8 bytes.
     #[test]
     fn seeded_requests_pin_the_work() {
         use crate::history::QueryHistory;
@@ -312,8 +521,8 @@ mod tests {
         assert_eq!(results, 7_484, "results fetched");
         assert_eq!(
             delta,
-            [184_957, 1_463_866, 59_872],
-            "tokens looked up, keys compared, nbCommonWords"
+            [184_957, 2_959_312, 6_043, 59_872],
+            "tokens looked up, keys compared, long-word confirmations, nbCommonWords"
         );
         assert_eq!(kept, 1_902, "results kept");
     }
@@ -409,8 +618,62 @@ mod tests {
         assert_eq!(ids, [0], "1 loses to fake 15, 2 loses to fake 7");
     }
 
+    /// A hostile engine: every token of every field is a one-byte word
+    /// (the most tokens a field can hold) or a long word that shares its
+    /// first 8 bytes with every long table word and fails every exact
+    /// compare. The scores still equal [`result_score`]'s, and the work
+    /// per field stays within the bound the module docs state, with the
+    /// table within the fixed-width array (k = 3) and past it (k = 15).
+    #[test]
+    fn hostile_fields_stay_within_the_work_bound() {
+        let long_words = ["international", "internationally", "internationalism"];
+        for k in [3, 15] {
+            let subs: Vec<String> = (0..=k)
+                .map(|q| format!("{} w{q} v{q} {q}", long_words[q % long_words.len()]))
+                .collect();
+            let mut fold = String::new();
+            let mut table = WordTable::default();
+            table.build(&subs[0], &subs[1..], &mut fold);
+            let words = table.short + table.long.len();
+            assert_eq!(table.long.len(), long_words.len());
+            assert_eq!(words > LANES, k == 15, "{words} table words");
+            let near_misses = [
+                "internatx",
+                "internationa",
+                "internationalx",
+                "internationallyy",
+            ];
+            let fields = [
+                near_misses.repeat(40).join(" "),
+                near_misses.repeat(40).join(",").to_uppercase(),
+                "a b c d e f ".repeat(60),
+                format!("{}  {}", "x".repeat(63), near_misses.join("\t").repeat(9)),
+            ];
+            let mut seen = vec![0u64; table.width];
+            for (i, field) in fields.iter().enumerate() {
+                let before = work();
+                table.mark(field, &mut fold, &mut seen);
+                let [tokens, keys, confirms, _] = work();
+                let (tokens, keys, confirms) =
+                    (tokens - before[0], keys - before[1], confirms - before[2]);
+                let n = field.len();
+                assert!(tokens <= n.div_ceil(2), "{tokens} tokens in {n} bytes");
+                assert!(keys <= n.div_ceil(2) * LANES * words.div_ceil(LANES));
+                assert!(confirms <= (n / 10 + 1) * table.long.len());
+                if i < 2 {
+                    // Every near miss, on either path, against every long word.
+                    assert_eq!(confirms, 160 * long_words.len());
+                }
+                for (q, sub) in subs.iter().enumerate() {
+                    assert_eq!(table.common(q, &seen) as usize, nb_common_words(sub, field));
+                }
+            }
+        }
+    }
+
     /// Words that collide only after folding, near-misses that must not,
-    /// and enough plain ones that k = 15 passes 64 distinct table words.
+    /// long words that share their first 8 bytes, and enough plain ones
+    /// that k = 15 passes 64 distinct table words.
     fn vocabulary() -> Vec<String> {
         let special = [
             "paris",
@@ -433,6 +696,11 @@ mod tests {
             "é",
             "É",
             "中",
+            "hotels123",
+            "hotels124",
+            "Hotels123",
+            "international",
+            "internationally",
         ];
         let plain = (0..90).map(|n| format!("w{n}"));
         special
@@ -524,12 +792,13 @@ mod tests {
                     result(i as u32, &edge_field(&title.0, title.1), &edge_field(&desc.0, desc.1))
                 })
                 .collect();
-            let mut scratch = String::new();
-            let table = WordTable::build(&subs[0], &subs[1..], &mut scratch);
+            let mut fold = String::new();
+            let mut table = WordTable::default();
+            table.build(&subs[0], &subs[1..], &mut fold);
             let mut seen = vec![0u64; table.width];
             for r in &results {
                 for field in [&r.title, &r.description] {
-                    table.mark(field, &mut scratch, &mut seen);
+                    table.mark(field, &mut fold, &mut seen);
                     for (q, sub) in subs.iter().enumerate() {
                         prop_assert_eq!(
                             table.common(q, &seen) as usize,
@@ -549,8 +818,8 @@ mod tests {
 
         /// ROADMAP 2(c) for Algorithm 2: the original at each of the k+1
         /// positions of one sub-query multiset, over the same results,
-        /// costs the same table lookups (keys compared) and the same
-        /// `nbCommonWords` evaluations.
+        /// costs the same work: tokens looked up, keys compared, long-word
+        /// confirmations and `nbCommonWords` evaluations.
         #[test]
         fn work_does_not_depend_on_the_original_position(
             k_pick in 0usize..3,
@@ -567,16 +836,14 @@ mod tests {
                 .enumerate()
                 .map(|(i, f)| result(i as u32, &text(&vocab, &f[0]), &text(&vocab, f.last().unwrap())))
                 .collect();
-            let mut work = Vec::new();
+            let mut spent = Vec::new();
             for position in 0..=k {
                 let fakes: Vec<&String> = (0..=k).filter(|&q| q != position).map(|q| &subs[q]).collect();
-                let (keys, common) = (KEYS_COMPARED.with(Cell::get), COMMON_CALLS.with(Cell::get));
+                let before = work();
                 let _ = filter_results(&subs[position], &fakes, results.clone());
-                work.push((
-                    KEYS_COMPARED.with(Cell::get) - keys,
-                    COMMON_CALLS.with(Cell::get) - common,
-                ));
+                spent.push(work().iter().zip(before).map(|(a, b)| a - b).collect::<Vec<_>>());
             }
+            let work = spent;
             prop_assert!(work.iter().all(|w| *w == work[0]), "work per position: {:?}", work);
         }
 

@@ -7,11 +7,13 @@
 //!
 //! [`tokenize`] is the plain definition, a character at a time.
 //! [`for_each_token`] visits the same tokens without allocating and is
-//! what the hot callers use (the enclave's Algorithm 2 and the engine's
-//! index build): a text with no upper-case ASCII and no non-ASCII byte is
-//! split a 64-byte block at a time with one token bitmap per block, and
-//! anything else falls back to the exact, folding path — a proptest pins
-//! the two against [`tokenize`] with the awkward bytes on block edges.
+//! what the engine's index build and query parse use: a text with no
+//! upper-case ASCII and no non-ASCII byte is split a 64-byte block at a
+//! time with one token bitmap per block ([`token_bits`]), and anything
+//! else falls back to the exact, folding path
+//! ([`for_each_folded_token`]) — a proptest pins the two against
+//! [`tokenize`] with the awkward bytes on block edges. The enclave's
+//! Algorithm 2 walks the same bitmaps itself, by byte offset.
 
 /// Splits `text` into lower-cased alphanumeric tokens.
 ///
@@ -122,7 +124,7 @@ pub fn for_each_token(text: &str, scratch: &mut String, mut visit: impl FnMut(&s
 }
 
 /// Bytes per block of the block path: one bit each in a `u64`.
-const BLOCK: usize = 64;
+pub const BLOCK: usize = 64;
 
 /// One bit per byte of `block`, set where the byte is an ASCII lower-case
 /// letter or digit; `None` if the block holds an upper-case ASCII letter
@@ -135,7 +137,8 @@ const BLOCK: usize = 64;
 /// bit into the `u64` directly vectorizes worse (≈ 1.6× slower with
 /// AVX-512, ≈ 10× with SSE4.2 only).
 #[inline]
-fn token_bits(block: &[u8; BLOCK]) -> Option<u64> {
+#[must_use]
+pub fn token_bits(block: &[u8; BLOCK]) -> Option<u64> {
     const GATHER: u64 = 0x0102_0408_1020_4080;
     let mut flags = [0u8; BLOCK];
     let mut folds = 0u8;
@@ -159,8 +162,10 @@ fn token_bits(block: &[u8; BLOCK]) -> Option<u64> {
 /// [`for_each_token`]'s exact path, for text with an upper-case or
 /// non-ASCII byte: a byte at a time, folding the tokens that need it.
 /// `visit` is a trait object so that the block path keeps the one inlined
-/// copy of the caller's visitor.
-fn for_each_folded_token(text: &str, scratch: &mut String, visit: &mut dyn FnMut(&str)) {
+/// copy of the caller's visitor. `text` must start at a token boundary
+/// (its start, or just after a separator) for the tokens to be
+/// [`tokenize`]'s.
+pub fn for_each_folded_token(text: &str, scratch: &mut String, visit: &mut dyn FnMut(&str)) {
     let bytes = text.as_bytes();
     let mut pos = 0;
     while pos < bytes.len() {
