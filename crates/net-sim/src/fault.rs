@@ -170,8 +170,9 @@ pub struct LinkFault {
     pub delay: Duration,
 }
 
-/// The outcome of an ecall-boundary fault decision for one response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The outcome of an ecall-boundary fault decision for one response;
+/// the default is a clean one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EcallFault {
     /// The enclave executed the request but the response is lost
     /// (gray failure): the caller sees an error after the work was done.
@@ -304,6 +305,20 @@ impl FaultPlan {
     pub fn ecall_fault(&self, replica: usize) -> EcallFault {
         let idx = replica % self.ecall_seq.len();
         let n = self.ecall_seq[idx].fetch_add(1, Ordering::Relaxed);
+        self.ecall_fault_at(replica, n)
+    }
+
+    /// The decision [`FaultPlan::ecall_fault`] will return next for
+    /// `replica`, without consuming it. A test can close a fault phase
+    /// with it: draw decisions until the next one is clean.
+    #[must_use]
+    pub fn peek_ecall_fault(&self, replica: usize) -> EcallFault {
+        let idx = replica % self.ecall_seq.len();
+        self.ecall_fault_at(replica, self.ecall_seq[idx].load(Ordering::Relaxed))
+    }
+
+    /// Decision `n` of `replica`'s ecall boundary.
+    fn ecall_fault_at(&self, replica: usize, n: u64) -> EcallFault {
         let r = replica as u64;
         let gray_p = self
             .spec
