@@ -108,7 +108,17 @@ const LONG: u64 = 1 << 63;
 /// (only the exact path makes those). So a short word's key is the word,
 /// and two long words share a key only if they share their first 8 bytes.
 fn key(head: u64, len: usize) -> u64 {
-    head & u64::MAX >> (64 - 8 * len.min(KEY_BYTES)) | u64::from(len > KEY_BYTES) << 63
+    /// The bytes of the key a token of `len.min(9)` bytes keeps.
+    const MASKS: [u64; KEY_BYTES + 2] = {
+        let mut masks = [u64::MAX; KEY_BYTES + 2];
+        let mut len = 0;
+        while len < KEY_BYTES {
+            masks[len] = (1 << (8 * len)) - 1;
+            len += 1;
+        }
+        masks
+    };
+    head & MASKS[len.min(KEY_BYTES + 1)] | u64::from(len > KEY_BYTES) << 63
 }
 
 /// [`key`] of a word given as bytes.
@@ -239,6 +249,16 @@ impl WordTable {
 
     /// Marks in `seen` every table word that occurs in `text`.
     fn mark(&self, text: &str, fold: &mut String, seen: &mut [u64]) {
+        if self.rest.is_empty() {
+            self.mark_with::<false>(text, fold, seen);
+        } else {
+            self.mark_with::<true>(text, fold, seen);
+        }
+    }
+
+    /// [`WordTable::mark`] for a table with (`REST`) or without words past
+    /// the first 16.
+    fn mark_with<const REST: bool>(&self, text: &str, fold: &mut String, seen: &mut [u64]) {
         seen.fill(0);
         let bytes = text.as_bytes();
         // The hits among the first 16 words gather in a register and
@@ -266,7 +286,7 @@ impl WordTable {
                 let from = if carry == 1 { start } else { base };
                 for_each_folded_token(&text[from..], fold, &mut |word| {
                     let word = word.as_bytes();
-                    let hits = self.look_up(word_key(word), word, 0..word.len(), seen);
+                    let hits = self.look_up::<REST>(word_key(word), word, 0..word.len(), seen);
                     seen[0] |= hits;
                 });
                 return;
@@ -278,7 +298,7 @@ impl WordTable {
             let mut ends = !bits & before;
             if carry == 1 && ends != 0 {
                 let end = base + ends.trailing_zeros() as usize;
-                hits |= self.look_up(head, bytes, start..end, seen);
+                hits |= self.look_up::<REST>(head, bytes, start..end, seen);
                 ends &= ends - 1;
             }
             while ends != 0 {
@@ -288,7 +308,8 @@ impl WordTable {
                 );
                 starts &= starts - 1;
                 ends &= ends - 1;
-                hits |= self.look_up(load(window, from), bytes, base + from..base + to, seen);
+                hits |=
+                    self.look_up::<REST>(load(window, from), bytes, base + from..base + to, seen);
             }
             if starts != 0 {
                 let from = starts.trailing_zeros() as usize;
@@ -305,13 +326,19 @@ impl WordTable {
     /// first 16 is marked in `seen`. The token is sliced only for an
     /// exact compare.
     #[inline(always)]
-    fn look_up(&self, head: u64, text: &[u8], token: Range<usize>, seen: &mut [u64]) -> u64 {
+    fn look_up<const REST: bool>(
+        &self,
+        head: u64,
+        text: &[u8],
+        token: Range<usize>,
+        seen: &mut [u64],
+    ) -> u64 {
         let key = key(head, token.end - token.start);
         #[cfg(test)]
         tests::count(&tests::TOKENS_LOOKED_UP, 1);
         #[cfg(test)]
         tests::count(&tests::KEYS_COMPARED, LANES * (1 + self.rest.len()));
-        if !self.rest.is_empty() {
+        if REST {
             self.look_up_rest(key, &text[token.clone()], seen);
         }
         // A short key can only be a short word's and a long key a long
